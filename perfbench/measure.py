@@ -68,6 +68,27 @@ class Samples:
         return self.values.get(name, [])
 
 
+def cpu_ticks() -> list[int] | None:
+    """The machine-wide ``cpu`` line of ``/proc/stat`` (``None`` off Linux)."""
+    try:
+        with open("/proc/stat") as stat:
+            return [int(field) for field in stat.readline().split()[1:]]
+    except (OSError, ValueError):
+        return None
+
+
+def steal_share(before: list[int] | None, after: list[int] | None) -> float | None:
+    """Share of CPU time the hypervisor took between two :func:`cpu_ticks`.
+
+    Recorded beside the metrics: on a shared virtual machine a run that
+    lost much time to steal reads slower for reasons outside the program.
+    """
+    if before is None or after is None or len(before) < 8:
+        return None
+    total = sum(after) - sum(before)
+    return (after[7] - before[7]) / total if total > 0 else 0.0
+
+
 @contextmanager
 def stopwatch(into: dict, name: str):
     """Store the body's wall seconds as ``into[name]``."""

@@ -169,6 +169,7 @@ def run(args) -> int:
     ctx = Context(args, workdir)
     workload = cls(ctx)
     phases = {}  # wall seconds per phase, to account for the run's time budget
+    ticks = measure.cpu_ticks()
     with measure.stopwatch(phases, "input"):
         graph = inputs.write_graph(args.seed, ctx.edge_path)
     try:
@@ -191,7 +192,8 @@ def run(args) -> int:
         print(f"FAILED: {failure}")
     end_to_end = measure.end_to_end(ctx.samples)
     metrics = end_to_end
-    extra = {"phase_seconds": phases}
+    extra = {"phase_seconds": phases,
+             "host_steal_share": measure.steal_share(ticks, measure.cpu_ticks())}
     if ctx.trace:
         derived_metrics(args.workload, ctx, {m.name: m for m in end_to_end})
         s = ctx.samples

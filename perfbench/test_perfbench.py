@@ -115,6 +115,15 @@ def test_time_buckets_split_the_window_evenly():
     assert [len(b) for b, _ in time_buckets(stamped, 0.0, 0.5)] == [100]
 
 
+def test_steal_share_reads_the_eighth_cpu_field():
+    from measure import steal_share
+
+    before = [100, 0, 50, 800, 10, 0, 5, 20, 0, 0]
+    after = [160, 0, 60, 880, 10, 0, 5, 40, 0, 0]
+    assert steal_share(before, after) == pytest.approx(20 / 170)
+    assert steal_share(None, after) is None
+
+
 def test_driver_line_has_exactly_the_contract_keys():
     checks = Checks()
     line = json.loads(driver_line(checks, [Metric("setup_s", 1.5, "s", 2)]))
