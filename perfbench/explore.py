@@ -1,12 +1,13 @@
 """``explore``: the paper's analyst session, closed loop in one thread.
 
 One op builds the index from the edge-list file, saves it, opens it with a
-verified load to a first answer (three times over the op), sweeps the 45-setting
-grid through ``query_many``, drills into every third setting with a
-per-pair ``ScanIndex.query`` (the oracle the sweep must equal, timed as the
-interactive query latency), then edits the graph with one 40-op update
-batch and saves again.  No server runs here, so a change to the serving
-tier should move nothing on this workload.
+verified load to a first answer (three times over the op), sweeps the
+45-setting grid through ``query_many``, then edits the graph with one
+40-op update batch and saves again.  After the window the analyst drills
+into every setting of the grid with a per-pair ``ScanIndex.query``: the
+oracle the sweep must equal, timed as the interactive query latency.  No
+server runs here, so a change to the serving tier should move nothing on
+this workload.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from measure import add_query_buckets
 #: Untimed warm ops (build → open → sweep) before the window; ``setup_s``
 #: is their median.
 SETUP_OPS = 2
-#: Every op drills into every third grid setting (15 of 45, every μ and
-#: every ε range); the oracle checks the other 30 once after the window.
-DRILL_STEP = 3
 
 
 def _same_clustering(a, b) -> bool:
@@ -65,21 +63,17 @@ class Explore:
         # The other opens are spread through the op, so one slow moment of
         # a shared machine does not hit all of an op's open_s samples.
         self.open(layers, record)
-        query_s = self.drill(loaded, clusterings, range(0, len(self.grid), DRILL_STEP))
-        self.open(layers, record)
         if self.batch is None:
             edge_u, edge_v = index.graph.edge_list()
             self.batch = inputs.update_batch(
                 np.random.default_rng([ctx.seed, 3]), index.graph.num_vertices, edge_u, edge_v
             )
         _, update_s = pipeline.update(index, *self.batch, self.artifact, layers)
+        self.open(layers, record)
         self.last_index = index
-        if layers is not None:
-            layers.samples.add("core.sweep_query.sharing_ratio", sum(query_s) / sweep_s)
-        else:
+        if record:
             ctx.samples.add("build_s", build_s)
             ctx.samples.add("sweep_s", sweep_s)
-            add_query_buckets(ctx.samples, [(query_s, sum(query_s))])
             ctx.samples.add("update_ms", update_s * 1e3)
         return time.perf_counter() - started
 
@@ -92,19 +86,6 @@ class Explore:
             self.ctx.samples.add("open_s", open_s)
         return loaded
 
-    def drill(self, loaded, clusterings, positions) -> list[float]:
-        """Per-pair ``query`` at ``positions`` of the grid, checked against the sweep."""
-        query_s = []
-        for position in positions:
-            mu, epsilon = self.grid[position]
-            started = time.perf_counter()
-            single = loaded.query(mu, epsilon, deterministic_borders=True)
-            query_s.append(time.perf_counter() - started)
-            self.ctx.checks.attempt()
-            self.ctx.checks.expect(_same_clustering(single, clusterings[position]),
-                                   f"explore: sweep differs from query({mu}, {epsilon})")
-        return query_s
-
     def setup(self) -> None:
         for _ in range(SETUP_OPS):
             self.ctx.samples.add("setup_s", self.op(warm=True))
@@ -115,17 +96,27 @@ class Explore:
         with layers.installed() if layers is not None else nullcontext():
             while time.perf_counter() < deadline:
                 self.ctx.samples.add(tag, self.op(layers=layers))
+                if layers is not None:
+                    layers.standalone_calls(self.artifact, self.last_index.graph.num_arcs)
 
     def oracle(self) -> None:
-        """The rest of the grid per pair; a ``jobs=1`` build; patched index vs rebuild."""
+        """Per-pair drill-down over the grid; a ``jobs=1`` build; patched index vs rebuild."""
         from repro import ScanIndex
         from repro.graphs.io import read_edge_list
 
-        checks = self.ctx.checks
+        ctx, checks = self.ctx, self.ctx.checks
         loaded = ScanIndex.load(self.artifact)
-        rest = [p for p in range(len(self.grid)) if p % DRILL_STEP]
-        self.drill(loaded, pipeline.sweep(loaded, self.grid)[0], rest)
-        serial = ScanIndex.build(read_edge_list(self.ctx.edge_path), jobs=1)
+        clusterings, _ = pipeline.sweep(loaded, self.grid)
+        query_s = []
+        for (mu, epsilon), swept in zip(self.grid, clusterings):
+            started = time.perf_counter()
+            single = loaded.query(mu, epsilon, deterministic_borders=True)
+            query_s.append(time.perf_counter() - started)
+            checks.attempt()
+            checks.expect(_same_clustering(single, swept),
+                          f"explore: sweep differs from query({mu}, {epsilon})")
+        add_query_buckets(ctx.samples, [(query_s, sum(query_s))])
+        serial = ScanIndex.build(read_edge_list(ctx.edge_path), jobs=1)
         checks.attempt()
         bad = pipeline.column_mismatches(self.first_columns, pipeline.index_columns(serial))
         checks.expect(not bad, f"explore: jobs=2 build differs from jobs=1 in {bad}")
@@ -137,11 +128,12 @@ class Explore:
         checks.expect(not bad, f"explore: patched artifact differs from a rebuild in {bad}")
 
     def layer_replays(self, layers) -> None:
-        """Query layers and session misses then hits over the grid."""
+        """Sharing ratio and query layers over the grid, then session misses and hits."""
         from repro import ScanIndex
 
         index = ScanIndex.load(self.artifact)
-        layers.query_replay(index, self.grid)
+        _, sweep_s = pipeline.sweep(index, self.grid)
+        layers.sharing_ratio(index, self.grid, sweep_s)
         layers.session_replay(index, self.grid)
 
     def close(self) -> None:

@@ -11,7 +11,10 @@ already exposes, or a difference between two measured numbers:
   exact scheduler work count the call charged);
 * storage and queries: the benchmark calls ``read_edge_list``, ``save``,
   ``load``, ``get_cores`` and ``cluster`` itself, under
-  :meth:`~measure.Samples.timed`;
+  :meth:`~measure.Samples.timed`; calls that no op makes (an unverified
+  load, an executor's start-up) run between ops, outside every op time,
+  so traced minus untraced op time is the cost of the timers and the
+  ``obs`` tracer alone;
 * the program's own ``obs`` tracer runs alongside, and
   :meth:`LayerTimers.cross_check` sets its spans next to the outside
   timings so any disagreement between a trace and the bench shows.
@@ -99,8 +102,13 @@ class LayerTimers:
             if tracing:
                 obs.finalise()
 
-    def executor_startup(self, num_arcs: int) -> None:
-        """Enter a 2-worker executor, force its pool with one tiny dispatch, leave."""
+    def standalone_calls(self, artifact: Path, num_arcs: int) -> None:
+        """Layer calls no op makes, timed between ops so no op time holds them.
+
+        A 2-worker executor entered, forced with one tiny dispatch and left;
+        and an unverified ``ScanIndex.load`` of ``artifact``.
+        """
+        from repro import ScanIndex
         from repro.parallel.execute import executor_for
 
         keys = np.arange(64, dtype=np.int64)[::-1].copy()
@@ -110,6 +118,8 @@ class LayerTimers:
                     executor.segmented_argsort(
                         keys, np.array([0, 32, 64]), universe=64, max_segment=32
                     )
+        with self.samples.timed("storage.load_s"):
+            ScanIndex.load(artifact)
 
     def query_replay(self, index, settings) -> None:
         """``get_cores`` and ``cluster`` per setting, with exact work counts."""

@@ -19,28 +19,14 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+import numpy as np
+
 #: The tail rule: a percentile is trustworthy only with at least this many
 #: samples beyond it.
 MIN_BEYOND = 10
-#: Serving windows are cut into sub-windows of about this many seconds;
-#: latency percentiles and throughput are taken per sub-window and reported
-#: as their median, so a slow phase of a shared machine lasting a few
-#: seconds moves one or two sub-windows rather than the result.
-SUBWINDOW_S = 2.0
 #: Fewest samples for a bucket's own p99 (ten beyond it); with fewer, the
 #: p99 is taken over the whole window instead.
 P99_SAMPLES = 100 * MIN_BEYOND
-
-
-def percentile(values, fraction: float) -> float:
-    """Linear-interpolated percentile (numpy's default method)."""
-    ordered = sorted(values)
-    if not ordered:
-        raise ValueError("no samples")
-    position = fraction * (len(ordered) - 1)
-    lower = int(position)
-    upper = min(lower + 1, len(ordered) - 1)
-    return ordered[lower] + (ordered[upper] - ordered[lower]) * (position - lower)
 
 
 class Samples:
@@ -139,9 +125,16 @@ def median_metric(name: str, values, unit: str, *, better: str = "lower") -> Met
     return Metric(name, statistics.median(values), unit, len(values), better)
 
 
-def time_buckets(stamped, start: float, end: float) -> list[tuple[list, float]]:
-    """Split ``(finish time, latency)`` pairs into equal sub-windows of the window."""
-    count = max(round((end - start) / SUBWINDOW_S), 1)
+def time_buckets(stamped, start: float, end: float,
+                 width: float) -> list[tuple[list, float]]:
+    """Split ``(finish time, latency)`` pairs into sub-windows about ``width`` long.
+
+    Latency percentiles and throughput are taken per sub-window and reported
+    as their median, so a slow phase of a shared machine lasting a second or
+    two moves one or two sub-windows rather than the result.  A window
+    shorter than ``width`` (or an infinite ``width``) is one bucket.
+    """
+    count = max(round((end - start) / width), 1)
     width = (end - start) / count
     buckets: list[list[float]] = [[] for _ in range(count)]
     for stamp, latency in stamped:
@@ -162,19 +155,20 @@ def add_query_buckets(samples: Samples, buckets, prefix: str = "") -> None:
         samples.add(prefix + "query_p50_s", statistics.median(latencies))
         samples.add(prefix + "query_per_s", len(latencies) / seconds)
         if len(latencies) >= P99_SAMPLES:
-            samples.add(prefix + "query_p99_s", percentile(latencies, 0.99))
+            samples.add(prefix + "query_p99_s", np.percentile(latencies, 99))
 
 
 def end_to_end(s: Samples) -> list[Metric]:
     """The end-to-end metrics every workload reports, from its untraced samples.
 
-    The p99 is the median of the sub-window p99s where sub-windows are
-    large enough to hold one (``serve-hot``), else the p99 of all samples;
-    either way the count of samples beyond it is recorded.
+    Query latency and throughput are medians of their per-bucket values.
+    The p99 is the median of the bucket p99s where buckets are large enough
+    to hold one (``serve-hot``), else the p99 of all samples; either way the
+    count of samples beyond it is recorded.
     """
     latencies = s.get("query_s")
     bucket_p99 = s.get("query_p99_s")
-    p99 = statistics.median(bucket_p99) if bucket_p99 else percentile(latencies, 0.99)
+    p99 = statistics.median(bucket_p99) if bucket_p99 else float(np.percentile(latencies, 99))
     return [
         median_metric("setup_s", s.get("setup_s"), "s"),
         median_metric("build_s", s.get("build_s"), "s"),

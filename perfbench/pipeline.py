@@ -40,17 +40,11 @@ def build(edge_path: Path, artifact: Path, layers=None) -> tuple[ScanIndex, floa
     index = ScanIndex.build(graph, jobs=BUILD_JOBS)
     with _timed(layers, "storage.save_s"):
         index.save(artifact)
-    elapsed = time.perf_counter() - started
-    if layers is not None:
-        layers.executor_startup(graph.num_arcs)
-    return index, elapsed
+    return index, time.perf_counter() - started
 
 
 def open_session(artifact: Path, first: tuple[int, float], layers=None):
     """Verified load → session → first answer; returns (index, answer line, seconds)."""
-    if layers is not None:
-        with layers.samples.timed("storage.load_s"):
-            ScanIndex.load(artifact)
     started = time.perf_counter()
     with _timed(layers, "storage.verify_s"):
         index = ScanIndex.load(artifact, verify=True)

@@ -13,6 +13,7 @@ times; ``setup_s`` is its median, and ``build_s`` / ``open_s`` /
     cost is transport.  After the window, ``UPDATE_CYCLES`` update batches
     (apply → save → ``!invalidate``) time ``update_p50_ms`` on the idle
     server and prove the generation flip reaches every worker's cache.
+    Runnable, but not in ``BENCHMARK.json`` (see ``run.WORKLOADS``).
 ``serve-churn``
     One reader connection sends reads that each snap to their own
     similarity rank, so every read misses, while ``updater.py`` applies one
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import json
 import queue
-import socket
 import subprocess
 import sys
 import threading
@@ -35,6 +35,7 @@ import numpy as np
 
 from repro import ScanIndex
 from repro.serve import wire
+from repro.serve.client import ServeClient, ServeClientError, replay
 
 import inputs
 import pipeline
@@ -46,6 +47,7 @@ SETUP_REPEATS = 2
 #: Verified opens per set-up: each is one ``open_s`` sample.
 OPENS_PER_SETUP = 4
 SERVER_WORKERS = 2
+HOST = "127.0.0.1"
 START_TIMEOUT_S = 60.0
 #: Post-window update cycles on ``serve-hot``.
 UPDATE_CYCLES = 5
@@ -117,40 +119,13 @@ class ServerProcess:
         self.process = None
 
 
-class LineClient:
-    """Blocking line client over one TCP connection (no pipelining)."""
-
-    def __init__(self, port: int) -> None:
-        self.sock = socket.create_connection(("127.0.0.1", port), timeout=30)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.buffer = b""
-
-    def request(self, line: bytes) -> str:
-        self.sock.sendall(line)
-        while True:
-            end = self.buffer.find(b"\n")
-            if end >= 0:
-                response, self.buffer = self.buffer[:end], self.buffer[end + 1:]
-                return response.decode()
-            chunk = self.sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("server closed the connection")
-            self.buffer += chunk
-
-    def close(self) -> None:
-        self.sock.close()
-
-
-def request_line(mu: int, epsilon: float) -> bytes:
-    return f"{mu}:{epsilon!r}\n".encode()
+def request_line(mu: int, epsilon: float) -> str:
+    return f"{mu}:{epsilon!r}"
 
 
 def control(port: int, command: str) -> str:
-    client = LineClient(port)
-    try:
-        return client.request(f"!{command}\n".encode())
-    finally:
-        client.close()
+    with ServeClient(HOST, port) as client:
+        return client.request(f"!{command}")
 
 
 def server_counters(port: int) -> dict:
@@ -168,7 +143,7 @@ def closed_loop(port, lines, keys, deadline, stamped, seen, errors) -> None:
     """
     client = None
     try:
-        client = LineClient(port)
+        client = ServeClient(HOST, port)
         i = 0
         while time.perf_counter() < deadline:
             key = keys[i % len(keys)]
@@ -178,26 +153,18 @@ def closed_loop(port, lines, keys, deadline, stamped, seen, errors) -> None:
             finished = time.perf_counter()
             stamped.append((finished, finished - started))
             seen.append((key, response))
-    except OSError as error:  # ConnectionError and socket timeouts included
-        errors.append(f"transport: {error!r}")
+    except ServeClientError as error:
+        errors.append(f"transport: {error}")
     finally:
         if client is not None:
             client.close()
-
-
-def _ask_all(port: int, lines) -> list[str]:
-    """Send every line over one connection, in order; the responses."""
-    client = LineClient(port)
-    try:
-        return [client.request(line) for line in lines]
-    finally:
-        client.close()
 
 
 class _ServeWorkload:
     """Set-up, traffic windows and counter deltas shared by both serving workloads."""
 
     name = ""
+    subwindow_s: float  # width of a traffic window's sub-windows (see ``measure``)
 
     def __init__(self, ctx) -> None:
         self.ctx = ctx
@@ -230,6 +197,8 @@ class _ServeWorkload:
                     )
                     opens.append(open_s)
                 self.clusterings, sweep_s = pipeline.sweep(self.loaded, self.grid())
+                if layers is not None:
+                    layers.standalone_calls(self.artifact, self.index.graph.num_arcs)
             self.server.start()
             self.warm()
             if layers is None:
@@ -265,7 +234,8 @@ class _ServeWorkload:
         if layers is not None:
             self.counter_deltas(before, server_counters(self.server.port))
         prefix = "" if layers is None else "traced."
-        add_query_buckets(self.ctx.samples, time_buckets(stamped, started, ended), prefix)
+        add_query_buckets(self.ctx.samples,
+                          time_buckets(stamped, started, ended, self.subwindow_s), prefix)
         for error in errors:
             self.ctx.checks.fail(f"{self.name}: {error}")
         return seen
@@ -299,6 +269,7 @@ class _ServeWorkload:
 class ServeHot(_ServeWorkload):
     name = "serve-hot"
     threads = 2  # client connections
+    subwindow_s = 1.0  # ~5000 requests: each sub-window holds its own p99
 
     def __init__(self, ctx) -> None:
         super().__init__(ctx)
@@ -315,14 +286,14 @@ class ServeHot(_ServeWorkload):
         LRU in parallel), then check that repeats hit."""
         lines = [request_line(mu, eps) for mu, eps in self.grid()]
         loops = [
-            threading.Thread(target=_ask_all, args=(self.server.port, lines[t::self.threads]))
+            threading.Thread(target=replay, args=(HOST, self.server.port, lines[t::self.threads]))
             for t in range(self.threads)
         ]
         for loop in loops:
             loop.start()
         for loop in loops:
             loop.join()
-        for response in _ask_all(self.server.port, lines):
+        for response in replay(HOST, self.server.port, lines):
             self.ctx.checks.attempt()
             self.ctx.checks.expect(response.endswith("cache=hit"),
                                    f"serve-hot: warm-up repeat missed: {response!r}")
@@ -372,7 +343,7 @@ class ServeHot(_ServeWorkload):
                 layers.samples.add("serve.invalidate_ms", (done - invalidating) * 1e3)
         settings = self.grid()[::POST_UPDATE_STEP]
         expected = pipeline.served_lines(ScanIndex.load(self.artifact), settings)
-        answers = _ask_all(self.server.port, [request_line(*setting) for setting in settings])
+        answers = replay(HOST, self.server.port, [request_line(*setting) for setting in settings])
         for setting, got, want in zip(settings, answers, expected):
             checks.attempt()
             checks.expect(wire.strip_cache_field(got) == want,
@@ -388,6 +359,9 @@ class ServeHot(_ServeWorkload):
 class ServeChurn(_ServeWorkload):
     name = "serve-churn"
     threads = 2  # one reader connection + one updater process
+    # One bucket per window: reads differ in cost with their setting, so
+    # only a whole window's mix of them compares between runs.
+    subwindow_s = float("inf")
 
     def __init__(self, ctx) -> None:
         super().__init__(ctx)
@@ -405,7 +379,7 @@ class ServeChurn(_ServeWorkload):
     def warm(self) -> None:
         self.reads = inputs.churn_reads(self.ctx.seed, self.loaded.similarities.values,
                                         CHURN_READS)
-        _ask_all(self.server.port, [request_line(*s) for s in self.reads[-CHURN_WARM:]])
+        replay(HOST, self.server.port, [request_line(*s) for s in self.reads[-CHURN_WARM:]])
 
     def setup(self) -> None:
         super().setup()

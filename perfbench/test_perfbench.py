@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import inputs  # noqa: E402
 import run  # noqa: E402
 from measure import (  # noqa: E402
-    Checks, Metric, Samples, add_query_buckets, driver_line, end_to_end, payload, percentile,
+    Checks, Metric, Samples, add_query_buckets, driver_line, end_to_end, payload,
     time_buckets,
 )
 
@@ -78,12 +78,6 @@ def test_metric_records_carry_gate_polarity():
     assert polarity == {"s": [-1], "ms": [-1], "rate": [1], "count": [0]}
 
 
-def test_percentile_matches_numpy():
-    values = list(np.random.default_rng(0).random(537))
-    assert percentile(values, 0.99) == pytest.approx(np.percentile(values, 99))
-    assert percentile(values, 0.5) == pytest.approx(np.median(values))
-
-
 def _samples(buckets) -> Samples:
     samples = Samples()
     for name in ("setup_s", "build_s", "open_s", "sweep_s", "update_ms"):
@@ -96,23 +90,25 @@ def test_p99_per_sub_window_only_with_ten_samples_beyond():
     rng = np.random.default_rng(4)
     large = [(list(rng.random(1000)), 2.0) for _ in range(5)]
     metrics = {m.name: m for m in end_to_end(_samples(large))}
-    bucket_p99s = [percentile(latencies, 0.99) for latencies, _ in large]
+    bucket_p99s = [np.percentile(latencies, 99) for latencies, _ in large]
     assert metrics["query_p99_ms"].value == pytest.approx(np.median(bucket_p99s) * 1e3)
     assert metrics["query_per_s"].value == pytest.approx(500.0)
     small = [(list(rng.random(100)), 1.0) for _ in range(5)]
     metrics = {m.name: m for m in end_to_end(_samples(small))}
     everything = [x for latencies, _ in small for x in latencies]
-    assert metrics["query_p99_ms"].value == pytest.approx(percentile(everything, 0.99) * 1e3)
+    assert metrics["query_p99_ms"].value == pytest.approx(np.percentile(everything, 99) * 1e3)
     assert metrics["query_p99_ms"].beyond == 5 and metrics["query_p99_ms"].samples == 500
     assert not metrics["query_p99_ms"].record()["meets_tail_rule"]
 
 
 def test_time_buckets_split_the_window_evenly():
     stamped = [(t / 10, t) for t in range(100)]  # one sample per 0.1 s over 10 s
-    buckets = time_buckets(stamped, 0.0, 10.0)
+    buckets = time_buckets(stamped, 0.0, 10.0, 2.0)
     assert [len(b) for b, _ in buckets] == [20] * 5
     assert all(width == pytest.approx(2.0) for _, width in buckets)
-    assert [len(b) for b, _ in time_buckets(stamped, 0.0, 0.5)] == [100]
+    assert [len(b) for b, _ in time_buckets(stamped, 0.0, 10.0, 0.5)] == [5] * 20
+    assert [len(b) for b, _ in time_buckets(stamped, 0.0, 0.5, 2.0)] == [100]
+    assert [len(b) for b, _ in time_buckets(stamped, 0.0, 10.0, float("inf"))] == [100]
 
 
 def test_steal_share_reads_the_eighth_cpu_field():
@@ -165,6 +161,14 @@ def test_update_batch_deletes_edges_and_inserts_non_edges():
     assert len(set(deletions)) == inputs.BATCH_DELETIONS and set(deletions) <= existing
     assert len(set(insertions)) == inputs.BATCH_INSERTIONS
     assert not set(insertions) & existing and all(u < v for u, v in insertions)
+
+
+def test_metric_lists_match_benchmark_json():
+    spec = json.loads((Path(run.__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    assert [m["name"] for m in spec["end_to_end"]] == list(run.GATED)
+    assert [(m["name"], m["unit"], m["better"]) for m in spec["per_layer"]] == list(
+        run.PER_LAYER + run.DERIVED)
+    assert [w["name"] for w in spec["workloads"]] == ["explore", "serve-churn"]
 
 
 def test_refuses_more_load_generators_than_cores(monkeypatch, capsys):

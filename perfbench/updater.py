@@ -20,7 +20,6 @@ Run only by ``serving.py``::
 from __future__ import annotations
 
 import json
-import socket
 import sys
 import time
 from pathlib import Path
@@ -33,20 +32,9 @@ import inputs
 INTERVAL_S = 1.0
 
 
-def _invalidate(port: int) -> str:
-    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-        sock.sendall(b"!invalidate\n")
-        data = b""
-        while not data.endswith(b"\n"):
-            chunk = sock.recv(4096)
-            if not chunk:
-                break
-            data += chunk
-    return data.decode().strip()
-
-
 def main(argv: list[str]) -> int:
     from repro import ScanIndex
+    from repro.serve.client import ServeClient
 
     artifact, port, seed, edges_out = Path(argv[0]), int(argv[1]), int(argv[2]), Path(argv[3])
     index = ScanIndex.load(artifact, mmap_mode=None)
@@ -70,7 +58,8 @@ def main(argv: list[str]) -> int:
             t1 = time.perf_counter()
             index.save(artifact)
             t2 = time.perf_counter()
-            ack = _invalidate(port)
+            with ServeClient("127.0.0.1", port) as client:
+                ack = client.request("!invalidate")
             t3 = time.perf_counter()
         except (OSError, ValueError) as error:
             errors.append(f"batch {k - 1}: {error!r}")
