@@ -2,7 +2,7 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload explore --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload explore --seed 1 --seconds 20 --trace 0
 
 Workloads (see ``explore.py`` and ``serving.py``):
 
@@ -242,10 +242,25 @@ def run(args) -> int:
     return 0 if not ctx.checks.failures else 1
 
 
+def stop_resource_tracker() -> None:
+    """Stop and reap ``multiprocessing``'s resource tracker, if one started.
+
+    A ``jobs=2`` build exports its columns to shared memory, which starts
+    the tracker process; left alone it outlives this process by the time
+    it takes to notice the exit, and nothing reaps it afterwards.
+    """
+    from multiprocessing import resource_tracker
+
+    resource_tracker._resource_tracker._stop()
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    return run(args)
+    try:
+        return run(args)
+    finally:
+        stop_resource_tracker()
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Run with ``PYTHONPATH=src python -m pytest perfbench/test_perfbench.py``.
 They cover the results payload's lossless round trip through the
-``repro bench`` store and gate, the summaries, the seeded inputs and the
-load-generator guard; none of them starts a server or a timed window.
+``repro bench`` store and gate, the summaries, the seeded inputs, the
+load-generator guard and the reaping of the resource tracker; none of them
+starts a server or a timed window.
 """
 
 from __future__ import annotations
@@ -169,6 +170,23 @@ def test_metric_lists_match_benchmark_json():
     assert [(m["name"], m["unit"], m["better"]) for m in spec["per_layer"]] == list(
         run.PER_LAYER + run.DERIVED)
     assert [w["name"] for w in spec["workloads"]] == ["explore", "serve-churn"]
+
+
+def test_resource_tracker_is_stopped_and_reaped():
+    import os
+    from multiprocessing import resource_tracker, shared_memory
+
+    segment = shared_memory.SharedMemory(create=True, size=16)
+    segment.close()
+    segment.unlink()
+    tracker = resource_tracker._resource_tracker
+    pid = tracker._pid
+    assert pid is not None
+    run.stop_resource_tracker()
+    assert tracker._pid is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    run.stop_resource_tracker()  # idempotent once stopped
 
 
 def test_refuses_more_load_generators_than_cores(monkeypatch, capsys):
