@@ -103,18 +103,17 @@ from .storage.format import ArtifactFormatError
 from .storage.integrity import clean_stale_scratch, verify_artifact
 
 
-def _load_artifact(path: str) -> ScanIndex | None:
-    """Load an index artifact, turning format errors into a clean message.
+def _load_artifact(path: str) -> ScanIndex:
+    """Load an index artifact, naming it in the operator error if that fails.
 
     A missing, truncated, or version-mismatched artifact is an operator
-    mistake, not a bug -- report it on stderr (no traceback) and let the
-    command exit with status 2.
+    mistake, not a bug: :func:`main` reports it on stderr (no traceback)
+    and the command exits with status 2.
     """
     try:
         return ScanIndex.load(path)
     except (ArtifactFormatError, OSError) as error:
-        print(f"error: cannot load index artifact {path!r}: {error}", file=sys.stderr)
-        return None
+        raise ValueError(f"cannot load index artifact {path!r}: {error}") from error
 
 
 def _command_datasets(args: argparse.Namespace) -> int:
@@ -149,7 +148,7 @@ def _command_experiments(_: argparse.Namespace) -> int:
 def _command_run(args: argparse.Namespace) -> int:
     driver = ALL_EXPERIMENTS.get(args.experiment)
     if driver is None:
-        print(f"unknown experiment {args.experiment!r}; "
+        print(f"error: unknown experiment {args.experiment!r}; "
               f"available: {', '.join(sorted(ALL_EXPERIMENTS))}", file=sys.stderr)
         return 2
     kwargs = {}
@@ -187,20 +186,18 @@ def _command_cluster(args: argparse.Namespace) -> int:
             conflicts.append("--backend")
         if conflicts:
             print(
-                "cluster: --load reads the saved artifact's graph and measure; "
+                "error: --load reads the saved artifact's graph and measure; "
                 f"drop {', '.join(conflicts)} or build fresh without --load",
                 file=sys.stderr,
             )
             return 2
         index = _load_artifact(args.load)
-        if index is None:
-            return 2
         graph = index.graph
     elif args.graph is not None:
         graph = read_edge_list(args.graph)
         index = ScanIndex.build(graph, measure=args.measure, backend=args.backend)
     else:
-        print("cluster: provide an edge-list file or --load ARTIFACT", file=sys.stderr)
+        print("error: provide an edge-list file or --load ARTIFACT", file=sys.stderr)
         return 2
     if args.save is not None:
         path = index.save(args.save)
@@ -228,7 +225,7 @@ def _command_index_build(args: argparse.Namespace) -> int:
     if args.approx_samples is not None:
         if args.measure not in ("cosine", "jaccard"):
             print(
-                f"index build: --approx-samples supports cosine (SimHash) and "
+                f"error: --approx-samples supports cosine (SimHash) and "
                 f"jaccard (MinHash) only, not {args.measure!r}",
                 file=sys.stderr,
             )
@@ -260,14 +257,12 @@ def _parse_pairs(tokens: Sequence[str]) -> list[tuple[int, float]]:
             mu_text, epsilon_text = token.split(":", 1)
             pairs.append((int(mu_text), float(epsilon_text)))
         except ValueError:
-            raise SystemExit(f"invalid pair {token!r}; expected MU:EPSILON, e.g. 5:0.6")
+            raise ValueError(f"invalid pair {token!r}; expected MU:EPSILON, e.g. 5:0.6") from None
     return pairs
 
 
 def _command_index_query(args: argparse.Namespace) -> int:
     index = _load_artifact(args.artifact)
-    if index is None:
-        return 2
     print(f"loaded {index.measure} index: {index.graph.num_vertices} vertices, "
           f"{index.graph.num_edges} edges")
     if args.pairs:
@@ -301,15 +296,10 @@ def _command_index_verify(args: argparse.Namespace) -> int:
 
 def _command_update(args: argparse.Namespace) -> int:
     index = _load_artifact(args.artifact)
-    if index is None:
-        return 2
     try:
         batch = load_delta_file(args.delta)
     except OSError as error:
         print(f"error: cannot read delta file {args.delta!r}: {error}", file=sys.stderr)
-        return 2
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
         return 2
     try:
         report = index.apply_updates(batch, jobs=args.jobs)
@@ -359,10 +349,7 @@ def _serve_network(args: argparse.Namespace) -> int:
 
     from .serve.server import ClusterServer
 
-    index = _load_artifact(args.artifact)
-    if index is None:
-        return 2
-    del index  # validation only; the server and workers mmap it themselves
+    _load_artifact(args.artifact)  # validation only; the server and workers mmap it
     overrides = {
         name: value
         for name, value in (
@@ -418,7 +405,7 @@ def _serve_network(args: argparse.Namespace) -> int:
 
 def _command_serve_client(args: argparse.Namespace) -> int:
     """Replay request lines against a running server (``repro serve-client``)."""
-    from .serve.client import ServeClient, ServeClientError
+    from .serve.client import ServeClient
 
     host, separator, port_text = args.address.rpartition(":")
     if not separator or not port_text.isdigit():
@@ -441,9 +428,6 @@ def _command_serve_client(args: argparse.Namespace) -> int:
                 if not stripped or stripped.startswith("#"):
                     continue
                 print(client.request(stripped), flush=True)
-    except ServeClientError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     finally:
         if stream is not sys.stdin:
             stream.close()
@@ -458,15 +442,6 @@ def _command_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     index = _load_artifact(args.artifact)
-    if index is None:
-        return 2
-    session = index.session(cache_size=args.cache_size)
-    capacity = args.cache_size if args.cache_size > 0 else "disabled"
-    print(
-        f"serving {index.measure} index: {index.graph.num_vertices} vertices, "
-        f"{index.graph.num_edges} edges, cache capacity {capacity}",
-        file=sys.stderr,
-    )
     if args.requests is not None:
         try:
             stream: TextIO = open(args.requests)
@@ -476,6 +451,13 @@ def _command_serve(args: argparse.Namespace) -> int:
             return 2
     else:
         stream = sys.stdin
+    session = index.session(cache_size=args.cache_size)
+    capacity = args.cache_size if args.cache_size > 0 else "disabled"
+    print(
+        f"serving {index.measure} index: {index.graph.num_vertices} vertices, "
+        f"{index.graph.num_edges} edges, cache capacity {capacity}",
+        file=sys.stderr,
+    )
     failures = 0
     try:
         for line in stream:
@@ -579,11 +561,7 @@ def _command_bench_report(args: argparse.Namespace) -> int:
             benchmarks=args.benchmark or None,
             threshold=args.threshold,
         )
-        try:
-            rendered = report.render()
-        except BenchStoreError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        rendered = report.render()
     if args.output is not None:
         Path(args.output).write_text(rendered)
         print(f"wrote {args.output}")
@@ -597,13 +575,7 @@ def _command_bench_compare(args: argparse.Namespace) -> int:
     if store is None:
         return 2
     with store:
-        try:
-            comparison = compare_runs(
-                store, args.baseline, args.candidate, args.threshold
-            )
-        except BenchStoreError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        comparison = compare_runs(store, args.baseline, args.candidate, args.threshold)
     if not comparison.fingerprints_match:
         print(
             "warning: environment fingerprints differ -- these numbers come "
@@ -668,11 +640,7 @@ def _command_bench_gate(args: argparse.Namespace) -> int:
             print("error: gate takes either two run ids or --benchmark",
                   file=sys.stderr)
             return 2
-        try:
-            result = gate_runs(store, baseline_id, candidate_id, args.threshold)
-        except BenchStoreError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        result = gate_runs(store, baseline_id, candidate_id, args.threshold)
     print(result.render())
     return result.exit_code
 
@@ -1007,21 +975,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point used by ``python -m repro`` and the ``repro`` console script."""
+    """Entry point used by ``python -m repro`` and the ``repro`` console script.
+
+    The one operator-error boundary: bad parameters, missing or malformed
+    input files and unreachable servers surface as ``ValueError`` or
+    ``OSError`` from whichever layer detects them, and end here as a single
+    ``error: ...`` line on stderr with exit status 2, never a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     trace_path = getattr(args, "trace", None)
-    if trace_path is None:
-        return args.handler(args)
-    # One tracer for the whole command: the handler (and, through the
-    # process-global runtime, every instrumented layer beneath it) streams
-    # into trace_path, and finalise() appends the final metrics snapshot so
-    # the file is self-contained even if the command failed midway.
-    obs.configure(trace_path)
     try:
-        return args.handler(args)
-    finally:
-        obs.finalise()
+        if trace_path is None:
+            return args.handler(args)
+        # One tracer for the whole command: the handler (and, through the
+        # process-global runtime, every instrumented layer beneath it)
+        # streams into trace_path, and finalise() appends the final metrics
+        # snapshot so the file is self-contained even if the command failed
+        # midway.
+        obs.configure(trace_path)
+        try:
+            return args.handler(args)
+        finally:
+            obs.finalise()
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -265,16 +265,13 @@ def cluster_from_arcs(
         buffers.check_size(n)
         forest = buffers.forest
         try:
-            forest.union_batch(scheduler, cc_sources, cc_targets)
-            labels[cores] = forest.find_batch(scheduler, cores)
+            labels[cores] = forest.connect(scheduler, cc_sources, cc_targets, cores)
         finally:
             # Restore even when the query dies mid-flight: a dirty recycled
             # forest would silently over-merge every later query.
             forest.reset_batch(cc_sources, cc_targets, cores)
     else:
-        forest = UnionFind(n)
-        forest.union_batch(scheduler, cc_sources, cc_targets)
-        labels[cores] = forest.find_batch(scheduler, cores)
+        labels[cores] = UnionFind(n).connect(scheduler, cc_sources, cc_targets, cores)
 
     # Border vertices: non-core endpoints of ε-similar edges out of cores.
     border_arcs = ~core_to_core

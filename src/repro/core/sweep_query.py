@@ -200,15 +200,14 @@ def query_many(
                 eligible = source_is_core & target_is_core
                 new_arcs = eligible & ~added
                 # Flag the arcs BEFORE unioning them: the crash-restoring
-                # reset below covers `added`, and union_batch may have
-                # written at these endpoints by the time an interrupt lands
-                # mid-batch (resetting an untouched vertex is a no-op, so
-                # over-flagging is safe).
+                # reset below covers `added`, and connect may have written
+                # at these endpoints by the time an interrupt lands mid-batch
+                # (resetting an untouched vertex is a no-op, so over-flagging
+                # is safe).
                 added |= new_arcs
-                forest.union_batch(
-                    scheduler, group_sources[new_arcs], group_targets[new_arcs]
+                labels[cores] = forest.connect(
+                    scheduler, group_sources[new_arcs], group_targets[new_arcs], cores
                 )
-                labels[cores] = forest.find_batch(scheduler, cores)
 
                 # Border vertices: non-core endpoints of ε-similar edges out
                 # of this pair's cores.
@@ -242,7 +241,7 @@ def query_many(
                 # Restore the recycled forest even when a pair dies
                 # mid-group: the touched entries are the endpoints of the
                 # unioned arcs plus the group's base core set (a superset
-                # of every pair's find_batch argument).
+                # of every pair's core set).
                 forest.reset_batch(
                     group_sources[added], group_targets[added], base_cores[group]
                 )

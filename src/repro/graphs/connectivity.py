@@ -52,10 +52,9 @@ def connected_components_unionfind(
 ) -> np.ndarray:
     """Component labels via batched union-find with parallel cost accounting."""
     scheduler = scheduler if scheduler is not None else Scheduler()
-    forest = UnionFind(graph.num_vertices)
+    n = graph.num_vertices
     edge_u, edge_v = graph.edge_list()
-    forest.union_batch(scheduler, edge_u, edge_v)
-    return forest.component_labels(scheduler)
+    return UnionFind(n).connect(scheduler, edge_u, edge_v, np.arange(n, dtype=np.int64))
 
 
 def components_of_edge_set(
@@ -71,9 +70,9 @@ def components_of_edge_set(
     ε-similar core-core edges participate.
     """
     scheduler = scheduler if scheduler is not None else Scheduler()
-    forest = UnionFind(num_vertices)
-    forest.union_batch(scheduler, np.asarray(edges_u), np.asarray(edges_v))
-    return forest.component_labels(scheduler)
+    return UnionFind(num_vertices).connect(
+        scheduler, edges_u, edges_v, np.arange(num_vertices, dtype=np.int64)
+    )
 
 
 def num_components(labels: np.ndarray) -> int:

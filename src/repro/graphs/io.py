@@ -37,14 +37,16 @@ def read_edge_list(path: str | Path, *, num_vertices: int | None = None) -> Grap
             if not line or line.startswith(_COMMENT_PREFIXES):
                 continue
             parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{line_number}: expected 'u v [weight]', got {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-            if len(parts) >= 3:
-                saw_weight = True
-                weights.append(float(parts[2]))
-            else:
-                weights.append(1.0)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+                weight = float(parts[2]) if len(parts) >= 3 else 1.0
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"{path}:{line_number}: expected 'u v [weight]', got {line!r}"
+                ) from None
+            edges.append((u, v))
+            weights.append(weight)
+            saw_weight = saw_weight or len(parts) >= 3
     return from_edge_list(
         edges,
         num_vertices=num_vertices,

@@ -643,8 +643,7 @@ class ClusterSession:
         cc_targets = arc_targets[core_to_core]
         forest = self.buffers.forest
         try:
-            forest.union_batch(scheduler, cc_sources, cc_targets)
-            core_labels = forest.find_batch(scheduler, cores)
+            core_labels = forest.connect(scheduler, cc_sources, cc_targets, cores)
         finally:
             forest.reset_batch(cc_sources, cc_targets, cores)
 

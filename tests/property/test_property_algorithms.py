@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ScanIndex
 from repro.baselines import scan_clustering
+from repro.core.clustering import UNCLUSTERED
 from repro.core import prefix_length_at_least
 from repro.graphs import from_edge_list
 from repro.parallel import (
@@ -107,25 +108,76 @@ def test_hash_and_merge_backends_agree(edges):
 # ----------------------------------------------------------------------
 # Index queries vs. original SCAN
 # ----------------------------------------------------------------------
-@given(
-    edge_lists,
-    st.integers(2, 5),
-    st.floats(0.05, 0.95),
+@st.composite
+def bridged_cliques(draw):
+    """Two cliques and one vertex adjacent to some members of each.
+
+    Random edge lists rarely give a border vertex two candidate clusters;
+    here the bridge is one whenever it is not a core itself, and equal
+    attachment counts make its similarities tie exactly.  Vertex ids are
+    shuffled so the lower-id tie rule is exercised in both directions.
+    """
+    sizes = draw(st.tuples(st.integers(3, 7), st.integers(3, 7)))
+    offsets = (0, sizes[0])
+    bridge = sum(sizes)
+    edges = []
+    for size, offset in zip(sizes, offsets):
+        edges += [(offset + i, offset + j) for i in range(size) for j in range(i + 1, size)]
+        attached = draw(st.integers(1, 3))
+        edges += [(bridge, offset + i) for i in range(attached)]
+    vertex = st.integers(0, bridge)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    ids = draw(st.permutations(range(bridge + 1)))
+    return from_edge_list([(ids[u], ids[v]) for u, v in edges], num_vertices=bridge + 1)
+
+
+graphs = st.one_of(
+    edge_lists.map(lambda edges: from_edge_list(edges, num_vertices=16)),
+    bridged_cliques(),
 )
-def test_index_query_cores_match_scan(edges, mu, epsilon):
-    graph = from_edge_list(edges, num_vertices=16)
+
+
+@settings(max_examples=100)
+@given(graphs, st.integers(2, 8), st.data(), st.booleans())
+def test_index_query_cores_match_scan(graph, mu, data, deterministic):
+    """Whole clusterings against original SCAN, in both border modes.
+
+    SCAN and the index agree on the cores, on the core partition (up to
+    relabelling) and on which vertices are clustered; border vertices may
+    differ only in which ε-similar core cluster they join, so each border's
+    label must come from such a core -- in deterministic mode the most
+    similar one, ties to the lower core id.
+    """
     if graph.num_edges == 0:
         return
     index = ScanIndex.build(graph)
-    ours = index.query(mu, epsilon)
+    # Often ε sits exactly on a stored similarity, where borders gain and
+    # lose candidate cores.
+    stored = np.unique(np.minimum(index.similarities.values, 1.0)).tolist()
+    epsilon = data.draw(st.one_of(st.floats(0.05, 0.95), st.sampled_from(stored)))
+    ours = index.query(mu, epsilon, deterministic_borders=deterministic)
     reference = scan_clustering(graph, mu, epsilon, similarities=index.similarities)
     assert np.array_equal(ours.core_mask, reference.core_mask)
-    # Cores belong to the same clusters in both.
-    mapping = {}
-    for v in np.flatnonzero(ours.core_mask).tolist():
-        assert mapping.setdefault(int(ours.labels[v]), int(reference.labels[v])) == int(
-            reference.labels[v]
-        )
+    cores = np.flatnonzero(ours.core_mask)
+    # Core partition up to relabelling: a bijection between the label sets.
+    pairs = set(zip(ours.labels[cores].tolist(), reference.labels[cores].tolist()))
+    assert len({a for a, _ in pairs}) == len(pairs) == len({b for _, b in pairs})
+    assert np.array_equal(ours.labels != UNCLUSTERED, reference.labels != UNCLUSTERED)
+
+    arc_similarities = index.similarities.arc_values()
+    borders = np.flatnonzero((ours.labels != UNCLUSTERED) & ~ours.core_mask)
+    for border in borders.tolist():
+        start, end = graph.arc_range(border)
+        neighbors = graph.indices[start:end]
+        similar_cores = ours.core_mask[neighbors] & (arc_similarities[start:end] >= epsilon)
+        candidates = neighbors[similar_cores]
+        assert candidates.size
+        if deterministic:
+            # Most similar core first, ties to the lower core id.
+            best = np.lexsort((candidates, -arc_similarities[start:end][similar_cores]))[0]
+            assert ours.labels[border] == ours.labels[candidates[best]]
+        else:
+            assert ours.labels[border] in ours.labels[candidates]
 
 
 # ----------------------------------------------------------------------

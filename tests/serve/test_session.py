@@ -117,14 +117,19 @@ class TestBufferRecycling:
 
         session = index.session(cache_size=0)
         session.serve(5, 0.6)                       # warm, known-good
+        real_connect = UnionFind.connect
+        written = []
 
-        def explode(self, scheduler, vertices):
+        def connect_then_die(self, scheduler, edges_u, edges_v, vertices):
+            real_connect(self, scheduler, edges_u, edges_v, vertices)
+            written.append(int(np.count_nonzero(self._parent != np.arange(len(self)))))
             raise RuntimeError("injected mid-serve failure")
 
-        monkeypatch.setattr(UnionFind, "find_batch", explode)
+        monkeypatch.setattr(UnionFind, "connect", connect_then_die)
         with pytest.raises(RuntimeError):
-            session.serve(2, 0.3)                   # dies after union_batch
+            session.serve(2, 0.3)                   # dies after the parent writes
         monkeypatch.undo()
+        assert written and written[0] > 0           # the forest really was dirty
 
         n = index.graph.num_vertices
         assert np.array_equal(session.buffers.forest._parent, np.arange(n))
@@ -139,17 +144,24 @@ class TestBufferRecycling:
         from repro.parallel.unionfind import UnionFind
 
         session = index.session()
-        real_union = UnionFind.union_batch
+        real_connect = UnionFind.connect
+        written = []
 
-        def union_then_die(self, scheduler, edges_u, edges_v):
-            real_union(self, scheduler, edges_u, edges_v)  # parents written
+        def connect_then_die(self, scheduler, edges_u, edges_v, vertices):
+            roots = real_connect(self, scheduler, edges_u, edges_v, vertices)
             if edges_u.size:
-                raise RuntimeError("injected mid-group failure")
+                # Dies on the second pair, after the first pair's parent
+                # writes and this pair's own hooks landed.
+                written.append(int(np.count_nonzero(self._parent != np.arange(len(self)))))
+                if len(written) == 2:
+                    raise RuntimeError("injected mid-group failure")
+            return roots
 
-        monkeypatch.setattr(UnionFind, "union_batch", union_then_die)
+        monkeypatch.setattr(UnionFind, "connect", connect_then_die)
         with pytest.raises(RuntimeError):
             session.query_many([(2, 0.3), (5, 0.3)])
         monkeypatch.undo()
+        assert len(written) == 2 and written[1] > 0
 
         n = index.graph.num_vertices
         assert np.array_equal(session.buffers.forest._parent, np.arange(n))
