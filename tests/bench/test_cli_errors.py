@@ -5,13 +5,14 @@ detects the mistake, the command must end with a single ``error: ...`` line
 on stderr and status 2 -- never a traceback.
 """
 
+import argparse
 import json
 import socket
 
 import pytest
 
 from repro.bench.store import BenchStore
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.graphs import paper_example_graph, write_edge_list
 
 
@@ -96,20 +97,17 @@ def test_operator_error_is_one_line_and_exit_2(workspace, command, capsys):
     assert lines[0].startswith("error: "), err
 
 
-def test_table_covers_every_subcommand():
-    from repro.cli import build_parser
+def _subcommands(parser, prefix=""):
+    """Leaf subcommand names, e.g. ``cluster`` and ``index build``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _subcommands(child, f"{prefix}{name} ")
+            return
+    yield prefix.strip()
 
-    parser = build_parser()
-    commands = set()
-    for action in parser._subparsers._group_actions:
-        for name, subparser in action.choices.items():
-            nested = [
-                sub for sub in subparser._actions if sub.__class__.__name__ == "_SubParsersAction"
-            ]
-            if nested:
-                commands.update(f"{name} {child}" for child in nested[0].choices)
-            else:
-                commands.add(name)
+
+def test_table_covers_every_subcommand():
     # Listing commands have no operator input to get wrong.
     covered = {subcommand for subcommand, _ in CASES} | {"datasets", "experiments"}
-    assert commands == covered
+    assert set(_subcommands(build_parser())) == covered
