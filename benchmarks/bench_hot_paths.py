@@ -24,13 +24,15 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro import ScanIndex
 from repro.bench import capture_environment, format_table
 from repro.bench.recording import add_record_argument, record_payload
 from repro.graphs import planted_partition
 from repro.parallel import Scheduler
 from repro.similarity import compute_similarities
-from repro.similarity.batch import batch_numerators
+from repro.similarity.batch import edge_numerators_for_subset
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_hot_paths.json"
@@ -49,6 +51,8 @@ TINY_LADDER = [(4, 20, 0.30, 0.02)]
 MATMUL_VERTEX_LIMIT = 2000
 QUERY_SETTINGS = [(3, 0.4), (5, 0.6), (8, 0.7)]
 QUERY_REPEATS = 5
+#: Edge-subset sizes, as fractions of all edges, of the probe-strategy cell.
+SUBSET_FRACTIONS = (0.01, 1.0)
 
 
 def _time(fn, repeats: int = 2) -> tuple[float, object]:
@@ -93,17 +97,23 @@ def bench_graph(num_clusters, cluster_size, p_intra, p_inter, *, seed=0) -> dict
 
     query_seconds, _ = _time(lambda: [run_queries() for _ in range(QUERY_REPEATS)])
 
-    # Membership-probe strategy comparison (the before/after of the bounded
-    # per-source-segment search vs the global composite-key searchsorted):
-    # recorded on every rung so the crossover driving `resolve_probe`'s
-    # "auto" heuristic stays visible in the JSON trajectory.
-    probe_seconds = {}
-    for strategy in ("global", "bounded"):
-        probe_seconds[strategy], _ = _time(
-            lambda strategy=strategy: batch_numerators(
-                graph, Scheduler(), probe=strategy
-            )
-        )
+    # Membership-probe strategies of the subset similarity pass, the one
+    # caller of `resolve_probe`: the global composite-key searchsorted vs the
+    # bounded per-segment search, on a small seeded subset and on every edge,
+    # so the crossover behind the "auto" pick stays visible in the JSON.
+    rng = np.random.default_rng(0)
+    subset_probe_seconds = {}
+    for fraction in SUBSET_FRACTIONS:
+        size = max(int(graph.num_edges * fraction), 1)
+        subset = np.sort(rng.choice(graph.num_edges, size=size, replace=False))
+        subset_probe_seconds[str(fraction)] = {
+            strategy: _time(
+                lambda strategy=strategy: edge_numerators_for_subset(
+                    graph, subset, Scheduler(), probe=strategy
+                )
+            )[0]
+            for strategy in ("global", "bounded")
+        }
     return {
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
@@ -111,7 +121,7 @@ def bench_graph(num_clusters, cluster_size, p_intra, p_inter, *, seed=0) -> dict
         "construction_seconds": construction,
         "similarity_seconds": similarity_only,
         "query_seconds_per_batch": query_seconds / QUERY_REPEATS,
-        "probe_seconds": probe_seconds,
+        "subset_probe_seconds": subset_probe_seconds,
         # The backend only controls the similarity stage; the neighbor/core
         # order sorts are identical work for every backend, so the engine
         # comparison is the similarity construction time.
@@ -141,11 +151,12 @@ def run(ladder, output: Path | None) -> dict:
             f"{record['batch_speedup_over_merge']:.1f}x faster than merge "
             f"({record['index_build_speedup_over_merge']:.1f}x on the full index build)"
         )
-        probes = record["probe_seconds"]
-        print(
-            f"arcs={record['num_arcs']}: probe strategies -- global "
-            f"{probes['global']*1000:.1f} ms vs bounded {probes['bounded']*1000:.1f} ms"
-        )
+        for fraction, probes in record["subset_probe_seconds"].items():
+            print(
+                f"arcs={record['num_arcs']}: subset probes ({fraction} of edges) -- "
+                f"global {probes['global']*1000:.1f} ms vs bounded "
+                f"{probes['bounded']*1000:.1f} ms"
+            )
     if output is not None:
         output.write_text(json.dumps(results, indent=2) + "\n")
         print(f"wrote {output}")

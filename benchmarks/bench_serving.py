@@ -3,15 +3,15 @@
 Not a figure of the paper -- this tracks the repo's serving trajectory: the
 throughput of answering a repeated-``(μ, ε)`` request stream from a *loaded*
 columnar artifact through a :class:`~repro.serve.session.ClusterSession`
-(recycled buffers + ε-snapped result cache), against the cold per-query path
-that allocates O(n) scratch per call.  Three modes are measured over the
+(compact answers + ε-snapped result cache), against the cold per-query path
+that builds a dense clustering per call.  Three modes are measured over the
 same seeded request stream:
 
 ``cold``
-    ``ScanIndex.query`` per request -- fresh union-find, dense labels.
-``recycled``
-    ``ClusterSession.serve`` with the cache disabled -- recycled buffers,
-    compact results, every request computed.
+    ``ScanIndex.query`` per request -- dense labels and core mask.
+``uncached``
+    ``ClusterSession.serve`` with the cache disabled -- compact results,
+    every request computed.
 ``cached``
     ``ClusterSession.serve`` with the LRU cache -- steady state after one
     warm pass, repeats answered from the cache.
@@ -23,21 +23,19 @@ p50/p99 request latencies of the best pass -- the serving trajectory is
 tail-aware, matching the concurrent-tier numbers in
 ``bench_serve_concurrent.py``.  Each mode is then re-run under
 ``tracemalloc`` to record the mean per-request peak allocation, which is
-where the O(n)-per-query tax of the cold path shows up.  Results accumulate
-in ``BENCH_serving.json`` next to the repository root.
+where the O(n)-per-query dense arrays of the cold path show up.  Results
+accumulate in ``BENCH_serving.json`` next to the repository root.
 
-On ``recycled_speedup``: the recycled mode answers every request *and*
-builds the compact cacheable payload, which the cold mode does not -- so on
-small graphs, where the dense O(n) arrays that recycling avoids are nearly
-free, recycled throughput sits a few percent below cold.  Bypassing the
-recycled path below a size floor was measured and rejected: computing cold
-and then compacting the dense result (``ClusterSession._admit``) is slower
-than the recycled compute at *every* rung, because re-deriving the core
-prefix and boolean-gathering the dense labels costs more than the recycled
-path's buffer restores.  The crossover where recycling wins outright is
-about 10k vertices (the top rung of the ladder); below it the mode is kept
-because its halved per-request allocation is what the long-lived serving
-workers in ``serve/worker.py`` are after, not raw single-request speed.
+On ``uncached_speedup``: the uncached mode runs the same query tail as the
+cold mode (:func:`~repro.core.query.cluster_compact`) and skips only the
+dense scatter, so the two sit close together.  Misses used to run on
+scratch recycled across requests (a union-find forest reset in O(batch),
+recycled arc-gather buffers); on a 2-vCPU VM that was the slower side
+everywhere it was measured, and it was removed.  Fresh scratch against
+recycled, per-setting median miss compute: 0.84-0.86x on the 12k-vertex,
+464k-edge pipeline-benchmark graph (120 churn reads, 45 explore settings,
+two seeds), 0.84-0.96x on planted-partition graphs of 400-9,600 vertices,
+and 0.93-0.94x for the batched ``query_many`` planner.
 
 Run standalone::
 
@@ -146,10 +144,10 @@ def bench_graph(num_clusters, cluster_size, p_intra, p_inter, *, seed=0) -> dict
         def cold(mu, epsilon):
             return loaded.query(mu, epsilon, deterministic_borders=True)
 
-        recycled_session = loaded.session(cache_size=0)
+        uncached_session = loaded.session(cache_size=0)
 
-        def recycled(mu, epsilon):
-            return recycled_session.serve(mu, epsilon, deterministic_borders=True)
+        def uncached(mu, epsilon):
+            return uncached_session.serve(mu, epsilon, deterministic_borders=True)
 
         cached_session = loaded.session()
 
@@ -160,7 +158,7 @@ def bench_graph(num_clusters, cluster_size, p_intra, p_inter, *, seed=0) -> dict
         mismatches = 0
         for mu, epsilon in distinct:
             reference = cold(mu, epsilon)
-            for served in (recycled(mu, epsilon), cached(mu, epsilon)):
+            for served in (uncached(mu, epsilon), cached(mu, epsilon)):
                 dense = served.to_clustering()
                 if not (
                     np.array_equal(reference.labels, dense.labels)
@@ -171,7 +169,7 @@ def bench_graph(num_clusters, cluster_size, p_intra, p_inter, *, seed=0) -> dict
         # The warm pass above put every distinct setting in the cache, so the
         # cached timing below is the steady state the serving loop reaches.
         modes = {}
-        for name, serve_one in (("cold", cold), ("recycled", recycled), ("cached", cached)):
+        for name, serve_one in (("cold", cold), ("uncached", uncached), ("cached", cached)):
             seconds, latencies = _timed(serve_one, stream)
             modes[name] = {
                 "seconds": seconds,
@@ -193,8 +191,8 @@ def bench_graph(num_clusters, cluster_size, p_intra, p_inter, *, seed=0) -> dict
             modes["cached"]["requests_per_second"]
             / max(modes["cold"]["requests_per_second"], 1e-12)
         ),
-        "recycled_speedup": (
-            modes["recycled"]["requests_per_second"]
+        "uncached_speedup": (
+            modes["uncached"]["requests_per_second"]
             / max(modes["cold"]["requests_per_second"], 1e-12)
         ),
         "cache_hit_rate": stats["hit_rate"],
@@ -214,7 +212,7 @@ def run(ladder, output: Path | None) -> dict:
             record["num_arcs"],
             record["stream_length"],
             round(record["modes"]["cold"]["requests_per_second"], 1),
-            round(record["modes"]["recycled"]["requests_per_second"], 1),
+            round(record["modes"]["uncached"]["requests_per_second"], 1),
             round(record["modes"]["cached"]["requests_per_second"], 1),
             round(record["steady_state_speedup"], 2),
             int(record["modes"]["cold"]["mean_peak_alloc_bytes"]),
@@ -223,7 +221,7 @@ def run(ladder, output: Path | None) -> dict:
         for record in results["graphs"]
     ]
     print(format_table(
-        ["arcs", "requests", "cold_qps", "recycled_qps", "cached_qps",
+        ["arcs", "requests", "cold_qps", "uncached_qps", "cached_qps",
          "speedup", "cold_alloc_B", "cached_alloc_B"],
         rows,
     ))

@@ -32,7 +32,7 @@ scratch directories left by dead writers::
 The ``serve`` subcommand keeps one :class:`~repro.serve.session.
 ClusterSession` alive over a saved artifact and answers newline-delimited
 ``MU:EPSILON`` requests from stdin or a file -- repeats hit the ε-snapped
-result cache, misses run on recycled buffers::
+result cache, misses run the query and are cached::
 
     printf '5:0.6\n5:0.7\n5:0.6\n' | python -m repro serve my.scanidx
     python -m repro serve my.scanidx --requests workload.txt --deterministic

@@ -33,9 +33,8 @@ executed once::
     clusterings = index.query_many([(5, 0.6), (5, 0.7), (8, 0.6)])
 
 For long-lived serving -- many queries against one loaded index, often with
-repeats -- open a :meth:`ScanIndex.session`, which recycles query scratch
-across calls and caches results under ε-snapped keys (see
-:mod:`repro.serve`)::
+repeats -- open a :meth:`ScanIndex.session`, which keeps answers compact
+and caches them under ε-snapped keys (see :mod:`repro.serve`)::
 
     session = index.session()
     result = session.serve(5, 0.6)       # compact answer, cached
@@ -345,16 +344,16 @@ class ScanIndex:
     def session(self, *, cache_size: int = 256, cache=None):
         """Open a persistent :class:`~repro.serve.session.ClusterSession`.
 
-        The session owns recycled query buffers (allocated once at index
-        size) and a bounded LRU result cache keyed by ε-snapped parameters,
-        so a stream of queries -- especially one with repeats -- is served
-        with O(result) steady-state allocation and bit-identical answers.
+        The session holds a bounded LRU result cache of compact answers
+        keyed by ε-snapped parameters, so a stream of queries -- especially
+        one with repeats -- is served with bit-identical answers and
+        repeats never touch the index.
 
         Parameters
         ----------
         cache_size:
             Capacity of the session-owned result cache; zero or negative
-            disables caching (buffer recycling still applies).
+            disables caching.
         cache:
             Share an existing :class:`~repro.serve.cache.ResultCache`
             between sessions instead; sessions over this same index share

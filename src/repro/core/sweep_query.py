@@ -31,12 +31,6 @@ arc-order-independent; for the arbitrary first-writer rule the pair's border
 arcs are first restored to its own traversal order (cores in
 ``CO[μ]``-prefix order, neighbor order within a core) so the same writers
 win.
-
-A caller issuing many batches against one index (the serving loop of
-:mod:`repro.serve`) can pass a :class:`~repro.core.query.QueryBuffers` to
-recycle the planner's O(n) scratch -- the per-ε-group union-find forest and
-the rank/member restore arrays -- across calls; every touched entry is
-restored before the call returns, and results stay bit-identical.
 """
 
 from __future__ import annotations
@@ -51,18 +45,26 @@ from ..parallel.scheduler import Scheduler
 from ..parallel.unionfind import UnionFind
 from .clustering import UNCLUSTERED, Clustering
 from .doubling import prefix_lengths_at_least
-from .query import QueryBuffers, attach_borders
+from .query import attach_borders
 
 
-def _validate_pairs(pairs: Sequence[tuple[int, float]]) -> tuple[np.ndarray, np.ndarray]:
-    """Split and range-check a sequence of ``(mu, epsilon)`` pairs."""
-    mus = np.array([int(mu) for mu, _ in pairs], dtype=np.int64)
+def _validate_pairs(
+    pairs: Sequence[tuple[int, float]], max_mu: int
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Split and range-check a sequence of ``(mu, epsilon)`` pairs.
+
+    Returns the requested μ values, the same values as int64 with every μ
+    above ``max_mu`` clipped to ``max_mu + 1`` (all of them select no cores,
+    and μ ≥ 2**63 would not fit the cast), and the ε values.
+    """
+    requested = [int(mu) for mu, _ in pairs]
     epsilons = np.array([float(epsilon) for _, epsilon in pairs], dtype=np.float64)
-    if mus.size and int(mus.min()) < 2:
-        raise ValueError(f"mu must be at least 2, got {int(mus.min())}")
+    if requested and min(requested) < 2:
+        raise ValueError(f"mu must be at least 2, got {min(requested)}")
     if epsilons.size and (epsilons.min() < 0.0 or epsilons.max() > 1.0):
         raise ValueError("every epsilon must lie in [0, 1]")
-    return mus, epsilons
+    mus = np.array([min(mu, max_mu + 1) for mu in requested], dtype=np.int64)
+    return requested, mus, epsilons
 
 
 def query_many(
@@ -73,23 +75,20 @@ def query_many(
     *,
     scheduler: Scheduler | None = None,
     deterministic_borders: bool = False,
-    buffers: QueryBuffers | None = None,
 ) -> list[Clustering]:
     """SCAN clusterings for every ``(mu, epsilon)`` pair, planned as one batch.
 
     Returns one :class:`~repro.core.clustering.Clustering` per input pair, in
     input order, each identical to what a separate
-    :func:`~repro.core.query.cluster` call would produce.  ``buffers``
-    (optional) recycles the planner's O(n) scratch arrays across calls; see
-    the module docstring.
+    :func:`~repro.core.query.cluster` call would produce.
     """
     pairs = list(pairs)
     if not pairs:
         return []
     scheduler = scheduler if scheduler is not None else Scheduler()
-    mus, epsilons = _validate_pairs(pairs)
-    num_pairs = int(mus.size)
     max_mu = core_order.max_mu
+    requested_mus, mus, epsilons = _validate_pairs(pairs, max_mu)
+    num_pairs = int(mus.size)
 
     # --- Stage 1: core prefixes of all pairs, one batched doubling search.
     co_indptr = core_order.indptr
@@ -137,13 +136,7 @@ def query_many(
     results: list[Clustering | None] = [None] * num_pairs
     group_offsets = np.zeros(num_groups + 1, dtype=np.int64)
     np.cumsum(group_sizes, out=group_offsets[1:])
-    if buffers is not None:
-        buffers.check_size(n)
-        rank = buffers.rank
-        member = buffers.member
-    else:
-        rank = np.zeros(n, dtype=np.int64)
-        member = np.zeros(n, dtype=bool)
+    rank = np.zeros(n, dtype=np.int64)
     for group in range(num_groups):
         lo, hi = int(group_offsets[group]), int(group_offsets[group + 1])
         counts = prefix_counts[lo:hi]
@@ -166,83 +159,58 @@ def query_many(
         group_pairs = order_by_mu[boundaries[group]: (
             boundaries[group + 1] if group + 1 < num_groups else num_pairs
         )][::-1]
-        forest = buffers.forest if buffers is not None else UnionFind(n)
+        forest = UnionFind(n)
         added = np.zeros(int(group_sources.size), dtype=bool)
-        try:
-            for pair in group_pairs.tolist():
-                mu, epsilon = int(mus[pair]), float(epsilons[pair])
-                cores = core_order.vertices[
-                    core_starts[pair]: core_starts[pair] + core_counts[pair]
-                ]
-                labels = np.full(n, UNCLUSTERED, dtype=np.int64)
-                core_mask = np.zeros(n, dtype=bool)
-                if cores.size == 0:
-                    results[pair] = Clustering(
-                        labels, core_mask, mu=mu, epsilon=epsilon
-                    )
-                    continue
-                core_mask[cores] = True
-                try:
-                    # Write inside the try: clearing never-set entries is a
-                    # no-op, so the restore is safe from any point.
-                    member[cores] = True
-                    source_is_core = member[group_sources]
-                    target_is_core = member[group_targets]
-                finally:
-                    member[cores] = False
-                scheduler.charge(
-                    int(group_sources.size) + int(cores.size),
-                    ceil_log2(max(int(group_sources.size), 1)) + 1.0,
-                )
-
-                # Connectivity (union-find, Section 6.2), incremental: only
-                # the arcs that became core-core at this μ are new unions.
-                eligible = source_is_core & target_is_core
-                new_arcs = eligible & ~added
-                # Flag the arcs BEFORE unioning them: the crash-restoring
-                # reset below covers `added`, and connect may have written
-                # at these endpoints by the time an interrupt lands mid-batch
-                # (resetting an untouched vertex is a no-op, so over-flagging
-                # is safe).
-                added |= new_arcs
-                labels[cores] = forest.connect(
-                    scheduler, group_sources[new_arcs], group_targets[new_arcs], cores
-                )
-
-                # Border vertices: non-core endpoints of ε-similar edges out
-                # of this pair's cores.
-                border_arcs = source_is_core & ~target_is_core
-                border_sources = group_sources[border_arcs]
-                border_targets = group_targets[border_arcs]
-                border_similarities = group_similarities[border_arcs]
-                if not deterministic_borders and border_sources.size:
-                    # The arbitrary border rule keeps the first writer in
-                    # traversal order, so restore the pair's own order
-                    # (CO[μ]-prefix rank of the source; the stable sort
-                    # keeps neighbor order within a source) to match a lone
-                    # query bit for bit.  The deterministic rule is
-                    # order-independent.
-                    rank[cores] = np.arange(cores.size, dtype=np.int64)
-                    order = np.argsort(rank[border_sources], kind="stable")
-                    border_sources = border_sources[order]
-                    border_targets = border_targets[order]
-                    border_similarities = border_similarities[order]
-                attach_borders(
-                    labels,
-                    border_sources,
-                    border_targets,
-                    border_similarities,
-                    scheduler=scheduler,
-                    deterministic=deterministic_borders,
-                )
+        for pair in group_pairs.tolist():
+            mu, epsilon = requested_mus[pair], float(epsilons[pair])
+            cores = core_order.vertices[
+                core_starts[pair]: core_starts[pair] + core_counts[pair]
+            ]
+            labels = np.full(n, UNCLUSTERED, dtype=np.int64)
+            core_mask = np.zeros(n, dtype=bool)
+            if cores.size == 0:
                 results[pair] = Clustering(labels, core_mask, mu=mu, epsilon=epsilon)
-        finally:
-            if buffers is not None:
-                # Restore the recycled forest even when a pair dies
-                # mid-group: the touched entries are the endpoints of the
-                # unioned arcs plus the group's base core set (a superset
-                # of every pair's core set).
-                forest.reset_batch(
-                    group_sources[added], group_targets[added], base_cores[group]
-                )
+                continue
+            core_mask[cores] = True
+            source_is_core = core_mask[group_sources]
+            target_is_core = core_mask[group_targets]
+            scheduler.charge(
+                int(group_sources.size) + int(cores.size),
+                ceil_log2(max(int(group_sources.size), 1)) + 1.0,
+            )
+
+            # Connectivity (union-find, Section 6.2), incremental: only the
+            # arcs that became core-core at this μ are new unions.
+            new_arcs = source_is_core & target_is_core & ~added
+            added |= new_arcs
+            labels[cores] = forest.connect(
+                scheduler, group_sources[new_arcs], group_targets[new_arcs], cores
+            )
+
+            # Border vertices: non-core endpoints of ε-similar edges out of
+            # this pair's cores.
+            border_arcs = source_is_core & ~target_is_core
+            border_sources = group_sources[border_arcs]
+            border_targets = group_targets[border_arcs]
+            border_similarities = group_similarities[border_arcs]
+            if not deterministic_borders and border_sources.size:
+                # The arbitrary border rule keeps the first writer in
+                # traversal order, so restore the pair's own order (CO[μ]-
+                # prefix rank of the source; the stable sort keeps neighbor
+                # order within a source) to match a lone query bit for bit.
+                # The deterministic rule is order-independent.
+                rank[cores] = np.arange(cores.size, dtype=np.int64)
+                order = np.argsort(rank[border_sources], kind="stable")
+                border_sources = border_sources[order]
+                border_targets = border_targets[order]
+                border_similarities = border_similarities[order]
+            attach_borders(
+                labels,
+                border_sources,
+                border_targets,
+                border_similarities,
+                scheduler=scheduler,
+                deterministic=deterministic_borders,
+            )
+            results[pair] = Clustering(labels, core_mask, mu=mu, epsilon=epsilon)
     return results  # type: ignore[return-value]

@@ -308,7 +308,6 @@ def _numerator_worker(
     arc_lo: int,
     arc_hi: int,
     chunk_pairs: int,
-    probe: str,
 ) -> None:
     """Triangle contributions of oriented arcs ``[arc_lo, arc_hi)``.
 
@@ -344,12 +343,11 @@ def _numerator_worker(
                 columns["weights"],
             ),
             columns["sources"],
-            columns.get("comp"),
+            columns["comp"],
             num_vertices,
             arc_lo,
             arc_hi,
             chunk_pairs=chunk_pairs,
-            probe=probe,
         )
     finally:
         for handle in handles:
@@ -549,7 +547,6 @@ class ParallelExecutor:
         self,
         graph,
         *,
-        probe: str,
         chunk_pairs: int,
     ) -> np.ndarray | None:
         """Triangle contributions of every canonical edge (no base term).
@@ -595,9 +592,8 @@ class ParallelExecutor:
                     "edge_ids": columns.share(oriented.edge_ids),
                     "weights": columns.share(oriented.weights),
                     "sources": columns.share(graph.oriented_arc_sources()),
+                    "comp": columns.share(graph.oriented_search_keys()),
                 }
-                if probe == "global":
-                    specs["comp"] = columns.share(graph.oriented_search_keys())
                 num_tasks = int(bounds.shape[0] - 1)
                 # One private block per task rather than one big slab: retries
                 # of a non-idempotent accumulation must land in *fresh* memory,
@@ -610,7 +606,7 @@ class ParallelExecutor:
                     outputs[row] = out
                     tasks.append((
                         row, specs, out_spec, 0, graph.num_vertices,
-                        int(lo), int(hi), chunk_pairs, probe,
+                        int(lo), int(hi), chunk_pairs,
                     ))
 
                 def respawn(index: int, attempt: int) -> tuple:

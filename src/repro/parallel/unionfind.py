@@ -40,9 +40,6 @@ class UnionFind:
         # unions invalidate instead of counting distinct demotions per round
         # (a hashing pass per round that the serving hot path never reads).
         self._num_components: int | None = n
-        # Scalar union() is the only writer of rank; tracking it lets
-        # reset_batch skip the rank restore for pure-batch usage (serving).
-        self._rank_dirty = False
 
     def __len__(self) -> int:
         return int(self._parent.shape[0])
@@ -85,7 +82,6 @@ class UnionFind:
         self._parent[root_y] = root_x
         if rank[root_x] == rank[root_y]:
             rank[root_x] += 1
-            self._rank_dirty = True
         if self._num_components is not None:
             self._num_components -= 1
         return True
@@ -142,11 +138,9 @@ class UnionFind:
 
         Representatives are the minimum ids of their components whenever the
         forest was built only by :meth:`connect` calls.  Writes land only at
-        ``vertices`` (compression) and at roots of edge endpoints (hooks),
-        which on such a forest are themselves earlier endpoints, so
-        :meth:`reset_batch` over every argument since the last reset restores
-        the identity, and the work stays proportional to the batch, never to
-        the universe (output-sensitive queries, Theorem 4.3).
+        ``vertices`` (compression) and at roots of edge endpoints (hooks), so
+        the work stays proportional to the batch, never to the universe
+        (output-sensitive queries, Theorem 4.3).
 
         Charged as a concurrent union batch plus a find batch: work linear in
         the number of edges and of vertices, span logarithmic in each.
@@ -188,42 +182,6 @@ class UnionFind:
             # hooks would cost a hashing pass per round that the serving hot
             # path never reads.
             self._num_components = None
-
-    def reset_batch(self, *vertex_arrays: np.ndarray) -> None:
-        """Restore the given entries to singleton state in O(batch) time.
-
-        The label-recycling serving loop (:mod:`repro.serve`) keeps one forest
-        alive across queries instead of paying the O(n) ``arange`` of a fresh
-        :class:`UnionFind` per query.  Between queries the forest must be back
-        at the identity, which this method restores by writing
-        ``parent[v] = v`` (and zeroing the rank) for every passed vertex.
-
-        Contract: the caller must pass a *superset* of every entry written
-        since construction or the previous reset.  Batch operations only ever
-        write at the vertices they are handed -- :meth:`connect` compresses
-        at its ``vertices`` and hooks roots of edge endpoints (every root
-        reached is itself an endpoint, because chains grow only from batch
-        writes), and :meth:`find_batch` compresses at the queried vertices --
-        so the union of all batch arguments since the last reset is always a
-        sufficient superset.  Resetting an untouched vertex is a harmless
-        no-op.
-
-        The rank restore is skipped entirely when no scalar :meth:`union`
-        ever promoted a rank (batch unions hook by id and never write rank),
-        which halves the scatter writes on the recycled serving path.
-        """
-        parent = self._parent
-        rank = self._rank
-        restore_rank = self._rank_dirty
-        for vertices in vertex_arrays:
-            vertices = np.asarray(vertices, dtype=np.int64)
-            parent[vertices] = vertices
-            if restore_rank:
-                rank[vertices] = 0
-        # The superset contract covers scalar-union writes too, so after a
-        # restoring reset every promoted rank is back at zero.
-        self._rank_dirty = False
-        self._num_components = len(self)
 
     def find_batch(self, scheduler: Scheduler, vertices: np.ndarray) -> np.ndarray:
         """Representatives of each vertex in ``vertices`` as an array.

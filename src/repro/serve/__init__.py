@@ -9,7 +9,8 @@ long-lived serving loop.  Its three pieces compose one pipeline per request:
    LRU keyed by ``(μ, snapped-ε, border-mode)`` -- answers repeats without
    touching the index;
 3. on a miss, :class:`~repro.serve.session.ClusterSession` computes the
-   clustering on recycled O(n)-once buffers and caches the compact result.
+   compact clustering (:func:`~repro.core.query.cluster_compact`) and
+   caches it.
 
 On top of the session sits the concurrent tier: a
 :class:`~repro.serve.server.ClusterServer` front end routes newline-

@@ -1,18 +1,13 @@
-"""The label-recycling query serving loop: :class:`ClusterSession`.
+"""The query serving loop: :class:`ClusterSession`.
 
-A :class:`~repro.core.index.ScanIndex` answers any ``(μ, ε)`` query cheaply,
-but the cold :meth:`~repro.core.index.ScanIndex.query` path still pays O(n)
-per call -- a dense label array, a dense core mask and a fresh union-find
-forest are allocated and initialised for every query regardless of how small
-the answer is.  A :class:`ClusterSession` is the persistent per-process
-serving loop that removes that tax:
+A :class:`~repro.core.index.ScanIndex` answers any ``(μ, ε)`` query cheaply;
+a :class:`ClusterSession` is the persistent per-process serving loop over
+one, which keeps answers compact and serves repeats without recomputing:
 
-* **Recycled buffers.**  The session owns one
-  :class:`~repro.core.query.QueryBuffers` -- union-find forest, label
-  scratch, membership masks -- allocated once at index size.  Each served
-  query uses them and restores every touched entry before returning
-  (:meth:`~repro.parallel.unionfind.UnionFind.reset_batch`), so steady-state
-  queries allocate O(result), not O(n).
+* **Compact answers.**  A miss runs the query tail
+  (:func:`~repro.core.query.cluster_compact`) and keeps only the clustered
+  vertices and their labels; the dense O(n) clustering is materialised only
+  on request.
 * **ε-snapping.**  Thresholds are canonicalized by an
   :class:`~repro.serve.snapping.EpsilonSnapper` before cache lookup, so any
   two ε values that select identical similarity prefixes share one cache
@@ -39,8 +34,8 @@ bit-identical to cold :meth:`ScanIndex.query
 <repro.core.index.ScanIndex.query>` calls in both border modes; the
 property tests in ``tests/serve/`` enforce this over randomized query
 streams.  The session is deliberately the narrow seam -- one index, one
-buffer set, sequential serves -- that a future sharded or async front end
-would hold one of per worker.
+cache binding, sequential serves -- that the forked serving workers each
+hold one of.
 """
 
 from __future__ import annotations
@@ -53,13 +48,7 @@ import numpy as np
 
 from .. import obs
 from ..core.clustering import UNCLUSTERED, Clustering
-from ..core.query import (
-    QueryBuffers,
-    _epsilon_similar_arcs,
-    get_cores,
-    resolve_border_assignments,
-)
-from ..parallel.metrics import ceil_log2
+from ..core.query import cluster_compact, dense_clustering, get_cores
 from ..parallel.scheduler import Scheduler
 from .cache import ResultCache
 from .snapping import EpsilonSnapper
@@ -88,21 +77,6 @@ def invalidate_index_generations(index) -> None:
     if registry is not None:
         for cache in list(registry):
             registry[cache] = cache.new_generation()
-
-_EMPTY_IDS = np.zeros(0, dtype=np.int64)
-
-
-def _materialise_dense(compact, num_vertices: int, mu: int, epsilon: float):
-    """Dense :class:`Clustering` from a compact payload (the one O(n) step).
-
-    Shared by :meth:`ServedResult.to_clustering` and the sweep cache-hit
-    path, so served results and cached sweep answers can never diverge.
-    """
-    labels = np.full(num_vertices, UNCLUSTERED, dtype=np.int64)
-    labels[compact.vertices] = compact.labels
-    core_mask = np.zeros(num_vertices, dtype=bool)
-    core_mask[compact.vertices[: compact.num_cores]] = True
-    return Clustering(labels, core_mask, mu=mu, epsilon=epsilon)
 
 
 def _shared_snapper(index) -> EpsilonSnapper:
@@ -162,18 +136,10 @@ class CompactLabels:
         vertices: np.ndarray,
         labels: np.ndarray,
         num_cores: int,
-        num_clusters: int | None = None,
+        num_clusters: int,
     ) -> "CompactLabels":
         vertices.setflags(write=False)
         labels.setflags(write=False)
-        if num_clusters is None:
-            # Counted once at freeze time so cache hits never re-sort labels.
-            # Callers that hold the core labels pass the count instead: a
-            # cluster's representative is a core labelled with its own id
-            # (batch unions hook to the minimum core id of the component),
-            # so counting label==id cores is O(cores) with no sort -- the
-            # np.unique here is only the fallback for foreign payloads.
-            num_clusters = int(np.unique(labels).shape[0]) if labels.shape[0] else 0
         return cls(
             vertices=vertices,
             labels=labels,
@@ -244,7 +210,7 @@ class ServedResult:
         of the serving path; callers that only need cluster counts or member
         lists can stay compact.
         """
-        return _materialise_dense(
+        return dense_clustering(
             self.compact, self.num_vertices, self.mu, self.epsilon
         )
 
@@ -259,8 +225,7 @@ class ClusterSession:
         (:meth:`ScanIndex.load <repro.core.index.ScanIndex.load>`).
     cache_size:
         Capacity of the session-owned LRU result cache; zero or negative
-        disables caching (recycled buffers still apply).  Ignored when
-        ``cache`` is given.
+        disables caching.  Ignored when ``cache`` is given.
     cache:
         An externally owned :class:`~repro.serve.cache.ResultCache` to
         share between sessions.  Sessions over the *same index object*
@@ -287,7 +252,6 @@ class ClusterSession:
     ) -> None:
         self.index = index
         self.num_vertices = int(index.graph.num_vertices)
-        self.buffers = QueryBuffers(self.num_vertices)
         self.snapper = _shared_snapper(index)
         if cache is not None:
             self.cache: ResultCache | None = cache
@@ -327,7 +291,7 @@ class ClusterSession:
         """Resync with the index when it was mutated since the last request.
 
         ``apply_updates`` already re-keyed the shared generations, so this
-        only rebuilds the session-local state (ε-snapper, buffers, epoch)
+        only rebuilds the session-local state (ε-snapper, vertex count, epoch)
         -- bumping the generation *again* here would discard post-update
         entries a sibling session cached moments earlier.
         """
@@ -340,12 +304,12 @@ class ClusterSession:
     def serve(
         self, mu: int, epsilon: float, *, deterministic_borders: bool = False
     ) -> ServedResult:
-        """Answer one ``(μ, ε)`` query from cache or the recycled-buffer path.
+        """Answer one ``(μ, ε)`` query from the cache or the query tail.
 
         The cache key is ``(generation, μ, rank(ε), border-mode)`` with
         ``rank`` the ε-snapping rank, so a hit requires only the O(log m)
-        snap and a dict lookup.  On a miss the clustering is computed with
-        the session's recycled buffers and the compact payload is cached.
+        snap and a dict lookup.  On a miss the compact clustering is
+        computed (:func:`~repro.core.query.cluster_compact`) and cached.
         Either way the answer is bit-identical to a cold
         :meth:`ScanIndex.query <repro.core.index.ScanIndex.query>`.
         """
@@ -368,11 +332,9 @@ class ClusterSession:
             # pre-instrumentation code: no span object, no attr dict.
             if obs.on():
                 with obs.span("serve.session.compute", mu=mu, rank=rank):
-                    compact = self._compute_compact(
-                        mu, epsilon, deterministic_borders
-                    )
+                    compact = self._compute(mu, epsilon, deterministic_borders)
             else:
-                compact = self._compute_compact(mu, epsilon, deterministic_borders)
+                compact = self._compute(mu, epsilon, deterministic_borders)
             if self.cache is not None:
                 self.cache.put(key, compact)
         elif obs.on():
@@ -421,15 +383,14 @@ class ClusterSession:
         *,
         deterministic_borders: bool = False,
     ) -> list[Clustering]:
-        """Batched sweep through the result cache and the recycled buffers.
+        """Batched sweep through the result cache and the planner.
 
         Every pair is first snapped and looked up in the session's result
         cache -- a sweep that repeats earlier traffic (or repeats itself)
         is answered from cached compact payloads.  The remaining misses run
         as **one** planned batch through the multi-parameter planner
-        (:func:`repro.core.sweep_query.query_many`) on this session's
-        :class:`~repro.core.query.QueryBuffers`, and their compact payloads
-        are admitted to the cache, so a later :meth:`serve` of the same
+        (:func:`repro.core.sweep_query.query_many`), and their compact
+        payloads are admitted to the cache, so a later :meth:`serve` of the same
         setting hits.  Results are dense clusterings in input order,
         bit-identical to cold calls; with caching disabled the planner
         handles everything exactly as before.
@@ -447,7 +408,6 @@ class ClusterSession:
                 pairs,
                 scheduler=self.scheduler,
                 deterministic_borders=deterministic_borders,
-                buffers=self.buffers,
             )
 
         deterministic_borders = bool(deterministic_borders)
@@ -480,7 +440,6 @@ class ClusterSession:
                 representatives,
                 scheduler=self.scheduler,
                 deterministic_borders=deterministic_borders,
-                buffers=self.buffers,
             )
             for (key, positions), clustering in zip(misses.items(), clusterings):
                 compact = self._admit(clustering)
@@ -498,7 +457,7 @@ class ClusterSession:
 
         Cores are listed in their ``CO[μ]``-prefix order (recovered with one
         doubling search) and borders ascending, matching
-        :meth:`_compute_compact` bit for bit -- so entries admitted by a
+        :func:`~repro.core.query.cluster_compact` bit for bit -- so entries admitted by a
         sweep and entries cached by single serves are interchangeable.
         """
         cores = get_cores(
@@ -521,7 +480,7 @@ class ClusterSession:
         self, compact: CompactLabels, mu: int, epsilon: float
     ) -> Clustering:
         """Dense clustering from a compact payload (the cache-hit path)."""
-        return _materialise_dense(compact, self.num_vertices, mu, epsilon)
+        return dense_clustering(compact, self.num_vertices, mu, epsilon)
 
     # ------------------------------------------------------------------
     # Cache lifecycle
@@ -539,7 +498,7 @@ class ClusterSession:
         -- misses from now on; old entries never match the new generation
         and the LRU bound reclaims their slots as traffic arrives.  The
         ε-snapper is rebuilt from the (possibly changed) similarity
-        columns and the buffers are resized if the vertex count changed.
+        columns and the vertex count is re-read.
         """
         if self.cache is not None:
             _bind_generation(self.index, self.cache)   # ensure registered
@@ -554,10 +513,7 @@ class ClusterSession:
         """Rebuild session-local state from the index's current contents."""
         self.snapper = _shared_snapper(self.index)
         self._index_epoch = getattr(self.index, "_mutation_epoch", 0)
-        n = int(self.index.graph.num_vertices)
-        if n != self.num_vertices:
-            self.num_vertices = n
-            self.buffers = QueryBuffers(n)
+        self.num_vertices = int(self.index.graph.num_vertices)
 
     def stats(self) -> dict:
         """Serving counters: serves, hits, hit rate, and cache stats."""
@@ -591,94 +547,19 @@ class ClusterSession:
             ]
             registry.gauge("serve.cache.size").set(cache_stats["size"])
 
-    # ------------------------------------------------------------------
-    # The recycled-buffer compute path
-    # ------------------------------------------------------------------
-    def _compute_compact(
+    def _compute(
         self, mu: int, epsilon: float, deterministic_borders: bool
     ) -> CompactLabels:
-        """Cold compute of one query using only recycled O(n) scratch.
-
-        Mirrors :func:`repro.core.query.cluster` step for step -- same core
-        prefix, same arc gather, same union order, same border rule -- but
-        writes into the session's buffers and emits the compact form.  Every
-        buffer entry touched is restored before returning, which is what
-        keeps steady-state allocation proportional to the result.
-        """
-        scheduler = self.scheduler
-        neighbor_order = self.index.neighbor_order
-        cores = get_cores(self.index.core_order, mu, epsilon, scheduler=scheduler)
-        if cores.size == 0:
-            return CompactLabels.freeze(_EMPTY_IDS, _EMPTY_IDS, 0, num_clusters=0)
-        # The gather lands in the session's recycled arc buffers: the views
-        # below stay valid for the rest of this request only, and a cold
-        # miss allocates O(cores) search scratch instead of O(result) arrays.
-        arc_sources, arc_targets, arc_similarities = _epsilon_similar_arcs(
-            neighbor_order, cores, epsilon, scheduler, buffers=self.buffers
-        )
-
-        # Core-core connectivity on the recycled forest (identity between
-        # queries).  Each buffer restore runs in a finally: a request that
-        # dies mid-serve (e.g. KeyboardInterrupt in a long-lived front end
-        # that keeps the session) must not poison later queries.
-        member = self.buffers.member
-        try:
-            # The write sits inside the try: clearing entries that were
-            # never set is a no-op, so the restore is safe from any point.
-            member[cores] = True
-            if self.buffers.arc_flags is not None and arc_targets.size:
-                # mode="clip" keeps the gather scratch-free; targets are
-                # vertex ids, in-bounds by construction.
-                core_to_core = np.take(
-                    member,
-                    arc_targets,
-                    out=self.buffers.arc_flags[: arc_targets.size],
-                    mode="clip",
-                )
-            else:
-                core_to_core = member[arc_targets]
-        finally:
-            member[cores] = False
-        cc_sources = arc_sources[core_to_core]
-        cc_targets = arc_targets[core_to_core]
-        forest = self.buffers.forest
-        try:
-            core_labels = forest.connect(scheduler, cc_sources, cc_targets, cores)
-        finally:
-            forest.reset_batch(cc_sources, cc_targets, cores)
-
-        # Border attachment, resolved compactly: the label scratch holds the
-        # core labels only long enough to translate winning arcs.
-        border_arcs = ~core_to_core
-        border_targets = arc_targets[border_arcs]
-        scheduler.charge(
-            int(border_targets.size),
-            ceil_log2(max(int(border_targets.size), 1)) + 1.0,
-        )
-        if border_targets.size:
-            border_sources = arc_sources[border_arcs]
-            border_vertices, winners = resolve_border_assignments(
-                border_sources,
-                border_targets,
-                arc_similarities[border_arcs],
-                deterministic=deterministic_borders,
-            )
-            scratch = self.buffers.labels
-            try:
-                scratch[cores] = core_labels
-                border_labels = scratch[border_sources[winners]]
-            finally:
-                scratch[cores] = UNCLUSTERED
-        else:
-            border_vertices = _EMPTY_IDS
-            border_labels = _EMPTY_IDS
+        """One cache miss: the query tail's compact answer, frozen."""
         return CompactLabels.freeze(
-            np.concatenate([cores, border_vertices]),
-            np.concatenate([core_labels, border_labels]),
-            int(cores.size),
-            # Representatives label themselves (min-id hooking), so the
-            # cluster count is an O(cores) compare, not a sort.
-            num_clusters=int(np.count_nonzero(core_labels == cores)),
+            *cluster_compact(
+                self.index.neighbor_order,
+                self.index.core_order,
+                mu,
+                epsilon,
+                scheduler=self.scheduler,
+                deterministic_borders=deterministic_borders,
+            )
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -8,20 +8,13 @@ the *same* algorithm array-at-once:
 1. expand the oriented arcs into flat ``(arc, candidate)`` pairs, where the
    candidates of arc ``u -> v`` are the out-neighbors of ``v`` (memory use is
    bounded by processing the pairs in chunks of ``chunk_pairs``);
-2. test every candidate ``x`` for membership in ``out(u)`` with one of two
-   probe strategies (see :data:`PROBE_STRATEGIES` and :func:`resolve_probe`):
-   ``"global"`` searches the memoised composite keys ``source * n + target``
-   of the whole oriented CSR with a single C-speed ``np.searchsorted``
-   (``O(log 2m)`` per probe); ``"bounded"`` runs a per-source-segment
-   simultaneous binary search (:func:`~repro.parallel.primitives.
-   segmented_searchsorted`) restricted to ``u``'s out-segment, costing only
-   ``O(log max_out_degree)`` *rounds* of whole-array passes for the entire
-   chunk.  Which one wins is a constant-factor question -- the bounded
-   search does asymptotically less comparison work but pays numpy-pass
-   overhead per round, so it only overtakes the C binary search when
-   out-segments are very short -- and ``"auto"`` (the default) picks by the
-   measured crossover; ``BENCH_hot_paths.json`` records both strategies on
-   every benchmark rung;
+2. test every candidate ``x`` for membership in ``out(u)`` by searching the
+   memoised composite keys ``source * n + target`` of the whole oriented
+   CSR with a single C-speed ``np.searchsorted`` (``O(log 2m)`` per probe).
+   A per-source-segment search bounded to ``u``'s out-segment does less
+   comparison work, but on this all-edge pass it lost on every graph
+   measured, short out-segments included (1.3-2.7x slower), so the pass
+   always uses the global search;
 3. scatter the three per-triangle contributions onto the canonical edge ids
    (``np.add.at`` semantics, executed via ``np.bincount`` which is
    dramatically faster for large scatters).
@@ -36,7 +29,11 @@ model while the execution strategy differs.
 :func:`edge_numerators_for_subset` applies the same treatment to an arbitrary
 subset of edges (probing the smaller endpoint's neighborhood against the
 larger one's), which is what the LSH low-degree fallback in
-:mod:`repro.lsh.approximate` batches its exact similarities with.
+:mod:`repro.lsh.approximate` batches its exact similarities with.  There
+each probe strategy wins at some batch size, so ``probe`` (see
+:data:`PROBE_STRATEGIES` and :func:`resolve_probe`) picks between the
+global search and the bounded per-segment search
+(:func:`~repro.parallel.primitives.segmented_searchsorted`).
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ from ..parallel.scheduler import Scheduler
 #: the scales this engine targets while keeping each chunk BLAS-friendly.
 DEFAULT_CHUNK_PAIRS = 1 << 22
 
-#: Membership-probe strategies of the batch engine (see module docstring).
+#: Membership-probe strategies of :func:`edge_numerators_for_subset`.
 PROBE_STRATEGIES = ("auto", "global", "bounded")
 
 #: ``"auto"`` switches to the bounded segmented probe when the longest
@@ -79,13 +76,12 @@ def accumulate_oriented_contributions(
     out: np.ndarray,
     oriented: tuple,
     sources: np.ndarray,
-    comp: np.ndarray | None,
+    comp: np.ndarray,
     num_vertices: int,
     arc_range_start: int,
     arc_range_end: int,
     *,
     chunk_pairs: int,
-    probe: str,
 ) -> None:
     """Add triangle contributions of oriented arcs ``[start, end)`` onto ``out``.
 
@@ -95,9 +91,8 @@ def accumulate_oriented_contributions(
     (:mod:`repro.parallel.execute`) run exactly this function, which is what
     keeps the process-parallel similarity pass bit-identical to the serial
     one on unweighted graphs (all contributions are integers, so the shard
-    merge order cannot matter).  ``probe`` must already be concrete
-    (``"global"`` requires ``comp``, the sentinel-terminated composite keys
-    of the whole orientation).
+    merge order cannot matter).  ``comp`` holds the sentinel-terminated
+    composite keys of the whole orientation.
     """
     indptr, targets, edge_ids, weights = oriented
     num_edges = int(out.shape[0])
@@ -129,28 +124,13 @@ def accumulate_oriented_contributions(
         # arc u -> v are the positions of v's out-segment.
         pair_arc = np.repeat(np.arange(arc_start, arc_end, dtype=np.int64), counts)
         candidate_pos = segmented_ranges(indptr[targets[arc_start:arc_end]], counts)
-        queries = targets[candidate_pos]
-        if probe == "global":
-            keys = (
-                np.repeat(sources[arc_start:arc_end] * np.int64(num_vertices), counts)
-                + queries
-            )
-            locations = np.searchsorted(comp[:num_oriented], keys)
-            # A miss past the end lands on the sentinel and compares unequal.
-            found = comp[locations] == keys
-        else:
-            # Bounded probe: candidate x of arc u -> v is searched only
-            # within u's out-segment, all probes advancing together.
-            pair_sources = np.repeat(sources[arc_start:arc_end], counts)
-            seg_ends = indptr[pair_sources + 1]
-            locations = segmented_searchsorted(
-                targets, queries, indptr[pair_sources], seg_ends
-            )
-            # A probe that exhausts its segment stops at seg_ends; clip
-            # before gathering so the comparison stays in bounds (and fails).
-            found = (locations < seg_ends) & (
-                targets[np.minimum(locations, num_oriented - 1)] == queries
-            )
+        keys = (
+            np.repeat(sources[arc_start:arc_end] * np.int64(num_vertices), counts)
+            + targets[candidate_pos]
+        )
+        locations = np.searchsorted(comp[:num_oriented], keys)
+        # A miss past the end lands on the sentinel and compares unequal.
+        found = comp[locations] == keys
         if found.any():
             arc_uv = pair_arc[found]       # oriented position of edge (u, v)
             arc_ux = locations[found]      # position of x in out(u)
@@ -176,15 +156,12 @@ def batch_numerators(
     scheduler: Scheduler,
     *,
     chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-    probe: str = "auto",
     executor=None,
 ) -> np.ndarray:
     """Closed-neighborhood dot product of every edge, with no per-arc loop.
 
     Returns the same numerator array as ``_numerators_merge`` (up to float
-    summation order) and charges the same work/span.  ``probe`` selects the
-    membership-probe strategy (module docstring); the default picks by the
-    measured crossover.  ``executor`` -- a
+    summation order) and charges the same work/span.  ``executor`` -- a
     :class:`~repro.parallel.execute.ParallelExecutor` -- shards the pass
     across worker processes for unweighted graphs (bit-identical: integer
     contributions merge exactly); weighted graphs ignore it and stay serial
@@ -210,12 +187,6 @@ def batch_numerators(
 
     out_degrees = np.diff(indptr)
     sources = graph.oriented_arc_sources()
-    probe = resolve_probe(probe, int(out_degrees.max(initial=0)))
-    comp = None
-    if probe == "global":
-        # Strictly increasing composite key of every oriented arc (memoised
-        # on the graph, with a trailing sentinel for bounds-free misses).
-        comp = graph.oriented_search_keys()
     n = graph.num_vertices
 
     # Cost model: identical to the merge backend.  Arcs whose target has no
@@ -233,15 +204,15 @@ def batch_numerators(
 
     contributions = None
     if executor is not None:
-        contributions = executor.sharded_numerators(
-            graph, probe=probe, chunk_pairs=chunk_pairs
-        )
+        contributions = executor.sharded_numerators(graph, chunk_pairs=chunk_pairs)
     if contributions is not None:
         numerators += contributions
     else:
+        # Strictly increasing composite key of every oriented arc (memoised
+        # on the graph, with a trailing sentinel for bounds-free misses).
         accumulate_oriented_contributions(
-            numerators, oriented, sources, comp, n, 0, num_oriented,
-            chunk_pairs=chunk_pairs, probe=probe,
+            numerators, oriented, sources, graph.oriented_search_keys(), n, 0,
+            num_oriented, chunk_pairs=chunk_pairs,
         )
 
     scheduler.charge(total_work, max_span + ceil_log2(max(num_edges, 1)) + 1.0)

@@ -20,9 +20,9 @@ Typical usage goes through the :class:`~repro.core.index.ScanIndex` seam::
 
 See :mod:`repro.storage.format` for the on-disk layout.  A loaded artifact
 is also what the serving loop sits on: ``index.session()``
-(:mod:`repro.serve`) keeps recycled buffers and an ε-snapped result cache
-over exactly these memory-mapped columns, so many serving processes can
-share one artifact's pages.
+(:mod:`repro.serve`) keeps an ε-snapped result cache over exactly these
+memory-mapped columns, so many serving processes can share one artifact's
+pages.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from ..similarity.exact import EdgeSimilarities
 from .format import (
     FORMAT_NAME,
     FORMAT_VERSION,
+    ArtifactFormatError,
     check_column_shapes,
     read_columns,
     read_header,
@@ -162,19 +163,26 @@ class IndexArtifact:
         restored so benchmarks can still attribute the build cost.
         """
         columns = self.columns
-        graph = Graph.from_index_columns(
-            columns["graph_indptr"],
-            columns["graph_indices"],
-            columns.get("graph_arc_weights"),
-            columns["graph_arc_edge_ids"],
-        )
-        similarities = EdgeSimilarities(
-            graph,
-            columns["edge_similarities"],
-            self.meta["measure"],
-            self.meta.get("backend", ""),
-            numerators=self.columns.get("edge_numerators"),
-        )
+        try:
+            graph = Graph.from_index_columns(
+                columns["graph_indptr"],
+                columns["graph_indices"],
+                columns.get("graph_arc_weights"),
+                columns["graph_arc_edge_ids"],
+            )
+            similarities = EdgeSimilarities(
+                graph,
+                columns["edge_similarities"],
+                self.meta["measure"],
+                self.meta.get("backend", ""),
+                numerators=self.columns.get("edge_numerators"),
+            )
+        except ValueError as error:
+            # Column bytes no checksum pass vouched for: CSR offsets that
+            # decrease, or arcs that do not pair up into the declared edges.
+            raise ArtifactFormatError(
+                f"columns do not form a consistent graph ({error})"
+            ) from error
         neighbor_order = NeighborOrder(
             indptr=graph.indptr,
             neighbors=columns["no_neighbors"],

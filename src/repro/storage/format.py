@@ -79,7 +79,9 @@ from __future__ import annotations
 import io
 import json
 import struct
+import tokenize
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -122,10 +124,29 @@ OPTIONAL_COLUMNS = {
 
 _LOCAL_HEADER_SIGNATURE = b"PK\x03\x04"
 _LOCAL_HEADER_SIZE = 30
+#: General-purpose flag bit of an encrypted zip member (never written here).
+_ENCRYPTED_FLAG = 0x1
 
 
 class ArtifactFormatError(ValueError):
     """A stored index artifact is missing, corrupt, or of the wrong version."""
+
+
+#: What the zip and ``.npy`` readers raise on arbitrary bytes: a broken zip
+#: structure, an unsupported zip feature, a corrupt deflate stream, a
+#: truncated member, a seek to a negative offset (``OSError``), or an
+#: unparsable ``.npy`` magic or header -- numpy's header parser raises
+#: ``ValueError``, or ``TokenError`` from the tokenizer it falls back to --
+#: and a member reaching past the end of the file.
+_CORRUPT_ARCHIVE_ERRORS = (
+    zipfile.BadZipFile,
+    NotImplementedError,
+    zlib.error,
+    EOFError,
+    OSError,
+    ValueError,
+    tokenize.TokenError,
+)
 
 
 def write_header(directory: Path, meta: dict) -> Path:
@@ -142,8 +163,8 @@ def read_header(directory: Path) -> dict:
     if not path.is_file():
         raise ArtifactFormatError(f"{directory}: not an index artifact (no {HEADER_FILE})")
     try:
-        header = json.loads(path.read_text())
-    except json.JSONDecodeError as error:
+        header = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ArtifactFormatError(f"{path}: corrupt header ({error})") from error
     validate_header(header)
     return header
@@ -174,6 +195,20 @@ def validate_header(header: dict) -> None:
         raise ArtifactFormatError(
             "header field 'updates' must be a list of lineage records"
         )
+    for key in ("num_vertices", "num_edges"):
+        if not isinstance(header[key], int) or header[key] < 0:
+            raise ArtifactFormatError(
+                f"header field {key!r} must be a non-negative integer"
+            )
+    if not isinstance(header["columns"], dict) or any(
+        not isinstance(spec, dict)
+        or not isinstance(spec.get("dtype"), str)
+        or not isinstance(spec.get("length"), int)
+        for spec in header["columns"].values()
+    ):
+        raise ArtifactFormatError(
+            "header field 'columns' must map each column to its dtype and length"
+        )
     recorded = set(header["columns"])
     missing = set(REQUIRED_COLUMNS) - recorded
     if missing:
@@ -189,6 +224,10 @@ def validate_columns(header: dict, columns: dict[str, np.ndarray]) -> None:
         if name not in columns:
             raise ArtifactFormatError(f"column {name!r} declared in header but not stored")
         column = columns[name]
+        if column.ndim != 1:
+            raise ArtifactFormatError(
+                f"column {name!r}: stored shape {column.shape} is not one-dimensional"
+            )
         if str(column.dtype) != spec["dtype"]:
             raise ArtifactFormatError(
                 f"column {name!r}: stored dtype {column.dtype} != declared {spec['dtype']}"
@@ -340,25 +379,25 @@ def read_columns(
     path = Path(directory) / COLUMNS_FILE
     if not path.is_file():
         raise ArtifactFormatError(f"{directory}: not an index artifact (no {COLUMNS_FILE})")
-    if mmap_mode is None:
-        with np.load(path) as archive:
-            return {name: archive[name] for name in archive.files}
-
     columns: dict[str, np.ndarray] = {}
     try:
         with zipfile.ZipFile(path) as archive:
             for info in archive.infolist():
+                if info.flag_bits & _ENCRYPTED_FLAG:
+                    raise ArtifactFormatError(f"{path}: encrypted member {info.filename}")
                 name = info.filename
                 if name.endswith(".npy"):
                     name = name[: -len(".npy")]
-                if info.compress_type != zipfile.ZIP_STORED:
+                if mmap_mode is None or info.compress_type != zipfile.ZIP_STORED:
                     with archive.open(info) as member:
                         columns[name] = np.lib.format.read_array(member)
                     continue
                 columns[name] = _mmap_member(path, info, mmap_mode)
-    except zipfile.BadZipFile as error:
+        return columns
+    except ArtifactFormatError:
+        raise
+    except _CORRUPT_ARCHIVE_ERRORS as error:
         raise ArtifactFormatError(f"{path}: corrupt column archive ({error})") from error
-    return columns
 
 
 def _mmap_member(path: Path, info: zipfile.ZipInfo, mmap_mode: str) -> np.ndarray:

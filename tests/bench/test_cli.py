@@ -221,6 +221,15 @@ class TestUpdateCommand:
         assert "Traceback" not in err
 
 
+class TestIndexQueryCommand:
+    def test_mu_beyond_int64_selects_no_cores(self, artifact, capsys):
+        mu = 2**63
+        assert main(["index", "query", str(artifact), "--mu", str(mu),
+                     "--epsilon", "0.3"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert row == [str(mu), "0.3", "0", "0"]
+
+
 class TestArtifactErrorReporting:
     """Missing/corrupt artifacts are operator errors: message, not traceback."""
 
@@ -280,6 +289,17 @@ class TestIndexVerifyCommand:
         err = capsys.readouterr().err
         assert "fails verification" in err and "checksum" in err
         assert "Traceback" not in err
+
+    def test_corrupt_npy_header_is_one_error_line(self, artifact, capsys):
+        archive = artifact / "columns.npz"
+        data = bytearray(archive.read_bytes())
+        # An unclosed header dict: numpy's fallback tokenizer gives up on it.
+        data[data.index(b"}", data.index(b"{'descr'"))] = ord("(")
+        archive.write_bytes(data)
+        for command in (["index", "verify"], ["index", "query"]):
+            assert main([*command, str(artifact)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_artifact_is_an_operator_error(self, tmp_path, capsys):
         assert main(["index", "verify", str(tmp_path / "nowhere")]) == 2

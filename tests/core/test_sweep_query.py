@@ -55,6 +55,21 @@ class TestIdentityWithPerPairQueries:
         assert batched[4].num_clustered_vertices == 0
         assert batched[5].num_clusters == 1
 
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_mu_beyond_int64_matches_per_pair_queries(self, paper_index, deterministic):
+        pairs = [(2**63, 0.3), (3, 0.6), (2**64 + 5, 0.6), (2**63 - 1, 0.0)]
+        batched = paper_index.query_many(pairs, deterministic_borders=deterministic)
+        session = paper_index.session()
+        for (mu, epsilon), clustering in zip(pairs, batched):
+            single = paper_index.query(mu, epsilon, deterministic_borders=deterministic)
+            served = session.serve(mu, epsilon, deterministic_borders=deterministic)
+            for result in (single, served.to_clustering()):
+                assert np.array_equal(clustering.labels, result.labels)
+                assert np.array_equal(clustering.core_mask, result.core_mask)
+            assert clustering.mu == mu
+            if mu != 3:
+                assert clustering.num_clusters == 0
+
     def test_duplicate_pairs_share_results(self, paper_index):
         batched = paper_index.query_many([(3, 0.6)] * 4)
         for clustering in batched[1:]:

@@ -157,6 +157,3 @@ class TestConnectProperties:
         assert scheduler.counter.span == (
             ceil_log2(num_edges) + 1.0 + ceil_log2(num_vertices) + 1.0
         )
-        # Writes stayed inside the arguments, so the reset restores the identity.
-        forest.reset_batch(edges_u, edges_v, vertices)
-        assert np.array_equal(forest._parent, np.arange(n))

@@ -1,8 +1,8 @@
 """Property tests for the serving loop: bit-identity under randomized streams.
 
 The serving session layers three optimisations over the cold query path --
-recycled buffers, ε-snapped cache keys, and LRU-cached compact payloads --
-and each must be invisible in the answers.  These tests replay randomized
+compact answers, ε-snapped cache keys, and LRU-cached payloads -- and each
+must be invisible in the answers.  These tests replay randomized
 ``(μ, ε)`` request streams (with deliberate repeats and ε values perturbed
 inside one snapping interval, under a cache small enough to force evictions)
 and require every served answer to be bit-identical to a cold
@@ -78,7 +78,7 @@ def test_session_query_many_stream_identical(index, deterministic):
         (int(rng.integers(2, 12)), float(rng.choice(np.linspace(0.0, 1.0, 9))))
         for _ in range(25)
     ]
-    for _ in range(3):                       # repeated batches recycle buffers
+    for _ in range(3):                       # repeats are answered from the cache
         batched = session.query_many(pairs, deterministic_borders=deterministic)
         for (mu, epsilon), clustering in zip(pairs, batched):
             cold = index.query(mu, epsilon, deterministic_borders=deterministic)

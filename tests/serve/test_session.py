@@ -1,9 +1,9 @@
-"""Tests for the label-recycling serving session."""
+"""Tests for the serving session."""
 
 import numpy as np
 import pytest
 
-from repro import ScanIndex, UNCLUSTERED
+from repro import ScanIndex
 from repro.graphs import from_edge_list, paper_example_graph, planted_partition
 
 
@@ -98,75 +98,79 @@ class TestCachingBehavior:
             session.serve(2, 1.5)
 
 
-class TestBufferRecycling:
-    def test_buffers_restored_between_queries(self, index):
-        session = index.session(cache_size=0)
-        n = index.graph.num_vertices
-        for mu, epsilon in [(2, 0.3), (5, 0.6), (3, 0.45), (8, 0.9)]:
-            session.serve(mu, epsilon)
-            session.serve(mu, epsilon, deterministic_borders=True)
-        buffers = session.buffers
-        assert np.array_equal(buffers.forest._parent, np.arange(n))
-        assert (buffers.forest._rank == 0).all()
-        assert (buffers.labels == UNCLUSTERED).all()
-        assert not buffers.member.any()
+def _connect_dies_after(calls: int):
+    """A ``UnionFind.connect`` that raises after its ``calls``-th non-empty batch.
 
-    def test_buffers_restored_when_a_serve_dies_mid_query(self, index, monkeypatch):
+    The failing call still runs the real union first, so a forest shared
+    with later queries would be left dirty.
+    """
+    from repro.parallel.unionfind import UnionFind
+
+    real_connect = UnionFind.connect
+    seen = []
+
+    def connect_then_die(self, scheduler, edges_u, edges_v, vertices):
+        roots = real_connect(self, scheduler, edges_u, edges_v, vertices)
+        if edges_u.size:
+            seen.append(int(np.count_nonzero(self._parent != np.arange(len(self)))))
+            if len(seen) == calls:
+                raise RuntimeError("injected connect failure")
+        return roots
+
+    return connect_then_die, seen
+
+
+def _assert_matches_cold(index, session, pairs):
+    """Both session paths, in both border modes, equal cold queries."""
+    for deterministic in (False, True):
+        batched = session.query_many(pairs, deterministic_borders=deterministic)
+        for (mu, epsilon), clustering in zip(pairs, batched):
+            cold = index.query(mu, epsilon, deterministic_borders=deterministic)
+            served = session.serve(
+                mu, epsilon, deterministic_borders=deterministic
+            ).to_clustering()
+            for result in (clustering, served):
+                assert np.array_equal(result.labels, cold.labels)
+                assert np.array_equal(result.core_mask, cold.core_mask)
+
+
+class TestBufferRecycling:
+    def test_uncached_serves_match_cold_queries(self, index):
+        session = index.session(cache_size=0)
+        pairs = [(2, 0.3), (5, 0.6), (3, 0.45), (8, 0.9), (2, 0.3)]
+        _assert_matches_cold(index, session, pairs)
+
+    def test_serve_after_connect_dies_mid_serve_matches_cold(
+        self, index, monkeypatch
+    ):
         """A request that raises mid-serve must not poison later queries."""
         from repro.parallel.unionfind import UnionFind
 
         session = index.session(cache_size=0)
         session.serve(5, 0.6)                       # warm, known-good
-        real_connect = UnionFind.connect
-        written = []
-
-        def connect_then_die(self, scheduler, edges_u, edges_v, vertices):
-            real_connect(self, scheduler, edges_u, edges_v, vertices)
-            written.append(int(np.count_nonzero(self._parent != np.arange(len(self)))))
-            raise RuntimeError("injected mid-serve failure")
-
+        connect_then_die, seen = _connect_dies_after(1)
         monkeypatch.setattr(UnionFind, "connect", connect_then_die)
         with pytest.raises(RuntimeError):
             session.serve(2, 0.3)                   # dies after the parent writes
         monkeypatch.undo()
-        assert written and written[0] > 0           # the forest really was dirty
+        assert seen and seen[0] > 0                 # the forest really was dirty
+        _assert_matches_cold(index, session, [(2, 0.3), (5, 0.3), (5, 0.6)])
 
-        n = index.graph.num_vertices
-        assert np.array_equal(session.buffers.forest._parent, np.arange(n))
-        assert not session.buffers.member.any()
-        after = session.serve(2, 0.3).to_clustering()
-        cold = index.query(2, 0.3)
-        assert np.array_equal(after.labels, cold.labels)
-
-    def test_query_many_forest_restored_when_union_dies_mid_group(
+    def test_query_many_after_connect_dies_mid_group_matches_cold(
         self, index, monkeypatch
     ):
         from repro.parallel.unionfind import UnionFind
 
         session = index.session()
-        real_connect = UnionFind.connect
-        written = []
-
-        def connect_then_die(self, scheduler, edges_u, edges_v, vertices):
-            roots = real_connect(self, scheduler, edges_u, edges_v, vertices)
-            if edges_u.size:
-                # Dies on the second pair, after the first pair's parent
-                # writes and this pair's own hooks landed.
-                written.append(int(np.count_nonzero(self._parent != np.arange(len(self)))))
-                if len(written) == 2:
-                    raise RuntimeError("injected mid-group failure")
-            return roots
-
+        # Dies on the group's second pair, after the first pair's unions and
+        # this pair's own hooks landed in the group's shared forest.
+        connect_then_die, seen = _connect_dies_after(2)
         monkeypatch.setattr(UnionFind, "connect", connect_then_die)
         with pytest.raises(RuntimeError):
             session.query_many([(2, 0.3), (5, 0.3)])
         monkeypatch.undo()
-        assert len(written) == 2 and written[1] > 0
-
-        n = index.graph.num_vertices
-        assert np.array_equal(session.buffers.forest._parent, np.arange(n))
-        batched = session.query_many([(2, 0.3)])
-        assert np.array_equal(batched[0].labels, index.query(2, 0.3).labels)
+        assert len(seen) == 2 and seen[1] > 0
+        _assert_matches_cold(index, session, [(2, 0.3), (5, 0.3), (3, 0.45)])
 
     def test_invalidate_rebuilds_snapper_for_replaced_index_contents(self):
         """In-place index replacement must refresh the ε-snapping boundaries."""
@@ -200,7 +204,7 @@ class TestBufferRecycling:
             assert np.array_equal(clustering.labels, cold.labels)
 
     def test_serve_after_query_many_still_identical(self, index):
-        """Interleaving the planner and the serve path shares buffers safely."""
+        """Interleaving the planner and the serve path keeps answers identical."""
         session = index.session()
         session.query_many([(2, 0.3), (5, 0.7)])
         result = session.serve(5, 0.6)

@@ -131,15 +131,24 @@ class TestSubsetNumerators:
 
 
 class TestProbeStrategies:
-    """Both membership-probe strategies must agree exactly (see module doc)."""
+    """Both membership-probe strategies of the subset pass agree exactly."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bounded_and_global_probes_agree(self, seed):
         rng = np.random.default_rng(300 + seed)
         graph = random_graph(rng, 35, 0.25, weighted=bool(seed % 2))
-        bounded = batch_numerators(graph, Scheduler(), probe="bounded")
-        global_probe = batch_numerators(graph, Scheduler(), probe="global")
+        every_edge = np.arange(graph.num_edges)
+        bounded = edge_numerators_for_subset(
+            graph, every_edge, Scheduler(), probe="bounded"
+        )
+        global_probe = edge_numerators_for_subset(
+            graph, every_edge, Scheduler(), probe="global"
+        )
         np.testing.assert_array_equal(bounded, global_probe)
+        # The all-edge pass (always the global probe) gives the same scores.
+        np.testing.assert_allclose(
+            batch_numerators(graph, Scheduler()), global_probe, atol=1e-9, rtol=0
+        )
 
     @pytest.mark.parametrize("seed", range(2))
     def test_subset_probes_agree(self, seed):
@@ -154,7 +163,9 @@ class TestProbeStrategies:
 
     def test_unknown_probe_rejected(self, triangle_graph):
         with pytest.raises(ValueError):
-            batch_numerators(triangle_graph, Scheduler(), probe="psychic")
+            edge_numerators_for_subset(
+                triangle_graph, np.arange(1), Scheduler(), probe="psychic"
+            )
 
     def test_auto_resolves_by_segment_length(self):
         from repro.similarity.batch import resolve_probe

@@ -86,9 +86,8 @@ class TestRoundTrip:
         """Every mmapped column sits on the writer's alignment boundary.
 
         The zip layout would otherwise put npy payloads at arbitrary file
-        offsets, and unaligned memmaps make ``np.take(out=...)`` silently
-        copy the whole column per gather -- the serving tier's recycled
-        buffers depend on this alignment to stay allocation-free.
+        offsets, and unaligned memmaps push every gather a query makes onto
+        numpy's buffered slow path.
         """
         from repro.storage.format import COLUMN_ALIGNMENT
 
