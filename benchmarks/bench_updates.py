@@ -22,6 +22,13 @@ or through pytest (smoke-sized, asserts bit-identity and the small-batch
 speedup)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_updates.py -s
+
+The order-repair strategy ledger runs the same ladder once per forced
+strategy (``--order-strategy merge`` / ``resort``; ``auto`` keeps the
+churn crossover) over its own batch fractions::
+
+    PYTHONPATH=src python benchmarks/bench_updates.py --order-strategy merge \
+        --fractions 0.0001 0.001 0.01 0.05 --output /tmp/merge.json
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+import repro.dynamic.patch as patch_module
 from repro import ScanIndex
 from repro.bench import capture_environment, format_table
 from repro.bench.recording import add_record_argument, record_payload
@@ -69,6 +77,10 @@ TINY_FRACTIONS = (0.01, 0.05)
 #: Timing repetitions; the minimum is reported (the machines running CI
 #: smoke and local ladders both jitter heavily under load).
 TIMING_REPEATS = 3
+
+#: ``ORDER_REBUILD_CHURN`` values that force each order-repair strategy
+#: (``auto`` leaves the measured crossover in place).
+FORCED_CHURN = {"merge": float("inf"), "resort": -1.0}
 
 
 def make_batch(graph, fraction: float, rng) -> tuple[UpdateBatch, np.ndarray]:
@@ -256,10 +268,18 @@ def main(argv=None) -> int:
     parser.add_argument("--tiny", action="store_true", help="CI-sized smoke ladder")
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
                         help=f"JSON output path (default: {DEFAULT_OUTPUT})")
+    parser.add_argument("--fractions", type=float, nargs="+", default=None,
+                        help="batch sizes as fractions of the edge count "
+                             "(default: the ladder's own)")
+    parser.add_argument("--order-strategy", choices=("auto", *FORCED_CHURN),
+                        default="auto",
+                        help="force the order repair (strategy ledger runs)")
     add_record_argument(parser, REPO_ROOT)
     args = parser.parse_args(argv)
     ladder = TINY_LADDER if args.tiny else DEFAULT_LADDER
-    fractions = TINY_FRACTIONS if args.tiny else DEFAULT_FRACTIONS
+    fractions = args.fractions or (TINY_FRACTIONS if args.tiny else DEFAULT_FRACTIONS)
+    if args.order_strategy != "auto":
+        patch_module.ORDER_REBUILD_CHURN = FORCED_CHURN[args.order_strategy]
     results = run(ladder, args.output, fractions=fractions)
     if args.record is not None:
         record_payload(args.record, results, source="bench_updates.py",

@@ -3,47 +3,61 @@
 A full rebuild after a batch of edge updates pays the whole construction
 again: ``O(m^{3/2})`` triangle work for the similarities plus global
 segmented sorts for both orders.  This module repairs a built
-:class:`~repro.core.index.ScanIndex` instead, doing similarity work only on
-the *affected* edges and sorting work only on the *affected* vertices'
-runs, while producing output **bit-identical** to a from-scratch rebuild on
-the mutated graph (for exactly built indexes of unweighted graphs; weighted
-cosine scores agree up to float summation order, exactly the tolerance the
-similarity backends already grant each other).
+:class:`~repro.core.index.ScanIndex` instead, producing output
+**bit-identical** to a from-scratch rebuild on the mutated graph (for
+exactly built indexes of unweighted graphs; weighted cosine scores agree up
+to float summation order, exactly the tolerance the similarity backends
+already grant each other).
 
-The patch runs in four localized stages:
+Every stage works on *located positions*: the ``O(b)`` ops of a batch and
+the ``O(Σ_{t∈T} deg t)`` arcs around the touched vertices ``T`` (the
+endpoints of some op) are found by binary search, and each stored column is
+then rebuilt by one delete-and-insert pass (:func:`_splice`).  Those column
+splices (memcpy-scale), the one remap of ``arc_edge_ids`` and the patched
+graph's own derived arrays (its canonical edge list, and the arc search
+keys the subset numerator engine probes) are the only whole-graph passes
+left; no step builds a mask over every arc, a prefix sum over every entry
+or a sort key over a whole column.
 
-1. **Graph splice** (:func:`_splice_graph`): the CSR arrays, canonical edge
-   list and arc -> edge-id mapping are respliced around the deleted/inserted
-   positions -- pure memcpy-scale passes plus ``O(b log b)`` searches for a
-   batch of ``b`` ops; no adjacency list is re-sorted (inserted neighbors
-   merge into already-sorted rows at their binary-searched positions).
-2. **Affected similarity recompute** (:func:`_recompute_affected`): an edge's
-   closed-neighborhood intersection changes only if one endpoint's
-   neighborhood changed, so exactly the edges incident to a *touched*
-   endpoint (an endpoint of some op) are recomputed, through the same
+1. **Graph splice** (:func:`_splice_graph`): the two arcs of every op are
+   located in the CSR rows (``Graph.locate_neighbors``) and the arc columns
+   are spliced at those positions.  Canonical edge ids are positions in the
+   lexicographic edge list, so deleted ids come from the located arcs and an
+   inserted edge's id from a lexicographic search of the edge list; the
+   id shift is piecewise constant between those ``O(b)`` breakpoints and is
+   applied to ``arc_edge_ids`` in the one remap pass.
+2. **Similarity delta** (:func:`apply_updates`): an edge's score changes
+   only if an endpoint is touched, so exactly the edges in ``T``'s adjacency
+   ranges are re-finalised; with stored numerators only the triangle-affected
+   ones pay intersection work (integer triangle-count deltas for unweighted
+   graphs, a fresh subset recompute for weighted ones), through the same
    vectorised subset engine (:func:`~repro.similarity.batch.
-   edge_numerators_for_subset`) the LSH fallback batches with.  Every other
-   edge keeps its stored score verbatim.
-3. **Neighbor-order patch** (:func:`_patch_neighbor_order`): only vertices
-   in ``T ∪ N(T)`` (touched plus their new neighbors) can see their sorted
-   segment change.  Each such segment is rebuilt as a **merge of two sorted
-   runs** -- the surviving entries, already in order, and the
-   changed/inserted entries, sorted among themselves -- via simultaneous
-   segmented binary searches; untouched segments are copied verbatim to
-   their shifted offsets.  No global argsort is performed.
-4. **Core-order patch** (:func:`_patch_core_order`): the same merge treatment
-   for every ``CO[μ]`` segment: surviving entries of unaffected vertices
-   keep their relative order (their thresholds and the degree/id tie keys
-   are unchanged), and the affected vertices' re-derived ``(vertex, μ)``
-   entries are merged in at their searched positions.
+   edge_numerators_for_subset`) the LSH fallback batches with.  The
+   edge-indexed columns are spliced like the arc columns.
+3. **Neighbor-order patch** (:func:`_patch_neighbor_order`): the whole
+   ``NO`` segment of every touched vertex is removed and re-sorted from its
+   new arcs; for every arc ``(x, t)`` with ``x ∉ T`` and ``t ∈ T`` -- read
+   off ``T``'s adjacency -- the one entry of ``t`` in ``NO[x]`` is located
+   by a lexicographic search keyed by its old score and ``t``, and its
+   re-scored replacement by the same search keyed by the new score.  One
+   splice of each ``NO`` column applies both.
+4. **Core-order patch** (:func:`_patch_core_order`): a threshold
+   ``NO[x][k]`` of an untouched vertex can only move for ``k`` between
+   ``x``'s lowest and highest changed position, so those ``(x, k + 2)``
+   entries whose threshold bits changed, plus every entry of a touched
+   vertex (its degree changed), are located in their old ``CO[μ]`` segments
+   and re-inserted at their searched positions -- again one splice per
+   column.
 
 Bit-identity rests on the orders being *value-determined*: the construction
 sorts are stable sorts by exact similarity rank keys, so ``NO[v]`` is
 exactly "neighbors by (similarity desc, id asc)" and ``CO[μ]`` exactly
 "candidates by (threshold desc, degree desc, id asc)" -- deterministic
-total orders the merge reproduces without re-running the sorts.  The
-randomized stream tests in ``tests/property/`` enforce equality of every
-stored column against a rebuild after every batch.
+total orders the searches reproduce by comparing the probed scores
+directly, as the construction's rank keys do.  Entries that do not move
+keep their relative order through the splice.  The randomized stream
+tests in ``tests/property/`` enforce equality of every stored column
+against a rebuild after every batch, under both order-repair strategies.
 
 Approximate (LSH-built) indexes are rejected: their scores come from global
 random sketches, so no localized recompute can match a re-sketch.
@@ -64,6 +78,7 @@ from ..parallel.primitives import (
     segmented_arange,
     segmented_ranges,
     segmented_searchsorted,
+    sorted_unique,
 )
 from ..parallel.scheduler import Scheduler
 from ..similarity.batch import edge_numerators_for_subset
@@ -77,33 +92,161 @@ __all__ = ["apply_updates"]
 #: build runs, on the patched similarities -- identical output by
 #: definition) instead of merging runs: at that churn the changed runs
 #: rival the kept runs and the C-speed packed segmented argsort beats the
-#: merge's search-and-splice passes.  Measured crossover on the
-#: ``bench_updates`` ladder (merge wins below ~3% churn, resort above ~8%).
-ORDER_REBUILD_CHURN = 0.05
+#: merge's search-and-splice passes.  Measured on the ``bench_updates``
+#: ladder with each strategy forced (serial, see the strategy ledger in
+#: ``docs/ARCHITECTURE.md``): the merge takes 0.3-0.4x the resort's time
+#: up to ~2.5% of arcs changed, 0.6-0.75x at 3-5.5%, and breaks even
+#: between 7.5% and 10%.
+ORDER_REBUILD_CHURN = 0.07
 
 
-def _cumsum0(counts: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sums with the total appended (CSR-style offsets)."""
-    offsets = np.zeros(counts.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
+# ----------------------------------------------------------------------
+# Located-position primitives shared by every stage
+# ----------------------------------------------------------------------
+def _insertion_slots(removed: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Output positions of entries inserted before old positions ``points``.
 
-
-def _descending_keys(values: np.ndarray) -> np.ndarray:
-    """Int64 keys whose ascending order is the *descending* order of ``values``.
-
-    The classic radix transform for IEEE-754 doubles: flip every bit of a
-    negative, only the sign bit of a non-negative -- ascending uint64 then
-    equals ascending float -- and a final sign-bit flip reinterprets that
-    as ascending int64; negation turns it descending.  Exact (no
-    quantisation, no rank pass) and total over any non-NaN float64, so the
-    merge path stays correct even for exotic score sets such as negative
-    weighted-cosine values from negative edge weights.
+    ``removed`` holds the sorted old positions the same splice deletes and
+    ``points`` is non-decreasing; entry ``k`` lands after the kept entries
+    before its point and after the ``k`` inserted entries before it.
     """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    sign = np.uint64(1) << np.uint64(63)
-    ascending = (np.where(bits & sign, ~bits, bits | sign) ^ sign).view(np.int64)
-    return -ascending
+    return (
+        points - np.searchsorted(removed, points)
+        + np.arange(points.shape[0], dtype=np.int64)
+    )
+
+
+#: A splice copies the kept entries piece by piece while its removed plus
+#: inserted entries (which bound its pieces) number under one per this many
+#: column entries; past that, a masked gather/scatter per block is cheaper.
+#: A piece copy costs ~1 µs of call overhead and a masked pass ~4 ns per
+#: entry, so they break even near one piece per ~250-500 entries (measured
+#: on 0.46M- and 0.93M-entry columns).
+SPLICE_ENTRIES_PER_PIECE = 400
+
+#: Entries per block of the masked splice and of in-place remaps: the
+#: temporaries stay cache-sized instead of column-sized, and a fresh
+#: column-sized allocation costs more than the pass that fills it.
+SPLICE_BLOCK = 1 << 16
+
+
+def _splice(
+    columns: tuple, removed: np.ndarray, slots: np.ndarray, inserted: tuple
+) -> list[np.ndarray]:
+    """Delete ``removed`` from each column and place ``inserted`` at ``slots``.
+
+    ``removed`` (sorted old positions) and ``slots`` (sorted new positions)
+    cut the kept entries into pieces that are contiguous both before and
+    after the splice: a removed entry sits before kept entry
+    ``removed[i] - i``, an inserted one before kept entry ``slots[k] - k``.
+    Each piece is one slice copy into a fresh array (the inputs may be
+    read-only memory maps).  Past :data:`SPLICE_ENTRIES_PER_PIECE`, the
+    kept entries move by masked copies of :data:`SPLICE_BLOCK` entries
+    instead.  The only column-sized allocation is each output.
+    """
+    size = int(columns[0].shape[0])
+    total = size - int(removed.shape[0]) + int(slots.shape[0])
+    removed_gaps = removed - np.arange(removed.shape[0], dtype=np.int64)
+    inserted_gaps = slots - np.arange(slots.shape[0], dtype=np.int64)
+    if (removed.shape[0] + slots.shape[0] + 1) * SPLICE_ENTRIES_PER_PIECE <= size:
+        cuts = sorted_unique(np.concatenate([
+            [0, size - removed.shape[0]], removed_gaps, inserted_gaps,
+        ]))
+        old = cuts[:-1] + np.searchsorted(removed_gaps, cuts[:-1], side="right")
+        new = cuts[:-1] + np.searchsorted(inserted_gaps, cuts[:-1], side="right")
+        lengths = np.diff(cuts)
+        blocks = zip(old.tolist(), (old + lengths).tolist(), new.tolist(),
+                     (new + lengths).tolist(), [None] * len(lengths))
+    else:
+        # Block i covers old entries [a, b); its kept entries fill the free
+        # output slots of [c, d), where inserted entries sitting before a
+        # kept entry belong to that entry's block.
+        bounds = np.append(np.arange(0, size, SPLICE_BLOCK, dtype=np.int64), size)
+        removed_at = np.searchsorted(removed, bounds)
+        kept = bounds - removed_at
+        out_bounds = kept + np.searchsorted(inserted_gaps, kept, side="right")
+        slots_at = np.searchsorted(slots, out_bounds)
+        blocks = (
+            (a, b, c, d, (removed[r0:r1] - a, slots[s0:s1] - c))
+            for a, b, c, d, r0, r1, s0, s1 in zip(
+                bounds[:-1].tolist(), bounds[1:].tolist(),
+                out_bounds[:-1].tolist(), out_bounds[1:].tolist(),
+                removed_at[:-1].tolist(), removed_at[1:].tolist(),
+                slots_at[:-1].tolist(), slots_at[1:].tolist(),
+            )
+        )
+    spliced = [np.empty(total, dtype=column.dtype) for column in columns]
+    for a, b, c, d, local in blocks:
+        if local is None:
+            for out, column in zip(spliced, columns):
+                out[c:d] = column[a:b]
+            continue
+        keep = np.ones(b - a, dtype=bool)
+        keep[local[0]] = False
+        free = np.ones(d - c, dtype=bool)
+        free[local[1]] = False
+        for out, column in zip(spliced, columns):
+            out[c:d][free] = column[a:b][keep]
+    for out, values in zip(spliced, inserted):
+        out[slots] = values
+    return spliced
+
+
+def _remap_in_place(table: np.ndarray, ids: np.ndarray) -> None:
+    """``ids[:] = table[ids]`` block by block, with no column-sized temporary."""
+    for start in range(0, ids.shape[0], SPLICE_BLOCK):
+        block = ids[start:start + SPLICE_BLOCK]
+        np.take(table, block, out=block)
+
+
+def _ordered_lower_bound(
+    similarities: np.ndarray,
+    tie_at,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    query_similarities: np.ndarray,
+    query_ties: np.ndarray,
+) -> np.ndarray:
+    """Per-query lower bound in a segment sorted by (similarity desc, tie asc).
+
+    Returns the absolute position of the first entry of
+    ``[starts[i], ends[i])`` that does not sort before the query.  All
+    queries halve their candidate range together, ``O(log max_segment)``
+    rounds; each round compares the probed scores as floats and asks
+    ``tie_at`` for the tie keys of the probes whose scores are equal, so no
+    key is ever derived for a whole column.
+    """
+
+    def sorts_before(positions, queries):
+        probed = similarities[positions]
+        before = probed > query_similarities[queries]
+        tied = np.flatnonzero(probed == query_similarities[queries])
+        before[tied] = tie_at(positions[tied]) < query_ties[queries[tied]]
+        return before
+
+    # The answer stays in [low, low + count]; a probe at low + half either
+    # moves low there or keeps it, and count shrinks by half.  Finished
+    # queries (half == 0) probe a clamped position and move nowhere.
+    low = np.asarray(starts, dtype=np.int64).copy()
+    count = np.asarray(ends, dtype=np.int64) - low
+    every = np.arange(low.shape[0], dtype=np.int64)
+    while True:
+        half = count >> 1
+        if not half.any():
+            break
+        middle = low + half
+        probes = np.minimum(middle, similarities.shape[0] - 1)
+        np.copyto(low, middle, where=sorts_before(probes, every))
+        count -= half
+    last = np.flatnonzero(count)
+    low[last[sorts_before(low[last], last)]] += 1
+    return low
+
+
+def _adjacency(graph: Graph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arc positions of ``vertices``' rows, and each arc's source."""
+    counts = graph.degrees[vertices]
+    return segmented_ranges(graph.indptr[vertices], counts), np.repeat(vertices, counts)
 
 
 # ----------------------------------------------------------------------
@@ -155,140 +298,108 @@ def _validate_batch(graph: Graph, batch: UpdateBatch) -> None:
                 )
 
 
+def _old_to_new_edge_ids(
+    num_old: int, deleted_ids: np.ndarray, insert_ranks: np.ndarray
+) -> np.ndarray:
+    """New id of every old edge id (``-1`` for deleted edges).
+
+    A surviving id moves down by the deletions before it and up by the
+    insertions ranked at or before it: a step function with ``O(b)``
+    breakpoints, expanded by one repeat.
+    """
+    breakpoints = np.concatenate([deleted_ids + 1, insert_ranks])
+    steps = np.concatenate([
+        np.full(deleted_ids.shape[0], -1, dtype=np.int64),
+        np.ones(insert_ranks.shape[0], dtype=np.int64),
+    ])
+    order = np.argsort(breakpoints, kind="stable")
+    breakpoints = breakpoints[order]
+    levels = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(steps[order])])
+    lengths = np.diff(breakpoints, prepend=0, append=num_old)
+    old_to_new = np.arange(num_old, dtype=np.int64) + np.repeat(levels, lengths)
+    old_to_new[deleted_ids] = -1
+    return old_to_new
+
+
 def _splice_graph(
     graph: Graph, batch: UpdateBatch, scheduler: Scheduler
-) -> tuple[Graph, np.ndarray, np.ndarray]:
+) -> tuple[Graph, np.ndarray, np.ndarray, np.ndarray]:
     """Apply the batch to the CSR arrays and the canonical edge numbering.
 
-    Returns ``(new_graph, old_to_new, inserted_edge_ids)`` where
-    ``old_to_new`` maps every old canonical edge id to its id in the new
-    graph (``-1`` for deleted edges) and ``inserted_edge_ids`` lists the new
-    ids of the batch's insertions, aligned with ``batch.insert_u``.
+    Returns ``(new_graph, old_to_new, deleted_ids, inserted_edge_ids)``:
+    ``old_to_new`` maps every old canonical edge id to its new id (``-1``
+    for deleted edges), ``deleted_ids`` lists the old ids of the deletions
+    and ``inserted_edge_ids`` the new ids of the insertions, both aligned
+    with the batch's (lex-sorted) op arrays.
 
-    Canonical edge ids are positions in the lexicographic ``(u, v)`` edge
-    list, so a delete/insert shifts every later id; the shift is computed
-    with two binary searches over the (tiny, sorted) op arrays and applied
-    as one gather -- the arrays are rewritten, but nothing is re-sorted.
+    The two arcs of every op are located by binary search in their rows;
+    each arc column is then spliced once at those positions (inserted arcs
+    land at their searched in-row positions, so no row is re-sorted).
     """
-    n = graph.num_vertices
     num_old = graph.num_edges
     ins_u, ins_v, del_u, del_v = (
         batch.insert_u, batch.insert_v, batch.delete_u, batch.delete_v,
     )
     num_ins, num_del = int(ins_u.size), int(del_u.size)
-    span = np.int64(max(n, 1))
-    old_keys = graph.edge_u * span + graph.edge_v
 
-    # --- Canonical edge numbering: survivors shift by the net op count
-    # before them; insertions slot in at their searched rank.
-    survive = np.ones(num_old, dtype=bool)
-    if num_del:
-        survive[np.searchsorted(old_keys, del_u * span + del_v)] = False
-    ins_keys = ins_u * span + ins_v
-    rank_within_survivors = np.cumsum(survive) - 1
-    old_to_new = np.where(
-        survive,
-        rank_within_survivors + np.searchsorted(ins_keys, old_keys),
-        np.int64(-1),
+    # --- Canonical edge numbering.  A deleted edge's id is read off its
+    # forward arc; an inserted edge ranks after the old edges lexicographically
+    # before it (one search of its source's run of the edge list).
+    del_pos_uv, _ = graph.locate_neighbors(del_u, del_v)
+    del_pos_vu, _ = graph.locate_neighbors(del_v, del_u)
+    deleted_ids = graph.arc_edge_ids[del_pos_uv]
+    edge_u, edge_v = graph.edge_list()
+    insert_ranks = segmented_searchsorted(
+        edge_v, ins_v,
+        np.searchsorted(edge_u, ins_u), np.searchsorted(edge_u, ins_u, side="right"),
     )
-    surviving_keys = old_keys[survive]
-    inserted_edge_ids = (
-        np.searchsorted(surviving_keys, ins_keys) + np.arange(num_ins, dtype=np.int64)
-    )
+    inserted_edge_ids = _insertion_slots(deleted_ids, insert_ranks)
+    old_to_new = _old_to_new_edge_ids(num_old, deleted_ids, insert_ranks)
 
-    # --- Arc splice: locate the two arcs of every op, then rewrite the CSR
-    # payload arrays in one scatter per side (kept arcs keep their relative
-    # order; inserted arcs land at their binary-searched in-row positions).
-    if num_del:
-        del_pos_uv, _ = graph.locate_neighbors(del_u, del_v)
-        del_pos_vu, _ = graph.locate_neighbors(del_v, del_u)
-        deleted_arc_pos = np.concatenate([del_pos_uv, del_pos_vu])
-    else:
-        deleted_arc_pos = np.zeros(0, dtype=np.int64)
-    keep = np.ones(graph.num_arcs, dtype=bool)
-    keep[deleted_arc_pos] = False
-
-    if num_ins:
-        ins_pos_uv, _ = graph.locate_neighbors(ins_u, ins_v)
-        ins_pos_vu, _ = graph.locate_neighbors(ins_v, ins_u)
-        points = np.concatenate([ins_pos_uv, ins_pos_vu])
-        arc_sources = np.concatenate([ins_u, ins_v])
-        arc_targets = np.concatenate([ins_v, ins_u])
-        arc_edge_ids_ins = np.concatenate([inserted_edge_ids, inserted_edge_ids])
-        if graph.is_weighted:
-            weights = (
-                batch.insert_weights
-                if batch.insert_weights is not None
-                else np.ones(num_ins, dtype=np.float64)
-            )
-            arc_weights_ins = np.concatenate([weights, weights])
-        else:
-            arc_weights_ins = None
-        # Final CSR order is (source, target); insertion points are
-        # non-decreasing under that order, so after this sort the k-th
-        # inserted arc has exactly k inserted arcs before it.
-        order = np.lexsort((arc_targets, arc_sources))
-        points = points[order]
-        arc_targets = arc_targets[order]
-        arc_edge_ids_ins = arc_edge_ids_ins[order]
-        if arc_weights_ins is not None:
-            arc_weights_ins = arc_weights_ins[order]
-    else:
-        points = np.zeros(0, dtype=np.int64)
-        arc_targets = np.zeros(0, dtype=np.int64)
-        arc_edge_ids_ins = np.zeros(0, dtype=np.int64)
-        arc_weights_ins = None
-
-    kept_old_pos = np.flatnonzero(keep)
-    # kept arc at old position p lands after the kept arcs before it plus
-    # the inserted arcs whose insertion point is ≤ p.
-    new_pos_kept = (
-        np.arange(kept_old_pos.shape[0], dtype=np.int64)
-        + np.searchsorted(points, kept_old_pos, side="right")
-    )
-    # inserted arc k lands after the kept arcs strictly before its point
-    # plus the k inserted arcs sorted before it.
-    kept_before = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(keep, dtype=np.int64)]
-    )
-    new_pos_ins = kept_before[points] + np.arange(points.shape[0], dtype=np.int64)
-
-    num_new_arcs = graph.num_arcs - 2 * num_del + 2 * num_ins
-    new_indices = np.empty(num_new_arcs, dtype=np.int64)
-    new_indices[new_pos_kept] = graph.indices[kept_old_pos]
-    new_indices[new_pos_ins] = arc_targets
-    new_arc_edge_ids = np.empty(num_new_arcs, dtype=np.int64)
-    new_arc_edge_ids[new_pos_kept] = old_to_new[graph.arc_edge_ids[kept_old_pos]]
-    new_arc_edge_ids[new_pos_ins] = arc_edge_ids_ins
+    # --- Arc splice at the located positions.  The final CSR order is
+    # (source, target), and insertion points are non-decreasing under it.
+    ins_pos_uv, _ = graph.locate_neighbors(ins_u, ins_v)
+    ins_pos_vu, _ = graph.locate_neighbors(ins_v, ins_u)
+    sources = np.concatenate([ins_u, ins_v])
+    targets = np.concatenate([ins_v, ins_u])
+    order = np.lexsort((targets, sources))
+    points = np.concatenate([ins_pos_uv, ins_pos_vu])[order]
+    removed = np.sort(np.concatenate([del_pos_uv, del_pos_vu]))
+    slots = _insertion_slots(removed, points)
+    # Arc edge ids are spliced as old ids and shifted in place; the inserted
+    # arcs' new ids go in after the shift.
+    columns = [graph.indices, graph.arc_edge_ids]
+    inserted = [targets[order], np.zeros(points.shape[0], dtype=np.int64)]
     if graph.is_weighted:
-        new_arc_weights = np.empty(num_new_arcs, dtype=np.float64)
-        new_arc_weights[new_pos_kept] = graph.arc_weights[kept_old_pos]
-        new_arc_weights[new_pos_ins] = (
-            arc_weights_ins
-            if arc_weights_ins is not None
-            else np.ones(points.shape[0], dtype=np.float64)
+        weights = (
+            batch.insert_weights
+            if batch.insert_weights is not None
+            else np.ones(num_ins, dtype=np.float64)
         )
-    else:
-        new_arc_weights = None
+        columns.append(graph.arc_weights)
+        inserted.append(np.concatenate([weights, weights])[order])
+    spliced = _splice(tuple(columns), removed, slots, tuple(inserted))
+    if num_old:
+        _remap_in_place(old_to_new, spliced[1])
+    spliced[1][slots] = np.concatenate([inserted_edge_ids, inserted_edge_ids])[order]
 
-    degree_delta = np.zeros(n, dtype=np.int64)
-    if num_ins:
-        np.add.at(degree_delta, ins_u, 1)
-        np.add.at(degree_delta, ins_v, 1)
-    if num_del:
-        np.add.at(degree_delta, del_u, -1)
-        np.add.at(degree_delta, del_v, -1)
-    new_indptr = _cumsum0(graph.degrees + degree_delta)
+    degrees = graph.degrees.copy()
+    np.add.at(degrees, sources, 1)
+    np.subtract.at(degrees, np.concatenate([del_u, del_v]), 1)
+    new_indptr = np.zeros(degrees.shape[0] + 1, dtype=np.int64)
+    np.cumsum(degrees, out=new_indptr[1:])
 
-    # Splice cost: linear passes over the arc arrays plus O(b log) searches.
+    # Splice cost: memcpy-scale passes over the arc arrays plus O(b log)
+    # searches.
+    num_new_arcs = int(spliced[0].shape[0])
     scheduler.charge(
         graph.num_arcs + num_new_arcs + (num_ins + num_del) * (ceil_log2(max(num_old, 1)) + 1.0),
         ceil_log2(max(num_new_arcs, 1)) + 1.0,
     )
     new_graph = Graph.from_index_columns(
-        new_indptr, new_indices, new_arc_weights, new_arc_edge_ids
+        new_indptr, spliced[0], spliced[2] if graph.is_weighted else None, spliced[1]
     )
-    return new_graph, old_to_new, inserted_edge_ids
+    return new_graph, old_to_new, deleted_ids, inserted_edge_ids
 
 
 # ----------------------------------------------------------------------
@@ -339,9 +450,8 @@ def _triangle_deltas(
     op_u: np.ndarray,
     op_v: np.ndarray,
     op_edge_ids: np.ndarray,
-    num_edges_out: int,
     map_ids,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-edge triangle-count deltas caused by the given op edges.
 
     Enumerates every triangle through an op edge in ``graph`` and adds one
@@ -351,12 +461,9 @@ def _triangle_deltas(
     are computed fresh).  ``map_ids`` translates ``graph``'s edge ids into
     the output numbering (identity for insertions enumerated on the new
     graph; the old-to-new map for deletions enumerated on the old one).
-    Returns a dense delta array over ``num_edges_out`` edges.
+    Returns ``(edge_ids, counts)`` over the edges with a nonzero delta.
     """
-    delta = np.zeros(num_edges_out, dtype=np.float64)
     op_index, side1, side2 = _triangle_sides(graph, op_u, op_v)
-    if op_index.size == 0:
-        return delta
     rank1, is_op1 = _rank_among(op_edge_ids, side1)
     rank2, is_op2 = _rank_among(op_edge_ids, side2)
     sentinel = np.int64(op_edge_ids.shape[0] + 1)
@@ -364,11 +471,10 @@ def _triangle_deltas(
         np.where(is_op1, rank1, sentinel), np.where(is_op2, rank2, sentinel)
     )
     attributed = lowest_other > op_index
-    for side, is_op in ((side1, is_op1), (side2, is_op2)):
-        contribute = map_ids(side[attributed & ~is_op])
-        if contribute.size:
-            delta += np.bincount(contribute, minlength=num_edges_out)
-    return delta
+    contribute = map_ids(np.concatenate([
+        side1[attributed & ~is_op1], side2[attributed & ~is_op2],
+    ]))
+    return np.unique(contribute, return_counts=True)
 
 
 def _numerator_affected_edges(
@@ -396,97 +502,88 @@ def _numerator_affected_edges(
         _, side1, side2 = _triangle_sides(old_graph, batch.delete_u, batch.delete_v)
         mapped = old_to_new[np.concatenate([side1, side2])]
         pieces.append(mapped[mapped >= 0])
-    return np.unique(np.concatenate(pieces))
+    return sorted_unique(np.concatenate(pieces))
 
 
+def _patched_similarities(
+    index,
+    batch: UpdateBatch,
+    new_graph: Graph,
+    old_to_new: np.ndarray,
+    deleted_ids: np.ndarray,
+    inserted_edge_ids: np.ndarray,
+    affected_edges: np.ndarray,
+    scheduler: Scheduler,
+) -> EdgeSimilarities:
+    """Splice the edge-indexed columns and re-finalise the affected edges.
 
-
-# ----------------------------------------------------------------------
-# The segmented merge-of-sorted-runs machinery shared by both patchers
-# ----------------------------------------------------------------------
-def _lexicographic_lower_bound(
-    haystack_k1: np.ndarray,
-    haystack_k2: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    query_k1: np.ndarray,
-    query_k2: np.ndarray,
-    *,
-    segment_offsets: np.ndarray | None = None,
-    query_segments: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-query lower bound under the key pair ``(k1, k2)``, segment-bounded.
-
-    Each haystack segment is sorted ascending by ``(k1, k2)``; the result
-    is the absolute position of the first entry ``>= (query_k1, query_k2)``
-    lexicographically.  Two strategies locate the ``k1`` tie range, picked
-    by the measured crossover (the same constant-factor trade-off as the
-    batch similarity engine's probe strategies):
-
-    * **bounded rounds** (few queries): two simultaneous segmented binary
-      searches -- a ``k1`` lower bound and a ``k1`` upper bound via
-      ``k1 + 1`` (the keys are int64) -- costing ``O(log max_segment)``
-      whole-array rounds over the query set;
-    * **global rank pack** (query count rivals the haystack): ``k1`` values
-      are rank-reduced over the haystack once, packed with the segment id
-      into one int64, and both bounds resolve with single C-speed
-      ``np.searchsorted`` calls over the packed haystack.  Requires
-      ``segment_offsets``/``query_segments``; queries whose value is absent
-      get an empty tie range, exactly like the rounds strategy.
-
-    Either way a final segmented ``k2`` lower bound inside the (short) tie
-    range finishes the lexicographic comparison.
+    Denominators (degrees / norms) change for every edge incident to a
+    touched endpoint; numerators only for the triangle-affected subset.
+    With stored numerators the former are re-finalised elementwise and only
+    the latter pay intersection work; without them (hand-assembled scores,
+    version-1 artifacts) every affected edge recomputes its numerator.
+    Inserted edges enter the splice as zeros and are always affected.
     """
-    if query_k1.size == 0:
-        return np.asarray(starts, dtype=np.int64).copy()
-    rounds = ceil_log2(int(np.max(ends - starts, initial=1)) + 1) + 1.0
-    packable = (
-        segment_offsets is not None
-        and haystack_k1.size > 0
-        and int(segment_offsets.shape[0] - 1)
-        * (2 * int(haystack_k1.shape[0]) + 2) < (1 << 62)
+    graph = index.graph
+    old_numerators = index.similarities.numerators
+    columns = [index.similarities.values]
+    if old_numerators is not None:
+        columns.append(old_numerators)
+    placeholder = np.zeros(inserted_edge_ids.shape[0], dtype=np.float64)
+    spliced = _splice(
+        tuple(columns), deleted_ids, inserted_edge_ids, (placeholder,) * len(columns)
     )
-    if packable and query_k1.size * rounds >= haystack_k1.size:
-        distinct, rank = np.unique(haystack_k1, return_inverse=True)
-        num_distinct = int(distinct.shape[0])
-        span = np.int64(2 * num_distinct + 2)
-        segment_ids = np.repeat(
-            np.arange(segment_offsets.shape[0] - 1, dtype=np.int64),
-            np.diff(segment_offsets),
-        )
-        packed = segment_ids * span + (2 * rank.astype(np.int64) + 1)
-        query_rank = np.searchsorted(distinct, query_k1)
-        matched = (query_rank < num_distinct) & (
-            distinct[np.minimum(query_rank, num_distinct - 1)] == query_k1
-        )
-        base = query_segments * span + 2 * query_rank
-        lo = np.searchsorted(packed, base)
-        hi = np.searchsorted(packed, base + matched, side="right")
+    values = spliced[0]
+    if old_numerators is None:
+        numerators = None
     else:
-        lo = segmented_searchsorted(haystack_k1, query_k1, starts, ends)
-        hi = segmented_searchsorted(haystack_k1, query_k1 + 1, starts, ends)
-    return segmented_searchsorted(haystack_k2, query_k2, lo, hi)
+        numerators = spliced[1]
+        if new_graph.arc_weights is None:
+            # Unweighted: every triangle term is exactly 1, so surviving
+            # numerators delta-update with integer adds -- bit-equal to a
+            # fresh count, in work proportional to the triangles through
+            # the op edges.  Only the inserted edges compute from scratch.
+            if batch.insert_u.size:
+                ids, counts = _triangle_deltas(
+                    new_graph, batch.insert_u, batch.insert_v,
+                    inserted_edge_ids, lambda ids: ids,
+                )
+                numerators[ids] += counts
+            if batch.delete_u.size:
 
+                def _surviving(ids: np.ndarray) -> np.ndarray:
+                    mapped = old_to_new[ids]
+                    return mapped[mapped >= 0]
 
-def _merge_into(
-    total: int,
-    kept_positions: np.ndarray,
-    inserted_positions: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Destination slots for a segmented merge of kept and inserted runs.
-
-    ``inserted_positions`` are the (absolute, precomputed) output slots of
-    the inserted run; the kept run fills the remaining slots in order --
-    which is exactly a merge: the kept run is never re-sorted.  Returns
-    ``(kept_slots, inserted_positions)`` with ``kept_slots`` aligned to
-    ``kept_positions``.
-    """
-    taken = np.zeros(total, dtype=bool)
-    taken[inserted_positions] = True
-    kept_slots = np.flatnonzero(~taken)
-    if kept_slots.shape[0] != kept_positions.shape[0]:  # pragma: no cover
-        raise AssertionError("merge slot accounting out of balance")
-    return kept_slots, inserted_positions
+                ids, counts = _triangle_deltas(
+                    graph, batch.delete_u, batch.delete_v, deleted_ids, _surviving,
+                )
+                numerators[ids] -= counts
+            recompute = inserted_edge_ids
+        else:
+            # Weighted: float triangle terms would drift under repeated
+            # deltas, so the triangle-affected subset recomputes fresh.
+            recompute = _numerator_affected_edges(
+                graph, new_graph, batch, old_to_new, inserted_edge_ids
+            )
+        if recompute.size:
+            numerators[recompute] = edge_numerators_for_subset(
+                new_graph, recompute, scheduler
+            )
+    if affected_edges.size:
+        fresh = (
+            numerators[affected_edges]
+            if numerators is not None
+            else edge_numerators_for_subset(new_graph, affected_edges, scheduler)
+        )
+        values[affected_edges] = finalise_numerators(
+            new_graph, fresh, index.measure,
+            edge_ids=affected_edges, scheduler=scheduler,
+        )
+    return EdgeSimilarities(
+        new_graph, values, index.measure, index.similarities.backend,
+        numerators=numerators,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -496,86 +593,92 @@ def _patch_neighbor_order(
     old_order: NeighborOrder,
     old_graph: Graph,
     new_graph: Graph,
+    old_values: np.ndarray,
     new_values: np.ndarray,
-    touched_mask: np.ndarray,
-    changed_arc_mask: np.ndarray,
+    touched: np.ndarray,
     scheduler: Scheduler,
-) -> NeighborOrder:
+) -> tuple[NeighborOrder, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Resplice ``NO`` so it equals a rebuild on the patched graph.
 
     ``NO[v]`` is "neighbors of ``v`` by (similarity desc, id asc)" -- a
-    value-determined order.  Exactly the arcs incident to a touched
-    endpoint changed (score, existence, or both); every other entry is a
-    *kept* entry whose relative order is already correct.  The changed
-    arcs, re-read from the patched graph with their new scores and sorted
-    among themselves, are positioned by a lexicographic lower-bound search
-    against the **old** sorted segments -- counting only kept entries via a
-    removed-prefix correction -- and the kept entries stream into the
-    remaining slots in order.  One merge, no re-sort of anything kept.
+    value-determined order.  Only arcs incident to a touched vertex
+    changed.  The whole segment of a touched vertex is replaced by its new
+    arcs, sorted among themselves.  An untouched ``x`` keeps its segment
+    length; only its entries of touched neighbors ``t`` were re-scored, and
+    each is located twice in the old ``NO[x]``: under its old key (the
+    entry to remove) and its new key (where the replacement goes -- the
+    lower bound counts only kept entries once the splice drops the removed
+    ones).
+
+    Returns the new order plus, for every untouched vertex whose segment
+    changed, its lowest and highest changed position: ``(vertices, low,
+    high)``, the only window where its core thresholds can move.
     """
-    n = new_graph.num_vertices
     old_indptr = np.asarray(old_order.indptr)
-    new_indptr = new_graph.indptr
-    total_arcs = new_graph.num_arcs
     old_neighbors = np.asarray(old_order.neighbors)
     old_sims = np.asarray(old_order.similarities)
+    new_indptr = new_graph.indptr
+    touched_mask = np.zeros(new_graph.num_vertices, dtype=bool)
+    touched_mask[touched] = True
 
-    # Removed entries of the old order: arcs incident to T on either side
-    # (deleted arcs have both endpoints in T, so they are covered too).
-    removed = touched_mask[old_neighbors] | touched_mask[old_graph.arc_sources()]
-    kept_positions = np.flatnonzero(~removed)
-    removed_before = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(removed, dtype=np.int64)]
+    # T's new arcs, and the (x, t) pairs among them with x untouched.  An
+    # (x, t) edge is no op, so T's old rows list the same pairs in the same
+    # order: their old scores come from there.
+    new_pos, new_src = _adjacency(new_graph, touched)
+    new_nbr = new_graph.indices[new_pos]
+    new_sims = new_values[new_graph.arc_edge_ids[new_pos]]
+    outside = ~touched_mask[new_nbr]
+    pair_x, pair_t, pair_new = new_nbr[outside], new_src[outside], new_sims[outside]
+    old_rows, _ = _adjacency(old_graph, touched)
+    old_pairs = old_rows[~touched_mask[old_graph.indices[old_rows]]]
+    pair_old = old_values[old_graph.arc_edge_ids[old_pairs]]
+
+    starts, ends = old_indptr[pair_x], old_indptr[pair_x + 1]
+    old_entry = _ordered_lower_bound(
+        old_sims, old_neighbors.take, starts, ends, pair_old, pair_t
+    )
+    new_point = _ordered_lower_bound(
+        old_sims, old_neighbors.take, starts, ends, pair_new, pair_t
+    )
+    # NO shares the graph's row offsets, so T's old rows are its segments.
+    removed = np.sort(np.concatenate([old_rows, old_entry]))
+
+    # Inserted run: the replacements at their points, and T's re-sorted
+    # segments where the old ones started.  Ordered by (source, similarity
+    # desc, neighbor asc), the points are non-decreasing.
+    q_src = np.concatenate([pair_x, new_src])
+    q_nbr = np.concatenate([pair_t, new_nbr])
+    q_sims = np.concatenate([pair_new, new_sims])
+    points = np.concatenate([new_point, old_indptr[new_src]])
+    order = np.lexsort((q_nbr, -q_sims, q_src))
+    slots = _insertion_slots(removed, points[order])
+    neighbors, similarities = _splice(
+        (old_neighbors, old_sims), removed, slots, (q_nbr[order], q_sims[order])
     )
 
-    # The changed run: new arcs incident to T, with their patched scores,
-    # sorted within each source segment by (similarity desc, neighbor asc).
-    changed_pos = np.flatnonzero(changed_arc_mask)
-    new_sources = new_graph.arc_sources()
-    q_source = new_sources[changed_pos]
-    q_neighbor = new_graph.indices[changed_pos]
-    q_sims = new_values[new_graph.arc_edge_ids[changed_pos]]
-    q_k1 = _descending_keys(q_sims)
-    order = np.lexsort((q_neighbor, q_k1, q_source))
-    q_source = q_source[order]
-    q_neighbor = q_neighbor[order]
-    q_sims = q_sims[order]
-    q_k1 = q_k1[order]
-
-    # Lower bound of every changed entry in its old segment, corrected to
-    # count kept entries only; its in-segment rank among the changed run
-    # then pins the output slot.
-    starts = old_indptr[q_source]
-    position = _lexicographic_lower_bound(
-        _descending_keys(old_sims), old_neighbors, starts,
-        old_indptr[q_source + 1], q_k1, q_neighbor,
-        segment_offsets=old_indptr, query_segments=q_source,
-    )
-    kept_before = (position - starts) - (
-        removed_before[position] - removed_before[starts]
-    )
-    counts = np.bincount(q_source, minlength=n).astype(np.int64)
-    rank_within = np.arange(q_source.shape[0], dtype=np.int64) - _cumsum0(counts)[q_source]
-    inserted_slots = new_indptr[q_source] + kept_before + rank_within
-
-    neighbors = np.empty(total_arcs, dtype=np.int64)
-    similarities = np.empty(total_arcs, dtype=np.float64)
-    kept_slots, _ = _merge_into(total_arcs, kept_positions, inserted_slots)
-    neighbors[kept_slots] = old_neighbors[kept_positions]
-    similarities[kept_slots] = old_sims[kept_positions]
-    neighbors[inserted_slots] = q_neighbor
-    similarities[inserted_slots] = q_sims
+    # Changed window of every untouched segment: its removed old positions
+    # and its inserted new positions, segment-local.
+    q_src = q_src[order]
+    replaced = ~touched_mask[q_src]
+    window_x = np.concatenate([pair_x, q_src[replaced]])
+    local = np.concatenate([
+        old_entry - starts, slots[replaced] - new_indptr[q_src[replaced]],
+    ])
+    by_vertex = np.lexsort((local, window_x))
+    window_x, local = window_x[by_vertex], local[by_vertex]
+    vertices, first = np.unique(window_x, return_index=True)
+    last = np.searchsorted(window_x, vertices, side="right") - 1
+    low, high = local[first], local[last]
 
     max_segment = int(old_graph.max_degree)
     scheduler.charge(
-        total_arcs + int(q_source.size) * (ceil_log2(max(max_segment, 1)) + 1.0),
-        2 * ceil_log2(max(total_arcs, 1)) + 1.0,
+        new_graph.num_arcs + int(pair_x.size) * 2 * (ceil_log2(max(max_segment, 1)) + 1.0),
+        2 * ceil_log2(max(new_graph.num_arcs, 1)) + 1.0,
     )
-    return NeighborOrder(
-        indptr=new_indptr.copy(),
-        neighbors=neighbors,
-        similarities=similarities,
+    order_out = NeighborOrder(
+        indptr=new_indptr.copy(), neighbors=neighbors, similarities=similarities
     )
+    return order_out, (vertices, low, high)
 
 
 # ----------------------------------------------------------------------
@@ -583,138 +686,115 @@ def _patch_neighbor_order(
 # ----------------------------------------------------------------------
 def _patch_core_order(
     old_order: CoreOrder,
+    old_neighbor_order: NeighborOrder,
+    new_neighbor_order: NeighborOrder,
     old_graph: Graph,
     new_graph: Graph,
-    new_neighbor_order: NeighborOrder,
-    touched_mask: np.ndarray,
+    touched: np.ndarray,
+    window: tuple[np.ndarray, np.ndarray, np.ndarray],
     scheduler: Scheduler,
 ) -> CoreOrder:
     """Resplice ``CO`` so it equals a rebuild on the patched graph.
 
     ``CO[μ]`` is "candidate cores by (threshold desc, degree desc, id asc)"
-    -- also value-determined.  An entry ``(v, μ)`` keeps its relative order
-    in its segment whenever its sort key is unchanged, which holds for the
-    (typical) majority of entries: only every entry of a *touched* vertex
-    (degree changed) plus the entries whose threshold ``NO[v][μ]`` actually
-    moved are dropped and re-derived.  The re-derived entries are
-    positioned by the same lexicographic search against the old segments
-    with removed-prefix correction; the tie key packs ``(n - degree, id)``
-    into one int64, mirroring the stable degree-sorted construction order.
+    -- also value-determined.  Its entry ``(v, μ)`` carries the threshold
+    ``NO[v][μ - 2]``.  The entries that can change are every entry of a
+    touched vertex (its degree, and so its tie key and μ range, changed) and,
+    for an untouched ``x``, the entries inside the changed window the
+    neighbor-order patch reports -- of which only those whose threshold bits
+    differ are moved.  Each is located in its old segment by the
+    lexicographic search under its old key and re-inserted at the search
+    position of its new key; the ``(n - degree, id)`` tie key is computed
+    for probed entries only.
     """
     n = new_graph.num_vertices
-    degrees = new_graph.degrees
-    max_mu = int(degrees.max(initial=0)) + 1 if n else 1
-    num_segments = max(max_mu - 1, 0)  # one segment per μ in 2..max_mu
-    new_sims = np.asarray(new_neighbor_order.similarities)
     old_co_indptr = np.asarray(old_order.indptr)
     old_vertices = np.asarray(old_order.vertices)
     old_thresholds = np.asarray(old_order.thresholds)
     old_max_mu = old_order.max_mu
+    old_no_indptr = np.asarray(old_neighbor_order.indptr)
+    old_no_sims = np.asarray(old_neighbor_order.similarities)
+    new_no_sims = np.asarray(new_neighbor_order.similarities)
+    old_degrees, new_degrees = old_graph.degrees, new_graph.degrees
+    new_max_mu = int(new_degrees.max(initial=0)) + 1 if n else 1
 
-    # Removed entries: every entry of a touched vertex, plus entries whose
-    # threshold moved (compared against the patched neighbor order at the
-    # same (v, μ) position -- valid for non-touched vertices, whose degree
-    # is unchanged; touched positions are clamped and dropped regardless).
-    # Entries of vertices outside the affected halo compare bit-equal
-    # automatically, since their NO segments were kept verbatim.
-    old_mu = np.repeat(
-        np.arange(old_co_indptr.shape[0] - 1, dtype=np.int64),
-        np.diff(old_co_indptr),
-    )
-    entry_touched = touched_mask[old_vertices]
-    if new_sims.size:
-        compare_pos = np.where(
-            entry_touched,
-            0,
-            new_neighbor_order.indptr[old_vertices] + (old_mu - 2),
+    # Moved entries of untouched vertices: window positions whose threshold
+    # bits changed (segment lengths, hence offsets, are unchanged there).
+    vertices, low, high = window
+    widths = high - low + 1
+    x = np.repeat(vertices, widths)
+    k = segmented_arange(widths) + np.repeat(low, widths)
+    before = old_no_sims[old_no_indptr[x] + k]
+    after = new_no_sims[new_neighbor_order.indptr[x] + k]
+    moved = before.view(np.int64) != after.view(np.int64)
+    x, k, before, after = x[moved], k[moved], before[moved], after[moved]
+
+    # Every entry of a touched vertex, at its old and at its new degree.
+    old_counts, new_counts = old_degrees[touched], new_degrees[touched]
+    old_k = segmented_arange(old_counts)
+    new_k = segmented_arange(new_counts)
+    old_t = np.repeat(touched, old_counts)
+    new_t = np.repeat(touched, new_counts)
+
+    def tie(vertex, degrees):
+        return (np.int64(n) - degrees[vertex]) * np.int64(n + 1) + vertex
+
+    def tie_at(positions):
+        return tie(old_vertices[positions], old_degrees)
+
+    def segment_bounds(mu):
+        # μ segments past the old maximum are empty, at the old end.
+        return (
+            old_co_indptr[np.minimum(mu, old_max_mu + 1)],
+            old_co_indptr[np.minimum(mu + 1, old_max_mu + 1)],
         )
-        removed = entry_touched | (old_thresholds != new_sims[compare_pos])
-    else:
-        removed = np.ones(old_vertices.shape[0], dtype=bool)
-    kept_positions = np.flatnonzero(~removed)
-    removed_before = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(removed, dtype=np.int64)]
+
+    # Both runs are searched in (μ, key) order, so each round's probes walk
+    # the column forward and the removed positions come out sorted.
+    removed_mu = np.concatenate([k, old_k]) + 2
+    r_thresholds = np.concatenate([before, old_no_sims[old_no_indptr[old_t] + old_k]])
+    r_tie = tie(np.concatenate([x, old_t]), old_degrees)
+    order = np.lexsort((r_tie, -r_thresholds, removed_mu))
+    starts, ends = segment_bounds(removed_mu[order])
+    removed = _ordered_lower_bound(
+        old_thresholds, tie_at, starts, ends, r_thresholds[order], r_tie[order]
     )
 
-    # Re-derived entries: the dropped non-touched (v, μ) keys, one for one,
-    # plus every (v, μ) of a touched vertex at its new degree.
-    moved_positions = np.flatnonzero(removed & ~entry_touched)
-    touched_vertices = np.flatnonzero(touched_mask)
-    touched_counts = degrees[touched_vertices]
-    q_vertex = np.concatenate(
-        [old_vertices[moved_positions], np.repeat(touched_vertices, touched_counts)]
+    q_vertex = np.concatenate([x, new_t])
+    q_mu = np.concatenate([k, new_k]) + 2
+    q_thresholds = np.concatenate(
+        [after, new_no_sims[new_neighbor_order.indptr[new_t] + new_k]]
     )
-    q_mu = np.concatenate(
-        [old_mu[moved_positions], segmented_arange(touched_counts) + 2]
+    q_tie = tie(q_vertex, new_degrees)
+    order = np.lexsort((q_tie, -q_thresholds, q_mu))
+    q_vertex, q_mu, q_thresholds, q_tie = (
+        q_vertex[order], q_mu[order], q_thresholds[order], q_tie[order]
     )
-    q_thresholds = (
-        new_sims[new_neighbor_order.indptr[q_vertex] + (q_mu - 2)]
-        if q_vertex.size
-        else np.zeros(0, dtype=np.float64)
+    starts, ends = segment_bounds(q_mu)
+    points = _ordered_lower_bound(
+        old_thresholds, tie_at, starts, ends, q_thresholds, q_tie
     )
-    q_k1 = _descending_keys(q_thresholds)
-    q_k2 = (np.int64(n) - degrees[q_vertex]) * np.int64(n + 1) + q_vertex
-    order = np.lexsort((q_k2, q_k1, q_mu))
-    q_vertex = q_vertex[order]
-    q_mu = q_mu[order]
-    q_thresholds = q_thresholds[order]
-    q_k1 = q_k1[order]
-    q_k2 = q_k2[order]
-
-    # Search against the OLD segments (sorted by their own keys; removed
-    # entries are subtracted by position, so their stale keys are
-    # irrelevant).  Haystack tie keys use old degrees for exactly that
-    # reason.  μ segments beyond the old max have an empty haystack.
-    safe_mu = np.minimum(q_mu, old_max_mu)
-    exists = q_mu <= old_max_mu
-    starts = np.where(exists, old_co_indptr[safe_mu], 0)
-    ends = np.where(exists, old_co_indptr[safe_mu + 1], 0)
-    old_degrees = old_graph.degrees
-    haystack_k2 = (
-        (np.int64(n) - old_degrees[old_vertices]) * np.int64(n + 1) + old_vertices
-    )
-    position = _lexicographic_lower_bound(
-        _descending_keys(old_thresholds), haystack_k2, starts, ends, q_k1, q_k2,
-        segment_offsets=old_co_indptr, query_segments=safe_mu,
-    )
-    # μ segments beyond the old max have no haystack; their entries are all
-    # "first of their kind" (the rounds strategy returns starts == 0 there,
-    # the packed strategy needs the override).
-    position = np.where(exists, position, np.int64(0))
-    kept_before = (position - starts) - (
-        removed_before[position] - removed_before[starts]
+    slots = _insertion_slots(removed, points)
+    vertices_out, thresholds_out = _splice(
+        (old_vertices, old_thresholds), removed, slots, (q_vertex, q_thresholds)
     )
 
-    # New segment offsets: kept counts plus re-derived counts per μ.
-    kept_counts = np.bincount(
-        old_mu[kept_positions] - 2, minlength=num_segments
-    ).astype(np.int64)
-    q_counts = np.bincount(q_mu - 2, minlength=num_segments).astype(np.int64)
-    indptr = np.zeros(max_mu + 2, dtype=np.int64)
-    lengths_by_mu = np.zeros(max_mu + 1, dtype=np.int64)
-    if num_segments:
-        lengths_by_mu[2:] = kept_counts + q_counts
-    np.cumsum(lengths_by_mu, out=indptr[1:])
+    # Segment lengths change only by the removed and inserted counts per μ.
+    size = max(old_max_mu, new_max_mu) + 1
+    lengths = np.zeros(size, dtype=np.int64)
+    lengths[: old_max_mu + 1] = np.diff(old_co_indptr)
+    lengths -= np.bincount(removed_mu, minlength=size)
+    lengths += np.bincount(q_mu, minlength=size)
+    indptr = np.zeros(new_max_mu + 2, dtype=np.int64)
+    np.cumsum(lengths[: new_max_mu + 1], out=indptr[1:])
+
     total = int(indptr[-1])
-
-    rank_within = (
-        np.arange(q_mu.shape[0], dtype=np.int64) - _cumsum0(q_counts)[q_mu - 2]
-    )
-    inserted_slots = indptr[q_mu] + kept_before + rank_within
-    vertices = np.empty(total, dtype=np.int64)
-    thresholds = np.empty(total, dtype=np.float64)
-    kept_slots, _ = _merge_into(total, kept_positions, inserted_slots)
-    vertices[kept_slots] = old_vertices[kept_positions]
-    thresholds[kept_slots] = old_thresholds[kept_positions]
-    vertices[inserted_slots] = q_vertex
-    thresholds[inserted_slots] = q_thresholds
-
     max_segment = int(np.diff(old_co_indptr).max(initial=0))
     scheduler.charge(
-        total + int(q_mu.size) * (ceil_log2(max(max_segment, 1)) + 1.0),
+        total + int(q_mu.size + removed_mu.size) * (ceil_log2(max(max_segment, 1)) + 1.0),
         2 * ceil_log2(max(total, 1)) + 1.0,
     )
-    return CoreOrder(indptr=indptr, vertices=vertices, thresholds=thresholds)
+    return CoreOrder(indptr=indptr, vertices=vertices_out, thresholds=thresholds_out)
 
 
 # ----------------------------------------------------------------------
@@ -741,6 +821,11 @@ def apply_updates(
     bumped and every serving generation bound to it is invalidated, so all
     open :class:`~repro.serve.session.ClusterSession`\\ s stop serving
     pre-update cache entries (see ``docs/ARCHITECTURE.md``).
+
+    Traced runs record one ``dynamic.apply`` span enclosing the stages
+    ``dynamic.splice``, ``dynamic.similarity_delta`` and
+    ``dynamic.order_repair`` (with ``dynamic.order_repair.neighbor_order``
+    and ``dynamic.order_repair.core_order`` inside it).
 
     ``jobs`` applies only past the churn crossover, where the repair runs
     the construction-path segmented re-sorts: those shard across worker
@@ -773,132 +858,68 @@ def apply_updates(
             wall_seconds=time.perf_counter() - started,
         )
 
-    new_graph, old_to_new, inserted_edge_ids = _splice_graph(graph, batch, scheduler)
-
-    # Affected similarity recompute.  Denominators (degrees / norms) change
-    # for every edge incident to a touched endpoint; numerators only for
-    # the triangle-affected subset.  With stored numerators the former are
-    # re-finalised elementwise and only the latter pay intersection work;
-    # without them (hand-assembled scores, version-1 artifacts) every
-    # affected edge recomputes its numerator.
-    touched = batch.touched_vertices()
-    touched_mask = np.zeros(new_graph.num_vertices, dtype=bool)
-    touched_mask[touched] = True
-    values = np.empty(new_graph.num_edges, dtype=np.float64)
-    survivors = old_to_new >= 0
-    values[old_to_new[survivors]] = np.asarray(index.similarities.values)[survivors]
-    affected_edges = batch.affected_edges(new_graph)
-    old_numerators = index.similarities.numerators
-    if old_numerators is not None:
-        numerators = np.empty(new_graph.num_edges, dtype=np.float64)
-        numerators[old_to_new[survivors]] = np.asarray(old_numerators)[survivors]
-        if new_graph.arc_weights is None:
-            # Unweighted: every triangle term is exactly 1, so surviving
-            # numerators delta-update with integer adds -- bit-equal to a
-            # fresh count, in work proportional to the triangles through
-            # the op edges.  Only the inserted edges compute from scratch.
-            if batch.insert_u.size:
-                numerators += _triangle_deltas(
-                    new_graph, batch.insert_u, batch.insert_v,
-                    inserted_edge_ids, new_graph.num_edges, lambda ids: ids,
-                )
-            if batch.delete_u.size:
-                deleted_old_ids = np.flatnonzero(old_to_new < 0)
-
-                def _surviving(ids: np.ndarray) -> np.ndarray:
-                    mapped = old_to_new[ids]
-                    return mapped[mapped >= 0]
-
-                numerators -= _triangle_deltas(
-                    graph, batch.delete_u, batch.delete_v,
-                    deleted_old_ids, new_graph.num_edges, _surviving,
-                )
-            if inserted_edge_ids.size:
-                numerators[inserted_edge_ids] = edge_numerators_for_subset(
-                    new_graph, inserted_edge_ids, scheduler
-                )
-        else:
-            # Weighted: float triangle terms would drift under repeated
-            # deltas, so the triangle-affected subset recomputes fresh.
-            recompute = _numerator_affected_edges(
-                graph, new_graph, batch, old_to_new, inserted_edge_ids
+    with obs.span(
+        "dynamic.apply", insertions=batch.num_insertions, deletions=batch.num_deletions
+    ):
+        with obs.span("dynamic.splice"):
+            new_graph, old_to_new, deleted_ids, inserted_edge_ids = _splice_graph(
+                graph, batch, scheduler
             )
-            if recompute.size:
-                numerators[recompute] = edge_numerators_for_subset(
-                    new_graph, recompute, scheduler
-                )
-        if affected_edges.size:
-            values[affected_edges] = finalise_numerators(
-                new_graph, numerators[affected_edges], index.measure,
-                edge_ids=affected_edges, scheduler=scheduler,
-            )
-    else:
-        numerators = None
-        if affected_edges.size:
-            values[affected_edges] = finalise_numerators(
-                new_graph,
-                edge_numerators_for_subset(new_graph, affected_edges, scheduler),
-                index.measure,
-                edge_ids=affected_edges,
-                scheduler=scheduler,
-            )
-    similarities = EdgeSimilarities(
-        new_graph, values, index.measure, index.similarities.backend,
-        numerators=numerators,
-    )
 
-    # Affected vertices: touched endpoints plus their (new) neighbors --
-    # every vertex whose NO segment or CO entries can differ from before
-    # (reported; the patchers derive their own change masks arc-by-arc).
-    if touched.size:
-        degree_new = new_graph.degrees[touched]
-        neighbor_pos = segmented_ranges(new_graph.indptr[touched], degree_new)
-        affected_vertices = np.unique(
-            np.concatenate([touched, new_graph.indices[neighbor_pos]])
+        touched = batch.touched_vertices()
+        with obs.span("dynamic.similarity_delta"):
+            affected_edges = batch.affected_edges(new_graph)
+            similarities = _patched_similarities(
+                index, batch, new_graph, old_to_new, deleted_ids,
+                inserted_edge_ids, affected_edges, scheduler,
+            )
+
+        # Affected vertices: touched endpoints plus their (new) neighbors --
+        # every vertex whose NO segment or CO entries can differ from before.
+        new_pos, _ = _adjacency(new_graph, touched)
+        affected_vertices = sorted_unique(
+            np.concatenate([touched, new_graph.indices[new_pos]])
         )
-    else:
-        affected_vertices = touched
-    # Order repair: merge sorted runs at low churn; past the measured
-    # crossover the changed runs cover most of every segment, and the
-    # construction-path segmented sorts (bit-identical by definition --
-    # they ARE what a rebuild runs) are simply faster.
-    changed_arc_mask = (
-        touched_mask[new_graph.indices] | touched_mask[new_graph.arc_sources()]
-    )
-    changed_arcs = int(np.count_nonzero(changed_arc_mask))
-    if changed_arcs > ORDER_REBUILD_CHURN * max(new_graph.num_arcs, 1):
-        order_strategy = "resort"
-        obs.counter("dynamic.order_repair.resort_total").inc()
-        from ..parallel.execute import executor_for
+        # Order repair: merge sorted runs at low churn; past the measured
+        # crossover the changed runs cover most of every segment, and the
+        # construction-path segmented sorts (bit-identical by definition --
+        # they ARE what a rebuild runs) are simply faster.  The changed arcs
+        # are both arcs of every edge incident to a touched vertex.
+        changed_arcs = 2 * int(affected_edges.size)
+        if changed_arcs > ORDER_REBUILD_CHURN * max(new_graph.num_arcs, 1):
+            order_strategy = "resort"
+        else:
+            order_strategy = "merge"
+        obs.counter(f"dynamic.order_repair.{order_strategy}_total").inc()
+        with obs.span(
+            "dynamic.order_repair", strategy=order_strategy, changed_arcs=changed_arcs
+        ):
+            if order_strategy == "resort":
+                from ..parallel.execute import executor_for
 
-        with obs.span(
-            "dynamic.order_repair", strategy="resort", changed_arcs=changed_arcs
-        ):
-            with executor_for(jobs, num_arcs=new_graph.num_arcs) as executor:
-                neighbor_order = build_neighbor_order(
-                    new_graph, similarities, scheduler=scheduler, executor=executor
-                )
-                core_order = build_core_order(
-                    new_graph, neighbor_order, scheduler=scheduler, executor=executor
-                )
-    else:
-        order_strategy = "merge"
-        obs.counter("dynamic.order_repair.merge_total").inc()
-        with obs.span(
-            "dynamic.order_repair", strategy="merge", changed_arcs=changed_arcs
-        ):
-            neighbor_order = _patch_neighbor_order(
-                index.neighbor_order, graph, new_graph, values, touched_mask,
-                changed_arc_mask, scheduler,
-            )
-            core_order = _patch_core_order(
-                index.core_order,
-                graph,
-                new_graph,
-                neighbor_order,
-                touched_mask,
-                scheduler,
-            )
+                with executor_for(jobs, num_arcs=new_graph.num_arcs) as executor:
+                    with obs.span("dynamic.order_repair.neighbor_order"):
+                        neighbor_order = build_neighbor_order(
+                            new_graph, similarities, scheduler=scheduler,
+                            executor=executor,
+                        )
+                    with obs.span("dynamic.order_repair.core_order"):
+                        core_order = build_core_order(
+                            new_graph, neighbor_order, scheduler=scheduler,
+                            executor=executor,
+                        )
+            else:
+                with obs.span("dynamic.order_repair.neighbor_order"):
+                    neighbor_order, window = _patch_neighbor_order(
+                        index.neighbor_order, graph, new_graph,
+                        np.asarray(index.similarities.values), similarities.values,
+                        touched, scheduler,
+                    )
+                with obs.span("dynamic.order_repair.core_order"):
+                    core_order = _patch_core_order(
+                        index.core_order, index.neighbor_order, neighbor_order,
+                        graph, new_graph, touched, window, scheduler,
+                    )
 
     report = UpdateReport(
         insertions=batch.num_insertions,

@@ -33,10 +33,13 @@ update`` CLI consumes: one op per line, ``+ u v [weight]`` to insert and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from ..parallel.primitives import segmented_ranges, sorted_unique
 
 __all__ = ["UpdateBatch", "UpdateReport", "load_delta_file"]
 
@@ -91,7 +94,8 @@ class UpdateBatch:
         deletions:
             Iterable of ``(u, v)`` pairs.
 
-        Raises ``ValueError`` on self-loops or negative vertex ids.
+        Raises ``ValueError`` on self-loops, negative vertex ids or NaN or
+        infinite weights.
         """
         ins_u, ins_v, ins_w, explicit = _canonical_insertions(insertions)
         del_u, del_v = _canonical_deletions(deletions)
@@ -153,7 +157,7 @@ class UpdateBatch:
         """
         if self.is_empty:
             return _EMPTY_IDS.copy()
-        return np.unique(
+        return sorted_unique(
             np.concatenate([self.insert_u, self.insert_v, self.delete_u, self.delete_v])
         )
 
@@ -168,10 +172,9 @@ class UpdateBatch:
         touched = self.touched_vertices()
         if touched.size == 0 or graph.num_edges == 0:
             return _EMPTY_IDS.copy()
-        mask = np.zeros(graph.num_vertices, dtype=bool)
-        mask[touched] = True
-        edge_u, edge_v = graph.edge_list()
-        return np.flatnonzero(mask[edge_u] | mask[edge_v])
+        # Read off the touched rows: O(Σ deg) work, no pass over every edge.
+        rows = segmented_ranges(graph.indptr[touched], graph.degrees[touched])
+        return sorted_unique(graph.arc_edge_ids[rows])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -235,6 +238,9 @@ def _canonical_insertions(insertions):
         if explicit.any()
         else None
     )
+    if weights is not None and not np.isfinite(weights).all():
+        bad = items[int(np.flatnonzero(~np.isfinite(weights))[0])]
+        raise ValueError(f"insertion {tuple(bad)!r} has a non-finite weight")
     us, vs = _canonicalize_endpoints(us, vs, kind="insertion")
     # Dedupe keeping the last occurrence (the builders' last-weight-wins
     # convention); its weight and explicitness travel together.
@@ -285,7 +291,9 @@ def load_delta_file(path: str | Path) -> UpdateBatch:
 
     One op per line: ``+ u v`` or ``+ u v weight`` inserts, ``- u v``
     deletes; blank lines and lines starting with ``#`` or ``%`` are
-    ignored.  This is the format ``repro update`` consumes.
+    ignored.  This is the format ``repro update`` consumes.  A malformed
+    line or a NaN or infinite weight raises ``ValueError`` naming the file
+    and line.
     """
     path = Path(path)
     insertions: list[tuple] = []
@@ -300,9 +308,10 @@ def load_delta_file(path: str | Path) -> UpdateBatch:
             try:
                 if op == "+" and len(parts) in (3, 4):
                     if len(parts) == 4:
-                        insertions.append(
-                            (int(parts[1]), int(parts[2]), float(parts[3]))
-                        )
+                        weight = float(parts[3])
+                        if not math.isfinite(weight):
+                            raise ValueError("non-finite weight")
+                        insertions.append((int(parts[1]), int(parts[2]), weight))
                     else:
                         insertions.append((int(parts[1]), int(parts[2])))
                 elif op == "-" and len(parts) == 3:
@@ -310,10 +319,11 @@ def load_delta_file(path: str | Path) -> UpdateBatch:
                 else:
                     raise ValueError("unrecognised op")
             except ValueError:
-                # One message for malformed ops and unparsable numbers alike,
-                # located -- a typo in a thousand-line delta must be findable.
+                # One message for malformed ops, unparsable numbers and
+                # non-finite weights alike, located -- a typo in a
+                # thousand-line delta must be findable.
                 raise ValueError(
-                    f"{path}:{line_number}: expected '+ u v [weight]' or '- u v', "
-                    f"got {line!r}"
+                    f"{path}:{line_number}: expected '+ u v [weight]' or '- u v' "
+                    f"with a finite weight, got {line!r}"
                 ) from None
     return UpdateBatch.from_edges(insertions, deletions)

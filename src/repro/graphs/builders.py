@@ -34,6 +34,9 @@ def from_edge_list(
     weights:
         Optional per-edge weights aligned with ``edges``.  When a duplicate
         edge appears, the last weight wins.
+
+    Raises ``ValueError`` for malformed edges, negative ids and NaN or
+    infinite weights.
     """
     edge_array = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
     if edge_array.size == 0:
@@ -49,6 +52,7 @@ def from_edge_list(
         weight_array = np.asarray(weights, dtype=np.float64)
         if weight_array.shape[0] != edge_array.shape[0]:
             raise ValueError("weights must align with edges")
+        _require_finite_weights(weight_array)
 
     inferred = int(edge_array.max()) + 1 if edge_array.size else 0
     n = inferred if num_vertices is None else int(num_vertices)
@@ -80,6 +84,16 @@ def from_edge_list(
             weight_array = weight_array[is_last]
 
     return _from_canonical_edges(n, u, v, weight_array)
+
+
+def _require_finite_weights(weights: np.ndarray) -> None:
+    """Reject NaN and infinite weights: scores derived from them are NaN."""
+    bad = ~np.isfinite(weights)
+    if bad.any():
+        first = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"edge weights must be finite; weight {first} is {weights[first]!r}"
+        )
 
 
 def _from_canonical_edges(

@@ -13,6 +13,7 @@ Two formats are supported:
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,11 @@ WEIGHTED_ADJACENCY_HEADER = "WeightedAdjacencyGraph"
 
 
 def read_edge_list(path: str | Path, *, num_vertices: int | None = None) -> Graph:
-    """Read an (optionally weighted) edge-list text file into a graph."""
+    """Read an (optionally weighted) edge-list text file into a graph.
+
+    Raises ``ValueError`` naming the file and line for a malformed line or
+    a NaN or infinite weight.
+    """
     path = Path(path)
     edges: list[tuple[int, int]] = []
     weights: list[float] = []
@@ -44,6 +49,10 @@ def read_edge_list(path: str | Path, *, num_vertices: int | None = None) -> Grap
                 raise ValueError(
                     f"{path}:{line_number}: expected 'u v [weight]', got {line!r}"
                 ) from None
+            if len(parts) >= 3 and not math.isfinite(weight):
+                raise ValueError(
+                    f"{path}:{line_number}: edge weights must be finite, got {line!r}"
+                )
             edges.append((u, v))
             weights.append(weight)
             saw_weight = saw_weight or len(parts) >= 3

@@ -136,8 +136,9 @@ class ArtifactFormatError(ValueError):
 #: structure, an unsupported zip feature, a corrupt deflate stream, a
 #: truncated member, a seek to a negative offset (``OSError``), or an
 #: unparsable ``.npy`` magic or header -- numpy's header parser raises
-#: ``ValueError``, or ``TokenError`` from the tokenizer it falls back to --
-#: and a member reaching past the end of the file.
+#: ``ValueError``, or ``TokenError`` from the tokenizer it falls back to,
+#: and a dtype string garbled into a bad comma list makes ``numpy.dtype``
+#: raise ``SyntaxError`` -- and a member reaching past the end of the file.
 _CORRUPT_ARCHIVE_ERRORS = (
     zipfile.BadZipFile,
     NotImplementedError,
@@ -146,6 +147,7 @@ _CORRUPT_ARCHIVE_ERRORS = (
     OSError,
     ValueError,
     tokenize.TokenError,
+    SyntaxError,
 )
 
 
@@ -313,28 +315,29 @@ class _CountingWriter:
 COLUMN_ALIGNMENT = 64
 
 
-def _aligned_npy_bytes(column: np.ndarray, payload_offset: int) -> bytes:
-    """Serialize ``column`` as ``.npy`` bytes whose data lands aligned.
+def _aligned_npy_header(column: np.ndarray, payload_offset: int) -> bytes:
+    """The ``.npy`` header of ``column``, padded so its data lands aligned.
 
     ``payload_offset`` is the file offset at which the ``.npy`` payload will
-    begin.  The ``.npy`` header is grown with extra space padding (legal by
-    the format: the header is space-padded up to its terminating newline) so
+    begin.  The header is grown with extra space padding (legal by the
+    format: the header is space-padded up to its terminating newline) so
     that ``payload_offset + header_size`` is a multiple of
     :data:`COLUMN_ALIGNMENT` -- readers that parse the header normally are
     oblivious, and :func:`_mmap_member` hands back aligned views.
     """
     buffer = io.BytesIO()
-    np.lib.format.write_array(buffer, column, version=(1, 0), allow_pickle=False)
-    raw = bytearray(buffer.getvalue())
+    np.lib.format.write_array_header_1_0(
+        buffer, np.lib.format.header_data_from_array_1_0(column)
+    )
+    header = buffer.getvalue()
     # Version (1, 0): 6-byte magic, 2-byte version, little-endian uint16
     # header length, then the space-padded header ending in b"\n".
-    (header_length,) = struct.unpack("<H", raw[8:10])
-    data_offset = 10 + header_length
-    padding = -(payload_offset + data_offset) % COLUMN_ALIGNMENT
-    if padding:
-        raw[8:10] = struct.pack("<H", header_length + padding)
-        raw[data_offset - 1 : data_offset - 1] = b" " * padding
-    return bytes(raw)
+    (header_length,) = struct.unpack("<H", header[8:10])
+    padding = -(payload_offset + len(header)) % COLUMN_ALIGNMENT
+    return (
+        header[:8] + struct.pack("<H", header_length + padding)
+        + header[10:-1] + b" " * padding + b"\n"
+    )
 
 
 def write_columns(directory: Path, columns: dict[str, np.ndarray]) -> Path:
@@ -344,21 +347,28 @@ def write_columns(directory: Path, columns: dict[str, np.ndarray]) -> Path:
     (via ``.npy`` header padding) so the memory-mapped reads of
     :func:`read_columns` stay on numpy's aligned fast paths.  The archive is
     deterministic: fixed member timestamps, insertion-ordered members.
+    Each member is the padded header followed by the column's own buffer,
+    so no column is copied on the way to the file.
     """
     path = directory / COLUMNS_FILE
     with path.open("wb") as handle:
         writer = _CountingWriter(handle, "storage.columns.write")
         with zipfile.ZipFile(writer, "w", zipfile.ZIP_STORED) as archive:
             for name, column in columns.items():
+                column = np.ascontiguousarray(column)
                 arcname = f"{name}.npy"
                 info = zipfile.ZipInfo(arcname, date_time=(1980, 1, 1, 0, 0, 0))
                 info.compress_type = zipfile.ZIP_STORED
                 payload_offset = (
                     handle.tell() + _LOCAL_HEADER_SIZE + len(arcname.encode("utf-8"))
                 )
-                archive.writestr(
-                    info, _aligned_npy_bytes(np.ascontiguousarray(column), payload_offset)
-                )
+                header = _aligned_npy_header(column, payload_offset)
+                payload = memoryview(column.reshape(-1).view(np.uint8))
+                # What ``writestr`` does with one bytes object, in two writes.
+                info.file_size = len(header) + payload.nbytes
+                with archive.open(info, mode="w") as member:
+                    member.write(header)
+                    member.write(payload)
     return path
 
 

@@ -28,6 +28,10 @@ def workspace(tmp_path_factory):
     bad_edges.write_text("0 1\n1 two\n")
     bad_delta = root / "bad-delta.txt"
     bad_delta.write_text("* 0 1\n")
+    nan_edges = root / "nan-edges.txt"
+    nan_edges.write_text("0 1 1.0\n1 2 nan\n")
+    nan_delta = root / "nan-delta.txt"
+    nan_delta.write_text("+ 0 3 nan\n")
     bad_payload = root / "bad-payload.json"
     bad_payload.write_text(json.dumps({"benchmark": "x", "rows": []}))
     db = root / "store.sqlite"
@@ -42,6 +46,8 @@ def workspace(tmp_path_factory):
         "artifact": artifact,
         "bad_edges": bad_edges,
         "bad_delta": bad_delta,
+        "nan_edges": nan_edges,
+        "nan_delta": nan_delta,
         "bad_payload": bad_payload,
         "db": db,
         "missing": root / "missing",
@@ -60,6 +66,7 @@ CASES = [
     ("cluster", "cluster --load {missing}"),
     ("index build", "index build {missing} {missing}.scanidx"),
     ("index build", "index build {bad_edges} {missing}.scanidx"),
+    ("index build", "index build {nan_edges} {missing}.scanidx"),
     ("index query", "index query {artifact} --mu 1"),
     ("index query", "index query {artifact} --epsilon 2"),
     ("index query", "index query {artifact} --pairs 5-0.6"),
@@ -68,6 +75,7 @@ CASES = [
     ("update", "update {missing} {bad_delta}"),
     ("update", "update {artifact} {missing}"),
     ("update", "update {artifact} {bad_delta}"),
+    ("update", "update {artifact} {nan_delta}"),
     ("serve", "serve {missing}"),
     ("serve", "serve {artifact} --requests {missing}"),
     ("serve", "serve {artifact} --workers 2"),

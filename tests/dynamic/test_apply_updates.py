@@ -249,6 +249,48 @@ class TestLifecycle:
         assert len(index.update_lineage) == 2
         assert index._mutation_epoch == 2
 
+    @pytest.mark.parametrize("strategy", ["merge", "resort"])
+    def test_traced_update_attributes_every_stage(self, strategy, monkeypatch, tmp_path):
+        import json
+
+        from repro import obs
+        from repro.obs.report import summarize_trace
+
+        monkeypatch.setattr(
+            patch_module, "ORDER_REBUILD_CHURN", 1.1 if strategy == "merge" else -0.1
+        )
+        graph = planted_partition(3, 12, p_intra=0.5, p_inter=0.05, seed=3)
+        index = ScanIndex.build(graph)
+        insertions, deletions = random_batch(np.random.default_rng(5), graph, 6)
+        path = tmp_path / "update.jsonl"
+        obs.reset()
+        obs.configure(path)
+        try:
+            index.apply_updates(insertions=insertions, deletions=deletions)
+        finally:
+            obs.finalise()
+            obs.reset()
+        spans = {}
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            if record["kind"] == "span":
+                assert record["name"] not in spans
+                spans[record["name"]] = record
+
+        def inside(child, parent):
+            start, end = spans[parent]["ts"], spans[parent]["ts"] + spans[parent]["dur"]
+            return start <= spans[child]["ts"] and spans[child]["ts"] + spans[child]["dur"] <= end
+
+        stages = ["dynamic.splice", "dynamic.similarity_delta", "dynamic.order_repair"]
+        repairs = ["dynamic.order_repair.neighbor_order", "dynamic.order_repair.core_order"]
+        assert set(spans) == {"dynamic.apply", *stages, *repairs}
+        assert all(inside(stage, "dynamic.apply") for stage in stages)
+        assert all(inside(repair, "dynamic.order_repair") for repair in repairs)
+        assert spans["dynamic.order_repair"]["attrs"]["strategy"] == strategy
+        # The stages run one after another, so their durations fit the parent's.
+        assert sum(spans[stage]["dur"] for stage in stages) <= spans["dynamic.apply"]["dur"]
+        assert set(summarize_trace(path)["spans"]) == set(spans)
+
     def test_empty_batch_is_a_true_no_op(self):
         graph = from_edge_list([(0, 1), (1, 2)], num_vertices=3)
         index = ScanIndex.build(graph)

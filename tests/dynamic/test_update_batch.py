@@ -42,6 +42,11 @@ class TestCanonicalization:
         with pytest.raises(ValueError, match="non-negative"):
             UpdateBatch.from_edges([(-1, 2)], [])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            UpdateBatch.from_edges([(0, 1, 2.0), (0, 3, bad)], [])
+
 
 class TestCancellation:
     def test_opposing_ops_cancel(self):
@@ -117,7 +122,7 @@ class TestDeltaFile:
         assert batch.num_deletions == 1
 
     @pytest.mark.parametrize(
-        "line", ["x 0 1", "+ 0", "- 0 1 2", "0 1", "+ 0 1 2 3"]
+        "line", ["x 0 1", "+ 0", "- 0 1 2", "0 1", "+ 0 1 2 3", "+ 0 3 inf", "+ 0 3 nan"]
     )
     def test_malformed_lines_raise_with_location(self, tmp_path, line):
         path = tmp_path / "delta.txt"

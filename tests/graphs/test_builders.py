@@ -65,6 +65,11 @@ class TestFromEdgeList:
         edges = np.array([[0, 1], [1, 2], [2, 3]])
         assert from_edge_list(edges).num_edges == 3
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            from_edge_list([(0, 1), (1, 2)], weights=[1.0, bad])
+
 
 class TestOtherBuilders:
     def test_from_adjacency(self):

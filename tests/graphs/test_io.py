@@ -38,6 +38,13 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_raises_with_location(self, tmp_path, weight):
+        path = tmp_path / "weights.txt"
+        path.write_text(f"0 1 1.0\n1 2 {weight}\n")
+        with pytest.raises(ValueError, match="weights.txt:2"):
+            read_edge_list(path)
+
     def test_num_vertices_override(self, tmp_path):
         path = tmp_path / "small.txt"
         path.write_text("0 1\n")

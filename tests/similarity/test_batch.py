@@ -174,3 +174,22 @@ class TestProbeStrategies:
         assert resolve_probe("auto", 1000) == "global"
         assert resolve_probe("bounded", 1000) == "bounded"
         assert resolve_probe("global", 2) == "global"
+
+    def test_auto_skips_the_key_build_for_few_probes(self):
+        from repro.similarity.batch import UNBUILT_KEYS_ARCS_PER_PROBE, resolve_probe
+
+        arcs = 100 * UNBUILT_KEYS_ARCS_PER_PROBE
+        assert resolve_probe("auto", 1000, probes=99, unbuilt_key_arcs=arcs) == "bounded"
+        assert resolve_probe("auto", 1000, probes=100, unbuilt_key_arcs=arcs) == "global"
+        assert resolve_probe("auto", 1000, probes=1, unbuilt_key_arcs=0) == "global"
+        # End to end: a few edges of a fresh high-degree graph are probed
+        # without building its arc keys, and agree with the global probe.
+        graph = complete_graph(200)
+        subset = np.arange(2)
+        auto = edge_numerators_for_subset(graph, subset, Scheduler())
+        assert not graph.has_arc_search_keys
+        global_probe = edge_numerators_for_subset(
+            graph, subset, Scheduler(), probe="global"
+        )
+        assert graph.has_arc_search_keys
+        np.testing.assert_array_equal(auto, global_probe)

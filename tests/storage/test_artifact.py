@@ -103,6 +103,66 @@ class TestRoundTrip:
             assert address % COLUMN_ALIGNMENT == 0
             assert column.flags.aligned
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_archive_bytes_match_the_whole_member_writer(self, tmp_path, weighted):
+        """The header-then-buffer member writer leaves the same bytes.
+
+        The reference below is the writer it replaced: ``np.save`` into a
+        buffer, the alignment padding spliced into the header, and one
+        ``writestr`` per member.  Both archives of one index -- weighted or
+        not, including an empty column -- must hash equal.
+        """
+        import hashlib
+        import io
+        import struct
+        import zipfile
+
+        from repro.storage import format as storage_format
+
+        def reference_write_columns(directory, columns):
+            path = directory / COLUMNS_FILE
+            with path.open("wb") as handle, zipfile.ZipFile(
+                handle, "w", zipfile.ZIP_STORED
+            ) as archive:
+                for name, column in columns.items():
+                    arcname = f"{name}.npy"
+                    info = zipfile.ZipInfo(arcname, date_time=(1980, 1, 1, 0, 0, 0))
+                    info.compress_type = zipfile.ZIP_STORED
+                    offset = handle.tell() + 30 + len(arcname.encode("utf-8"))
+                    buffer = io.BytesIO()
+                    np.lib.format.write_array(
+                        buffer, np.ascontiguousarray(column), version=(1, 0),
+                        allow_pickle=False,
+                    )
+                    raw = bytearray(buffer.getvalue())
+                    (length,) = struct.unpack("<H", raw[8:10])
+                    padding = -(offset + 10 + length) % storage_format.COLUMN_ALIGNMENT
+                    if padding:
+                        raw[8:10] = struct.pack("<H", length + padding)
+                        raw[9 + length:9 + length] = b" " * padding
+                    archive.writestr(info, bytes(raw))
+            return path
+
+        rng = np.random.default_rng(11)
+        edges = [(int(u), int(v)) for u, v in rng.integers(0, 40, size=(120, 2)) if u != v]
+        weights = rng.uniform(0.5, 2.0, size=len(edges)) if weighted else None
+        index = ScanIndex.build(from_edge_list(edges, num_vertices=45, weights=weights))
+        columns = IndexArtifact.from_index(index).columns
+        columns["empty"] = np.zeros(0, dtype=np.int64)
+        (tmp_path / "new").mkdir()
+        (tmp_path / "old").mkdir()
+        digests = [
+            hashlib.sha256(write(tmp_path / name, columns).read_bytes()).hexdigest()
+            for name, write in (
+                ("new", storage_format.write_columns), ("old", reference_write_columns)
+            )
+        ]
+        assert digests[0] == digests[1]
+        index.save(tmp_path / "saved")
+        del columns["empty"]
+        saved = (tmp_path / "saved" / COLUMNS_FILE).read_bytes()
+        assert saved == reference_write_columns(tmp_path / "old", columns).read_bytes()
+
     def test_load_without_mmap(self, tmp_path, paper_graph):
         index = ScanIndex.build(paper_graph)
         index.save(tmp_path / "nm")
@@ -171,6 +231,17 @@ class TestErrorPaths:
         (saved / HEADER_FILE).write_text(json.dumps(header))
         with pytest.raises(ArtifactFormatError, match="unrecognised artifact format"):
             ScanIndex.load(saved)
+
+    @pytest.mark.parametrize("mmap_mode", ["r", None])
+    def test_garbled_npy_dtype(self, saved, mmap_mode):
+        # numpy.dtype rejects a dtype string garbled into a bad comma list
+        # with SyntaxError, not ValueError; it must surface as a format error.
+        archive = saved / COLUMNS_FILE
+        data = archive.read_bytes()
+        at = data.index(b"'<i8'")
+        archive.write_bytes(data[:at] + b"',i8'" + data[at + 5:])
+        with pytest.raises(ArtifactFormatError, match="corrupt column archive"):
+            ScanIndex.load(saved, mmap_mode=mmap_mode)
 
     def test_missing_required_field(self, saved):
         header = json.loads((saved / HEADER_FILE).read_text())
