@@ -31,6 +31,8 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py --tiny --assert-overhead 0.25
 
 or through pytest (smoke-sized; asserts the structural guards, not timing).
+``--output FILE`` also writes the results as JSON; without it nothing is
+written.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from repro.obs.schema import validate_trace_path
 from repro.serve import wire
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_obs_overhead.json"
 
 #: (num_clusters, cluster_size, p_intra, p_inter) ladder.
 DEFAULT_LADDER = [
@@ -171,8 +172,9 @@ def run(ladder, output_path):
          "tracing cost", "spans", "trace bytes"],
         rows,
     ))
-    output_path.write_text(json.dumps(results, indent=2, sort_keys=True))
-    print(f"wrote {output_path}")
+    if output_path is not None:
+        output_path.write_text(json.dumps(results, indent=2, sort_keys=True))
+        print(f"wrote {output_path}")
     return results
 
 
@@ -188,8 +190,8 @@ def test_obs_overhead_smoke(tmp_path):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true", help="CI-sized smoke rung")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
-                        help=f"JSON output path (default: {DEFAULT_OUTPUT})")
+    parser.add_argument("--output", type=Path, default=None,
+                        help="also write the results as JSON to this path")
     parser.add_argument("--assert-overhead", type=float, default=None,
                         metavar="FRACTION",
                         help="exit 1 when the enabled-tracing throughput cost "

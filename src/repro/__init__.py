@@ -37,9 +37,8 @@ engine:
   acceptable.
 
 See the :mod:`repro.similarity.exact` module docstring for the full matrix
-with work bounds, and ``benchmarks/bench_hot_paths.py`` for measured
-construction/query times of every backend on growing planted-partition
-graphs.
+with work bounds, and ``benchmarks/bench_ablation_backends.py`` for the
+work each backend is charged on the paper's stand-in datasets.
 """
 
 from .core.clustering import UNCLUSTERED, Clustering

@@ -22,11 +22,9 @@ their fingerprint :meth:`~EnvironmentFingerprint.key` values are equal;
 ``repro bench gate`` refuses (with a structured warning, not a failure)
 otherwise.
 
-The benchmark runners previously each captured their own ad-hoc
-environment blocks (``bench_construction.py`` the affinity count,
-``bench_serve_concurrent.py`` ``os.cpu_count()`` plus the python
-version, the rest nothing); :func:`capture_environment` is the one
-shared implementation they all embed now.
+:func:`capture_environment` is the one implementation every payload
+embeds: the ``perfbench`` results, the strategy ledger and the recorded
+paper-figure runs.
 """
 
 from __future__ import annotations

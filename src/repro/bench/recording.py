@@ -1,11 +1,10 @@
 """Glue between the benchmark runners and the results store.
 
-Every standalone runner keeps writing its ``BENCH_*.json`` (the
-compatibility surface earlier PRs and the docs point at) and *also*
-gains ``--record [DB]``: the same payload, stamped with the shared
-environment block, appended to the sqlite trajectory store.  The helper
-is one place so fifteen runners cannot drift into fifteen recording
-conventions the way they drifted into six JSON schemas.
+``--record [DB]`` appends a runner's payload, stamped with the shared
+environment block, to the sqlite trajectory store.  The paper-figure
+wrappers (``benchmarks/_standalone.py``), ``repro run`` and
+``benchmarks/bench_obs_overhead.py`` share this one helper, so they
+cannot drift into separate recording conventions.
 """
 
 from __future__ import annotations

@@ -384,8 +384,8 @@ class ScanIndex:
         respliced (merges of sorted runs; see :mod:`repro.dynamic`).  The
         result is bit-identical to ``ScanIndex.build`` on the mutated
         graph -- same stored columns, same query answers in both border
-        modes -- at a fraction of the cost for small batches
-        (``benchmarks/bench_updates.py`` tracks the ratio).
+        modes -- at a fraction of the cost for small batches (the
+        ``perfbench`` workloads time one update end to end).
 
         Every open serving session over this index is auto-invalidated:
         the mutation bumps the index's serving generations, so cached

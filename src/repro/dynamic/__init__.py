@@ -23,9 +23,9 @@ Three pieces:
 
 Entry points: :meth:`ScanIndex.apply_updates
 <repro.core.index.ScanIndex.apply_updates>` in code, ``python -m repro
-update ARTIFACT DELTA`` against a saved artifact, and
-``benchmarks/bench_updates.py`` for the incremental-vs-rebuild numbers
-(``BENCH_updates.json``).
+update ARTIFACT DELTA`` against a saved artifact.  ``perfbench/run.py``
+times one update batch end to end; ``benchmarks/bench_strategies.py``
+times the two order-repair strategies against each other.
 """
 
 from .patch import apply_updates

@@ -92,11 +92,12 @@ __all__ = ["apply_updates"]
 #: build runs, on the patched similarities -- identical output by
 #: definition) instead of merging runs: at that churn the changed runs
 #: rival the kept runs and the C-speed packed segmented argsort beats the
-#: merge's search-and-splice passes.  Measured on the ``bench_updates``
-#: ladder with each strategy forced (serial, see the strategy ledger in
-#: ``docs/ARCHITECTURE.md``): the merge takes 0.3-0.4x the resort's time
-#: up to ~2.5% of arcs changed, 0.6-0.75x at 3-5.5%, and breaks even
-#: between 7.5% and 10%.
+#: merge's search-and-splice passes.  Measured with each strategy forced
+#: through this constant on four update rungs (serial): the merge took
+#: 0.3-0.4x the resort's time up to ~2.5% of arcs changed, 0.6-0.75x at
+#: 3-5.5%, and broke even between 7.5% and 10%.  The
+#: ``ORDER_REBUILD_CHURN`` cells of ``benchmarks/bench_strategies.py``
+#: keep timing both sides (ledger in ``docs/ARCHITECTURE.md``).
 ORDER_REBUILD_CHURN = 0.07
 
 

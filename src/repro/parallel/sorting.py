@@ -160,7 +160,8 @@ RADIX_MAX_PASSES = 2
 #: Timsort exploits the segment-run structure of the packed codes (segments
 #: are contiguous ascending blocks): on short uniform segments its galloping
 #: merges beat the radix chain (measured crossover near max-segment ~1024;
-#: see ``BENCH_construction.json``'s order-build microbenchmark per rung).
+#: the ``radix_eligible`` cells of ``benchmarks/bench_strategies.py`` time
+#: both strategies on real build inputs).
 RADIX_MIN_MAX_SEGMENT = 1024
 
 #: Below this total the permutation is microseconds either way; skip the
@@ -179,9 +180,9 @@ def radix_passes(universe: int) -> int:
 def radix_eligible(total: int, universe: int, max_segment: int) -> bool:
     """The measured ``"auto"`` crossover of :func:`packed_argsort`, exposed.
 
-    One definition shared by the sort itself and the benchmarks that report
-    on it (``benchmarks/bench_construction.py``), so the recorded
-    ``auto_strategy`` can never drift from what the build actually runs.
+    One definition shared by the sort itself and the strategy ledger that
+    reports on it (``benchmarks/bench_strategies.py``), so the recorded
+    auto pick can never drift from what the build actually runs.
     """
     return (
         total >= RADIX_MIN_TOTAL
@@ -267,7 +268,7 @@ def packed_argsort(
     fits :data:`RADIX_MAX_PASSES` digit passes; timsort's galloping wins on
     short uniform segments.  Both strategies return bit-identical
     permutations (stable-sort uniqueness), so the choice is purely a
-    wall-clock matter; ``BENCH_construction.json`` tracks it per rung.
+    wall-clock matter; ``benchmarks/bench_strategies.py`` times both.
     """
     if strategy not in SORT_STRATEGIES:
         raise ValueError(

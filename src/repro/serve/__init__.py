@@ -21,10 +21,9 @@ restarts; :mod:`repro.serve.client` replays request streams against it.
 
 Entry points: :meth:`ScanIndex.session() <repro.core.index.ScanIndex.
 session>` in code, ``python -m repro serve ARTIFACT`` (add ``--port`` /
-``--workers`` for the concurrent tier) on the command line, and
-``benchmarks/bench_serving.py`` / ``benchmarks/bench_serve_concurrent.py``
-for the steady-state and tail-latency numbers (``BENCH_serving.json``,
-``BENCH_serve_concurrent.json``).
+``--workers`` for the concurrent tier) on the command line, and the
+``serve-hot`` / ``serve-churn`` workloads of ``perfbench/run.py`` for
+measured hit and miss latencies against a running server.
 """
 
 from .cache import ResultCache

@@ -2,9 +2,8 @@
 
 One TCP connection, one request line out, one response line back -- the
 client never pipelines, so response ``i`` always answers request ``i``.
-Used by the replay benchmarks (``benchmarks/bench_serve_concurrent.py``,
-``benchmarks/bench_serve_resilience.py``), the ``repro serve-client`` CLI,
-the CI serving jobs, and the server tests; thread-safe only in the
+Used by the ``repro serve-client`` CLI, the CI serving jobs and the
+server tests; thread-safe only in the
 one-client-per-thread sense (open one :class:`ServeClient` per thread).
 
 Failure contract: raw socket errors (``socket.timeout``,

@@ -55,9 +55,10 @@ PROBE_STRATEGIES = ("auto", "global", "bounded")
 
 #: ``"auto"`` switches to the bounded segmented probe when the longest
 #: searched segment needs at most this many binary-search rounds.  Measured
-#: crossover (``BENCH_hot_paths.json``, probe microbenchmark): each bounded
-#: round costs several whole-array numpy passes, so the C-speed global search
-#: wins unless segments are short enough to resolve in a handful of rounds.
+#: crossover (the ``resolve_probe`` cells of ``benchmarks/bench_strategies.py``
+#: time both probes): each bounded round costs several whole-array numpy
+#: passes, so the C-speed global search wins unless segments are short
+#: enough to resolve in a handful of rounds.
 BOUNDED_PROBE_MAX_ROUNDS = 3
 
 #: ``"auto"`` also takes the bounded probe while the graph's arc search keys

@@ -282,6 +282,66 @@ class TestLoadShedding:
             _expected_lines(artifact, SETTINGS)
         )
 
+    def test_twice_max_inflight_clients_are_each_served_or_shed(
+        self, artifact, tmp_path
+    ):
+        """At 2x saturation every offered request is answered: served or shed.
+
+        The accounting identity of the shedding contract: served + shed ==
+        offered, no transport error, no request left unanswered, and every
+        served line equals the single-session answer.
+        """
+        max_inflight = 4
+        stream = SETTINGS * 4
+        expected = _expected_lines(artifact, stream)
+
+        async def client(host, port, indices):
+            answers = {}
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    for i in indices:
+                        mu, eps = stream[i]
+                        writer.write(f"{mu}:{eps}\n".encode("utf-8"))
+                        await writer.drain()
+                        raw = await reader.readline()
+                        if not raw:
+                            break
+                        answers[i] = raw.decode("utf-8").strip()
+                finally:
+                    writer.close()
+            except ConnectionError:
+                return answers, 1
+            return answers, 0
+
+        async def scenario(server, host, port, reader, writer):
+            clients = 2 * max_inflight
+            return await asyncio.wait_for(asyncio.gather(*(
+                client(host, port, range(c, len(stream), clients))
+                for c in range(clients)
+            )), timeout=30.0)
+
+        # Worker 0 stalls on its first request, so requests pile up past
+        # the high-water mark while the stall lasts.
+        spec = FaultSpec(
+            site="serve.worker.request", action="hang", task=0,
+            times=1, token=str(tmp_path / "stall"), seconds=0.5,
+        )
+        with inject(spec):
+            results = asyncio.run(
+                _with_server(artifact, scenario, workers=2, max_inflight=max_inflight)
+            )
+        answers = {i: line for part, _ in results for i, line in part.items()}
+        shed_line = wire.format_error("overloaded (shed)")
+        served = [i for i, line in answers.items() if line != shed_line]
+        shed = len(answers) - len(served)
+        assert sum(errors for _, errors in results) == 0
+        assert len(stream) - len(answers) == 0, "requests left unanswered"
+        assert len(served) + shed == len(stream)
+        assert shed >= 1
+        for i in served:
+            assert wire.strip_cache_field(answers[i]) == expected[i]
+
     def test_control_lines_bypass_admission(self, artifact):
         """An overloaded tier must stay observable: !stats always answers."""
 
