@@ -13,7 +13,9 @@ crossover, this runner times both sides on the same input, records what
 ``resolve_probe``
     :func:`~repro.similarity.batch.edge_numerators_for_subset`, global
     composite-key search (A) vs bounded per-segment search (B), on 1% and on
-    all edges, with the graph's arc search keys already built and without.
+    all edges, with the graph's arc search keys already built and without;
+    and on what an update sends it, the inserted edges of each churn batch
+    on the freshly patched graph, whose keys are not built yet.
 ``ORDER_REBUILD_CHURN``
     :meth:`~repro.core.index.ScanIndex.apply_updates` with the order repair
     forced to merge (A) or to resort (B) through the constant, on mixed
@@ -40,12 +42,13 @@ import numpy as np
 
 import repro.dynamic.patch as patch_module
 import repro.parallel.sorting as sorting
+import repro.similarity.batch as batch_module
 from repro import ScanIndex
 from repro.bench import capture_environment, format_table
 from repro.dynamic import UpdateBatch
 from repro.graphs import from_edge_list, planted_partition
 from repro.parallel import Scheduler
-from repro.similarity.batch import edge_numerators_for_subset, resolve_probe
+from repro.similarity.batch import edge_numerators_for_subset
 from repro.storage import IndexArtifact
 
 
@@ -146,39 +149,57 @@ def sort_cells(rung, graph, repeats):
     return cells
 
 
+def _auto_probe(graph, subset):
+    """The probe ``"auto"`` resolves to for ``subset`` in the graph's state."""
+    picked = []
+    original = batch_module.resolve_probe
+
+    def capture(*args, **kwargs):
+        picked.append(original(*args, **kwargs))
+        return picked[-1]
+
+    batch_module.resolve_probe = capture
+    try:
+        edge_numerators_for_subset(graph, subset, Scheduler())
+    finally:
+        batch_module.resolve_probe = original
+    return picked[0]
+
+
+def probe_cell(rung, size, graph, subset, keys_built, repeats):
+    """Global vs bounded probes of one subset, with or without built arc keys."""
+    def setup():
+        if keys_built:
+            graph.arc_search_keys()
+        else:
+            graph._arc_search_keys = None  # drop the memoised keys
+
+    setup()
+    auto = _auto_probe(graph, subset)
+    seconds, numerators = {}, {}
+    for probe in ("global", "bounded"):
+        seconds[probe], numerators[probe] = _best_of(
+            repeats,
+            lambda _: edge_numerators_for_subset(graph, subset, Scheduler(), probe=probe),
+            setup,
+        )
+    return _cell(
+        "resolve_probe", rung, f"{size}, {'keys built' if keys_built else 'no keys'}",
+        auto, "global", "bounded", seconds["global"], seconds["bounded"],
+        np.array_equal(numerators["global"], numerators["bounded"]),
+    )
+
+
 def probe_cells(rung, graph, repeats):
-    """Global vs bounded subset probes, with and without built arc keys."""
+    """Random 1% and all-edge subsets, with and without built arc keys."""
     rng = np.random.default_rng(0)
-    edge_u, edge_v = graph.edge_list()
     cells = []
     for fraction in (0.01, 1.0):
         count = max(int(graph.num_edges * fraction), 1)
         subset = np.sort(rng.choice(graph.num_edges, size=count, replace=False))
-        ends = graph.degrees[edge_u[subset]], graph.degrees[edge_v[subset]]
         for keys_built in (True, False):
-            def setup():
-                if keys_built:
-                    graph.arc_search_keys()
-                else:
-                    graph._arc_search_keys = None  # drop the memoised keys
-            seconds, numerators = {}, {}
-            for probe in ("global", "bounded"):
-                seconds[probe], numerators[probe] = _best_of(
-                    repeats,
-                    lambda _: edge_numerators_for_subset(graph, subset, Scheduler(), probe=probe),
-                    setup,
-                )
-            # What edge_numerators_for_subset hands resolve_probe: each
-            # smaller endpoint's neighbors probe the larger one's segment.
-            auto = resolve_probe(
-                "auto", int(np.maximum(*ends).max()), probes=int(np.minimum(*ends).sum()),
-                unbuilt_key_arcs=0 if keys_built else graph.num_arcs,
-            )
-            cells.append(_cell(
-                "resolve_probe", rung,
-                f"{fraction:.0%} {'keys built' if keys_built else 'no keys'}", auto,
-                "global", "bounded", seconds["global"], seconds["bounded"],
-                np.array_equal(numerators["global"], numerators["bounded"]),
+            cells.append(probe_cell(
+                rung, f"{fraction:.0%} of edges", graph, subset, keys_built, repeats
             ))
     return cells
 
@@ -201,11 +222,17 @@ def _mixed_batch(graph, fraction, rng):
 
 
 def churn_cells(rung, graph, fractions, repeats):
-    """Merge vs resort order repair, forced through ``ORDER_REBUILD_CHURN``."""
+    """Per batch: the update path's own subset probe, then merge vs resort.
+
+    The probe cell runs on the freshly patched graph, whose arc keys are not
+    built, over the subset an unweighted update recomputes (its inserted
+    edges).  The order-repair cell forces merge and resort through
+    ``ORDER_REBUILD_CHURN`` on the same batch.
+    """
     index = ScanIndex.build(graph)
     rng = np.random.default_rng(1)
     crossover = patch_module.ORDER_REBUILD_CHURN
-    cells = []
+    probes, churns = [], []
 
     def patched(batch, churn):
         patch_module.ORDER_REBUILD_CHURN = churn
@@ -220,20 +247,26 @@ def churn_cells(rung, graph, fractions, repeats):
 
     for fraction in fractions:
         batch = _mixed_batch(graph, fraction, rng)
-        _, (report, _) = patched(batch, crossover)
+        clone = IndexArtifact.from_index(index).to_index()
+        report = clone.apply_updates(batch)
+        positions, _ = clone.graph.locate_neighbors(batch.insert_u, batch.insert_v)
+        probes.append(probe_cell(
+            rung, f"{fraction:.1%} batch inserts, patched", clone.graph,
+            np.sort(clone.graph.arc_edge_ids[positions]), False, repeats,
+        ))
         merge_seconds, (_, merged) = patched(batch, float("inf"))
         resort_seconds, (_, resorted) = patched(batch, -1.0)
         merged = IndexArtifact.from_index(merged).columns
         resorted = IndexArtifact.from_index(resorted).columns
         changed = 2 * report.affected_edges / graph.num_arcs
-        cells.append(_cell(
+        churns.append(_cell(
             "ORDER_REBUILD_CHURN", rung, f"{fraction:.1%} ({changed:.1%} arcs)",
             report.order_strategy,
             "merge", "resort", merge_seconds, resort_seconds,
             merged.keys() == resorted.keys()
             and all(np.array_equal(merged[k], resorted[k]) for k in merged),
         ))
-    return cells
+    return probes, churns
 
 
 def run(flavour) -> dict:
@@ -246,7 +279,9 @@ def run(flavour) -> dict:
         if position == 0:
             probes += probe_cells(rung, graph, repeats)
     for rung, load in churn_rungs:
-        churns += churn_cells(rung, load(), fractions, repeats)
+        update_probes, rung_churns = churn_cells(rung, load(), fractions, repeats)
+        probes += update_probes
+        churns += rung_churns
     cells = sorts + probes + churns
     print(format_table(
         ["pair", "rung", "size", "auto", "A", "A_ms", "B", "B_ms", "A/B", "identical"],

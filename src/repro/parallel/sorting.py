@@ -160,8 +160,10 @@ RADIX_MAX_PASSES = 2
 #: Timsort exploits the segment-run structure of the packed codes (segments
 #: are contiguous ascending blocks): on short uniform segments its galloping
 #: merges beat the radix chain (measured crossover near max-segment ~1024;
-#: the ``radix_eligible`` cells of ``benchmarks/bench_strategies.py`` time
-#: both strategies on real build inputs).
+#: see the frozen ``BENCH_construction.json``'s order-build microbenchmark
+#: per rung).  The ``radix_eligible`` cells of
+#: ``benchmarks/bench_strategies.py`` check that auto picks the faster side
+#: on their rungs, none of which sits near the crossover.
 RADIX_MIN_MAX_SEGMENT = 1024
 
 #: Below this total the permutation is microseconds either way; skip the

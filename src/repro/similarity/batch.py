@@ -55,10 +55,11 @@ PROBE_STRATEGIES = ("auto", "global", "bounded")
 
 #: ``"auto"`` switches to the bounded segmented probe when the longest
 #: searched segment needs at most this many binary-search rounds.  Measured
-#: crossover (the ``resolve_probe`` cells of ``benchmarks/bench_strategies.py``
-#: time both probes): each bounded round costs several whole-array numpy
-#: passes, so the C-speed global search wins unless segments are short
-#: enough to resolve in a handful of rounds.
+#: crossover (the frozen ``BENCH_hot_paths.json``, probe microbenchmark):
+#: each bounded round costs several whole-array numpy passes, so the
+#: C-speed global search wins unless segments are short enough to resolve
+#: in a handful of rounds.  No graph of the strategy ledger
+#: (``benchmarks/bench_strategies.py``) has segments that short.
 BOUNDED_PROBE_MAX_ROUNDS = 3
 
 #: ``"auto"`` also takes the bounded probe while the graph's arc search keys
@@ -67,7 +68,8 @@ BOUNDED_PROBE_MAX_ROUNDS = 3
 #: than bounded rounds over so few probes.  Measured on a fresh 0.93M-arc
 #: graph: 1.5k probes 0.7 ms bounded vs 4.0 ms global, 15k probes 3.7 vs
 #: 4.7 ms, 29k probes 7.5 vs 5.8 ms (the patched graph of every update is
-#: such a fresh graph).
+#: such a fresh graph).  The ledger's update-batch ``resolve_probe`` cells
+#: time both probes on the inserted edges of real batches.
 UNBUILT_KEYS_ARCS_PER_PROBE = 48
 
 

@@ -9,8 +9,6 @@ into the repository root breaks those tests.
 import importlib.util
 from pathlib import Path
 
-import pytest
-
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
@@ -23,13 +21,9 @@ def _load_runner(name: str):
     return module
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [("bench_obs_overhead", ["--tiny"]), ("bench_strategies", ["--smoke"])],
-)
-def test_documented_run_writes_nothing_into_the_repo_root(name, argv):
+def test_documented_run_writes_nothing_into_the_repo_root():
     before = sorted(REPO_ROOT.glob("BENCH_*"))
-    assert _load_runner(name).main(argv) == 0
+    assert _load_runner("bench_obs_overhead").main(["--tiny"]) == 0
     assert sorted(REPO_ROOT.glob("BENCH_*")) == before
 
 

@@ -1,5 +1,7 @@
 """Tests for the serving session."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,28 @@ class TestCachingBehavior:
         assert not first.from_cache and second.from_cache
         assert second.compact is first.compact
         assert session.stats()["hit_rate"] == 0.5
+
+    @pytest.mark.parametrize("mu, epsilon", [(2, 0.3), (5, 0.6)])
+    def test_cache_hit_allocates_less_than_a_miss_or_a_cold_query(
+        self, index, mu, epsilon
+    ):
+        # A hit hands back the cached compact payload; a miss computes the
+        # clustering, and a cold query also builds its O(n) dense arrays.
+        def peak_bytes(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        session = index.session()
+        session.serve(mu, epsilon)
+        hit = peak_bytes(lambda: session.serve(mu, epsilon))
+        uncached = index.session(cache_size=0)
+        miss = peak_bytes(lambda: uncached.serve(mu, epsilon))
+        cold = peak_bytes(lambda: index.query(mu, epsilon))
+        assert hit < miss and hit < cold
 
     def test_snapped_epsilons_share_entries(self, index):
         session = index.session()
