@@ -76,11 +76,15 @@ def _partition(clusters, size, p_intra, p_inter, seed=1):
 
 #: Per run flavour: (sort + probe rungs, churn rungs, batch fractions,
 #: timing repeats).  A rung is (name, graph loader); the full sort rungs
-#: are the ``perfbench`` input shape and a hub-tailed graph, the churn
-#: rungs one sparse (average degree ~13) and one dense (~70) graph.
+#: are the ``perfbench`` input shape, a hub-tailed graph, and two hub
+#: graphs whose ``NO`` and ``CO`` max segments (~700 and ~1,500) straddle
+#: ``RADIX_MIN_MAX_SEGMENT``; the churn rungs are one sparse (average
+#: degree ~13) and one dense (~70) graph.
 FULL = (
     [("perfbench", _partition(60, 200, 0.30, 0.0015)),
-     ("hubs", lambda: _hub_graph(30, 120, 0.25, 0.002, 6, 3000, seed=21))],
+     ("hubs", lambda: _hub_graph(30, 120, 0.25, 0.002, 6, 3000, seed=21)),
+     ("hub-700", lambda: _hub_graph(7, 100, 0.50, 0.002, 10, 690, seed=31)),
+     ("hub-1500", lambda: _hub_graph(15, 100, 0.50, 0.002, 10, 1490, seed=33))],
     [("sparse", _partition(150, 40, 0.20, 0.0008)),
      ("dense", _partition(40, 100, 0.55, 0.0040))],
     (0.001, 0.01, 0.05),

@@ -102,24 +102,24 @@ def _from_canonical_edges(
     edge_v: np.ndarray,
     edge_weights: np.ndarray | None,
 ) -> Graph:
-    """Assemble CSR arrays from deduplicated edges with ``u < v``."""
+    """Assemble CSR arrays from deduplicated edges with ``u < v``, in ``(u, v)`` order.
+
+    One argsort of the arcs' unique ``source * n + target`` keys orders the
+    CSR and hands :class:`Graph` each arc's edge id.
+    """
     sources = np.concatenate([edge_u, edge_v])
     targets = np.concatenate([edge_v, edge_u])
+    order = np.argsort(sources * np.int64(max(n, 1)) + targets)
+    edge_ids = np.arange(edge_u.shape[0], dtype=np.int64)
+    arc_edge_ids = np.concatenate([edge_ids, edge_ids])[order]
+    arc_weights = None
     if edge_weights is not None:
-        arc_weights = np.concatenate([edge_weights, edge_weights])
-    else:
-        arc_weights = None
-
-    order = np.lexsort((targets, sources))
-    sources = sources[order]
-    targets = targets[order]
-    if arc_weights is not None:
-        arc_weights = arc_weights[order]
+        arc_weights = np.concatenate([edge_weights, edge_weights])[order]
 
     counts = np.bincount(sources, minlength=n).astype(np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return Graph(indptr, targets, arc_weights)
+    return Graph(indptr, targets[order], arc_weights, arc_edge_ids=arc_edge_ids)
 
 
 def from_adjacency(

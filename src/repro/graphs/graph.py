@@ -101,23 +101,25 @@ class Graph:
             raise ValueError("neighbor ids out of range")
         if self.arc_weights is not None and self.arc_weights.shape != self.indices.shape:
             raise ValueError("arc_weights must align with indices")
-        for v in range(n):
-            start, end = self.indptr[v], self.indptr[v + 1]
-            neighbors = self.indices[start:end]
-            if np.any(neighbors == v):
-                raise ValueError(f"self-loop at vertex {v}")
-            if np.any(np.diff(neighbors) <= 0):
-                raise ValueError(
-                    f"neighbor list of vertex {v} must be strictly increasing "
-                    "(sorted, no duplicates)"
-                )
+        # Segmented checks naming the first bad vertex, a self-loop first.
+        sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        loops = sources[self.indices == sources]
+        unordered = sources[1:][(sources[1:] == sources[:-1]) & (np.diff(self.indices) <= 0)]
+        if loops.size and (not unordered.size or loops[0] <= unordered[0]):
+            raise ValueError(f"self-loop at vertex {loops[0]}")
+        if unordered.size:
+            raise ValueError(
+                f"neighbor list of vertex {unordered[0]} must be strictly increasing "
+                "(sorted, no duplicates)"
+            )
 
     def _build_edge_index(self, arc_edge_ids: np.ndarray | None = None) -> None:
         """Derive the canonical edge list and the arc -> edge id mapping.
 
-        When ``arc_edge_ids`` is supplied (a loaded index artifact handing the
-        mapping back), the lexicographic sort/search below is skipped entirely
-        -- reconstruction from stored columns must not redo any ordering work.
+        Builders and loaded index artifacts hand ``arc_edge_ids`` over, so
+        neither path sorts or searches.  Otherwise canonical ids number the
+        forward arcs (``u < v``) in CSR order, and a stable argsort by target
+        lists the backward arcs ``v -> u`` in that same ``(u, v)`` order.
         """
         n = self.num_vertices
         sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
@@ -129,31 +131,20 @@ class Graph:
             self.edge_weights = self.arc_weights[forward]
         else:
             self.edge_weights = None
-        num_edges = int(self.edge_u.shape[0])
         if arc_edge_ids is not None:
             self.arc_edge_ids = np.asarray(arc_edge_ids, dtype=np.int64)
             if self.arc_edge_ids.shape != self.indices.shape:
                 raise ValueError("arc_edge_ids must align with indices")
-        elif num_edges:
-            # Canonical edge ids are assigned in the order forward arcs appear
-            # in the CSR arrays, i.e. sorted by (u, v).  Every arc (x -> y)
-            # maps to the id of edge (min(x,y), max(x,y)) via a lexicographic
-            # search.
-            arc_min = np.minimum(sources, targets)
-            arc_max = np.maximum(sources, targets)
-            order = np.lexsort((self.edge_v, self.edge_u))
-            # Edges are already produced in lexicographic (u, v) order by the
-            # CSR scan, so `order` is the identity; keep the general code path
-            # for safety when subclasses override construction.
-            sorted_u = self.edge_u[order]
-            sorted_v = self.edge_v[order]
-            positions = np.searchsorted(
-                sorted_u * np.int64(self.num_vertices) + sorted_v,
-                arc_min * np.int64(self.num_vertices) + arc_max,
-            )
-            self.arc_edge_ids = order[positions]
         else:
-            self.arc_edge_ids = np.zeros(0, dtype=np.int64)
+            backward = np.flatnonzero(~forward)
+            backward = backward[np.argsort(targets[backward], kind="stable")]
+            mirrored = np.stack([targets[backward], sources[backward]])
+            if not np.array_equal(mirrored, np.stack([self.edge_u, self.edge_v])):
+                raise ValueError("neighbor lists must be symmetric")
+            edge_ids = np.arange(backward.shape[0], dtype=np.int64)
+            self.arc_edge_ids = np.empty_like(targets)
+            self.arc_edge_ids[forward] = edge_ids
+            self.arc_edge_ids[backward] = edge_ids
         self._arc_sources = sources
 
     @classmethod

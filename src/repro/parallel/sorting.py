@@ -162,8 +162,11 @@ RADIX_MAX_PASSES = 2
 #: merges beat the radix chain (measured crossover near max-segment ~1024;
 #: see the frozen ``BENCH_construction.json``'s order-build microbenchmark
 #: per rung).  The ``radix_eligible`` cells of
-#: ``benchmarks/bench_strategies.py`` check that auto picks the faster side
-#: on their rungs, none of which sits near the crossover.
+#: ``benchmarks/bench_strategies.py`` time both sides on either side of it:
+#: at max segment ~1,500 auto picks radix and wins, but at ~700 radix also
+#: wins (1.4-1.9x) while auto keeps argsort, so on hub-tailed graphs the
+#: crossover sits between the perfbench ``NO`` sort (max segment ~100,
+#: argsort wins) and ~700.
 RADIX_MIN_MAX_SEGMENT = 1024
 
 #: Below this total the permutation is microseconds either way; skip the

@@ -28,6 +28,8 @@ def workspace(tmp_path_factory):
     bad_edges.write_text("0 1\n1 two\n")
     bad_delta = root / "bad-delta.txt"
     bad_delta.write_text("* 0 1\n")
+    negative_edges = root / "negative-edges.txt"
+    negative_edges.write_text("0 1\n-3 2\n")
     nan_edges = root / "nan-edges.txt"
     nan_edges.write_text("0 1 1.0\n1 2 nan\n")
     nan_delta = root / "nan-delta.txt"
@@ -46,6 +48,7 @@ def workspace(tmp_path_factory):
         "artifact": artifact,
         "bad_edges": bad_edges,
         "bad_delta": bad_delta,
+        "negative_edges": negative_edges,
         "nan_edges": nan_edges,
         "nan_delta": nan_delta,
         "bad_payload": bad_payload,
@@ -67,6 +70,7 @@ CASES = [
     ("index build", "index build {missing} {missing}.scanidx"),
     ("index build", "index build {bad_edges} {missing}.scanidx"),
     ("index build", "index build {nan_edges} {missing}.scanidx"),
+    ("index build", "index build {negative_edges} {missing}.scanidx"),
     ("index query", "index query {artifact} --mu 1"),
     ("index query", "index query {artifact} --epsilon 2"),
     ("index query", "index query {artifact} --pairs 5-0.6"),

@@ -35,6 +35,33 @@ class TestValidation:
         with pytest.raises(ValueError):
             Graph(np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0]))
 
+    # Defects inside a middle vertex's list (vertex 1 of 0-1-2), where a
+    # per-list check and a segmented whole-array check can disagree.
+    @pytest.mark.parametrize(
+        ("indptr", "indices", "message"),
+        [
+            ([0, 1, 4, 5], [1, 0, 2, 2, 1], "neighbor list of vertex 1 must be strictly"),
+            ([0, 1, 3, 4], [1, 2, 0, 1], "neighbor list of vertex 1 must be strictly"),
+            ([0, 1, 4, 5], [1, 0, 1, 2, 1], "self-loop at vertex 1"),
+            # A self-loop outranks an ordering fault in the same list ...
+            ([0, 1, 4, 5], [1, 2, 1, 0, 1], "self-loop at vertex 1"),
+            # ... but not an ordering fault in an earlier list.
+            ([0, 2, 4, 6], [2, 1, 1, 2, 0, 1], "neighbor list of vertex 0 must be strictly"),
+        ],
+    )
+    def test_first_bad_vertex_is_named(self, indptr, indices, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(np.array(indptr), np.array(indices))
+
+    def test_list_boundaries_may_step_down(self):
+        # Triangle: indices 1 2 | 0 2 | 0 1 decrease only across lists.
+        graph = Graph(np.array([0, 2, 4, 6]), np.array([1, 2, 0, 2, 0, 1]))
+        assert graph.arc_edge_ids.tolist() == [0, 1, 0, 2, 1, 2]
+
+    def test_lists_must_be_symmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph(np.array([0, 1, 2, 2]), np.array([1, 2]))
+
 
 class TestAccessors:
     def test_counts(self, paper_graph):
@@ -205,6 +232,13 @@ class TestLocateNeighbors:
         for edge, (u, v) in enumerate(zip(edge_u.tolist(), edge_v.tolist())):
             assert paper_graph.edge_id(u, v) == edge
             assert paper_graph.edge_id(v, u) == edge
+
+
+class TestEdgeIds:
+    def test_direct_construction_matches_the_builder(self, paper_graph):
+        direct = Graph(paper_graph.indptr, paper_graph.indices)
+        for column in ("arc_edge_ids", "edge_u", "edge_v"):
+            assert np.array_equal(getattr(direct, column), getattr(paper_graph, column))
 
 
 class TestFromIndexColumns:

@@ -1,8 +1,12 @@
 """Property-based tests for the graph substrate (hypothesis)."""
 
+import io
+import json
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.graphs import (
     connected_components_bfs,
     connected_components_unionfind,
@@ -10,6 +14,7 @@ from repro.graphs import (
     read_edge_list,
     write_edge_list,
 )
+from repro.graphs.io import _scan_lines
 
 settings.register_profile("repro", max_examples=40, deadline=None)
 settings.load_profile("repro")
@@ -92,3 +97,92 @@ def test_edge_list_io_roundtrip(tmp_path_factory, edges, weight):
         assert loaded.num_edges == 0 and loaded.num_vertices == graph.num_vertices
     else:
         assert loaded == graph
+
+
+def reference_read(text):
+    """The edge-list line semantics, spelled out.
+
+    Returns ``(n, {(u, v): weight}, weighted)``: canonical edges in
+    ``(u, v)`` order, self-loops dropped, the last weight of a duplicate
+    kept, and ``n`` one past the largest id any line names.
+    """
+    edges, weighted, largest = {}, False, -1
+    for line in text.replace("\r\n", "\n").split("\n"):
+        line = line.strip()
+        if not line or line.startswith(("#", "%")):
+            continue
+        parts = line.split()
+        u, v = int(parts[0]), int(parts[1])
+        largest = max(largest, u, v)
+        weighted = weighted or len(parts) >= 3
+        if u != v:
+            edges[min(u, v), max(u, v)] = float(parts[2]) if len(parts) >= 3 else 1.0
+    return largest + 1, dict(sorted(edges.items())), weighted
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Valid edge-list text: comments, blanks, CRLF, tabs, odd spellings."""
+    columns = draw(st.sampled_from(["2", "3", "mixed"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def spell(vertex):
+        if vertex >= 10 and draw(st.booleans()):
+            return f"{vertex // 10}_{vertex % 10}"
+        return draw(st.sampled_from(["", "+", "00"])) + str(vertex)
+
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["edge"] * 4 + ["comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# header", "% 1 2", "  #", "%"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        else:
+            parts = [spell(draw(st.integers(0, 12))), spell(draw(st.integers(0, 12)))]
+            if columns == "3" or (columns == "mixed" and draw(st.booleans())):
+                weight = draw(st.floats(-10, 10, allow_nan=False))
+                parts.append(draw(st.sampled_from([repr(weight), f"{weight:.3g}", "+.5", "1_0.5"])))
+            separator = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+            lines.append(draw(st.sampled_from(["", " ", "\t"])) + separator.join(parts))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+GRAPH_COLUMNS = ("indptr", "indices", "arc_weights", "arc_edge_ids", "edge_u", "edge_v", "edge_weights")
+
+
+@given(edge_list_texts())
+def test_bulk_reader_equals_the_line_semantics(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("bulk") / "graph.txt"
+    path.write_bytes(text.encode())
+    sink = io.StringIO()
+    previous = obs.install(tracer=obs.Tracer(sink))
+    try:
+        graph = read_edge_list(path)
+    finally:
+        obs.install(tracer=previous[0])
+    # The line scan runs only for files without one width for every data line.
+    widths = {
+        len(line.split())
+        for line in text.replace("\r\n", "\n").split("\n")
+        if line.strip() and not line.strip().startswith(("#", "%"))
+    }
+    assert json.loads(sink.getvalue())["attrs"]["located"] == (len(widths) != 1)
+    n, edges, weighted = reference_read(text)
+    assert graph.num_vertices == n
+    assert list(zip(graph.edge_u.tolist(), graph.edge_v.tolist())) == list(edges)
+    if weighted:
+        assert graph.edge_weights.tolist() == list(edges.values())
+    else:
+        assert graph.edge_weights is None
+    arc_sources = graph.arc_sources()
+    assert np.array_equal(graph.edge_u[graph.arc_edge_ids], np.minimum(arc_sources, graph.indices))
+    assert np.array_equal(graph.edge_v[graph.arc_edge_ids], np.maximum(arc_sources, graph.indices))
+    # The bulk parse and the line scan build the same bytes, dtypes included.
+    ids, weights = _scan_lines(path)
+    scanned = from_edge_list(ids, weights=weights)
+    for column in GRAPH_COLUMNS:
+        ours, theirs = getattr(graph, column), getattr(scanned, column)
+        assert (ours is None) == (theirs is None)
+        if ours is not None:
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
