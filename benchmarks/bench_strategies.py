@@ -13,9 +13,12 @@ crossover, this runner times both sides on the same input, records what
 ``resolve_probe``
     :func:`~repro.similarity.batch.edge_numerators_for_subset`, global
     composite-key search (A) vs bounded per-segment search (B), on 1% and on
-    all edges, with the graph's arc search keys already built and without;
-    and on what an update sends it, the inserted edges of each churn batch
-    on the freshly patched graph, whose keys are not built yet.
+    all edges, with the graph's arc search keys already built and without --
+    on the ``perfbench`` shape and on two low-degree rungs whose segments
+    (at most 8 and at most 16 entries) sit on either side of
+    ``2**BOUNDED_PROBE_MAX_ROUNDS``; and on what an update sends it, the
+    inserted edges of each churn batch on the freshly patched graph, whose
+    keys are not built yet.
 ``ORDER_REBUILD_CHURN``
     :meth:`~repro.core.index.ScanIndex.apply_updates` with the order repair
     forced to merge (A) or to resort (B) through the constant, on mixed
@@ -68,23 +71,42 @@ def _hub_graph(clusters, size, p_intra, p_inter, hubs, hub_degree, seed):
     return from_edge_list(np.concatenate(pieces), num_vertices=base.num_vertices + hubs)
 
 
+def _ring_graph(num_vertices, rings, seed):
+    """The union of ``rings`` random Hamiltonian cycles: max degree ``2 * rings``.
+
+    A low-degree rung for the subset probe: every segment the bounded
+    probe searches holds at most ``2 * rings`` entries.
+    """
+    rng = np.random.default_rng(seed)
+    pieces = []
+    for _ in range(rings):
+        cycle = rng.permutation(num_vertices)
+        pieces.append(np.stack([cycle, np.roll(cycle, 1)], axis=1))
+    return from_edge_list(np.concatenate(pieces), num_vertices=num_vertices)
+
+
 def _partition(clusters, size, p_intra, p_inter, seed=1):
     return lambda: planted_partition(
         clusters, size, p_intra=p_intra, p_inter=p_inter, seed=seed
     )
 
 
-#: Per run flavour: (sort + probe rungs, churn rungs, batch fractions,
-#: timing repeats).  A rung is (name, graph loader); the full sort rungs
-#: are the ``perfbench`` input shape, a hub-tailed graph, and two hub
-#: graphs whose ``NO`` and ``CO`` max segments (~700 and ~1,500) straddle
-#: ``RADIX_MIN_MAX_SEGMENT``; the churn rungs are one sparse (average
-#: degree ~13) and one dense (~70) graph.
+#: Per run flavour: (sort rungs, probe rungs, churn rungs, batch
+#: fractions, timing repeats).  A rung is (name, graph loader); the full
+#: sort rungs are the ``perfbench`` input shape (also the first probe
+#: rung), a hub-tailed graph, and two hub graphs whose ``NO`` and ``CO``
+#: max segments (~700 and ~1,500) straddle ``RADIX_MIN_MAX_SEGMENT``; the
+#: extra probe rungs have max degree 8 and 16, either side of
+#: ``2**BOUNDED_PROBE_MAX_ROUNDS``, at the ``perfbench`` edge count; the
+#: churn rungs are one sparse (average degree ~13) and one dense (~70)
+#: graph.
 FULL = (
     [("perfbench", _partition(60, 200, 0.30, 0.0015)),
      ("hubs", lambda: _hub_graph(30, 120, 0.25, 0.002, 6, 3000, seed=21)),
      ("hub-700", lambda: _hub_graph(7, 100, 0.50, 0.002, 10, 690, seed=31)),
      ("hub-1500", lambda: _hub_graph(15, 100, 0.50, 0.002, 10, 1490, seed=33))],
+    [("ring-8", lambda: _ring_graph(116_000, 4, seed=41)),
+     ("ring-16", lambda: _ring_graph(58_000, 8, seed=43))],
     [("sparse", _partition(150, 40, 0.20, 0.0008)),
      ("dense", _partition(40, 100, 0.55, 0.0040))],
     (0.001, 0.01, 0.05),
@@ -93,6 +115,8 @@ FULL = (
 SMOKE = (
     [("small", _partition(12, 40, 0.35, 0.01)),
      ("small-hub", lambda: _hub_graph(12, 100, 0.10, 0.002, 1, 1100, seed=3))],
+    [("small-ring-8", lambda: _ring_graph(2_000, 4, seed=41)),
+     ("small-ring-16", lambda: _ring_graph(1_000, 8, seed=43))],
     [("small", _partition(12, 50, 0.30, 0.008))],
     (0.001, 0.05),
     1,
@@ -275,13 +299,15 @@ def churn_cells(rung, graph, fractions, repeats):
 
 def run(flavour) -> dict:
     """Measure every cell of one run flavour; print the ledger as one table."""
-    sort_rungs, churn_rungs, fractions, repeats = flavour
+    sort_rungs, probe_rungs, churn_rungs, fractions, repeats = flavour
     sorts, probes, churns = [], [], []
     for position, (rung, load) in enumerate(sort_rungs):
         graph = load()
         sorts += sort_cells(rung, graph, repeats)
         if position == 0:
             probes += probe_cells(rung, graph, repeats)
+    for rung, load in probe_rungs:
+        probes += probe_cells(rung, load(), repeats)
     for rung, load in churn_rungs:
         update_probes, rung_churns = churn_cells(rung, load(), fractions, repeats)
         probes += update_probes

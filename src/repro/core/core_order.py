@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graphs.graph import Graph
+from ..graphs.graph import ID_DTYPE, Graph
 from ..parallel.metrics import ceil_log2
 from ..parallel.primitives import segmented_arange
 from ..parallel.scheduler import Scheduler
@@ -63,7 +63,7 @@ class CoreOrder:
     def candidates(self, mu: int) -> tuple[np.ndarray, np.ndarray]:
         """Vertices that can be cores for ``mu`` and their thresholds."""
         if mu < 2 or mu > self.max_mu:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
+            return np.zeros(0, dtype=ID_DTYPE), np.zeros(0, dtype=np.float64)
         start, end = int(self.indptr[mu]), int(self.indptr[mu + 1])
         return self.vertices[start:end], self.thresholds[start:end]
 
@@ -173,6 +173,6 @@ def build_core_order(
     )
     return CoreOrder(
         indptr=indptr,
-        vertices=all_vertices[sorted_positions],
+        vertices=all_vertices[sorted_positions].astype(ID_DTYPE),
         thresholds=all_thresholds[sorted_positions],
     )

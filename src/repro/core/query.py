@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..graphs.graph import gather_ids
 from ..parallel.metrics import ceil_log2
 from ..parallel.primitives import segmented_ranges
 from ..parallel.scheduler import Scheduler
@@ -82,7 +83,9 @@ def _epsilon_similar_arcs(
     positions = segmented_ranges(starts, counts)
     return (
         np.repeat(cores, counts),
-        neighbor_order.neighbors[positions],
+        # Stored ids are int32; the targets index bool and label arrays next,
+        # so they are widened to intp once, here.
+        gather_ids(neighbor_order.neighbors, positions),
         neighbor_order.similarities[positions],
     )
 
@@ -122,6 +125,7 @@ def cluster_compact(
     if cores.size == 0:
         empty = np.zeros(0, dtype=np.int64)
         return CompactClustering(empty, empty.copy(), 0, 0)
+    cores = cores.astype(np.intp)
     arc_sources, arc_targets, arc_similarities = _epsilon_similar_arcs(
         neighbor_order, cores, epsilon, scheduler
     )

@@ -39,6 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..graphs.graph import gather_ids
 from ..parallel.metrics import ceil_log2
 from ..parallel.primitives import segmented_ranges
 from ..parallel.scheduler import Scheduler
@@ -114,9 +115,12 @@ def query_many(
     ]
 
     # --- Stage 3: ε-similar neighbor prefixes of every base core, located by
-    # ONE shared doubling search spanning all groups at once.
+    # ONE shared doubling search spanning all groups at once.  Stored ids
+    # are int32; gathered ids that index arrays (these cores, Stage 4's
+    # targets and per-pair cores) are widened to intp once, when gathered.
     all_cores = (
-        np.concatenate(base_cores) if base_cores else np.zeros(0, dtype=np.int64)
+        np.concatenate(base_cores).astype(np.intp)
+        if base_cores else np.zeros(0, dtype=np.int64)
     )
     group_sizes = np.array([cores.size for cores in base_cores], dtype=np.int64)
     per_core_eps = np.repeat(distinct_eps, group_sizes)
@@ -146,7 +150,7 @@ def query_many(
             scheduler.charge(total, ceil_log2(max(num_nonempty, 1)) + 1.0)
             positions = segmented_ranges(no_starts[lo:hi], counts)
             group_sources = np.repeat(all_cores[lo:hi], counts)
-            group_targets = neighbor_order.neighbors[positions]
+            group_targets = gather_ids(neighbor_order.neighbors, positions)
             group_similarities = neighbor_order.similarities[positions]
         else:
             group_sources = np.zeros(0, dtype=np.int64)
@@ -165,7 +169,7 @@ def query_many(
             mu, epsilon = requested_mus[pair], float(epsilons[pair])
             cores = core_order.vertices[
                 core_starts[pair]: core_starts[pair] + core_counts[pair]
-            ]
+            ].astype(np.intp)
             labels = np.full(n, UNCLUSTERED, dtype=np.int64)
             core_mask = np.zeros(n, dtype=bool)
             if cores.size == 0:

@@ -72,7 +72,7 @@ import numpy as np
 from .. import obs
 from ..core.core_order import CoreOrder, build_core_order
 from ..core.neighbor_order import NeighborOrder, build_neighbor_order
-from ..graphs.graph import Graph
+from ..graphs.graph import ID_DTYPE, Graph
 from ..parallel.metrics import ceil_log2
 from ..parallel.primitives import (
     segmented_arange,
@@ -302,7 +302,7 @@ def _validate_batch(graph: Graph, batch: UpdateBatch) -> None:
 def _old_to_new_edge_ids(
     num_old: int, deleted_ids: np.ndarray, insert_ranks: np.ndarray
 ) -> np.ndarray:
-    """New id of every old edge id (``-1`` for deleted edges).
+    """New id of every old edge id (``-1`` for deleted edges), as ``ID_DTYPE``.
 
     A surviving id moves down by the deletions before it and up by the
     insertions ranked at or before it: a step function with ``O(b)``
@@ -310,14 +310,17 @@ def _old_to_new_edge_ids(
     """
     breakpoints = np.concatenate([deleted_ids + 1, insert_ranks])
     steps = np.concatenate([
-        np.full(deleted_ids.shape[0], -1, dtype=np.int64),
-        np.ones(insert_ranks.shape[0], dtype=np.int64),
+        np.full(deleted_ids.shape[0], -1, dtype=ID_DTYPE),
+        np.ones(insert_ranks.shape[0], dtype=ID_DTYPE),
     ])
     order = np.argsort(breakpoints, kind="stable")
     breakpoints = breakpoints[order]
-    levels = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(steps[order])])
+    levels = np.concatenate(
+        [np.zeros(1, dtype=ID_DTYPE), np.cumsum(steps[order], dtype=ID_DTYPE)]
+    )
     lengths = np.diff(breakpoints, prepend=0, append=num_old)
-    old_to_new = np.arange(num_old, dtype=np.int64) + np.repeat(levels, lengths)
+    # Edge ids, so ID_DTYPE like the arc_edge_ids column it remaps.
+    old_to_new = np.arange(num_old, dtype=ID_DTYPE) + np.repeat(levels, lengths)
     old_to_new[deleted_ids] = -1
     return old_to_new
 
@@ -370,7 +373,7 @@ def _splice_graph(
     # Arc edge ids are spliced as old ids and shifted in place; the inserted
     # arcs' new ids go in after the shift.
     columns = [graph.indices, graph.arc_edge_ids]
-    inserted = [targets[order], np.zeros(points.shape[0], dtype=np.int64)]
+    inserted = [targets[order], np.zeros(points.shape[0], dtype=ID_DTYPE)]
     if graph.is_weighted:
         weights = (
             batch.insert_weights

@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import ID_DTYPE, Graph, check_id_capacity
 
 
 def from_edge_list(
@@ -60,6 +60,8 @@ def from_edge_list(
         raise ValueError(
             f"num_vertices={n} is smaller than the largest referenced vertex id {inferred - 1}"
         )
+    # Before any n-sized array or u * n key is formed.
+    check_id_capacity(n)
 
     # Canonicalise: drop self loops, order endpoints, deduplicate.
     u = np.minimum(edge_array[:, 0], edge_array[:, 1])
@@ -104,13 +106,17 @@ def _from_canonical_edges(
 ) -> Graph:
     """Assemble CSR arrays from deduplicated edges with ``u < v``, in ``(u, v)`` order.
 
-    One argsort of the arcs' unique ``source * n + target`` keys orders the
-    CSR and hands :class:`Graph` each arc's edge id.
+    One argsort of the arcs' unique ``source * n + target`` keys (formed in
+    int64) orders the CSR and hands :class:`Graph` each arc's edge id; the
+    id columns come out as :data:`~repro.graphs.graph.ID_DTYPE` directly.
     """
+    check_id_capacity(n, edge_u.shape[0])
+    edge_u = edge_u.astype(ID_DTYPE)
+    edge_v = edge_v.astype(ID_DTYPE)
     sources = np.concatenate([edge_u, edge_v])
     targets = np.concatenate([edge_v, edge_u])
     order = np.argsort(sources * np.int64(max(n, 1)) + targets)
-    edge_ids = np.arange(edge_u.shape[0], dtype=np.int64)
+    edge_ids = np.arange(edge_u.shape[0], dtype=ID_DTYPE)
     arc_edge_ids = np.concatenate([edge_ids, edge_ids])[order]
     arc_weights = None
     if edge_weights is not None:

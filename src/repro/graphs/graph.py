@@ -13,6 +13,16 @@ Two index spaces are exposed:
   ``edge_u[i] < edge_v[i]``.  ``arc_edge_ids`` maps every arc to the id of
   its canonical edge, which lets per-edge quantities (similarity scores)
   be gathered into per-arc order in one vectorised step.
+
+Vertex and edge ids are stored as 32-bit integers (:data:`ID_DTYPE`), as in
+the paper's GBBS code: ``indices`` and ``arc_edge_ids`` are ``int32`` while
+the ``indptr`` offsets stay ``int64``.  Every graph of the paper's
+evaluation fits (Friendster: 65M vertices, 1.8B edges, both below 2**31).
+Arrays derived for use *as indices* -- the canonical edge list and the
+degree orientation -- are ``intp``: numpy gathers through an ``int32`` index
+run slower than through ``intp`` ones, so ids are widened once where a
+column turns into an index, never per use.  Composite keys such as
+``u * n + v`` are always formed in ``int64``.
 """
 
 from __future__ import annotations
@@ -22,13 +32,64 @@ from typing import NamedTuple
 import numpy as np
 
 
+#: Stored dtype of vertex and edge ids (``indices``, ``arc_edge_ids``).
+ID_DTYPE = np.int32
+#: Largest vertex or edge count whose ids fit :data:`ID_DTYPE`.
+MAX_IDS = int(np.iinfo(ID_DTYPE).max)
+
+
+def check_id_capacity(num_vertices: int, num_edges: int = 0) -> None:
+    """Reject a graph whose vertex or edge ids would not fit :data:`ID_DTYPE`."""
+    for count, what in ((num_vertices, "vertices"), (num_edges, "edges")):
+        if count > MAX_IDS:
+            raise ValueError(
+                f"graph has {count} {what}; ids are stored as 32-bit integers, "
+                f"so at most {MAX_IDS} {what} are supported"
+            )
+
+
+def as_ids(values) -> np.ndarray:
+    """``values`` as an :data:`ID_DTYPE` array (no copy when already one).
+
+    Wider integer input is range-checked before it is narrowed, so an id
+    that does not fit raises instead of wrapping around.
+    """
+    array = np.asarray(values)
+    if array.dtype == ID_DTYPE:
+        return array
+    if array.size and (array.max() > MAX_IDS or array.min() < -MAX_IDS - 1):
+        raise ValueError(f"ids must fit 32-bit integers (at most {MAX_IDS})")
+    return array.astype(ID_DTYPE)
+
+
+#: Entries per block of :func:`gather_ids`.
+GATHER_BLOCK = 1 << 16
+
+
+def gather_ids(ids: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``ids[positions]`` as ``intp``: where gathered ids become an index.
+
+    Gathered block by block into the one ``intp`` output, so no
+    whole-length ``int32`` temporary exists.  On the query path such a
+    temporary is ~2 MB, under numpy's 4 MB huge-page threshold, and every
+    query faulted it in afresh in 4 KB pages: ~1,800 extra page faults and
+    ~20% slower queries on the 464k-edge explore graph (2-vCPU VM).
+    """
+    out = np.empty(positions.shape[0], dtype=np.intp)
+    for start in range(0, positions.shape[0], GATHER_BLOCK):
+        block = positions[start:start + GATHER_BLOCK]
+        out[start:start + block.shape[0]] = ids[block]
+    return out
+
+
 class DegreeOrientedCsr(NamedTuple):
     """Degree orientation of a graph in CSR form.
 
     Every undirected edge is kept once, directed toward the endpoint of
     higher degree (ties toward the higher vertex id).  ``edge_ids`` and
     ``weights`` are aligned with ``indices`` and refer back to the canonical
-    undirected edges of the originating :class:`Graph`.
+    undirected edges of the originating :class:`Graph`.  ``indices`` and
+    ``edge_ids`` are ``intp``: the similarity kernels index with them.
     """
 
     indptr: np.ndarray
@@ -49,8 +110,8 @@ class Graph:
         int64 array of length ``n + 1``; neighbor list of vertex ``v`` is
         ``indices[indptr[v]:indptr[v+1]]``.
     indices:
-        int64 array of length ``2m`` with neighbor ids, sorted within each
-        neighbor list.
+        Array of length ``2m`` with neighbor ids, sorted within each
+        neighbor list; stored as :data:`ID_DTYPE`.
     arc_weights:
         Optional float64 array of length ``2m`` aligned with ``indices``.
         ``None`` means the graph is unweighted (all weights treated as 1).
@@ -66,7 +127,9 @@ class Graph:
         arc_edge_ids: np.ndarray | None = None,
     ) -> None:
         self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices)
+        check_id_capacity(self.indptr.size - 1, indices.size // 2)
+        self.indices = as_ids(indices)
         self.arc_weights = (
             None if arc_weights is None else np.asarray(arc_weights, dtype=np.float64)
         )
@@ -126,13 +189,13 @@ class Graph:
         targets = self.indices
         forward = sources < targets
         self.edge_u = sources[forward]
-        self.edge_v = targets[forward]
+        self.edge_v = targets[forward].astype(np.intp)
         if self.arc_weights is not None:
             self.edge_weights = self.arc_weights[forward]
         else:
             self.edge_weights = None
         if arc_edge_ids is not None:
-            self.arc_edge_ids = np.asarray(arc_edge_ids, dtype=np.int64)
+            self.arc_edge_ids = as_ids(arc_edge_ids)
             if self.arc_edge_ids.shape != self.indices.shape:
                 raise ValueError("arc_edge_ids must align with indices")
         else:
@@ -339,13 +402,13 @@ class Graph:
         degrees = self.degrees
         n = self.num_vertices
         sources = self._arc_sources
-        targets = self.indices
+        targets = self.indices.astype(np.intp)
         rank_source = degrees[sources] * np.int64(n) + sources
         rank_target = degrees[targets] * np.int64(n) + targets
         keep = rank_source < rank_target
         out_sources = sources[keep]
         out_targets = targets[keep]
-        out_edge_ids = self.arc_edge_ids[keep]
+        out_edge_ids = self.arc_edge_ids[keep].astype(np.intp)
         if self.arc_weights is not None:
             out_weights = self.arc_weights[keep]
         else:

@@ -58,8 +58,11 @@ PROBE_STRATEGIES = ("auto", "global", "bounded")
 #: crossover (the frozen ``BENCH_hot_paths.json``, probe microbenchmark):
 #: each bounded round costs several whole-array numpy passes, so the
 #: C-speed global search wins unless segments are short enough to resolve
-#: in a handful of rounds.  No graph of the strategy ledger
-#: (``benchmarks/bench_strategies.py``) has segments that short.
+#: in a handful of rounds.  The strategy ledger's ``ring-8`` and ``ring-16``
+#: rungs (``benchmarks/bench_strategies.py``; max degree 8 and 16) sit on
+#: either side: the global probe wins on ``ring-16``, and on ``ring-8``
+#: too for all-edge subsets (1.7x), so the crossover may lie lower still
+#: (``docs/ARCHITECTURE.md``).
 BOUNDED_PROBE_MAX_ROUNDS = 3
 
 #: ``"auto"`` also takes the bounded probe while the graph's arc search keys

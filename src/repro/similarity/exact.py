@@ -104,7 +104,7 @@ class EdgeSimilarities:
 
     def arc_values(self) -> np.ndarray:
         """Scores replicated per arc, aligned with the graph's CSR ``indices``."""
-        return self.values[self.graph.arc_edge_ids]
+        return self.values[self.graph.arc_edge_ids.astype(np.intp)]
 
     def __len__(self) -> int:
         return int(self.values.shape[0])

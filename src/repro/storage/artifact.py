@@ -27,9 +27,9 @@ pages.
 
 from __future__ import annotations
 
-import os
 import shutil
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +39,7 @@ from .. import obs
 from ..core.core_order import CoreOrder
 from ..core.index import ScanIndex
 from ..core.neighbor_order import NeighborOrder
-from ..graphs.graph import Graph
+from ..graphs.graph import ID_DTYPE, Graph
 from ..parallel.metrics import CostReport
 from ..similarity.exact import EdgeSimilarities
 from .format import (
@@ -47,6 +47,7 @@ from .format import (
     FORMAT_VERSION,
     ArtifactFormatError,
     check_column_shapes,
+    narrow_legacy_ids,
     read_columns,
     read_header,
     validate_columns,
@@ -55,7 +56,6 @@ from .format import (
 )
 from .integrity import (
     clean_stale_scratch,
-    column_checksum,
     commit_artifact,
     fsync_scratch,
     recover_artifact,
@@ -90,24 +90,25 @@ class IndexArtifact:
     def from_index(cls, index: ScanIndex) -> "IndexArtifact":
         """Flatten an in-process index into its columnar form."""
         graph = index.graph
+        # Id columns are ID_DTYPE in memory already, so nothing is copied.
         columns: dict[str, np.ndarray] = {
             "graph_indptr": np.ascontiguousarray(graph.indptr, dtype=np.int64),
-            "graph_indices": np.ascontiguousarray(graph.indices, dtype=np.int64),
+            "graph_indices": np.ascontiguousarray(graph.indices, dtype=ID_DTYPE),
             "graph_arc_edge_ids": np.ascontiguousarray(
-                graph.arc_edge_ids, dtype=np.int64
+                graph.arc_edge_ids, dtype=ID_DTYPE
             ),
             "edge_similarities": np.ascontiguousarray(
                 index.similarities.values, dtype=np.float64
             ),
             "no_neighbors": np.ascontiguousarray(
-                index.neighbor_order.neighbors, dtype=np.int64
+                index.neighbor_order.neighbors, dtype=ID_DTYPE
             ),
             "no_similarities": np.ascontiguousarray(
                 index.neighbor_order.similarities, dtype=np.float64
             ),
             "co_indptr": np.ascontiguousarray(index.core_order.indptr, dtype=np.int64),
             "co_vertices": np.ascontiguousarray(
-                index.core_order.vertices, dtype=np.int64
+                index.core_order.vertices, dtype=ID_DTYPE
             ),
             "co_thresholds": np.ascontiguousarray(
                 index.core_order.thresholds, dtype=np.float64
@@ -130,16 +131,9 @@ class IndexArtifact:
             "num_vertices": graph.num_vertices,
             "num_edges": graph.num_edges,
             "weighted": graph.is_weighted,
-            # Per-column CRC-32 (format version 3): deep verification can
-            # prove the stored bytes are the ones this process computed.
-            "columns": {
-                name: {
-                    "dtype": str(column.dtype),
-                    "length": int(column.shape[0]),
-                    "crc32": column_checksum(column),
-                }
-                for name, column in columns.items()
-            },
+            # Column dtype/length records; :meth:`save` adds each column's
+            # crc32 once zipfile has computed it while writing.
+            "columns": _column_specs(columns),
             "construction": {
                 "label": report.label,
                 "work": report.work,
@@ -239,7 +233,13 @@ class IndexArtifact:
             scratch = scratch_path(directory)
             scratch.mkdir()
             try:
-                write_columns(scratch, self.columns)
+                checksums = write_columns(scratch, self.columns)
+                # The header describes exactly what was written: the current
+                # format, and each column's member CRC (format version 4).
+                self.meta.update(
+                    version=FORMAT_VERSION,
+                    columns=_column_specs(self.columns, checksums),
+                )
                 write_header(scratch, self.meta)
                 fsync_scratch(scratch)
                 commit_artifact(scratch, directory)
@@ -271,6 +271,12 @@ class IndexArtifact:
         (:func:`repro.storage.integrity.recover_artifact`), so an
         interrupted in-place ``repro update`` can never strand its readers.
 
+        The int64 id columns of a version 1-3 artifact are narrowed to
+        int32 after any checksum pass (the documented legacy path), so
+        ``columns`` always holds the in-memory dtypes while ``meta`` still
+        describes the stored ones.  Traced runs record one ``storage.load``
+        span with the ``bytes`` read.
+
         Raises :class:`~repro.storage.format.ArtifactFormatError` when the
         directory is not an artifact, the header is corrupt, the format
         version does not match, or the stored columns disagree with the
@@ -278,18 +284,26 @@ class IndexArtifact:
         :class:`~repro.storage.integrity.ArtifactIntegrityError` when
         stored bytes fail their checksums or recovery is unsafe.
         """
+        with _load_span(verify) as span:
+            artifact = cls._read(path, mmap_mode=mmap_mode, verify=verify)
+            span.attrs["bytes"] = artifact.nbytes()
+        return artifact
+
+    @classmethod
+    def _read(
+        cls, path: str | Path, *, mmap_mode: str | None, verify: bool
+    ) -> "IndexArtifact":
+        """:meth:`load` without its span (shared with :func:`load_index`)."""
         directory = Path(path)
-        started = time.perf_counter()
-        with obs.span("storage.load", verify=verify):
-            if not directory.exists():
-                recover_artifact(directory)
-            header = read_header(directory)
-            columns = read_columns(directory, mmap_mode=mmap_mode)
-            validate_columns(header, columns)
-            check_column_shapes(header, columns, directory)
-            if verify:
-                verify_checksums(header, columns, context=str(directory))
-        obs.histogram("storage.load_seconds").observe(time.perf_counter() - started)
+        if not directory.exists():
+            recover_artifact(directory)
+        header = read_header(directory)
+        columns = read_columns(directory, mmap_mode=mmap_mode)
+        validate_columns(header, columns)
+        check_column_shapes(header, columns, directory)
+        if verify:
+            verify_checksums(header, columns, directory)
+        narrow_legacy_ids(header, columns)
         return cls(columns=columns, meta=header)
 
     # ------------------------------------------------------------------
@@ -322,6 +336,28 @@ class IndexArtifact:
         )
 
 
+def _column_specs(
+    columns: dict[str, np.ndarray], checksums: dict[str, str] | None = None
+) -> dict[str, dict]:
+    """The header's per-column records: dtype, length and (once saved) crc32."""
+    specs = {
+        name: {"dtype": str(column.dtype), "length": int(column.shape[0])}
+        for name, column in columns.items()
+    }
+    for name, crc in (checksums or {}).items():
+        specs[name]["crc32"] = crc
+    return specs
+
+
+@contextmanager
+def _load_span(verify: bool):
+    """The one ``storage.load`` span of a load, plus its latency histogram."""
+    started = time.perf_counter()
+    with obs.span("storage.load", verify=verify) as span:
+        yield span
+    obs.histogram("storage.load_seconds").observe(time.perf_counter() - started)
+
+
 def save_index(index: ScanIndex, path: str | Path) -> Path:
     """Flatten ``index`` and write it to ``path`` (see :class:`IndexArtifact`)."""
     return IndexArtifact.from_index(index).save(path)
@@ -330,5 +366,12 @@ def save_index(index: ScanIndex, path: str | Path) -> Path:
 def load_index(
     path: str | Path, *, mmap_mode: str | None = "r", verify: bool = False
 ) -> ScanIndex:
-    """Load an artifact from ``path`` and reassemble the queryable index."""
-    return IndexArtifact.load(path, mmap_mode=mmap_mode, verify=verify).to_index()
+    """Load an artifact from ``path`` and reassemble the queryable index.
+
+    One ``storage.load`` span covers the read, any verification and the
+    reassembly, so it times what the caller waits for.
+    """
+    with _load_span(verify) as span:
+        artifact = IndexArtifact._read(path, mmap_mode=mmap_mode, verify=verify)
+        span.attrs["bytes"] = artifact.nbytes()
+        return artifact.to_index()

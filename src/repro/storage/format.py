@@ -10,16 +10,23 @@ An index artifact is a directory with exactly two entries:
       readers accept any version in :data:`SUPPORTED_VERSIONS` and reject
       everything else.  Version 2 added the ``updates`` lineage field;
       version-1 artifacts load as lineage-free.  Version 3 added per-column
-      ``crc32`` checksums; version-2 artifacts load but deep verification
-      has nothing recorded to check;
+      ``crc32`` checksums of the column payload; version-2 artifacts load
+      but deep verification has nothing recorded to check.  Version 4
+      stores the id columns as ``int32`` and records, per column, the
+      CRC-32 of the whole zip member (``.npy`` header plus payload) -- the
+      CRC zipfile computes while writing, so a save checksums each byte
+      once.  The ``int64`` id columns of versions 1-3 are narrowed to
+      ``int32`` once at load (:func:`narrow_legacy_ids`), so the rest of the
+      program sees one dtype;
     * ``measure`` / ``backend`` -- similarity measure and engine the index
       was built with (``backend`` is ``"lsh"`` for approximate indexes);
     * ``num_vertices`` / ``num_edges`` / ``weighted`` -- graph shape;
     * ``columns`` -- mapping from column name to ``{"dtype", "length",
       "crc32"}``; dtype/length are validated against the loaded arrays on
-      every load, the CRC-32 of the raw column bytes on demand
+      every load, the CRC-32 on demand
       (:func:`repro.storage.integrity.verify_artifact` with ``deep=True``,
-      or ``repro index verify --deep``);
+      or ``repro index verify --deep``).  From version 3 on every column
+      must carry a ``crc32`` of eight hex digits;
     * ``construction`` -- the work/span/wall-clock record of the original
       construction (``label``, ``work``, ``span``, ``wall_seconds``);
     * ``updates`` (version ≥ 2, optional) -- the update lineage: one record
@@ -38,8 +45,8 @@ An index artifact is a directory with exactly two entries:
     column                      dtype      length       contents
     ==========================  =========  ===========  =========================
     ``graph_indptr``            int64      ``n + 1``    CSR offsets
-    ``graph_indices``           int64      ``2m``       CSR neighbor ids
-    ``graph_arc_edge_ids``      int64      ``2m``       arc -> canonical edge id
+    ``graph_indices``           int32      ``2m``       CSR neighbor ids
+    ``graph_arc_edge_ids``      int32      ``2m``       arc -> canonical edge id
     ``graph_arc_weights``       float64    ``2m``       per-arc weights
                                                         (weighted graphs only)
     ``edge_similarities``       float64    ``m``        per-edge similarity
@@ -48,13 +55,15 @@ An index artifact is a directory with exactly two entries:
                                                         version ≥ 2, exact
                                                         indexes only -- feeds
                                                         the dynamic updates)
-    ``no_neighbors``            int64      ``2m``       neighbor order ``NO``
+    ``no_neighbors``            int32      ``2m``       neighbor order ``NO``
                                                         (offsets = graph_indptr)
     ``no_similarities``         float64    ``2m``       similarities along NO
     ``co_indptr``               int64      ``max_mu+2`` core order offsets by μ
-    ``co_vertices``             int64      ``2m``       core order ``CO`` entries
+    ``co_vertices``             int32      ``2m``       core order ``CO`` entries
     ``co_thresholds``           float64    ``2m``       core thresholds along CO
     ==========================  =========  ===========  =========================
+
+The four id columns (:data:`ID_COLUMNS`) are ``int64`` in versions 1-3.
 
 Because the archive members are stored uncompressed, :func:`read_columns`
 can memory-map each column straight out of the zip file (``mmap_mode="r"``
@@ -78,6 +87,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import struct
 import tokenize
 import zipfile
@@ -86,17 +96,23 @@ from pathlib import Path
 
 import numpy as np
 
+from ..graphs.graph import ID_DTYPE, MAX_IDS
 from ..testing.faults import fault_point
 
 #: Magic string identifying the artifact format.
 FORMAT_NAME = "repro-scan-index"
 #: Format version written by this build (2 added the update lineage,
-#: 3 the per-column crc32 checksums).
-FORMAT_VERSION = 3
+#: 3 the per-column crc32 checksums, 4 int32 ids and member checksums).
+FORMAT_VERSION = 4
 #: Versions this build can read; version 1 lacks the ``updates`` field and
 #: loads as a lineage-free artifact, version 2 lacks column checksums and
-#: loads as deep-unverifiable -- everything else is identical.
-SUPPORTED_VERSIONS = (1, 2, 3)
+#: loads as deep-unverifiable, versions 1-3 store int64 ids that load
+#: narrowed -- everything else is identical.
+SUPPORTED_VERSIONS = (1, 2, 3, 4)
+#: First version whose headers must record a crc32 for every column.
+CHECKSUM_VERSION = 3
+#: First version storing int32 ids and whole-member checksums.
+MEMBER_CRC_VERSION = 4
 
 #: File names inside an artifact directory.
 HEADER_FILE = "header.json"
@@ -105,15 +121,19 @@ COLUMNS_FILE = "columns.npz"
 #: Column name -> expected dtype; every artifact must provide all of these.
 REQUIRED_COLUMNS = {
     "graph_indptr": np.int64,
-    "graph_indices": np.int64,
-    "graph_arc_edge_ids": np.int64,
+    "graph_indices": ID_DTYPE,
+    "graph_arc_edge_ids": ID_DTYPE,
     "edge_similarities": np.float64,
-    "no_neighbors": np.int64,
+    "no_neighbors": ID_DTYPE,
     "no_similarities": np.float64,
     "co_indptr": np.int64,
-    "co_vertices": np.int64,
+    "co_vertices": ID_DTYPE,
     "co_thresholds": np.float64,
 }
+#: The vertex and edge id columns: ``int32`` from version 4, ``int64`` before.
+ID_COLUMNS = ("graph_indices", "graph_arc_edge_ids", "no_neighbors", "co_vertices")
+#: Dtype of the id columns in version 1-3 artifacts.
+LEGACY_ID_DTYPE = np.int64
 #: Columns that may be absent (unweighted graphs store no weights; indexes
 #: without stored numerators -- LSH estimates, version-1 artifacts -- omit
 #: ``edge_numerators`` and dynamic updates fall back to a wider recompute).
@@ -122,6 +142,10 @@ OPTIONAL_COLUMNS = {
     "edge_numerators": np.float64,
 }
 
+#: A recorded checksum: eight lowercase hex digits.
+_CRC32_PATTERN = re.compile(r"[0-9a-f]{8}")
+#: Bytes of a ``.npy`` magic, version and the longest header-length field.
+_NPY_PREAMBLE = 12
 _LOCAL_HEADER_SIGNATURE = b"PK\x03\x04"
 _LOCAL_HEADER_SIZE = 30
 #: General-purpose flag bit of an encrypted zip member (never written here).
@@ -218,6 +242,23 @@ def validate_header(header: dict) -> None:
     unknown = recorded - set(REQUIRED_COLUMNS) - set(OPTIONAL_COLUMNS)
     if unknown:
         raise ArtifactFormatError(f"header declares unknown columns {sorted(unknown)}")
+    if version >= CHECKSUM_VERSION:
+        for name, spec in header["columns"].items():
+            crc = spec.get("crc32")
+            if not isinstance(crc, str) or not _CRC32_PATTERN.fullmatch(crc):
+                raise ArtifactFormatError(
+                    f"column {name!r}: a version-{version} header must record its "
+                    f"crc32 as eight hex digits, got {crc!r}"
+                )
+
+
+def _expected_dtypes(version: int) -> dict[str, type]:
+    """Column name -> stored dtype for an artifact of format ``version``."""
+    expected = dict(REQUIRED_COLUMNS)
+    expected.update(OPTIONAL_COLUMNS)
+    if version < MEMBER_CRC_VERSION:
+        expected.update(dict.fromkeys(ID_COLUMNS, LEGACY_ID_DTYPE))
+    return expected
 
 
 def validate_columns(header: dict, columns: dict[str, np.ndarray]) -> None:
@@ -239,8 +280,7 @@ def validate_columns(header: dict, columns: dict[str, np.ndarray]) -> None:
                 f"column {name!r}: stored length {column.shape[0]} != "
                 f"declared {spec['length']}"
             )
-    expected = dict(REQUIRED_COLUMNS)
-    expected.update(OPTIONAL_COLUMNS)
+    expected = _expected_dtypes(header["version"])
     for name, column in columns.items():
         if name not in expected:
             raise ArtifactFormatError(f"archive stores unknown column {name!r}")
@@ -279,6 +319,26 @@ def check_column_shapes(
             f"{Path(directory) / COLUMNS_FILE}: graph_indptr[-1] != 2m "
             "(corrupt CSR offsets)"
         )
+
+
+def narrow_legacy_ids(header: dict, columns: dict[str, np.ndarray]) -> None:
+    """Narrow a version 1-3 artifact's int64 id columns to int32, in place.
+
+    The documented legacy path: one copy per id column at load, after any
+    checksum pass (which covers the stored int64 bytes), so the rest of the
+    program sees the one in-memory id dtype.  Version-4 columns are already
+    int32 and are left untouched.  An id that does not fit 32 bits can only
+    come from a corrupt column and is rejected rather than wrapped.
+    """
+    if header["version"] >= MEMBER_CRC_VERSION:
+        return
+    for name in ID_COLUMNS:
+        column = columns[name]
+        if column.size and (column.min() < 0 or column.max() > MAX_IDS):
+            raise ArtifactFormatError(
+                f"column {name!r}: ids outside [0, {MAX_IDS}] cannot be loaded"
+            )
+        columns[name] = column.astype(ID_DTYPE)
 
 
 class _CountingWriter:
@@ -340,8 +400,12 @@ def _aligned_npy_header(column: np.ndarray, payload_offset: int) -> bytes:
     )
 
 
-def write_columns(directory: Path, columns: dict[str, np.ndarray]) -> Path:
+def write_columns(directory: Path, columns: dict[str, np.ndarray]) -> dict[str, str]:
     """Write the columns as an uncompressed ``.npz`` archive (mmap-friendly).
+
+    Returns each column's member CRC-32 as eight hex digits: the checksum
+    zipfile computes while it writes, read back once the archive is closed,
+    so no byte is checksummed twice.
 
     Member data is placed at :data:`COLUMN_ALIGNMENT`-aligned file offsets
     (via ``.npy`` header padding) so the memory-mapped reads of
@@ -351,6 +415,7 @@ def write_columns(directory: Path, columns: dict[str, np.ndarray]) -> Path:
     so no column is copied on the way to the file.
     """
     path = directory / COLUMNS_FILE
+    members: dict[str, zipfile.ZipInfo] = {}
     with path.open("wb") as handle:
         writer = _CountingWriter(handle, "storage.columns.write")
         with zipfile.ZipFile(writer, "w", zipfile.ZIP_STORED) as archive:
@@ -369,7 +434,45 @@ def write_columns(directory: Path, columns: dict[str, np.ndarray]) -> Path:
                 with archive.open(info, mode="w") as member:
                     member.write(header)
                     member.write(payload)
-    return path
+                members[name] = info
+    return {name: format(info.CRC, "08x") for name, info in members.items()}
+
+
+def read_member_prefixes(directory: Path) -> dict[str, bytes]:
+    """The ``.npy`` header bytes that precede each column's payload.
+
+    A version-4 checksum covers the whole member, so deep verification
+    feeds these bytes, then the (memory-mapped) payload, through one CRC.
+    Stored members are read in place (zipfile would check the member CRC of
+    a short member as a side effect); compressed ones through zipfile.
+    """
+    path = Path(directory) / COLUMNS_FILE
+    prefixes: dict[str, bytes] = {}
+    try:
+        with zipfile.ZipFile(path) as archive, path.open("rb") as handle:
+            for info in archive.infolist():
+                name = info.filename.removesuffix(".npy")
+                if info.compress_type == zipfile.ZIP_STORED:
+                    handle.seek(_payload_offset(path, handle, info))
+                    prefixes[name] = _npy_prefix(handle)
+                else:
+                    with archive.open(info) as member:
+                        prefixes[name] = _npy_prefix(member)
+    except (*_CORRUPT_ARCHIVE_ERRORS, struct.error) as error:
+        raise ArtifactFormatError(f"{path}: corrupt column archive ({error})") from error
+    return prefixes
+
+
+def _npy_prefix(stream) -> bytes:
+    """Read one ``.npy`` header (magic through padding) off ``stream``."""
+    start = stream.read(_NPY_PREAMBLE)
+    # Magic, version, then the header length: uint16 for version 1.0,
+    # uint32 for 2.0/3.0.
+    if start[6:7] == b"\x01":
+        size = 10 + struct.unpack("<H", start[8:10])[0]
+    else:
+        size = 12 + struct.unpack("<I", start[8:12])[0]
+    return start + stream.read(size - len(start))
 
 
 def read_columns(
@@ -410,20 +513,22 @@ def read_columns(
         raise ArtifactFormatError(f"{path}: corrupt column archive ({error})") from error
 
 
+def _payload_offset(path: Path, handle, info: zipfile.ZipInfo) -> int:
+    """File offset of a stored member's data, read from its local header."""
+    handle.seek(info.header_offset)
+    local_header = handle.read(_LOCAL_HEADER_SIZE)
+    if len(local_header) != _LOCAL_HEADER_SIZE or (
+        local_header[:4] != _LOCAL_HEADER_SIGNATURE
+    ):
+        raise ArtifactFormatError(f"{path}: corrupt local header for {info.filename}")
+    name_length, extra_length = struct.unpack("<HH", local_header[26:30])
+    return info.header_offset + _LOCAL_HEADER_SIZE + name_length + extra_length
+
+
 def _mmap_member(path: Path, info: zipfile.ZipInfo, mmap_mode: str) -> np.ndarray:
     """Memory-map one uncompressed ``.npy`` member of a zip archive."""
     with path.open("rb") as handle:
-        handle.seek(info.header_offset)
-        local_header = handle.read(_LOCAL_HEADER_SIZE)
-        if len(local_header) != _LOCAL_HEADER_SIZE or (
-            local_header[:4] != _LOCAL_HEADER_SIGNATURE
-        ):
-            raise ArtifactFormatError(f"{path}: corrupt local header for {info.filename}")
-        name_length, extra_length = struct.unpack("<HH", local_header[26:30])
-        payload_offset = (
-            info.header_offset + _LOCAL_HEADER_SIZE + name_length + extra_length
-        )
-        handle.seek(payload_offset)
+        handle.seek(_payload_offset(path, handle, info))
         version = np.lib.format.read_magic(handle)
         if version == (1, 0):
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)

@@ -6,12 +6,17 @@ sessions.  That makes it the single point whose corruption no later run can
 detect on its own.  This module closes the three holes the original
 stage-and-swap save left open:
 
-**Checksums** (:func:`column_checksum`, :func:`verify_checksums`).
-Format version 3 records a CRC-32 per column in the header
-(``columns[name]["crc32"]``).  A bit flipped by a torn write, a truncated
-copy, or bad storage now fails :func:`verify_artifact` instead of silently
-serving wrong similarity scores.  Version-2 artifacts (no checksums) still
-load; deep verification reports them as unverifiable rather than wrong.
+**Checksums** (:func:`verify_checksums`).  The header records a CRC-32 per
+column (``columns[name]["crc32"]``).  A bit flipped by a torn write, a
+truncated copy, or bad storage fails :func:`verify_artifact` instead of
+silently serving wrong similarity scores.  Version 4 records the CRC of the
+whole zip member (``.npy`` header plus payload), which zipfile computes
+while writing, so a save checksums every byte exactly once; deep
+verification recomputes it as ``crc32(payload, crc32(npy_header))`` over the
+header bytes read from the archive and the memory-mapped payload.
+Version 3 recorded the CRC of the payload alone (:func:`column_checksum`)
+and keeps that meaning.  Version-2 artifacts (no checksums) still load;
+deep verification reports them as unverifiable rather than wrong.
 
 **The commit protocol** (:func:`commit_artifact`, used by
 ``IndexArtifact.save``).  A save writes ``columns.npz`` + ``header.json``
@@ -59,10 +64,12 @@ from ..testing.faults import fault_point
 from .format import (
     COLUMNS_FILE,
     HEADER_FILE,
+    MEMBER_CRC_VERSION,
     ArtifactFormatError,
     check_column_shapes,
     read_columns,
     read_header,
+    read_member_prefixes,
     validate_columns,
 )
 
@@ -83,7 +90,7 @@ __all__ = [
     "verify_checksums",
 ]
 
-#: Checksum algorithm recorded in version-3 headers.
+#: Checksum algorithm recorded in version 3 and 4 headers.
 CHECKSUM_ALGORITHM = "crc32"
 
 
@@ -100,33 +107,41 @@ class ArtifactIntegrityError(ArtifactFormatError):
 # ----------------------------------------------------------------------
 # Checksums
 # ----------------------------------------------------------------------
-def column_checksum(column: np.ndarray) -> str:
-    """CRC-32 of a column's raw bytes, as eight hex digits.
+def column_checksum(column: np.ndarray, prefix: bytes = b"") -> str:
+    """CRC-32 of ``prefix`` followed by a column's raw bytes, as eight hex digits.
 
-    CRC-32 (zlib) rather than a cryptographic hash: the adversary is bit
-    rot and torn writes, not forgery, and crc32 runs at memory speed so
-    deep verification stays cheap enough to run in CI on every artifact.
+    With no prefix this is a version-3 payload checksum; with the member's
+    ``.npy`` header bytes it is the version-4 member checksum.  CRC-32
+    (zlib) rather than a cryptographic hash: the adversary is bit rot and
+    torn writes, not forgery, and crc32 runs at memory speed so deep
+    verification stays cheap enough to run in CI on every artifact.
     """
-    return format(zlib.crc32(np.ascontiguousarray(column).view(np.uint8).data)
-                  & 0xFFFFFFFF, "08x")
+    payload = np.ascontiguousarray(column).view(np.uint8).data
+    return format(zlib.crc32(payload, zlib.crc32(prefix)) & 0xFFFFFFFF, "08x")
 
 
 def verify_checksums(header: dict, columns: dict[str, np.ndarray],
-                     context: str = "artifact") -> int:
+                     directory: str | Path) -> int:
     """Compare every recorded column checksum against the stored bytes.
 
-    Returns the number of columns actually checked (0 for pre-checksum
-    headers).  Raises :class:`ArtifactIntegrityError` on the first mismatch.
+    ``columns`` are the stored columns of the artifact at ``directory``, as
+    read (version-4 checksums also cover each member's ``.npy`` header,
+    which is read back from there).  Returns the number of columns actually
+    checked (0 for pre-checksum headers).  Raises
+    :class:`ArtifactIntegrityError` on the first mismatch.
     """
+    prefixes: dict[str, bytes] = {}
+    if header["version"] >= MEMBER_CRC_VERSION:
+        prefixes = read_member_prefixes(directory)
     checked = 0
     for name, spec in header["columns"].items():
         recorded = spec.get("crc32")
         if recorded is None:
             continue
-        actual = column_checksum(columns[name])
+        actual = column_checksum(columns[name], prefixes.get(name, b""))
         if actual != recorded:
             raise ArtifactIntegrityError(
-                f"{context}: column {name!r} fails its checksum "
+                f"{directory}: column {name!r} fails its checksum "
                 f"(stored bytes crc32={actual}, header records {recorded}); "
                 "the artifact is corrupt -- rebuild it or restore a backup"
             )
@@ -321,7 +336,7 @@ def recover_artifact(path: str | Path) -> str | None:
         columns = read_columns(backup, mmap_mode="r")
         validate_columns(header, columns)
         check_column_shapes(header, columns, backup)
-        verify_checksums(header, columns, context=str(backup))
+        verify_checksums(header, columns, backup)
         del columns
     except ArtifactFormatError as error:
         raise ArtifactIntegrityError(
@@ -424,7 +439,7 @@ def verify_artifact(path: str | Path, *, deep: bool = False,
         )
         checked = 0
         if deep:
-            checked = verify_checksums(header, columns, context=str(directory))
+            checked = verify_checksums(header, columns, directory)
     obs.histogram("storage.verify_seconds").observe(time.perf_counter() - started)
     return VerifyReport(
         path=str(directory),

@@ -269,7 +269,7 @@ class TestIndexVerifyCommand:
     def test_fast_verify_reports_structure_and_checksums(self, artifact, capsys):
         assert main(["index", "verify", str(artifact)]) == 0
         out = capsys.readouterr().out
-        assert "format: version 3" in out
+        assert "format: version 4" in out
         assert "carry checksums" in out
         assert "stale scratch: none" in out
 

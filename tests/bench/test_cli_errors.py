@@ -34,6 +34,14 @@ def workspace(tmp_path_factory):
     nan_edges.write_text("0 1 1.0\n1 2 nan\n")
     nan_delta = root / "nan-delta.txt"
     nan_delta.write_text("+ 0 3 nan\n")
+    wide_edges = root / "wide-edges.txt"
+    wide_edges.write_text("0 1\n1 2147483647\n")
+    # A checksummed header missing one column's crc32 must not pass --deep.
+    no_crc = root / "no-crc.scanidx"
+    assert main(["index", "build", str(graph), str(no_crc)]) == 0
+    header = json.loads((no_crc / "header.json").read_text())
+    del header["columns"]["no_similarities"]["crc32"]
+    (no_crc / "header.json").write_text(json.dumps(header))
     bad_payload = root / "bad-payload.json"
     bad_payload.write_text(json.dumps({"benchmark": "x", "rows": []}))
     db = root / "store.sqlite"
@@ -51,6 +59,8 @@ def workspace(tmp_path_factory):
         "negative_edges": negative_edges,
         "nan_edges": nan_edges,
         "nan_delta": nan_delta,
+        "wide_edges": wide_edges,
+        "no_crc": no_crc,
         "bad_payload": bad_payload,
         "db": db,
         "missing": root / "missing",
@@ -71,11 +81,13 @@ CASES = [
     ("index build", "index build {bad_edges} {missing}.scanidx"),
     ("index build", "index build {nan_edges} {missing}.scanidx"),
     ("index build", "index build {negative_edges} {missing}.scanidx"),
+    ("index build", "index build {wide_edges} {missing}.scanidx"),
     ("index query", "index query {artifact} --mu 1"),
     ("index query", "index query {artifact} --epsilon 2"),
     ("index query", "index query {artifact} --pairs 5-0.6"),
     ("index query", "index query {missing}"),
     ("index verify", "index verify {missing}"),
+    ("index verify", "index verify {no_crc} --deep"),
     ("update", "update {missing} {bad_delta}"),
     ("update", "update {artifact} {missing}"),
     ("update", "update {artifact} {bad_delta}"),

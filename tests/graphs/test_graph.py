@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import Graph, from_edge_list, from_weighted_edge_list
+from repro.graphs.graph import as_ids, check_id_capacity, gather_ids
 
 
 class TestValidation:
@@ -61,6 +62,54 @@ class TestValidation:
     def test_lists_must_be_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             Graph(np.array([0, 1, 2, 2]), np.array([1, 2]))
+
+
+
+class TestIdWidth:
+    def test_id_columns_are_int32_and_indptr_int64(self, paper_graph):
+        assert paper_graph.indices.dtype == np.int32
+        assert paper_graph.arc_edge_ids.dtype == np.int32
+        assert paper_graph.indptr.dtype == np.int64
+
+    def test_int64_input_is_narrowed(self):
+        graph = Graph(np.array([0, 2, 4, 6]), np.array([1, 2, 0, 2, 0, 1], dtype=np.int64))
+        assert graph.indices.dtype == np.int32
+
+    def test_more_than_int32_vertices_is_an_operator_error(self):
+        # Rejected before any n-sized array is allocated.
+        with pytest.raises(ValueError, match="2147483648 vertices.*32-bit"):
+            from_edge_list([(0, 2**31 - 1)])
+        with pytest.raises(ValueError, match="32-bit"):
+            check_id_capacity(10, 2**31)
+
+    def test_ids_that_would_wrap_are_rejected(self):
+        with pytest.raises(ValueError, match="32-bit"):
+            as_ids(np.array([0, 2**32 + 1]))
+
+    def test_index_arrays_are_intp(self, paper_graph):
+        oriented = paper_graph.degree_oriented_csr()
+        for array in (paper_graph.edge_u, paper_graph.edge_v,
+                      oriented.indices, oriented.edge_ids):
+            assert array.dtype == np.intp
+
+    def test_gather_ids_widens_across_blocks(self, monkeypatch):
+        import repro.graphs.graph as graph_module
+
+        monkeypatch.setattr(graph_module, "GATHER_BLOCK", 4)
+        ids = np.arange(100, 0, -1, dtype=np.int32)
+        positions = np.array([0, 5, 5, 99, 3, 42, 7, 1, 88, 13, 2])
+        gathered = gather_ids(ids, positions)
+        assert gathered.dtype == np.intp
+        assert gathered.tolist() == ids[positions].tolist()
+        assert gather_ids(ids, positions[:0]).shape == (0,)
+
+    def test_composite_keys_do_not_wrap(self):
+        n = 50_000
+        graph = from_edge_list([(n - 2, n - 1), (0, n - 1)], num_vertices=n)
+        keys = graph.arc_search_keys()[:-1]
+        assert keys.dtype == np.int64
+        assert np.all(np.diff(keys) > 0)
+        assert keys[-1] == (n - 1) * n + (n - 2)
 
 
 class TestAccessors:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import ApproximationConfig, ArtifactFormatError, IndexArtifact, ScanIndex
+from repro import ApproximationConfig, ArtifactFormatError, IndexArtifact, ScanIndex, obs
 from repro.graphs import from_edge_list, paper_example_graph, planted_partition
 from repro.storage.format import COLUMNS_FILE, FORMAT_VERSION, HEADER_FILE
 
@@ -143,6 +143,10 @@ class TestRoundTrip:
                     archive.writestr(info, bytes(raw))
             return path
 
+        def write_columns(directory, columns):
+            storage_format.write_columns(directory, columns)
+            return directory / COLUMNS_FILE
+
         rng = np.random.default_rng(11)
         edges = [(int(u), int(v)) for u, v in rng.integers(0, 40, size=(120, 2)) if u != v]
         weights = rng.uniform(0.5, 2.0, size=len(edges)) if weighted else None
@@ -153,9 +157,7 @@ class TestRoundTrip:
         (tmp_path / "old").mkdir()
         digests = [
             hashlib.sha256(write(tmp_path / name, columns).read_bytes()).hexdigest()
-            for name, write in (
-                ("new", storage_format.write_columns), ("old", reference_write_columns)
-            )
+            for name, write in (("new", write_columns), ("old", reference_write_columns))
         ]
         assert digests[0] == digests[1]
         index.save(tmp_path / "saved")
@@ -177,6 +179,50 @@ class TestRoundTrip:
         loaded = ScanIndex.load(tmp_path / "e")
         assert loaded.graph.num_vertices == 4
         assert loaded.query(2, 0.5).num_clusters == 0
+
+
+class TestStorageSpans:
+    @pytest.fixture
+    def trace(self, tmp_path):
+        obs.reset()
+        path = tmp_path / "trace.jsonl"
+        obs.configure(path)
+        yield path
+        obs.reset()
+
+    @staticmethod
+    def records(path):
+        obs.finalise()
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_one_load_span_per_load_covers_reassembly(
+        self, tmp_path, paper_graph, trace, verify, monkeypatch
+    ):
+        ScanIndex.build(paper_graph).save(tmp_path / "a")
+        to_index = IndexArtifact.to_index
+
+        def marked(artifact):
+            obs.event("test.to_index")
+            return to_index(artifact)
+
+        monkeypatch.setattr(IndexArtifact, "to_index", marked)
+        ScanIndex.load(tmp_path / "a", verify=verify)
+        records = self.records(trace)
+        spans = [r for r in records if r["kind"] == "span" and r["name"] == "storage.load"]
+        assert len(spans) == 1
+        (span,) = spans
+        assert span["attrs"]["verify"] is verify
+        stored = IndexArtifact.load(tmp_path / "a")
+        assert span["attrs"]["bytes"] == stored.nbytes()
+        (event,) = [r for r in records if r["name"] == "test.to_index"]
+        assert span["ts"] <= event["ts"] <= span["ts"] + span["dur"]
+
+    def test_save_span_records_bytes(self, tmp_path, paper_graph, trace):
+        index = ScanIndex.build(paper_graph)
+        index.save(tmp_path / "a")
+        (span,) = [r for r in self.records(trace) if r["name"] == "storage.save"]
+        assert span["attrs"]["bytes"] == IndexArtifact.from_index(index).nbytes()
 
 
 class TestNoRecomputationOnLoad:

@@ -10,6 +10,7 @@ down deterministically.
 import json
 import os
 import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from repro.storage import (
     recover_artifact,
     verify_artifact,
 )
-from repro.storage.format import COLUMNS_FILE, HEADER_FILE
+from repro.storage.format import (
+    COLUMNS_FILE,
+    FORMAT_VERSION,
+    HEADER_FILE,
+    ArtifactFormatError,
+    read_member_prefixes,
+    validate_header,
+)
 from repro.storage.integrity import (
     backup_path,
     column_checksum,
@@ -63,27 +71,73 @@ class TestChecksums:
         flipped[50] ^= 1
         assert column_checksum(column) != column_checksum(flipped)
 
-    def test_header_records_a_checksum_per_column(self, index):
-        artifact = IndexArtifact.from_index(index)
-        for name, spec in artifact.meta["columns"].items():
-            assert spec["crc32"] == column_checksum(artifact.columns[name])
+    def test_header_records_each_member_crc(self, saved):
+        # Version 4: the zip member's own CRC (.npy header plus payload),
+        # computed once by zipfile while writing -- from_index computes none.
+        header = json.loads((saved / HEADER_FILE).read_text())
+        artifact = IndexArtifact.load(saved)
+        prefixes = read_member_prefixes(saved)
+        with zipfile.ZipFile(saved / COLUMNS_FILE) as archive:
+            members = {info.filename: info.CRC for info in archive.infolist()}
+        assert set(header["columns"]) == set(artifact.columns)
+        for name, spec in header["columns"].items():
+            assert spec["crc32"] == format(members[f"{name}.npy"], "08x")
+            assert spec["crc32"] == column_checksum(artifact.columns[name], prefixes[name])
+
+    def test_from_index_never_checksums(self, index, monkeypatch):
+        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("from_index must not checksum")
+
+        monkeypatch.setattr("repro.storage.integrity.column_checksum", forbidden)
+        monkeypatch.setattr("zlib.crc32", forbidden)
+        IndexArtifact.from_index(index)
 
     def test_verify_checksums_counts_and_passes(self, saved):
         artifact = IndexArtifact.load(saved)
-        checked = verify_checksums(artifact.meta, artifact.columns)
+        checked = verify_checksums(artifact.meta, artifact.columns, saved)
         assert checked == len(artifact.columns)
 
     def test_verify_checksums_raises_on_mismatch(self, saved):
         artifact = IndexArtifact.load(saved, mmap_mode=None)
         artifact.columns["co_vertices"][0] += 1
         with pytest.raises(ArtifactIntegrityError, match="co_vertices"):
-            verify_checksums(artifact.meta, artifact.columns)
+            verify_checksums(artifact.meta, artifact.columns, saved)
 
     def test_pre_checksum_headers_check_zero_columns(self, saved):
         artifact = IndexArtifact.load(saved)
         for spec in artifact.meta["columns"].values():
             spec.pop("crc32")
-        assert verify_checksums(artifact.meta, artifact.columns) == 0
+        assert verify_checksums(artifact.meta, artifact.columns, saved) == 0
+
+    @pytest.mark.parametrize("version", [3, 4])
+    @pytest.mark.parametrize("crc", [None, "12345", "not-hex!", "ABCDEF01", 305419896])
+    def test_checksummed_header_must_record_every_crc(self, saved, version, crc):
+        """A version-3+ header without a valid crc32 on a column is rejected.
+
+        Without the rule, deleting one column's crc32 and flipping a byte of
+        that column passed ``--deep`` ("9/10 columns verified") and served
+        the corrupted scores.
+        """
+        header = json.loads((saved / HEADER_FILE).read_text())
+        header["version"] = version
+        if crc is None:
+            del header["columns"]["no_similarities"]["crc32"]
+        else:
+            header["columns"]["no_similarities"]["crc32"] = crc
+        (saved / HEADER_FILE).write_text(json.dumps(header))
+        for attempt in (
+            lambda: verify_artifact(saved, deep=True),
+            lambda: ScanIndex.load(saved, verify=True),
+        ):
+            with pytest.raises(ArtifactFormatError, match="'no_similarities'.*crc32"):
+                attempt()
+
+    def test_version_two_headers_need_no_crc(self, saved):
+        header = json.loads((saved / HEADER_FILE).read_text())
+        header["version"] = 2
+        for spec in header["columns"].values():
+            del spec["crc32"]
+        validate_header(header)
 
 
 # ----------------------------------------------------------------------
@@ -92,7 +146,7 @@ class TestChecksums:
 class TestVerifyArtifact:
     def test_fast_report(self, saved):
         report = verify_artifact(saved)
-        assert report.version == 3
+        assert report.version == FORMAT_VERSION
         assert report.checksums_recorded == report.num_columns
         assert report.checksums_checked == 0 and not report.deep
         assert report.stale_scratch == [] and report.recovered is None
