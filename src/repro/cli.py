@@ -98,6 +98,7 @@ from .core.index import ScanIndex
 from .dynamic import load_delta_file
 from .graphs.io import read_edge_list
 from .lsh.approximate import ApproximationConfig
+from .serve import wire
 from .similarity.exact import BACKENDS
 from .storage.format import ArtifactFormatError
 from .storage.integrity import clean_stale_scratch, verify_artifact
@@ -249,24 +250,12 @@ def _command_index_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_pairs(tokens: Sequence[str]) -> list[tuple[int, float]]:
-    """Parse ``mu:epsilon`` tokens into ``(mu, epsilon)`` pairs."""
-    pairs = []
-    for token in tokens:
-        try:
-            mu_text, epsilon_text = token.split(":", 1)
-            pairs.append((int(mu_text), float(epsilon_text)))
-        except ValueError:
-            raise ValueError(f"invalid pair {token!r}; expected MU:EPSILON, e.g. 5:0.6") from None
-    return pairs
-
-
 def _command_index_query(args: argparse.Namespace) -> int:
     index = _load_artifact(args.artifact)
     print(f"loaded {index.measure} index: {index.graph.num_vertices} vertices, "
           f"{index.graph.num_edges} edges")
     if args.pairs:
-        pairs = _parse_pairs(args.pairs)
+        pairs = [wire.parse_request(token) for token in args.pairs]
     else:
         pairs = [(args.mu, args.epsilon)]
     clusterings = index.query_many(pairs, deterministic_borders=True)
@@ -327,13 +316,6 @@ def _command_update(args: argparse.Namespace) -> int:
     )
     print(f"saved updated artifact to {path}")
     return 0
-
-
-def _parse_request(line: str) -> tuple[int, float]:
-    """Parse one serve request line (``MU:EPSILON`` or ``MU EPSILON``)."""
-    from .serve import wire
-
-    return wire.parse_request(line)
 
 
 def _serve_network(args: argparse.Namespace) -> int:
@@ -464,7 +446,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             try:
-                mu, epsilon = _parse_request(line)
+                mu, epsilon = wire.parse_request(line)
                 result = session.serve(
                     mu, epsilon, deterministic_borders=args.deterministic
                 )
@@ -476,8 +458,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             # a pipe waits for each answer before sending the next request.
             # The line format is owned by serve.wire so the network tier
             # answers with the exact same bytes.
-            from .serve import wire
-
             print(wire.format_response(result), flush=True)
     finally:
         if stream is not sys.stdin:

@@ -3,7 +3,6 @@
 from .clustering import UNCLUSTERED, Clustering
 from .doubling import (
     prefix_length_at_least,
-    prefix_length_greater_than,
     prefix_lengths_at_least,
 )
 from .neighbor_order import NeighborOrder, build_neighbor_order
@@ -17,7 +16,6 @@ __all__ = [
     "UNCLUSTERED",
     "Clustering",
     "prefix_length_at_least",
-    "prefix_length_greater_than",
     "prefix_lengths_at_least",
     "NeighborOrder",
     "build_neighbor_order",

@@ -129,36 +129,3 @@ def prefix_lengths_at_least(
         scheduler.charge(work, max_span + ceil_log2(max(num_segments, 1)) + 1.0)
     return results
 
-
-def prefix_length_greater_than(
-    keys: np.ndarray,
-    threshold: float,
-    *,
-    scheduler: Scheduler | None = None,
-) -> int:
-    """Length of the prefix of ``keys`` whose entries are strictly ``> threshold``."""
-    keys = np.asarray(keys)
-    n = int(keys.shape[0])
-    if n == 0 or keys[0] <= threshold:
-        if scheduler is not None:
-            scheduler.charge(1, 1)
-        return 0
-    bound = 1
-    while bound < n and keys[bound] > threshold:
-        bound <<= 1
-    low = bound >> 1
-    high = min(bound, n - 1)
-    if keys[high] > threshold:
-        result = high + 1
-    else:
-        left, right = low, high
-        while right - left > 1:
-            middle = (left + right) // 2
-            if keys[middle] > threshold:
-                left = middle
-            else:
-                right = middle
-        result = right
-    if scheduler is not None:
-        scheduler.charge(2 * (ceil_log2(max(result, 1)) + 1.0), ceil_log2(max(result, 1)) + 1.0)
-    return result

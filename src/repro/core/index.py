@@ -71,7 +71,8 @@ from .core_order import CoreOrder, build_core_order
 from .hubs import classify_unclustered
 from .neighbor_order import NeighborOrder, build_neighbor_order
 from .query import cluster as _cluster
-from .query import get_cores
+from .query import dense_clustering, get_cores
+from .sweep_query import query_many as _query_many
 
 
 @dataclass
@@ -322,17 +323,20 @@ class ScanIndex:
             Additionally label every unclustered vertex of every result as
             hub or outlier (Section 4.3).
         """
-        from .sweep_query import query_many as _query_many
-
         scheduler = scheduler if scheduler is not None else Scheduler()
-        clusterings = _query_many(
-            self.graph,
+        pairs = list(pairs)
+        answers = _query_many(
             self.neighbor_order,
             self.core_order,
             pairs,
             scheduler=scheduler,
             deterministic_borders=deterministic_borders,
         )
+        n = self.graph.num_vertices
+        clusterings = [
+            dense_clustering(answer, n, int(mu), float(epsilon))
+            for (mu, epsilon), answer in zip(pairs, answers)
+        ]
         if classify_hubs_and_outliers:
             for clustering in clusterings:
                 classify_unclustered(self.graph, clustering, scheduler=scheduler)

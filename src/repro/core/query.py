@@ -13,7 +13,8 @@ index (neighbor order + core order), a query
 4. attaches border (non-core) vertices to a neighboring core's cluster --
    either to an arbitrary one (the CAS semantics of Algorithm 4) or, for
    reproducible experiments, to the most similar one with ties broken toward
-   the lower vertex id (the deterministic rule of Section 7.3.4).
+   the lower vertex id (the deterministic rule of Section 7.3.4).  This tail
+   (:func:`compact_answer`) is shared with the sweep planner.
 
 The total work is proportional to the number of ε-similar edges touching the
 output clusters, matching Theorem 4.3.
@@ -34,6 +35,18 @@ from .clustering import UNCLUSTERED, Clustering
 from .doubling import prefix_lengths_at_least
 
 
+def check_setting(mu: int, epsilon: float) -> None:
+    """Reject a ``(mu, epsilon)`` setting outside ``mu >= 2``, ``0 <= epsilon <= 1``.
+
+    The one range check of every query entry point (single, sweep, served);
+    the comparison is written so that a NaN ε fails it too.
+    """
+    if mu < 2:
+        raise ValueError(f"mu must be at least 2, got {mu}")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+
+
 def get_cores(
     core_order,
     mu: int,
@@ -47,10 +60,7 @@ def get_cores(
     paper; ``mu <= 1`` therefore makes every vertex a core, and values above
     the maximum closed degree yield no cores.
     """
-    if mu < 2:
-        raise ValueError(f"mu must be at least 2, got {mu}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    check_setting(mu, epsilon)
     return core_order.cores(mu, epsilon, scheduler=scheduler)
 
 
@@ -97,13 +107,71 @@ class CompactClustering(NamedTuple):
     (``vertices[:num_cores]``), then the borders ascending; ``labels`` is the
     cluster id of each, aligned.  ``num_clusters`` counts the cores labelled
     with their own id: union-find representatives are the minimum core id of
-    each component, so every cluster has exactly one such core.
+    each component, so every cluster has exactly one such core.  Both arrays
+    are read-only, so one answer can be shared (the serving cache does).
     """
 
     vertices: np.ndarray
     labels: np.ndarray
     num_cores: int
     num_clusters: int
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+#: The answer of every setting that selects no cores.
+NO_CORES = CompactClustering(
+    _read_only(np.zeros(0, dtype=np.int64)), _read_only(np.zeros(0, dtype=np.int64)), 0, 0
+)
+
+
+def compact_answer(
+    cores: np.ndarray,
+    core_labels: np.ndarray,
+    border_sources: np.ndarray,
+    border_targets: np.ndarray,
+    border_similarities: np.ndarray,
+    n: int,
+    *,
+    scheduler: Scheduler,
+    deterministic: bool,
+) -> CompactClustering:
+    """Attach the borders to the clustered cores and pack the answer (Algorithm 4).
+
+    The query tail shared by :func:`cluster_compact` and the sweep planner.
+    ``cores`` are in ``CO[μ]``-prefix order with their union-find labels;
+    ``border_*`` list the ε-similar core -> non-core arcs in traversal order
+    (cores in that order, neighbor order within a core).  Each border joins
+    the cluster of one arc's source: the most similar core with ties to the
+    lower core id when ``deterministic``, else the first arc in traversal
+    order -- the paper's compare-and-swap keeps the first writer.
+    """
+    scheduler.charge(
+        int(border_targets.size), ceil_log2(max(int(border_targets.size), 1)) + 1.0
+    )
+    if border_targets.size:
+        if deterministic:
+            order = np.lexsort((border_sources, -border_similarities))
+        else:
+            order = np.arange(border_targets.shape[0])
+        # First occurrence of every border vertex in priority order, found
+        # with one sort-based pass (np.unique returns the first index).
+        border_vertices, first = np.unique(border_targets[order], return_index=True)
+        # Only core entries are written and then read, so no fill is needed.
+        label_of = np.empty(n, dtype=np.int64)
+        label_of[cores] = core_labels
+        border_labels = label_of[border_sources[order[first]]]
+    else:
+        border_vertices = border_labels = np.zeros(0, dtype=np.int64)
+    return CompactClustering(
+        _read_only(np.concatenate([cores, border_vertices])),
+        _read_only(np.concatenate([core_labels, border_labels])),
+        int(cores.size),
+        int(np.count_nonzero(core_labels == cores)),
+    )
 
 
 def cluster_compact(
@@ -117,14 +185,14 @@ def cluster_compact(
 ) -> CompactClustering:
     """SCAN clustering for ``(mu, epsilon)`` in compact form (Algorithm 5).
 
-    The query tail behind :func:`cluster` and the serving session's cache
-    misses: union-find over the ε-similar core-core arcs, then border
-    attachment.  Scratch is allocated per call; the answer never aliases it.
+    The per-pair query behind :func:`cluster` and the serving session's
+    cache misses: union-find over the ε-similar core-core arcs, then
+    :func:`compact_answer`.  Scratch is allocated per call; the answer
+    never aliases it.
     """
     cores = get_cores(core_order, mu, epsilon, scheduler=scheduler)
     if cores.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return CompactClustering(empty, empty.copy(), 0, 0)
+        return NO_CORES
     cores = cores.astype(np.intp)
     arc_sources, arc_targets, arc_similarities = _epsilon_similar_arcs(
         neighbor_order, cores, epsilon, scheduler
@@ -138,41 +206,25 @@ def cluster_compact(
     core_labels = UnionFind(n).connect(
         scheduler, arc_sources[core_to_core], arc_targets[core_to_core], cores
     )
-
-    # Border vertices: non-core endpoints of ε-similar edges out of cores.
     border_arcs = ~core_to_core
-    border_targets = arc_targets[border_arcs]
-    scheduler.charge(
-        int(border_targets.size), ceil_log2(max(int(border_targets.size), 1)) + 1.0
-    )
-    if border_targets.size:
-        border_sources = arc_sources[border_arcs]
-        border_vertices, winners = resolve_border_assignments(
-            border_sources,
-            border_targets,
-            arc_similarities[border_arcs],
-            deterministic=deterministic_borders,
-        )
-        # Only core entries are written and then read, so no fill is needed.
-        label_of = np.empty(n, dtype=np.int64)
-        label_of[cores] = core_labels
-        border_labels = label_of[border_sources[winners]]
-    else:
-        border_vertices = border_labels = np.zeros(0, dtype=np.int64)
-    return CompactClustering(
-        np.concatenate([cores, border_vertices]),
-        np.concatenate([core_labels, border_labels]),
-        int(cores.size),
-        int(np.count_nonzero(core_labels == cores)),
+    return compact_answer(
+        cores,
+        core_labels,
+        arc_sources[border_arcs],
+        arc_targets[border_arcs],
+        arc_similarities[border_arcs],
+        n,
+        scheduler=scheduler,
+        deterministic=deterministic_borders,
     )
 
 
 def dense_clustering(compact, num_vertices: int, mu: int, epsilon: float) -> Clustering:
-    """Dense :class:`Clustering` from a compact answer (one O(n) scatter).
+    """Dense :class:`Clustering` from a :class:`CompactClustering` (one O(n) scatter).
 
-    ``compact`` is anything with ``vertices``, ``labels`` and ``num_cores``
-    laid out as in :class:`CompactClustering`.  Shared by :func:`cluster`
-    and the serving session (served results and cached sweep answers), so
+    The one place an answer is densified: :func:`cluster`,
+    :meth:`ScanIndex.query_many <repro.core.index.ScanIndex.query_many>` and
+    the serving session (served results and sweeps) all go through it, so
     the dense and compact forms can never diverge.
     """
     labels = np.full(num_vertices, UNCLUSTERED, dtype=np.int64)
@@ -180,66 +232,6 @@ def dense_clustering(compact, num_vertices: int, mu: int, epsilon: float) -> Clu
     core_mask = np.zeros(num_vertices, dtype=bool)
     core_mask[compact.vertices[: compact.num_cores]] = True
     return Clustering(labels, core_mask, mu=mu, epsilon=epsilon)
-
-
-def resolve_border_assignments(
-    border_sources: np.ndarray,
-    border_targets: np.ndarray,
-    border_similarities: np.ndarray,
-    *,
-    deterministic: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pick the winning core arc for every border vertex (Algorithm 4).
-
-    ``border_*`` list the ε-similar core -> non-core arcs in traversal order.
-    Returns ``(border_vertices, winners)`` where ``winners[i]`` indexes the
-    arc whose source cluster ``border_vertices[i]`` joins, i.e. the
-    assignment is ``labels[border_vertices] = labels[border_sources[winners]]``.
-    Shared by :func:`cluster_compact` and :func:`attach_borders` (which
-    applies it to a dense label array).
-    """
-    if deterministic:
-        # Most similar neighboring core wins; ties go to the lower core id.
-        order = np.lexsort((border_sources, -border_similarities))
-    else:
-        # Arbitrary assignment: the paper uses a compare-and-swap, which
-        # keeps the first writer; we mirror that by keeping the first arc
-        # in traversal order.
-        order = np.arange(border_targets.shape[0])
-    # First occurrence of every border vertex in priority order, found
-    # with one sort-based pass instead of a per-arc Python loop
-    # (np.unique returns the index of the first occurrence).
-    border_vertices, winner = np.unique(border_targets[order], return_index=True)
-    return border_vertices, order[winner]
-
-
-def attach_borders(
-    labels: np.ndarray,
-    border_sources: np.ndarray,
-    border_targets: np.ndarray,
-    border_similarities: np.ndarray,
-    *,
-    scheduler: Scheduler,
-    deterministic: bool = False,
-) -> None:
-    """Assign border vertices to a neighboring core's cluster (Algorithm 4).
-
-    ``border_*`` list the ε-similar core -> non-core arcs; ``labels`` must
-    already hold the core labels and is updated in place.  Used by the
-    batched sweep planner, whose pairs share one dense label array each.
-    """
-    scheduler.charge(
-        int(border_targets.size), ceil_log2(max(int(border_targets.size), 1)) + 1.0
-    )
-    if not border_targets.size:
-        return
-    border_vertices, winners = resolve_border_assignments(
-        border_sources,
-        border_targets,
-        border_similarities,
-        deterministic=deterministic,
-    )
-    labels[border_vertices] = labels[border_sources[winners]]
 
 
 def cluster(

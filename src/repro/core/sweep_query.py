@@ -21,16 +21,17 @@ planner executes a whole batch with the redundancy removed:
    forest.  Every arc of the group is unioned exactly once, instead of once
    per pair -- union-find is what dominates a query, so this is where the
    sweep's asymptotic saving comes from.  Border attachment stays per pair
-   (different core sets assign different borders).
+   (different core sets assign different borders) and is the single-query
+   tail itself, :func:`~repro.core.query.compact_answer`.
 
-The per-pair results are bit-for-bit identical to per-pair
-:meth:`ScanIndex.query <repro.core.index.ScanIndex.query>` calls.  Labels are
-union-find representatives (the minimum vertex id of each component under
-min-hooking, regardless of union order) and the deterministic border rule is
-arc-order-independent; for the arbitrary first-writer rule the pair's border
-arcs are first restored to its own traversal order (cores in
-``CO[μ]``-prefix order, neighbor order within a core) so the same writers
-win.
+Each pair's answer is a :class:`~repro.core.query.CompactClustering`,
+bit-for-bit identical to a per-pair :func:`~repro.core.query.cluster_compact`
+call.  Labels are union-find representatives (the minimum vertex id of each
+component under min-hooking, regardless of union order) and the
+deterministic border rule is arc-order-independent; for the arbitrary
+first-writer rule the pair's border arcs are first restored to its own
+traversal order (cores in ``CO[μ]``-prefix order, neighbor order within a
+core) so the same writers win.
 """
 
 from __future__ import annotations
@@ -44,51 +45,47 @@ from ..parallel.metrics import ceil_log2
 from ..parallel.primitives import segmented_ranges
 from ..parallel.scheduler import Scheduler
 from ..parallel.unionfind import UnionFind
-from .clustering import UNCLUSTERED, Clustering
 from .doubling import prefix_lengths_at_least
-from .query import attach_borders
+from .query import NO_CORES, CompactClustering, check_setting, compact_answer
 
 
 def _validate_pairs(
     pairs: Sequence[tuple[int, float]], max_mu: int
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Split and range-check a sequence of ``(mu, epsilon)`` pairs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Range-check a sequence of ``(mu, epsilon)`` pairs and split it.
 
-    Returns the requested μ values, the same values as int64 with every μ
-    above ``max_mu`` clipped to ``max_mu + 1`` (all of them select no cores,
-    and μ ≥ 2**63 would not fit the cast), and the ε values.
+    Returns the μ values as int64 with every μ above ``max_mu`` clipped to
+    ``max_mu + 1`` (all of them select no cores, and μ ≥ 2**63 would not
+    fit the cast), and the ε values.
     """
-    requested = [int(mu) for mu, _ in pairs]
+    for mu, epsilon in pairs:
+        check_setting(int(mu), float(epsilon))
+    mus = np.array([min(int(mu), max_mu + 1) for mu, _ in pairs], dtype=np.int64)
     epsilons = np.array([float(epsilon) for _, epsilon in pairs], dtype=np.float64)
-    if requested and min(requested) < 2:
-        raise ValueError(f"mu must be at least 2, got {min(requested)}")
-    if epsilons.size and (epsilons.min() < 0.0 or epsilons.max() > 1.0):
-        raise ValueError("every epsilon must lie in [0, 1]")
-    mus = np.array([min(mu, max_mu + 1) for mu in requested], dtype=np.int64)
-    return requested, mus, epsilons
+    return mus, epsilons
 
 
 def query_many(
-    graph,
     neighbor_order,
     core_order,
     pairs: Iterable[tuple[int, float]],
     *,
     scheduler: Scheduler | None = None,
     deterministic_borders: bool = False,
-) -> list[Clustering]:
+) -> list[CompactClustering]:
     """SCAN clusterings for every ``(mu, epsilon)`` pair, planned as one batch.
 
-    Returns one :class:`~repro.core.clustering.Clustering` per input pair, in
-    input order, each identical to what a separate
-    :func:`~repro.core.query.cluster` call would produce.
+    Returns one :class:`~repro.core.query.CompactClustering` per input pair,
+    in input order, each identical to what a separate
+    :func:`~repro.core.query.cluster_compact` call would produce (every
+    setting without cores shares :data:`~repro.core.query.NO_CORES`).
     """
     pairs = list(pairs)
     if not pairs:
         return []
     scheduler = scheduler if scheduler is not None else Scheduler()
     max_mu = core_order.max_mu
-    requested_mus, mus, epsilons = _validate_pairs(pairs, max_mu)
+    mus, epsilons = _validate_pairs(pairs, max_mu)
     num_pairs = int(mus.size)
 
     # --- Stage 1: core prefixes of all pairs, one batched doubling search.
@@ -136,8 +133,8 @@ def query_many(
 
     # --- Stage 4: one segmented gather per distinct ε, then an incremental
     # union-find per group over pairs in descending-μ order.
-    n = graph.num_vertices
-    results: list[Clustering | None] = [None] * num_pairs
+    n = neighbor_order.num_vertices
+    results: list[CompactClustering] = [NO_CORES] * num_pairs
     group_offsets = np.zeros(num_groups + 1, dtype=np.int64)
     np.cumsum(group_sizes, out=group_offsets[1:])
     rank = np.zeros(n, dtype=np.int64)
@@ -158,26 +155,23 @@ def query_many(
             group_similarities = np.zeros(0, dtype=np.float64)
 
         # Descending μ: each pair's cores contain the previous pair's, so
-        # the shared forest only ever grows and every group arc is unioned
-        # exactly once across the whole group.
+        # the shared forest and core mask only ever grow and every group
+        # arc is unioned exactly once across the whole group.
         group_pairs = order_by_mu[boundaries[group]: (
             boundaries[group + 1] if group + 1 < num_groups else num_pairs
         )][::-1]
         forest = UnionFind(n)
+        is_core = np.zeros(n, dtype=bool)
         added = np.zeros(int(group_sources.size), dtype=bool)
         for pair in group_pairs.tolist():
-            mu, epsilon = requested_mus[pair], float(epsilons[pair])
             cores = core_order.vertices[
                 core_starts[pair]: core_starts[pair] + core_counts[pair]
             ].astype(np.intp)
-            labels = np.full(n, UNCLUSTERED, dtype=np.int64)
-            core_mask = np.zeros(n, dtype=bool)
             if cores.size == 0:
-                results[pair] = Clustering(labels, core_mask, mu=mu, epsilon=epsilon)
                 continue
-            core_mask[cores] = True
-            source_is_core = core_mask[group_sources]
-            target_is_core = core_mask[group_targets]
+            is_core[cores] = True
+            source_is_core = is_core[group_sources]
+            target_is_core = is_core[group_targets]
             scheduler.charge(
                 int(group_sources.size) + int(cores.size),
                 ceil_log2(max(int(group_sources.size), 1)) + 1.0,
@@ -187,7 +181,7 @@ def query_many(
             # arcs that became core-core at this μ are new unions.
             new_arcs = source_is_core & target_is_core & ~added
             added |= new_arcs
-            labels[cores] = forest.connect(
+            core_labels = forest.connect(
                 scheduler, group_sources[new_arcs], group_targets[new_arcs], cores
             )
 
@@ -208,13 +202,14 @@ def query_many(
                 border_sources = border_sources[order]
                 border_targets = border_targets[order]
                 border_similarities = border_similarities[order]
-            attach_borders(
-                labels,
+            results[pair] = compact_answer(
+                cores,
+                core_labels,
                 border_sources,
                 border_targets,
                 border_similarities,
+                n,
                 scheduler=scheduler,
                 deterministic=deterministic_borders,
             )
-            results[pair] = Clustering(labels, core_mask, mu=mu, epsilon=epsilon)
-    return results  # type: ignore[return-value]
+    return results

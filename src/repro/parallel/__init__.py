@@ -40,7 +40,6 @@ from .sorting import (
     rationals_to_sort_keys,
     segmented_sort_by_key,
     similarity_rank_keys,
-    similarity_sort_keys,
     sort_by_key,
 )
 from .execute import (
@@ -86,7 +85,6 @@ __all__ = [
     "rationals_to_sort_keys",
     "segmented_sort_by_key",
     "similarity_rank_keys",
-    "similarity_sort_keys",
     "sort_by_key",
     "ParallelHashMap",
     "ParallelHashSet",

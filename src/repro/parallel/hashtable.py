@@ -8,10 +8,10 @@ a batch of inserts, then a batch of lookups, never interleaved.  Batch
 operations charge the bounds quoted in Section 2.3.2 (``O(k)`` work and
 ``O(log* k)`` span for ``k`` inserts, ``O(1)`` work per lookup).
 
-The table is used where the algorithms genuinely need hashing semantics (set
-membership for arbitrary vertex ids).  Hot paths that can use dense arrays
-instead (cluster-id arrays indexed by vertex) do so, mirroring the
-optimisations described in Section 6.2 of the paper.
+No algorithm in this package calls it: the ``hash`` similarity backend uses
+Python dicts, and the query uses dense arrays indexed by vertex (the
+optimisations of Section 6.2).  It stays as a reference primitive with the
+paper's cost charges.
 """
 
 from __future__ import annotations

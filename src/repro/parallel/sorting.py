@@ -99,27 +99,6 @@ def rationals_to_sort_keys(
     return np.floor(numerators / denominators * scale).astype(np.int64)
 
 
-def similarity_sort_keys(similarities: np.ndarray, resolution: int = 1 << 20) -> np.ndarray:
-    """Quantise similarity scores in ``[0, 1]`` to integer sort keys.
-
-    Similarity scores produced by the exact similarity engine are rationals
-    (Jaccard) or square roots of rationals (cosine); quantising at
-    ``resolution`` steps reproduces the paper's "sort rationals as integers"
-    trick with a fixed precision far finer than any similarity threshold a
-    user would pass.
-
-    .. warning:: Quantisation merges raw float values that fall in the same
-       bucket, so an order built from these keys is only non-increasing *up
-       to the bucket width*.  The index orders are built with
-       :func:`similarity_rank_keys` instead, whose keys preserve the exact
-       float order -- a doubling search against the raw scores then has a
-       well-defined boundary regardless of probe sequence.
-    """
-    similarities = np.asarray(similarities, dtype=np.float64)
-    clipped = np.clip(similarities, 0.0, 1.0)
-    return np.round(clipped * resolution).astype(np.int64)
-
-
 def similarity_rank_keys(similarities: np.ndarray) -> np.ndarray:
     """Dense integer ranks of similarity scores, preserving exact float order.
 

@@ -29,13 +29,12 @@ measured hit and miss latencies against a running server.
 from .cache import ResultCache
 from .client import ServeClient, ServeClientError, replay
 from .server import ClusterServer, DegradedServingWarning, route
-from .session import ClusterSession, CompactLabels, ServedResult
+from .session import ClusterSession, ServedResult
 from .snapping import EpsilonSnapper
 
 __all__ = [
     "ClusterServer",
     "ClusterSession",
-    "CompactLabels",
     "DegradedServingWarning",
     "EpsilonSnapper",
     "ResultCache",

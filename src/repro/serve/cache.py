@@ -1,7 +1,7 @@
 """Bounded LRU cache for served clustering results.
 
 The serving loop's cache maps ``(generation, μ, ε-rank, border-mode)`` keys
-to compact label payloads (see :class:`repro.serve.session.CompactLabels`).
+to compact answers (:class:`repro.core.query.CompactClustering`).
 Two design points matter:
 
 * **ε-rank keys.**  The ε component of a key is the integer rank produced by
@@ -17,8 +17,9 @@ Two design points matter:
 The cache itself is a plain bounded LRU over an :class:`~collections.
 OrderedDict`: hits refresh recency, inserts beyond ``capacity`` evict the
 least recently used entry.  It stores whatever payload objects the session
-hands it and never copies them; the session freezes payload arrays
-(read-only numpy flags) before insertion.
+hands it and never copies them; the query tail returns compact answers with
+read-only arrays, so a shared entry cannot be mutated by one reader under
+another.
 """
 
 from __future__ import annotations

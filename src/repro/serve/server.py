@@ -87,6 +87,7 @@ import warnings
 from pathlib import Path
 
 from .. import obs
+from ..core.query import check_setting
 from ..obs.metrics import merge_snapshots
 from ..parallel.supervise import DegradedExecutionWarning, SupervisionPolicy
 from ..testing.faults import fault_point
@@ -544,10 +545,7 @@ class ClusterServer:
         started = time.perf_counter()
         try:
             mu, epsilon = wire.parse_request(line)
-            if mu < 2:
-                raise ValueError(f"mu must be at least 2, got {mu}")
-            if not 0.0 <= epsilon <= 1.0:
-                raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+            check_setting(mu, epsilon)
         except ValueError as error:
             self._errors_total.inc()
             return wire.format_error(error)

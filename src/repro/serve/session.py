@@ -14,10 +14,10 @@ one, which keeps answers compact and serves repeats without recomputing:
   entry.
 * **Result caching.**  A bounded LRU (:class:`~repro.serve.cache.
   ResultCache`) keyed by ``(generation, μ, ε-rank, border-mode)`` holds
-  compact label payloads; repeats of a hot ``(μ, ε)`` are answered without
+  compact answers; repeats of a hot ``(μ, ε)`` are answered without
   touching the index at all.  Batched sweeps (:meth:`ClusterSession.
-  query_many`) route through the same cache: hits are materialised from
-  cached payloads, misses run as one planned batch and are admitted.
+  query_many`) route through the same cache: misses run as one planned
+  batch whose compact answers are cached as they are.
 * **Update safety.**  Generation tokens live in a registry shared by every
   session over one index, read on *every* request -- so an
   :meth:`~repro.core.index.ScanIndex.apply_updates` mutation (or any
@@ -47,15 +47,20 @@ from typing import Iterable
 import numpy as np
 
 from .. import obs
-from ..core.clustering import UNCLUSTERED, Clustering
-from ..core.query import cluster_compact, dense_clustering, get_cores
+from ..core.clustering import Clustering
+from ..core.query import (
+    CompactClustering,
+    check_setting,
+    cluster_compact,
+    dense_clustering,
+)
+from ..core.sweep_query import query_many as _query_many
 from ..parallel.scheduler import Scheduler
 from .cache import ResultCache
 from .snapping import EpsilonSnapper
 
 __all__ = [
     "ClusterSession",
-    "CompactLabels",
     "ServedResult",
     "invalidate_index_generations",
 ]
@@ -115,40 +120,6 @@ def _bind_generation(index, cache: ResultCache) -> int:
 
 
 @dataclass(frozen=True)
-class CompactLabels:
-    """The cacheable core of a served clustering: clustered vertices only.
-
-    ``vertices`` lists the clustered vertex ids -- the cores first
-    (``vertices[:num_cores]``), then the borders -- and ``labels`` the
-    cluster id of each, aligned.  Arrays are frozen (numpy read-only flag)
-    before entering the cache so a shared payload can never be mutated by
-    one reader under another.
-    """
-
-    vertices: np.ndarray
-    labels: np.ndarray
-    num_cores: int
-    num_clusters: int
-
-    @classmethod
-    def freeze(
-        cls,
-        vertices: np.ndarray,
-        labels: np.ndarray,
-        num_cores: int,
-        num_clusters: int,
-    ) -> "CompactLabels":
-        vertices.setflags(write=False)
-        labels.setflags(write=False)
-        return cls(
-            vertices=vertices,
-            labels=labels,
-            num_cores=num_cores,
-            num_clusters=num_clusters,
-        )
-
-
-@dataclass(frozen=True)
 class ServedResult:
     """One served ``(μ, ε)`` answer: compact labels plus request metadata.
 
@@ -162,7 +133,8 @@ class ServedResult:
         EpsilonSnapper.snap`); ``inf`` when ε exceeds every stored
         similarity.
     compact:
-        The shared (possibly cached) :class:`CompactLabels` payload.
+        The shared (possibly cached) :class:`~repro.core.query.
+        CompactClustering` answer.
     deterministic_borders:
         Border-attachment mode the answer was computed under.
     from_cache:
@@ -172,7 +144,7 @@ class ServedResult:
     mu: int
     epsilon: float
     snapped_epsilon: float
-    compact: CompactLabels
+    compact: CompactClustering
     num_vertices: int
     deterministic_borders: bool
     from_cache: bool
@@ -315,10 +287,7 @@ class ClusterSession:
         """
         mu = int(mu)
         epsilon = float(epsilon)
-        if mu < 2:
-            raise ValueError(f"mu must be at least 2, got {mu}")
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+        check_setting(mu, epsilon)
         self._refresh_if_mutated()
         rank = self.snapper.rank(epsilon)
         deterministic_borders = bool(deterministic_borders)
@@ -385,102 +354,51 @@ class ClusterSession:
     ) -> list[Clustering]:
         """Batched sweep through the result cache and the planner.
 
-        Every pair is first snapped and looked up in the session's result
-        cache -- a sweep that repeats earlier traffic (or repeats itself)
-        is answered from cached compact payloads.  The remaining misses run
-        as **one** planned batch through the multi-parameter planner
-        (:func:`repro.core.sweep_query.query_many`), and their compact
-        payloads are admitted to the cache, so a later :meth:`serve` of the same
-        setting hits.  Results are dense clusterings in input order,
-        bit-identical to cold calls; with caching disabled the planner
-        handles everything exactly as before.
+        Every pair is snapped and looked up in the session's result cache
+        (when it has one) -- a sweep that repeats earlier traffic, or
+        itself, is answered from cached compact answers.  The distinct
+        remaining keys run as **one** planned batch through the
+        multi-parameter planner (:func:`repro.core.sweep_query.query_many`),
+        whose compact answers are cached as they are, so a later
+        :meth:`serve` of the same setting hits.  Results are dense
+        clusterings in input order, bit-identical to cold calls.
         """
-        from ..core.sweep_query import query_many as _query_many
-
-        pairs = list(pairs)
+        pairs = [(int(mu), float(epsilon)) for mu, epsilon in pairs]
+        for mu, epsilon in pairs:
+            check_setting(mu, epsilon)
         self._refresh_if_mutated()
-        if self.cache is None:
-            self.served += len(pairs)
-            return _query_many(
-                self.index.graph,
-                self.index.neighbor_order,
-                self.index.core_order,
-                pairs,
-                scheduler=self.scheduler,
-                deterministic_borders=deterministic_borders,
-            )
-
         deterministic_borders = bool(deterministic_borders)
-        generation = self._generation_token()
-        results: list[Clustering | None] = [None] * len(pairs)
+        generation = self._generation_token() if self.cache is not None else 0
+        answers: list[CompactClustering | None] = [None] * len(pairs)
         misses: dict[tuple, list[int]] = {}
         for position, (mu, epsilon) in enumerate(pairs):
-            mu = int(mu)
-            epsilon = float(epsilon)
-            if mu < 2:
-                raise ValueError(f"mu must be at least 2, got {mu}")
-            if not 0.0 <= epsilon <= 1.0:
-                raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
             key = (generation, mu, self.snapper.rank(epsilon), deterministic_borders)
-            compact = self.cache.get(key)
-            self.served += 1
+            compact = self.cache.get(key) if self.cache is not None else None
             if compact is not None:
                 self.cache_hits += 1
-                results[position] = self._materialise(compact, mu, epsilon)
+                answers[position] = compact
             else:
                 # Distinct snapped keys only: duplicates (and ε values that
                 # snap together) ride along with the first occurrence.
                 misses.setdefault(key, []).append(position)
+        self.served += len(pairs)
         if misses:
-            representatives = [pairs[positions[0]] for positions in misses.values()]
-            clusterings = _query_many(
-                self.index.graph,
+            planned = _query_many(
                 self.index.neighbor_order,
                 self.index.core_order,
-                representatives,
+                [pairs[positions[0]] for positions in misses.values()],
                 scheduler=self.scheduler,
                 deterministic_borders=deterministic_borders,
             )
-            for (key, positions), clustering in zip(misses.items(), clusterings):
-                compact = self._admit(clustering)
-                self.cache.put(key, compact)
-                results[positions[0]] = clustering
-                for position in positions[1:]:
-                    mu, epsilon = pairs[position]
-                    results[position] = self._materialise(
-                        compact, int(mu), float(epsilon)
-                    )
-        return results  # type: ignore[return-value]
-
-    def _admit(self, clustering: Clustering) -> CompactLabels:
-        """Compact a planner result into the exact payload :meth:`serve` caches.
-
-        Cores are listed in their ``CO[μ]``-prefix order (recovered with one
-        doubling search) and borders ascending, matching
-        :func:`~repro.core.query.cluster_compact` bit for bit -- so entries admitted by a
-        sweep and entries cached by single serves are interchangeable.
-        """
-        cores = get_cores(
-            self.index.core_order,
-            clustering.mu,
-            clustering.epsilon,
-            scheduler=self.scheduler,
-        )
-        clustered = clustering.labels != UNCLUSTERED
-        borders = np.flatnonzero(clustered & ~clustering.core_mask)
-        core_labels = clustering.labels[cores]
-        return CompactLabels.freeze(
-            np.concatenate([cores, borders]),
-            np.concatenate([core_labels, clustering.labels[borders]]),
-            int(cores.size),
-            num_clusters=int(np.count_nonzero(core_labels == cores)),
-        )
-
-    def _materialise(
-        self, compact: CompactLabels, mu: int, epsilon: float
-    ) -> Clustering:
-        """Dense clustering from a compact payload (the cache-hit path)."""
-        return dense_clustering(compact, self.num_vertices, mu, epsilon)
+            for (key, positions), compact in zip(misses.items(), planned):
+                if self.cache is not None:
+                    self.cache.put(key, compact)
+                for position in positions:
+                    answers[position] = compact
+        return [
+            dense_clustering(compact, self.num_vertices, mu, epsilon)
+            for (mu, epsilon), compact in zip(pairs, answers)
+        ]
 
     # ------------------------------------------------------------------
     # Cache lifecycle
@@ -549,17 +467,15 @@ class ClusterSession:
 
     def _compute(
         self, mu: int, epsilon: float, deterministic_borders: bool
-    ) -> CompactLabels:
-        """One cache miss: the query tail's compact answer, frozen."""
-        return CompactLabels.freeze(
-            *cluster_compact(
-                self.index.neighbor_order,
-                self.index.core_order,
-                mu,
-                epsilon,
-                scheduler=self.scheduler,
-                deterministic_borders=deterministic_borders,
-            )
+    ) -> CompactClustering:
+        """One cache miss: the query tail's (read-only) compact answer."""
+        return cluster_compact(
+            self.index.neighbor_order,
+            self.index.core_order,
+            mu,
+            epsilon,
+            scheduler=self.scheduler,
+            deterministic_borders=deterministic_borders,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -84,6 +84,8 @@ CASES = [
     ("index build", "index build {wide_edges} {missing}.scanidx"),
     ("index query", "index query {artifact} --mu 1"),
     ("index query", "index query {artifact} --epsilon 2"),
+    ("index query", "index query {artifact} --epsilon nan"),
+    ("index query", "index query {artifact} --pairs 2:nan"),
     ("index query", "index query {artifact} --pairs 5-0.6"),
     ("index query", "index query {missing}"),
     ("index verify", "index verify {missing}"),

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import (
     prefix_length_at_least,
-    prefix_length_greater_than,
     prefix_lengths_at_least,
 )
 from repro.parallel import Scheduler
@@ -65,32 +64,6 @@ class TestPrefixAtLeast:
         scheduler = Scheduler()
         prefix_length_at_least(np.array([0.1]), 0.9, scheduler=scheduler)
         assert scheduler.counter.work >= 1
-
-
-class TestPrefixGreaterThan:
-    def test_strict_threshold(self):
-        keys = np.array([0.9, 0.5, 0.5, 0.1])
-        assert prefix_length_greater_than(keys, 0.5) == 1
-        assert prefix_length_at_least(keys, 0.5) == 3
-
-    def test_empty_and_all_below(self):
-        assert prefix_length_greater_than(np.array([]), 0.5) == 0
-        assert prefix_length_greater_than(np.array([0.5, 0.4]), 0.5) == 0
-
-    def test_all_above(self):
-        assert prefix_length_greater_than(np.array([3.0, 2.0, 1.0]), 0.5) == 3
-
-    def test_matches_linear_scan(self, rng):
-        for _ in range(20):
-            keys = np.sort(rng.integers(0, 10, size=rng.integers(1, 100)))[::-1]
-            threshold = int(rng.integers(0, 10))
-            expected = 0
-            for key in keys:
-                if key > threshold:
-                    expected += 1
-                else:
-                    break
-            assert prefix_length_greater_than(keys, threshold) == expected
 
 
 class TestBatchedPrefixAtLeast:

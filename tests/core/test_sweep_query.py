@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import ScanIndex
+from repro.core.query import cluster_compact
 from repro.core.sweep_query import query_many
 from repro.graphs import from_edge_list, paper_example_graph, planted_partition
 from repro.parallel import Scheduler
@@ -18,6 +19,17 @@ def paper_index():
 def community_index():
     graph = planted_partition(4, 25, p_intra=0.45, p_inter=0.02, seed=11)
     return ScanIndex.build(graph)
+
+
+def assert_same_answer(planned, single):
+    """Two compact answers agree field by field, and both are read-only."""
+    assert np.array_equal(planned.vertices, single.vertices)   # order included
+    assert np.array_equal(planned.labels, single.labels)
+    assert planned.num_cores == single.num_cores
+    assert planned.num_clusters == single.num_clusters
+    for answer in (planned, single):
+        assert not answer.vertices.flags.writeable
+        assert not answer.labels.flags.writeable
 
 
 def random_grid(rng, max_mu, count):
@@ -45,6 +57,22 @@ class TestIdentityWithPerPairQueries:
             assert np.array_equal(clustering.core_mask, single.core_mask)
             assert clustering.mu == mu
             assert clustering.epsilon == epsilon
+        planned = query_many(
+            community_index.neighbor_order,
+            community_index.core_order,
+            pairs,
+            deterministic_borders=deterministic,
+        )
+        for (mu, epsilon), answer in zip(pairs, planned):
+            single = cluster_compact(
+                community_index.neighbor_order,
+                community_index.core_order,
+                mu,
+                epsilon,
+                scheduler=Scheduler(),
+                deterministic_borders=deterministic,
+            )
+            assert_same_answer(answer, single)
 
     def test_paper_example(self, paper_index):
         pairs = [(3, 0.6), (2, 0.5), (3, 0.6), (64, 0.1), (2, 1.0), (2, 0.0)]
@@ -108,15 +136,19 @@ class TestPlannerEfficiency:
         assert ten.counter.work < per_pair.counter.work
 
     def test_module_level_entry_point(self, community_index):
+        pairs = [(2, 0.4), (3, 0.4)]
         results = query_many(
-            community_index.graph,
-            community_index.neighbor_order,
-            community_index.core_order,
-            [(2, 0.4), (3, 0.4)],
+            community_index.neighbor_order, community_index.core_order, pairs
         )
-        singles = [community_index.query(2, 0.4), community_index.query(3, 0.4)]
-        for ours, theirs in zip(results, singles):
-            assert np.array_equal(ours.labels, theirs.labels)
+        for (mu, epsilon), ours in zip(pairs, results):
+            theirs = cluster_compact(
+                community_index.neighbor_order,
+                community_index.core_order,
+                mu,
+                epsilon,
+                scheduler=Scheduler(),
+            )
+            assert_same_answer(ours, theirs)
 
 
 class TestEdgeCases:
@@ -130,6 +162,16 @@ class TestEdgeCases:
     def test_invalid_epsilon(self, paper_index):
         with pytest.raises(ValueError):
             paper_index.query_many([(2, 1.5)])
+
+    @pytest.mark.parametrize("cache_size", [0, 4])
+    def test_nan_epsilon_rejected(self, paper_index, cache_size):
+        pairs = [(2, 0.5), (2, float("nan"))]
+        with pytest.raises(ValueError, match="epsilon"):
+            query_many(paper_index.neighbor_order, paper_index.core_order, pairs)
+        with pytest.raises(ValueError, match="epsilon"):
+            paper_index.query_many(pairs)
+        with pytest.raises(ValueError, match="epsilon"):
+            paper_index.session(cache_size=cache_size).query_many(pairs)
 
     def test_empty_graph(self):
         index = ScanIndex.build(from_edge_list([], num_vertices=3))

@@ -12,7 +12,6 @@ from repro.parallel import (
     integer_sort_permutation,
     rationals_to_sort_keys,
     segmented_sort_by_key,
-    similarity_sort_keys,
     sort_by_key,
 )
 
@@ -90,17 +89,6 @@ class TestRationalKeys:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             rationals_to_sort_keys(np.array([1, 2]), np.array([1]), bound=2)
-
-    def test_similarity_keys_preserve_order(self, rng):
-        similarities = rng.random(200)
-        keys = similarity_sort_keys(similarities)
-        assert np.array_equal(np.argsort(keys, kind="stable"),
-                              np.argsort(np.round(similarities * (1 << 20)), kind="stable"))
-
-    def test_similarity_keys_clip_out_of_range(self):
-        keys = similarity_sort_keys(np.array([-0.5, 0.5, 1.5]))
-        assert keys[0] == 0
-        assert keys[2] == 1 << 20
 
 
 class TestSortByKey:

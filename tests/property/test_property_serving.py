@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro import ScanIndex
+from repro.core.query import cluster_compact
 from repro.graphs import planted_partition
+from repro.parallel import Scheduler
 
 
 @pytest.fixture(scope="module")
@@ -74,15 +76,45 @@ def test_served_stream_is_bit_identical_to_cold_queries(index, deterministic, se
 def test_session_query_many_stream_identical(index, deterministic):
     rng = np.random.default_rng(7)
     session = index.session()
+    uncached = index.session(cache_size=0)
     pairs = [
         (int(rng.integers(2, 12)), float(rng.choice(np.linspace(0.0, 1.0, 9))))
         for _ in range(25)
     ]
+    # Duplicates, and ε values that snap together onto one stored boundary.
+    boundary = float(np.median(np.unique(index.neighbor_order.similarities)))
+    below = float(np.nextafter(boundary, 0.0))
+    pairs += [pairs[0], (3, boundary), (3, below), (3, boundary), (3, below)]
     for _ in range(3):                       # repeats are answered from the cache
         batched = session.query_many(pairs, deterministic_borders=deterministic)
-        for (mu, epsilon), clustering in zip(pairs, batched):
+        planned = uncached.query_many(pairs, deterministic_borders=deterministic)
+        for (mu, epsilon), clustering, plain in zip(pairs, batched, planned):
             cold = index.query(mu, epsilon, deterministic_borders=deterministic)
-            assert np.array_equal(clustering.labels, cold.labels), (mu, epsilon)
+            for result in (clustering, plain):
+                assert np.array_equal(result.labels, cold.labels), (mu, epsilon)
+                assert np.array_equal(result.core_mask, cold.core_mask), (mu, epsilon)
+                assert result.mu == mu and result.epsilon == epsilon
+    # The sweep cached the planner's answers as they are: each equals the
+    # per-pair compact query field by field and is read-only.
+    for mu, epsilon in pairs:
+        served = session.serve(mu, epsilon, deterministic_borders=deterministic)
+        assert served.from_cache
+        single = cluster_compact(
+            index.neighbor_order,
+            index.core_order,
+            mu,
+            epsilon,
+            scheduler=Scheduler(),
+            deterministic_borders=deterministic,
+        )
+        cached = served.compact
+        assert np.array_equal(cached.vertices, single.vertices), (mu, epsilon)
+        assert np.array_equal(cached.labels, single.labels), (mu, epsilon)
+        assert cached.num_cores == single.num_cores
+        assert cached.num_clusters == single.num_clusters
+        for answer in (cached, single):
+            assert not answer.vertices.flags.writeable
+            assert not answer.labels.flags.writeable
 
 
 def test_cache_never_serves_a_stale_index_generation():
