@@ -29,9 +29,3 @@ def test_fig10_ari_tradeoff(benchmark, once):
         # More samples bring the approximate clustering closer to the exact one.
         assert ari_by_samples[256] >= ari_by_samples[16] - 0.05
         assert ari_by_samples[256] > 0.5
-
-
-if __name__ == "__main__":
-    from _standalone import experiment_main
-
-    raise SystemExit(experiment_main("figure10"))

@@ -76,9 +76,3 @@ def test_fig5_index_construction(benchmark, once, monkeypatch):
         serial.neighbor_order.neighbors, multicore.neighbor_order.neighbors
     )
     assert np.array_equal(serial.core_order.vertices, multicore.core_order.vertices)
-
-
-if __name__ == "__main__":
-    from _standalone import experiment_main
-
-    raise SystemExit(experiment_main("figure5"))

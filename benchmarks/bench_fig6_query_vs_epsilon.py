@@ -38,9 +38,3 @@ def test_fig6_query_vs_epsilon(benchmark, once):
         # Query cost is output-sensitive: large epsilon is never more expensive
         # than the densest (epsilon = 0.1) query.
         assert index_times[-1] <= index_times[0] * 1.5
-
-
-if __name__ == "__main__":
-    from _standalone import experiment_main
-
-    raise SystemExit(experiment_main("figure6"))

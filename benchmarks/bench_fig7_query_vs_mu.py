@@ -35,9 +35,3 @@ def test_fig7_query_vs_mu(benchmark, once):
         assert np.all(index_times < times(dataset, VARIANT_PPSCAN))
         # Queries at the largest mu (few or no cores) are among the cheapest.
         assert index_times[-1] <= np.median(index_times) * 1.5
-
-
-if __name__ == "__main__":
-    from _standalone import experiment_main
-
-    raise SystemExit(experiment_main("figure7"))

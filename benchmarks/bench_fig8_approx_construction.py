@@ -27,9 +27,3 @@ def test_fig8_approx_construction(benchmark, once):
         for samples in cosine:
             # MinHash sketching (O(k + d) per vertex) undercuts SimHash (O(k d)).
             assert jaccard[samples] <= cosine[samples]
-
-
-if __name__ == "__main__":
-    from _standalone import experiment_main
-
-    raise SystemExit(experiment_main("figure8"))

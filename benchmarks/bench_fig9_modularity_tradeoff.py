@@ -32,9 +32,3 @@ def test_fig9_modularity_tradeoff(benchmark, once):
         # The grid search over an approximate index finds a clustering whose
         # modularity is close to the exact index's best.
         assert best_approx >= exact_score - 0.1
-
-
-if __name__ == "__main__":
-    from _standalone import experiment_main
-
-    raise SystemExit(experiment_main("figure9"))

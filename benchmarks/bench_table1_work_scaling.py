@@ -26,9 +26,3 @@ def test_table1_work_scaling(benchmark, once):
     # magnitude across an 8x growth in graph size.
     assert max(ratios_exact) / min(ratios_exact) < 10
     assert max(ratios_approx) / min(ratios_approx) < 10
-
-
-if __name__ == "__main__":
-    from _standalone import experiment_main
-
-    raise SystemExit(experiment_main("table1"))

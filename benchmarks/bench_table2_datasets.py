@@ -11,9 +11,3 @@ def test_table2_datasets(benchmark, once):
     assert len(result.rows) == len(DATASETS) == 6
     weighted = {row[0] for row in result.rows if row[4] == "weighted"}
     assert weighted == {"blood-vessel-like", "cochlea-like"}
-
-
-if __name__ == "__main__":
-    from _standalone import experiment_main
-
-    raise SystemExit(experiment_main("table2"))

@@ -37,6 +37,8 @@ import subprocess
 import sys
 from dataclasses import dataclass, fields
 
+from ..parallel.execute import visible_cpu_count
+
 __all__ = [
     "EnvironmentFingerprint",
     "FINGERPRINT_FIELDS",
@@ -88,14 +90,6 @@ class EnvironmentFingerprint:
 
 #: Field names of :class:`EnvironmentFingerprint`, in declaration order.
 FINGERPRINT_FIELDS = tuple(field.name for field in fields(EnvironmentFingerprint))
-
-
-def visible_cpu_count() -> int:
-    """Cores this process may actually use (affinity mask, not host count)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def git_revision() -> str | None:

@@ -1,10 +1,9 @@
 """Glue between the benchmark runners and the results store.
 
 ``--record [DB]`` appends a runner's payload, stamped with the shared
-environment block, to the sqlite trajectory store.  The paper-figure
-wrappers (``benchmarks/_standalone.py``), ``repro run`` and
-``benchmarks/bench_obs_overhead.py`` share this one helper, so they
-cannot drift into separate recording conventions.
+environment block, to the sqlite trajectory store.  ``repro run`` (every
+paper figure and table) and ``benchmarks/bench_obs_overhead.py`` share
+this one helper, so they cannot drift into separate recording conventions.
 """
 
 from __future__ import annotations

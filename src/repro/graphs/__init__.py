@@ -4,10 +4,8 @@ from .graph import Graph
 from .builders import (
     complete_graph,
     empty_graph,
-    from_adjacency,
     from_edge_list,
     from_weighted_edge_list,
-    relabel_to_contiguous,
 )
 from .generators import (
     PAPER_EXAMPLE_EDGES,
@@ -32,11 +30,6 @@ from .properties import (
     degeneracy_ordering,
     density,
 )
-from .triangles import (
-    count_triangles,
-    local_clustering_coefficient,
-    per_edge_triangle_counts,
-)
 from .connectivity import (
     UNLABELLED,
     components_of_edge_set,
@@ -51,10 +44,8 @@ __all__ = [
     "Graph",
     "complete_graph",
     "empty_graph",
-    "from_adjacency",
     "from_edge_list",
     "from_weighted_edge_list",
-    "relabel_to_contiguous",
     "PAPER_EXAMPLE_EDGES",
     "dense_clustered_graph",
     "dense_weighted_association",
@@ -77,9 +68,6 @@ __all__ = [
     "degeneracy",
     "degeneracy_ordering",
     "density",
-    "count_triangles",
-    "local_clustering_coefficient",
-    "per_edge_triangle_counts",
     "UNLABELLED",
     "components_of_edge_set",
     "connected_components_bfs",

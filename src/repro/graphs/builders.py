@@ -1,4 +1,4 @@
-"""Constructors that turn edge lists and adjacency maps into :class:`Graph`.
+"""Constructors that turn edge lists into :class:`Graph`.
 
 All builders normalise the input into a simple undirected graph: duplicate
 edges are collapsed (keeping the last weight seen), self-loops are dropped,
@@ -8,7 +8,7 @@ assumes.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -128,25 +128,6 @@ def _from_canonical_edges(
     return Graph(indptr, targets[order], arc_weights, arc_edge_ids=arc_edge_ids)
 
 
-def from_adjacency(
-    adjacency: Mapping[int, Iterable[int]],
-    *,
-    num_vertices: int | None = None,
-) -> Graph:
-    """Build an unweighted graph from a vertex -> neighbors mapping.
-
-    The mapping does not need to be symmetric; an edge is added whenever it
-    appears in either direction.
-    """
-    pairs = [(int(u), int(v)) for u, neighbors in adjacency.items() for v in neighbors]
-    if num_vertices is None and adjacency:
-        num_vertices = max(
-            max(adjacency.keys(), default=-1),
-            max((v for _, v in pairs), default=-1),
-        ) + 1
-    return from_edge_list(pairs, num_vertices=num_vertices)
-
-
 def from_weighted_edge_list(
     weighted_edges: Iterable[tuple[int, int, float]],
     *,
@@ -169,27 +150,3 @@ def complete_graph(num_vertices: int, *, weight: float | None = None) -> Graph:
     pairs = [(u, v) for u in range(num_vertices) for v in range(u + 1, num_vertices)]
     weights = None if weight is None else [weight] * len(pairs)
     return from_edge_list(pairs, num_vertices=num_vertices, weights=weights)
-
-
-def relabel_to_contiguous(graph: Graph, *, drop_isolated: bool = True) -> tuple[Graph, np.ndarray]:
-    """Compact vertex ids so they are contiguous, optionally dropping isolated vertices.
-
-    Mirrors the preprocessing the paper applies to the brain / Friendster /
-    HumanBase graphs.  Returns the new graph and an array mapping new ids to
-    the original ids.
-    """
-    degrees = graph.degrees
-    if drop_isolated:
-        keep = np.flatnonzero(degrees > 0)
-    else:
-        keep = np.arange(graph.num_vertices, dtype=np.int64)
-    new_id = -np.ones(graph.num_vertices, dtype=np.int64)
-    new_id[keep] = np.arange(keep.shape[0], dtype=np.int64)
-    edge_u, edge_v = graph.edge_list()
-    weights = graph.edge_weights
-    remapped = from_edge_list(
-        np.column_stack([new_id[edge_u], new_id[edge_v]]),
-        num_vertices=int(keep.shape[0]),
-        weights=weights,
-    )
-    return remapped, keep

@@ -4,9 +4,10 @@ The query algorithm (Algorithm 5) clusters core vertices by running a
 connectivity computation on the subgraph of ε-similar core-core edges.  The
 paper's theoretical variant uses the Gazit connectivity algorithm
 (``O(m + n)`` expected work, ``O(log n)`` span); the implementation uses a
-concurrent union-find instead.  Both entry points are provided here: a
-sequential BFS labelling (used by the GS*-Index baseline) and a union-find
-batch labelling charged with the parallel bound (used by the index query).
+concurrent union-find instead.  Two labellings are provided here: a
+sequential BFS labelling, the reference the union-find labelling is tested
+against, and a union-find batch labelling charged with the parallel bound
+(the index query itself calls :meth:`UnionFind.connect` directly).
 """
 
 from __future__ import annotations

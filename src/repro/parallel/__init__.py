@@ -7,8 +7,9 @@ expressed, in two complementary halves:
   :class:`~repro.parallel.scheduler.Scheduler` that executes fork-join
   computations sequentially and charges their work and span to a
   :class:`~repro.parallel.metrics.WorkSpanCounter`, together with the
-  standard parallel primitives the paper relies on (reduce, filter, scan,
-  sorting, hash tables, union-find) -- the paper-facing cost model;
+  sorts, segmented array helpers and union-find the algorithms share -- the
+  paper-facing cost model (the remaining primitives of the paper, such as
+  reduce, filter and scan, are whole-array numpy steps charged inline);
 * the *real* execution layer (:mod:`repro.parallel.execute`) -- a
   ``multiprocessing`` worker pool over shared-memory numpy columns that
   shards the construction hot spots for measured wall-clock scaling, with
@@ -18,15 +19,6 @@ expressed, in two complementary halves:
 from .metrics import CostReport, WorkSpanCounter, ceil_log2, ceil_log2_array
 from .scheduler import PAPER_NUM_THREADS, Scheduler, sequential_scheduler
 from .primitives import (
-    parallel_count,
-    parallel_filter,
-    parallel_flatten,
-    parallel_map_array,
-    parallel_max,
-    parallel_pack_indices,
-    parallel_reduce,
-    parallel_scan,
-    remove_duplicates,
     segmented_arange,
     segmented_ranges,
     segmented_searchsorted,
@@ -37,10 +29,8 @@ from .sorting import (
     pack_segment_keys,
     packed_argsort,
     radix_eligible,
-    rationals_to_sort_keys,
     segmented_sort_by_key,
     similarity_rank_keys,
-    sort_by_key,
 )
 from .execute import (
     PARALLEL_FLOOR_ARCS,
@@ -49,7 +39,6 @@ from .execute import (
     resolve_jobs,
     shared_memory_available,
 )
-from .hashtable import ParallelHashMap, ParallelHashSet
 from .unionfind import UnionFind
 
 __all__ = [
@@ -60,15 +49,6 @@ __all__ = [
     "PAPER_NUM_THREADS",
     "Scheduler",
     "sequential_scheduler",
-    "parallel_count",
-    "parallel_filter",
-    "parallel_flatten",
-    "parallel_map_array",
-    "parallel_max",
-    "parallel_pack_indices",
-    "parallel_reduce",
-    "parallel_scan",
-    "remove_duplicates",
     "segmented_arange",
     "segmented_ranges",
     "segmented_searchsorted",
@@ -82,11 +62,7 @@ __all__ = [
     "executor_for",
     "resolve_jobs",
     "shared_memory_available",
-    "rationals_to_sort_keys",
     "segmented_sort_by_key",
     "similarity_rank_keys",
-    "sort_by_key",
-    "ParallelHashMap",
-    "ParallelHashSet",
     "UnionFind",
 ]

@@ -125,7 +125,7 @@ def visible_cpu_count() -> int:
     """
     try:
         return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux platforms
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux platforms
         return os.cpu_count() or 1
 
 

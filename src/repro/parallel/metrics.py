@@ -92,18 +92,6 @@ class WorkSpanCounter:
         self.work = 0.0
         self.span = 0.0
 
-    def merge_parallel(self, children: list["WorkSpanCounter"]) -> None:
-        """Fold counters of independently executed child tasks into this one.
-
-        Work adds up across children; span is the maximum child span because
-        the children run concurrently.  A fork-join overhead of
-        ``ceil(log2(#children))`` is charged on top.
-        """
-        if not children:
-            return
-        self.work += sum(child.work for child in children)
-        self.span += max(child.span for child in children) + ceil_log2(len(children))
-
     def simulated_time(
         self,
         num_workers: int,

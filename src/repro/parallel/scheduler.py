@@ -2,8 +2,8 @@
 
 The :class:`Scheduler` is the entry point of the simulated parallel runtime.
 Algorithms written against it look like the pseudocode in the paper --
-``parallel_for`` loops, ``fork_join`` of a handful of tasks, nested
-parallelism -- and every construct charges work and span to the scheduler's
+``parallel_for`` loops and nested parallelism -- and every construct charges
+work and span to the scheduler's
 :class:`~repro.parallel.metrics.WorkSpanCounter`.
 
 Execution itself is sequential (CPython's GIL makes genuine shared-memory
@@ -16,12 +16,9 @@ captured per iteration and re-aggregated.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable
 
 from .metrics import WorkSpanCounter, ceil_log2
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: Number of hyper-threads on the machine used in the paper's evaluation
 #: (48 cores with two-way hyper-threading).
@@ -93,43 +90,6 @@ class Scheduler:
         counter.work += n * work_per_iteration
         counter.span = span_before + max_iteration_span + ceil_log2(n) + 1.0
 
-    def parallel_map(
-        self,
-        items: Sequence[T],
-        fn: Callable[[T], R],
-        *,
-        work_per_item: float = 1.0,
-    ) -> list[R]:
-        """Apply ``fn`` to every item in parallel and return the results in order."""
-        results: list[R | None] = [None] * len(items)
-
-        def body(i: int) -> None:
-            results[i] = fn(items[i])
-
-        self.parallel_for(len(items), body, work_per_iteration=work_per_item)
-        return results  # type: ignore[return-value]
-
-    def fork_join(self, tasks: Iterable[Callable[[], R]]) -> list[R]:
-        """Fork the given thunks, run them "concurrently", and join.
-
-        Span is the maximum span of any task plus the fork-join overhead.
-        """
-        tasks = list(tasks)
-        counter = self.counter
-        span_before = counter.span
-        max_task_span = 0.0
-        results: list[R] = []
-        for task in tasks:
-            task_start = counter.span
-            results.append(task())
-            task_span = counter.span - task_start
-            if task_span > max_task_span:
-                max_task_span = task_span
-            counter.span = task_start
-        counter.work += len(tasks)
-        counter.span = span_before + max_task_span + ceil_log2(max(len(tasks), 1)) + 1.0
-        return results
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
@@ -141,10 +101,6 @@ class Scheduler:
     def reset(self) -> None:
         """Zero the underlying counter (e.g. between benchmark phases)."""
         self.counter.reset()
-
-    def fresh(self) -> "Scheduler":
-        """Return a scheduler with the same worker count and a fresh counter."""
-        return Scheduler(self.num_workers)
 
 
 def sequential_scheduler() -> Scheduler:

@@ -1,4 +1,4 @@
-"""Parallel sorting primitives: comparison sort, integer sort, rational sort.
+"""Parallel sorting primitives: comparison sort, integer sort, rank keys.
 
 The paper exploits the observation (Section 4.1.2) that for unweighted graphs
 all similarity scores are rationals with polynomially bounded numerators and
@@ -9,8 +9,9 @@ bounds quoted in Section 2.3.2:
 
 * comparison sort (Cole's merge sort): ``O(n log n)`` work, ``O(log n)`` span;
 * integer sort (Raman): ``O(n log log n)`` work, ``O(log n / log log n)`` span;
-* rational sort: rescale each rational ``a/b`` with ``a, b <= r`` by ``r**2``
-  and integer-sort the resulting integers, preserving order.
+* rational sort: the paper rescales each rational ``a/b`` with ``a, b <= r``
+  by ``r**2`` and integer-sorts the results; :func:`similarity_rank_keys`
+  replaces the rescaling with exact dense ranks of the scores.
 """
 
 from __future__ import annotations
@@ -75,28 +76,6 @@ def integer_sort_permutation(
             return np.zeros(0, dtype=np.int64)
         return np.argsort(keys.max() - keys, kind="stable")
     return np.argsort(keys, kind="stable")
-
-
-def rationals_to_sort_keys(
-    numerators: np.ndarray,
-    denominators: np.ndarray,
-    bound: float,
-) -> np.ndarray:
-    """Map rationals ``numerators/denominators`` to integers preserving order.
-
-    Two distinct rationals whose numerator and denominator are bounded by
-    ``bound`` differ by at least ``1 / bound**2``, so multiplying by
-    ``bound**2`` and rounding down yields integers in the same order
-    (Section 2.3.2 of the paper).
-    """
-    numerators = np.asarray(numerators, dtype=np.float64)
-    denominators = np.asarray(denominators, dtype=np.float64)
-    if numerators.shape != denominators.shape:
-        raise ValueError("numerators and denominators must have the same shape")
-    if np.any(denominators <= 0):
-        raise ValueError("denominators must be positive")
-    scale = float(bound) ** 2
-    return np.floor(numerators / denominators * scale).astype(np.int64)
 
 
 def similarity_rank_keys(similarities: np.ndarray) -> np.ndarray:
@@ -267,30 +246,6 @@ def packed_argsort(
     if strategy == "radix":
         return _radix_argsort(packed, universe)
     return np.argsort(packed, kind="stable")
-
-
-def sort_by_key(
-    scheduler: Scheduler,
-    values: np.ndarray,
-    keys: np.ndarray,
-    *,
-    descending: bool = False,
-    use_integer_sort: bool = False,
-) -> np.ndarray:
-    """Sort ``values`` by ``keys`` and return the reordered values.
-
-    Dispatches to the integer sort when ``use_integer_sort`` is set (keys must
-    then be non-negative integers), otherwise to the comparison sort.
-    """
-    values = np.asarray(values)
-    keys = np.asarray(keys)
-    if values.shape[0] != keys.shape[0]:
-        raise ValueError("values and keys must have equal length")
-    if use_integer_sort:
-        order = integer_sort_permutation(scheduler, keys, descending=descending)
-    else:
-        order = comparison_sort_permutation(scheduler, keys, descending=descending)
-    return values[order]
 
 
 def segmented_sort_by_key(

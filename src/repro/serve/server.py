@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import multiprocessing
 import time
 import warnings
@@ -312,8 +313,12 @@ class ClusterServer:
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        if request_deadline <= 0:
+        if not (math.isfinite(request_deadline) and request_deadline > 0):
             raise ValueError(f"request deadline must be positive, got {request_deadline}")
+        if not (math.isfinite(probe_interval) and probe_interval > 0):
+            raise ValueError(f"probe interval must be positive, got {probe_interval}")
+        if not (math.isfinite(drain_deadline) and drain_deadline >= 0):
+            raise ValueError(f"drain deadline must be >= 0, got {drain_deadline}")
         if max_inflight < 1:
             raise ValueError(f"need max_inflight >= 1, got {max_inflight}")
         if max_queue_depth < 1:

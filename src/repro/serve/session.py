@@ -320,24 +320,6 @@ class ClusterSession:
             from_cache=from_cache,
         )
 
-    def serve_many(
-        self,
-        pairs: Iterable[tuple[int, float]],
-        *,
-        deterministic_borders: bool = False,
-    ) -> list[ServedResult]:
-        """Serve a stream of pairs through the cache, one :meth:`serve` each.
-
-        Unlike :meth:`query_many` this routes every request through the
-        result cache, which is what a repeated-workload serving loop wants;
-        use :meth:`query_many` for one-shot sweeps over mostly distinct
-        settings, where the batched planner's shared probes win instead.
-        """
-        return [
-            self.serve(mu, epsilon, deterministic_borders=deterministic_borders)
-            for mu, epsilon in pairs
-        ]
-
     def query(
         self, mu: int, epsilon: float, *, deterministic_borders: bool = False
     ) -> Clustering:

@@ -90,9 +90,6 @@ __all__ = [
     "verify_checksums",
 ]
 
-#: Checksum algorithm recorded in version 3 and 4 headers.
-CHECKSUM_ALGORITHM = "crc32"
-
 
 class ArtifactIntegrityError(ArtifactFormatError):
     """Stored bytes disagree with the header's checksums, or recovery failed.

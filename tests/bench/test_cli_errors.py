@@ -97,6 +97,8 @@ CASES = [
     ("serve", "serve {missing}"),
     ("serve", "serve {artifact} --requests {missing}"),
     ("serve", "serve {artifact} --workers 2"),
+    ("serve", "serve {artifact} --port 0 --probe-interval 0"),
+    ("serve", "serve {artifact} --port 0 --deadline nan"),
     ("serve-client", "serve-client no-port"),
     ("serve-client", "serve-client {closed}"),
     ("bench record", "bench record {missing} --db {db}"),

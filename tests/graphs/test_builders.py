@@ -1,4 +1,4 @@
-"""Tests for graph builders (edge lists, adjacency maps, relabelling)."""
+"""Tests for graph builders (edge lists, weighted edge lists, fixed shapes)."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ import pytest
 from repro.graphs import (
     complete_graph,
     empty_graph,
-    from_adjacency,
     from_edge_list,
     from_weighted_edge_list,
-    relabel_to_contiguous,
 )
 
 
@@ -72,15 +70,6 @@ class TestFromEdgeList:
 
 
 class TestOtherBuilders:
-    def test_from_adjacency(self):
-        graph = from_adjacency({0: [1, 2], 1: [2]})
-        assert graph.num_edges == 3
-        assert graph.has_edge(0, 2)
-
-    def test_from_adjacency_asymmetric_input(self):
-        graph = from_adjacency({0: [1]})
-        assert graph.has_edge(1, 0)
-
     def test_from_weighted_edge_list(self):
         graph = from_weighted_edge_list([(0, 1, 0.5), (1, 2, 2.0)])
         assert graph.is_weighted
@@ -100,23 +89,3 @@ class TestOtherBuilders:
         graph = complete_graph(3, weight=0.5)
         assert graph.is_weighted
         assert graph.edge_weight(0, 2) == 0.5
-
-
-class TestRelabel:
-    def test_drops_isolated_vertices(self):
-        graph = from_edge_list([(0, 2), (2, 4)], num_vertices=6)
-        compacted, mapping = relabel_to_contiguous(graph)
-        assert compacted.num_vertices == 3
-        assert compacted.num_edges == 2
-        assert mapping.tolist() == [0, 2, 4]
-
-    def test_keep_isolated_when_requested(self):
-        graph = from_edge_list([(0, 2)], num_vertices=4)
-        compacted, mapping = relabel_to_contiguous(graph, drop_isolated=False)
-        assert compacted.num_vertices == 4
-        assert mapping.tolist() == [0, 1, 2, 3]
-
-    def test_preserves_weights(self):
-        graph = from_edge_list([(1, 3)], num_vertices=5, weights=[0.7])
-        compacted, _ = relabel_to_contiguous(graph)
-        assert compacted.edge_weight(0, 1) == 0.7

@@ -63,18 +63,6 @@ class TestWorkSpanCounter:
         counter.reset()
         assert counter.work == 0.0 and counter.span == 0.0
 
-    def test_merge_parallel_takes_max_span(self):
-        parent = WorkSpanCounter()
-        children = [WorkSpanCounter(10, 2), WorkSpanCounter(20, 7), WorkSpanCounter(5, 1)]
-        parent.merge_parallel(children)
-        assert parent.work == 35
-        assert parent.span == 7 + ceil_log2(3)
-
-    def test_merge_parallel_empty_is_noop(self):
-        parent = WorkSpanCounter(1, 1)
-        parent.merge_parallel([])
-        assert parent.work == 1 and parent.span == 1
-
     def test_simulated_time_brents_bound(self):
         counter = WorkSpanCounter(work=1000, span=10)
         t = counter.simulated_time(10, scheduling_overhead=1.0, seconds_per_operation=1.0)

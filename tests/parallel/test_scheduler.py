@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel import Scheduler, ceil_log2, sequential_scheduler
+from repro.parallel import Scheduler, sequential_scheduler
 
 
 class TestConstruction:
@@ -15,13 +15,6 @@ class TestConstruction:
 
     def test_sequential_scheduler_has_one_worker(self):
         assert sequential_scheduler().num_workers == 1
-
-    def test_fresh_keeps_workers_but_resets_counter(self):
-        scheduler = Scheduler(4)
-        scheduler.charge(100, 10)
-        fresh = scheduler.fresh()
-        assert fresh.num_workers == 4
-        assert fresh.counter.work == 0
 
 
 class TestParallelFor:
@@ -60,27 +53,6 @@ class TestParallelFor:
         scheduler.parallel_for(4, outer)
         # Inner loop span: 1 + log2(4) + 1 = 4; outer adds log2(4) + 1 = 3.
         assert scheduler.counter.span == pytest.approx(4 + 3)
-
-    def test_parallel_map_returns_results_in_order(self):
-        scheduler = Scheduler()
-        assert scheduler.parallel_map([1, 2, 3], lambda x: x * x) == [1, 4, 9]
-
-
-class TestForkJoin:
-    def test_returns_all_results(self):
-        scheduler = Scheduler()
-        results = scheduler.fork_join([lambda: 1, lambda: 2, lambda: 3])
-        assert results == [1, 2, 3]
-
-    def test_span_is_max_task(self):
-        scheduler = Scheduler()
-        tasks = [
-            lambda: scheduler.charge(1, 2),
-            lambda: scheduler.charge(1, 9),
-            lambda: scheduler.charge(1, 4),
-        ]
-        scheduler.fork_join(tasks)
-        assert scheduler.counter.span == pytest.approx(9 + ceil_log2(3) + 1)
 
 
 class TestTiming:

@@ -1,4 +1,4 @@
-"""Tests for the parallel sorting primitives and the rational-to-integer trick."""
+"""Tests for the parallel sorting primitives."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,7 @@ from repro.parallel import (
     packed_argsort,
     comparison_sort_permutation,
     integer_sort_permutation,
-    rationals_to_sort_keys,
     segmented_sort_by_key,
-    sort_by_key,
 )
 
 
@@ -72,40 +70,6 @@ class TestIntegerSort:
         a = integer_sort_permutation(s, keys)
         b = comparison_sort_permutation(s, keys.astype(np.float64))
         assert np.array_equal(keys[a], keys[b])
-
-
-class TestRationalKeys:
-    def test_preserves_order_of_distinct_rationals(self):
-        numerators = np.array([1, 1, 2, 3])
-        denominators = np.array([3, 2, 3, 4])
-        keys = rationals_to_sort_keys(numerators, denominators, bound=4)
-        ratios = numerators / denominators
-        assert np.array_equal(np.argsort(keys), np.argsort(ratios))
-
-    def test_rejects_non_positive_denominator(self):
-        with pytest.raises(ValueError):
-            rationals_to_sort_keys(np.array([1]), np.array([0]), bound=2)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            rationals_to_sort_keys(np.array([1, 2]), np.array([1]), bound=2)
-
-
-class TestSortByKey:
-    def test_sorts_values(self, s):
-        values = np.array([10, 20, 30])
-        keys = np.array([3.0, 1.0, 2.0])
-        assert sort_by_key(s, values, keys).tolist() == [20, 30, 10]
-
-    def test_integer_path(self, s):
-        values = np.array([10, 20, 30])
-        keys = np.array([3, 1, 2], dtype=np.int64)
-        out = sort_by_key(s, values, keys, descending=True, use_integer_sort=True)
-        assert out.tolist() == [10, 30, 20]
-
-    def test_length_mismatch(self, s):
-        with pytest.raises(ValueError):
-            sort_by_key(s, np.arange(3), np.arange(2))
 
 
 class TestSegmentedSort:

@@ -127,6 +127,33 @@ class TestBitIdentity:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"workers": 0},
+            {"max_inflight": 0},
+            {"max_queue_depth": 0},
+            {"request_deadline": 0},
+            {"request_deadline": -1.0},
+            {"request_deadline": float("nan")},
+            {"request_deadline": float("inf")},
+            {"probe_interval": 0},
+            {"probe_interval": -1.0},
+            {"probe_interval": float("nan")},
+            {"probe_interval": float("inf")},
+            {"drain_deadline": -5.0},
+            {"drain_deadline": float("nan")},
+            {"drain_deadline": float("inf")},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_constructor_rejects_broken_settings(self, artifact, kwargs):
+        with pytest.raises(ValueError):
+            ClusterServer(artifact, **kwargs)
+
+    def test_constructor_accepts_zero_drain_deadline(self, artifact):
+        assert ClusterServer(artifact, drain_deadline=0).drain_deadline == 0.0
+
     def test_malformed_and_out_of_range_requests(self, artifact):
         async def scenario(server, reader, writer):
             return [
