@@ -4,21 +4,13 @@ Not a figure of the paper, and not a pipeline timing (``perfbench/`` times
 build, open, sweep, query, serving and updates end to end).  Where the
 program chooses between two interchangeable strategies by a measured
 crossover, this runner times both sides on the same input, records what
-``"auto"`` picks there, and checks that both sides give identical output:
+the program picks there, and checks that both sides give identical output:
 
 ``radix_eligible``
     The ``NO`` and ``CO`` permutations of :func:`~repro.parallel.sorting.
-    packed_argsort`, stable argsort (A) vs the radix digit chain (B), on the
-    packed pre-sort codes captured from a real serial build.
-``resolve_probe``
-    :func:`~repro.similarity.batch.edge_numerators_for_subset`, global
-    composite-key search (A) vs bounded per-segment search (B), on 1% and on
-    all edges, with the graph's arc search keys already built and without --
-    on the ``perfbench`` shape and on two low-degree rungs whose segments
-    (at most 8 and at most 16 entries) sit on either side of
-    ``2**BOUNDED_PROBE_MAX_ROUNDS``; and on what an update sends it, the
-    inserted edges of each churn batch on the freshly patched graph, whose
-    keys are not built yet.
+    packed_argsort`, stable ``np.argsort`` (A) vs
+    :func:`~repro.parallel.sorting.radix_argsort` (B), on the packed
+    pre-sort codes captured from a real serial build.
 ``ORDER_REBUILD_CHURN``
     :meth:`~repro.core.index.ScanIndex.apply_updates` with the order repair
     forced to merge (A) or to resort (B) through the constant, on mixed
@@ -45,21 +37,18 @@ import numpy as np
 
 import repro.dynamic.patch as patch_module
 import repro.parallel.sorting as sorting
-import repro.similarity.batch as batch_module
 from repro import ScanIndex
 from repro.bench import capture_environment, format_table
 from repro.dynamic import UpdateBatch
 from repro.graphs import from_edge_list, planted_partition
-from repro.parallel import Scheduler
-from repro.similarity.batch import edge_numerators_for_subset
 from repro.storage import IndexArtifact
 
 
 def _hub_graph(clusters, size, p_intra, p_inter, hubs, hub_degree, seed):
     """A planted partition plus ``hubs`` extra vertices of ``hub_degree`` each.
 
-    The hubs give ``NO`` segments thousands of entries deep, where auto
-    picks the radix chain for the neighbor-order sort too.
+    The hubs' degree sets the ``NO`` sort's max segment, one input of the
+    radix crossover.
     """
     base = planted_partition(clusters, size, p_intra=p_intra, p_inter=p_inter, seed=seed)
     rng = np.random.default_rng(seed + 1)
@@ -71,42 +60,30 @@ def _hub_graph(clusters, size, p_intra, p_inter, hubs, hub_degree, seed):
     return from_edge_list(np.concatenate(pieces), num_vertices=base.num_vertices + hubs)
 
 
-def _ring_graph(num_vertices, rings, seed):
-    """The union of ``rings`` random Hamiltonian cycles: max degree ``2 * rings``.
-
-    A low-degree rung for the subset probe: every segment the bounded
-    probe searches holds at most ``2 * rings`` entries.
-    """
-    rng = np.random.default_rng(seed)
-    pieces = []
-    for _ in range(rings):
-        cycle = rng.permutation(num_vertices)
-        pieces.append(np.stack([cycle, np.roll(cycle, 1)], axis=1))
-    return from_edge_list(np.concatenate(pieces), num_vertices=num_vertices)
-
-
 def _partition(clusters, size, p_intra, p_inter, seed=1):
     return lambda: planted_partition(
         clusters, size, p_intra=p_intra, p_inter=p_inter, seed=seed
     )
 
 
-#: Per run flavour: (sort rungs, probe rungs, churn rungs, batch
-#: fractions, timing repeats).  A rung is (name, graph loader); the full
-#: sort rungs are the ``perfbench`` input shape (also the first probe
-#: rung), a hub-tailed graph, and two hub graphs whose ``NO`` and ``CO``
-#: max segments (~700 and ~1,500) straddle ``RADIX_MIN_MAX_SEGMENT``; the
-#: extra probe rungs have max degree 8 and 16, either side of
-#: ``2**BOUNDED_PROBE_MAX_ROUNDS``, at the ``perfbench`` edge count; the
-#: churn rungs are one sparse (average degree ~13) and one dense (~70)
-#: graph.
+#: Per run flavour: (sort rungs, churn rungs, batch fractions, timing
+#: repeats).  A rung is (name, graph loader); the full sort rungs are the
+#: ``perfbench`` input shape, a hub-tailed graph, hub graphs whose ``NO``
+#: and ``CO`` max segments run from ~100 to ~1,500, and two planted
+#: partitions of ~190k ``NO`` entries with max segments ~90 and ~30, which
+#: fall on either side of ``RADIX_TOTAL_SQUARED_PER_SEGMENT``; the churn
+#: rungs are one sparse (average degree ~13) and one dense (~70) graph.
 FULL = (
     [("perfbench", _partition(60, 200, 0.30, 0.0015)),
      ("hubs", lambda: _hub_graph(30, 120, 0.25, 0.002, 6, 3000, seed=21)),
+     ("hub-100", lambda: _hub_graph(2, 100, 0.50, 0.002, 10, 100, seed=35)),
+     ("hub-200", lambda: _hub_graph(2, 100, 0.50, 0.002, 10, 195, seed=37)),
+     ("hub-350", lambda: _hub_graph(4, 100, 0.50, 0.002, 10, 345, seed=39)),
+     ("hub-500", lambda: _hub_graph(5, 100, 0.50, 0.002, 10, 490, seed=45)),
      ("hub-700", lambda: _hub_graph(7, 100, 0.50, 0.002, 10, 690, seed=31)),
-     ("hub-1500", lambda: _hub_graph(15, 100, 0.50, 0.002, 10, 1490, seed=33))],
-    [("ring-8", lambda: _ring_graph(116_000, 4, seed=41)),
-     ("ring-16", lambda: _ring_graph(58_000, 8, seed=43))],
+     ("hub-1500", lambda: _hub_graph(15, 100, 0.50, 0.002, 10, 1490, seed=33)),
+     ("partition-193k", _partition(15, 200, 0.30, 0.0015)),
+     ("partition-184k", _partition(300, 40, 0.30, 0.0003))],
     [("sparse", _partition(150, 40, 0.20, 0.0008)),
      ("dense", _partition(40, 100, 0.55, 0.0040))],
     (0.001, 0.01, 0.05),
@@ -115,8 +92,6 @@ FULL = (
 SMOKE = (
     [("small", _partition(12, 40, 0.35, 0.01)),
      ("small-hub", lambda: _hub_graph(12, 100, 0.10, 0.002, 1, 1100, seed=3))],
-    [("small-ring-8", lambda: _ring_graph(2_000, 4, seed=41)),
-     ("small-ring-16", lambda: _ring_graph(1_000, 8, seed=43))],
     [("small", _partition(12, 50, 0.30, 0.008))],
     (0.001, 0.05),
     1,
@@ -151,10 +126,9 @@ def sort_cells(rung, graph, repeats):
     captured = []
     original = sorting.packed_argsort
 
-    def capture(packed, *, universe, max_segment, strategy="auto"):
+    def capture(packed, *, universe, max_segment):
         captured.append((packed, universe, max_segment))
-        return original(packed, universe=universe, max_segment=max_segment,
-                        strategy=strategy)
+        return original(packed, universe=universe, max_segment=max_segment)
 
     sorting.packed_argsort = capture
     try:
@@ -163,72 +137,19 @@ def sort_cells(rung, graph, repeats):
         sorting.packed_argsort = original
     cells = []
     for order, (packed, universe, max_segment) in zip(("NO", "CO"), captured):
+        sides = {
+            "argsort": lambda _: np.argsort(packed, kind="stable"),
+            "radix": lambda _: sorting.radix_argsort(packed, universe),
+        }
         seconds, perms = {}, {}
-        for strategy in ("argsort", "radix"):
-            seconds[strategy], perms[strategy] = _best_of(repeats, lambda _: original(
-                packed, universe=universe, max_segment=max_segment, strategy=strategy
-            ))
+        for side, sort in sides.items():
+            seconds[side], perms[side] = _best_of(repeats, sort)
         auto = "radix" if sorting.radix_eligible(packed.size, universe, max_segment) else "argsort"
         cells.append(_cell(
             "radix_eligible", rung, f"{order} {packed.size}/seg {max_segment}", auto,
             "argsort", "radix", seconds["argsort"], seconds["radix"],
             np.array_equal(perms["argsort"], perms["radix"]),
         ))
-    return cells
-
-
-def _auto_probe(graph, subset):
-    """The probe ``"auto"`` resolves to for ``subset`` in the graph's state."""
-    picked = []
-    original = batch_module.resolve_probe
-
-    def capture(*args, **kwargs):
-        picked.append(original(*args, **kwargs))
-        return picked[-1]
-
-    batch_module.resolve_probe = capture
-    try:
-        edge_numerators_for_subset(graph, subset, Scheduler())
-    finally:
-        batch_module.resolve_probe = original
-    return picked[0]
-
-
-def probe_cell(rung, size, graph, subset, keys_built, repeats):
-    """Global vs bounded probes of one subset, with or without built arc keys."""
-    def setup():
-        if keys_built:
-            graph.arc_search_keys()
-        else:
-            graph._arc_search_keys = None  # drop the memoised keys
-
-    setup()
-    auto = _auto_probe(graph, subset)
-    seconds, numerators = {}, {}
-    for probe in ("global", "bounded"):
-        seconds[probe], numerators[probe] = _best_of(
-            repeats,
-            lambda _: edge_numerators_for_subset(graph, subset, Scheduler(), probe=probe),
-            setup,
-        )
-    return _cell(
-        "resolve_probe", rung, f"{size}, {'keys built' if keys_built else 'no keys'}",
-        auto, "global", "bounded", seconds["global"], seconds["bounded"],
-        np.array_equal(numerators["global"], numerators["bounded"]),
-    )
-
-
-def probe_cells(rung, graph, repeats):
-    """Random 1% and all-edge subsets, with and without built arc keys."""
-    rng = np.random.default_rng(0)
-    cells = []
-    for fraction in (0.01, 1.0):
-        count = max(int(graph.num_edges * fraction), 1)
-        subset = np.sort(rng.choice(graph.num_edges, size=count, replace=False))
-        for keys_built in (True, False):
-            cells.append(probe_cell(
-                rung, f"{fraction:.0%} of edges", graph, subset, keys_built, repeats
-            ))
     return cells
 
 
@@ -250,17 +171,11 @@ def _mixed_batch(graph, fraction, rng):
 
 
 def churn_cells(rung, graph, fractions, repeats):
-    """Per batch: the update path's own subset probe, then merge vs resort.
-
-    The probe cell runs on the freshly patched graph, whose arc keys are not
-    built, over the subset an unweighted update recomputes (its inserted
-    edges).  The order-repair cell forces merge and resort through
-    ``ORDER_REBUILD_CHURN`` on the same batch.
-    """
+    """Per batch: merge vs resort, forced through ``ORDER_REBUILD_CHURN``."""
     index = ScanIndex.build(graph)
     rng = np.random.default_rng(1)
     crossover = patch_module.ORDER_REBUILD_CHURN
-    probes, churns = [], []
+    churns = []
 
     def patched(batch, churn):
         patch_module.ORDER_REBUILD_CHURN = churn
@@ -277,11 +192,6 @@ def churn_cells(rung, graph, fractions, repeats):
         batch = _mixed_batch(graph, fraction, rng)
         clone = IndexArtifact.from_index(index).to_index()
         report = clone.apply_updates(batch)
-        positions, _ = clone.graph.locate_neighbors(batch.insert_u, batch.insert_v)
-        probes.append(probe_cell(
-            rung, f"{fraction:.1%} batch inserts, patched", clone.graph,
-            np.sort(clone.graph.arc_edge_ids[positions]), False, repeats,
-        ))
         merge_seconds, (_, merged) = patched(batch, float("inf"))
         resort_seconds, (_, resorted) = patched(batch, -1.0)
         merged = IndexArtifact.from_index(merged).columns
@@ -294,25 +204,17 @@ def churn_cells(rung, graph, fractions, repeats):
             merged.keys() == resorted.keys()
             and all(np.array_equal(merged[k], resorted[k]) for k in merged),
         ))
-    return probes, churns
+    return churns
 
 
 def run(flavour) -> dict:
     """Measure every cell of one run flavour; print the ledger as one table."""
-    sort_rungs, probe_rungs, churn_rungs, fractions, repeats = flavour
-    sorts, probes, churns = [], [], []
-    for position, (rung, load) in enumerate(sort_rungs):
-        graph = load()
-        sorts += sort_cells(rung, graph, repeats)
-        if position == 0:
-            probes += probe_cells(rung, graph, repeats)
-    for rung, load in probe_rungs:
-        probes += probe_cells(rung, load(), repeats)
+    sort_rungs, churn_rungs, fractions, repeats = flavour
+    cells = []
+    for rung, load in sort_rungs:
+        cells += sort_cells(rung, load(), repeats)
     for rung, load in churn_rungs:
-        update_probes, rung_churns = churn_cells(rung, load(), fractions, repeats)
-        probes += update_probes
-        churns += rung_churns
-    cells = sorts + probes + churns
+        cells += churn_cells(rung, load(), fractions, repeats)
     print(format_table(
         ["pair", "rung", "size", "auto", "A", "A_ms", "B", "B_ms", "A/B", "identical"],
         [[c["pair"], c["rung"], c["size"], c["auto"], c["a"], f"{c['a_seconds'] * 1e3:.2f}",

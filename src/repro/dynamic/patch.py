@@ -14,10 +14,10 @@ the ``O(Σ_{t∈T} deg t)`` arcs around the touched vertices ``T`` (the
 endpoints of some op) are found by binary search, and each stored column is
 then rebuilt by one delete-and-insert pass (:func:`_splice`).  Those column
 splices (memcpy-scale), the one remap of ``arc_edge_ids`` and the patched
-graph's own derived arrays (its canonical edge list, and the arc search
-keys the subset numerator engine probes) are the only whole-graph passes
-left; no step builds a mask over every arc, a prefix sum over every entry
-or a sort key over a whole column.
+graph's own derived arrays (its canonical edge list, and on weighted graphs
+the arc search keys the subset numerator engine probes) are the only
+whole-graph passes left; no step builds a mask over every arc, a prefix sum
+over every entry or a sort key over a whole column.
 
 1. **Graph splice** (:func:`_splice_graph`): the two arcs of every op are
    located in the CSR rows (``Graph.locate_neighbors``) and the arc columns
@@ -29,9 +29,11 @@ or a sort key over a whole column.
 2. **Similarity delta** (:func:`apply_updates`): an edge's score changes
    only if an endpoint is touched, so exactly the edges in ``T``'s adjacency
    ranges are re-finalised; with stored numerators only the triangle-affected
-   ones pay intersection work (integer triangle-count deltas for unweighted
-   graphs, a fresh subset recompute for weighted ones), through the same
-   vectorised subset engine (:func:`~repro.similarity.batch.
+   ones pay intersection work.  On unweighted graphs that work is the one
+   listing of the triangles through the op edges: integer triangle-count
+   deltas for the surviving edges, ``2 +`` the triangle count for the
+   inserted ones.  Weighted graphs recompute the affected subset fresh
+   through the vectorised subset engine (:func:`~repro.similarity.batch.
    edge_numerators_for_subset`) the LSH fallback batches with.  The
    edge-indexed columns are spliced like the arc columns.
 3. **Neighbor-order patch** (:func:`_patch_neighbor_order`): the whole
@@ -455,7 +457,7 @@ def _triangle_deltas(
     op_v: np.ndarray,
     op_edge_ids: np.ndarray,
     map_ids,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-edge triangle-count deltas caused by the given op edges.
 
     Enumerates every triangle through an op edge in ``graph`` and adds one
@@ -465,7 +467,8 @@ def _triangle_deltas(
     are computed fresh).  ``map_ids`` translates ``graph``'s edge ids into
     the output numbering (identity for insertions enumerated on the new
     graph; the old-to-new map for deletions enumerated on the old one).
-    Returns ``(edge_ids, counts)`` over the edges with a nonzero delta.
+    Returns ``(edge_ids, counts)`` over the edges with a nonzero delta,
+    plus the number of triangles through each op edge.
     """
     op_index, side1, side2 = _triangle_sides(graph, op_u, op_v)
     rank1, is_op1 = _rank_among(op_edge_ids, side1)
@@ -478,7 +481,8 @@ def _triangle_deltas(
     contribute = map_ids(np.concatenate([
         side1[attributed & ~is_op1], side2[attributed & ~is_op2],
     ]))
-    return np.unique(contribute, return_counts=True)
+    edge_ids, counts = np.unique(contribute, return_counts=True)
+    return edge_ids, counts, np.bincount(op_index, minlength=op_u.shape[0])
 
 
 def _numerator_affected_edges(
@@ -525,8 +529,9 @@ def _patched_similarities(
     touched endpoint; numerators only for the triangle-affected subset.
     With stored numerators the former are re-finalised elementwise and only
     the latter pay intersection work; without them (hand-assembled scores,
-    version-1 artifacts) every affected edge recomputes its numerator.
-    Inserted edges enter the splice as zeros and are always affected.
+    version-1 artifacts) every affected edge recomputes its numerator
+    through the subset pass.  Inserted edges enter the splice as zeros and
+    are always affected.
     """
     graph = index.graph
     old_numerators = index.similarities.numerators
@@ -546,34 +551,43 @@ def _patched_similarities(
             # Unweighted: every triangle term is exactly 1, so surviving
             # numerators delta-update with integer adds -- bit-equal to a
             # fresh count, in work proportional to the triangles through
-            # the op edges.  Only the inserted edges compute from scratch.
+            # the op edges -- and an inserted edge's numerator is 2 plus
+            # the triangles through it, which the same listing counts.
             if batch.insert_u.size:
-                ids, counts = _triangle_deltas(
+                ids, counts, triangles = _triangle_deltas(
                     new_graph, batch.insert_u, batch.insert_v,
                     inserted_edge_ids, lambda ids: ids,
                 )
                 numerators[ids] += counts
+                numerators[inserted_edge_ids] = 2.0 + triangles
+                # Charged as the subset pass would: one probe per neighbor
+                # of the lower-degree endpoint, plus one, per inserted edge.
+                degrees = new_graph.degrees
+                costs = np.minimum(degrees[batch.insert_u], degrees[batch.insert_v]) + 1
+                scheduler.charge(
+                    float(costs.sum()),
+                    ceil_log2(int(costs.max())) + 1.0 + ceil_log2(costs.shape[0]) + 1.0,
+                )
             if batch.delete_u.size:
 
                 def _surviving(ids: np.ndarray) -> np.ndarray:
                     mapped = old_to_new[ids]
                     return mapped[mapped >= 0]
 
-                ids, counts = _triangle_deltas(
+                ids, counts, _ = _triangle_deltas(
                     graph, batch.delete_u, batch.delete_v, deleted_ids, _surviving,
                 )
                 numerators[ids] -= counts
-            recompute = inserted_edge_ids
         else:
             # Weighted: float triangle terms would drift under repeated
             # deltas, so the triangle-affected subset recomputes fresh.
             recompute = _numerator_affected_edges(
                 graph, new_graph, batch, old_to_new, inserted_edge_ids
             )
-        if recompute.size:
-            numerators[recompute] = edge_numerators_for_subset(
-                new_graph, recompute, scheduler
-            )
+            if recompute.size:
+                numerators[recompute] = edge_numerators_for_subset(
+                    new_graph, recompute, scheduler
+                )
     if affected_edges.size:
         fresh = (
             numerators[affected_edges]

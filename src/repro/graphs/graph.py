@@ -442,11 +442,6 @@ class Graph:
             self._oriented_search_keys = np.append(keys, np.int64(-1))
         return self._oriented_search_keys
 
-    @property
-    def has_arc_search_keys(self) -> bool:
-        """True once :meth:`arc_search_keys` has been built and memoised."""
-        return self._arc_search_keys is not None
-
     def arc_search_keys(self) -> np.ndarray:
         """Composite ``source * n + target`` key of every arc (memoised).
 

@@ -28,6 +28,7 @@ from .sorting import (
     integer_sort_permutation,
     pack_segment_keys,
     packed_argsort,
+    radix_argsort,
     radix_eligible,
     segmented_sort_by_key,
     similarity_rank_keys,
@@ -56,6 +57,7 @@ __all__ = [
     "integer_sort_permutation",
     "pack_segment_keys",
     "packed_argsort",
+    "radix_argsort",
     "radix_eligible",
     "PARALLEL_FLOOR_ARCS",
     "ParallelExecutor",

@@ -25,8 +25,8 @@ Two construction stages shard:
   worker computes the stable permutation of its slice.  Packed codes of
   earlier segments are strictly smaller than those of later segments, so the
   concatenation of per-shard stable sorts *is* the global stable sort --
-  bit-identical by construction, for every strategy of
-  :func:`~repro.parallel.sorting.packed_argsort`.
+  bit-identical by construction, whichever sort
+  :func:`~repro.parallel.sorting.packed_argsort` picks per shard.
 
 The determinism/merge contract, in one line: **shard boundaries are pure
 functions of the input, every worker's output is deterministic, and merges
@@ -269,7 +269,6 @@ def _sort_worker(
     hi: int,
     universe: int,
     max_segment: int,
-    strategy: str,
 ) -> None:
     """Stable permutation of ``packed[lo:hi]`` written to ``out[lo:hi]``.
 
@@ -288,10 +287,7 @@ def _sort_worker(
         handle, out = _attach(out_spec)
         handles.append(handle)
         out[lo:hi] = packed_argsort(
-            packed[lo:hi],
-            universe=universe,
-            max_segment=max_segment,
-            strategy=strategy,
+            packed[lo:hi], universe=universe, max_segment=max_segment
         )
         out[lo:hi] += lo
     finally:
@@ -486,17 +482,16 @@ class ParallelExecutor:
         *,
         universe: int,
         max_segment: int,
-        strategy: str = "auto",
     ) -> np.ndarray:
         """Stable ascending permutation of packed segment/key codes, sharded.
 
         Shard bounds are element-count quantiles snapped outward to segment
         boundaries -- a pure function of the input, independent of worker
         scheduling -- and each shard's stable permutation is computed
-        independently (radix or argsort per ``strategy``; the choice cannot
-        change the permutation).  Because segment blocks are ascending in
-        the packed code space, concatenating the shard permutations equals
-        the global stable permutation bit for bit.
+        independently (radix or argsort, each shard by its own size; the
+        choice cannot change the permutation).  Because segment blocks are
+        ascending in the packed code space, concatenating the shard
+        permutations equals the global stable permutation bit for bit.
         """
         total = int(packed.shape[0])
         bounds = self._segment_bounds(segment_offsets, total)
@@ -504,9 +499,7 @@ class ParallelExecutor:
             # Nothing to shard (empty input, one segment swallowing every
             # split point, or an executor already degraded): the serial
             # permutation is the same answer.
-            return packed_argsort(
-                packed, universe=universe, max_segment=max_segment, strategy=strategy
-            )
+            return packed_argsort(packed, universe=universe, max_segment=max_segment)
         columns = _ColumnSet()
         with obs.span(
             "parallel.segmented_argsort",
@@ -518,7 +511,7 @@ class ParallelExecutor:
                 out_spec, out = columns.allocate((total,), np.int64)
                 tasks = [
                     (index, packed_spec, out_spec, int(lo), int(hi),
-                     universe, max_segment, strategy)
+                     universe, max_segment)
                     for index, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
                 ]
                 # Sort tasks overwrite disjoint slices deterministically, so a
@@ -529,9 +522,7 @@ class ParallelExecutor:
                 columns.release()
         # Supervision gave up: finish this stage on the serial path, which
         # produces the identical permutation.
-        return packed_argsort(
-            packed, universe=universe, max_segment=max_segment, strategy=strategy
-        )
+        return packed_argsort(packed, universe=universe, max_segment=max_segment)
 
     def _segment_bounds(self, segment_offsets: np.ndarray, total: int) -> np.ndarray:
         """Shard boundaries: jobs-quantiles snapped to segment starts."""

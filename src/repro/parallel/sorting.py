@@ -97,35 +97,31 @@ def similarity_rank_keys(similarities: np.ndarray) -> np.ndarray:
     return inverse.astype(np.int64)
 
 
-#: Execution strategies for the packed segmented permutation (see
-#: :func:`packed_argsort`).  ``"auto"`` picks by the measured crossover.
-SORT_STRATEGIES = ("auto", "argsort", "radix")
-
 #: Digit width of one radix pass.  numpy's ``kind="stable"`` argsort runs an
 #: O(n) radix sort for integer dtypes of at most 16 bits, so chaining stable
 #: argsorts over 16-bit digits yields an O(passes * n) sort of arbitrarily
 #: wide keys.
 RADIX_DIGIT_BITS = 16
 
-#: ``"auto"`` uses the radix chain only when the packed universe fits in this
-#: many digit passes.  Each pass costs a whole-array digit extraction, an
-#: O(n) radix argsort and a permutation gather; at three or more passes the
-#: packed int64 timsort wins back (measured: 2-pass radix beats it up to
-#: ~2.5x on hub-heavy segments, 3 passes loses ~0.9x).
+#: :func:`packed_argsort` uses the radix chain only when the packed universe
+#: fits in this many digit passes.  Each pass costs a whole-array digit
+#: extraction, an O(n) radix argsort and a permutation gather; at three or
+#: more passes the packed int64 timsort wins back (measured: 2-pass radix
+#: beats it up to ~2.5x on hub-heavy segments, 3 passes loses ~0.9x).
 RADIX_MAX_PASSES = 2
 
-#: ``"auto"`` requires the longest segment to reach this many entries.
+#: :func:`packed_argsort` also requires ``total**2 <= this * max_segment``.
 #: Timsort exploits the segment-run structure of the packed codes (segments
-#: are contiguous ascending blocks): on short uniform segments its galloping
-#: merges beat the radix chain (measured crossover near max-segment ~1024;
-#: see the frozen ``BENCH_construction.json``'s order-build microbenchmark
-#: per rung).  The ``radix_eligible`` cells of
-#: ``benchmarks/bench_strategies.py`` time both sides on either side of it:
-#: at max segment ~1,500 auto picks radix and wins, but at ~700 radix also
-#: wins (1.4-1.9x) while auto keeps argsort, so on hub-tailed graphs the
-#: crossover sits between the perfbench ``NO`` sort (max segment ~100,
-#: argsort wins) and ~700.
-RADIX_MIN_MAX_SEGMENT = 1024
+#: are contiguous ascending blocks), so it gains on the radix chain as
+#: segments shorten, and the chain's gathers lose cache locality as the
+#: total grows.  Neither input predicts the winner alone: the ``NO`` sort
+#: of a 929k-entry graph with max segment 106 and of a 943k one with 690
+#: both go to argsort (radix 0.67-0.69x), while one of 193k entries with
+#: max segment 91 goes to radix (1.28x), and one of 184k with max segment
+#: 28 to argsort (0.77x).  Those two bound the constant to [4.1e8, 1.2e9);
+#: it sits near their geometric mean.  The ``radix_eligible`` cells of
+#: ``benchmarks/bench_strategies.py`` time both sides on each such rung.
+RADIX_TOTAL_SQUARED_PER_SEGMENT = 7 * 10**8
 
 #: Below this total the permutation is microseconds either way; skip the
 #: digit-array bookkeeping and keep the single argsort call.
@@ -141,15 +137,15 @@ def radix_passes(universe: int) -> int:
 
 
 def radix_eligible(total: int, universe: int, max_segment: int) -> bool:
-    """The measured ``"auto"`` crossover of :func:`packed_argsort`, exposed.
+    """The measured crossover :func:`packed_argsort` picks its side by.
 
     One definition shared by the sort itself and the strategy ledger that
     reports on it (``benchmarks/bench_strategies.py``), so the recorded
-    auto pick can never drift from what the build actually runs.
+    pick can never drift from what the build actually runs.
     """
     return (
         total >= RADIX_MIN_TOTAL
-        and max_segment >= RADIX_MIN_MAX_SEGMENT
+        and total * total <= RADIX_TOTAL_SQUARED_PER_SEGMENT * max_segment
         and radix_passes(universe) <= RADIX_MAX_PASSES
     )
 
@@ -188,13 +184,13 @@ def pack_segment_keys(
     return packed, universe, int(lengths.max(initial=0))
 
 
-def _radix_argsort(packed: np.ndarray, universe: int) -> np.ndarray:
+def radix_argsort(packed: np.ndarray, universe: int) -> np.ndarray:
     """Stable ascending permutation of ``packed`` via LSD 16-bit radix passes.
 
     Equivalent to ``np.argsort(packed, kind="stable")`` for non-negative
     codes below ``universe`` -- a stable sort permutation is uniquely
-    determined by the key sequence, so the two strategies are bit-identical
-    by construction (property-tested).  Each pass stable-sorts one 16-bit
+    determined by the key sequence, so the two are bit-identical by
+    construction (property-tested).  Each pass stable-sorts one 16-bit
     digit, low to high; numpy executes those argsorts with its O(n) integer
     radix sort.
     """
@@ -215,36 +211,26 @@ def packed_argsort(
     *,
     universe: int,
     max_segment: int,
-    strategy: str = "auto",
 ) -> np.ndarray:
     """Stable ascending permutation of packed ``(segment, key)`` codes.
 
     ``packed`` is the single-array encoding ``segment_id * key_span + key``
     produced by :func:`segmented_sort_by_key`: non-negative, below
     ``universe``, with segment blocks contiguous and ascending in input
-    order.  Two interchangeable strategies compute the permutation --
-    ``"argsort"`` (one stable int64 argsort; timsort) and ``"radix"`` (the
-    paper's Section 4.1.2 bounded-integer observation rendered as chained
-    16-bit counting passes, O(n) per pass) -- and ``"auto"`` picks by the
-    measured crossover: radix wins when segments are long (hub-heavy degree
-    distributions, the per-mu core-order lists) and the packed universe
-    fits :data:`RADIX_MAX_PASSES` digit passes; timsort's galloping wins on
-    short uniform segments.  Both strategies return bit-identical
-    permutations (stable-sort uniqueness), so the choice is purely a
-    wall-clock matter; ``benchmarks/bench_strategies.py`` times both.
+    order.  Two interchangeable sorts compute the permutation -- one stable
+    int64 argsort (timsort) and :func:`radix_argsort` (the paper's Section
+    4.1.2 bounded-integer observation rendered as chained 16-bit counting
+    passes, O(n) per pass) -- and :func:`radix_eligible` picks by the
+    measured crossover: radix wins when segments are long against the
+    total (hub-heavy degree distributions, the per-mu core-order lists) and
+    the packed universe fits :data:`RADIX_MAX_PASSES` digit passes;
+    timsort's galloping wins on short segments of large inputs.  Both
+    return bit-identical permutations (stable-sort uniqueness), so the
+    choice is purely a wall-clock matter; ``benchmarks/bench_strategies.py``
+    times both.
     """
-    if strategy not in SORT_STRATEGIES:
-        raise ValueError(
-            f"unknown sort strategy {strategy!r}; expected one of {SORT_STRATEGIES}"
-        )
-    if strategy == "auto":
-        strategy = (
-            "radix"
-            if radix_eligible(int(packed.shape[0]), universe, max_segment)
-            else "argsort"
-        )
-    if strategy == "radix":
-        return _radix_argsort(packed, universe)
+    if radix_eligible(int(packed.shape[0]), universe, max_segment):
+        return radix_argsort(packed, universe)
     return np.argsort(packed, kind="stable")
 
 
@@ -256,7 +242,6 @@ def segmented_sort_by_key(
     *,
     descending: bool = True,
     use_integer_sort: bool = True,
-    sort_strategy: str = "auto",
     executor=None,
 ) -> np.ndarray:
     """Sort each segment of a CSR-style array independently by its keys.
@@ -268,9 +253,9 @@ def segmented_sort_by_key(
     with a single stable ``lexsort``-style pass.
 
     When the integer keys pack into one int64 code per entry, the permutation
-    runs through :func:`packed_argsort`, whose ``sort_strategy`` selects
-    between the stable argsort and the radix digit chain (``"auto"`` picks by
-    the measured crossover).  ``executor`` -- a
+    runs through :func:`packed_argsort`, which picks between the stable
+    argsort and the radix digit chain by the measured crossover.
+    ``executor`` -- a
     :class:`~repro.parallel.execute.ParallelExecutor` -- shards the packed
     permutation across real worker processes along segment boundaries; the
     sharded result is bit-identical to the serial one because packed codes of
@@ -314,18 +299,11 @@ def segmented_sort_by_key(
             packed, universe, max_segment = packing
             if executor is not None:
                 order = executor.segmented_argsort(
-                    packed,
-                    segment_offsets,
-                    universe=universe,
-                    max_segment=max_segment,
-                    strategy=sort_strategy,
+                    packed, segment_offsets, universe=universe, max_segment=max_segment
                 )
             else:
                 order = packed_argsort(
-                    packed,
-                    universe=universe,
-                    max_segment=max_segment,
-                    strategy=sort_strategy,
+                    packed, universe=universe, max_segment=max_segment
                 )
             return values[order]
     sort_keys = -keys if descending else keys

@@ -10,11 +10,7 @@ the *same* algorithm array-at-once:
    bounded by processing the pairs in chunks of ``chunk_pairs``);
 2. test every candidate ``x`` for membership in ``out(u)`` by searching the
    memoised composite keys ``source * n + target`` of the whole oriented
-   CSR with a single C-speed ``np.searchsorted`` (``O(log 2m)`` per probe).
-   A per-source-segment search bounded to ``u``'s out-segment does less
-   comparison work, but on this all-edge pass it lost on every graph
-   measured, short out-segments included (1.3-2.7x slower), so the pass
-   always uses the global search;
+   CSR with a single C-speed ``np.searchsorted`` (``O(log 2m)`` per probe);
 3. scatter the three per-triangle contributions onto the canonical edge ids
    (``np.add.at`` semantics, executed via ``np.bincount`` which is
    dramatically faster for large scatters).
@@ -28,12 +24,11 @@ model while the execution strategy differs.
 
 :func:`edge_numerators_for_subset` applies the same treatment to an arbitrary
 subset of edges (probing the smaller endpoint's neighborhood against the
-larger one's), which is what the LSH low-degree fallback in
-:mod:`repro.lsh.approximate` batches its exact similarities with.  There
-each probe strategy wins at some batch size, so ``probe`` (see
-:data:`PROBE_STRATEGIES` and :func:`resolve_probe`) picks between the
-global search and the bounded per-segment search
-(:func:`~repro.parallel.primitives.segmented_searchsorted`).
+larger one's with one search of the graph's memoised whole-CSR composite
+keys), which is what the LSH low-degree fallback in
+:mod:`repro.lsh.approximate` batches its exact similarities with; index
+updates use it for weighted graphs and for artifacts without stored
+numerators.
 """
 
 from __future__ import annotations
@@ -42,59 +37,13 @@ import numpy as np
 
 from ..graphs.graph import Graph
 from ..parallel.metrics import ceil_log2
-from ..parallel.primitives import segmented_ranges, segmented_searchsorted
+from ..parallel.primitives import segmented_ranges
 from ..parallel.scheduler import Scheduler
 
 #: Default bound on the number of ``(arc, candidate)`` pairs materialised at
 #: once; 2**22 pairs is ~100 MB of transient arrays, far below graph size for
 #: the scales this engine targets while keeping each chunk BLAS-friendly.
 DEFAULT_CHUNK_PAIRS = 1 << 22
-
-#: Membership-probe strategies of :func:`edge_numerators_for_subset`.
-PROBE_STRATEGIES = ("auto", "global", "bounded")
-
-#: ``"auto"`` switches to the bounded segmented probe when the longest
-#: searched segment needs at most this many binary-search rounds.  Measured
-#: crossover (the frozen ``BENCH_hot_paths.json``, probe microbenchmark):
-#: each bounded round costs several whole-array numpy passes, so the
-#: C-speed global search wins unless segments are short enough to resolve
-#: in a handful of rounds.  The strategy ledger's ``ring-8`` and ``ring-16``
-#: rungs (``benchmarks/bench_strategies.py``; max degree 8 and 16) sit on
-#: either side: the global probe wins on ``ring-16``, and on ``ring-8``
-#: too for all-edge subsets (1.7x), so the crossover may lie lower still
-#: (``docs/ARCHITECTURE.md``).
-BOUNDED_PROBE_MAX_ROUNDS = 3
-
-#: ``"auto"`` also takes the bounded probe while the graph's arc search keys
-#: are not built and there is less than one probe per this many arcs: the
-#: global probe would first pay a whole-graph key pass, which costs more
-#: than bounded rounds over so few probes.  Measured on a fresh 0.93M-arc
-#: graph: 1.5k probes 0.7 ms bounded vs 4.0 ms global, 15k probes 3.7 vs
-#: 4.7 ms, 29k probes 7.5 vs 5.8 ms (the patched graph of every update is
-#: such a fresh graph).  The ledger's update-batch ``resolve_probe`` cells
-#: time both probes on the inserted edges of real batches.
-UNBUILT_KEYS_ARCS_PER_PROBE = 48
-
-
-def resolve_probe(
-    probe: str, max_segment_length: int, *, probes: int = 0, unbuilt_key_arcs: int = 0
-) -> str:
-    """Resolve ``"auto"`` to a concrete probe strategy for a given workload.
-
-    ``probes`` counts the membership probes and ``unbuilt_key_arcs`` the
-    arcs whose search keys the global probe would have to build first (0
-    when they are already memoised).
-    """
-    if probe not in PROBE_STRATEGIES:
-        raise ValueError(f"unknown probe strategy {probe!r}; expected one of {PROBE_STRATEGIES}")
-    if probe != "auto":
-        return probe
-    if max_segment_length <= (1 << BOUNDED_PROBE_MAX_ROUNDS):
-        return "bounded"
-    if probes * UNBUILT_KEYS_ARCS_PER_PROBE < unbuilt_key_arcs:
-        return "bounded"
-    return "global"
-
 
 def accumulate_oriented_contributions(
     out: np.ndarray,
@@ -249,7 +198,6 @@ def edge_numerators_for_subset(
     scheduler: Scheduler,
     *,
     chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-    probe: str = "auto",
 ) -> np.ndarray:
     """Closed-neighborhood dot products of the selected edges only.
 
@@ -270,15 +218,10 @@ def edge_numerators_for_subset(
     swap = degrees[u] > degrees[v]
     u, v = np.where(swap, v, u), np.where(swap, u, v)
 
+    n = graph.num_vertices
     num_arcs = graph.num_arcs
+    comp = graph.arc_search_keys()
     counts = degrees[u]
-    probe = resolve_probe(
-        probe, int(degrees[v].max(initial=0)), probes=int(counts.sum()),
-        unbuilt_key_arcs=0 if graph.has_arc_search_keys else num_arcs,
-    )
-    if probe == "global":
-        n = graph.num_vertices
-        comp = graph.arc_search_keys()
     costs = counts + 1
     total_work = float(costs.sum())
     max_span = ceil_log2(int(costs.max())) + 1.0
@@ -298,21 +241,10 @@ def edge_numerators_for_subset(
         pair_edge = np.repeat(np.arange(edge_start, edge_end, dtype=np.int64), chunk_counts)
         probe_pos = segmented_ranges(graph.indptr[u[edge_start:edge_end]], chunk_counts)
         candidates = graph.indices[probe_pos]
-        if probe == "global":
-            keys = v[pair_edge] * np.int64(n) + candidates
-            locations = np.searchsorted(comp[:num_arcs], keys)
-            # A miss past the end lands on the sentinel and compares unequal.
-            found = comp[locations] == keys
-        else:
-            # Bounded probe of candidate x within v's neighbor segment only.
-            pair_v = v[pair_edge]
-            seg_ends = graph.indptr[pair_v + 1]
-            locations = segmented_searchsorted(
-                graph.indices, candidates, graph.indptr[pair_v], seg_ends
-            )
-            found = (locations < seg_ends) & (
-                graph.indices[np.minimum(locations, num_arcs - 1)] == candidates
-            )
+        keys = v[pair_edge] * np.int64(n) + candidates
+        locations = np.searchsorted(comp[:num_arcs], keys)
+        # A miss past the end lands on the sentinel and compares unequal.
+        found = comp[locations] == keys
         if found.any():
             if graph.arc_weights is None:
                 contributions = np.ones(int(np.count_nonzero(found)), dtype=np.float64)

@@ -16,6 +16,7 @@ import repro.dynamic.patch as patch_module
 from repro import ApproximationConfig, ScanIndex
 from repro.dynamic import UpdateBatch
 from repro.graphs import empty_graph, from_edge_list, planted_partition
+from repro.parallel import Scheduler
 from repro.similarity.exact import EdgeSimilarities
 
 
@@ -120,6 +121,25 @@ class TestBitIdentity:
         index.apply_updates(insertions=[(0, 1), (1, 2), (0, 2), (3, 4)])
         rebuilt = ScanIndex.build(
             from_edge_list([(0, 1), (1, 2), (0, 2), (3, 4)], num_vertices=5)
+        )
+        assert_indexes_identical(index, rebuilt)
+
+    def test_inserts_closing_triangles_among_themselves(self):
+        # Inserted numerators are 2 + the triangles through the edge, counted
+        # on the patched graph: here a triangle of three inserts, one closed
+        # by two inserts and an old edge, and one closed by old edges only.
+        graph = from_edge_list(
+            [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6)], num_vertices=10
+        )
+        insertions = [(7, 8), (8, 9), (7, 9), (0, 2), (0, 3), (4, 6)]
+        index = ScanIndex.build(graph)
+        index.apply_updates(insertions=insertions)
+        rebuilt = ScanIndex.build(
+            from_edge_list(mutate_edge_list(graph, insertions, []), num_vertices=10)
+        )
+        assert np.array_equal(
+            index.similarities.numerators.view(np.uint64),
+            rebuilt.similarities.numerators.view(np.uint64),
         )
         assert_indexes_identical(index, rebuilt)
 
@@ -307,6 +327,23 @@ class TestLifecycle:
             index.apply_updates(
                 UpdateBatch.from_edges([(0, 1)], []), insertions=[(0, 1)]
             )
+
+
+class TestCostModel:
+    def test_update_work_and_span_pinned(self):
+        # One fixed batch whose inserts close a triangle among themselves;
+        # the charge predates counting inserted numerators off the triangle
+        # listing and must not move with it.
+        graph = planted_partition(4, 20, p_intra=0.4, p_inter=0.03, seed=7)
+        index = ScanIndex.build(graph)
+        scheduler = Scheduler()
+        index.apply_updates(
+            insertions=[(0, 2), (0, 9), (2, 9), (5, 41), (17, 61)],
+            deletions=[(0, 11), (5, 10), (12, 14)],
+            scheduler=scheduler,
+        )
+        assert scheduler.counter.work == pytest.approx(7577.159837124661, rel=1e-12)
+        assert scheduler.counter.span == pytest.approx(59.783348545878624, rel=1e-12)
 
 
 class TestErrorContract:

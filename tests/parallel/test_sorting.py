@@ -8,6 +8,7 @@ from repro.parallel import sorting
 from repro.parallel import (
     Scheduler,
     packed_argsort,
+    radix_argsort,
     comparison_sort_permutation,
     integer_sort_permutation,
     segmented_sort_by_key,
@@ -133,41 +134,37 @@ class TestPackedArgsort:
     ])
     def test_radix_matches_argsort(self, rng, num_segments, total, key_span):
         packed, universe = self._random_packed(rng, num_segments, total, key_span)
-        max_segment = total  # irrelevant to forced strategies
-        via_radix = packed_argsort(
-            packed, universe=universe, max_segment=max_segment, strategy="radix"
+        assert np.array_equal(
+            radix_argsort(packed, universe), np.argsort(packed, kind="stable")
         )
-        via_argsort = packed_argsort(
-            packed, universe=universe, max_segment=max_segment, strategy="argsort"
-        )
-        assert np.array_equal(via_radix, via_argsort)
 
     def test_auto_picks_radix_only_when_eligible(self):
-        packed = np.arange(sorting.RADIX_MIN_TOTAL, dtype=np.int64)
-        # Long segments + small universe: eligible.
+        total = 30_000  # total**2 exceeds the crossover scale at max segment 1
+        packed = np.arange(total, dtype=np.int64)
         assert sorting.radix_passes(1 << 16) == 1
         assert sorting.radix_passes(1 << 32) == 2
         assert sorting.radix_passes((1 << 32) + 1) == 3
-        # Every auto decision must still return the stable permutation.
-        for max_segment in (1, sorting.RADIX_MIN_MAX_SEGMENT):
-            order = packed_argsort(
-                packed, universe=packed.shape[0], max_segment=max_segment
-            )
-            assert np.array_equal(order, np.arange(packed.shape[0]))
+        assert not sorting.radix_eligible(sorting.RADIX_MIN_TOTAL - 1, total, total)
+        assert not sorting.radix_eligible(total, 1 << 48, total)
+        # Every decision must still return the stable permutation.
+        for max_segment, eligible in ((1, False), (total, True)):
+            assert sorting.radix_eligible(total, total, max_segment) is eligible
+            order = packed_argsort(packed, universe=total, max_segment=max_segment)
+            assert np.array_equal(order, np.arange(total))
 
-    def test_empty_and_unknown_strategy(self):
+    def test_empty(self):
         empty = np.zeros(0, dtype=np.int64)
         assert packed_argsort(empty, universe=1, max_segment=0).size == 0
-        with pytest.raises(ValueError, match="unknown sort strategy"):
-            packed_argsort(empty, universe=1, max_segment=0, strategy="bogus")
 
-    def test_segmented_sort_strategy_knob(self, s, rng):
-        offsets = np.array([0, 4, 4, 9, 16], dtype=np.int64)
-        values = np.arange(16, dtype=np.int64)
-        keys = rng.integers(0, 5, 16).astype(np.int64)
-        expected = segmented_sort_by_key(s, offsets, values, keys)
-        for strategy in ("radix", "argsort", "auto"):
-            result = segmented_sort_by_key(
-                s, offsets, values, keys, sort_strategy=strategy
-            )
-            assert np.array_equal(result, expected)
+    def test_segmented_sort_radix_eligible_matches_loop(self, s, rng):
+        lengths = np.array([2500, 0, 1800, 3100])
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        total = int(offsets[-1])
+        values = np.arange(total, dtype=np.int64)
+        keys = rng.integers(0, 50, total).astype(np.int64)
+        _, universe, max_segment = sorting.pack_segment_keys(offsets, keys)
+        assert sorting.radix_eligible(total, universe, max_segment)
+        result = segmented_sort_by_key(s, offsets, values, keys)
+        for a, b in zip(offsets[:-1], offsets[1:]):
+            expected = values[a:b][np.argsort(-keys[a:b], kind="stable")]
+            assert np.array_equal(result[a:b], expected)

@@ -128,68 +128,3 @@ class TestSubsetNumerators:
             community_graph, np.zeros(0, dtype=np.int64), Scheduler()
         )
         assert result.shape == (0,)
-
-
-class TestProbeStrategies:
-    """Both membership-probe strategies of the subset pass agree exactly."""
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_bounded_and_global_probes_agree(self, seed):
-        rng = np.random.default_rng(300 + seed)
-        graph = random_graph(rng, 35, 0.25, weighted=bool(seed % 2))
-        every_edge = np.arange(graph.num_edges)
-        bounded = edge_numerators_for_subset(
-            graph, every_edge, Scheduler(), probe="bounded"
-        )
-        global_probe = edge_numerators_for_subset(
-            graph, every_edge, Scheduler(), probe="global"
-        )
-        np.testing.assert_array_equal(bounded, global_probe)
-        # The all-edge pass (always the global probe) gives the same scores.
-        np.testing.assert_allclose(
-            batch_numerators(graph, Scheduler()), global_probe, atol=1e-9, rtol=0
-        )
-
-    @pytest.mark.parametrize("seed", range(2))
-    def test_subset_probes_agree(self, seed):
-        rng = np.random.default_rng(400 + seed)
-        graph = random_graph(rng, 30, 0.3, weighted=False)
-        subset = rng.choice(graph.num_edges, size=graph.num_edges // 2, replace=False)
-        bounded = edge_numerators_for_subset(graph, subset, Scheduler(), probe="bounded")
-        global_probe = edge_numerators_for_subset(
-            graph, subset, Scheduler(), probe="global"
-        )
-        np.testing.assert_array_equal(bounded, global_probe)
-
-    def test_unknown_probe_rejected(self, triangle_graph):
-        with pytest.raises(ValueError):
-            edge_numerators_for_subset(
-                triangle_graph, np.arange(1), Scheduler(), probe="psychic"
-            )
-
-    def test_auto_resolves_by_segment_length(self):
-        from repro.similarity.batch import resolve_probe
-
-        assert resolve_probe("auto", 2) == "bounded"
-        assert resolve_probe("auto", 1000) == "global"
-        assert resolve_probe("bounded", 1000) == "bounded"
-        assert resolve_probe("global", 2) == "global"
-
-    def test_auto_skips_the_key_build_for_few_probes(self):
-        from repro.similarity.batch import UNBUILT_KEYS_ARCS_PER_PROBE, resolve_probe
-
-        arcs = 100 * UNBUILT_KEYS_ARCS_PER_PROBE
-        assert resolve_probe("auto", 1000, probes=99, unbuilt_key_arcs=arcs) == "bounded"
-        assert resolve_probe("auto", 1000, probes=100, unbuilt_key_arcs=arcs) == "global"
-        assert resolve_probe("auto", 1000, probes=1, unbuilt_key_arcs=0) == "global"
-        # End to end: a few edges of a fresh high-degree graph are probed
-        # without building its arc keys, and agree with the global probe.
-        graph = complete_graph(200)
-        subset = np.arange(2)
-        auto = edge_numerators_for_subset(graph, subset, Scheduler())
-        assert not graph.has_arc_search_keys
-        global_probe = edge_numerators_for_subset(
-            graph, subset, Scheduler(), probe="global"
-        )
-        assert graph.has_arc_search_keys
-        np.testing.assert_array_equal(auto, global_probe)
