@@ -11,7 +11,8 @@ The structure stores one entry per (vertex, μ) pair with ``2 <= μ <=
 |N̄(v)|``, which is ``Σ_v deg(v) = 2m`` entries in total, matching the O(m)
 index-space bound of GS*-Index.  Construction finds the member list of each μ
 via doubling search over the degree-sorted vertex array (Algorithm 2, line
-12) and orders all lists with one segmented (integer) sort.
+12) and orders all lists with one segmented (integer) sort, keyed by the
+similarity ranks the neighbor order was sorted by.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from ..parallel.sorting import (
     comparison_sort_permutation,
     integer_sort_permutation,
     segmented_sort_by_key,
-    similarity_rank_keys,
 )
 from .doubling import prefix_length_at_least, prefix_lengths_at_least
 from .neighbor_order import NeighborOrder
@@ -145,20 +145,20 @@ def build_core_order(
     all_vertices = sorted_vertices[ranks]
     # Threshold of v for μ: similarity of its (μ - 1)-th most similar
     # neighbor, i.e. position μ - 2 of NO[v].
-    if total_entries:
-        offsets = neighbor_order.indptr[all_vertices] + (entry_mu - 2)
-        all_thresholds = neighbor_order.similarities[offsets]
-    else:
-        all_thresholds = np.zeros(0, dtype=np.float64)
+    offsets = neighbor_order.indptr[all_vertices] + (entry_mu - 2)
+    all_thresholds = neighbor_order.similarities[offsets]
     nonzero_segments = int(np.count_nonzero(counts))
     scheduler.charge(
         total_entries, ceil_log2(max(nonzero_segments, 1)) + 1.0
     )
 
     # One global segmented sort orders every CO[mu] by non-increasing
-    # threshold (ties by vertex id, inherited from the stable sort).
-    if use_integer_sort:
-        keys = similarity_rank_keys(all_thresholds)
+    # threshold (ties by vertex id, inherited from the stable sort).  The
+    # integer keys are the neighbor order's similarity ranks read at the
+    # same offsets -- no second ranking pass.  An order assembled without
+    # ranks sorts by the raw thresholds: the same order, without packing.
+    if use_integer_sort and neighbor_order.ranks is not None:
+        keys = neighbor_order.ranks[offsets]
     else:
         keys = all_thresholds
     positions = np.arange(all_vertices.shape[0], dtype=np.int64)

@@ -24,9 +24,10 @@ Approximate (LSH-based) construction is selected by passing an
 A built index is a durable artifact: :meth:`ScanIndex.save` flattens it into
 the columnar on-disk format of :mod:`repro.storage` and :meth:`ScanIndex.load`
 memory-maps it back -- no similarity computation and no sorting happen on the
-load path.  Whole parameter sweeps go through :meth:`ScanIndex.query_many`,
-which plans a batch of ``(μ, ε)`` settings together so shared index probes are
-executed once::
+load path, not even for the serving ε-snapper, which wraps the stored
+boundary table.  Whole parameter sweeps go through
+:meth:`ScanIndex.query_many`, which plans a batch of ``(μ, ε)`` settings
+together so shared index probes are executed once::
 
     index.save("orkut.scanidx")
     index = ScanIndex.load("orkut.scanidx")
@@ -87,6 +88,11 @@ class ScanIndex:
         Per-edge similarity scores the index was built from.
     neighbor_order, core_order:
         The two sorted orders queries read prefixes of.
+    epsilon_boundaries:
+        The ε boundary table: the sorted distinct edge similarities, which
+        are every value a query compares ε against.  Ranked once at build,
+        stored as a column, and wrapped as-is by the serving
+        :class:`~repro.serve.snapping.EpsilonSnapper`.
     construction_report:
         Work/span/wall-clock record of the construction, used by the
         benchmark harness.
@@ -100,6 +106,7 @@ class ScanIndex:
     similarities: EdgeSimilarities
     neighbor_order: NeighborOrder
     core_order: CoreOrder
+    epsilon_boundaries: np.ndarray
     construction_report: CostReport
     update_lineage: list = field(default_factory=list)
 
@@ -246,6 +253,7 @@ class ScanIndex:
             similarities=similarities,
             neighbor_order=neighbor_order,
             core_order=core_order,
+            epsilon_boundaries=neighbor_order.boundaries,
             construction_report=report,
         )
 
@@ -464,8 +472,10 @@ class ScanIndex:
         """Load a saved index artifact, memory-mapping its columns.
 
         The load path performs no similarity computation and no sorting: the
-        graph, the per-edge scores and both orders come straight from the
-        stored columns.
+        graph, the per-edge scores, both orders and the ε boundary table
+        come straight from the stored columns (artifacts older than format
+        version 5 derive the table with one ``np.unique`` over the edge
+        scores).
 
         Parameters
         ----------

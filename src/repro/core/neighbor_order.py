@@ -11,18 +11,26 @@ similarity 1).
 
 Construction sorts all ``2m`` (vertex, neighbor, similarity) triples with a
 single segmented sort, which lets the integer-sort bounds of Section 4.1.2
-apply when the similarity scores are quantised rationals.
+apply when the similarity scores are quantised rationals.  The sort keys are
+exact dense ranks -- sorting by rank is sorting by raw value, since no bucket
+merges two distinct floats, yet the key domain is dense enough for the packed
+integer sort -- which keeps both stored orders strictly non-increasing in the
+raw scores, so every prefix search lands on the same boundary.  The ``m``
+edge similarities are ranked once, and every arc inherits its edge's rank.
+The same pass yields the index's ε boundary table (the sorted distinct
+similarities) and the ranks along ``NO`` that the core order sorts by, so no
+later stage ranks a similarity again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..graphs.graph import Graph
 from ..parallel.scheduler import Scheduler
-from ..parallel.sorting import segmented_sort_by_key, similarity_rank_keys
+from ..parallel.sorting import segmented_sort_by_key
 from ..similarity.exact import EdgeSimilarities
 from .doubling import prefix_length_at_least
 
@@ -40,11 +48,20 @@ class NeighborOrder:
         similarity (ties broken by ascending neighbor id).
     similarities:
         Similarity scores aligned with ``neighbors``.
+    boundaries, ranks:
+        By-products of :func:`build_neighbor_order`, never stored and
+        ``None`` on a loaded or patched order: the sorted distinct
+        similarities (the index's ε boundary table) and each entry's rank
+        among them, ``boundaries[ranks] == similarities`` (integer-sort
+        builds only).  :func:`~repro.core.core_order.build_core_order` sorts
+        by the ranks.
     """
 
     indptr: np.ndarray
     neighbors: np.ndarray
     similarities: np.ndarray
+    boundaries: np.ndarray | None = field(default=None, repr=False)
+    ranks: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -108,20 +125,25 @@ def build_neighbor_order(
 ) -> NeighborOrder:
     """Construct the neighbor order from precomputed edge similarities.
 
-    ``use_integer_sort`` applies the rational-to-integer quantisation of
-    Section 4.1.2 so the cheaper integer-sort bound is charged; the resulting
-    order is identical because the quantisation is order-preserving at the
-    resolution used.  ``executor`` shards the segmented sort across worker
-    processes (see :mod:`repro.parallel.execute`); the stored order is
-    bit-identical at any worker count.
+    ``use_integer_sort`` sorts by exact dense ranks of the scores -- the
+    modern rendering of Section 4.1.2's rational-to-integer quantisation --
+    so the cheaper integer-sort bound is charged; the resulting order is
+    identical because ranking is order-preserving.  ``executor`` shards the
+    segmented sort across worker processes (see
+    :mod:`repro.parallel.execute`); the stored order is bit-identical at any
+    worker count.
     """
     scheduler = scheduler if scheduler is not None else Scheduler()
     arc_similarities = similarities.arc_values()
     arc_positions = np.arange(graph.num_arcs, dtype=np.int64)
 
     if use_integer_sort:
-        keys = similarity_rank_keys(arc_similarities)
+        # One rank pass over the m edge scores; both arcs of an edge share
+        # its rank.  Ranks fit 32 bits (there are at most m of them).
+        boundaries, edge_ranks = np.unique(similarities.values, return_inverse=True)
+        keys = edge_ranks.astype(np.int32)[graph.arc_edge_ids]
     else:
+        boundaries = np.unique(similarities.values)
         keys = arc_similarities
 
     sorted_positions = segmented_sort_by_key(
@@ -137,4 +159,6 @@ def build_neighbor_order(
         indptr=graph.indptr.copy(),
         neighbors=graph.indices[sorted_positions],
         similarities=arc_similarities[sorted_positions],
+        boundaries=boundaries,
+        ranks=keys[sorted_positions] if use_integer_sort else None,
     )

@@ -938,6 +938,9 @@ def apply_updates(
                         index.core_order, index.neighbor_order, neighbor_order,
                         graph, new_graph, touched, window, scheduler,
                     )
+        # The ε boundary table of the patched scores, exactly as a rebuild
+        # ranks it: one sort of the m edge scores.
+        epsilon_boundaries = np.unique(similarities.values)
 
     report = UpdateReport(
         insertions=batch.num_insertions,
@@ -969,13 +972,14 @@ def apply_updates(
         strategy=order_strategy,
     )
 
-    # Commit, then tell the world: lineage for persistence, an epoch bump
-    # plus fresh serving generations so every open session misses, and a
-    # dropped ε-snapper memo (the similarity boundaries just changed).
+    # Commit, then tell the world: lineage for persistence, and an epoch
+    # bump plus fresh serving generations so every open session misses and
+    # re-wraps the new boundary table.
     index.graph = new_graph
     index.similarities = similarities
     index.neighbor_order = neighbor_order
     index.core_order = core_order
+    index.epsilon_boundaries = epsilon_boundaries
     index.update_lineage.append(
         {
             "insertions": report.insertions,

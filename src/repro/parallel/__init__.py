@@ -31,7 +31,6 @@ from .sorting import (
     radix_argsort,
     radix_eligible,
     segmented_sort_by_key,
-    similarity_rank_keys,
 )
 from .execute import (
     PARALLEL_FLOOR_ARCS,
@@ -65,6 +64,5 @@ __all__ = [
     "resolve_jobs",
     "shared_memory_available",
     "segmented_sort_by_key",
-    "similarity_rank_keys",
     "UnionFind",
 ]

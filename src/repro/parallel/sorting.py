@@ -10,8 +10,9 @@ bounds quoted in Section 2.3.2:
 * comparison sort (Cole's merge sort): ``O(n log n)`` work, ``O(log n)`` span;
 * integer sort (Raman): ``O(n log log n)`` work, ``O(log n / log log n)`` span;
 * rational sort: the paper rescales each rational ``a/b`` with ``a, b <= r``
-  by ``r**2`` and integer-sorts the results; :func:`similarity_rank_keys`
-  replaces the rescaling with exact dense ranks of the scores.
+  by ``r**2`` and integer-sorts the results; the index build
+  (:func:`repro.core.neighbor_order.build_neighbor_order`) replaces the
+  rescaling with exact dense ranks of the scores, computed once.
 """
 
 from __future__ import annotations
@@ -76,25 +77,6 @@ def integer_sort_permutation(
             return np.zeros(0, dtype=np.int64)
         return np.argsort(keys.max() - keys, kind="stable")
     return np.argsort(keys, kind="stable")
-
-
-def similarity_rank_keys(similarities: np.ndarray) -> np.ndarray:
-    """Dense integer ranks of similarity scores, preserving exact float order.
-
-    The modern rendering of the paper's "sort rationals as integers" trick:
-    the distinct score values (at most one per edge) are ranked ``0 .. d-1``
-    in ascending order and every score is replaced by its rank.  Sorting by
-    rank is *exactly* sorting by raw value -- no quantisation bucket ever
-    merges two distinct floats -- while the key domain stays dense enough for
-    the packed single-array integer sort of
-    :func:`segmented_sort_by_key`.  This is what keeps the stored neighbor
-    and core orders strictly non-increasing in the raw scores, which in turn
-    makes every prefix search (scalar doubling, batched simultaneous, single
-    query or planned sweep) land on the same boundary.
-    """
-    similarities = np.asarray(similarities, dtype=np.float64)
-    _, inverse = np.unique(similarities, return_inverse=True)
-    return inverse.astype(np.int64)
 
 
 #: Digit width of one radix pass.  numpy's ``kind="stable"`` argsort runs an

@@ -62,6 +62,10 @@ Generation flips
     response acked after the ``!invalidate`` ack reflects the updated
     artifact -- no stale-generation answers, on any worker.  The flip also
     reaches the in-process fallback session, so it holds under degradation.
+    The front end loads the new artifact *before* bumping: an artifact that
+    does not load gets one error reply and leaves the generation, and so
+    every worker, on the old one.  Each reload, front end or worker, is one
+    ``serve.reload`` span carrying ``side`` and ``generation``.
 
 Graceful drain
     ``SIGTERM`` (wired by the CLI) or the ``!drain`` control line stops
@@ -535,8 +539,7 @@ class ClusterServer:
     async def _handle_control(self, line: str) -> str:
         command = line[len(wire.CONTROL_PREFIX):].strip().lower()
         if command == "invalidate":
-            await self._invalidate()
-            return f"invalidated generation={self.generation}"
+            return await self._invalidate()
         if command == "stats":
             return json.dumps(await self.stats_full(), sort_keys=True)
         if command == "metrics":
@@ -803,23 +806,40 @@ class ClusterServer:
             return wire.format_error(error)
         return wire.format_response(result)
 
-    async def _invalidate(self) -> None:
-        """Bump the generation after an on-disk artifact swap.
+    async def _invalidate(self) -> str:
+        """Bump the generation after an on-disk artifact swap; the reply line.
 
         The server reloads its own mmap (routing ranks + fallback session)
-        immediately; workers reload lazily, on their first request at the
-        new generation -- which is every request dispatched after this
-        method returns, because the bump happens before the ack is written.
-        The fallback-session reset is what keeps the flip honest under
+        first, and bumps the generation only once that load succeeded;
+        workers reload lazily, on their first request at the new generation
+        -- which is every request dispatched after this method returns,
+        because the bump happens before the ack is written.  The
+        fallback-session reset is what keeps the flip honest under
         degradation: the in-process session serves the new artifact too.
+
+        An artifact that does not load is answered with one error line and
+        changes nothing: the generation, the old mmap and every worker stay
+        as they were, so no worker is sent to reload what cannot load.  The
+        reload is one ``serve.reload`` span (``side="front"``); it runs on
+        the event loop, and it is a load plus an O(1) snapper wrap.
         """
         from ..core.index import ScanIndex
+        from ..storage.format import ArtifactFormatError
         from .snapping import EpsilonSnapper
 
+        try:
+            with obs.span("serve.reload", side="front", generation=self.generation + 1):
+                index = ScanIndex.load(self.artifact_path)
+        except (ArtifactFormatError, OSError) as error:
+            self._errors_total.inc()
+            return wire.format_error(
+                f"invalidate failed, still serving generation {self.generation}: {error}"
+            )
         self.generation += 1
-        self._index = ScanIndex.load(self.artifact_path)
-        self._snapper = EpsilonSnapper.from_index(self._index)
+        self._index = index
+        self._snapper = EpsilonSnapper.from_index(index)
         self._fallback_session = None
+        return f"invalidated generation={self.generation}"
 
     # -- introspection -----------------------------------------------------
 

@@ -11,7 +11,8 @@ one, which keeps answers compact and serves repeats without recomputing:
 * **ε-snapping.**  Thresholds are canonicalized by an
   :class:`~repro.serve.snapping.EpsilonSnapper` before cache lookup, so any
   two ε values that select identical similarity prefixes share one cache
-  entry.
+  entry.  The snapper wraps the index's stored boundary table, so opening a
+  session sorts nothing.
 * **Result caching.**  A bounded LRU (:class:`~repro.serve.cache.
   ResultCache`) keyed by ``(generation, μ, ε-rank, border-mode)`` holds
   compact answers; repeats of a hot ``(μ, ε)`` are answered without
@@ -22,7 +23,7 @@ one, which keeps answers compact and serves repeats without recomputing:
   session over one index, read on *every* request -- so an
   :meth:`~repro.core.index.ScanIndex.apply_updates` mutation (or any
   session's :meth:`ClusterSession.invalidate`) makes all of them miss at
-  once, and the mutation-epoch check rebuilds stale ε-snappers
+  once, and the mutation-epoch check re-wraps the updated boundary table
   automatically.  A served result can never mix pre- and post-update
   state.
 
@@ -73,29 +74,13 @@ def invalidate_index_generations(index) -> None:
     <repro.core.index.ScanIndex.apply_updates>` and
     :meth:`ClusterSession.invalidate`: afterwards no session over ``index``
     -- whatever cache it holds -- can serve a pre-mutation entry, and each
-    session rebuilds its ε-snapper on its next request (the memoized one is
-    dropped here so that rebuild happens at most once per mutation).
+    session re-wraps the index's boundary table on its next request.
     """
     index._mutation_epoch = getattr(index, "_mutation_epoch", 0) + 1
-    index.__dict__.pop("_epsilon_snapper", None)
     registry = getattr(index, "_serve_generations", None)
     if registry is not None:
         for cache in list(registry):
             registry[cache] = cache.new_generation()
-
-
-def _shared_snapper(index) -> EpsilonSnapper:
-    """The index's memoized :class:`EpsilonSnapper` (built on first use).
-
-    Building a snapper reads and sorts the similarity columns once
-    (O(m log m)); memoizing it on the index means every session opened over
-    one loaded artifact in a process shares that single pass.
-    """
-    snapper = getattr(index, "_epsilon_snapper", None)
-    if snapper is None:
-        snapper = EpsilonSnapper(index.neighbor_order, index.core_order)
-        index._epsilon_snapper = snapper
-    return snapper
 
 
 def _bind_generation(index, cache: ResultCache) -> int:
@@ -224,7 +209,7 @@ class ClusterSession:
     ) -> None:
         self.index = index
         self.num_vertices = int(index.graph.num_vertices)
-        self.snapper = _shared_snapper(index)
+        self.snapper = EpsilonSnapper.from_index(index)
         if cache is not None:
             self.cache: ResultCache | None = cache
         elif cache_size > 0:
@@ -397,8 +382,8 @@ class ClusterSession:
         session bound to the same (index, cache) pair -- not just this one
         -- misses from now on; old entries never match the new generation
         and the LRU bound reclaims their slots as traffic arrives.  The
-        ε-snapper is rebuilt from the (possibly changed) similarity
-        columns and the vertex count is re-read.
+        ε-snapper re-wraps the index's (possibly changed) boundary table
+        and the vertex count is re-read.
         """
         if self.cache is not None:
             _bind_generation(self.index, self.cache)   # ensure registered
@@ -411,7 +396,7 @@ class ClusterSession:
 
     def _resync_with_index(self) -> None:
         """Rebuild session-local state from the index's current contents."""
-        self.snapper = _shared_snapper(self.index)
+        self.snapper = EpsilonSnapper.from_index(self.index)
         self._index_epoch = getattr(self.index, "_mutation_epoch", 0)
         self.num_vertices = int(self.index.graph.num_vertices)
 

@@ -10,9 +10,12 @@ stored values therefore form one finite set, and two thresholds ε ≤ ε' give
 *every* comparison the same outcome -- hence bit-identical clusterings for
 every μ -- exactly when no stored value lies in ``[ε, ε')``.
 
-:class:`EpsilonSnapper` precomputes the sorted distinct stored values once
-per session and maps any float ε to the boundary of its equivalence
-interval:
+Those values are the edge similarities, and the index stores their sorted
+distinct set as its ε boundary table
+(:attr:`~repro.core.index.ScanIndex.epsilon_boundaries`, ranked once at
+build).  :class:`EpsilonSnapper` wraps that table in O(1) -- nothing is
+sorted when a session opens or an artifact reloads -- and maps any float ε
+to the boundary of its equivalence interval:
 
 * :meth:`EpsilonSnapper.rank` returns the number of distinct stored values
   strictly below ε -- the canonical integer key the serving cache uses, so
@@ -38,29 +41,21 @@ class EpsilonSnapper:
 
     Parameters
     ----------
-    neighbor_order:
-        The index's :class:`~repro.core.neighbor_order.NeighborOrder`; its
-        ``similarities`` column supplies the stored values.
-    core_order:
-        The index's :class:`~repro.core.core_order.CoreOrder`.  Its
-        thresholds are a subset of the neighbor-order similarities by
-        construction, but they are unioned in anyway so the snapper stays
-        correct for hand-assembled or foreign artifacts.
+    boundaries:
+        The sorted distinct stored similarity values -- an index's
+        ``epsilon_boundaries``, which loads check strictly increasing and
+        ``verify --deep`` proves complete.  Wrapped as a read-only view,
+        not copied.
     """
 
-    def __init__(self, neighbor_order, core_order=None) -> None:
-        values = np.asarray(neighbor_order.similarities, dtype=np.float64)
-        if core_order is not None:
-            values = np.concatenate(
-                [values, np.asarray(core_order.thresholds, dtype=np.float64)]
-            )
-        self._boundaries = np.unique(values)  # sorted ascending, distinct
+    def __init__(self, boundaries: np.ndarray) -> None:
+        self._boundaries = np.asarray(boundaries, dtype=np.float64).view()
         self._boundaries.setflags(write=False)
 
     @classmethod
     def from_index(cls, index) -> "EpsilonSnapper":
-        """Build a snapper over a :class:`~repro.core.index.ScanIndex`."""
-        return cls(index.neighbor_order, index.core_order)
+        """Wrap a :class:`~repro.core.index.ScanIndex`'s boundary table."""
+        return cls(index.epsilon_boundaries)
 
     @property
     def num_boundaries(self) -> int:

@@ -116,8 +116,11 @@ def worker_main(
                 # chaos kills/wedges the reload to prove a generation flip
                 # cannot strand a request.
                 fault_point("serve.worker.reload", task=worker_id)
-                index = ScanIndex.load(artifact_path)
-                session = index.session(cache_size=cache_size)
+                with obs.span(
+                    "serve.reload", side="worker", generation=request_generation
+                ):
+                    index = ScanIndex.load(artifact_path)
+                    session = index.session(cache_size=cache_size)
                 reloads.inc()
                 obs.event(
                     "serve.worker.reload",

@@ -5,10 +5,10 @@ amortises over many cheap ``(μ, ε)`` queries -- but an index that lives only
 as in-process dataclasses amortises over one process at most.
 :class:`IndexArtifact` flattens everything a query path needs (the graph's
 CSR arrays and arc -> edge mapping, per-edge similarities, the neighbor order
-``NO``, the core order ``CO``, and measure/backend metadata) into a set of
-named numpy columns with save/load, so an index built once can be served by
-any number of later processes without recomputing similarities or re-sorting
-either order.
+``NO``, the core order ``CO``, the ε boundary table, and measure/backend
+metadata) into a set of named numpy columns with save/load, so an index built
+once can be served by any number of later processes without recomputing
+similarities or sorting anything.
 
 Typical usage goes through the :class:`~repro.core.index.ScanIndex` seam::
 
@@ -43,10 +43,12 @@ from ..graphs.graph import ID_DTYPE, Graph
 from ..parallel.metrics import CostReport
 from ..similarity.exact import EdgeSimilarities
 from .format import (
+    BOUNDARY_COLUMN,
     FORMAT_NAME,
     FORMAT_VERSION,
     ArtifactFormatError,
     check_column_shapes,
+    derive_legacy_boundaries,
     narrow_legacy_ids,
     read_columns,
     read_header,
@@ -113,6 +115,9 @@ class IndexArtifact:
             "co_thresholds": np.ascontiguousarray(
                 index.core_order.thresholds, dtype=np.float64
             ),
+            BOUNDARY_COLUMN: np.ascontiguousarray(
+                index.epsilon_boundaries, dtype=np.float64
+            ),
         }
         if graph.arc_weights is not None:
             columns["graph_arc_weights"] = np.ascontiguousarray(
@@ -152,9 +157,10 @@ class IndexArtifact:
 
         Pure reconstruction: the graph's derived structures come straight
         from the stored columns (no validation pass, no edge-id search), the
-        two orders are wrapped as-is (no re-sorting), and no similarity is
-        ever recomputed.  The construction report of the original build is
-        restored so benchmarks can still attribute the build cost.
+        two orders and the ε boundary table are wrapped as-is (no sorting),
+        and no similarity is ever recomputed.  The construction report of
+        the original build is restored so benchmarks can still attribute
+        the build cost.
         """
         columns = self.columns
         try:
@@ -200,6 +206,7 @@ class IndexArtifact:
             similarities=similarities,
             neighbor_order=neighbor_order,
             core_order=core_order,
+            epsilon_boundaries=columns[BOUNDARY_COLUMN],
             construction_report=report,
             # Version-1 artifacts predate lineage and load as lineage-free.
             update_lineage=[dict(record) for record in self.meta.get("updates", [])],
@@ -272,8 +279,9 @@ class IndexArtifact:
         interrupted in-place ``repro update`` can never strand its readers.
 
         The int64 id columns of a version 1-3 artifact are narrowed to
-        int32 after any checksum pass (the documented legacy path), so
-        ``columns`` always holds the in-memory dtypes while ``meta`` still
+        int32 after any checksum pass, and a version 1-4 artifact gets its
+        ε boundary table derived (the documented legacy paths), so
+        ``columns`` always holds the in-memory columns while ``meta`` still
         describes the stored ones.  Traced runs record one ``storage.load``
         span with the ``bytes`` read.
 
@@ -304,6 +312,7 @@ class IndexArtifact:
         if verify:
             verify_checksums(header, columns, directory)
         narrow_legacy_ids(header, columns)
+        derive_legacy_boundaries(header, columns)
         return cls(columns=columns, meta=header)
 
     # ------------------------------------------------------------------

@@ -17,7 +17,9 @@ An index artifact is a directory with exactly two entries:
       CRC zipfile computes while writing, so a save checksums each byte
       once.  The ``int64`` id columns of versions 1-3 are narrowed to
       ``int32`` once at load (:func:`narrow_legacy_ids`), so the rest of the
-      program sees one dtype;
+      program sees one dtype.  Version 5 adds the ``epsilon_boundaries``
+      column; versions 1-4 derive it once at load
+      (:func:`derive_legacy_boundaries`);
     * ``measure`` / ``backend`` -- similarity measure and engine the index
       was built with (``backend`` is ``"lsh"`` for approximate indexes);
     * ``num_vertices`` / ``num_edges`` / ``weighted`` -- graph shape;
@@ -61,9 +63,20 @@ An index artifact is a directory with exactly two entries:
     ``co_indptr``               int64      ``max_mu+2`` core order offsets by μ
     ``co_vertices``             int32      ``2m``       core order ``CO`` entries
     ``co_thresholds``           float64    ``2m``       core thresholds along CO
+    ``epsilon_boundaries``      float64    ``d <= m``   sorted distinct edge
+                                                        similarities: the ε
+                                                        boundary table
+                                                        (version ≥ 5)
     ==========================  =========  ===========  =========================
 
 The four id columns (:data:`ID_COLUMNS`) are ``int64`` in versions 1-3.
+
+``epsilon_boundaries`` holds every value a query compares ε against (each
+core threshold is a neighbor-order similarity, and those are the edge
+similarities), ranked once at build.  The serving ε-snapper wraps it as-is,
+so an open or a reload sorts nothing.  Every load rejects a table that is not
+strictly increasing and finite, or longer than ``m``; ``verify --deep``
+additionally proves it equals ``np.unique(no_similarities)``.
 
 Because the archive members are stored uncompressed, :func:`read_columns`
 can memory-map each column straight out of the zip file (``mmap_mode="r"``
@@ -71,8 +84,9 @@ by default): loading an artifact touches no column data until a query reads
 it, which is what makes one saved build cheap to share across many serving
 processes.  Everything a query needs -- the sorted orders, the similarity
 scores, the arc -> edge mapping -- is stored explicitly, so reconstruction
-performs no similarity computation and no sorting of any kind (the
-"mmap zero-recompute load" invariant; see ``docs/ARCHITECTURE.md``).
+performs no similarity computation and no sorting of any kind -- the serving
+ε-snapper included, since it wraps the stored boundary table (the "mmap
+zero-recompute load" invariant; see ``docs/ARCHITECTURE.md``).
 Readers must reject anything they cannot prove consistent -- wrong format
 name or version, header/column disagreement, truncated archives -- by
 raising :class:`ArtifactFormatError`, which the CLI surfaces as a clean
@@ -102,17 +116,23 @@ from ..testing.faults import fault_point
 #: Magic string identifying the artifact format.
 FORMAT_NAME = "repro-scan-index"
 #: Format version written by this build (2 added the update lineage,
-#: 3 the per-column crc32 checksums, 4 int32 ids and member checksums).
-FORMAT_VERSION = 4
+#: 3 the per-column crc32 checksums, 4 int32 ids and member checksums,
+#: 5 the ε boundary table).
+FORMAT_VERSION = 5
 #: Versions this build can read; version 1 lacks the ``updates`` field and
 #: loads as a lineage-free artifact, version 2 lacks column checksums and
 #: loads as deep-unverifiable, versions 1-3 store int64 ids that load
-#: narrowed -- everything else is identical.
-SUPPORTED_VERSIONS = (1, 2, 3, 4)
+#: narrowed, versions 1-4 derive the boundary table at load -- everything
+#: else is identical.
+SUPPORTED_VERSIONS = (1, 2, 3, 4, 5)
 #: First version whose headers must record a crc32 for every column.
 CHECKSUM_VERSION = 3
 #: First version storing int32 ids and whole-member checksums.
 MEMBER_CRC_VERSION = 4
+#: First version storing the ε boundary table.
+BOUNDARY_VERSION = 5
+#: The ε boundary table's column: required from :data:`BOUNDARY_VERSION`.
+BOUNDARY_COLUMN = "epsilon_boundaries"
 
 #: File names inside an artifact directory.
 HEADER_FILE = "header.json"
@@ -236,10 +256,13 @@ def validate_header(header: dict) -> None:
             "header field 'columns' must map each column to its dtype and length"
         )
     recorded = set(header["columns"])
-    missing = set(REQUIRED_COLUMNS) - recorded
+    required = set(REQUIRED_COLUMNS)
+    if version >= BOUNDARY_VERSION:
+        required.add(BOUNDARY_COLUMN)
+    missing = required - recorded
     if missing:
         raise ArtifactFormatError(f"header is missing required columns {sorted(missing)}")
-    unknown = recorded - set(REQUIRED_COLUMNS) - set(OPTIONAL_COLUMNS)
+    unknown = recorded - required - set(OPTIONAL_COLUMNS)
     if unknown:
         raise ArtifactFormatError(f"header declares unknown columns {sorted(unknown)}")
     if version >= CHECKSUM_VERSION:
@@ -258,6 +281,8 @@ def _expected_dtypes(version: int) -> dict[str, type]:
     expected.update(OPTIONAL_COLUMNS)
     if version < MEMBER_CRC_VERSION:
         expected.update(dict.fromkeys(ID_COLUMNS, LEGACY_ID_DTYPE))
+    if version >= BOUNDARY_VERSION:
+        expected[BOUNDARY_COLUMN] = np.float64
     return expected
 
 
@@ -319,6 +344,17 @@ def check_column_shapes(
             f"{Path(directory) / COLUMNS_FILE}: graph_indptr[-1] != 2m "
             "(corrupt CSR offsets)"
         )
+    table = columns.get(BOUNDARY_COLUMN)
+    if table is not None and not (
+        (0 < table.shape[0] <= m or table.shape[0] == m == 0)
+        and np.isfinite(table).all()
+        and (np.diff(table) > 0).all()
+    ):
+        raise ArtifactFormatError(
+            f"{Path(directory) / COLUMNS_FILE}: column {BOUNDARY_COLUMN!r} must "
+            f"hold 1 to m={m} strictly increasing finite values "
+            f"(got {table.shape[0]} values)"
+        )
 
 
 def narrow_legacy_ids(header: dict, columns: dict[str, np.ndarray]) -> None:
@@ -339,6 +375,17 @@ def narrow_legacy_ids(header: dict, columns: dict[str, np.ndarray]) -> None:
                 f"column {name!r}: ids outside [0, {MAX_IDS}] cannot be loaded"
             )
         columns[name] = column.astype(ID_DTYPE)
+
+
+def derive_legacy_boundaries(header: dict, columns: dict[str, np.ndarray]) -> None:
+    """Give a version 1-4 artifact its ε boundary table, in place.
+
+    The one legacy branch of the table: one ``np.unique`` over the ``m``
+    stored edge similarities, which holds the same distinct values as the
+    neighbor and core orders.  Version-5 columns already carry the table.
+    """
+    if header["version"] < BOUNDARY_VERSION:
+        columns[BOUNDARY_COLUMN] = np.unique(columns["edge_similarities"])
 
 
 class _CountingWriter:

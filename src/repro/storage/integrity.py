@@ -62,6 +62,7 @@ import numpy as np
 from .. import obs
 from ..testing.faults import fault_point
 from .format import (
+    BOUNDARY_COLUMN,
     COLUMNS_FILE,
     HEADER_FILE,
     MEMBER_CRC_VERSION,
@@ -87,6 +88,7 @@ __all__ = [
     "recover_artifact",
     "scratch_path",
     "verify_artifact",
+    "verify_boundaries",
     "verify_checksums",
 ]
 
@@ -144,6 +146,30 @@ def verify_checksums(header: dict, columns: dict[str, np.ndarray],
             )
         checked += 1
     return checked
+
+
+def verify_boundaries(columns: dict[str, np.ndarray], directory: str | Path) -> None:
+    """Prove a stored ε boundary table holds exactly the stored similarities.
+
+    The snapper serves ε ranks straight from ``epsilon_boundaries``, so a
+    table that lacks a stored value (or holds one no order stores) would
+    merge or split cache keys while every checksum still passes.  The check
+    is the definition: the table equals ``np.unique(no_similarities)``.
+    Artifacts older than format version 5 store no table and pass.  Raises
+    :class:`ArtifactIntegrityError` on a mismatch.
+    """
+    table = columns.get(BOUNDARY_COLUMN)
+    if table is None:
+        return
+    expected = np.unique(columns["no_similarities"])
+    if not np.array_equal(table, expected):
+        missing = np.setdiff1d(expected, table).size
+        extra = np.setdiff1d(table, expected).size
+        raise ArtifactIntegrityError(
+            f"{directory}: column {BOUNDARY_COLUMN!r} is not the sorted distinct "
+            f"neighbor-order similarities ({missing} stored value(s) missing, "
+            f"{extra} extra); the artifact is corrupt -- rebuild it"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +442,8 @@ def verify_artifact(path: str | Path, *, deep: bool = False,
     the column lengths to the declared graph shape.  The *deep* check
     additionally streams every column and compares CRC-32s against the
     header -- the check that catches a bit flipped after the header was
-    written.  ``recover=True`` first resolves a crashed commit
+    written -- and proves the ε boundary table equals the distinct stored
+    similarities (:func:`verify_boundaries`), which no checksum can.  ``recover=True`` first resolves a crashed commit
     (:func:`recover_artifact`) instead of failing on the missing target.
 
     Raises :class:`~repro.storage.format.ArtifactFormatError` (structural)
@@ -437,6 +464,7 @@ def verify_artifact(path: str | Path, *, deep: bool = False,
         checked = 0
         if deep:
             checked = verify_checksums(header, columns, directory)
+            verify_boundaries(columns, directory)
     obs.histogram("storage.verify_seconds").observe(time.perf_counter() - started)
     return VerifyReport(
         path=str(directory),

@@ -159,3 +159,26 @@ class TestCoreOrder:
         b = build_core_order(community_graph, order, use_integer_sort=False)
         for mu in (2, 4, 8):
             assert set(a.cores(mu, 0.5).tolist()) == set(b.cores(mu, 0.5).tolist())
+
+
+class TestRankOnce:
+    def test_one_rank_pass_yields_the_table_and_the_ranks(self, community_graph):
+        similarities = compute_similarities(community_graph)
+        order = build_neighbor_order(community_graph, similarities)
+        assert order.boundaries.tobytes() == np.unique(similarities.values).tobytes()
+        assert np.array_equal(order.boundaries[order.ranks], order.similarities)
+        floats = build_neighbor_order(community_graph, similarities, use_integer_sort=False)
+        assert floats.ranks is None
+        assert floats.boundaries.tobytes() == order.boundaries.tobytes()
+        assert np.array_equal(floats.neighbors, order.neighbors)
+
+    def test_core_order_without_stored_ranks_is_identical(self, community_graph):
+        from repro.core import NeighborOrder
+
+        similarities = compute_similarities(community_graph)
+        order = build_neighbor_order(community_graph, similarities)
+        bare = NeighborOrder(order.indptr, order.neighbors, order.similarities)
+        ranked = build_core_order(community_graph, order)
+        rebuilt = build_core_order(community_graph, bare)
+        for name in ("indptr", "vertices", "thresholds"):
+            assert np.array_equal(getattr(ranked, name), getattr(rebuilt, name)), name

@@ -249,8 +249,8 @@ class TestLifecycle:
         graph = planted_partition(3, 12, p_intra=0.5, p_inter=0.05, seed=3)
         index = ScanIndex.build(graph)
         session = index.session()
-        session.serve(2, 0.5)            # builds + memoizes the snapper
-        old_snapper = index._epsilon_snapper
+        session.serve(2, 0.5)
+        old_boundaries = session.snapper.boundaries
         report = index.apply_updates(insertions=[(0, 35)])
         assert report.insertions == 1 and report.deletions == 0
         assert index.update_lineage == [
@@ -264,7 +264,14 @@ class TestLifecycle:
             }
         ]
         assert index._mutation_epoch == 1
-        assert getattr(index, "_epsilon_snapper", None) is not old_snapper
+        # The patched table is the patched scores' distinct values, and the
+        # session re-wraps it on its next request.
+        assert np.array_equal(
+            index.epsilon_boundaries, np.unique(index.similarities.values)
+        )
+        assert not np.array_equal(index.epsilon_boundaries, old_boundaries)
+        session.serve(2, 0.5)
+        assert np.shares_memory(session.snapper.boundaries, index.epsilon_boundaries)
         index.apply_updates(deletions=[(0, 35)])
         assert len(index.update_lineage) == 2
         assert index._mutation_epoch == 2

@@ -75,6 +75,8 @@ def assert_tracks_rebuild(index, edges, measure, rng):
         ("co_vertices", index.core_order.vertices, rebuilt.core_order.vertices),
         ("co_thresholds", index.core_order.thresholds,
          rebuilt.core_order.thresholds),
+        ("epsilon_boundaries", index.epsilon_boundaries,
+         rebuilt.epsilon_boundaries),
     ]:
         assert np.array_equal(np.asarray(a), np.asarray(b)), name
     for _ in range(4):

@@ -8,16 +8,25 @@ inside one snapping interval, under a cache small enough to force evictions)
 and require every served answer to be bit-identical to a cold
 ``ScanIndex.query``, in both border modes.  A second property pins the
 generation contract: rebuilding the index and re-binding the session must
-never surface a cached answer from the old index.
+never surface a cached answer from the old index.  A third property pins the
+stored ε boundary table to the snapper it replaced: on fresh, LSH, patched
+and legacy-loaded indexes it is the sorted distinct union of both orders'
+stored values, and ranks and snaps agree with that union's.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import ScanIndex
+from repro import ApproximationConfig, ScanIndex
 from repro.core.query import cluster_compact
 from repro.graphs import planted_partition
 from repro.parallel import Scheduler
+from repro.serve import EpsilonSnapper
+
+FIXTURES = Path(__file__).parents[1] / "storage" / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +164,86 @@ def test_cache_never_serves_a_stale_index_generation():
         if position == 0:
             assert not served.from_cache
         assert np.array_equal(served.to_clustering().labels, answers_a[pair])
+
+
+def assert_table_is_the_old_snapper(index, probes):
+    """The stored table equals ``unique(NO ∪ CO)``; rank and snap agree with it."""
+    oracle = np.unique(np.concatenate([
+        np.asarray(index.neighbor_order.similarities, dtype=np.float64),
+        np.asarray(index.core_order.thresholds, dtype=np.float64),
+    ]))
+    table = np.asarray(index.epsilon_boundaries)
+    assert table.dtype == np.float64 and table.tobytes() == oracle.tobytes()
+    epsilons = np.concatenate([
+        oracle,
+        np.nextafter(oracle, -np.inf),
+        np.nextafter(oracle, np.inf),
+        np.asarray(probes, dtype=np.float64),
+    ])
+    snapper = EpsilonSnapper.from_index(index)
+    for epsilon in epsilons.tolist():
+        rank = int(np.searchsorted(oracle, epsilon, side="left"))
+        assert snapper.rank(epsilon) == rank, epsilon
+        expected = float(oracle[rank]) if rank < oracle.shape[0] else float("inf")
+        assert snapper.snap(epsilon) == expected, epsilon
+
+
+def _graph(seed):
+    return planted_partition(3, 10, p_intra=0.5, p_inter=0.08, seed=seed)
+
+
+def _random_batch(rng, graph):
+    edges = set(zip(*[a.tolist() for a in graph.edge_list()]))
+    ordered = sorted(edges)
+    picked = rng.choice(len(ordered), size=min(3, len(ordered)), replace=False)
+    deletions = [ordered[i] for i in picked]
+    insertions = []
+    while len(insertions) < 3:
+        u, v = sorted(rng.integers(0, graph.num_vertices, size=2).tolist())
+        if u != v and (u, v) not in edges and (u, v) not in insertions:
+            insertions.append((u, v))
+    return insertions, deletions
+
+
+probe_epsilons = st.lists(st.floats(0.0, 1.0), max_size=12)
+table_settings = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@table_settings
+@given(seed=st.integers(0, 2**16), measure=st.sampled_from(["cosine", "jaccard", "dice"]),
+       integer_sort=st.booleans(), probes=probe_epsilons)
+def test_fresh_build_table_is_the_old_snapper(seed, measure, integer_sort, probes):
+    index = ScanIndex.build(_graph(seed), measure=measure, use_integer_sort=integer_sort)
+    assert_table_is_the_old_snapper(index, probes)
+
+
+@table_settings
+@given(seed=st.integers(0, 2**16), measure=st.sampled_from(["cosine", "jaccard"]),
+       probes=probe_epsilons)
+def test_lsh_build_table_is_the_old_snapper(seed, measure, probes):
+    config = ApproximationConfig(
+        measure=measure, num_samples=8, seed=seed, degree_threshold=2
+    )
+    index = ScanIndex.build(_graph(seed), measure=measure, approximate=config)
+    assert_table_is_the_old_snapper(index, probes)
+
+
+@table_settings
+@given(seed=st.integers(0, 2**16), batches=st.integers(1, 3), probes=probe_epsilons)
+def test_patched_table_is_the_old_snapper(seed, batches, probes):
+    rng = np.random.default_rng(seed)
+    index = ScanIndex.build(_graph(seed))
+    for _ in range(batches):
+        insertions, deletions = _random_batch(rng, index.graph)
+        index.apply_updates(insertions=insertions, deletions=deletions)
+        assert_table_is_the_old_snapper(index, probes)
+
+
+@pytest.mark.parametrize("version", ["v3", "v4"])
+@table_settings
+@given(probes=probe_epsilons)
+def test_reloaded_legacy_table_is_the_old_snapper(version, probes):
+    index = ScanIndex.load(FIXTURES / version / "artifact")
+    assert_table_is_the_old_snapper(index, probes)

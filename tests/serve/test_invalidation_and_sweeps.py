@@ -79,6 +79,7 @@ class TestSharedInvalidation:
         index.similarities = replacement.similarities
         index.neighbor_order = replacement.neighbor_order
         index.core_order = replacement.core_order
+        index.epsilon_boundaries = replacement.epsilon_boundaries
         first.invalidate()
         # The sibling resyncs on its next request: fresh snapper, answers
         # matching the new contents for epsilons across the range.
@@ -87,7 +88,10 @@ class TestSharedInvalidation:
             assert np.array_equal(
                 served.to_clustering().labels, replacement.query(2, epsilon).labels
             ), epsilon
-        assert second.snapper is first.snapper
+        for session in (first, second):
+            assert np.array_equal(
+                session.snapper.boundaries, replacement.epsilon_boundaries
+            )
 
     def test_manual_invalidate_rekeys_private_caches_too(self, index):
         """invalidate() re-keys every cache bound to the index, so even a
@@ -104,6 +108,7 @@ class TestSharedInvalidation:
         index.similarities = replacement.similarities
         index.neighbor_order = replacement.neighbor_order
         index.core_order = replacement.core_order
+        index.epsilon_boundaries = replacement.epsilon_boundaries
         first.invalidate()
         served = second.serve(2, 0.02)    # smaller graph: stale payload would crash
         assert not served.from_cache

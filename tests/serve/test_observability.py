@@ -170,6 +170,36 @@ class TestTracedServer:
             counts = validate_trace_path(sidecar)
             assert counts["snapshot"] == 1  # worker_main finalises on exit
 
+    def test_reloads_are_spans_on_both_sides(self, artifact, tmp_path):
+        """``!invalidate`` traces the front end's reload, and every worker
+        that answers at the new generation traces its own."""
+        trace = tmp_path / "serve.jsonl"
+        obs.configure(trace)
+        try:
+            async def scenario(server, reader, writer):
+                for mu, eps in SETTINGS:
+                    await _ask(reader, writer, f"{mu}:{eps}")
+                await _ask(reader, writer, "!invalidate")
+                for mu, eps in SETTINGS:
+                    await _ask(reader, writer, f"{mu}:{eps}")
+
+            asyncio.run(_with_server(artifact, scenario, workers=2))
+        finally:
+            obs.finalise()
+
+        def reloads(path):
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            return [r["attrs"] for r in records
+                    if r["kind"] == "span" and r["name"] == "serve.reload"]
+
+        assert reloads(trace) == [{"generation": 1, "side": "front"}]
+        worker_reloads = [
+            attrs for sidecar in sorted(tmp_path.glob("serve.jsonl.worker*"))
+            for attrs in reloads(sidecar)
+        ]
+        assert worker_reloads
+        assert all(attrs == {"generation": 1, "side": "worker"} for attrs in worker_reloads)
+
     def test_untraced_server_writes_nothing(self, artifact, tmp_path):
         async def scenario(server, reader, writer):
             for mu, eps in SETTINGS:

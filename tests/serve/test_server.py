@@ -255,3 +255,43 @@ class TestGenerationFlip:
         assert ack == "invalidated generation=1" and generation == 1
         assert all(wire.strip_cache_field(r) == before for r in stale)
         assert all(wire.strip_cache_field(r) == after for r in fresh)
+
+    def test_invalidate_against_an_unloadable_artifact_changes_nothing(
+        self, artifact, tmp_path
+    ):
+        """A failed reload answers one error line and keeps the generation.
+
+        The garbage archive is swapped in by rename, as a save would swap a
+        new one, so the mmaps already open keep the old file's bytes.
+        """
+        import shutil
+
+        swapped = tmp_path / "index.scanidx"
+        shutil.copytree(artifact, swapped)
+        expected = _expected_lines(swapped, SETTINGS)
+        good = (swapped / "columns.npz").read_bytes()
+
+        def swap_in(data: bytes) -> None:
+            staged = tmp_path / "staged.npz"
+            staged.write_bytes(data)
+            os.replace(staged, swapped / "columns.npz")
+
+        async def scenario(server, reader, writer):
+            before = [await _ask(reader, writer, f"{mu}:{eps}") for mu, eps in SETTINGS]
+            swap_in(b"not a zip archive" * 64)
+            refused = await _ask(reader, writer, "!invalidate")
+            generation = server.generation
+            after = [await _ask(reader, writer, f"{mu}:{eps}") for mu, eps in SETTINGS]
+            swap_in(good)
+            ack = await _ask(reader, writer, "!invalidate")
+            again = [await _ask(reader, writer, f"{mu}:{eps}") for mu, eps in SETTINGS]
+            return before, refused, generation, after, ack, again
+
+        before, refused, generation, after, ack, again = asyncio.run(
+            _with_server(swapped, scenario, workers=2)
+        )
+        assert refused.startswith(wire.ERROR_PREFIX) and "generation 0" in refused
+        assert generation == 0
+        assert ack == "invalidated generation=1"
+        for replies in (before, after, again):
+            assert [wire.strip_cache_field(r) for r in replies] == expected

@@ -111,8 +111,10 @@ class TestCachingBehavior:
         assert not repeat.from_cache
         assert session.stats()["cache"] is None
 
-    def test_snapper_is_shared_across_sessions_of_one_index(self, index):
-        assert index.session().snapper is index.session().snapper
+    def test_sessions_of_one_index_share_its_boundary_table(self, index):
+        first, second = index.session().snapper, index.session().snapper
+        assert np.shares_memory(first.boundaries, index.epsilon_boundaries)
+        assert np.shares_memory(first.boundaries, second.boundaries)
 
     def test_validation_happens_before_cache_lookup(self, index):
         session = index.session()
@@ -211,9 +213,13 @@ class TestBufferRecycling:
         index.similarities = replacement.similarities
         index.neighbor_order = replacement.neighbor_order
         index.core_order = replacement.core_order
+        index.epsilon_boundaries = replacement.epsilon_boundaries
         session.invalidate()
 
         assert session.snapper.boundaries is not old_boundaries
+        assert np.array_equal(
+            session.snapper.boundaries, replacement.epsilon_boundaries
+        )
         for epsilon in (0.3, 0.45, 0.6):
             served = session.serve(2, epsilon)
             cold = replacement.query(2, epsilon)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import ScanIndex
+from repro.cli import main
 from repro.graphs import from_edge_list, paper_example_graph
 from repro.storage import (
     ArtifactIntegrityError,
@@ -25,10 +26,13 @@ from repro.storage import (
     verify_artifact,
 )
 from repro.storage.format import (
+    BOUNDARY_COLUMN,
+    BOUNDARY_VERSION,
     COLUMNS_FILE,
     FORMAT_VERSION,
     HEADER_FILE,
     ArtifactFormatError,
+    read_columns,
     read_member_prefixes,
     validate_header,
 )
@@ -46,6 +50,14 @@ from repro.storage.integrity import (
 LIVE_FOREIGN_PID = 1
 #: A pid far above any default pid_max, hence guaranteed dead.
 DEAD_PID = 2**22 + 12345
+
+
+def _flip_payload_byte(path, column="no_similarities"):
+    """Flip one byte inside a column's payload, leaving the structure intact."""
+    offset = read_columns(path)[column].offset + 3
+    data = bytearray((path / COLUMNS_FILE).read_bytes())
+    data[offset] ^= 0xFF
+    (path / COLUMNS_FILE).write_bytes(data)
 
 
 @pytest.fixture
@@ -109,7 +121,7 @@ class TestChecksums:
             spec.pop("crc32")
         assert verify_checksums(artifact.meta, artifact.columns, saved) == 0
 
-    @pytest.mark.parametrize("version", [3, 4])
+    @pytest.mark.parametrize("version", [3, 4, 5])
     @pytest.mark.parametrize("crc", [None, "12345", "not-hex!", "ABCDEF01", 305419896])
     def test_checksummed_header_must_record_every_crc(self, saved, version, crc):
         """A version-3+ header without a valid crc32 on a column is rejected.
@@ -120,6 +132,8 @@ class TestChecksums:
         """
         header = json.loads((saved / HEADER_FILE).read_text())
         header["version"] = version
+        if version < BOUNDARY_VERSION:  # older headers cannot declare it
+            del header["columns"][BOUNDARY_COLUMN]
         if crc is None:
             del header["columns"]["no_similarities"]["crc32"]
         else:
@@ -135,6 +149,7 @@ class TestChecksums:
     def test_version_two_headers_need_no_crc(self, saved):
         header = json.loads((saved / HEADER_FILE).read_text())
         header["version"] = 2
+        del header["columns"][BOUNDARY_COLUMN]
         for spec in header["columns"].values():
             del spec["crc32"]
         validate_header(header)
@@ -162,19 +177,13 @@ class TestVerifyArtifact:
     def test_deep_verify_catches_flipped_byte_fast_check_misses(self, saved):
         # Flip one payload byte inside the archive: dtypes and lengths still
         # parse, so the fast check passes -- only the checksum knows.
-        archive = saved / COLUMNS_FILE
-        data = bytearray(archive.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        archive.write_bytes(data)
+        _flip_payload_byte(saved)
         verify_artifact(saved)  # fast: structure is intact
         with pytest.raises(ArtifactIntegrityError, match="checksum"):
             verify_artifact(saved, deep=True)
 
     def test_load_verify_flag_runs_the_deep_check(self, saved):
-        archive = saved / COLUMNS_FILE
-        data = bytearray(archive.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        archive.write_bytes(data)
+        _flip_payload_byte(saved)
         ScanIndex.load(saved)  # fast check only: loads
         with pytest.raises(ArtifactIntegrityError):
             ScanIndex.load(saved, verify=True)
@@ -185,6 +194,57 @@ class TestVerifyArtifact:
         assert report.stale_scratch == [f".paper.scanidx.tmp-{DEAD_PID}"]
         assert any("stale scratch" in line and "dead writers" in line
                    for line in report.lines())
+
+
+# ----------------------------------------------------------------------
+# The ε boundary table
+# ----------------------------------------------------------------------
+def _resave_with_table(path, edit):
+    """Re-save ``path`` with an edited boundary table and fresh checksums."""
+    artifact = IndexArtifact.load(path, mmap_mode=None)
+    artifact.columns[BOUNDARY_COLUMN] = edit(artifact.columns[BOUNDARY_COLUMN])
+    artifact.save(path)
+
+
+class TestBoundaryTable:
+    def test_saved_table_is_the_distinct_edge_similarities(self, saved, index):
+        stored = read_columns(saved)[BOUNDARY_COLUMN]
+        assert stored.tobytes() == np.unique(index.similarities.values).tobytes()
+        assert ScanIndex.load(saved).epsilon_boundaries.tobytes() == stored.tobytes()
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda t: np.delete(t, t.shape[0] // 2), id="missing"),
+        pytest.param(lambda t: np.insert(t, 1, (t[0] + t[1]) / 2), id="extra"),
+    ])
+    def test_deep_verify_catches_a_table_only_semantics_can(self, saved, edit, capsys):
+        _resave_with_table(saved, edit)
+        verify_artifact(saved)  # fast: still strictly increasing and finite
+        ScanIndex.load(saved, verify=True)  # every checksum matches
+        with pytest.raises(ArtifactIntegrityError, match=BOUNDARY_COLUMN):
+            verify_artifact(saved, deep=True)
+        assert main(["index", "verify", str(saved), "--deep"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert BOUNDARY_COLUMN in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda t: t[::-1].copy(), id="decreasing"),
+        pytest.param(lambda t: np.insert(t, 1, t[0]), id="repeated"),
+        pytest.param(lambda t: np.append(t, np.nan), id="nan"),
+        pytest.param(lambda t: np.append(t, np.inf), id="infinite"),
+        pytest.param(lambda t: t[:0], id="empty"),
+    ])
+    def test_every_load_rejects_a_malformed_table(self, saved, edit):
+        _resave_with_table(saved, edit)
+        for attempt in (lambda: ScanIndex.load(saved), lambda: verify_artifact(saved)):
+            with pytest.raises(ArtifactFormatError, match=BOUNDARY_COLUMN):
+                attempt()
+
+    def test_a_table_longer_than_the_edge_count_is_rejected(self, saved, index):
+        m = index.graph.num_edges
+        _resave_with_table(saved, lambda t: np.linspace(0.0, 1.0, m + 1))
+        with pytest.raises(ArtifactFormatError, match=BOUNDARY_COLUMN):
+            ScanIndex.load(saved)
 
 
 # ----------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_flipped_payload_byte_fails_deep_verify(copy, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_update_writes_version_4_and_keeps_lineage(copy, tmp_path):
+def test_update_writes_the_current_version_and_keeps_lineage(copy, tmp_path):
     delta = tmp_path / "delta.txt"
     delta.write_text("+ 0 29 1.5\n- 0 1\n")
     old = json.loads((copy / HEADER_FILE).read_text())
@@ -104,7 +104,7 @@ def test_update_writes_version_4_and_keeps_lineage(copy, tmp_path):
     assert header["updates"][:1] == old["updates"]
     assert len(header["updates"]) == 2
     assert all(header["columns"][name]["dtype"] == "int32" for name in ID_COLUMNS)
-    assert verify_artifact(copy, deep=True).checksums_checked == 11
+    assert verify_artifact(copy, deep=True).checksums_checked == 12
 
     edges = read_edge_list(FIXTURE / "edges.txt")
     assert edges.has_edge(0, 1) and not edges.has_edge(0, 29)
@@ -119,7 +119,7 @@ def test_update_writes_version_4_and_keeps_lineage(copy, tmp_path):
     for name, column in expected.items():
         assert patched[name].dtype == column.dtype, name
         if name in ("edge_similarities", "no_similarities", "co_thresholds",
-                    "edge_numerators"):
+                    "edge_numerators", "epsilon_boundaries"):
             # Weighted cosine: equal up to float summation order.
             np.testing.assert_allclose(patched[name], column, rtol=1e-12)
         else:

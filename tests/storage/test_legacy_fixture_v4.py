@@ -1,0 +1,119 @@
+"""Old readers: a frozen version-4 artifact keeps loading and answering.
+
+``fixtures/v4/artifact`` was written by the format-4 writer (int32 id
+columns, whole-member CRC-32s, no ε boundary table): ``repro index build
+base.txt`` followed by ``repro update`` with ``delta.txt``, so its header
+carries one lineage record.  ``edges.txt`` is ``base.txt`` with the delta
+applied -- the graph the artifact must answer for.  The graph is unweighted,
+so every stored score is bit-comparable with a fresh build.  It is never
+rewritten; tests work on copies.
+"""
+
+import json
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro import ScanIndex
+from repro.cli import main
+from repro.graphs import from_edge_list
+from repro.graphs.io import read_edge_list
+from repro.storage import ArtifactIntegrityError, IndexArtifact, verify_artifact
+from repro.storage.format import (
+    BOUNDARY_COLUMN,
+    COLUMNS_FILE,
+    FORMAT_VERSION,
+    HEADER_FILE,
+    ID_COLUMNS,
+    read_columns,
+)
+
+FIXTURE = Path(__file__).parent / "fixtures" / "v4"
+GRID = [(mu, epsilon) for mu in (2, 3, 4, 6) for epsilon in (0.2, 0.4, 0.5, 0.6, 0.8)]
+
+
+@pytest.fixture
+def copy(tmp_path):
+    target = tmp_path / "v4.scanidx"
+    shutil.copytree(FIXTURE / "artifact", target)
+    return target
+
+
+@pytest.fixture(scope="module")
+def fresh():
+    return ScanIndex.build(read_edge_list(FIXTURE / "edges.txt"))
+
+
+def test_fixture_is_a_version_4_artifact_without_a_boundary_table():
+    header = json.loads((FIXTURE / "artifact" / HEADER_FILE).read_text())
+    assert header["version"] == 4
+    assert len(header["updates"]) == 1
+    assert BOUNDARY_COLUMN not in header["columns"]
+    assert all(header["columns"][name]["dtype"] == "int32" for name in ID_COLUMNS)
+
+
+def test_loads_and_deep_verifies():
+    report = verify_artifact(FIXTURE / "artifact", deep=True)
+    assert report.version == 4
+    assert report.checksums_checked == report.num_columns == 10
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_answers_like_a_fresh_build(fresh, deterministic):
+    loaded = ScanIndex.load(FIXTURE / "artifact", verify=True)
+    assert loaded.graph == fresh.graph
+    for mu, epsilon in GRID:
+        ours = loaded.query(mu, epsilon, deterministic_borders=deterministic)
+        theirs = fresh.query(mu, epsilon, deterministic_borders=deterministic)
+        assert np.array_equal(ours.labels, theirs.labels), (mu, epsilon)
+        assert np.array_equal(ours.core_mask, theirs.core_mask), (mu, epsilon)
+    swept = loaded.session().query_many(GRID, deterministic_borders=deterministic)
+    for ours, (mu, epsilon) in zip(swept, GRID):
+        theirs = fresh.query(mu, epsilon, deterministic_borders=deterministic)
+        assert np.array_equal(ours.labels, theirs.labels), (mu, epsilon)
+
+
+def test_derived_table_equals_a_fresh_builds_column(fresh):
+    loaded = ScanIndex.load(FIXTURE / "artifact")
+    stored = IndexArtifact.from_index(fresh).columns[BOUNDARY_COLUMN]
+    assert loaded.epsilon_boundaries.dtype == np.float64
+    assert loaded.epsilon_boundaries.tobytes() == stored.tobytes()
+
+
+def test_flipped_payload_byte_fails_deep_verify(copy, capsys):
+    column = read_columns(copy)["co_thresholds"]
+    offset = column.offset + 5
+    del column
+    data = bytearray((copy / COLUMNS_FILE).read_bytes())
+    data[offset] ^= 0x01
+    (copy / COLUMNS_FILE).write_bytes(data)
+    verify_artifact(copy)  # fast: structure is intact
+    with pytest.raises(ArtifactIntegrityError, match="co_thresholds"):
+        verify_artifact(copy, deep=True)
+    assert main(["index", "verify", str(copy), "--deep"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_update_writes_the_current_version_like_a_rebuild(copy, tmp_path):
+    delta = tmp_path / "delta.txt"
+    delta.write_text("+ 0 35\n- 0 5\n")
+    old = json.loads((copy / HEADER_FILE).read_text())
+    assert main(["update", str(copy), str(delta)]) == 0
+    header = json.loads((copy / HEADER_FILE).read_text())
+    assert header["version"] == FORMAT_VERSION
+    assert header["updates"][:1] == old["updates"]
+    assert len(header["updates"]) == 2
+    assert verify_artifact(copy, deep=True).checksums_checked == 11
+
+    edges = read_edge_list(FIXTURE / "edges.txt")
+    assert edges.has_edge(0, 5) and not edges.has_edge(0, 35)
+    fresh_edges = [edge for edge in edges.edges() if edge != (0, 5)] + [(0, 35)]
+    rebuilt = ScanIndex.build(from_edge_list(fresh_edges, num_vertices=36))
+    patched = IndexArtifact.load(copy).columns
+    expected = IndexArtifact.from_index(rebuilt).columns
+    assert set(patched) == set(expected)
+    for name, column in expected.items():
+        assert patched[name].dtype == column.dtype, name
+        assert np.array_equal(patched[name], column), name

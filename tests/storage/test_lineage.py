@@ -8,6 +8,7 @@ import pytest
 from repro import ArtifactFormatError, ScanIndex
 from repro.graphs import from_edge_list, planted_partition
 from repro.storage.format import (
+    BOUNDARY_COLUMN,
     FORMAT_VERSION,
     HEADER_FILE,
     ID_COLUMNS,
@@ -21,10 +22,12 @@ from repro.storage.integrity import column_checksum, verify_artifact
 def rewrite_as_legacy(path, version):
     """Rewrite a saved artifact in a version 1-3 layout.
 
-    Those versions store the id columns as int64; version 3 records the
-    CRC-32 of each column's payload, versions 1-2 no checksum at all.
+    Those versions store the id columns as int64 and no ε boundary table;
+    version 3 records the CRC-32 of each column's payload, versions 1-2 no
+    checksum at all.
     """
     columns = {name: np.array(column) for name, column in read_columns(path).items()}
+    del columns[BOUNDARY_COLUMN]
     for name in ID_COLUMNS:
         columns[name] = columns[name].astype(np.int64)
     write_columns(path, columns)
