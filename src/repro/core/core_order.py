@@ -91,9 +91,9 @@ class CoreOrder:
 def build_core_order(
     graph: Graph,
     neighbor_order: NeighborOrder,
+    ranks: np.ndarray | None,
     *,
     scheduler: Scheduler | None = None,
-    use_integer_sort: bool = True,
     executor=None,
 ) -> CoreOrder:
     """Construct the core order from the neighbor order (Algorithm 2).
@@ -101,15 +101,21 @@ def build_core_order(
     For μ ranging over ``2 .. max closed degree``, the member list of μ is the
     set of vertices with degree at least ``μ - 1``; it is located by doubling
     search on the degree-sorted vertex array, and every member's threshold is
-    read off the neighbor order in O(1).  ``executor`` shards the global
-    segmented sort across worker processes (see
-    :mod:`repro.parallel.execute`); the stored order is bit-identical at any
-    worker count.
+    read off the neighbor order in O(1).
+
+    ``ranks`` are the neighbor order's similarity ranks, as returned by
+    :func:`~repro.core.neighbor_order.build_neighbor_order`: given, both
+    sorts are integer sorts and the thresholds are keyed by those ranks;
+    ``None`` (a comparison-sort build) keys them by the raw thresholds.  The
+    order is the same either way.  ``executor`` shards the global segmented
+    sort across worker processes (see :mod:`repro.parallel.execute`); the
+    stored order is bit-identical at any worker count.
     """
     scheduler = scheduler if scheduler is not None else Scheduler()
     n = graph.num_vertices
     degrees = graph.degrees
     max_mu = int(degrees.max(initial=0)) + 1 if n else 1
+    use_integer_sort = ranks is not None
 
     # Vertices sorted by non-increasing degree (Algorithm 2, line 8).
     if use_integer_sort:
@@ -140,9 +146,9 @@ def build_core_order(
     total_entries = int(indptr[-1])
     # Rank of every entry within its μ-segment, and the μ it belongs to.
     counts = segment_lengths[2:]
-    ranks = segmented_arange(counts)
+    slots = segmented_arange(counts)
     entry_mu = np.repeat(mu_values, counts)
-    all_vertices = sorted_vertices[ranks]
+    all_vertices = sorted_vertices[slots]
     # Threshold of v for μ: similarity of its (μ - 1)-th most similar
     # neighbor, i.e. position μ - 2 of NO[v].
     offsets = neighbor_order.indptr[all_vertices] + (entry_mu - 2)
@@ -155,12 +161,8 @@ def build_core_order(
     # One global segmented sort orders every CO[mu] by non-increasing
     # threshold (ties by vertex id, inherited from the stable sort).  The
     # integer keys are the neighbor order's similarity ranks read at the
-    # same offsets -- no second ranking pass.  An order assembled without
-    # ranks sorts by the raw thresholds: the same order, without packing.
-    if use_integer_sort and neighbor_order.ranks is not None:
-        keys = neighbor_order.ranks[offsets]
-    else:
-        keys = all_thresholds
+    # same offsets -- no second ranking pass.
+    keys = ranks[offsets] if use_integer_sort else all_thresholds
     positions = np.arange(all_vertices.shape[0], dtype=np.int64)
     sorted_positions = segmented_sort_by_key(
         scheduler,

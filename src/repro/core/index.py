@@ -224,7 +224,7 @@ class ScanIndex:
             executor_context = executor_for(jobs, num_arcs=graph.num_arcs)
         with executor_context as executor:
             with obs.span("build.neighbor_order", arcs=graph.num_arcs):
-                neighbor_order = build_neighbor_order(
+                neighbor_order, epsilon_boundaries, ranks = build_neighbor_order(
                     graph,
                     similarities,
                     scheduler=scheduler,
@@ -235,8 +235,8 @@ class ScanIndex:
                 core_order = build_core_order(
                     graph,
                     neighbor_order,
+                    ranks,
                     scheduler=scheduler,
-                    use_integer_sort=use_integer_sort,
                     executor=executor,
                 )
         elapsed = time.perf_counter() - started
@@ -253,7 +253,7 @@ class ScanIndex:
             similarities=similarities,
             neighbor_order=neighbor_order,
             core_order=core_order,
-            epsilon_boundaries=neighbor_order.boundaries,
+            epsilon_boundaries=epsilon_boundaries,
             construction_report=report,
         )
 

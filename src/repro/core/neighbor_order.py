@@ -18,13 +18,14 @@ integer sort -- which keeps both stored orders strictly non-increasing in the
 raw scores, so every prefix search lands on the same boundary.  The ``m``
 edge similarities are ranked once, and every arc inherits its edge's rank.
 The same pass yields the index's ε boundary table (the sorted distinct
-similarities) and the ranks along ``NO`` that the core order sorts by, so no
-later stage ranks a similarity again.
+similarities) and the ranks along ``NO`` that the core order sorts by; the
+builder returns both beside the order, so no later stage ranks a similarity
+again and neither outlives the build in the order itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,20 +49,11 @@ class NeighborOrder:
         similarity (ties broken by ascending neighbor id).
     similarities:
         Similarity scores aligned with ``neighbors``.
-    boundaries, ranks:
-        By-products of :func:`build_neighbor_order`, never stored and
-        ``None`` on a loaded or patched order: the sorted distinct
-        similarities (the index's ε boundary table) and each entry's rank
-        among them, ``boundaries[ranks] == similarities`` (integer-sort
-        builds only).  :func:`~repro.core.core_order.build_core_order` sorts
-        by the ranks.
     """
 
     indptr: np.ndarray
     neighbors: np.ndarray
     similarities: np.ndarray
-    boundaries: np.ndarray | None = field(default=None, repr=False)
-    ranks: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -122,8 +114,14 @@ def build_neighbor_order(
     scheduler: Scheduler | None = None,
     use_integer_sort: bool = True,
     executor=None,
-) -> NeighborOrder:
+) -> tuple[NeighborOrder, np.ndarray, np.ndarray | None]:
     """Construct the neighbor order from precomputed edge similarities.
+
+    Returns ``(order, boundaries, ranks)``: the order, the index's ε boundary
+    table (the sorted distinct edge similarities) and, for integer-sort
+    builds, each order entry's rank in that table (``boundaries[ranks] ==
+    order.similarities``, ``int32``; ``None`` otherwise), which
+    :func:`~repro.core.core_order.build_core_order` sorts by.
 
     ``use_integer_sort`` sorts by exact dense ranks of the scores -- the
     modern rendering of Section 4.1.2's rational-to-integer quantisation --
@@ -155,10 +153,9 @@ def build_neighbor_order(
         use_integer_sort=use_integer_sort,
         executor=executor,
     )
-    return NeighborOrder(
+    order = NeighborOrder(
         indptr=graph.indptr.copy(),
         neighbors=graph.indices[sorted_positions],
         similarities=arc_similarities[sorted_positions],
-        boundaries=boundaries,
-        ranks=keys[sorted_positions] if use_integer_sort else None,
     )
+    return order, boundaries, keys[sorted_positions] if use_integer_sort else None

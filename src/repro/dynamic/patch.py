@@ -917,14 +917,16 @@ def apply_updates(
 
                 with executor_for(jobs, num_arcs=new_graph.num_arcs) as executor:
                     with obs.span("dynamic.order_repair.neighbor_order"):
-                        neighbor_order = build_neighbor_order(
-                            new_graph, similarities, scheduler=scheduler,
-                            executor=executor,
+                        neighbor_order, epsilon_boundaries, ranks = (
+                            build_neighbor_order(
+                                new_graph, similarities, scheduler=scheduler,
+                                executor=executor,
+                            )
                         )
                     with obs.span("dynamic.order_repair.core_order"):
                         core_order = build_core_order(
-                            new_graph, neighbor_order, scheduler=scheduler,
-                            executor=executor,
+                            new_graph, neighbor_order, ranks,
+                            scheduler=scheduler, executor=executor,
                         )
             else:
                 with obs.span("dynamic.order_repair.neighbor_order"):
@@ -938,9 +940,10 @@ def apply_updates(
                         index.core_order, index.neighbor_order, neighbor_order,
                         graph, new_graph, touched, window, scheduler,
                     )
-        # The ε boundary table of the patched scores, exactly as a rebuild
-        # ranks it: one sort of the m edge scores.
-        epsilon_boundaries = np.unique(similarities.values)
+                # The ε boundary table of the patched scores, exactly as a
+                # rebuild ranks it: one sort of the m edge scores (the
+                # resort path's builder already returned it).
+                epsilon_boundaries = np.unique(similarities.values)
 
     report = UpdateReport(
         insertions=batch.num_insertions,

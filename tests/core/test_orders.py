@@ -11,15 +11,15 @@ from repro.similarity import compute_similarities, edge_similarity_reference
 @pytest.fixture
 def paper_index_parts(paper_graph):
     similarities = compute_similarities(paper_graph)
-    neighbor_order = build_neighbor_order(paper_graph, similarities)
-    core_order = build_core_order(paper_graph, neighbor_order)
+    neighbor_order, _, ranks = build_neighbor_order(paper_graph, similarities)
+    core_order = build_core_order(paper_graph, neighbor_order, ranks)
     return paper_graph, similarities, neighbor_order, core_order
 
 
 class TestNeighborOrder:
     def test_neighbors_sorted_by_non_increasing_similarity(self, community_graph):
         similarities = compute_similarities(community_graph)
-        order = build_neighbor_order(community_graph, similarities)
+        order, _, _ = build_neighbor_order(community_graph, similarities)
         for v in range(community_graph.num_vertices):
             values = order.similarities_of(v)
             assert np.all(np.diff(values) <= 1e-12)
@@ -80,8 +80,8 @@ class TestNeighborOrder:
         # scores differ by less than the quantisation step may swap; the
         # similarity *sequences* must still agree to within that step.
         similarities = compute_similarities(community_graph)
-        a = build_neighbor_order(community_graph, similarities, use_integer_sort=True)
-        b = build_neighbor_order(community_graph, similarities, use_integer_sort=False)
+        a, _, _ = build_neighbor_order(community_graph, similarities, use_integer_sort=True)
+        b, _, _ = build_neighbor_order(community_graph, similarities, use_integer_sort=False)
         assert np.allclose(a.similarities, b.similarities, atol=2.0 / (1 << 20))
         for v in range(0, community_graph.num_vertices, 7):
             assert sorted(a.neighbors_of(v).tolist()) == sorted(b.neighbors_of(v).tolist())
@@ -126,8 +126,8 @@ class TestCoreOrder:
 
     def test_cores_match_brute_force(self, community_graph):
         similarities = compute_similarities(community_graph)
-        neighbor_order = build_neighbor_order(community_graph, similarities)
-        core_order = build_core_order(community_graph, neighbor_order)
+        neighbor_order, _, ranks = build_neighbor_order(community_graph, similarities)
+        core_order = build_core_order(community_graph, neighbor_order, ranks)
         for mu in (2, 3, 5, 9):
             for epsilon in (0.2, 0.4, 0.6):
                 expected = set()
@@ -154,31 +154,26 @@ class TestCoreOrder:
 
     def test_integer_and_comparison_sort_agree(self, community_graph):
         similarities = compute_similarities(community_graph)
-        order = build_neighbor_order(community_graph, similarities)
-        a = build_core_order(community_graph, order, use_integer_sort=True)
-        b = build_core_order(community_graph, order, use_integer_sort=False)
+        order, _, ranks = build_neighbor_order(community_graph, similarities)
+        a = build_core_order(community_graph, order, ranks)
+        b = build_core_order(community_graph, order, None)
         for mu in (2, 4, 8):
             assert set(a.cores(mu, 0.5).tolist()) == set(b.cores(mu, 0.5).tolist())
+        # Rank keys and raw-threshold keys give the very same order.
+        for name in ("indptr", "vertices", "thresholds"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 class TestRankOnce:
     def test_one_rank_pass_yields_the_table_and_the_ranks(self, community_graph):
         similarities = compute_similarities(community_graph)
-        order = build_neighbor_order(community_graph, similarities)
-        assert order.boundaries.tobytes() == np.unique(similarities.values).tobytes()
-        assert np.array_equal(order.boundaries[order.ranks], order.similarities)
-        floats = build_neighbor_order(community_graph, similarities, use_integer_sort=False)
-        assert floats.ranks is None
-        assert floats.boundaries.tobytes() == order.boundaries.tobytes()
+        order, boundaries, ranks = build_neighbor_order(community_graph, similarities)
+        assert boundaries.tobytes() == np.unique(similarities.values).tobytes()
+        assert ranks.dtype == np.int32
+        assert np.array_equal(boundaries[ranks], order.similarities)
+        floats, float_boundaries, no_ranks = build_neighbor_order(
+            community_graph, similarities, use_integer_sort=False
+        )
+        assert no_ranks is None
+        assert float_boundaries.tobytes() == boundaries.tobytes()
         assert np.array_equal(floats.neighbors, order.neighbors)
-
-    def test_core_order_without_stored_ranks_is_identical(self, community_graph):
-        from repro.core import NeighborOrder
-
-        similarities = compute_similarities(community_graph)
-        order = build_neighbor_order(community_graph, similarities)
-        bare = NeighborOrder(order.indptr, order.neighbors, order.similarities)
-        ranked = build_core_order(community_graph, order)
-        rebuilt = build_core_order(community_graph, bare)
-        for name in ("indptr", "vertices", "thresholds"):
-            assert np.array_equal(getattr(ranked, name), getattr(rebuilt, name)), name
