@@ -8,10 +8,9 @@ discusses in Sections 4.1.2 and 6.1:
   multiplication;
 * integer sort vs comparison sort for building the neighbor/core orders.
 
-Run standalone (``--record`` appends the work counts to the trajectory
-store)::
+Run standalone to print both work tables::
 
-    PYTHONPATH=src python benchmarks/bench_ablation_backends.py --record
+    PYTHONPATH=src python benchmarks/bench_ablation_backends.py
 """
 
 from repro import ScanIndex
@@ -66,28 +65,9 @@ def test_ablation_sorting_strategy(benchmark, once):
 
 
 if __name__ == "__main__":
-    import argparse
-    from pathlib import Path
-
-    from repro.bench.recording import add_record_argument, record_payload
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    add_record_argument(parser, Path(__file__).resolve().parent.parent)
-    args = parser.parse_args()
-    results = {
-        "benchmark": "ablation_backends",
-        "similarity_backend_work": similarity_backend_work(),
-        "sorting_strategy_work": sorting_strategy_work(),
-    }
     print(format_table(
-        ["backend", "construction work"],
-        sorted(results["similarity_backend_work"].items()),
+        ["backend", "construction work"], sorted(similarity_backend_work().items())
     ))
     print(format_table(
-        ["sorting", "construction work"],
-        sorted(results["sorting_strategy_work"].items()),
+        ["sorting", "construction work"], sorted(sorting_strategy_work().items())
     ))
-    if args.record is not None:
-        record_payload(args.record, results,
-                       source="bench_ablation_backends.py")
-    raise SystemExit(0)

@@ -45,13 +45,10 @@ from pathlib import Path
 
 from repro import ScanIndex, obs
 from repro.bench import capture_environment, format_table
-from repro.bench.recording import add_record_argument, record_payload
 from repro.graphs import planted_partition
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import validate_trace_path
 from repro.serve import wire
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: (num_clusters, cluster_size, p_intra, p_inter) ladder.
 DEFAULT_LADDER = [
@@ -197,12 +194,8 @@ def main(argv=None) -> int:
                         help="exit 1 when the enabled-tracing throughput cost "
                              "exceeds FRACTION (e.g. 0.25); structural guards "
                              "always assert")
-    add_record_argument(parser, REPO_ROOT)
     args = parser.parse_args(argv)
     results = run(TINY_LADDER if args.tiny else DEFAULT_LADDER, args.output)
-    if args.record is not None:
-        record_payload(args.record, results, source="bench_obs_overhead.py",
-                       smoke=args.tiny)
     if args.assert_overhead is not None:
         for record in results["graphs"]:
             if record["overhead_pct"] > args.assert_overhead:

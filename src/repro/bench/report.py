@@ -1,11 +1,4 @@
-"""Cross-PR trajectory reports and regression gating over the results store.
-
-The report follows the fuzzbench ``ExperimentResults`` pattern: a class
-over the store whose expensive views (runs grouped by benchmark and
-environment, per-group tables, pairwise comparisons) are lazy cached
-properties, rendered to markdown only on demand.  Nothing here reads the
-clock -- the same store renders byte-identical reports forever, which is
-what the golden-output tests pin.
+"""Regression gating between two runs recorded in the benchmark store.
 
 Gating semantics (the honest-comparison contract):
 
@@ -22,9 +15,7 @@ Gating semantics (the honest-comparison contract):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .environment import EnvironmentFingerprint
 from .reporting import format_value
 from .store import BenchStore, BenchStoreError, RunInfo
 
@@ -33,10 +24,8 @@ __all__ = [
     "DEFAULT_NOISE_THRESHOLD",
     "GateResult",
     "RunComparison",
-    "TrajectoryReport",
     "compare_runs",
     "gate_runs",
-    "latest_pair",
     "metric_polarity",
 ]
 
@@ -55,8 +44,7 @@ def metric_polarity(metric: str) -> int:
     """``+1`` if higher is better, ``-1`` if lower is better, ``0`` neutral.
 
     Neutral metrics (sizes, counts, configuration echoes like
-    ``num_vertices`` or ``cpu_count``) are reported in trajectories but
-    never gated -- a graph growing is not a regression.
+    ``num_vertices`` or ``cpu_count``) are stored but never gated -- a graph growing is not a regression.
     """
     lowered = metric.lower()
     if any(token in lowered for token in _HIGHER_BETTER):
@@ -212,163 +200,3 @@ def gate_runs(
     ]
     lines += [f"  improved {delta.describe()}" for delta in comparison.improvements]
     return GateResult("pass", tuple(lines), comparison)
-
-
-def latest_pair(
-    store: BenchStore, benchmark: str
-) -> tuple[RunInfo | None, RunInfo | None]:
-    """The newest run of ``benchmark`` and its most recent same-environment
-    predecessor (``None`` when either does not exist)."""
-    runs = store.runs(benchmark)
-    if not runs:
-        return None, None
-    candidate = runs[-1]
-    for run in reversed(runs[:-1]):
-        if run.fingerprint_key == candidate.fingerprint_key:
-            return run, candidate
-    return None, candidate
-
-
-# ----------------------------------------------------------------------
-# The markdown trajectory report
-# ----------------------------------------------------------------------
-class TrajectoryReport:
-    """Lazy markdown view of the whole store, grouped for honest reading.
-
-    Runs are grouped per benchmark and, inside a benchmark, per
-    environment fingerprint: trajectory tables only ever place
-    same-machine-class runs side by side, and the newest run of each
-    group is diffed against its predecessor with regressions flagged
-    inline.  Everything is a :func:`functools.cached_property` so a CLI
-    call that renders one benchmark never pays for the rest.
-    """
-
-    def __init__(
-        self,
-        store: BenchStore,
-        benchmarks: list[str] | None = None,
-        threshold: float = DEFAULT_NOISE_THRESHOLD,
-    ):
-        self._store = store
-        self._benchmarks = benchmarks
-        self.threshold = threshold
-
-    @cached_property
-    def benchmarks(self) -> list[str]:
-        known = self._store.benchmarks()
-        if self._benchmarks is None:
-            return known
-        missing = sorted(set(self._benchmarks) - set(known))
-        if missing:
-            raise BenchStoreError(
-                f"no recorded runs for benchmark(s): {', '.join(missing)}"
-            )
-        return [name for name in known if name in set(self._benchmarks)]
-
-    @cached_property
-    def runs_by_benchmark(self) -> dict[str, list[RunInfo]]:
-        return {name: self._store.runs(name) for name in self.benchmarks}
-
-    @cached_property
-    def groups(self) -> dict[str, list[tuple[EnvironmentFingerprint, list[RunInfo]]]]:
-        """Per benchmark: fingerprint groups in first-recorded order."""
-        grouped: dict[str, list[tuple[EnvironmentFingerprint, list[RunInfo]]]] = {}
-        for name, runs in self.runs_by_benchmark.items():
-            ordered: dict[str, tuple[EnvironmentFingerprint, list[RunInfo]]] = {}
-            for run in runs:
-                entry = ordered.setdefault(
-                    run.fingerprint_key, (run.fingerprint, [])
-                )
-                entry[1].append(run)
-            grouped[name] = list(ordered.values())
-        return grouped
-
-    # -- rendering -----------------------------------------------------
-    @staticmethod
-    def _markdown_table(headers: list[str], rows: list[list[str]]) -> str:
-        lines = [
-            "| " + " | ".join(headers) + " |",
-            "|" + "|".join("---" for _ in headers) + "|",
-        ]
-        lines += ["| " + " | ".join(row) + " |" for row in rows]
-        return "\n".join(lines)
-
-    def _runs_table(self, runs: list[RunInfo]) -> str:
-        rows = [
-            [
-                str(run.id),
-                run.recorded_at,
-                run.fingerprint_key,
-                run.git_hash or "?",
-                run.source or "?",
-                "yes" if run.smoke else "no",
-            ]
-            for run in runs
-        ]
-        return self._markdown_table(
-            ["run", "recorded (UTC)", "environment", "git", "source", "smoke"],
-            rows,
-        )
-
-    def _group_table(self, runs: list[RunInfo]) -> str:
-        """One fingerprint group's cells as columns-per-run, flags inline."""
-        per_run = [self._store.numeric_cells(run.id) for run in runs]
-        # Row order: first run's document order, then later-run additions.
-        keys: dict[tuple, None] = {}
-        for run, cells in zip(runs, per_run):
-            for record in self._store.cells(run.id):
-                if record.value is not None:
-                    keys.setdefault(record.key, None)
-        flagged: set[tuple] = set()
-        if len(runs) >= 2:
-            comparison = compare_runs(
-                self._store, runs[-2].id, runs[-1].id, self.threshold
-            )
-            flagged = {
-                (delta.graph, delta.cell, delta.metric)
-                for delta in comparison.regressions
-            }
-        rows = []
-        for key in keys:
-            row = [key[0] or "-", key[1] or "-", key[2]]
-            for position, cells in enumerate(per_run):
-                if key not in cells:
-                    row.append("")
-                    continue
-                rendered = format_value(cells[key])
-                if position == len(per_run) - 1 and key in flagged:
-                    rendered = f"**{rendered}** (regressed)"
-                row.append(rendered)
-            rows.append(row)
-        headers = ["graph", "cell", "metric"] + [f"run {run.id}" for run in runs]
-        return self._markdown_table(headers, rows)
-
-    def render(self) -> str:
-        """The full markdown report (deterministic for a given store)."""
-        sections = ["# Performance trajectory"]
-        total_runs = sum(len(runs) for runs in self.runs_by_benchmark.values())
-        environments = {
-            run.fingerprint_key
-            for runs in self.runs_by_benchmark.values()
-            for run in runs
-        }
-        sections.append(
-            f"{total_runs} run(s) across {len(self.benchmarks)} benchmark(s)"
-            f" and {len(environments)} environment class(es);"
-            f" noise threshold {self.threshold:.0%}."
-        )
-        for name in self.benchmarks:
-            runs = self.runs_by_benchmark[name]
-            sections.append(f"\n## {name}\n")
-            sections.append(self._runs_table(runs))
-            for fingerprint, group in self.groups[name]:
-                sections.append(
-                    f"\n### trajectory -- environment {fingerprint.describe()}\n"
-                )
-                sections.append(self._group_table(group))
-                if len(group) >= 2:
-                    result = gate_runs(
-                        self._store, group[-2].id, group[-1].id, self.threshold
-                    )
-                    sections.append("\n```\n" + result.render() + "\n```")
-        return "\n".join(sections) + "\n"

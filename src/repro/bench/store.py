@@ -1,7 +1,7 @@
-"""Sqlite results store for the repo's performance trajectory.
+"""Sqlite store of benchmark payloads, the input of ``repro bench gate``.
 
-Six ``BENCH_*.json`` files with six ad-hoc schemas is how the trajectory
-became unreadable; this store normalises all of them into one queryable
+The ``BENCH_*.json`` files and the pipeline benchmark's payloads each have
+their own schema; this store normalises all of them into one queryable
 shape without losing a single cell.  A *run* is one execution of one
 benchmark; every scalar the benchmark measured becomes a *cell* keyed by
 
@@ -38,7 +38,10 @@ from pathlib import Path
 
 from .environment import EnvironmentFingerprint, fingerprint_from_mapping
 
-__all__ = ["BenchStore", "BenchStoreError", "CellRecord", "RunInfo"]
+__all__ = ["DEFAULT_DB_NAME", "BenchStore", "BenchStoreError", "CellRecord", "RunInfo"]
+
+#: Default store filename used by ``repro bench`` when no ``--db`` is given.
+DEFAULT_DB_NAME = "BENCH_trajectory.sqlite"
 
 
 class BenchStoreError(ValueError):
@@ -61,8 +64,7 @@ CREATE TABLE IF NOT EXISTS runs (
     recorded_at    TEXT NOT NULL,
     environment_id INTEGER NOT NULL REFERENCES environments(id),
     git_hash       TEXT,
-    source         TEXT,
-    smoke          INTEGER NOT NULL DEFAULT 0
+    source         TEXT
 );
 CREATE TABLE IF NOT EXISTS cells (
     id      INTEGER PRIMARY KEY,
@@ -89,7 +91,6 @@ class RunInfo:
     recorded_at: str
     git_hash: str | None
     source: str | None
-    smoke: bool
     fingerprint: EnvironmentFingerprint
 
     @property
@@ -314,7 +315,6 @@ class BenchStore:
         source: str | None = None,
         recorded_at: str | None = None,
         git_hash: str | None = None,
-        smoke: bool = False,
     ) -> int:
         """Validate and store one benchmark payload; return the run id.
 
@@ -337,14 +337,13 @@ class BenchStore:
             environment_id = self._environment_id(cursor, fingerprint)
             cursor.execute(
                 "INSERT INTO runs (benchmark, recorded_at, environment_id,"
-                " git_hash, source, smoke) VALUES (?, ?, ?, ?, ?, ?)",
+                " git_hash, source) VALUES (?, ?, ?, ?, ?)",
                 (
                     payload["benchmark"],
                     recorded_at,
                     environment_id,
                     git_hash,
                     source,
-                    int(bool(smoke)),
                 ),
             )
             run_id = cursor.lastrowid
@@ -410,7 +409,7 @@ class BenchStore:
 
     _RUN_QUERY = (
         "SELECT r.id, r.benchmark, r.recorded_at, r.git_hash, r.source,"
-        " r.smoke, e.cpu_count, e.platform, e.machine, e.python, e.numpy"
+        " e.cpu_count, e.platform, e.machine, e.python, e.numpy"
         " FROM runs r JOIN environments e ON e.id = r.environment_id"
     )
 
@@ -422,26 +421,14 @@ class BenchStore:
             recorded_at=row[2],
             git_hash=row[3],
             source=row[4],
-            smoke=bool(row[5]),
             fingerprint=EnvironmentFingerprint(
-                cpu_count=row[6],
-                platform=row[7],
-                machine=row[8],
-                python=row[9],
-                numpy=row[10],
+                cpu_count=row[5],
+                platform=row[6],
+                machine=row[7],
+                python=row[8],
+                numpy=row[9],
             ),
         )
-
-    def runs(self, benchmark: str | None = None) -> list[RunInfo]:
-        """All runs, oldest first, optionally restricted to one benchmark."""
-        query = self._RUN_QUERY
-        parameters: tuple = ()
-        if benchmark is not None:
-            query += " WHERE r.benchmark = ?"
-            parameters = (benchmark,)
-        query += " ORDER BY r.id"
-        rows = self._connection.execute(query, parameters).fetchall()
-        return [self._run_from_row(row) for row in rows]
 
     def run(self, run_id: int) -> RunInfo:
         row = self._connection.execute(
@@ -450,13 +437,6 @@ class BenchStore:
         if row is None:
             raise BenchStoreError(f"no run with id {run_id}")
         return self._run_from_row(row)
-
-    def benchmarks(self) -> list[str]:
-        """Distinct benchmark names, in first-recorded order."""
-        rows = self._connection.execute(
-            "SELECT benchmark FROM runs GROUP BY benchmark ORDER BY MIN(id)"
-        ).fetchall()
-        return [row[0] for row in rows]
 
     def cells(self, run_id: int) -> list[CellRecord]:
         """Every cell of one run, in original document order."""

@@ -48,30 +48,25 @@ graph, and the artifact header records the update lineage::
     python -m repro update my.scanidx delta.txt --output patched.scanidx
 
 The ``run`` subcommand prints the same rows the benchmark suite produces, so
-a single figure can be reproduced without going through pytest; with
-``--record`` the rows also land in the sqlite trajectory store.  The
-``bench`` subcommand fronts that store: ``record`` imports benchmark
-payload JSONs, ``runs`` lists what is recorded, ``report`` renders the
-cross-PR markdown trajectory, ``compare`` diffs two runs cell-by-cell,
-and ``gate`` exits non-zero on regressions beyond the noise threshold --
+a single figure can be reproduced without going through pytest.  The
+``bench`` subcommand keeps a small sqlite store of benchmark payloads:
+``record`` imports payload JSONs, and ``gate`` exits non-zero when a
+candidate run regresses against a baseline beyond the noise threshold --
 but only between runs whose environment fingerprints match::
 
-    python -m repro bench record BENCH_*.json --db traj.sqlite
-    python -m repro bench report --db traj.sqlite
-    python -m repro bench gate --benchmark serving --db traj.sqlite
+    python -m repro bench record base.json candidate.json --db runs.sqlite
+    python -m repro bench gate 1 2 --db runs.sqlite
 
 Every long-running command (``serve``, ``index build``, ``update``) takes
 ``--trace FILE`` to stream schema-validated JSONL spans and a final metrics
 snapshot to ``FILE`` (the network serve tier writes one sidecar per worker,
 ``FILE.workerN``).  The ``obs`` subcommand consumes those traces offline:
-``validate`` proves every line against the span schema, ``report`` renders
-per-span latency tables plus the embedded metrics snapshot, and
-``report --record`` bridges the snapshot into the same sqlite trajectory
-store the benchmarks use::
+``validate`` proves every line against the span schema and ``report``
+renders per-span latency tables plus the embedded metrics snapshot::
 
     python -m repro serve my.scanidx --requests workload.txt --trace serve.jsonl
     python -m repro obs validate serve.jsonl
-    python -m repro obs report serve.jsonl --record traj.sqlite
+    python -m repro obs report serve.jsonl
 """
 
 from __future__ import annotations
@@ -84,16 +79,9 @@ from typing import Sequence, TextIO
 from . import obs
 from .bench.datasets import DATASETS, SCALES, dataset_summaries
 from .bench.experiments import ALL_EXPERIMENTS
-from .bench.recording import DEFAULT_DB_NAME, record_payload
-from .bench.report import (
-    DEFAULT_NOISE_THRESHOLD,
-    TrajectoryReport,
-    compare_runs,
-    gate_runs,
-    latest_pair,
-)
+from .bench.report import DEFAULT_NOISE_THRESHOLD, gate_runs
 from .bench.reporting import format_table
-from .bench.store import BenchStore, BenchStoreError
+from .bench.store import DEFAULT_DB_NAME, BenchStore, BenchStoreError
 from .core.index import ScanIndex
 from .dynamic import load_delta_file
 from .graphs.io import read_edge_list
@@ -159,21 +147,7 @@ def _command_run(args: argparse.Namespace) -> int:
         kwargs["datasets"] = tuple(args.datasets)
     result = driver(**kwargs)
     print(result.report())
-    if args.record is not None:
-        payload = experiment_payload(result, args.experiment)
-        record_payload(args.record, payload, source=f"repro run {args.experiment}")
     return 0
-
-
-def experiment_payload(result, name: str) -> dict:
-    """A storable payload from an :class:`ExperimentResult`'s table rows."""
-    return {
-        "benchmark": f"experiment_{name}",
-        "title": result.experiment,
-        "rows": [
-            dict(zip(result.headers, row)) for row in result.rows
-        ],
-    }
 
 
 def _command_cluster(args: argparse.Namespace) -> int:
@@ -475,25 +449,11 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _open_store(args: argparse.Namespace, *, must_exist: bool) -> BenchStore | None:
-    """Open the trajectory store, refusing to invent one for read commands."""
-    if must_exist and not Path(args.db).exists():
-        print(
-            f"error: no trajectory store at {args.db!r}; record or import "
-            "runs first (repro bench record BENCH_*.json)",
-            file=sys.stderr,
-        )
-        return None
-    return BenchStore(args.db)
-
-
 def _command_bench_record(args: argparse.Namespace) -> int:
     with BenchStore(args.db) as store:
         for path in args.files:
             try:
-                run_id = store.import_file(
-                    path, source=args.source or Path(path).name, smoke=args.smoke
-                )
+                run_id = store.import_file(path, source=args.source or Path(path).name)
             except BenchStoreError as error:
                 print(f"error: cannot record {path!r}: {error}", file=sys.stderr)
                 return 2
@@ -505,130 +465,23 @@ def _command_bench_record(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_bench_runs(args: argparse.Namespace) -> int:
-    store = _open_store(args, must_exist=True)
-    if store is None:
-        return 2
-    with store:
-        runs = store.runs(args.benchmark)
-    rows = [
-        [
-            run.id,
-            run.benchmark,
-            run.recorded_at,
-            run.fingerprint_key,
-            run.git_hash or "?",
-            run.source or "?",
-            run.smoke,
-        ]
-        for run in runs
-    ]
-    print(format_table(
-        ["run", "benchmark", "recorded (UTC)", "environment", "git",
-         "source", "smoke"],
-        rows,
-    ))
-    return 0
-
-
-def _command_bench_report(args: argparse.Namespace) -> int:
-    store = _open_store(args, must_exist=True)
-    if store is None:
-        return 2
-    with store:
-        report = TrajectoryReport(
-            store,
-            benchmarks=args.benchmark or None,
-            threshold=args.threshold,
-        )
-        rendered = report.render()
-    if args.output is not None:
-        Path(args.output).write_text(rendered)
-        print(f"wrote {args.output}")
-    else:
-        print(rendered, end="")
-    return 0
-
-
-def _command_bench_compare(args: argparse.Namespace) -> int:
-    store = _open_store(args, must_exist=True)
-    if store is None:
-        return 2
-    with store:
-        comparison = compare_runs(store, args.baseline, args.candidate, args.threshold)
-    if not comparison.fingerprints_match:
-        print(
-            "warning: environment fingerprints differ -- these numbers come "
-            "from different machine classes and the gate would refuse them:\n"
-            f"  baseline : {comparison.baseline.fingerprint.describe()}\n"
-            f"  candidate: {comparison.candidate.fingerprint.describe()}"
-        )
-    moved = comparison.regressions + comparison.improvements
-    rows = [
-        [
-            delta.graph or "-",
-            delta.cell or "-",
-            delta.metric,
-            delta.baseline,
-            delta.candidate,
-            f"{delta.change:+.1%}",
-            "regressed" if delta in comparison.regressions else "improved",
-        ]
-        for delta in sorted(moved, key=lambda d: -abs(d.change))
-    ]
-    print(
-        f"{comparison.shared} shared cells between run {args.baseline} and "
-        f"run {args.candidate}; {len(moved)} moved beyond "
-        f"{args.threshold:.0%}"
-    )
-    if rows:
-        print(format_table(
-            ["graph", "cell", "metric", "baseline", "candidate", "change",
-             "verdict"],
-            rows,
-        ))
-    return 0
-
-
 def _command_bench_gate(args: argparse.Namespace) -> int:
-    if (args.baseline is None) != (args.candidate is None):
-        print("error: gate takes either two run ids or --benchmark",
-              file=sys.stderr)
+    if not Path(args.db).exists():
+        # Refuse to invent an empty store just to report unknown run ids.
+        print(
+            f"error: no benchmark store at {args.db!r}; record runs first "
+            "(repro bench record FILE...)",
+            file=sys.stderr,
+        )
         return 2
-    store = _open_store(args, must_exist=True)
-    if store is None:
-        return 2
-    with store:
-        if args.baseline is not None:
-            baseline_id, candidate_id = args.baseline, args.candidate
-        elif args.benchmark:
-            baseline, candidate = latest_pair(store, args.benchmark)
-            if candidate is None:
-                print(f"error: no recorded runs for {args.benchmark!r}",
-                      file=sys.stderr)
-                return 2
-            if baseline is None:
-                print(
-                    "bench-gate: SKIP -- no prior run with a matching "
-                    f"environment fingerprint for {args.benchmark!r}\n"
-                    f"  candidate: run {candidate.id} environment "
-                    f"{candidate.fingerprint.describe()}"
-                )
-                return 0
-            baseline_id, candidate_id = baseline.id, candidate.id
-        else:
-            print("error: gate takes either two run ids or --benchmark",
-                  file=sys.stderr)
-            return 2
-        result = gate_runs(store, baseline_id, candidate_id, args.threshold)
+    with BenchStore(args.db) as store:
+        result = gate_runs(store, args.baseline, args.candidate, args.threshold)
     print(result.render())
     return result.exit_code
 
 
 def _command_obs_report(args: argparse.Namespace) -> int:
-    # Submodule import: repro.obs deliberately does not re-export report /
-    # bridge (they reach through repro.bench, which imports back into the
-    # instrumented core during package init).
+    # Submodule import: repro.obs deliberately does not re-export report.
     from .obs import report as obs_report
     from .obs.schema import TraceSchemaError
 
@@ -642,13 +495,6 @@ def _command_obs_report(args: argparse.Namespace) -> int:
         print(f"error: invalid trace: {error}", file=sys.stderr)
         return 2
     print(rendered)
-    if args.record is not None:
-        from .obs import bridge as obs_bridge
-
-        obs_bridge.record_trace(
-            args.record, args.trace_file,
-            source=f"repro obs report {args.trace_file}",
-        )
     return 0
 
 
@@ -700,29 +546,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", choices=SCALES, default="bench")
     run.add_argument("--datasets", nargs="*", default=None,
                      help="subset of dataset names (default: all six)")
-    run.add_argument("--record", metavar="DB", type=Path, nargs="?",
-                     const=Path(DEFAULT_DB_NAME), default=None,
-                     help="append the experiment's rows to the sqlite "
-                          f"trajectory store (default: ./{DEFAULT_DB_NAME})")
     run.set_defaults(handler=_command_run)
 
     bench = subparsers.add_parser(
-        "bench",
-        help="record, report, compare and gate the performance trajectory",
+        "bench", help="record benchmark payloads and gate one run against another",
     )
     bench_subparsers = bench.add_subparsers(dest="bench_command", required=True)
 
     def add_db_argument(subparser):
         subparser.add_argument(
             "--db", type=Path, default=Path(DEFAULT_DB_NAME),
-            help=f"trajectory store path (default: ./{DEFAULT_DB_NAME})",
-        )
-
-    def add_threshold_argument(subparser):
-        subparser.add_argument(
-            "--threshold", type=float, default=DEFAULT_NOISE_THRESHOLD,
-            help="relative change below which a moved cell is timer noise "
-                 f"(default: {DEFAULT_NOISE_THRESHOLD})",
+            help=f"benchmark store path (default: ./{DEFAULT_DB_NAME})",
         )
 
     bench_record = bench_subparsers.add_parser(
@@ -732,55 +566,22 @@ def build_parser() -> argparse.ArgumentParser:
                               help="payload files, e.g. BENCH_serving.json")
     bench_record.add_argument("--source", default=None,
                               help="provenance label (default: the file name)")
-    bench_record.add_argument("--smoke", action="store_true",
-                              help="mark the run(s) as CI-sized smoke runs")
     add_db_argument(bench_record)
     bench_record.set_defaults(handler=_command_bench_record)
-
-    bench_runs = bench_subparsers.add_parser(
-        "runs", help="list recorded runs with their environment fingerprints"
-    )
-    bench_runs.add_argument("--benchmark", default=None,
-                            help="restrict to one benchmark name")
-    add_db_argument(bench_runs)
-    bench_runs.set_defaults(handler=_command_bench_runs)
-
-    bench_report = bench_subparsers.add_parser(
-        "report", help="render the cross-PR markdown trajectory report"
-    )
-    bench_report.add_argument("--benchmark", nargs="*", default=None,
-                              help="subset of benchmark names (default: all)")
-    bench_report.add_argument("--output", metavar="FILE", default=None,
-                              help="write the markdown here instead of stdout")
-    add_db_argument(bench_report)
-    add_threshold_argument(bench_report)
-    bench_report.set_defaults(handler=_command_bench_report)
-
-    bench_compare = bench_subparsers.add_parser(
-        "compare", help="cell-level diff of two runs (informational; always "
-                        "exits 0)"
-    )
-    bench_compare.add_argument("baseline", type=int, help="baseline run id")
-    bench_compare.add_argument("candidate", type=int, help="candidate run id")
-    add_db_argument(bench_compare)
-    add_threshold_argument(bench_compare)
-    bench_compare.set_defaults(handler=_command_bench_compare)
 
     bench_gate = bench_subparsers.add_parser(
         "gate",
         help="fail (exit 1) on regressions between two same-environment "
              "runs; refuse with a warning (exit 0) across machine classes",
     )
-    bench_gate.add_argument("baseline", type=int, nargs="?", default=None,
-                            help="baseline run id")
-    bench_gate.add_argument("candidate", type=int, nargs="?", default=None,
-                            help="candidate run id")
-    bench_gate.add_argument("--benchmark", default=None,
-                            help="gate the newest run of this benchmark "
-                                 "against its most recent same-environment "
-                                 "predecessor")
+    bench_gate.add_argument("baseline", type=int, help="baseline run id")
+    bench_gate.add_argument("candidate", type=int, help="candidate run id")
     add_db_argument(bench_gate)
-    add_threshold_argument(bench_gate)
+    bench_gate.add_argument(
+        "--threshold", type=float, default=DEFAULT_NOISE_THRESHOLD,
+        help="relative change below which a moved cell is timer noise "
+             f"(default: {DEFAULT_NOISE_THRESHOLD})",
+    )
     bench_gate.set_defaults(handler=_command_bench_gate)
 
     cluster = subparsers.add_parser("cluster", help="cluster an edge-list file with SCAN")
@@ -936,11 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_report.add_argument("trace_file", metavar="TRACE",
                             help="JSONL trace written with --trace")
-    obs_report.add_argument("--record", metavar="DB", type=Path, nargs="?",
-                            const=Path(DEFAULT_DB_NAME), default=None,
-                            help="also bridge the trace's metrics snapshot "
-                                 "into the sqlite trajectory store "
-                                 f"(default: ./{DEFAULT_DB_NAME})")
     obs_report.set_defaults(handler=_command_obs_report)
 
     obs_validate = obs_subparsers.add_parser(

@@ -100,6 +100,11 @@ class ScanIndex:
         One record per applied update batch (see :meth:`apply_updates`);
         empty for a freshly built index.  Persisted in the artifact header
         so a loaded index knows its mutation history.
+
+    The index also keeps an in-memory mutation epoch, bumped by
+    :meth:`apply_updates` and :meth:`ClusterSession.invalidate
+    <repro.serve.session.ClusterSession.invalidate>`; every serving
+    session compares it per request and clears its own cache when it moved.
     """
 
     graph: Graph
@@ -109,6 +114,7 @@ class ScanIndex:
     epsilon_boundaries: np.ndarray
     construction_report: CostReport
     update_lineage: list = field(default_factory=list)
+    _mutation_epoch: int = field(default=0, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -353,7 +359,7 @@ class ScanIndex:
     # ------------------------------------------------------------------
     # Serving (the serve/ subsystem seam)
     # ------------------------------------------------------------------
-    def session(self, *, cache_size: int = 256, cache=None):
+    def session(self, *, cache_size: int = 256):
         """Open a persistent :class:`~repro.serve.session.ClusterSession`.
 
         The session holds a bounded LRU result cache of compact answers
@@ -366,15 +372,10 @@ class ScanIndex:
         cache_size:
             Capacity of the session-owned result cache; zero or negative
             disables caching.
-        cache:
-            Share an existing :class:`~repro.serve.cache.ResultCache`
-            between sessions instead; sessions over this same index share
-            a cache generation (and so each other's entries), while any
-            other index binds its own, so entries can never cross indexes.
         """
         from ..serve.session import ClusterSession
 
-        return ClusterSession(self, cache_size=cache_size, cache=cache)
+        return ClusterSession(self, cache_size=cache_size)
 
     # ------------------------------------------------------------------
     # Mutation (the dynamic/ subsystem seam)
@@ -400,8 +401,9 @@ class ScanIndex:
         ``perfbench`` workloads time one update end to end).
 
         Every open serving session over this index is auto-invalidated:
-        the mutation bumps the index's serving generations, so cached
-        pre-update results can never be served afterwards.
+        the mutation bumps the index's epoch, so each session clears its
+        cache on its next request and pre-update results can never be
+        served afterwards.
 
         Parameters
         ----------

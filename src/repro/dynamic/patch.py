@@ -835,10 +835,10 @@ def apply_updates(
 
     Side effects beyond the index components: an entry is appended to
     ``index.update_lineage`` (persisted by :meth:`ScanIndex.save
-    <repro.core.index.ScanIndex.save>`), the index's mutation epoch is
-    bumped and every serving generation bound to it is invalidated, so all
-    open :class:`~repro.serve.session.ClusterSession`\\ s stop serving
-    pre-update cache entries (see ``docs/ARCHITECTURE.md``).
+    <repro.core.index.ScanIndex.save>`) and the index's mutation epoch is
+    bumped, so every open :class:`~repro.serve.session.ClusterSession`
+    clears its cache on its next request and stops serving pre-update
+    entries (see ``docs/ARCHITECTURE.md``).
 
     Traced runs record one ``dynamic.apply`` span enclosing the stages
     ``dynamic.splice``, ``dynamic.similarity_delta`` and
@@ -976,8 +976,8 @@ def apply_updates(
     )
 
     # Commit, then tell the world: lineage for persistence, and an epoch
-    # bump plus fresh serving generations so every open session misses and
-    # re-wraps the new boundary table.
+    # bump so every open session clears its cache and re-wraps the new
+    # boundary table.
     index.graph = new_graph
     index.similarities = similarities
     index.neighbor_order = neighbor_order
@@ -993,7 +993,5 @@ def apply_updates(
             "order_strategy": report.order_strategy,
         }
     )
-    from ..serve.session import invalidate_index_generations
-
-    invalidate_index_generations(index)
+    index._mutation_epoch += 1
     return report

@@ -133,39 +133,56 @@ class Graph:
         self.arc_weights = (
             None if arc_weights is None else np.asarray(arc_weights, dtype=np.float64)
         )
-        if validate:
-            self._validate()
-        self._build_edge_index(arc_edge_ids)
         # Memoised derived structures.  The similarity engines, the neighbor
         # order and the finalise step all re-derive the degree orientation
-        # (and the LSH split re-reads the degrees), so both are computed once
+        # (and the LSH split re-reads the degrees), so each is computed once
         # on first use and cached for the lifetime of the graph.  Graphs are
-        # immutable after construction, which makes the caching safe.
+        # immutable after construction, which makes the caching safe.  A
+        # graph loaded from an index artifact derives none of them up front
+        # and reads no arc column: the offsets check below reads ``indptr``.
         self._degrees: np.ndarray | None = None
+        self._arc_sources: np.ndarray | None = None
+        self._edge_list: tuple | None = None
         self._degree_oriented_csr: DegreeOrientedCsr | None = None
         self._arc_search_keys: np.ndarray | None = None
         self._oriented_sources: np.ndarray | None = None
         self._oriented_search_keys: np.ndarray | None = None
+        if validate:
+            self._validate()
+        else:
+            self._check_offsets()
+        if arc_edge_ids is None:
+            self.arc_edge_ids = self._number_edges()
+        else:
+            self.arc_edge_ids = as_ids(arc_edge_ids)
+            if self.arc_edge_ids.shape != self.indices.shape:
+                raise ValueError("arc_edge_ids must align with indices")
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _validate(self) -> None:
+    def _check_offsets(self) -> None:
+        """The O(n) CSR shape checks: offsets and arc-column alignment."""
         if self.indptr.ndim != 1 or self.indptr.size == 0:
             raise ValueError("indptr must be a non-empty 1-D array")
         if self.indptr[0] != 0:
             raise ValueError("indptr must start at 0")
-        if np.any(np.diff(self.indptr) < 0):
+        degrees = np.diff(self.indptr)
+        if np.any(degrees < 0):
             raise ValueError("indptr must be non-decreasing")
         if self.indptr[-1] != self.indices.size:
             raise ValueError("indptr[-1] must equal len(indices)")
+        if self.arc_weights is not None and self.arc_weights.shape != self.indices.shape:
+            raise ValueError("arc_weights must align with indices")
+        self._degrees = degrees
+
+    def _validate(self) -> None:
+        self._check_offsets()
         n = self.indptr.size - 1
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n):
             raise ValueError("neighbor ids out of range")
-        if self.arc_weights is not None and self.arc_weights.shape != self.indices.shape:
-            raise ValueError("arc_weights must align with indices")
         # Segmented checks naming the first bad vertex, a self-loop first.
-        sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        sources = self.arc_sources()
         loops = sources[self.indices == sources]
         unordered = sources[1:][(sources[1:] == sources[:-1]) & (np.diff(self.indices) <= 0)]
         if loops.size and (not unordered.size or loops[0] <= unordered[0]):
@@ -176,39 +193,29 @@ class Graph:
                 "(sorted, no duplicates)"
             )
 
-    def _build_edge_index(self, arc_edge_ids: np.ndarray | None = None) -> None:
-        """Derive the canonical edge list and the arc -> edge id mapping.
+    def _number_edges(self) -> np.ndarray:
+        """Number the canonical edges of a graph given without edge ids.
 
-        Builders and loaded index artifacts hand ``arc_edge_ids`` over, so
-        neither path sorts or searches.  Otherwise canonical ids number the
-        forward arcs (``u < v``) in CSR order, and a stable argsort by target
-        lists the backward arcs ``v -> u`` in that same ``(u, v)`` order.
+        Canonical ids number the forward arcs (``u < v``) in CSR order, and a
+        stable argsort by target lists the backward arcs ``v -> u`` in that
+        same ``(u, v)`` order -- which also proves the neighbor lists
+        symmetric, the one check outside input needs beyond :meth:`_validate`.
+        Builders and loaded index artifacts hand the ids over instead.
         """
-        n = self.num_vertices
-        sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        sources = self.arc_sources()
         targets = self.indices
         forward = sources < targets
-        self.edge_u = sources[forward]
-        self.edge_v = targets[forward].astype(np.intp)
-        if self.arc_weights is not None:
-            self.edge_weights = self.arc_weights[forward]
-        else:
-            self.edge_weights = None
-        if arc_edge_ids is not None:
-            self.arc_edge_ids = as_ids(arc_edge_ids)
-            if self.arc_edge_ids.shape != self.indices.shape:
-                raise ValueError("arc_edge_ids must align with indices")
-        else:
-            backward = np.flatnonzero(~forward)
-            backward = backward[np.argsort(targets[backward], kind="stable")]
-            mirrored = np.stack([targets[backward], sources[backward]])
-            if not np.array_equal(mirrored, np.stack([self.edge_u, self.edge_v])):
-                raise ValueError("neighbor lists must be symmetric")
-            edge_ids = np.arange(backward.shape[0], dtype=np.int64)
-            self.arc_edge_ids = np.empty_like(targets)
-            self.arc_edge_ids[forward] = edge_ids
-            self.arc_edge_ids[backward] = edge_ids
-        self._arc_sources = sources
+        edge_u, edge_v = self.edge_list()
+        backward = np.flatnonzero(~forward)
+        backward = backward[np.argsort(targets[backward], kind="stable")]
+        mirrored = np.stack([targets[backward], sources[backward]])
+        if not np.array_equal(mirrored, np.stack([edge_u, edge_v])):
+            raise ValueError("neighbor lists must be symmetric")
+        edge_ids = np.arange(backward.shape[0], dtype=np.int64)
+        arc_edge_ids = np.empty_like(targets)
+        arc_edge_ids[forward] = edge_ids
+        arc_edge_ids[backward] = edge_ids
+        return arc_edge_ids
 
     @classmethod
     def from_index_columns(
@@ -221,8 +228,9 @@ class Graph:
         """Reconstruct a graph from the columns of a stored index artifact.
 
         Skips validation (the artifact was written from a validated graph)
-        and reuses the stored arc -> edge id mapping, so no sorting or
-        searching happens on the load path.
+        beyond the O(n) offsets check and reuses the stored arc -> edge id
+        mapping, so no sorting or searching happens on the load path; the
+        canonical edge list and the arc sources are derived on first use.
         """
         return cls(
             indptr, indices, arc_weights, validate=False, arc_edge_ids=arc_edge_ids
@@ -239,7 +247,7 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Number of undirected edges ``m``."""
-        return int(self.edge_u.shape[0])
+        return int(self.indices.shape[0] // 2)
 
     @property
     def num_arcs(self) -> int:
@@ -284,7 +292,11 @@ class Graph:
         return int(self.indptr[v]), int(self.indptr[v + 1])
 
     def arc_sources(self) -> np.ndarray:
-        """Source vertex of every arc (length ``2m``)."""
+        """Source vertex of every arc (length ``2m``; memoised)."""
+        if self._arc_sources is None:
+            self._arc_sources = np.repeat(
+                np.arange(self.num_vertices, dtype=np.int64), self.degrees
+            )
         return self._arc_sources
 
     def locate_neighbors(
@@ -349,13 +361,39 @@ class Graph:
             return 1.0
         return float(self.edge_weights[edge])
 
+    def _canonical_edges(self) -> tuple:
+        """``(edge_u, edge_v, edge_weights)`` of the forward arcs (memoised)."""
+        if self._edge_list is None:
+            sources = self.arc_sources()
+            forward = sources < self.indices
+            weights = None if self.arc_weights is None else self.arc_weights[forward]
+            self._edge_list = (
+                sources[forward], self.indices[forward].astype(np.intp), weights
+            )
+        return self._edge_list
+
+    @property
+    def edge_u(self) -> np.ndarray:
+        """Smaller endpoint of every canonical edge (memoised; do not mutate)."""
+        return self._canonical_edges()[0]
+
+    @property
+    def edge_v(self) -> np.ndarray:
+        """Larger endpoint of every canonical edge (memoised; do not mutate)."""
+        return self._canonical_edges()[1]
+
+    @property
+    def edge_weights(self) -> np.ndarray | None:
+        """Weight of every canonical edge; ``None`` when unweighted."""
+        return self._canonical_edges()[2]
+
     def edge_list(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonical edge endpoints ``(edge_u, edge_v)`` with ``u < v``.
 
-        Returns the arrays stored at construction time (no recomputation);
-        callers must not mutate them.
+        Derived once on first use and memoised; callers must not mutate them.
         """
-        return self.edge_u, self.edge_v
+        edge_u, edge_v, _ = self._canonical_edges()
+        return edge_u, edge_v
 
     def edges(self):
         """Iterate canonical edges as ``(u, v)`` Python ints."""
@@ -380,7 +418,7 @@ class Graph:
         """
         n = self.num_vertices
         matrix = np.zeros((n, n), dtype=np.float64)
-        sources = self._arc_sources
+        sources = self.arc_sources()
         if self.arc_weights is None:
             matrix[sources, self.indices] = 1.0
         else:
@@ -401,7 +439,7 @@ class Graph:
             return self._degree_oriented_csr
         degrees = self.degrees
         n = self.num_vertices
-        sources = self._arc_sources
+        sources = self.arc_sources()
         targets = self.indices.astype(np.intp)
         rank_source = degrees[sources] * np.int64(n) + sources
         rank_target = degrees[targets] * np.int64(n) + targets
@@ -454,7 +492,7 @@ class Graph:
         checks (search against ``[:num_arcs]``, gather from the full array).
         """
         if self._arc_search_keys is None:
-            keys = self._arc_sources * np.int64(self.num_vertices) + self.indices
+            keys = self.arc_sources() * np.int64(self.num_vertices) + self.indices
             self._arc_search_keys = np.append(keys, np.int64(-1))
         return self._arc_search_keys
 

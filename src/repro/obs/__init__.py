@@ -3,8 +3,8 @@
 The repo's first layer that touches every subsystem.  Call sites use the
 tiny runtime vocabulary (``obs.span``, ``obs.event``, ``obs.counter``,
 gated by ``obs.on()`` on hot paths); everything else -- the registry and
-histogram mechanics, the JSONL schema, reporting, and the bench-store
-bridge -- lives in the submodules.
+histogram mechanics, the JSONL schema and reporting -- lives in the
+submodules.
 
 * :mod:`~repro.obs.metrics` -- counters, gauges, fixed-bucket histograms,
   mergeable snapshots (the worker→front-end ``!metrics`` contract).
@@ -14,12 +14,11 @@ bridge -- lives in the submodules.
 * :mod:`~repro.obs.runtime` -- the process-global state and lifecycle
   (``configure`` / ``install`` / ``reset`` / ``finalise``).
 * :mod:`~repro.obs.report` -- ``repro obs report`` rendering.
-* :mod:`~repro.obs.bridge` -- snapshots → PR 8 trajectory store.
 
-``report`` and ``bridge`` are *not* imported here: they pull in
-:mod:`repro.bench`, whose harness imports the (obs-instrumented) core --
-importing them at package load would close an import cycle.  The CLI and
-tests import them as submodules (``from repro.obs import report``).
+``report`` is *not* imported here: it pulls in :mod:`repro.bench`, whose
+harness imports the (obs-instrumented) core -- importing it at package
+load would close an import cycle.  The CLI and tests import it as a
+submodule (``from repro.obs import report``).
 """
 
 from .metrics import (

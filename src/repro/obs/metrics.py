@@ -4,9 +4,8 @@ The registry is the *persistent* half of the observability layer (the
 tracer in :mod:`repro.obs.trace` is the streaming half): every subsystem
 increments counters and observes latencies into one process-local
 :class:`MetricsRegistry`, and a snapshot of it -- a plain JSON-able dict --
-is what ``!metrics`` returns, what the final trace ``snapshot`` event
-records, and what :mod:`repro.obs.bridge` feeds into the benchmark
-trajectory store.
+is what ``!metrics`` returns and what the final trace ``snapshot`` event
+records.
 
 Three design points:
 

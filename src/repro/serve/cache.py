@@ -1,24 +1,18 @@
 """Bounded LRU cache for served clustering results.
 
-The serving loop's cache maps ``(generation, μ, ε-rank, border-mode)`` keys
-to compact answers (:class:`repro.core.query.CompactClustering`).
-Two design points matter:
-
-* **ε-rank keys.**  The ε component of a key is the integer rank produced by
-  :class:`~repro.serve.snapping.EpsilonSnapper`, not the float the user
-  typed, so every ε inside one equivalence interval hits the same entry.
-* **Generations.**  A cache may outlive -- or be shared across -- sessions
-  and index reloads.  Every session obtains a fresh generation token from
-  :meth:`ResultCache.new_generation` and bakes it into its keys, so an entry
-  cached against one loaded index can never be served for another: stale
-  generations simply never match, and the LRU bound evicts their entries as
-  newer traffic displaces them.
+The serving loop's cache maps ``(μ, ε-rank, border-mode)`` keys to compact
+answers (:class:`repro.core.query.CompactClustering`).  The ε component of
+a key is the integer rank produced by :class:`~repro.serve.snapping.
+EpsilonSnapper`, not the float the user typed, so every ε inside one
+equivalence interval hits the same entry.  Each
+:class:`~repro.serve.session.ClusterSession` owns its cache and clears it
+when the index it serves is mutated, so keys need no index component.
 
 The cache itself is a plain bounded LRU over an :class:`~collections.
 OrderedDict`: hits refresh recency, inserts beyond ``capacity`` evict the
 least recently used entry.  It stores whatever payload objects the session
 hands it and never copies them; the query tail returns compact answers with
-read-only arrays, so a shared entry cannot be mutated by one reader under
+read-only arrays, so a cached entry cannot be mutated by one reader under
 another.
 """
 
@@ -47,7 +41,6 @@ class ResultCache:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
-        self._next_generation = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -57,17 +50,6 @@ class ResultCache:
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
-
-    def new_generation(self) -> int:
-        """Fresh generation token for a session binding itself to this cache.
-
-        Tokens are never reused, so entries keyed under an older token can
-        never be returned to a newer session -- the staleness guarantee the
-        serving layer relies on when an artifact is rebuilt or reloaded.
-        """
-        token = self._next_generation
-        self._next_generation += 1
-        return token
 
     def get(self, key: Hashable):
         """Payload stored under ``key`` (refreshing recency), else ``None``."""
@@ -90,7 +72,7 @@ class ResultCache:
             self.evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry (generation tokens keep advancing)."""
+        """Drop every entry (the hit/miss/eviction counters are kept)."""
         self._entries.clear()
 
     def stats(self) -> dict:

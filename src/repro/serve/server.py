@@ -12,7 +12,7 @@ Seven contracts define the tier:
 
 Cache affinity
     A request is routed by hashing its snapped ``(μ, ε-rank)`` pair -- the
-    session cache key modulo generation -- to a fixed worker, so repeats of
+    session cache key -- to a fixed worker, so repeats of
     a setting always land where that setting's LRU entry lives.  Routing is
     deterministic and independent of arrival order or connection.
 

@@ -13,18 +13,18 @@ one, which keeps answers compact and serves repeats without recomputing:
   two ε values that select identical similarity prefixes share one cache
   entry.  The snapper wraps the index's stored boundary table, so opening a
   session sorts nothing.
-* **Result caching.**  A bounded LRU (:class:`~repro.serve.cache.
-  ResultCache`) keyed by ``(generation, μ, ε-rank, border-mode)`` holds
-  compact answers; repeats of a hot ``(μ, ε)`` are answered without
+* **Result caching.**  A session-owned bounded LRU (:class:`~repro.serve.
+  cache.ResultCache`) keyed by ``(μ, ε-rank, border-mode)`` holds compact
+  answers; repeats of a hot ``(μ, ε)`` are answered without
   touching the index at all.  Batched sweeps (:meth:`ClusterSession.
   query_many`) route through the same cache: misses run as one planned
   batch whose compact answers are cached as they are.
-* **Update safety.**  Generation tokens live in a registry shared by every
-  session over one index, read on *every* request -- so an
-  :meth:`~repro.core.index.ScanIndex.apply_updates` mutation (or any
-  session's :meth:`ClusterSession.invalidate`) makes all of them miss at
-  once, and the mutation-epoch check re-wraps the updated boundary table
-  automatically.  A served result can never mix pre- and post-update
+* **Update safety.**  The index keeps one integer mutation epoch, bumped
+  by :meth:`~repro.core.index.ScanIndex.apply_updates` and by any
+  session's :meth:`ClusterSession.invalidate`.  Every session compares it
+  on *every* request; a session that sees a new epoch clears its own
+  cache and re-wraps the boundary table, so all sessions over the index
+  miss at once.  A served result can never mix pre- and post-update
   state.
 
 Results come back as :class:`ServedResult` -- a *compact* clustering listing
@@ -35,13 +35,12 @@ bit-identical to cold :meth:`ScanIndex.query
 <repro.core.index.ScanIndex.query>` calls in both border modes; the
 property tests in ``tests/serve/`` enforce this over randomized query
 streams.  The session is deliberately the narrow seam -- one index, one
-cache binding, sequential serves -- that the forked serving workers each
+private cache, sequential serves -- that the forked serving workers each
 hold one of.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -60,48 +59,7 @@ from ..parallel.scheduler import Scheduler
 from .cache import ResultCache
 from .snapping import EpsilonSnapper
 
-__all__ = [
-    "ClusterSession",
-    "ServedResult",
-    "invalidate_index_generations",
-]
-
-
-def invalidate_index_generations(index) -> None:
-    """Re-key every serving generation bound to ``index`` and bump its epoch.
-
-    The shared staleness epilogue of :meth:`ScanIndex.apply_updates
-    <repro.core.index.ScanIndex.apply_updates>` and
-    :meth:`ClusterSession.invalidate`: afterwards no session over ``index``
-    -- whatever cache it holds -- can serve a pre-mutation entry, and each
-    session re-wraps the index's boundary table on its next request.
-    """
-    index._mutation_epoch = getattr(index, "_mutation_epoch", 0) + 1
-    registry = getattr(index, "_serve_generations", None)
-    if registry is not None:
-        for cache in list(registry):
-            registry[cache] = cache.new_generation()
-
-
-def _bind_generation(index, cache: ResultCache) -> int:
-    """Generation token for serving ``index`` through ``cache``.
-
-    Sessions over the *same index object* and the same cache share one
-    token -- and therefore share cache entries -- while any other index
-    bound to the cache gets a token of its own, so entries can never cross
-    indexes.  The registry lives on the index and holds the cache weakly:
-    it dies with either side, and because tokens are never reused a
-    recycled cache id cannot resurrect an old binding.
-    """
-    registry = getattr(index, "_serve_generations", None)
-    if registry is None:
-        registry = weakref.WeakKeyDictionary()
-        index._serve_generations = registry
-    token = registry.get(cache)
-    if token is None:
-        token = cache.new_generation()
-        registry[cache] = token
-    return token
+__all__ = ["ClusterSession", "ServedResult"]
 
 
 @dataclass(frozen=True)
@@ -182,14 +140,7 @@ class ClusterSession:
         (:meth:`ScanIndex.load <repro.core.index.ScanIndex.load>`).
     cache_size:
         Capacity of the session-owned LRU result cache; zero or negative
-        disables caching.  Ignored when ``cache`` is given.
-    cache:
-        An externally owned :class:`~repro.serve.cache.ResultCache` to
-        share between sessions.  Sessions over the *same index object*
-        share a cache generation -- and therefore each other's entries --
-        while sessions over any other index bind a generation of their
-        own, so one index's entries can never be served for another (nor
-        for this session after :meth:`invalidate`).
+        disables caching.
 
     Open one via :meth:`ScanIndex.session()
     <repro.core.index.ScanIndex.session>`::
@@ -200,29 +151,16 @@ class ClusterSession:
         clustering = session.query(5, 0.6)      # dense Clustering
     """
 
-    def __init__(
-        self,
-        index,
-        *,
-        cache_size: int = 256,
-        cache: ResultCache | None = None,
-    ) -> None:
+    def __init__(self, index, *, cache_size: int = 256) -> None:
         self.index = index
         self.num_vertices = int(index.graph.num_vertices)
         self.snapper = EpsilonSnapper.from_index(index)
-        if cache is not None:
-            self.cache: ResultCache | None = cache
-        elif cache_size > 0:
-            self.cache = ResultCache(cache_size)
-        else:
-            self.cache = None
         # NB: an empty ResultCache is falsy (__len__ == 0) -- test identity.
-        if self.cache is not None:
-            _bind_generation(index, self.cache)
-        # Mutations (ScanIndex.apply_updates) bump the index's epoch; the
-        # session compares on every request and self-invalidates, so stale
-        # snapper boundaries or cache entries are never consulted.
-        self._index_epoch = getattr(index, "_mutation_epoch", 0)
+        self.cache = ResultCache(cache_size) if cache_size > 0 else None
+        # Mutations bump the index's epoch; the session compares on every
+        # request and resyncs, so stale snapper boundaries or cache entries
+        # are never consulted.
+        self._index_epoch = index._mutation_epoch
         self.scheduler = Scheduler()
         self.served = 0
         self.cache_hits = 0
@@ -230,29 +168,9 @@ class ClusterSession:
     # ------------------------------------------------------------------
     # Staleness guards
     # ------------------------------------------------------------------
-    def _generation_token(self) -> int:
-        """The *current* generation for this session's cache over this index.
-
-        Read from the index's shared registry on every request rather than
-        memoized at construction: any party that bumps the registry --
-        :meth:`invalidate` on a sibling session, or the index's own
-        ``apply_updates`` -- immediately makes every session bound to that
-        (index, cache) pair miss, which is the staleness guarantee.
-        """
-        token = getattr(self.index, "_serve_generations", {}).get(self.cache)
-        if token is None:  # registry dropped (e.g. index swapped) -- rebind
-            token = _bind_generation(self.index, self.cache)
-        return token
-
     def _refresh_if_mutated(self) -> None:
-        """Resync with the index when it was mutated since the last request.
-
-        ``apply_updates`` already re-keyed the shared generations, so this
-        only rebuilds the session-local state (ε-snapper, vertex count, epoch)
-        -- bumping the generation *again* here would discard post-update
-        entries a sibling session cached moments earlier.
-        """
-        if getattr(self.index, "_mutation_epoch", 0) != self._index_epoch:
+        """Resync with the index when it was mutated since the last request."""
+        if self.index._mutation_epoch != self._index_epoch:
             self._resync_with_index()
 
     # ------------------------------------------------------------------
@@ -263,7 +181,7 @@ class ClusterSession:
     ) -> ServedResult:
         """Answer one ``(μ, ε)`` query from the cache or the query tail.
 
-        The cache key is ``(generation, μ, rank(ε), border-mode)`` with
+        The cache key is ``(μ, rank(ε), border-mode)`` with
         ``rank`` the ε-snapping rank, so a hit requires only the O(log m)
         snap and a dict lookup.  On a miss the compact clustering is
         computed (:func:`~repro.core.query.cluster_compact`) and cached.
@@ -276,8 +194,7 @@ class ClusterSession:
         self._refresh_if_mutated()
         rank = self.snapper.rank(epsilon)
         deterministic_borders = bool(deterministic_borders)
-        generation = self._generation_token() if self.cache is not None else 0
-        key = (generation, mu, rank, deterministic_borders)
+        key = (mu, rank, deterministic_borders)
         compact = self.cache.get(key) if self.cache is not None else None
         from_cache = compact is not None
         if compact is None:
@@ -335,11 +252,10 @@ class ClusterSession:
             check_setting(mu, epsilon)
         self._refresh_if_mutated()
         deterministic_borders = bool(deterministic_borders)
-        generation = self._generation_token() if self.cache is not None else 0
         answers: list[CompactClustering | None] = [None] * len(pairs)
         misses: dict[tuple, list[int]] = {}
         for position, (mu, epsilon) in enumerate(pairs):
-            key = (generation, mu, self.snapper.rank(epsilon), deterministic_borders)
+            key = (mu, self.snapper.rank(epsilon), deterministic_borders)
             compact = self.cache.get(key) if self.cache is not None else None
             if compact is not None:
                 self.cache_hits += 1
@@ -371,33 +287,25 @@ class ClusterSession:
     # Cache lifecycle
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Bump the serving generation after the index contents changed.
+        """Bump the index's mutation epoch after its contents changed.
 
-        Called automatically when :meth:`ScanIndex.apply_updates
-        <repro.core.index.ScanIndex.apply_updates>` mutated the index (the
-        session detects the epoch bump on its next request); call it
-        yourself after replacing the index contents by hand (e.g. the
-        artifact was rebuilt on disk and reloaded in place).  The bump
-        lands in the index's *shared* generation registry, so every
-        session bound to the same (index, cache) pair -- not just this one
-        -- misses from now on; old entries never match the new generation
-        and the LRU bound reclaims their slots as traffic arrives.  The
-        ε-snapper re-wraps the index's (possibly changed) boundary table
-        and the vertex count is re-read.
+        :meth:`ScanIndex.apply_updates
+        <repro.core.index.ScanIndex.apply_updates>` bumps the epoch itself;
+        call this after replacing the index contents by hand (e.g. the
+        artifact was rebuilt on disk and reloaded in place).  Every session
+        over the index -- not just this one -- sees the new epoch on its
+        next request, clears its cache and re-wraps the index's (possibly
+        changed) boundary table.
         """
-        if self.cache is not None:
-            _bind_generation(self.index, self.cache)   # ensure registered
-        # Re-key EVERY cache bound to this index, not just this session's,
-        # and bump the epoch so siblings resync their snappers: the
-        # guarantee is that no session -- whatever cache it holds -- serves
-        # pre-invalidation entries.  Same epilogue as apply_updates.
-        invalidate_index_generations(self.index)
+        self.index._mutation_epoch += 1
         self._resync_with_index()
 
     def _resync_with_index(self) -> None:
         """Rebuild session-local state from the index's current contents."""
+        if self.cache is not None:
+            self.cache.clear()
         self.snapper = EpsilonSnapper.from_index(self.index)
-        self._index_epoch = getattr(self.index, "_mutation_epoch", 0)
+        self._index_epoch = self.index._mutation_epoch
         self.num_vertices = int(self.index.graph.num_vertices)
 
     def stats(self) -> dict:

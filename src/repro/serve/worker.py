@@ -28,10 +28,15 @@ which the front end merges for ``!metrics``.
 The request entry is a registered fault site (``serve.worker.request``), so
 the deterministic fault harness can kill or wedge a specific worker
 mid-traffic to drive the restart/degradation paths.
+
+Memory contract: a worker keeps its freed query scratch on the heap
+(:func:`keep_query_scratch_on_the_heap`), so cache misses reuse memory
+instead of faulting fresh pages in on every request.
 """
 
 from __future__ import annotations
 
+import ctypes
 from pathlib import Path
 
 from .. import obs
@@ -40,6 +45,33 @@ from . import wire
 
 #: Worker exit code for an unreadable artifact (distinct from fault kills).
 EXIT_BAD_ARTIFACT = 3
+
+#: glibc ``mallopt`` parameter numbers (``<malloc.h>``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: Freed blocks up to this size stay on the heap: glibc's own ceiling for
+#: its dynamic mmap threshold on 64-bit, above the ~25 MB of temporaries
+#: one miss allocates on a 464k-edge graph.
+SCRATCH_HEAP_BYTES = 32 << 20
+
+
+def keep_query_scratch_on_the_heap() -> None:
+    """Let the process reuse freed query scratch instead of unmapping it.
+
+    A cache miss allocates and frees megabytes of temporaries (the ε-arc
+    arrays of its core prefixes).  glibc maps every block above its mmap
+    threshold afresh and returns heap tops above its trim threshold, so by
+    default a worker faults its scratch back in on each miss; both
+    thresholds adapt only to what the process happens to free.  On the
+    2-vCPU VM, in a worker that reloads once a second over a 464k-edge
+    artifact, that was ~3,000 minor faults and ~27 ms per miss against ~0
+    and ~19 ms with fixed thresholds.  A no-op where libc has no
+    ``mallopt``.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, SCRATCH_HEAP_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, 2 * SCRATCH_HEAP_BYTES)
 
 
 def worker_main(
@@ -72,6 +104,7 @@ def worker_main(
 
     # Shed the forked-in parent observability state before anything else.
     obs.reset()
+    keep_query_scratch_on_the_heap()
     if trace_path is not None:
         obs.configure(trace_path)
 

@@ -81,7 +81,7 @@ additionally proves it equals ``np.unique(no_similarities)``.
 Because the archive members are stored uncompressed, :func:`read_columns`
 can memory-map each column straight out of the zip file (``mmap_mode="r"``
 by default): loading an artifact touches no column data until a query reads
-it, which is what makes one saved build cheap to share across many serving
+it, beyond an O(n) check of the CSR offsets, which is what makes one saved build cheap to share across many serving
 processes.  Everything a query needs -- the sorted orders, the similarity
 scores, the arc -> edge mapping -- is stored explicitly, so reconstruction
 performs no similarity computation and no sorting of any kind -- the serving

@@ -1,11 +1,12 @@
-"""Tests for the ``repro bench`` trajectory-store subcommands."""
+"""Tests for the ``repro bench record`` and ``repro bench gate`` subcommands."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.bench.recording import DEFAULT_DB_NAME
+from repro.bench.store import DEFAULT_DB_NAME
 from repro.cli import build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -29,22 +30,24 @@ class TestParser:
         args = build_parser().parse_args(["bench", "record", "a.json", "b.json"])
         assert args.files == ["a.json", "b.json"]
         assert args.db == Path(DEFAULT_DB_NAME)
-        assert not args.smoke
 
     def test_gate_arguments(self):
         args = build_parser().parse_args(
-            ["bench", "gate", "--benchmark", "serving", "--threshold", "0.3"]
+            ["bench", "gate", "1", "2", "--threshold", "0.3"]
         )
-        assert args.benchmark == "serving"
+        assert (args.baseline, args.candidate) == (1, 2)
         assert args.threshold == 0.3
-        assert args.baseline is None and args.candidate is None
 
-    def test_run_record_flag(self, tmp_path):
-        args = build_parser().parse_args(
-            ["run", "table2", "--record", str(tmp_path / "t.sqlite")]
+    def test_bench_lists_exactly_record_and_gate(self):
+        bench = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices["bench"]
+        subcommands = next(
+            action for action in bench._actions
+            if isinstance(action, argparse._SubParsersAction)
         )
-        assert args.record == tmp_path / "t.sqlite"
-        assert build_parser().parse_args(["run", "table2"]).record is None
+        assert sorted(subcommands.choices) == ["gate", "record"]
 
 
 class TestRecord:
@@ -60,65 +63,6 @@ class TestRecord:
         bad.write_text(json.dumps({"benchmark": "x", "note": "no numbers"}))
         assert main(["bench", "record", str(bad), "--db", db]) == 2
         assert "no numeric cells" in capsys.readouterr().err
-
-
-class TestRuns:
-    def test_lists_recorded_runs(self, db, capsys):
-        main(["bench", "record", BASELINE, OTHER_MACHINE, "--db", db])
-        capsys.readouterr()
-        assert main(["bench", "runs", "--db", db]) == 0
-        output = capsys.readouterr().out
-        assert "serving" in output
-        assert "run_baseline.json" in output
-
-    def test_missing_store_is_a_clean_error(self, db, capsys):
-        assert main(["bench", "runs", "--db", db]) == 2
-        assert "no trajectory store" in capsys.readouterr().err
-
-
-class TestReport:
-    def test_renders_markdown_to_stdout(self, db, capsys):
-        main(["bench", "record", BASELINE, REGRESSED, "--db", db])
-        capsys.readouterr()
-        assert main(["bench", "report", "--db", db]) == 0
-        output = capsys.readouterr().out
-        assert output.startswith("# Performance trajectory")
-        assert "## serving" in output
-        assert "(regressed)" in output
-
-    def test_writes_output_file(self, db, tmp_path, capsys):
-        main(["bench", "record", BASELINE, "--db", db])
-        target = tmp_path / "report.md"
-        assert main(["bench", "report", "--db", db, "--output", str(target)]) == 0
-        assert target.read_text().startswith("# Performance trajectory")
-
-    def test_unknown_benchmark_filter_errors(self, db, capsys):
-        main(["bench", "record", BASELINE, "--db", db])
-        capsys.readouterr()
-        assert main(["bench", "report", "--db", db, "--benchmark", "nope"]) == 2
-        assert "nope" in capsys.readouterr().err
-
-
-class TestCompare:
-    def test_lists_moved_cells(self, db, capsys):
-        main(["bench", "record", BASELINE, REGRESSED, "--db", db])
-        capsys.readouterr()
-        assert main(["bench", "compare", "1", "2", "--db", db]) == 0
-        output = capsys.readouterr().out
-        assert "query_seconds" in output and "regressed" in output
-        assert "warning" not in output
-
-    def test_warns_across_machine_classes_without_failing(self, db, capsys):
-        main(["bench", "record", BASELINE, OTHER_MACHINE, "--db", db])
-        capsys.readouterr()
-        assert main(["bench", "compare", "1", "2", "--db", db]) == 0
-        assert "environment fingerprints differ" in capsys.readouterr().out
-
-    def test_unknown_run_id_errors(self, db, capsys):
-        main(["bench", "record", BASELINE, "--db", db])
-        capsys.readouterr()
-        assert main(["bench", "compare", "1", "99", "--db", db]) == 2
-        assert "no run with id 99" in capsys.readouterr().err
 
 
 class TestGate:
@@ -141,34 +85,21 @@ class TestGate:
         assert main(["bench", "gate", "1", "2", "--db", db]) == 0
         assert "bench-gate: SKIP" in capsys.readouterr().out
 
-    def test_benchmark_mode_gates_latest_same_environment_pair(self, db, capsys):
-        main(["bench", "record", BASELINE, OTHER_MACHINE, "--db", db])
-        capsys.readouterr()
-        # Newest run is the other-machine one: no same-env predecessor.
-        assert main(["bench", "gate", "--benchmark", "serving", "--db", db]) == 0
-        assert "no prior run with a matching" in capsys.readouterr().out
-        # The regressed run pairs with the baseline, skipping run 2.
-        main(["bench", "record", REGRESSED, "--db", db])
-        capsys.readouterr()
-        assert main(["bench", "gate", "--benchmark", "serving", "--db", db]) == 1
-        assert "bench-gate: FAIL" in capsys.readouterr().out
-
     def test_rejects_half_specified_pairs(self, db, capsys):
         main(["bench", "record", BASELINE, "--db", db])
         capsys.readouterr()
-        assert main(["bench", "gate", "1", "--db", db]) == 2
-        assert "two run ids or --benchmark" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "gate", "1", "--db", db])
+        assert exit_info.value.code == 2
+        assert "candidate" in capsys.readouterr().err
 
-    def test_unknown_benchmark_errors(self, db, capsys):
+    def test_unknown_run_id_errors(self, db, capsys):
         main(["bench", "record", BASELINE, "--db", db])
         capsys.readouterr()
-        assert main(["bench", "gate", "--benchmark", "nope", "--db", db]) == 2
-        assert "no recorded runs" in capsys.readouterr().err
+        assert main(["bench", "gate", "1", "99", "--db", db]) == 2
+        assert "no run with id 99" in capsys.readouterr().err
 
-
-class TestRunRecord:
-    def test_run_records_experiment_rows(self, db, capsys):
-        assert main(["run", "table2", "--scale", "tiny", "--record", db]) == 0
-        capsys.readouterr()
-        assert main(["bench", "runs", "--db", db]) == 0
-        assert "experiment_table2" in capsys.readouterr().out
+    def test_missing_store_is_a_clean_error(self, db, capsys):
+        assert main(["bench", "gate", "1", "2", "--db", db]) == 2
+        assert "no benchmark store" in capsys.readouterr().err
+        assert not Path(db).exists()

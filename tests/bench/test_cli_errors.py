@@ -103,11 +103,8 @@ CASES = [
     ("serve-client", "serve-client {closed}"),
     ("bench record", "bench record {missing} --db {db}"),
     ("bench record", "bench record {bad_payload} --db {db}"),
-    ("bench runs", "bench runs --db {missing}"),
-    ("bench report", "bench report --db {missing}"),
-    ("bench compare", "bench compare 1 2 --db {db}"),
     ("bench gate", "bench gate 1 2 --db {db}"),
-    ("bench gate", "bench gate --benchmark nothing --db {db}"),
+    ("bench gate", "bench gate 1 2 --db {missing}"),
     ("obs report", "obs report {missing}"),
     ("obs validate", "obs validate {missing}"),
 ]

@@ -1,29 +1,15 @@
-"""Tests for trajectory reports and the regression gate.
-
-The golden-output test pins the full markdown rendering byte for byte
-against ``fixtures/trajectory.md``; regenerate that file by running this
-module directly::
-
-    PYTHONPATH=src python tests/bench/test_report.py
-"""
+"""Tests for run comparison, metric polarity and the regression gate."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.bench.report import (
-    TrajectoryReport,
-    compare_runs,
-    gate_runs,
-    latest_pair,
-    metric_polarity,
-)
+from repro.bench.report import compare_runs, gate_runs, metric_polarity
 from repro.bench.store import BenchStore, BenchStoreError
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
-GOLDEN_REPORT = FIXTURES / "trajectory.md"
 
 
 def fixture_store() -> BenchStore:
@@ -169,59 +155,3 @@ class TestGate:
                 store.run(construction).fingerprint_key
                 != store.run(serving).fingerprint_key
             )
-
-
-class TestLatestPair:
-    def test_picks_most_recent_same_environment_predecessor(self):
-        with fixture_store() as store:
-            # Newest run (3) is the other-machine one: no same-env ancestor.
-            baseline, candidate = latest_pair(store, "serving")
-            assert candidate.id == 3
-            assert baseline is None
-
-    def test_skips_over_other_machines(self):
-        baseline_payload = json.loads((FIXTURES / "run_baseline.json").read_text())
-        with fixture_store() as store:
-            fourth = store.record(baseline_payload, source="rerun")
-            baseline, candidate = latest_pair(store, "serving")
-            assert candidate.id == fourth
-            assert baseline.id == 2  # run 3 (other machine) is skipped
-
-    def test_unknown_benchmark_yields_nothing(self):
-        with fixture_store() as store:
-            assert latest_pair(store, "nope") == (None, None)
-
-
-class TestTrajectoryReport:
-    def test_golden_markdown_is_byte_stable(self):
-        with fixture_store() as store:
-            rendered = TrajectoryReport(store).render()
-        assert rendered == GOLDEN_REPORT.read_text()
-
-    def test_rendering_is_deterministic(self):
-        with fixture_store() as store:
-            assert TrajectoryReport(store).render() == TrajectoryReport(store).render()
-
-    def test_groups_runs_per_fingerprint(self):
-        with fixture_store() as store:
-            report = TrajectoryReport(store)
-            groups = report.groups["serving"]
-            assert [len(runs) for _, runs in groups] == [2, 1]
-
-    def test_regressed_cells_are_flagged_inline(self):
-        with fixture_store() as store:
-            rendered = TrajectoryReport(store).render()
-        assert "**0.05** (regressed)" in rendered
-        assert "bench-gate: FAIL" in rendered
-
-    def test_benchmark_filter_rejects_unknown_names(self):
-        with fixture_store() as store:
-            report = TrajectoryReport(store, benchmarks=["nope"])
-            with pytest.raises(BenchStoreError, match="nope"):
-                report.benchmarks
-
-
-if __name__ == "__main__":
-    with fixture_store() as _store:
-        GOLDEN_REPORT.write_text(TrajectoryReport(_store).render())
-    print(f"regenerated {GOLDEN_REPORT}")

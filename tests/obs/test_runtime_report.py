@@ -1,10 +1,10 @@
-"""Tests for the obs runtime seam, the trace report, and the bench bridge.
+"""Tests for the obs runtime seam and the trace report.
 
 `runtime` is the process-global state every instrumented subsystem talks
 to; its contracts are: disabled by default (null tracer, `on()` False),
 `install` is a restorable test seam, `reset` severs inherited state, and
 `finalise` appends exactly one self-describing snapshot then disables
-tracing.  `report`/`bridge` consume the files the runtime writes.
+tracing.  `report` consumes the files the runtime writes.
 """
 
 import io
@@ -13,8 +13,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.bench.store import BenchStore
-from repro.obs import bridge, report
+from repro.obs import report
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
@@ -138,26 +137,3 @@ class TestReport:
 
         with pytest.raises(TraceSchemaError):
             report.summarize_trace(path)
-
-
-class TestBridge:
-    def test_snapshot_payload_drops_bucket_vectors(self):
-        registry = MetricsRegistry()
-        registry.histogram("lat").observe(0.01)
-        payload = bridge.snapshot_payload(registry.snapshot())
-        assert payload["benchmark"] == "observability"
-        assert "bounds" not in payload["histograms"]["lat"]
-        assert "counts" not in payload["histograms"]["lat"]
-        assert payload["histograms"]["lat"]["count"] == 1
-
-    def test_record_trace_lands_in_store(self, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        write_trace(trace)
-        db = tmp_path / "traj.sqlite"
-        run_id = bridge.record_trace(db, trace, source="test")
-        with BenchStore(db) as store:
-            run = store.run(run_id)
-            assert run.benchmark == "observability"
-            cells = store.cells(run_id)
-        metrics = {(cell.cell, cell.metric) for cell in cells}
-        assert any("serve.request" in (cell or "") for cell, _ in metrics)

@@ -171,10 +171,11 @@ def test_served_results_never_mix_generations_across_updates():
     graph = planted_partition(3, 18, p_intra=0.5, p_inter=0.04, seed=9)
     index = ScanIndex.build(graph)
     session = index.session(cache_size=16)
-    other = index.session(cache_size=16, cache=session.cache)
+    other = index.session(cache_size=16)
     requests = [(2, 0.35), (3, 0.5), (2, 0.35), (5, 0.65)]
     for mu, epsilon in requests:
         session.serve(mu, epsilon)
+        other.serve(mu, epsilon)
 
     for insertions, deletions, edges in random_stream_batches(rng, graph, 4, 6):
         index.apply_updates(insertions=insertions, deletions=deletions)
@@ -183,14 +184,14 @@ def test_served_results_never_mix_generations_across_updates():
         )
         for position, (mu, epsilon) in enumerate(requests):
             served = session.serve(mu, epsilon)
+            sibling = other.serve(mu, epsilon)
             if position == 0:
-                # The very first serve after a mutation can never hit: the
-                # generation the old entries were keyed under is gone.
+                # The very first serve after a mutation can never hit, in
+                # either session: each cleared its cache on the new epoch.
                 assert not served.from_cache
+                assert not sibling.from_cache
             cold = rebuilt.query(mu, epsilon)
             assert np.array_equal(served.to_clustering().labels, cold.labels)
-            # A sibling session sharing the cache serves the same state.
-            sibling = other.serve(mu, epsilon)
             assert np.array_equal(sibling.to_clustering().labels, cold.labels)
         # Sweeps through the same session agree with the current state too.
         for clustering, (mu, epsilon) in zip(

@@ -129,41 +129,35 @@ def test_session_query_many_stream_identical(index, deterministic):
 def test_cache_never_serves_a_stale_index_generation():
     """Same (mu, epsilon) keys against a changed index must recompute.
 
-    A hit *within* one session's generation is legitimate (distinct ε values
-    may share a snapped rank); what must never happen is a hit on an entry
-    another generation cached -- so the first request of every fresh
-    generation must miss, and every answer must match that session's own
-    index cold.
+    A hit *within* one epoch is legitimate (distinct ε values may share a
+    snapped rank); what must never happen is a hit on an entry cached
+    before the index changed -- so after one session invalidates, the first
+    request of *every* session over the index must miss, and every answer
+    must match the new contents cold.
     """
-    from repro.serve import ResultCache
-
     cache_pressure = [(2, float(e)) for e in np.linspace(0.05, 0.95, 6)]
     graph_a = planted_partition(3, 20, p_intra=0.5, p_inter=0.05, seed=1)
     graph_b = planted_partition(3, 20, p_intra=0.5, p_inter=0.05, seed=2)
-    index_a = ScanIndex.build(graph_a)
+    index = ScanIndex.build(graph_a)
     index_b = ScanIndex.build(graph_b)
-    shared = ResultCache(capacity=4)
-
-    session_a = index_a.session(cache=shared)
-    answers_a = {
-        pair: session_a.serve(*pair).to_clustering().labels
-        for pair in cache_pressure
-    }
-    # The "reload": a different index bound to the very same cache object.
-    session_b = index_b.session(cache=shared)
-    for position, pair in enumerate(cache_pressure):
-        served = session_b.serve(*pair)
-        if position == 0:
-            assert not served.from_cache   # can never hit another generation
-        cold = index_b.query(*pair)
-        assert np.array_equal(served.to_clustering().labels, cold.labels)
-    # And the old session, invalidated, recomputes rather than resurrecting.
-    session_a.invalidate()
-    for position, pair in enumerate(cache_pressure):
-        served = session_a.serve(*pair)
-        if position == 0:
-            assert not served.from_cache
-        assert np.array_equal(served.to_clustering().labels, answers_a[pair])
+    sessions = [index.session(cache_size=4), index.session(cache_size=4)]
+    for session in sessions:
+        for pair in cache_pressure:
+            session.serve(*pair)
+    # The "reload": new contents swapped into the very same index object.
+    index.graph = index_b.graph
+    index.similarities = index_b.similarities
+    index.neighbor_order = index_b.neighbor_order
+    index.core_order = index_b.core_order
+    index.epsilon_boundaries = index_b.epsilon_boundaries
+    sessions[0].invalidate()
+    for session in sessions:
+        for position, pair in enumerate(cache_pressure):
+            served = session.serve(*pair)
+            if position == 0:
+                assert not served.from_cache   # can never hit the old contents
+            cold = index_b.query(*pair)
+            assert np.array_equal(served.to_clustering().labels, cold.labels)
 
 
 def assert_table_is_the_old_snapper(index, probes):

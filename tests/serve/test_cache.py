@@ -1,10 +1,10 @@
-"""Tests for the bounded LRU result cache and its generation tokens."""
+"""Tests for the bounded LRU result cache and its per-session lifecycle."""
 
 import numpy as np
 import pytest
 
 from repro import ScanIndex
-from repro.graphs import from_edge_list, paper_example_graph
+from repro.graphs import paper_example_graph
 from repro.serve import ResultCache
 
 
@@ -59,46 +59,59 @@ class TestLRU:
 
 
 class TestGenerations:
-    def test_tokens_are_never_reused(self):
-        cache = ResultCache(4)
-        tokens = [cache.new_generation() for _ in range(10)]
-        assert len(set(tokens)) == 10
+    """Each session owns its cache and clears it when the index epoch moves."""
 
-    def test_same_index_sessions_share_cache_entries(self):
-        """Workers over one loaded index pool their hits through one cache."""
-        cache = ResultCache(8)
+    def test_sibling_sessions_both_miss_after_apply_updates(self):
         index = ScanIndex.build(paper_example_graph())
-        first = index.session(cache=cache)
-        second = index.session(cache=cache)
+        first, second = index.session(), index.session()
+        for session in (first, second):
+            session.serve(3, 0.6)
+            assert session.serve(3, 0.6).from_cache
+        edge_u, edge_v = index.graph.edge_list()
+        index.apply_updates(deletions=[(int(edge_u[0]), int(edge_v[0]))])
+        cold = index.query(3, 0.6)
+        for session in (first, second):
+            served = session.serve(3, 0.6)
+            assert not served.from_cache
+            assert np.array_equal(served.to_clustering().labels, cold.labels)
+
+    def test_same_index_sessions_keep_private_caches(self):
+        """Two sessions over one index never see each other's entries."""
+        index = ScanIndex.build(paper_example_graph())
+        first, second = index.session(cache_size=8), index.session(cache_size=8)
+        assert first.cache is not second.cache
         warmed = first.serve(3, 0.6)
-        shared = second.serve(3, 0.6)
-        assert shared.from_cache
-        assert shared.compact is warmed.compact
+        own = second.serve(3, 0.6)
+        assert not own.from_cache
+        assert own.compact is not warmed.compact
+        assert second.serve(3, 0.6).compact is own.compact
 
-    def test_invalidate_propagates_to_sessions_opened_later(self):
-        cache = ResultCache(8)
+    def test_invalidate_propagates_to_sibling_sessions(self):
         index = ScanIndex.build(paper_example_graph())
-        session = index.session(cache=cache)
-        session.serve(3, 0.6)
-        session.invalidate()
-        late = index.session(cache=cache)
-        assert not late.serve(3, 0.6).from_cache
+        first, second = index.session(), index.session()
+        for session in (first, second):
+            session.serve(3, 0.6)
+        first.invalidate()
+        assert len(first.cache) == 0
+        cold = index.query(3, 0.6)
+        for session in (first, second):
+            served = session.serve(3, 0.6)
+            assert not served.from_cache
+            assert np.array_equal(served.to_clustering().labels, cold.labels)
 
-    def test_sessions_sharing_a_cache_never_cross_serve(self):
-        """An entry cached for one index is never served for another."""
-        cache = ResultCache(8)
-        index_a = ScanIndex.build(paper_example_graph())
-        index_b = ScanIndex.build(
-            from_edge_list([(0, 1), (1, 2), (0, 2), (2, 3)], num_vertices=11)
-        )
-        session_a = index_a.session(cache=cache)
-        session_b = index_b.session(cache=cache)
-        result_a = session_a.serve(3, 0.6)
-        result_b = session_b.serve(3, 0.6)
-        assert not result_b.from_cache
-        assert not np.array_equal(
-            result_a.to_clustering().labels, result_b.to_clustering().labels
-        )
+    def test_sibling_resync_drops_only_stale_entries(self):
+        """A sibling clears its cache lazily, on its first request after the
+        epoch moved; what it caches afterwards serves hits again."""
+        index = ScanIndex.build(paper_example_graph())
+        first, second = index.session(), index.session()
+        for epsilon in (0.3, 0.6):
+            second.serve(3, epsilon)
+        first.invalidate()
+        assert len(second.cache) == 2          # nothing cleared until it serves
+        assert not second.serve(3, 0.6).from_cache
+        assert len(second.cache) == 1
+        assert second.serve(3, 0.6).from_cache
+        assert not second.serve(3, 0.3).from_cache
 
     def test_invalidate_prevents_stale_hits_and_lru_reclaims(self):
         index = ScanIndex.build(paper_example_graph())
@@ -107,9 +120,9 @@ class TestGenerations:
         assert session.serve(3, 0.6).from_cache
         session.invalidate()
         refreshed = session.serve(3, 0.6)
-        assert not refreshed.from_cache           # old generation never matches
+        assert not refreshed.from_cache           # the cache was cleared
         assert np.array_equal(first.labels, refreshed.labels)
-        # The stale entry still occupies a slot until LRU pressure evicts it.
+        assert len(session.cache) == 1
         for epsilon in (0.1, 0.2, 0.3, 0.4, 0.5):
             session.serve(2, epsilon)
         assert len(session.cache) <= 4

@@ -1,10 +1,10 @@
-"""Tests for shared-generation invalidation and sweep cache admission.
+"""Tests for index-wide invalidation and sweep cache admission.
 
 Two serving-layer behaviors shipped with the dynamic subsystem:
 
-* generation tokens live in a registry shared by every session over one
-  index and are read per request, so ``invalidate()`` on any session --
-  or ``ScanIndex.apply_updates`` -- makes *all* of them miss at once;
+* the index's mutation epoch is read by every session per request, so
+  ``invalidate()`` on any session -- or ``ScanIndex.apply_updates`` --
+  makes *all* of them clear their own caches and miss at once;
 * ``ClusterSession.query_many`` routes sweep pairs through the result
   cache: hits are materialised from cached payloads, misses run as one
   planned batch and are admitted for later serves.
@@ -15,7 +15,6 @@ import pytest
 
 from repro import ScanIndex
 from repro.graphs import planted_partition
-from repro.serve import ResultCache
 
 
 @pytest.fixture()
@@ -26,10 +25,10 @@ def index():
 
 class TestSharedInvalidation:
     def test_sibling_sessions_miss_after_one_invalidates(self, index):
-        cache = ResultCache(16)
-        first = index.session(cache=cache)
-        second = index.session(cache=cache)
+        first = index.session(cache_size=16)
+        second = index.session(cache_size=16)
         first.serve(3, 0.6)
+        second.serve(3, 0.6)
         assert second.serve(3, 0.6).from_cache
         first.invalidate()
         refreshed = second.serve(3, 0.6)
@@ -39,26 +38,19 @@ class TestSharedInvalidation:
         )
 
     def test_apply_updates_invalidates_every_open_session(self, index):
-        cache = ResultCache(16)
-        first = index.session(cache=cache)
-        second = index.session(cache=cache)
-        private = index.session()
-        for session in (first, second, private):
+        sessions = [index.session(cache_size=16) for _ in range(3)]
+        for session in sessions:
             session.serve(2, 0.4)
         edge_u, edge_v = index.graph.edge_list()
         index.apply_updates(deletions=[(int(edge_u[0]), int(edge_v[0]))])
         cold = index.query(2, 0.4)
         # Pre-update entries are unreachable everywhere: the first serve on
-        # each cache misses...
-        refreshed = first.serve(2, 0.4)
-        assert not refreshed.from_cache
-        assert not private.serve(2, 0.4).from_cache
-        # ... but the *post-update* entry the first sibling cached is shared
-        # (the epoch resync must not burn another generation).
-        shared = second.serve(2, 0.4)
-        assert shared.from_cache
-        assert shared.compact is refreshed.compact
-        for session in (first, second, private):
+        # each session misses...
+        for session in sessions:
+            assert not session.serve(2, 0.4).from_cache
+        # ... and the post-update entry each session cached then hits.
+        for session in sessions:
+            assert session.serve(2, 0.4).from_cache
             assert np.array_equal(
                 session.serve(2, 0.4).to_clustering().labels, cold.labels
             )
@@ -68,9 +60,8 @@ class TestSharedInvalidation:
         sibling session ranking ε against the replaced similarity set."""
         from repro.graphs import planted_partition
 
-        cache = ResultCache(16)
-        first = index.session(cache=cache)
-        second = index.session(cache=cache)
+        first = index.session(cache_size=16)
+        second = index.session(cache_size=16)
         second.serve(2, 0.4)
         replacement = ScanIndex.build(
             planted_partition(3, 20, p_intra=0.4, p_inter=0.08, seed=17)
@@ -94,8 +85,8 @@ class TestSharedInvalidation:
             )
 
     def test_manual_invalidate_rekeys_private_caches_too(self, index):
-        """invalidate() re-keys every cache bound to the index, so even a
-        sibling with its own private cache can never serve pre-swap entries."""
+        """invalidate() bumps the index epoch, so a sibling with its own
+        private cache clears it and can never serve pre-swap entries."""
         from repro.graphs import planted_partition
 
         first = index.session()

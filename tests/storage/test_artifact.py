@@ -247,6 +247,24 @@ class TestNoRecomputationOnLoad:
         batched = loaded.query_many([(3, 0.6), (2, 0.5)])
         assert batched[0].num_clusters == 2
 
+    @pytest.mark.parametrize("mmap_mode", ["r", None])
+    def test_load_and_serve_leave_the_edge_list_underived(
+        self, tmp_path, community_graph, mmap_mode
+    ):
+        """A load reads the CSR offsets only; a served query needs no
+        canonical edge list, so neither it nor the arc sources get built."""
+        index = ScanIndex.build(community_graph)
+        index.save(tmp_path / "a")
+        loaded = ScanIndex.load(tmp_path / "a", mmap_mode=mmap_mode)
+        served = loaded.session().serve(3, 0.5)
+        assert served.num_clusters == index.query(3, 0.5).num_clusters
+        assert loaded.graph.num_edges == index.graph.num_edges
+        assert loaded.graph._edge_list is None
+        assert loaded.graph._arc_sources is None
+        # Derived on first use, equal to the built graph's.
+        assert np.array_equal(loaded.graph.edge_u, index.graph.edge_u)
+        assert np.array_equal(loaded.graph.edge_v, index.graph.edge_v)
+
 
 class TestErrorPaths:
     @pytest.fixture
@@ -319,6 +337,23 @@ class TestErrorPaths:
         (saved / HEADER_FILE).write_text(json.dumps(header))
         with pytest.raises(ArtifactFormatError):
             ScanIndex.load(saved)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda p: np.concatenate([p[:1], p[1:-1][::-1], p[-1:]]),
+                     id="decreasing"),
+        pytest.param(lambda p: np.concatenate([p[:-1], p[-1:] - 1]), id="short-last"),
+        pytest.param(lambda p: np.concatenate([p[:-1], p[-1:] + 1]), id="long-last"),
+    ])
+    @pytest.mark.parametrize("mmap_mode", ["r", None])
+    def test_malformed_graph_indptr_rejected(self, saved, edit, mmap_mode):
+        artifact = IndexArtifact.load(saved, mmap_mode=None)
+        indptr = artifact.columns["graph_indptr"]
+        artifact.columns["graph_indptr"] = edit(indptr).astype(indptr.dtype)
+        artifact.save(saved)  # fresh checksums: only the offsets are wrong
+        with pytest.raises(ArtifactFormatError):
+            ScanIndex.load(saved, mmap_mode=mmap_mode)
+        with pytest.raises(ArtifactFormatError):
+            ScanIndex.load(saved, mmap_mode=mmap_mode, verify=True)
 
     def test_unknown_stored_column(self, saved):
         import io
