@@ -391,6 +391,11 @@ def _command_serve_client(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
+    from .serve.worker import keep_query_scratch_on_the_heap
+
+    # Both modes answer misses in this process too (the stdin loop; the
+    # front end's degraded fallback), so keep their scratch as workers do.
+    keep_query_scratch_on_the_heap()
     if args.port is not None:
         return _serve_network(args)
     if args.workers != 1:

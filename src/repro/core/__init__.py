@@ -7,7 +7,7 @@ from .doubling import (
 )
 from .neighbor_order import NeighborOrder, build_neighbor_order
 from .core_order import CoreOrder, build_core_order
-from .query import cluster, cluster_compact, get_cores
+from .query import cluster, get_cores
 from .sweep_query import query_many
 from .hubs import classify_unclustered
 from .index import ScanIndex
@@ -22,7 +22,6 @@ __all__ = [
     "CoreOrder",
     "build_core_order",
     "cluster",
-    "cluster_compact",
     "query_many",
     "get_cores",
     "classify_unclustered",

@@ -71,7 +71,6 @@ from .clustering import Clustering
 from .core_order import CoreOrder, build_core_order
 from .hubs import classify_unclustered
 from .neighbor_order import NeighborOrder, build_neighbor_order
-from .query import cluster as _cluster
 from .query import dense_clustering, get_cores
 from .sweep_query import query_many as _query_many
 
@@ -288,21 +287,16 @@ class ScanIndex:
         arbitrary one, which makes repeated queries bit-for-bit reproducible
         (used by the quality experiments in Section 7.3.4).
         ``classify_hubs_and_outliers`` additionally labels every unclustered
-        vertex as hub or outlier (Section 4.3).
+        vertex as hub or outlier (Section 4.3).  The query is the one-pair
+        batch of :meth:`query_many`, so a lone query and a sweep run the
+        same planner stages.
         """
-        scheduler = scheduler if scheduler is not None else Scheduler()
-        clustering = _cluster(
-            self.graph,
-            self.neighbor_order,
-            self.core_order,
-            mu,
-            epsilon,
+        return self.query_many(
+            [(mu, epsilon)],
             scheduler=scheduler,
             deterministic_borders=deterministic_borders,
-        )
-        if classify_hubs_and_outliers:
-            classify_unclustered(self.graph, clustering, scheduler=scheduler)
-        return clustering
+            classify_hubs_and_outliers=classify_hubs_and_outliers,
+        )[0]
 
     def query_many(
         self,

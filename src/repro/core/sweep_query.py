@@ -1,37 +1,37 @@
-"""Batched multi-parameter query planner: many ``(μ, ε)`` clusterings at once.
+"""The query engine: SCAN clusterings for a batch of ``(μ, ε)`` settings.
 
-Parameter exploration -- the workload the index exists for -- queries the same
-index dozens of times over a grid of ``(μ, ε)`` settings.  Issued one by one,
-every query repeats the same three index probes: the doubling search locating
-the core prefix of ``CO[μ]``, the doubling searches locating each core's
-ε-similar prefix of ``NO``, and the gather materialising those prefixes.  This
-planner executes a whole batch with the redundancy removed:
+Every query runs here, so the stages of Algorithms 3-5 are written once: a
+lone :meth:`ScanIndex.query <repro.core.index.ScanIndex.query>` or serving
+cache miss is the one-pair batch.  Parameter exploration -- the workload
+the index exists for -- queries one index over a grid of settings, and the
+planner removes the redundancy of issuing them one by one:
 
 1. *one* batched doubling search (:func:`~repro.core.doubling.
-   prefix_lengths_at_least`) finds the core prefix of every pair
-   simultaneously;
+   prefix_lengths_at_least`) finds the core prefix of every pair;
 2. pairs are grouped by distinct ε.  Within a group the core sets are nested
    (``cores(μ', ε) ⊆ cores(μ, ε)`` for ``μ' ≥ μ``), so the group's ε-similar
-   arcs are gathered *once* for the smallest μ -- one shared doubling search
-   across all groups locates every prefix, then one segmented gather per
-   distinct ε materialises it;
+   arcs are gathered *once*, for its smallest μ (the *base pair*) -- one
+   shared doubling search locates every group's prefixes, then one
+   segmented gather per distinct ε materialises them;
 3. the pairs of a group run in *descending* μ order over one shared
    union-find forest: descending μ only ever adds cores, so each step unions
    just the newly eligible core-core arcs and reads the labels off the grown
-   forest.  Every arc of the group is unioned exactly once, instead of once
-   per pair -- union-find is what dominates a query, so this is where the
-   sweep's asymptotic saving comes from.  Border attachment stays per pair
-   (different core sets assign different borders) and is the single-query
-   tail itself, :func:`~repro.core.query.compact_answer`.
+   forest.  Every arc of the group is unioned once, instead of once per
+   pair -- union-find dominates a query, so this is the sweep's asymptotic
+   saving;
+4. each pair attaches its own borders (Algorithm 4): each joins the
+   cluster of its first arc in the border rule's priority order.
 
-Each pair's answer is a :class:`~repro.core.query.CompactClustering`,
-bit-for-bit identical to a per-pair :func:`~repro.core.query.cluster_compact`
-call.  Labels are union-find representatives (the minimum vertex id of each
-component under min-hooking, regardless of union order) and the
-deterministic border rule is arc-order-independent; for the arbitrary
-first-writer rule the pair's border arcs are first restored to its own
-traversal order (cores in ``CO[μ]``-prefix order, neighbor order within a
-core) so the same writers win.
+Every answer is a :class:`~repro.core.query.CompactClustering`, bit for bit
+the pair's answer when queried alone.  Labels are union-find
+representatives (the minimum vertex id of each component under
+min-hooking, whatever the union order) and the deterministic border rule
+is arc-order-independent; for the first-writer rule a pair's border arcs
+are restored to its own traversal order (cores in ``CO[μ]``-prefix order,
+neighbor order within a core).  The base pair needs neither that re-sort
+nor a source-core mask: its cores are exactly the cores the arcs were
+gathered for, so every arc starts at a core, in traversal order.  A
+one-pair batch therefore does and charges exactly one query's work.
 """
 
 from __future__ import annotations
@@ -46,7 +46,18 @@ from ..parallel.primitives import segmented_ranges
 from ..parallel.scheduler import Scheduler
 from ..parallel.unionfind import UnionFind
 from .doubling import prefix_lengths_at_least
-from .query import NO_CORES, CompactClustering, check_setting, compact_answer
+from .query import CompactClustering, check_setting
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+#: The answer of every setting that selects no cores.
+NO_CORES = CompactClustering(
+    _read_only(np.zeros(0, dtype=np.int64)), _read_only(np.zeros(0, dtype=np.int64)), 0, 0
+)
 
 
 def _validate_pairs(
@@ -76,9 +87,8 @@ def query_many(
     """SCAN clusterings for every ``(mu, epsilon)`` pair, planned as one batch.
 
     Returns one :class:`~repro.core.query.CompactClustering` per input pair,
-    in input order, each identical to what a separate
-    :func:`~repro.core.query.cluster_compact` call would produce (every
-    setting without cores shares :data:`~repro.core.query.NO_CORES`).
+    in input order, each identical to the pair's one-pair batch (every
+    setting without cores shares :data:`NO_CORES`).
     """
     pairs = list(pairs)
     if not pairs:
@@ -103,8 +113,10 @@ def query_many(
     distinct_eps, group_of = np.unique(epsilons, return_inverse=True)
     num_groups = int(distinct_eps.size)
     order_by_mu = np.lexsort((mus, group_of))
-    boundaries = np.searchsorted(group_of[order_by_mu], np.arange(num_groups))
-    base_pair = order_by_mu[boundaries]
+    boundaries = np.append(
+        np.searchsorted(group_of[order_by_mu], np.arange(num_groups)), num_pairs
+    )
+    base_pair = order_by_mu[boundaries[:-1]]
 
     base_cores: list[np.ndarray] = [
         core_order.vertices[core_starts[p]: core_starts[p] + core_counts[p]]
@@ -115,19 +127,13 @@ def query_many(
     # ONE shared doubling search spanning all groups at once.  Stored ids
     # are int32; gathered ids that index arrays (these cores, Stage 4's
     # targets and per-pair cores) are widened to intp once, when gathered.
-    all_cores = (
-        np.concatenate(base_cores).astype(np.intp)
-        if base_cores else np.zeros(0, dtype=np.int64)
-    )
+    all_cores = np.concatenate(base_cores).astype(np.intp)
     group_sizes = np.array([cores.size for cores in base_cores], dtype=np.int64)
     per_core_eps = np.repeat(distinct_eps, group_sizes)
     no_starts = neighbor_order.indptr[all_cores]
     no_lengths = neighbor_order.indptr[all_cores + 1] - no_starts
     prefix_counts = prefix_lengths_at_least(
-        neighbor_order.similarities,
-        per_core_eps,
-        no_starts,
-        no_lengths,
+        neighbor_order.similarities, per_core_eps, no_starts, no_lengths,
         scheduler=scheduler,
     )
 
@@ -145,24 +151,18 @@ def query_many(
         if total:
             num_nonempty = int(np.count_nonzero(counts))
             scheduler.charge(total, ceil_log2(max(num_nonempty, 1)) + 1.0)
-            positions = segmented_ranges(no_starts[lo:hi], counts)
-            group_sources = np.repeat(all_cores[lo:hi], counts)
-            group_targets = gather_ids(neighbor_order.neighbors, positions)
-            group_similarities = neighbor_order.similarities[positions]
-        else:
-            group_sources = np.zeros(0, dtype=np.int64)
-            group_targets = np.zeros(0, dtype=np.int64)
-            group_similarities = np.zeros(0, dtype=np.float64)
+        positions = segmented_ranges(no_starts[lo:hi], counts)
+        group_sources = np.repeat(all_cores[lo:hi], counts)
+        group_targets = gather_ids(neighbor_order.neighbors, positions)
 
         # Descending μ: each pair's cores contain the previous pair's, so
         # the shared forest and core mask only ever grow and every group
-        # arc is unioned exactly once across the whole group.
-        group_pairs = order_by_mu[boundaries[group]: (
-            boundaries[group + 1] if group + 1 < num_groups else num_pairs
-        )][::-1]
+        # arc is unioned exactly once across the whole group.  The group's
+        # smallest μ (its base pair) therefore comes last.
+        group_pairs = order_by_mu[boundaries[group]: boundaries[group + 1]][::-1]
         forest = UnionFind(n)
         is_core = np.zeros(n, dtype=bool)
-        added = np.zeros(int(group_sources.size), dtype=bool)
+        unioned = None      # the previous pair's core-core arcs
         for pair in group_pairs.tolist():
             cores = core_order.vertices[
                 core_starts[pair]: core_starts[pair] + core_counts[pair]
@@ -170,46 +170,84 @@ def query_many(
             if cores.size == 0:
                 continue
             is_core[cores] = True
-            source_is_core = is_core[group_sources]
             target_is_core = is_core[group_targets]
-            scheduler.charge(
-                int(group_sources.size) + int(cores.size),
-                ceil_log2(max(int(group_sources.size), 1)) + 1.0,
-            )
+            is_base = pair == base_pair[group]
+            if is_base:
+                # The base pair's cores are exactly the cores the arcs were
+                # gathered for: every arc starts at a core, in the pair's
+                # own traversal order, so a lone query pays nothing more.
+                core_arcs = target_is_core
+                border_arcs = ~target_is_core
+            else:
+                source_is_core = is_core[group_sources]
+                scheduler.charge(
+                    int(group_sources.size) + int(cores.size),
+                    ceil_log2(max(int(group_sources.size), 1)) + 1.0,
+                )
+                core_arcs = source_is_core & target_is_core
+                border_arcs = source_is_core & ~target_is_core
 
             # Connectivity (union-find, Section 6.2), incremental: only the
             # arcs that became core-core at this μ are new unions.
-            new_arcs = source_is_core & target_is_core & ~added
-            added |= new_arcs
+            new_arcs = core_arcs if unioned is None else core_arcs & ~unioned
+            unioned = core_arcs
             core_labels = forest.connect(
                 scheduler, group_sources[new_arcs], group_targets[new_arcs], cores
             )
 
-            # Border vertices: non-core endpoints of ε-similar edges out of
-            # this pair's cores.
-            border_arcs = source_is_core & ~target_is_core
+            # Border vertices: non-core endpoints of ε-similar arcs out of
+            # this pair's cores, put in the border rule's priority order.
             border_sources = group_sources[border_arcs]
-            border_targets = group_targets[border_arcs]
-            border_similarities = group_similarities[border_arcs]
-            if not deterministic_borders and border_sources.size:
-                # The arbitrary border rule keeps the first writer in
-                # traversal order, so restore the pair's own order (CO[μ]-
-                # prefix rank of the source; the stable sort keeps neighbor
-                # order within a source) to match a lone query bit for bit.
-                # The deterministic rule is order-independent.
+            order = slice(None)     # the base pair's own traversal order
+            if deterministic_borders:
+                # Most similar core first, ties to the lower core id.
+                similarities = neighbor_order.similarities[positions[border_arcs]]
+                order = np.lexsort((border_sources, -similarities))
+            elif not is_base:
+                # The first writer in the pair's own traversal order wins:
+                # CO[μ]-prefix rank of the source, and the stable sort keeps
+                # neighbor order within a source.
                 rank[cores] = np.arange(cores.size, dtype=np.int64)
                 order = np.argsort(rank[border_sources], kind="stable")
-                border_sources = border_sources[order]
-                border_targets = border_targets[order]
-                border_similarities = border_similarities[order]
-            results[pair] = compact_answer(
-                cores,
-                core_labels,
-                border_sources,
-                border_targets,
-                border_similarities,
-                n,
-                scheduler=scheduler,
-                deterministic=deterministic_borders,
+            results[pair] = _compact_answer(
+                cores, core_labels, border_sources[order],
+                group_targets[border_arcs][order], n, scheduler=scheduler,
             )
     return results
+
+
+def _compact_answer(
+    cores: np.ndarray,
+    core_labels: np.ndarray,
+    border_sources: np.ndarray,
+    border_targets: np.ndarray,
+    n: int,
+    *,
+    scheduler: Scheduler,
+) -> CompactClustering:
+    """Attach the borders to the clustered cores and pack the answer (Algorithm 4).
+
+    ``cores`` are in ``CO[μ]``-prefix order with their union-find labels;
+    ``border_*`` list the ε-similar core -> non-core arcs in the border
+    rule's priority order, and each border joins the cluster of its first
+    arc's source -- the paper's compare-and-swap keeps the first writer.
+    """
+    scheduler.charge(
+        int(border_targets.size), ceil_log2(max(int(border_targets.size), 1)) + 1.0
+    )
+    if border_targets.size:
+        # First occurrence of every border vertex, found with one sort-based
+        # pass (np.unique returns the first index).
+        border_vertices, first = np.unique(border_targets, return_index=True)
+        # Only core entries are written and then read, so no fill is needed.
+        label_of = np.empty(n, dtype=np.int64)
+        label_of[cores] = core_labels
+        border_labels = label_of[border_sources[first]]
+    else:
+        border_vertices = border_labels = np.zeros(0, dtype=np.int64)
+    return CompactClustering(
+        _read_only(np.concatenate([cores, border_vertices])),
+        _read_only(np.concatenate([core_labels, border_labels])),
+        int(cores.size),
+        int(np.count_nonzero(core_labels == cores)),
+    )

@@ -13,26 +13,29 @@ Every stage works on *located positions*: the ``O(b)`` ops of a batch and
 the ``O(Σ_{t∈T} deg t)`` arcs around the touched vertices ``T`` (the
 endpoints of some op) are found by binary search, and each stored column is
 then rebuilt by one delete-and-insert pass (:func:`_splice`).  Those column
-splices (memcpy-scale), the one remap of ``arc_edge_ids`` and the patched
-graph's own derived arrays (its canonical edge list, and on weighted graphs
-the arc search keys the subset numerator engine probes) are the only
-whole-graph passes left; no step builds a mask over every arc, a prefix sum
-over every entry or a sort key over a whole column.
+splices (memcpy-scale), the one remap of ``arc_edge_ids``, an O(n) pass
+over the row maxima when an insert falls past its row's end and, on
+weighted graphs, the patched graph's canonical edge list and arc search
+keys the subset numerator engine probes are the only whole-graph passes
+left; no step builds a mask over every arc, a prefix sum over every entry
+or a sort key over a whole column, and an unweighted batch derives neither
+graph's edge list.
 
 1. **Graph splice** (:func:`_splice_graph`): the two arcs of every op are
    located in the CSR rows (``Graph.locate_neighbors``) and the arc columns
-   are spliced at those positions.  Canonical edge ids are positions in the
-   lexicographic edge list, so deleted ids come from the located arcs and an
-   inserted edge's id from a lexicographic search of the edge list; the
-   id shift is piecewise constant between those ``O(b)`` breakpoints and is
-   applied to ``arc_edge_ids`` in the one remap pass.
+   are spliced at those positions.  Canonical edge ids number the forward
+   arcs (target > source) in CSR order, so deleted ids and inserted ranks
+   are both read off ``arc_edge_ids`` at located positions
+   (:func:`_insert_ranks`); the id shift is piecewise constant between
+   those ``O(b)`` breakpoints and is applied to ``arc_edge_ids`` in the one
+   remap pass.
 2. **Similarity delta** (:func:`apply_updates`): an edge's score changes
    only if an endpoint is touched, so exactly the edges in ``T``'s adjacency
-   ranges are re-finalised; with stored numerators only the triangle-affected
-   ones pay intersection work.  On unweighted graphs that work is the one
-   listing of the triangles through the op edges: integer triangle-count
-   deltas for the surviving edges, ``2 +`` the triangle count for the
-   inserted ones.  Weighted graphs recompute the affected subset fresh
+   ranges are re-finalised, their endpoints read off those ranges' arcs;
+   with stored numerators only the triangle-affected ones pay intersection
+   work.  On unweighted graphs that work is the one listing of the
+   triangles through the op edges: integer triangle-count deltas for the
+   surviving edges, ``2 +`` the triangle count for the inserted ones.  Weighted graphs recompute the affected subset fresh
    through the vectorised subset engine (:func:`~repro.similarity.batch.
    edge_numerators_for_subset`) the LSH fallback batches with.  The
    edge-indexed columns are spliced like the arc columns.
@@ -79,7 +82,6 @@ from ..parallel.metrics import ceil_log2
 from ..parallel.primitives import (
     segmented_arange,
     segmented_ranges,
-    segmented_searchsorted,
     sorted_unique,
 )
 from ..parallel.scheduler import Scheduler
@@ -327,6 +329,31 @@ def _old_to_new_edge_ids(
     return old_to_new
 
 
+def _insert_ranks(graph: Graph, ins_u: np.ndarray, ins_pos_uv: np.ndarray) -> np.ndarray:
+    """Number of old edges before each inserted ``(u, v)``, ``u < v``.
+
+    ``ins_pos_uv`` is ``v``'s located position in row ``u``.  Every arc
+    from there to the row's end is forward (its target is at least
+    ``v > u``), so the first one's id is the rank.  When ``v`` falls past
+    the row's end, the rank is the id of the first forward arc of the next
+    row that has one -- found by one O(n) pass over the row maxima -- or
+    ``m`` when no later row has one.
+    """
+    ranks = np.full(ins_u.shape[0], graph.num_edges, dtype=np.int64)
+    inside = ins_pos_uv < graph.indptr[ins_u + 1]
+    ranks[inside] = graph.arc_edge_ids[ins_pos_uv[inside]]
+    past = np.flatnonzero(~inside)
+    if past.size:
+        rows = np.flatnonzero(graph.degrees)
+        rows = rows[graph.indices[graph.indptr[rows + 1] - 1] > rows]
+        following = np.searchsorted(rows, ins_u[past], side="right")
+        has_next = following < rows.size
+        rows = rows[following[has_next]]
+        first_forward, _ = graph.locate_neighbors(rows, rows)
+        ranks[past[has_next]] = graph.arc_edge_ids[first_forward]
+    return ranks
+
+
 def _splice_graph(
     graph: Graph, batch: UpdateBatch, scheduler: Scheduler
 ) -> tuple[Graph, np.ndarray, np.ndarray, np.ndarray]:
@@ -348,24 +375,21 @@ def _splice_graph(
     )
     num_ins, num_del = int(ins_u.size), int(del_u.size)
 
-    # --- Canonical edge numbering.  A deleted edge's id is read off its
-    # forward arc; an inserted edge ranks after the old edges lexicographically
-    # before it (one search of its source's run of the edge list).
+    # --- Canonical edge numbering: edge ids number the forward arcs
+    # (target > source) in CSR order.  A deleted edge's id is read off its
+    # forward arc; an inserted edge ranks at the old edges before it
+    # (:func:`_insert_ranks`).
     del_pos_uv, _ = graph.locate_neighbors(del_u, del_v)
     del_pos_vu, _ = graph.locate_neighbors(del_v, del_u)
     deleted_ids = graph.arc_edge_ids[del_pos_uv]
-    edge_u, edge_v = graph.edge_list()
-    insert_ranks = segmented_searchsorted(
-        edge_v, ins_v,
-        np.searchsorted(edge_u, ins_u), np.searchsorted(edge_u, ins_u, side="right"),
-    )
+    ins_pos_uv, _ = graph.locate_neighbors(ins_u, ins_v)
+    ins_pos_vu, _ = graph.locate_neighbors(ins_v, ins_u)
+    insert_ranks = _insert_ranks(graph, ins_u, ins_pos_uv)
     inserted_edge_ids = _insertion_slots(deleted_ids, insert_ranks)
     old_to_new = _old_to_new_edge_ids(num_old, deleted_ids, insert_ranks)
 
     # --- Arc splice at the located positions.  The final CSR order is
     # (source, target), and insertion points are non-decreasing under it.
-    ins_pos_uv, _ = graph.locate_neighbors(ins_u, ins_v)
-    ins_pos_vu, _ = graph.locate_neighbors(ins_v, ins_u)
     sources = np.concatenate([ins_u, ins_v])
     targets = np.concatenate([ins_v, ins_u])
     order = np.lexsort((targets, sources))
@@ -521,6 +545,7 @@ def _patched_similarities(
     deleted_ids: np.ndarray,
     inserted_edge_ids: np.ndarray,
     affected_edges: np.ndarray,
+    affected_endpoints: tuple[np.ndarray, np.ndarray],
     scheduler: Scheduler,
 ) -> EdgeSimilarities:
     """Splice the edge-indexed columns and re-finalise the affected edges.
@@ -596,7 +621,7 @@ def _patched_similarities(
         )
         values[affected_edges] = finalise_numerators(
             new_graph, fresh, index.measure,
-            edge_ids=affected_edges, scheduler=scheduler,
+            endpoints=affected_endpoints, scheduler=scheduler,
         )
     return EdgeSimilarities(
         new_graph, values, index.measure, index.similarities.backend,
@@ -886,10 +911,11 @@ def apply_updates(
 
         touched = batch.touched_vertices()
         with obs.span("dynamic.similarity_delta"):
-            affected_edges = batch.affected_edges(new_graph)
+            affected_edges, affected_u, affected_v = batch.affected_edges(new_graph)
             similarities = _patched_similarities(
                 index, batch, new_graph, old_to_new, deleted_ids,
-                inserted_edge_ids, affected_edges, scheduler,
+                inserted_edge_ids, affected_edges, (affected_u, affected_v),
+                scheduler,
             )
 
         # Affected vertices: touched endpoints plus their (new) neighbors --

@@ -161,20 +161,33 @@ class UpdateBatch:
             np.concatenate([self.insert_u, self.insert_v, self.delete_u, self.delete_v])
         )
 
-    def affected_edges(self, graph) -> np.ndarray:
-        """Ids of ``graph``'s edges incident to a touched endpoint.
+    def affected_edges(self, graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``graph``'s edges incident to a touched endpoint: ``(ids, u, v)``.
 
-        Works against either the pre- or post-update graph; the patcher
-        evaluates it on the *patched* graph, where it lists exactly the
-        edges whose similarity must be recomputed (every other edge keeps
-        its stored score bit for bit).
+        Each edge is listed once, with its endpoints ``u < v``.  Works
+        against either the pre- or post-update graph; the patcher evaluates
+        it on the *patched* graph, where it lists exactly the edges whose
+        similarity must be recomputed (every other edge keeps its stored
+        score bit for bit).
         """
         touched = self.touched_vertices()
         if touched.size == 0 or graph.num_edges == 0:
-            return _EMPTY_IDS.copy()
+            return _EMPTY_IDS.copy(), _EMPTY_IDS.copy(), _EMPTY_IDS.copy()
         # Read off the touched rows: O(Σ deg) work, no pass over every edge.
-        rows = segmented_ranges(graph.indptr[touched], graph.degrees[touched])
-        return sorted_unique(graph.arc_edge_ids[rows])
+        # An edge appears once per touched endpoint; keep its forward arc,
+        # or its backward arc when the smaller endpoint is untouched.
+        counts = graph.degrees[touched]
+        rows = segmented_ranges(graph.indptr[touched], counts)
+        sources = np.repeat(touched, counts)
+        targets = graph.indices[rows].astype(np.int64)
+        slots = np.minimum(np.searchsorted(touched, targets), touched.size - 1)
+        keep = (sources < targets) | (touched[slots] != targets)
+        sources, targets = sources[keep], targets[keep]
+        return (
+            graph.arc_edge_ids[rows[keep]].astype(np.int64),
+            np.minimum(sources, targets),
+            np.maximum(sources, targets),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

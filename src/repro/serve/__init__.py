@@ -9,8 +9,8 @@ long-lived serving loop.  Its three pieces compose one pipeline per request:
    ``(μ, snapped-ε, border-mode)``, owned by one session -- answers repeats
    without touching the index;
 3. on a miss, :class:`~repro.serve.session.ClusterSession` computes the
-   compact clustering (:func:`~repro.core.query.cluster_compact`) and
-   caches it.
+   compact clustering as the query planner's one-pair batch
+   (:func:`~repro.core.sweep_query.query_many`) and caches it.
 
 On top of the session sits the concurrent tier: a
 :class:`~repro.serve.server.ClusterServer` front end routes newline-

@@ -11,9 +11,9 @@ when the index it serves is mutated, so keys need no index component.
 The cache itself is a plain bounded LRU over an :class:`~collections.
 OrderedDict`: hits refresh recency, inserts beyond ``capacity`` evict the
 least recently used entry.  It stores whatever payload objects the session
-hands it and never copies them; the query tail returns compact answers with
-read-only arrays, so a cached entry cannot be mutated by one reader under
-another.
+hands it and never copies them; the query planner returns compact answers
+with read-only arrays, so a cached entry cannot be mutated by one reader
+under another.
 """
 
 from __future__ import annotations

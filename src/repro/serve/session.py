@@ -4,8 +4,8 @@ A :class:`~repro.core.index.ScanIndex` answers any ``(μ, ε)`` query cheaply;
 a :class:`ClusterSession` is the persistent per-process serving loop over
 one, which keeps answers compact and serves repeats without recomputing:
 
-* **Compact answers.**  A miss runs the query tail
-  (:func:`~repro.core.query.cluster_compact`) and keeps only the clustered
+* **Compact answers.**  A miss runs the query planner's one-pair batch
+  (:func:`~repro.core.sweep_query.query_many`) and keeps only the clustered
   vertices and their labels; the dense O(n) clustering is materialised only
   on request.
 * **ε-snapping.**  Thresholds are canonicalized by an
@@ -48,12 +48,7 @@ import numpy as np
 
 from .. import obs
 from ..core.clustering import Clustering
-from ..core.query import (
-    CompactClustering,
-    check_setting,
-    cluster_compact,
-    dense_clustering,
-)
+from ..core.query import CompactClustering, check_setting, dense_clustering
 from ..core.sweep_query import query_many as _query_many
 from ..parallel.scheduler import Scheduler
 from .cache import ResultCache
@@ -179,12 +174,12 @@ class ClusterSession:
     def serve(
         self, mu: int, epsilon: float, *, deterministic_borders: bool = False
     ) -> ServedResult:
-        """Answer one ``(μ, ε)`` query from the cache or the query tail.
+        """Answer one ``(μ, ε)`` query from the cache or the query planner.
 
         The cache key is ``(μ, rank(ε), border-mode)`` with
         ``rank`` the ε-snapping rank, so a hit requires only the O(log m)
         snap and a dict lookup.  On a miss the compact clustering is
-        computed (:func:`~repro.core.query.cluster_compact`) and cached.
+        computed (the planner's one-pair batch) and cached.
         Either way the answer is bit-identical to a cold
         :meth:`ScanIndex.query <repro.core.index.ScanIndex.query>`.
         """
@@ -343,15 +338,14 @@ class ClusterSession:
     def _compute(
         self, mu: int, epsilon: float, deterministic_borders: bool
     ) -> CompactClustering:
-        """One cache miss: the query tail's (read-only) compact answer."""
-        return cluster_compact(
+        """One cache miss: the planner's one-pair batch (a read-only answer)."""
+        return _query_many(
             self.index.neighbor_order,
             self.index.core_order,
-            mu,
-            epsilon,
+            [(mu, epsilon)],
             scheduler=self.scheduler,
             deterministic_borders=deterministic_borders,
-        )
+        )[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cache = repr(self.cache) if self.cache is not None else "disabled"

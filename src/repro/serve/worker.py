@@ -31,7 +31,8 @@ mid-traffic to drive the restart/degradation paths.
 
 Memory contract: a worker keeps its freed query scratch on the heap
 (:func:`keep_query_scratch_on_the_heap`), so cache misses reuse memory
-instead of faulting fresh pages in on every request.
+instead of faulting fresh pages in on every request; ``repro serve``
+makes the same call for its own process.
 """
 
 from __future__ import annotations

@@ -266,25 +266,25 @@ def finalise_numerators(
     numerators: np.ndarray,
     measure: str,
     *,
-    edge_ids: np.ndarray | None = None,
+    endpoints: tuple[np.ndarray, np.ndarray] | None = None,
     scheduler: Scheduler | None = None,
 ) -> np.ndarray:
     """Similarity scores from closed-neighborhood dot products.
 
-    With ``edge_ids`` the computation restricts to that subset of canonical
-    edges (``numerators`` then aligns with ``edge_ids``), applying the same
-    elementwise expressions as the all-edge path -- which is what lets the
-    dynamic update subsystem (:mod:`repro.dynamic`) re-finalise only the
-    affected edges **bit-identically** to a full build.
+    With ``endpoints`` -- the ``(u, v)`` arrays of a subset of edges --
+    the computation restricts to that subset (``numerators`` then aligns
+    with it), applying the same elementwise expressions as the all-edge
+    path -- which is what lets the dynamic update subsystem
+    (:mod:`repro.dynamic`) re-finalise only the affected edges
+    **bit-identically** to a full build, without deriving the graph's
+    whole edge list.
     """
     scheduler = scheduler if scheduler is not None else Scheduler()
-    if edge_ids is None:
+    if endpoints is None:
         return _finalise(graph, numerators, measure, scheduler)
-    edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    edge_u = graph.edge_u[edge_ids]
-    edge_v = graph.edge_v[edge_ids]
+    edge_u, edge_v = endpoints
     degrees = graph.degrees
-    scheduler.charge(edge_ids.shape[0], ceil_log2(max(edge_ids.shape[0], 1)) + 1.0)
+    scheduler.charge(edge_u.shape[0], ceil_log2(max(edge_u.shape[0], 1)) + 1.0)
     if measure == "cosine":
         if graph.arc_weights is None:
             norm_u = np.sqrt(degrees[edge_u].astype(np.float64) + 1.0)

@@ -109,6 +109,20 @@ class TestServeCommand:
         assert "expected MU:EPSILON" in captured.err
         assert "mu must be at least 2" in captured.err
 
+    def test_keeps_query_scratch_on_the_heap_once(
+        self, artifact, tmp_path, capsys, monkeypatch
+    ):
+        from repro.serve import worker
+
+        calls = []
+        monkeypatch.setattr(
+            worker, "keep_query_scratch_on_the_heap", lambda: calls.append(1)
+        )
+        requests = tmp_path / "requests.txt"
+        requests.write_text("3:0.6\n2:0.5\n3:0.7\n")
+        assert main(["serve", str(artifact), "--requests", str(requests)]) == 0
+        assert calls == [1]
+
     def test_missing_requests_file(self, artifact, capsys):
         assert main(["serve", str(artifact), "--requests", "/no/such/file"]) == 2
         assert "cannot read requests" in capsys.readouterr().err

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import ScanIndex
-from repro.core.query import cluster_compact
 from repro.core.sweep_query import query_many
 from repro.graphs import from_edge_list, paper_example_graph, planted_partition
 from repro.parallel import Scheduler
@@ -63,13 +62,11 @@ class TestIdentityWithPerPairQueries:
             pairs,
             deterministic_borders=deterministic,
         )
-        for (mu, epsilon), answer in zip(pairs, planned):
-            single = cluster_compact(
+        for pair, answer in zip(pairs, planned):
+            (single,) = query_many(
                 community_index.neighbor_order,
                 community_index.core_order,
-                mu,
-                epsilon,
-                scheduler=Scheduler(),
+                [pair],
                 deterministic_borders=deterministic,
             )
             assert_same_answer(answer, single)
@@ -140,13 +137,9 @@ class TestPlannerEfficiency:
         results = query_many(
             community_index.neighbor_order, community_index.core_order, pairs
         )
-        for (mu, epsilon), ours in zip(pairs, results):
-            theirs = cluster_compact(
-                community_index.neighbor_order,
-                community_index.core_order,
-                mu,
-                epsilon,
-                scheduler=Scheduler(),
+        for pair, ours in zip(pairs, results):
+            (theirs,) = query_many(
+                community_index.neighbor_order, community_index.core_order, [pair]
             )
             assert_same_answer(ours, theirs)
 

@@ -318,6 +318,32 @@ class TestLifecycle:
         assert sum(spans[stage]["dur"] for stage in stages) <= spans["dynamic.apply"]["dur"]
         assert set(summarize_trace(path)["spans"]) == set(spans)
 
+    @pytest.mark.parametrize("strategy", ["merge", "resort"])
+    def test_unweighted_update_derives_no_edge_list(self, strategy, monkeypatch, tmp_path):
+        """A loaded artifact patched by an unweighted batch leaves both
+        graphs' canonical edge lists underived, and still equals a rebuild."""
+        monkeypatch.setattr(
+            patch_module, "ORDER_REBUILD_CHURN", 1.1 if strategy == "merge" else -0.1
+        )
+        graph = planted_partition(4, 20, p_intra=0.4, p_inter=0.03, seed=7)
+        n = graph.num_vertices
+        insertions, deletions = random_batch(np.random.default_rng(9), graph, 12)
+        # Inserts past the end of row u: one ranked at a later row's first
+        # forward arc, one after every old edge (no later row has one).
+        for u, v in ((0, n - 2), (n - 2, n - 1)):
+            if not graph.has_edge(u, v):
+                insertions.append((u, v))
+        ScanIndex.build(graph).save(tmp_path / "a")
+        index = ScanIndex.load(tmp_path / "a")
+        old_graph = index.graph
+        index.apply_updates(insertions=insertions, deletions=deletions)
+        assert old_graph._edge_list is None
+        assert index.graph._edge_list is None
+        rebuilt = ScanIndex.build(
+            from_edge_list(mutate_edge_list(graph, insertions, deletions), num_vertices=n)
+        )
+        assert_indexes_identical(index, rebuilt)
+
     def test_empty_batch_is_a_true_no_op(self):
         graph = from_edge_list([(0, 1), (1, 2)], num_vertices=3)
         index = ScanIndex.build(graph)

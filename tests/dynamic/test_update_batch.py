@@ -94,14 +94,18 @@ class TestAffectedSet:
         )
         batch = UpdateBatch.from_edges([], [(2, 3)])
         # Edges touching vertex 2 or 3: (1,2), (2,3), (3,4).
-        affected = batch.affected_edges(graph)
+        affected, affected_u, affected_v = batch.affected_edges(graph)
         edge_u, edge_v = graph.edge_list()
         pairs = {(int(edge_u[e]), int(edge_v[e])) for e in affected}
         assert pairs == {(1, 2), (2, 3), (3, 4)}
+        assert len(affected) == len(pairs)          # each edge listed once
+        assert np.array_equal(affected_u, edge_u[affected])
+        assert np.array_equal(affected_v, edge_v[affected])
 
     def test_empty_batch_affects_nothing(self):
         graph = from_edge_list([(0, 1)], num_vertices=2)
-        assert UpdateBatch.from_edges([], []).affected_edges(graph).size == 0
+        ids, edge_u, edge_v = UpdateBatch.from_edges([], []).affected_edges(graph)
+        assert ids.size == edge_u.size == edge_v.size == 0
 
 
 class TestDeltaFile:

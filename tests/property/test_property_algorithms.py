@@ -138,10 +138,13 @@ graphs = st.one_of(
 
 
 @settings(max_examples=100)
-@given(graphs, st.integers(2, 8), st.data(), st.booleans())
-def test_index_query_cores_match_scan(graph, mu, data, deterministic):
-    """Whole clusterings against original SCAN, in both border modes.
+@given(graphs, st.data(), st.booleans())
+def test_index_query_cores_match_scan(graph, data, deterministic):
+    """Whole clusterings of a planned batch against original SCAN, in both border modes.
 
+    The batch holds 1-6 settings, often sharing an ε, so the planner's
+    cross-pair sharing (one arc gather per ε, one union-find forest per ε
+    group) meets the independent oracle as well as its one-pair batch does.
     SCAN and the index agree on the cores, on the core partition (up to
     relabelling) and on which vertices are clustered; border vertices may
     differ only in which ε-similar core cluster they join, so each border's
@@ -154,30 +157,41 @@ def test_index_query_cores_match_scan(graph, mu, data, deterministic):
     # Often ε sits exactly on a stored similarity, where borders gain and
     # lose candidate cores.
     stored = np.unique(np.minimum(index.similarities.values, 1.0)).tolist()
-    epsilon = data.draw(st.one_of(st.floats(0.05, 0.95), st.sampled_from(stored)))
-    ours = index.query(mu, epsilon, deterministic_borders=deterministic)
-    reference = scan_clustering(graph, mu, epsilon, similarities=index.similarities)
-    assert np.array_equal(ours.core_mask, reference.core_mask)
-    cores = np.flatnonzero(ours.core_mask)
-    # Core partition up to relabelling: a bijection between the label sets.
-    pairs = set(zip(ours.labels[cores].tolist(), reference.labels[cores].tolist()))
-    assert len({a for a, _ in pairs}) == len(pairs) == len({b for _, b in pairs})
-    assert np.array_equal(ours.labels != UNCLUSTERED, reference.labels != UNCLUSTERED)
-
+    settings_drawn = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        fresh = st.one_of(st.floats(0.05, 0.95), st.sampled_from(stored))
+        drawn = [epsilon for _, epsilon in settings_drawn]
+        epsilon = data.draw(
+            st.one_of(fresh, st.sampled_from(drawn)) if drawn else fresh
+        )
+        settings_drawn.append((data.draw(st.integers(2, 8)), epsilon))
     arc_similarities = index.similarities.arc_values()
-    borders = np.flatnonzero((ours.labels != UNCLUSTERED) & ~ours.core_mask)
-    for border in borders.tolist():
-        start, end = graph.arc_range(border)
-        neighbors = graph.indices[start:end]
-        similar_cores = ours.core_mask[neighbors] & (arc_similarities[start:end] >= epsilon)
-        candidates = neighbors[similar_cores]
-        assert candidates.size
-        if deterministic:
-            # Most similar core first, ties to the lower core id.
-            best = np.lexsort((candidates, -arc_similarities[start:end][similar_cores]))[0]
-            assert ours.labels[border] == ours.labels[candidates[best]]
-        else:
-            assert ours.labels[border] in ours.labels[candidates]
+    batch = index.query_many(settings_drawn, deterministic_borders=deterministic)
+    for (mu, epsilon), ours in zip(settings_drawn, batch):
+        reference = scan_clustering(graph, mu, epsilon, similarities=index.similarities)
+        assert np.array_equal(ours.core_mask, reference.core_mask)
+        cores = np.flatnonzero(ours.core_mask)
+        # Core partition up to relabelling: a bijection between the label sets.
+        pairs = set(zip(ours.labels[cores].tolist(), reference.labels[cores].tolist()))
+        assert len({a for a, _ in pairs}) == len(pairs) == len({b for _, b in pairs})
+        assert np.array_equal(
+            ours.labels != UNCLUSTERED, reference.labels != UNCLUSTERED
+        )
+
+        borders = np.flatnonzero((ours.labels != UNCLUSTERED) & ~ours.core_mask)
+        for border in borders.tolist():
+            start, end = graph.arc_range(border)
+            neighbors = graph.indices[start:end]
+            similar = arc_similarities[start:end]
+            similar_cores = ours.core_mask[neighbors] & (similar >= epsilon)
+            candidates = neighbors[similar_cores]
+            assert candidates.size
+            if deterministic:
+                # Most similar core first, ties to the lower core id.
+                best = np.lexsort((candidates, -similar[similar_cores]))[0]
+                assert ours.labels[border] == ours.labels[candidates[best]]
+            else:
+                assert ours.labels[border] in ours.labels[candidates]
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import ApproximationConfig, ScanIndex
-from repro.core.query import cluster_compact
+from repro.core.sweep_query import query_many
 from repro.graphs import planted_partition
-from repro.parallel import Scheduler
 from repro.serve import EpsilonSnapper
 
 FIXTURES = Path(__file__).parents[1] / "storage" / "fixtures"
@@ -104,16 +103,14 @@ def test_session_query_many_stream_identical(index, deterministic):
                 assert np.array_equal(result.core_mask, cold.core_mask), (mu, epsilon)
                 assert result.mu == mu and result.epsilon == epsilon
     # The sweep cached the planner's answers as they are: each equals the
-    # per-pair compact query field by field and is read-only.
+    # pair's one-pair batch field by field and is read-only.
     for mu, epsilon in pairs:
         served = session.serve(mu, epsilon, deterministic_borders=deterministic)
         assert served.from_cache
-        single = cluster_compact(
+        (single,) = query_many(
             index.neighbor_order,
             index.core_order,
-            mu,
-            epsilon,
-            scheduler=Scheduler(),
+            [(mu, epsilon)],
             deterministic_borders=deterministic,
         )
         cached = served.compact
