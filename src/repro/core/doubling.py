@@ -7,7 +7,9 @@ sorted by non-increasing similarity.  A binary search would cost ``O(log n)``
 per probe regardless of the answer, which adds up to an ``O(n log n)`` term;
 doubling search costs ``O(log j)`` where ``j`` is the length of the returned
 prefix, which is what keeps the query work proportional to the output size
-(Theorem 4.3).
+(Theorem 4.3).  :func:`prefix_lengths_at_least` runs every segment's search
+at once as fixed-width numpy rounds and charges each segment the scalar
+doubling search's cost for the prefix it found.
 """
 
 from __future__ import annotations
@@ -78,10 +80,14 @@ def prefix_lengths_at_least(
     segment ``i``, and the result is the prefix length of every segment.
     ``threshold`` is a scalar applied to every segment or an array with one
     threshold per segment (segments may overlap, e.g. many thresholds probed
-    against one shared array).  All segments are searched *simultaneously* --
-    the Python loop below runs ``O(log max_length)`` rounds of whole-array
-    gathers, never one iteration per segment, which is what removes the
-    per-core interpreter loop from the query path.
+    against one shared array).  All segments are searched *simultaneously*
+    by a branchless count-halving search: the Python loop below runs a fixed
+    ``ceil(log2(max_length))`` rounds, each one probe per segment, never one
+    iteration per segment -- which is what removes the per-core interpreter
+    loop from the query path -- and no round gathers or scatters a subset
+    of still-active segments.  The search itself is a binary search; the
+    doubling search's ``O(log j)`` cost is what is *charged*, computed from
+    the results.
 
     The charges match the scalar searches exactly: segments whose first key
     already fails charge ``(1, 1)``; the rest charge ``2 (log2(j) + 1)`` work
@@ -99,30 +105,38 @@ def prefix_lengths_at_least(
         return np.zeros(0, dtype=np.int64)
     threshold = np.broadcast_to(np.asarray(threshold), (num_segments,))
 
-    nonempty = np.flatnonzero(lengths > 0)
-    first_passes = np.zeros(num_segments, dtype=bool)
-    if nonempty.size:
-        first_passes[nonempty] = keys[starts[nonempty]] >= threshold[nonempty]
-
-    # Simultaneous binary search for the first failing position of every
-    # segment whose position 0 passes; everything before ``low`` passes and
-    # everything at/after ``high`` is no better than the first failure.
-    low = first_passes.astype(np.int64)
-    high = np.where(first_passes, lengths, 0)
-    active = np.flatnonzero(low < high)
-    while active.size:
-        middle = (low[active] + high[active]) >> 1
-        passes = keys[starts[active] + middle] >= threshold[active]
-        low[active] = np.where(passes, middle + 1, low[active])
-        high[active] = np.where(passes, high[active], middle)
-        active = active[low[active] < high[active]]
-    results = low
+    # Count-halving search for the first failing position of every segment
+    # at once: the answer stays in [low, low + count], a probe at
+    # low + half either moves low there (it passes) or keeps it, and count
+    # shrinks by half, so ceil(log2(longest)) rounds leave every count at
+    # most 1.  Every round probes every segment -- finished ones (half == 0)
+    # probe low itself and move nowhere -- so no round gathers or scatters
+    # an active subset.
+    low = starts.copy()
+    count = lengths.copy()
+    half = np.empty_like(count)
+    middle = np.empty_like(low)
+    passes = np.empty(num_segments, dtype=bool)
+    for _ in range(int(ceil_log2(int(lengths.max())))):
+        np.right_shift(count, 1, out=half)
+        np.add(low, half, out=middle)
+        # A finished segment's probe may sit one past the last key; clip it.
+        np.greater_equal(keys.take(middle, mode="clip"), threshold, out=passes)
+        np.copyto(low, middle, where=passes)
+        count -= half
+    # Where one candidate is left (count 1), the answer lies past it exactly
+    # when it passes.
+    last = np.flatnonzero(count)
+    low[last] += keys[low[last]] >= threshold[last]
+    results = low - starts
 
     if scheduler is not None:
+        # A segment's first key passes exactly when its prefix is non-empty.
+        first_passes = results > 0
         num_failed_immediately = num_segments - int(np.count_nonzero(first_passes))
         work = float(num_failed_immediately)
         max_span = 1.0 if num_failed_immediately else 0.0
-        if first_passes.any():
+        if num_failed_immediately < num_segments:
             search_spans = ceil_log2_array(results[first_passes]) + 1.0
             work += float(np.sum(2.0 * search_spans))
             max_span = max(max_span, float(np.max(search_spans)))

@@ -969,7 +969,7 @@ def apply_updates(
                 # The ε boundary table of the patched scores, exactly as a
                 # rebuild ranks it: one sort of the m edge scores (the
                 # resort path's builder already returned it).
-                epsilon_boundaries = np.unique(similarities.values)
+                epsilon_boundaries = sorted_unique(similarities.values)
 
     report = UpdateReport(
         insertions=batch.num_insertions,

@@ -281,7 +281,7 @@ def _canonical_deletions(deletions):
     vs = np.array([int(v) for _, v in items], dtype=np.int64)
     us, vs = _canonicalize_endpoints(us, vs, kind="deletion")
     span = np.int64(int(vs.max()) + 1)
-    keys = np.unique(us * span + vs)
+    keys = sorted_unique(us * span + vs)
     return keys // span, keys % span
 
 

@@ -10,7 +10,10 @@ This module provides union by rank with path compression, plus the batch
 connectivity step :meth:`UnionFind.connect`, which charges the work-span
 costs the paper assumes for it: linear work in the number of edges processed
 and logarithmic span (unions of independent edges proceed concurrently in the
-real implementation; we account for them as a parallel batch).
+real implementation; we account for them as a parallel batch).  ``connect``
+takes its arcs as source blocks under a keep mask, so the query unions the
+ε-similar core arcs where its gather left them instead of compressing them
+into an edge list first.
 """
 
 from __future__ import annotations
@@ -18,13 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 from .metrics import ceil_log2
+from .primitives import segmented_ranges
 from .scheduler import Scheduler
 
-#: Arcs per source run unioned before all others in :meth:`UnionFind.connect`
-#: (the k of ConnectIt's k-out sampling).  On the query arcs of a
-#: 12k-vertex, 464k-edge planted-partition graph (2-vCPU x86 VM), the median
-#: call took 25 / 21 / 7.3 / 7.3 / 8.5 / 10 ms for k = 0 / 1 / 2 / 3 / 4 / 8
-#: over ~700k arcs, and 11 / 8.9 / 4.6 / 5.0 / 5.2 / 7.7 ms over ~280k.
+#: Arcs per source block unioned before all others in :meth:`UnionFind.connect`
+#: (the k of ConnectIt's k-out sampling).  On the one-pair query arcs of the
+#: 12k-vertex, 464k-edge planted-partition explore graph (45-setting grid,
+#: 2-vCPU x86 VM), the median call took 57 / 43 / 6.0 / 7.8 / 6.8 / 8.9 ms for
+#: k = 0 / 1 / 2 / 3 / 4 / 8 over ~715k arcs, and 18 / 18 / 3.3 / 4.0 / 4.7 /
+#: 5.5 ms over ~255k.
 SAMPLE_ARCS = 2
 
 
@@ -113,53 +118,88 @@ class UnionFind:
     def connect(
         self,
         scheduler: Scheduler,
-        edges_u: np.ndarray,
-        edges_v: np.ndarray,
+        sources: np.ndarray,
+        targets: np.ndarray,
         vertices: np.ndarray,
+        *,
+        counts: np.ndarray | None = None,
+        keep: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Union every pair ``(edges_u[i], edges_v[i])``; return the roots of ``vertices``.
+        """Union arcs given as source blocks; return the roots of ``vertices``.
 
-        ``vertices`` must contain every edge endpoint.  ConnectIt-style
-        (Dhulipala, Hong and Shun, VLDB 2021) in two steps:
+        The arcs come in blocks: block ``i`` holds the ``counts[i]`` arcs from
+        ``sources[i]`` to the next ``counts[i]`` entries of ``targets``, and
+        ``keep`` (one flag per target) selects the arcs to union; by default
+        every block is one arc and every arc is kept, so ``(sources,
+        targets)`` is a plain edge list.  On the query path a block is one
+        core's ε-similar neighbor prefix, gathered once and unioned in place
+        under a core mask.  ``vertices`` must contain every endpoint of a
+        kept arc.  ConnectIt-style (Dhulipala, Hong and Shun, VLDB 2021) in
+        two steps:
 
-        1. *k-out sample.*  The first :data:`SAMPLE_ARCS` arcs of each run of
-           equal ``edges_u`` are unioned first.  On the query path a run is
-           one core's ε-similar core arcs in neighbor order, so the sample is
-           each core's most similar neighbours, which already joins almost
-           every cluster.
-        2. *Hook rounds* over every arc (the sampled ones are no longer split
-           and drop out in the first round).  Each round pointer-jumps
-           ``vertices`` fully once, so an edge's root is a single gather
-           ``parent[u]``; it keeps only the edges whose roots are still
-           split and hooks the larger root onto the smaller.  Writes always
-           point to a strictly smaller id, so no cycle can form, and
-           conflicting hooks of one root resolve to the last writer: the
-           next round re-examines every still-split edge.
+        1. *k-out sample.*  The kept arcs among the first :data:`SAMPLE_ARCS`
+           of each block, read off the block starts, are unioned first.  On
+           the query path those are a core's most similar neighbours, which
+           already joins almost every cluster.  (A plain edge list is all
+           sample.)
+        2. *Finish.*  One pass over every kept arc compares the compressed
+           roots of its endpoints, ``parent[source]`` against
+           ``parent[target]``; hook rounds then run over only the arcs still
+           split.
+
+        Each hook round pointer-jumps ``vertices`` fully once, so an edge's
+        root is a single gather ``parent[u]``; it keeps only the edges whose
+        roots are still split and hooks the larger root onto the smaller.
+        Writes always point to a strictly smaller id, so no cycle can form,
+        and conflicting hooks of one root resolve to the last writer: the
+        next round re-examines every still-split edge.
 
         Representatives are the minimum ids of their components whenever the
-        forest was built only by :meth:`connect` calls.  Writes land only at
-        ``vertices`` (compression) and at roots of edge endpoints (hooks), so
-        the work stays proportional to the batch, never to the universe
-        (output-sensitive queries, Theorem 4.3).
+        forest was built only by :meth:`connect` calls, whatever the order or
+        sample of the unions.  Writes land only at ``vertices`` (compression)
+        and at roots of edge endpoints (hooks), so the work stays
+        proportional to the batch, never to the universe (output-sensitive
+        queries, Theorem 4.3).
 
-        Charged as a concurrent union batch plus a find batch: work linear in
-        the number of edges and of vertices, span logarithmic in each.
+        Charged as a concurrent union batch over the kept arcs plus a find
+        batch: work linear in the number of arcs and of vertices, span
+        logarithmic in each.
         """
-        edges_u = np.asarray(edges_u, dtype=np.int64)
-        edges_v = np.asarray(edges_v, dtype=np.int64)
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
         vertices = np.asarray(vertices, dtype=np.int64)
-        if edges_u.shape != edges_v.shape:
-            raise ValueError("edge endpoint arrays must have equal length")
-        scheduler.charge(int(edges_u.size), ceil_log2(int(edges_u.size)) + 1.0)
+        if counts is None:
+            if sources.shape != targets.shape:
+                raise ValueError("edge endpoint arrays must have equal length")
+            counts = np.ones(sources.shape[0], dtype=np.int64)
+        elif counts.shape != sources.shape or int(counts.sum()) != targets.size:
+            raise ValueError("block counts must match the sources and sum to the targets")
+        if keep is not None and keep.shape != targets.shape:
+            raise ValueError("keep must flag every target")
+        num_arcs = int(targets.size if keep is None else np.count_nonzero(keep))
+        scheduler.charge(num_arcs, ceil_log2(num_arcs) + 1.0)
         scheduler.charge(int(vertices.size), ceil_log2(int(vertices.size)) + 1.0)
-        if edges_u.size:
-            run_ends = np.flatnonzero(edges_u[1:] != edges_u[:-1]) + 1
-            run_starts = np.concatenate(([0], run_ends))
-            run_ends = np.append(run_ends, edges_u.size)
-            sample = run_starts[:, None] + np.arange(SAMPLE_ARCS)
-            sample = sample[sample < run_ends[:, None]]
-            self._hook_rounds(edges_u[sample], edges_v[sample], vertices)
-        return self._hook_rounds(edges_u, edges_v, vertices)
+        if not num_arcs:
+            return self._roots_of(vertices)
+
+        ends = np.cumsum(counts)
+        width = np.minimum(counts, SAMPLE_ARCS)
+        sample = segmented_ranges(ends - counts, width)
+        sample_sources = np.repeat(sources, width)
+        if keep is not None:
+            kept = keep[sample]
+            sample, sample_sources = sample[kept], sample_sources[kept]
+        self._hook_rounds(sample_sources, targets[sample], vertices)
+
+        # The sample's last round compressed every vertex, so parent[] is
+        # the root of each kept arc's endpoints.
+        parent = self._parent
+        split = parent[targets] != np.repeat(parent[sources], counts)
+        if keep is not None:
+            split &= keep
+        split = np.flatnonzero(split)
+        blocks = np.searchsorted(ends, split, side="right")
+        return self._hook_rounds(sources[blocks], targets[split], vertices)
 
     def _hook_rounds(
         self, edges_u: np.ndarray, edges_v: np.ndarray, vertices: np.ndarray

@@ -292,9 +292,9 @@ def finalise_numerators(
         else:
             # Weighted norms of just the touched endpoints: one bincount
             # over their gathered arcs instead of a whole-graph scatter.
-            from ..parallel.primitives import segmented_ranges
+            from ..parallel.primitives import segmented_ranges, sorted_unique
 
-            endpoints = np.unique(np.concatenate([edge_u, edge_v]))
+            endpoints = sorted_unique(np.concatenate([edge_u, edge_v]))
             counts = degrees[endpoints]
             positions = segmented_ranges(graph.indptr[endpoints], counts)
             segment = np.repeat(

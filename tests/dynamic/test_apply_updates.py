@@ -9,6 +9,11 @@ churn-crossover resort), exercise the lifecycle side effects (lineage,
 mutation epoch, snapper memo), and pin the error contract.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,8 @@ from repro.dynamic import UpdateBatch
 from repro.graphs import empty_graph, from_edge_list, planted_partition
 from repro.parallel import Scheduler
 from repro.similarity.exact import EdgeSimilarities
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def mutate_edge_list(graph, insertions, deletions):
@@ -343,6 +350,42 @@ class TestLifecycle:
             from_edge_list(mutate_edge_list(graph, insertions, deletions), num_vertices=n)
         )
         assert_indexes_identical(index, rebuilt)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("strategy", ["merge", "resort"])
+    def test_update_process_never_imports_numpy_ma(self, strategy, weighted, tmp_path):
+        """``repro update`` runs one process per delta file: its dedupes go
+        through ``sorted_unique``, so the process never pays plain
+        ``np.unique``'s import of ``numpy.ma`` (13-21 ms in a fresh
+        interpreter)."""
+        graph = planted_partition(4, 20, p_intra=0.4, p_inter=0.03, seed=7)
+        if weighted:
+            edge_u, edge_v = graph.edge_list()
+            weights = np.random.default_rng(3).uniform(0.5, 2.0, size=edge_u.size)
+            graph = from_edge_list(
+                list(zip(edge_u.tolist(), edge_v.tolist())), weights=weights.tolist()
+            )
+        insertions, deletions = random_batch(np.random.default_rng(9), graph, 12)
+        if weighted:
+            insertions = [(u, v, 1.5) for u, v in insertions]
+        ScanIndex.build(graph).save(tmp_path / "a")
+        code = (
+            "import sys\n"
+            "import repro.dynamic.patch as patch\n"
+            "from repro import ScanIndex\n"
+            "from repro.dynamic import UpdateBatch\n"
+            f"patch.ORDER_REBUILD_CHURN = {1.1 if strategy == 'merge' else -0.1}\n"
+            f"index = ScanIndex.load({str(tmp_path / 'a')!r})\n"
+            f"batch = UpdateBatch.from_edges({insertions!r}, {deletions!r})\n"
+            "patch.apply_updates(index, batch)\n"
+            "sys.exit(int('numpy.ma' in sys.modules))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC)
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr or "numpy.ma was imported"
 
     def test_empty_batch_is_a_true_no_op(self):
         graph = from_edge_list([(0, 1), (1, 2)], num_vertices=3)

@@ -1,13 +1,15 @@
 """Property-based tests for sorting, doubling search, similarities and queries."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ScanIndex
 from repro.baselines import scan_clustering
 from repro.core.clustering import UNCLUSTERED
 from repro.core import prefix_length_at_least
-from repro.graphs import from_edge_list
+from repro.core.sweep_query import query_many
+from repro.graphs import from_edge_list, planted_partition
 from repro.parallel import (
     Scheduler,
     comparison_sort_permutation,
@@ -192,6 +194,125 @@ def test_index_query_cores_match_scan(graph, data, deterministic):
                 assert ours.labels[border] == ours.labels[candidates[best]]
             else:
                 assert ours.labels[border] in ours.labels[candidates]
+
+
+def reference_compact(index, mu, epsilon, deterministic):
+    """The compact answer of ``(mu, epsilon)``, walked scalar by scalar.
+
+    Cores are the ``CO[mu]`` prefix with threshold >= ε, in that order; each
+    core's ε-prefix of ``NO`` is walked in neighbor order.  A core's label is
+    the minimum core id of its ε-connected component.  A border joins the
+    core of its first arc in that walk (first writer wins), or in
+    deterministic mode the most similar core, ties to the lower id.
+    Borders follow the cores in ascending id order.
+    """
+    co, no = index.core_order, index.neighbor_order
+    cores = []
+    if mu <= co.max_mu:
+        for position in range(int(co.indptr[mu]), int(co.indptr[mu + 1])):
+            if co.thresholds[position] < epsilon:
+                break
+            cores.append(int(co.vertices[position]))
+    is_core = set(cores)
+    label = {core: core for core in cores}
+
+    def find(vertex):
+        while label[vertex] != vertex:
+            vertex = label[vertex]
+        return vertex
+
+    owner, best = {}, {}
+    for core in cores:
+        for position in range(int(no.indptr[core]), int(no.indptr[core + 1])):
+            similarity = float(no.similarities[position])
+            if similarity < epsilon:
+                break
+            neighbor = int(no.neighbors[position])
+            if neighbor in is_core:
+                low, high = sorted((find(core), find(neighbor)))
+                label[high] = low
+            elif neighbor not in owner or (
+                deterministic and (-similarity, core) < (-best[neighbor], owner[neighbor])
+            ):
+                owner[neighbor], best[neighbor] = core, similarity
+    borders = sorted(owner)
+    labels = [find(core) for core in cores] + [find(owner[v]) for v in borders]
+    return cores + borders, labels
+
+
+@settings(max_examples=100)
+@given(graphs, st.data(), st.booleans())
+def test_border_attachment_matches_scalar_walk_exactly(graph, data, deterministic):
+    """Every label of a one-pair batch and of a shared-ε multi-pair batch
+    equals the scalar walk's, in both border modes -- including which core
+    cluster each first-writer border joins."""
+    if graph.num_edges == 0:
+        return
+    index = ScanIndex.build(graph)
+    stored = np.unique(np.minimum(index.similarities.values, 1.0)).tolist()
+    epsilon = data.draw(st.one_of(st.floats(0.05, 0.95), st.sampled_from(stored)))
+    mus = data.draw(st.lists(st.integers(2, 8), min_size=2, max_size=5))
+    pairs = [(mu, epsilon) for mu in mus]
+    batch = query_many(
+        index.neighbor_order, index.core_order, pairs,
+        deterministic_borders=deterministic,
+    )
+    for pair, shared in zip(pairs, batch):
+        (single,) = query_many(
+            index.neighbor_order, index.core_order, [pair],
+            deterministic_borders=deterministic,
+        )
+        vertices, labels = reference_compact(index, *pair, deterministic)
+        for answer in (single, shared):
+            assert answer.vertices.tolist() == vertices
+            assert answer.labels.tolist() == labels
+
+
+def tied_bridge():
+    """Two 5-cliques and a bridge adjacent to vertex 4 of one and 5 of the other.
+
+    The bridge's two similarities tie exactly (2 / sqrt(3 * 6)), so at
+    ``(4, 0.45)`` it is a border whose candidates 4 and 5 lie in different
+    clusters, and the deterministic rule must pick the lower id.
+    """
+    cliques = [(o + i, o + j) for o in (0, 5) for i in range(5) for j in range(i + 1, 5)]
+    return from_edge_list(cliques + [(10, 4), (10, 5)], num_vertices=11)
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("shape", ["communities", "tied-bridge"])
+def test_border_attachment_matches_scalar_walk_on_fixed_graphs(shape, deterministic):
+    """The same exact oracle, over a whole shared-ε grid per ε, where the
+    random graphs rarely reach: planted communities, whose borders often
+    have candidate cores in several clusters and whose cores' ``CO[mu]``
+    orders differ from μ to μ, and an exact cross-cluster tie."""
+    if shape == "communities":
+        graph = planted_partition(4, 25, p_intra=0.45, p_inter=0.04, seed=11)
+        index = ScanIndex.build(graph)
+        epsilons = np.quantile(index.similarities.values, [0.3, 0.5, 0.7, 0.85]).tolist()
+    else:
+        index = ScanIndex.build(tied_bridge())
+        epsilons = np.unique(index.similarities.values).tolist() + [0.45]
+    pairs = [(mu, epsilon) for epsilon in epsilons for mu in (2, 3, 4, 5, 8, 13)]
+    batch = query_many(
+        index.neighbor_order, index.core_order, pairs,
+        deterministic_borders=deterministic,
+    )
+    for pair, shared in zip(pairs, batch):
+        (single,) = query_many(
+            index.neighbor_order, index.core_order, [pair],
+            deterministic_borders=deterministic,
+        )
+        vertices, labels = reference_compact(index, *pair, deterministic)
+        for answer in (single, shared):
+            assert answer.vertices.tolist() == vertices
+            assert answer.labels.tolist() == labels
+    if shape == "tied-bridge" and deterministic:
+        (answer,) = query_many(
+            index.neighbor_order, index.core_order, [(4, 0.45)],
+            deterministic_borders=True,
+        )
+        assert answer.vertices.tolist()[-1] == 10 and answer.labels.tolist()[-1] == 0
 
 
 # ----------------------------------------------------------------------

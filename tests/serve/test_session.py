@@ -135,9 +135,9 @@ def _connect_dies_after(calls: int):
     real_connect = UnionFind.connect
     seen = []
 
-    def connect_then_die(self, scheduler, edges_u, edges_v, vertices):
-        roots = real_connect(self, scheduler, edges_u, edges_v, vertices)
-        if edges_u.size:
+    def connect_then_die(self, scheduler, sources, targets, vertices, **blocks):
+        roots = real_connect(self, scheduler, sources, targets, vertices, **blocks)
+        if targets.size:
             seen.append(int(np.count_nonzero(self._parent != np.arange(len(self)))))
             if len(seen) == calls:
                 raise RuntimeError("injected connect failure")
