@@ -491,8 +491,9 @@ def sweep_throughput(
     through :meth:`ScanIndex.query_many` and once as individual
     :meth:`ScanIndex.query` calls -- and both the charged work and the wall
     clock are compared.  The batched planner shares the core-prefix doubling
-    search across all settings and gathers each distinct ε's arcs once, so
-    its advantage grows with the density of the ε grid.
+    search across all settings and walks each μ's settings as one chain in
+    descending ε, gathering and unioning each arc once per μ, so its
+    advantage grows with the density of the ε grid.
     """
     headers = [
         "dataset", "settings", "batched_s", "per_pair_s", "wall_speedup",

@@ -308,18 +308,19 @@ class ScanIndex:
     ) -> list[Clustering]:
         """Clusterings for a whole batch of ``(mu, epsilon)`` settings.
 
-        The batch is planned by :mod:`repro.core.sweep_query`: pairs sharing
-        an ε reuse one gathered arc set, and all doubling searches run as
-        shared batches, so a 50-point parameter sweep costs far less than 50
-        :meth:`query` calls.  Results arrive in input order and are identical
-        to per-pair :meth:`query` calls with the same options.
+        The batch is planned by :mod:`repro.core.sweep_query`: the pairs of
+        one μ are one chain in descending ε that gathers and unions each arc
+        once, and all doubling searches run as shared batches, so a
+        50-point parameter sweep costs far less than 50 :meth:`query` calls.
+        Results arrive in input order and are identical to per-pair
+        :meth:`query` calls with the same options.
 
         Parameters
         ----------
         pairs:
-            Iterable of ``(mu, epsilon)`` settings; duplicates are allowed
-            and answered independently.  Every ``mu`` must be at least 2 and
-            every ``epsilon`` in ``[0, 1]``.
+            Iterable of ``(mu, epsilon)`` settings; duplicates are allowed,
+            computed once, and each gets its own clustering.  Every ``mu``
+            must be at least 2 and every ``epsilon`` in ``[0, 1]``.
         scheduler:
             Externally owned scheduler for work-span accounting; a fresh one
             is created when omitted.

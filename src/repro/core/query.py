@@ -100,9 +100,9 @@ def cluster(
 ) -> Clustering:
     """SCAN clustering for ``(mu, epsilon)`` from the index (Algorithm 5).
 
-    The planner's one-pair batch: a lone query does and charges exactly
-    what the stages of :func:`~repro.core.sweep_query.query_many` do for
-    the smallest μ of an ε group.
+    The planner's one-pair batch: a lone query is a one-step chain of
+    :func:`~repro.core.sweep_query.query_many`, and does and charges
+    exactly that step's work.
     """
     # Imported here: the planner imports this module's answer type.
     from .sweep_query import query_many

@@ -9,43 +9,46 @@ planner removes the redundancy of issuing them one by one:
 1. *one* batched doubling search (:func:`~repro.core.doubling.
    prefix_lengths_at_least`) finds the core prefix of every pair;
 2. pairs are grouped by distinct ε.  Within a group the core sets are nested
-   (``cores(μ', ε) ⊆ cores(μ, ε)`` for ``μ' ≥ μ``), so the group's ε-similar
-   arcs are gathered *once*, for its smallest μ (the *base pair*) -- one
-   shared doubling search locates every group's prefixes, then one
-   segmented gather per distinct ε materialises them;
-3. the pairs of a group run in *descending* μ order over one shared
-   union-find forest: descending μ only ever adds cores, so each step unions
-   just the newly eligible core-core arcs and reads the labels off the grown
-   forest.  Every arc of the group is unioned once, instead of once per
-   pair -- union-find dominates a query, so this is the sweep's asymptotic
-   saving;
-4. each pair attaches its own borders (Algorithm 4): each joins the
-   cluster of its first arc in the border rule's priority order.
+   (``cores(μ', ε) ⊆ cores(μ, ε)`` for ``μ' ≥ μ``), so one shared doubling
+   search locates the ε-prefix of ``NO`` of every core of each group's
+   smallest μ (its *base pair*), for all groups at once;
+3. each distinct μ is one *chain* of its settings in descending ε.  Both
+   GS* orders are monotone along it: as ε falls every ``CO[μ]`` prefix and
+   every ε-prefix of ``NO`` only grow, so cores, core-core arcs and border
+   candidates are only ever added.  A chain keeps one union-find forest, one
+   core mask, one gathered prefix length per core and one running border
+   table; each step gathers only the ``NO`` slice each core gained since the
+   previous step (whole prefixes for new cores), unions the slice's arcs
+   into cores, folds its other arcs into the border table and reads the
+   labels off the grown forest.  Each arc is gathered and unioned once per
+   μ, not masked once per pair.
 
-A group's arcs stay where the gather put them, in one block per base core
-(its ε-prefix of ``NO``, in neighbor order); each pair selects its core-core
-and border arcs with masks over those blocks, never with compressed copies,
-and :meth:`~repro.parallel.unionfind.UnionFind.connect` unions the blocks
-in place.  Borders are attached without a sort: a scatter-max of each
-border's best similarity, then a scatter-min of the lowest core id among
-the arcs that reach it (deterministic rule), or one scatter-min of each
-arc's traversal rank (first-writer rule).
+A core's prefix at a step is read off its base pair's block, at the core's
+rank in the base μ's ``CO`` list: cores of a larger μ lie in the base
+prefix, so one rank vector per distinct base μ suffices.  An arc whose
+target is not yet a core is not unioned; should that target become a core,
+its own prefix (gathered in full then) holds the reverse arc.
+
+Borders are attached without a sort, by a running table per chain.  Under
+the deterministic rule (most similar core, ties to the lower core id) a
+scatter-max raises each border's best similarity, a border whose best rose
+drops its earlier winner, and a scatter-min picks the lowest core id among
+the arcs that tie the best.  Under the first-writer rule a border joins the
+source of lowest ``CO[μ]``-prefix rank -- the block index, which never
+changes as the prefix grows -- by one scatter-min.  A vertex that becomes a
+core leaves the table, so its reached slots are exactly the borders, and a
+border's label is read after the step's unions.
 
 Every answer is a :class:`~repro.core.query.CompactClustering`, bit for bit
-the pair's answer when queried alone.  Labels are union-find
+the pair's answer when queried alone: labels are union-find
 representatives (the minimum vertex id of each component under
-min-hooking, whatever the union order) and the deterministic border rule
-is arc-order-independent; for the first-writer rule a border arc's rank is
-its source's ``CO[μ]``-prefix rank in the pair's own traversal order (all
-arcs of one source give the same answer, so neighbor order within a core
-needs no rank).  For the base pair that rank is the block index: its cores
-are exactly the cores the arcs were gathered for, so every arc starts at a
-core and no source-core mask is needed.  A one-pair batch therefore does
-and charges exactly one query's work.
+min-hooking, whatever the union order) and both border rules are
+arc-order-independent.  A one-pair batch is a one-step chain, so it does
+and charges exactly one query's work; duplicate settings are answered once.
 
 The stages run under the spans ``core.query.prefix`` (both doubling
-searches and the grouping), ``core.query.gather`` (per ε group),
-``core.query.connect`` and ``core.query.borders`` (per pair).
+searches, the grouping and the chain plan), and ``core.query.gather``,
+``core.query.connect`` and ``core.query.borders`` (per chain step).
 """
 
 from __future__ import annotations
@@ -126,8 +129,8 @@ def query_many(
             scheduler=scheduler,
         )
 
-        # --- Stage 2: group pairs by distinct ε; the group's arcs are
-        # gathered for its smallest μ, whose core set contains every other
+        # --- Stage 2: group pairs by distinct ε; the group's prefixes are
+        # searched for its smallest μ, whose core set contains every other
         # pair's cores.
         distinct_eps, group_of = np.unique(epsilons, return_inverse=True)
         num_groups = int(distinct_eps.size)
@@ -145,8 +148,8 @@ def query_many(
         # --- Stage 3: ε-similar neighbor prefixes of every base core,
         # located by ONE shared doubling search spanning all groups at once.
         # Stored ids are int32; gathered ids that index arrays (these cores,
-        # Stage 4's targets and per-pair cores) are widened to intp once,
-        # when gathered.
+        # the chains' cores and targets) are widened to intp once, when
+        # gathered.
         all_cores = np.concatenate(base_cores).astype(np.intp)
         group_sizes = np.array([cores.size for cores in base_cores], dtype=np.int64)
         per_core_eps = np.repeat(distinct_eps, group_sizes)
@@ -157,81 +160,95 @@ def query_many(
             scheduler=scheduler,
         )
 
-    # --- Stage 4: one segmented gather per distinct ε, then an incremental
-    # union-find per group over pairs in descending-μ order.  A group's arcs
-    # stay in the gathered blocks (block i: base core i's ε-prefix); each
-    # pair selects its arcs with masks, never with compressed copies.
-    n = neighbor_order.num_vertices
-    results: list[CompactClustering] = [NO_CORES] * num_pairs
-    group_offsets = np.zeros(num_groups + 1, dtype=np.int64)
-    np.cumsum(group_sizes, out=group_offsets[1:])
-    rank = np.zeros(n, dtype=np.int64)
-    for group in range(num_groups):
-        lo, hi = int(group_offsets[group]), int(group_offsets[group + 1])
-        group_cores = all_cores[lo:hi]
-        counts = prefix_counts[lo:hi]
-        total = int(counts.sum())
-        with obs.span("core.query.gather"):
-            if total:
-                num_nonempty = int(np.count_nonzero(counts))
-                scheduler.charge(total, ceil_log2(max(num_nonempty, 1)) + 1.0)
-            # The arcs' NO positions are dropped once gathered; a border
-            # arc's position is recovered from its block when needed.
-            group_targets = gather_ids(
-                neighbor_order.neighbors, segmented_ranges(no_starts[lo:hi], counts)
-            )
-            block_ends = np.cumsum(counts)
-            block_starts = block_ends - counts
+        # --- Stage 4 plan: one chain per distinct μ, walked in descending ε.
+        n = neighbor_order.num_vertices
+        group_offsets = np.zeros(num_groups + 1, dtype=np.int64)
+        np.cumsum(group_sizes, out=group_offsets[1:])
+        chain_order = np.lexsort((-epsilons, mus))
+        chain_bounds = np.flatnonzero(np.diff(mus[chain_order])) + 1
 
-        # Descending μ: each pair's cores contain the previous pair's, so
-        # the shared forest and core mask only ever grow and every group
-        # arc is unioned exactly once across the whole group.  The group's
-        # smallest μ (its base pair) therefore comes last.
-        group_pairs = order_by_mu[boundaries[group]: boundaries[group + 1]][::-1]
+    # A core's ε-prefix is read off its base pair's block, at its rank in
+    # the base μ's CO list (cores of a larger μ lie in the base prefix).
+    # One rank vector serves every step: it is extended as longer base
+    # prefixes are needed, and refilled only when the base μ changes.
+    rank = np.empty(n, dtype=np.int64)
+    ranked_mu, ranked = 0, 0
+    results: list[CompactClustering] = [NO_CORES] * num_pairs
+    for chain in np.split(chain_order, chain_bounds):
+        # Descending ε only ever adds cores and lengthens every core's
+        # ε-prefix, so the chain's forest, core mask, gathered prefix
+        # lengths and border table only ever grow; settings without cores
+        # (the largest ε of the chain) come first and are skipped.
+        chain = chain[core_counts[chain] > 0]
+        if not chain.size:
+            continue
         forest = UnionFind(n)
         is_core = np.zeros(n, dtype=bool)
-        unioned = None      # the previous pair's core-core arcs
-        for pair in group_pairs.tolist():
-            cores = core_order.vertices[
-                core_starts[pair]: core_starts[pair] + core_counts[pair]
-            ].astype(np.intp)
-            if cores.size == 0:
+        done = np.zeros(int(core_counts[chain[-1]]), dtype=np.int64)
+        # Border table: the winning arc's key per vertex; ``n`` marks the
+        # vertices no border arc reaches and the cores.
+        winner = np.full(n, n, dtype=np.int64)
+        best = np.full(n, -np.inf) if deterministic_borders else None
+        previous = None
+        for pair in chain.tolist():
+            if previous is not None and epsilons[pair] == epsilons[previous]:
+                results[pair] = results[previous]      # a duplicate setting
                 continue
-            is_base = pair == base_pair[group]
+            previous = pair
+            group = int(group_of[pair])
+            count = int(core_counts[pair])
+            cores = core_order.vertices[
+                core_starts[pair]: core_starts[pair] + count
+            ].astype(np.intp)
+            with obs.span("core.query.gather"):
+                base = int(base_pair[group])
+                if int(mus[base]) != ranked_mu:
+                    ranked_mu, ranked = int(mus[base]), 0
+                start, needed = int(core_starts[base]), int(core_counts[base])
+                if needed > ranked:
+                    rank[core_order.vertices[start + ranked: start + needed]] = (
+                        np.arange(ranked, needed)
+                    )
+                    ranked = needed
+                # Only each core's NO slice beyond what earlier steps
+                # gathered: the ε band [done, prefix), in neighbor order.
+                block = group_offsets[group] + rank[cores]
+                prefix = prefix_counts[block]
+                counts = prefix - done[:count]
+                starts = no_starts[block] + done[:count]
+                done[:count] = prefix
+                total = int(counts.sum())
+                if total:
+                    num_nonempty = int(np.count_nonzero(counts))
+                    scheduler.charge(total, ceil_log2(max(num_nonempty, 1)) + 1.0)
+                # The arcs' NO positions are dropped once gathered; a border
+                # arc's position is recovered from its block when needed.
+                targets = gather_ids(
+                    neighbor_order.neighbors, segmented_ranges(starts, counts)
+                )
+                block_ends = np.cumsum(counts)
+                block_starts = block_ends - counts
+
+            # Connectivity (union-find, Section 6.2), incremental: the new
+            # arcs between cores.  An arc to a vertex that is not yet a core
+            # is skipped; should it become one, its own prefix (gathered in
+            # full then) holds the reverse arc.
             with obs.span("core.query.connect"):
                 is_core[cores] = True
-                target_is_core = is_core[group_targets]
-                if is_base:
-                    # The base pair's cores are exactly the cores the arcs
-                    # were gathered for: every arc starts at a core, in the
-                    # pair's own traversal order, so a lone query pays
-                    # nothing more.
-                    core_arcs = target_is_core
-                    border_arcs = ~target_is_core
-                else:
-                    source_is_core = np.repeat(is_core[group_cores], counts)
-                    scheduler.charge(
-                        total + int(cores.size), ceil_log2(max(total, 1)) + 1.0
-                    )
-                    core_arcs = source_is_core & target_is_core
-                    border_arcs = source_is_core & ~target_is_core
-
-                # Connectivity (union-find, Section 6.2), incremental: only
-                # the arcs that became core-core at this μ are new unions.
-                new_arcs = core_arcs if unioned is None else core_arcs & ~unioned
-                unioned = core_arcs
+                to_core = is_core[targets]
                 core_labels = forest.connect(
-                    scheduler, group_cores, group_targets, cores,
-                    counts=counts, keep=new_arcs,
+                    scheduler, cores, targets, cores, counts=counts, keep=to_core,
                 )
 
             # Border vertices (Algorithm 4): each non-core endpoint of an
-            # ε-similar arc out of this pair's cores joins the source of its
-            # first arc in the border rule's priority order, found by a
-            # scatter-min (or -max) per border vertex rather than a sort.
+            # ε-similar arc out of a core joins the source of its first arc
+            # in the border rule's priority order.  The new arcs update a
+            # running scatter-min (or -max) table; labels are read after
+            # this step's unions, so later merges are respected.
             with obs.span("core.query.borders"):
-                border = np.flatnonzero(border_arcs)
-                border_targets = group_targets[border]
+                winner[cores] = n           # cores leave the border table
+                border = np.flatnonzero(~to_core)
+                border_targets = targets[border]
                 # Border arcs per block, by a merge of the ascending arc
                 # indices against the block bounds.
                 per_block = np.searchsorted(border, block_ends) - np.searchsorted(
@@ -239,25 +256,23 @@ def query_many(
                 )
                 if deterministic_borders:
                     # Most similar core first, ties to the lower core id.
-                    shift = no_starts[lo:hi] - block_starts
-                    border_vertices, border_sources = _best_source(
-                        border_targets, np.repeat(group_cores, per_block),
+                    shift = starts - block_starts
+                    _raise_best(
+                        best, winner, border_targets, np.repeat(cores, per_block),
                         neighbor_order.similarities[border + np.repeat(shift, per_block)],
-                        n,
                     )
                 else:
-                    # The first writer in the pair's own traversal order
-                    # wins: the source of lowest CO[μ]-prefix rank.  The
-                    # base pair's blocks are in that order already.
-                    if is_base:
-                        ranked, block_rank = group_cores, np.arange(group_cores.size)
-                    else:
-                        rank[cores] = np.arange(cores.size, dtype=np.int64)
-                        ranked, block_rank = cores, rank[group_cores]
-                    border_vertices, first = _lowest_key(
-                        border_targets, np.repeat(block_rank, per_block), n
+                    # The first writer in the setting's own traversal order
+                    # wins: the source of lowest CO[μ]-prefix rank, which is
+                    # the block index and never changes along the chain.
+                    np.minimum.at(
+                        winner, border_targets,
+                        np.repeat(np.arange(count, dtype=np.int64), per_block),
                     )
-                    border_sources = ranked[first]
+                border_vertices = np.flatnonzero(winner < n)
+                border_sources = winner[border_vertices]
+                if not deterministic_borders:
+                    border_sources = cores[border_sources]
                 results[pair] = _compact_answer(
                     cores, core_labels, border_vertices, border_sources,
                     int(border.size), n, scheduler=scheduler,
@@ -265,32 +280,25 @@ def query_many(
     return results
 
 
-def _lowest_key(
-    targets: np.ndarray, keys: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``targets`` in ascending order, each with its lowest key.
+def _raise_best(
+    best: np.ndarray,
+    winner: np.ndarray,
+    targets: np.ndarray,
+    sources: np.ndarray,
+    similarities: np.ndarray,
+) -> None:
+    """Fold arcs into a running (best similarity, lowest source id) table.
 
-    One scatter-min over an ``n``-slot table; every key must be below ``n``,
-    which marks the slots no arc reaches.
+    A scatter-max raises every target's best similarity; a target whose
+    best rose drops its earlier winner, and a scatter-min then picks the
+    lowest source id among the arcs that tie the best.
     """
-    lowest = np.full(n, n, dtype=np.int64)
-    np.minimum.at(lowest, targets, keys)
-    reached = np.flatnonzero(lowest < n)
-    return reached, lowest[reached]
-
-
-def _best_source(
-    targets: np.ndarray, sources: np.ndarray, similarities: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``targets`` ascending, each with its most similar source.
-
-    A scatter-max picks every target's best similarity; among the arcs that
-    reach it, a scatter-min picks the lowest source id.
-    """
-    best = np.full(n, -np.inf)
+    before = best[targets]
     np.maximum.at(best, targets, similarities)
-    tied = similarities == best[targets]
-    return _lowest_key(targets[tied], sources[tied], n)
+    after = best[targets]
+    winner[targets[after > before]] = winner.shape[0]
+    tied = similarities == after
+    np.minimum.at(winner, targets[tied], sources[tied])
 
 
 def _compact_answer(

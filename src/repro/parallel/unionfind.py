@@ -29,7 +29,10 @@ from .scheduler import Scheduler
 #: 12k-vertex, 464k-edge planted-partition explore graph (45-setting grid,
 #: 2-vCPU x86 VM), the median call took 57 / 43 / 6.0 / 7.8 / 6.8 / 8.9 ms for
 #: k = 0 / 1 / 2 / 3 / 4 / 8 over ~715k arcs, and 18 / 18 / 3.3 / 4.0 / 4.7 /
-#: 5.5 ms over ~255k.
+#: 5.5 ms over ~255k.  On a sweep's chain steps an old core's block is an ε
+#: band, not its most similar neighbours; the 45 steps of that grid's sweep
+#: (median 41k kept arcs a step) took 97 / 81 / 89 / 96 ms in all for
+#: k = 1 / 2 / 3 / 4, so k = 2 stays.
 SAMPLE_ARCS = 2
 
 
@@ -131,16 +134,17 @@ class UnionFind:
         ``sources[i]`` to the next ``counts[i]`` entries of ``targets``, and
         ``keep`` (one flag per target) selects the arcs to union; by default
         every block is one arc and every arc is kept, so ``(sources,
-        targets)`` is a plain edge list.  On the query path a block is one
-        core's ε-similar neighbor prefix, gathered once and unioned in place
-        under a core mask.  ``vertices`` must contain every endpoint of a
+        targets)`` is a plain edge list.  On the query path a block is the
+        slice of one core's ε-similar neighbor prefix that a chain step
+        gathered, unioned in place under a core mask.  ``vertices`` must contain every endpoint of a
         kept arc.  ConnectIt-style (Dhulipala, Hong and Shun, VLDB 2021) in
         two steps:
 
         1. *k-out sample.*  The kept arcs among the first :data:`SAMPLE_ARCS`
            of each block, read off the block starts, are unioned first.  On
-           the query path those are a core's most similar neighbours, which
-           already joins almost every cluster.  (A plain edge list is all
+           a one-pair query those are a core's most similar neighbours, which
+           already joins almost every cluster; on a later step of a sweep's
+           chain they open the core's new ε band.  (A plain edge list is all
            sample.)
         2. *Finish.*  One pass over every kept arc compares the compressed
            roots of its endpoints, ``parent[source]`` against

@@ -31,6 +31,19 @@ def _singleton_expanded_labels(labels: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _weighted_degrees(graph: Graph):
+    """The edge list, its weights and the weighted degree of every vertex."""
+    edge_u, edge_v = graph.edge_list()
+    if graph.edge_weights is None:
+        edge_weights = np.ones(graph.num_edges, dtype=np.float64)
+    else:
+        edge_weights = graph.edge_weights
+    weighted_degree = np.zeros(graph.num_vertices, dtype=np.float64)
+    np.add.at(weighted_degree, edge_u, edge_weights)
+    np.add.at(weighted_degree, edge_v, edge_weights)
+    return edge_u, edge_v, edge_weights, weighted_degree
+
+
 def modularity(
     graph: Graph,
     clustering: Clustering | np.ndarray,
@@ -56,22 +69,14 @@ def modularity(
     if unclustered_as_singletons:
         labels = _singleton_expanded_labels(labels)
 
-    edge_u, edge_v = graph.edge_list()
-    if graph.edge_weights is None:
-        edge_weights = np.ones(graph.num_edges, dtype=np.float64)
-    else:
-        edge_weights = graph.edge_weights
+    edge_u, edge_v, edge_weights, weighted_degree = _weighted_degrees(graph)
     total_weight = float(edge_weights.sum())
 
     clustered = labels != UNCLUSTERED
     _, dense = np.unique(labels, return_inverse=True)
     num_clusters = int(dense.max()) + 1 if labels.size else 0
 
-    # Weighted degree of every vertex, then aggregated per cluster.
-    weighted_degree = np.zeros(graph.num_vertices, dtype=np.float64)
-    np.add.at(weighted_degree, edge_u, edge_weights)
-    np.add.at(weighted_degree, edge_v, edge_weights)
-
+    # Internal edge weight and weighted degree, per cluster.
     internal = np.zeros(num_clusters, dtype=np.float64)
     same_cluster = clustered[edge_u] & clustered[edge_v] & (labels[edge_u] == labels[edge_v])
     np.add.at(internal, dense[edge_u[same_cluster]], edge_weights[same_cluster])
@@ -83,6 +88,20 @@ def modularity(
         (internal / total_weight).sum()
         - ((cluster_degree / (2.0 * total_weight)) ** 2).sum()
     )
+
+
+def unclustered_modularity(graph: Graph) -> float:
+    """Modularity when no vertex is clustered: ``-Σ_v (d(v) / 2W)²``.
+
+    Every vertex is its own singleton cluster, so no edge is internal; the
+    value equals :func:`modularity` of an all-unclustered labelling, bit for
+    bit (the same terms summed in the same order).
+    """
+    if graph.num_edges == 0:
+        return 0.0
+    _, _, edge_weights, weighted_degree = _weighted_degrees(graph)
+    total_weight = float(edge_weights.sum())
+    return -float(((weighted_degree / (2.0 * total_weight)) ** 2).sum())
 
 
 def coverage(graph: Graph, clustering: Clustering | np.ndarray) -> float:

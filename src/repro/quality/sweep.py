@@ -20,8 +20,10 @@ import numpy as np
 
 from ..core.clustering import Clustering
 from ..core.index import ScanIndex
+from ..core.query import check_setting, dense_clustering
+from ..core.sweep_query import query_many
 from ..graphs.graph import Graph
-from .modularity import modularity
+from .modularity import modularity, unclustered_modularity
 
 
 def mu_grid(max_mu: int, *, upper_exponent: int = 18) -> list[int]:
@@ -100,31 +102,52 @@ def modularity_sweep(
     laptop-scale runs stay fast; pass ``parameters=parameter_grid(graph)``
     for the full Σ.
 
-    The grid is answered through :meth:`ScanIndex.query_many
-    <repro.core.index.ScanIndex.query_many>` one ε-group at a time -- the
-    planner's unit of reuse (settings sharing an ε share one gathered arc
-    set and one union-find forest) -- and each group's clusterings are
-    scored and dropped before the next group runs, so peak memory stays at
-    one group's clusterings rather than the whole grid's.
+    The grid is answered through :func:`~repro.core.sweep_query.query_many`
+    one μ at a time, covering all of that μ's ε -- the planner's unit of
+    reuse (one μ's settings are one chain in descending ε over one
+    union-find forest, so each arc is gathered and unioned once) -- and each
+    answer is densified, scored and dropped in turn, so peak memory stays at
+    one μ's compact answers plus one dense clustering.  A setting without
+    cores leaves every vertex a singleton; it is scored as the constant
+    ``-Σ_v (d(v) / 2W)²`` without a query.  ``(μ, ε)`` has a core exactly
+    when the largest ``CO[μ]`` threshold is at least ε, so spotting such a
+    setting is one lookup.
     """
     graph = index.graph
     if parameters is None:
         parameters = parameter_grid(graph, epsilon_step=epsilon_step)
     parameters = list(parameters)
-    groups: dict[float, list[int]] = {}
-    for position, (_, epsilon) in enumerate(parameters):
-        groups.setdefault(float(epsilon), []).append(position)
+    chains: dict[int, list[int]] = {}
+    for position, (mu, epsilon) in enumerate(parameters):
+        check_setting(int(mu), float(epsilon))
+        chains.setdefault(int(mu), []).append(position)
     entries: list[SweepEntry | None] = [None] * len(parameters)
-    for positions in groups.values():
-        group_parameters = [parameters[position] for position in positions]
-        clusterings = index.query_many(
-            group_parameters, deterministic_borders=deterministic_borders
+    without_cores = unclustered_modularity(graph)
+    for mu, positions in chains.items():
+        _, thresholds = index.core_order.candidates(mu)
+        top = float(thresholds[0]) if thresholds.size else -np.inf
+        queried = []
+        for position in positions:
+            mu_value, epsilon = parameters[position]
+            if top >= float(epsilon):
+                queried.append(position)
+            else:
+                entries[position] = SweepEntry(
+                    mu=mu_value, epsilon=epsilon, modularity=without_cores,
+                    num_clusters=0, num_clustered=0,
+                )
+        answers = query_many(
+            index.neighbor_order, index.core_order,
+            [parameters[position] for position in queried],
+            deterministic_borders=deterministic_borders,
         )
-        for position, (mu, epsilon), clustering in zip(
-            positions, group_parameters, clusterings
-        ):
+        for position, answer in zip(queried, answers):
+            mu_value, epsilon = parameters[position]
+            clustering = dense_clustering(
+                answer, graph.num_vertices, int(mu_value), float(epsilon)
+            )
             entries[position] = SweepEntry(
-                mu=mu,
+                mu=mu_value,
                 epsilon=epsilon,
                 modularity=modularity(graph, clustering),
                 num_clusters=clustering.num_clusters,

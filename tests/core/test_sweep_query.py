@@ -177,3 +177,132 @@ class TestEdgeCases:
         [a, b] = index.query_many([(2, 0.5), (2, 1.0)])
         assert a.num_clustered_vertices == 2
         assert np.array_equal(b.labels, index.query(2, 1.0).labels)
+
+
+def weighted_community_graph():
+    graph = planted_partition(4, 25, p_intra=0.45, p_inter=0.03, seed=5)
+    edge_u, edge_v = graph.edge_list()
+    weights = np.random.default_rng(5).uniform(0.2, 3.0, size=edge_u.shape[0])
+    return from_edge_list(
+        np.column_stack([edge_u, edge_v]), num_vertices=graph.num_vertices, weights=weights
+    )
+
+
+def ragged_grid(rng, index, count):
+    """Pairs whose μ values each see a different set of ε values.
+
+    ε comes from the stored similarities (where cores and borders appear),
+    from 0 and 1, and from just above the largest core threshold of a μ, so
+    that μ's chain starts with settings that select no cores; μ runs past
+    ``max_mu`` and to 2**40; a fifth of the pairs are repeated.
+    """
+    core_order = index.core_order
+    stored = np.unique(index.similarities.values)
+    pairs = []
+    for _ in range(count):
+        mu = int(rng.integers(2, core_order.max_mu + 3))
+        draw = rng.random()
+        if draw < 0.6:
+            epsilon = float(rng.choice(stored))
+        elif draw < 0.7:
+            epsilon = float(rng.choice([0.0, 1.0]))
+        elif draw < 0.85:
+            _, thresholds = core_order.candidates(mu)
+            top = float(thresholds[0]) if thresholds.size else 0.5
+            epsilon = min(float(np.nextafter(top, 2.0)), 1.0)
+        else:
+            epsilon = float(rng.uniform(0.0, 1.0))
+        pairs.append((mu, epsilon))
+    pairs += [pairs[int(i)] for i in rng.integers(0, count, size=count // 5)]
+    pairs.append((2**40, float(rng.choice(stored))))
+    order = rng.permutation(len(pairs))
+    return [pairs[int(i)] for i in order]
+
+
+class TestChainsMatchOnePairBatches:
+    """A μ's settings are one chain in descending ε; every answer must still
+    equal its own one-pair batch, in both border modes."""
+
+    @pytest.fixture(scope="class", params=["unweighted", "weighted"])
+    def index(self, request):
+        if request.param == "unweighted":
+            graph = planted_partition(4, 25, p_intra=0.45, p_inter=0.04, seed=11)
+        else:
+            graph = weighted_community_graph()
+        return ScanIndex.build(graph)
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_ragged_grid(self, index, deterministic, seed):
+        rng = np.random.default_rng([seed, int(deterministic)])
+        pairs = ragged_grid(rng, index, 40)
+        planned = query_many(
+            index.neighbor_order, index.core_order, pairs,
+            deterministic_borders=deterministic,
+        )
+        assert len(planned) == len(pairs)
+        for pair, answer in zip(pairs, planned):
+            (single,) = query_many(
+                index.neighbor_order, index.core_order, [pair],
+                deterministic_borders=deterministic,
+            )
+            assert_same_answer(answer, single)
+        # Some chain starts with settings that select no cores, then gains them.
+        with_cores = {mu for (mu, _), answer in zip(pairs, planned) if answer.num_cores}
+        without = {mu for (mu, _), answer in zip(pairs, planned) if not answer.num_cores}
+        assert with_cores & without
+
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_border_best_rises_along_the_chain(self, deterministic):
+        # At μ = 4, a core added at a smaller ε is more similar to a border
+        # than the core that reached it first, and has the higher id: the
+        # border's earlier winner must be dropped, not kept by the min-id tie.
+        edges = [(0, 1), (0, 3), (0, 4), (0, 6), (0, 8), (1, 10), (2, 9), (2, 10),
+                 (3, 6), (3, 7), (3, 9), (4, 9), (4, 10), (5, 11), (6, 7), (6, 11),
+                 (7, 10), (8, 9), (8, 11), (9, 11)]
+        index = ScanIndex.build(from_edge_list(edges, num_vertices=12))
+        epsilons = np.unique(np.minimum(index.similarities.values, 1.0)).tolist()
+        pairs = [(mu, eps) for mu in (2, 3, 4, 5) for eps in epsilons]
+        planned = query_many(
+            index.neighbor_order, index.core_order, pairs,
+            deterministic_borders=deterministic,
+        )
+        for pair, answer in zip(pairs, planned):
+            (single,) = query_many(
+                index.neighbor_order, index.core_order, [pair],
+                deterministic_borders=deterministic,
+            )
+            assert_same_answer(answer, single)
+
+
+class TestChainCharges:
+    # Work and span of one-pair batches, unchanged since sweeps were
+    # planned as one union-find forest per ε group.
+    @pytest.mark.parametrize("deterministic", [False, True])
+    @pytest.mark.parametrize(
+        "graph_name, pair, work, span",
+        [
+            ("paper", (3, 0.6), 83, 26),
+            ("paper", (2, 0.5), 123, 31),
+            ("communities", (2, 0.3), 3292, 52),
+            ("communities", (5, 0.4), 2852, 56),
+        ],
+    )
+    def test_one_pair_batch_charges_are_pinned(
+        self, paper_index, community_index, deterministic, graph_name, pair, work, span
+    ):
+        index = paper_index if graph_name == "paper" else community_index
+        scheduler = Scheduler()
+        index.query_many([pair], scheduler=scheduler, deterministic_borders=deterministic)
+        assert scheduler.counter.work == work
+        assert scheduler.counter.span == span
+
+    def test_grid_charges_less_than_per_epsilon_group_forests(self, community_index):
+        # 5 μ × 9 ε; one forest per ε group, each pair masking all of its
+        # group's arcs, charged 43,315 work on this grid.
+        epsilons = np.round(np.linspace(0.1, 0.9, 9), 4)
+        pairs = [(mu, float(eps)) for mu in (2, 3, 5, 8, 13) for eps in epsilons]
+        scheduler = Scheduler()
+        community_index.query_many(pairs, scheduler=scheduler)
+        assert scheduler.counter.work < 43315

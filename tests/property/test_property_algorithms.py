@@ -315,6 +315,49 @@ def test_border_attachment_matches_scalar_walk_on_fixed_graphs(shape, determinis
         assert answer.vertices.tolist()[-1] == 10 and answer.labels.tolist()[-1] == 0
 
 
+def seeded_graph(seed, weighted):
+    """Up to 60 random edges on 16 vertices, optionally weighted.
+
+    Denser on average than ``edge_lists`` draws, so a border's best core
+    often changes from one ε to the next.
+    """
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, 16, size=(int(rng.integers(1, 61)), 2))
+    graph = from_edge_list(edges, num_vertices=16)
+    if not weighted:
+        return graph
+    edge_u, edge_v = graph.edge_list()
+    return from_edge_list(
+        np.column_stack([edge_u, edge_v]), num_vertices=16,
+        weights=rng.uniform(0.2, 3.0, size=edge_u.shape[0]),
+    )
+
+
+@settings(max_examples=60)
+@given(st.builds(seeded_graph, st.integers(0, 2**32 - 1), st.booleans()), st.booleans())
+def test_whole_grid_matches_scalar_walk(graph, deterministic):
+    """Every μ against every stored similarity (and 0 and 1) as one batch.
+
+    Each μ is one chain walked in descending ε, whose forest, gathered
+    prefixes and border table grow step by step: a border's best core can
+    change when a later step adds a core, and a vertex that was a border can
+    become a core.  Every label must still equal the scalar walk's.
+    """
+    if graph.num_edges == 0:
+        return
+    index = ScanIndex.build(graph)
+    epsilons = np.unique(np.minimum(index.similarities.values, 1.0)).tolist() + [0.0, 1.0]
+    pairs = [(mu, eps) for mu in range(2, index.core_order.max_mu + 2) for eps in epsilons]
+    batch = query_many(
+        index.neighbor_order, index.core_order, pairs,
+        deterministic_borders=deterministic,
+    )
+    for pair, answer in zip(pairs, batch):
+        vertices, labels = reference_compact(index, *pair, deterministic)
+        assert answer.vertices.tolist() == vertices, pair
+        assert answer.labels.tolist() == labels, pair
+
+
 # ----------------------------------------------------------------------
 # Quality measures
 # ----------------------------------------------------------------------

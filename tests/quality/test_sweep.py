@@ -1,17 +1,21 @@
 """Tests for parameter grids and modularity sweeps."""
 
+import numpy as np
 import pytest
 
 from repro import ScanIndex
-from repro.graphs import planted_partition, planted_partition_labels
+from repro.core import UNCLUSTERED
+from repro.graphs import from_edge_list, planted_partition, planted_partition_labels
 from repro.quality import (
     adjusted_rand_index,
     best_clustering,
     epsilon_grid,
     modularity_sweep,
+    modularity,
     mu_grid,
     parameter_grid,
 )
+from repro.quality.modularity import unclustered_modularity
 
 
 class TestGrids:
@@ -75,3 +79,54 @@ class TestSweep:
         result = modularity_sweep(index, parameters=[])
         with pytest.raises(ValueError):
             _ = result.best
+
+
+def sparse_community_graph(weighted):
+    """Planted communities plus isolated and pendant vertices that never cluster."""
+    graph = planted_partition(4, 20, p_intra=0.35, p_inter=0.02, seed=7)
+    edge_u, edge_v = graph.edge_list()
+    edges = np.column_stack([edge_u, edge_v]).tolist() + [[80, 0], [81, 40]]
+    weights = None
+    if weighted:
+        weights = np.random.default_rng(7).uniform(0.5, 2.0, size=len(edges))
+    return from_edge_list(edges, num_vertices=83, weights=weights)
+
+
+class TestSweepScoring:
+    @pytest.fixture(scope="class", params=[False, True], ids=["unweighted", "weighted"])
+    def index(self, request):
+        return ScanIndex.build(sparse_community_graph(request.param))
+
+    def test_unclustered_constant_equals_modularity_of_no_clusters(self, index):
+        graph = index.graph
+        labels = np.full(graph.num_vertices, UNCLUSTERED, dtype=np.int64)
+        assert unclustered_modularity(graph) == modularity(graph, labels)
+        degrees = np.zeros(graph.num_vertices)
+        edge_u, edge_v = graph.edge_list()
+        weights = np.ones(graph.num_edges) if graph.edge_weights is None else graph.edge_weights
+        np.add.at(degrees, edge_u, weights)
+        np.add.at(degrees, edge_v, weights)
+        expected = -((degrees / (2.0 * weights.sum())) ** 2).sum()
+        assert unclustered_modularity(graph) == pytest.approx(expected, abs=1e-12)
+
+    def test_entries_match_per_setting_queries(self, index):
+        graph = index.graph
+        parameters = parameter_grid(graph, epsilon_step=0.1) + [(2, 0.0), (2, 1.0), (2**40, 0.3)]
+        result = modularity_sweep(index, parameters=parameters)
+        assert [(e.mu, e.epsilon) for e in result.entries] == parameters
+        best, without_cores = None, 0
+        for entry in result.entries:
+            clustering = index.query(entry.mu, entry.epsilon, deterministic_borders=True)
+            score = modularity(graph, clustering)
+            assert entry.modularity == pytest.approx(score, abs=1e-12)
+            assert entry.num_clusters == clustering.num_clusters
+            assert entry.num_clustered == clustering.num_clustered_vertices
+            without_cores += not clustering.core_mask.any()
+            if best is None or score > best[0]:
+                best = (score, entry.mu, entry.epsilon)
+        assert without_cores
+        assert result.best_parameters() == best[1:]
+
+    def test_invalid_setting_rejected_without_cores(self, index):
+        with pytest.raises(ValueError):
+            modularity_sweep(index, parameters=[(2**40, 1.5)])
