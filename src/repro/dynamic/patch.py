@@ -17,9 +17,13 @@ splices (memcpy-scale), the one remap of ``arc_edge_ids``, an O(n) pass
 over the row maxima when an insert falls past its row's end and, on
 weighted graphs, the patched graph's canonical edge list and arc search
 keys the subset numerator engine probes are the only whole-graph passes
-left; no step builds a mask over every arc, a prefix sum over every entry
-or a sort key over a whole column, and an unweighted batch derives neither
-graph's edge list.
+left.  One whole-column sort remains: the merge path rebuilds the ε
+boundary table with one ``sorted_unique`` over the m patched scores (about
+5 ms of a ~65 ms apply on a 464k-edge graph; splicing the table instead
+needs a count per boundary value, which neither the index nor the artifact
+keeps).  Otherwise no step builds a mask over every arc, a prefix sum over
+every entry or a sort key over a whole column, and an unweighted batch
+derives neither graph's edge list.
 
 1. **Graph splice** (:func:`_splice_graph`): the two arcs of every op are
    located in the CSR rows (``Graph.locate_neighbors``) and the arc columns

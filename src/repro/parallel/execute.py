@@ -299,7 +299,6 @@ def _numerator_worker(
     task_index: int,
     column_specs: dict,
     out_spec: SharedColumn,
-    out_row: int,
     num_vertices: int,
     arc_lo: int,
     arc_hi: int,
@@ -307,14 +306,14 @@ def _numerator_worker(
 ) -> None:
     """Triangle contributions of oriented arcs ``[arc_lo, arc_hi)``.
 
-    Accumulates into row ``out_row`` of the shared output slab through the
-    exact chunk loop of the serial batch engine
+    Accumulates into the task's shared output block through the exact
+    chunk loop of the serial batch engine
     (:func:`repro.similarity.batch.accumulate_oriented_contributions`), so
     every worker's partial column is the integer-valued array the serial
     pass would have produced for the same arc range.
 
     Accumulation is *not* idempotent, so a retry of a task whose first
-    attempt may have partially run is never aimed at the same row: the
+    attempt may have partially run is never aimed at the same block: the
     supervisor's ``respawn`` hook hands each retry a fresh zeroed block
     and the merge reads only the block of the attempt that completed.
     """
@@ -331,7 +330,7 @@ def _numerator_worker(
         handle, out = _attach(out_spec)
         handles.append(handle)
         accumulate_oriented_contributions(
-            out[out_row],
+            out,
             (
                 columns["indptr"],
                 columns["targets"],
@@ -593,10 +592,10 @@ class ParallelExecutor:
                 outputs: dict[int, np.ndarray] = {}
                 tasks = []
                 for row, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-                    out_spec, out = columns.allocate((1, num_edges), np.float64)
+                    out_spec, out = columns.allocate((num_edges,), np.float64)
                     outputs[row] = out
                     tasks.append((
-                        row, specs, out_spec, 0, graph.num_vertices,
+                        row, specs, out_spec, graph.num_vertices,
                         int(lo), int(hi), chunk_pairs,
                     ))
 
@@ -605,10 +604,10 @@ class ParallelExecutor:
                     # partially ran (or a straggler still limping along) has
                     # poisoned its block.  Hand the retry a fresh zeroed one and
                     # point the merge at it; the old block is never read again.
-                    out_spec, out = columns.allocate((1, num_edges), np.float64)
+                    out_spec, out = columns.allocate((num_edges,), np.float64)
                     outputs[index] = out
                     base = tasks[index]
-                    return (base[0], base[1], out_spec, 0) + base[4:]
+                    return (base[0], base[1], out_spec) + base[3:]
 
                 if not self._dispatch(
                     _numerator_worker, tasks,
@@ -618,9 +617,9 @@ class ParallelExecutor:
                 # Shard order; integer-valued columns, so the sum is exact and
                 # equal to the serial left-to-right accumulation.  Copy out of
                 # shared memory before the blocks are released below.
-                merged = outputs[0][0].copy()
+                merged = outputs[0].copy()
                 for row in range(1, num_tasks):
-                    merged += outputs[row][0]
+                    merged += outputs[row]
                 return merged
             finally:
                 columns.release()

@@ -11,21 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.clustering import UNCLUSTERED, Clustering
-
-
-def _labels_of(clustering: Clustering | np.ndarray) -> np.ndarray:
-    if isinstance(clustering, Clustering):
-        return clustering.labels
-    return np.asarray(clustering, dtype=np.int64)
-
-
-def _expand_singletons(labels: np.ndarray) -> np.ndarray:
-    labels = labels.copy()
-    unclustered = labels == UNCLUSTERED
-    if unclustered.any():
-        base = int(labels.max(initial=0)) + 1
-        labels[unclustered] = base + np.arange(int(unclustered.sum()), dtype=np.int64)
-    return labels
+from .modularity import _labels_of
 
 
 def _pairs(counts: np.ndarray) -> float:
@@ -34,42 +20,48 @@ def _pairs(counts: np.ndarray) -> float:
     return float((counts * (counts - 1.0) / 2.0).sum())
 
 
+def _contingency(
+    proposed: Clustering | np.ndarray,
+    ground_truth: Clustering | np.ndarray,
+) -> tuple[int, float, float, float]:
+    """``(n, joint, pairs_a, pairs_b)``: vertex pairs together in both, in each.
+
+    An unclustered vertex is a singleton cluster, which holds no pair, so
+    only clustered vertices are counted (in both, for the joint pairs).
+    """
+    labels_a = _labels_of(proposed)
+    labels_b = _labels_of(ground_truth)
+    if labels_a.shape != labels_b.shape:
+        raise ValueError("clusterings must be over the same vertex set")
+    _, dense_a = np.unique(labels_a, return_inverse=True)
+    _, dense_b = np.unique(labels_b, return_inverse=True)
+    in_a = labels_a != UNCLUSTERED
+    in_b = labels_b != UNCLUSTERED
+    both = in_a & in_b
+    num_b = int(dense_b.max(initial=0)) + 1
+    joint = dense_a[both].astype(np.int64) * num_b + dense_b[both]
+    _, joint_counts = np.unique(joint, return_counts=True)
+    return (
+        int(labels_a.shape[0]),
+        _pairs(joint_counts),
+        _pairs(np.bincount(dense_a[in_a])),
+        _pairs(np.bincount(dense_b[in_b])),
+    )
+
+
 def adjusted_rand_index(
     proposed: Clustering | np.ndarray,
     ground_truth: Clustering | np.ndarray,
-    *,
-    unclustered_as_singletons: bool = True,
 ) -> float:
     """ARI between a proposed clustering and a ground-truth clustering.
 
     Returns 1.0 for identical partitions, about 0 for independent ones, and
     may be negative for partitions that agree less than chance.
     """
-    labels_a = _labels_of(proposed)
-    labels_b = _labels_of(ground_truth)
-    if labels_a.shape != labels_b.shape:
-        raise ValueError("clusterings must be over the same vertex set")
-    n = int(labels_a.shape[0])
+    n, sum_joint_pairs, sum_a_pairs, sum_b_pairs = _contingency(proposed, ground_truth)
     if n == 0:
         return 1.0
-    if unclustered_as_singletons:
-        labels_a = _expand_singletons(labels_a)
-        labels_b = _expand_singletons(labels_b)
-
-    _, dense_a = np.unique(labels_a, return_inverse=True)
-    _, dense_b = np.unique(labels_b, return_inverse=True)
-    num_a = int(dense_a.max()) + 1
-    num_b = int(dense_b.max()) + 1
-
-    # Contingency table in sparse form: count co-occurrences of (a, b) labels.
-    joint = dense_a.astype(np.int64) * num_b + dense_b
-    joint_values, joint_counts = np.unique(joint, return_counts=True)
-
-    sum_joint_pairs = _pairs(joint_counts)
-    sum_a_pairs = _pairs(np.bincount(dense_a, minlength=num_a))
-    sum_b_pairs = _pairs(np.bincount(dense_b, minlength=num_b))
     total_pairs = n * (n - 1) / 2.0
-
     expected = sum_a_pairs * sum_b_pairs / total_pairs if total_pairs else 0.0
     maximum = (sum_a_pairs + sum_b_pairs) / 2.0
     denominator = maximum - expected
@@ -84,21 +76,9 @@ def rand_index(
     ground_truth: Clustering | np.ndarray,
 ) -> float:
     """Unadjusted Rand index (fraction of vertex pairs on which both agree)."""
-    labels_a = _expand_singletons(_labels_of(proposed))
-    labels_b = _expand_singletons(_labels_of(ground_truth))
-    if labels_a.shape != labels_b.shape:
-        raise ValueError("clusterings must be over the same vertex set")
-    n = int(labels_a.shape[0])
+    n, sum_joint, sum_a, sum_b = _contingency(proposed, ground_truth)
     if n < 2:
         return 1.0
-    _, dense_a = np.unique(labels_a, return_inverse=True)
-    _, dense_b = np.unique(labels_b, return_inverse=True)
-    num_b = int(dense_b.max()) + 1
-    joint = dense_a.astype(np.int64) * num_b + dense_b
-    _, joint_counts = np.unique(joint, return_counts=True)
-    sum_joint = _pairs(joint_counts)
-    sum_a = _pairs(np.bincount(dense_a))
-    sum_b = _pairs(np.bincount(dense_b))
     total = n * (n - 1) / 2.0
     agreements = total + 2.0 * sum_joint - sum_a - sum_b
     return float(agreements / total)

@@ -21,44 +21,28 @@ def _labels_of(clustering: Clustering | np.ndarray) -> np.ndarray:
     return np.asarray(clustering, dtype=np.int64)
 
 
-def _singleton_expanded_labels(labels: np.ndarray) -> np.ndarray:
-    """Replace each UNCLUSTERED label with a fresh singleton cluster id."""
-    labels = labels.copy()
-    unclustered = labels == UNCLUSTERED
-    if unclustered.any():
-        base = int(labels.max(initial=0)) + 1
-        labels[unclustered] = base + np.arange(int(unclustered.sum()), dtype=np.int64)
-    return labels
-
-
-def _weighted_degrees(graph: Graph):
-    """The edge list, its weights and the weighted degree of every vertex."""
+def _internal_weight(graph: Graph, labels: np.ndarray) -> tuple[float, float]:
+    """Weight of the edges inside clusters, and the total edge weight."""
     edge_u, edge_v = graph.edge_list()
+    labels_u = labels[edge_u]
+    inside = (labels_u == labels[edge_v]) & (labels_u != UNCLUSTERED)
     if graph.edge_weights is None:
-        edge_weights = np.ones(graph.num_edges, dtype=np.float64)
-    else:
-        edge_weights = graph.edge_weights
-    weighted_degree = np.zeros(graph.num_vertices, dtype=np.float64)
-    np.add.at(weighted_degree, edge_u, edge_weights)
-    np.add.at(weighted_degree, edge_v, edge_weights)
-    return edge_u, edge_v, edge_weights, weighted_degree
+        return float(np.count_nonzero(inside)), float(graph.num_edges)
+    return float(graph.edge_weights[inside].sum()), float(graph.edge_weights.sum())
 
 
-def modularity(
-    graph: Graph,
-    clustering: Clustering | np.ndarray,
-    *,
-    unclustered_as_singletons: bool = True,
-) -> float:
+def modularity(graph: Graph, clustering: Clustering | np.ndarray) -> float:
     """Modularity of ``clustering`` on ``graph`` (weighted when the graph is).
 
     ``Q = Σ_c [ w_in(c) / W  -  (deg_w(c) / 2W)² ]`` where ``w_in(c)`` is the
     total weight of edges inside cluster ``c``, ``deg_w(c)`` the total
-    weighted degree of its vertices, and ``W`` the total edge weight.
+    weighted degree of its vertices, and ``W`` the total edge weight.  Every
+    unclustered vertex is its own cluster: no edge inside it, and its own
+    ``(deg_w(v) / 2W)²``.
 
-    ``unclustered_as_singletons`` places every unclustered vertex in its own
-    cluster (the paper's convention); otherwise unclustered vertices are
-    ignored entirely (they contribute neither internal edges nor degree).
+    One pass over the labels: the weighted degrees come off the CSR, the
+    internal weight from one label compare over the canonical edge list, and
+    the cluster volumes from one ``bincount`` over dense cluster ids.
     """
     labels = _labels_of(clustering)
     if labels.shape[0] != graph.num_vertices:
@@ -66,58 +50,29 @@ def modularity(
     if graph.num_edges == 0:
         return 0.0
 
-    if unclustered_as_singletons:
-        labels = _singleton_expanded_labels(labels)
-
-    edge_u, edge_v, edge_weights, weighted_degree = _weighted_degrees(graph)
-    total_weight = float(edge_weights.sum())
-
+    internal, total_weight = _internal_weight(graph, labels)
+    if graph.arc_weights is None:
+        degree = graph.degrees.astype(np.float64)
+    else:
+        degree = np.bincount(
+            graph.arc_sources(), weights=graph.arc_weights,
+            minlength=graph.num_vertices,
+        )
     clustered = labels != UNCLUSTERED
-    _, dense = np.unique(labels, return_inverse=True)
-    num_clusters = int(dense.max()) + 1 if labels.size else 0
-
-    # Internal edge weight and weighted degree, per cluster.
-    internal = np.zeros(num_clusters, dtype=np.float64)
-    same_cluster = clustered[edge_u] & clustered[edge_v] & (labels[edge_u] == labels[edge_v])
-    np.add.at(internal, dense[edge_u[same_cluster]], edge_weights[same_cluster])
-
-    cluster_degree = np.zeros(num_clusters, dtype=np.float64)
-    np.add.at(cluster_degree, dense[clustered], weighted_degree[clustered])
-
+    _, cluster_ids = np.unique(labels[clustered], return_inverse=True)
+    volumes = np.bincount(cluster_ids, weights=degree[clustered])
+    singletons = degree[~clustered]
+    scale = 2.0 * total_weight
     return float(
-        (internal / total_weight).sum()
-        - ((cluster_degree / (2.0 * total_weight)) ** 2).sum()
+        internal / total_weight
+        - ((volumes / scale) ** 2).sum()
+        - ((singletons / scale) ** 2).sum()
     )
-
-
-def unclustered_modularity(graph: Graph) -> float:
-    """Modularity when no vertex is clustered: ``-Σ_v (d(v) / 2W)²``.
-
-    Every vertex is its own singleton cluster, so no edge is internal; the
-    value equals :func:`modularity` of an all-unclustered labelling, bit for
-    bit (the same terms summed in the same order).
-    """
-    if graph.num_edges == 0:
-        return 0.0
-    _, _, edge_weights, weighted_degree = _weighted_degrees(graph)
-    total_weight = float(edge_weights.sum())
-    return -float(((weighted_degree / (2.0 * total_weight)) ** 2).sum())
 
 
 def coverage(graph: Graph, clustering: Clustering | np.ndarray) -> float:
     """Fraction of edge weight that falls inside clusters (the first modularity term)."""
-    labels = _labels_of(clustering)
     if graph.num_edges == 0:
         return 0.0
-    edge_u, edge_v = graph.edge_list()
-    weights = (
-        np.ones(graph.num_edges, dtype=np.float64)
-        if graph.edge_weights is None
-        else graph.edge_weights
-    )
-    internal = (
-        (labels[edge_u] == labels[edge_v])
-        & (labels[edge_u] != UNCLUSTERED)
-        & (labels[edge_v] != UNCLUSTERED)
-    )
-    return float(weights[internal].sum() / weights.sum())
+    internal, total_weight = _internal_weight(graph, _labels_of(clustering))
+    return internal / total_weight

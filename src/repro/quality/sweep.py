@@ -18,12 +18,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.clustering import Clustering
+from ..core.clustering import UNCLUSTERED, Clustering
 from ..core.index import ScanIndex
-from ..core.query import check_setting, dense_clustering
+from ..core.query import check_setting
 from ..core.sweep_query import query_many
 from ..graphs.graph import Graph
-from .modularity import modularity, unclustered_modularity
+from .modularity import modularity
 
 
 def mu_grid(max_mu: int, *, upper_exponent: int = 18) -> list[int]:
@@ -106,12 +106,13 @@ def modularity_sweep(
     one μ at a time, covering all of that μ's ε -- the planner's unit of
     reuse (one μ's settings are one chain in descending ε over one
     union-find forest, so each arc is gathered and unioned once) -- and each
-    answer is densified, scored and dropped in turn, so peak memory stays at
-    one μ's compact answers plus one dense clustering.  A setting without
-    cores leaves every vertex a singleton; it is scored as the constant
-    ``-Σ_v (d(v) / 2W)²`` without a query.  ``(μ, ε)`` has a core exactly
-    when the largest ``CO[μ]`` threshold is at least ε, so spotting such a
-    setting is one lookup.
+    compact answer is scored through one reused label buffer (its vertices
+    set, scored, reset), so peak memory stays at one μ's compact answers
+    plus one n-label array.  A setting without cores leaves every vertex a
+    singleton; it is scored once per sweep, by one :func:`modularity` call
+    on the all-unclustered buffer, and takes no query.  ``(μ, ε)`` has a
+    core exactly when the largest ``CO[μ]`` threshold is at least ε, so
+    spotting such a setting is one lookup.
     """
     graph = index.graph
     if parameters is None:
@@ -122,7 +123,8 @@ def modularity_sweep(
         check_setting(int(mu), float(epsilon))
         chains.setdefault(int(mu), []).append(position)
     entries: list[SweepEntry | None] = [None] * len(parameters)
-    without_cores = unclustered_modularity(graph)
+    labels = np.full(graph.num_vertices, UNCLUSTERED, dtype=np.int64)
+    without_cores = modularity(graph, labels)
     for mu, positions in chains.items():
         _, thresholds = index.core_order.candidates(mu)
         top = float(thresholds[0]) if thresholds.size else -np.inf
@@ -143,15 +145,15 @@ def modularity_sweep(
         )
         for position, answer in zip(queried, answers):
             mu_value, epsilon = parameters[position]
-            clustering = dense_clustering(
-                answer, graph.num_vertices, int(mu_value), float(epsilon)
-            )
+            labels[answer.vertices] = answer.labels
+            score = modularity(graph, labels)
+            labels[answer.vertices] = UNCLUSTERED
             entries[position] = SweepEntry(
                 mu=mu_value,
                 epsilon=epsilon,
-                modularity=modularity(graph, clustering),
-                num_clusters=clustering.num_clusters,
-                num_clustered=clustering.num_clustered_vertices,
+                modularity=score,
+                num_clusters=answer.num_clusters,
+                num_clustered=int(answer.vertices.shape[0]),
             )
     return SweepResult(entries)  # type: ignore[arg-type]
 

@@ -236,29 +236,42 @@ def _numerators_matmul(graph: Graph, scheduler: Scheduler) -> np.ndarray:
     return squared[edge_u, edge_v]
 
 
+def _scores(
+    measure: str,
+    numerators: np.ndarray,
+    side_u: np.ndarray,
+    side_v: np.ndarray,
+) -> np.ndarray:
+    """The similarity expressions, elementwise over aligned edge arrays.
+
+    ``side_u``/``side_v`` are the endpoints' closed norms for cosine and
+    their closed-neighborhood sizes otherwise.  Both finalise paths call
+    this, so a dynamically patched index scores an edge exactly as a
+    rebuild does.
+    """
+    if measure == "cosine":
+        return numerators / (side_u * side_v)
+    if measure == "jaccard":
+        return numerators / (side_u + side_v - numerators)
+    # Dice.
+    return 2.0 * numerators / (side_u + side_v)
+
+
 def _finalise(
     graph: Graph,
     numerators: np.ndarray,
     measure: str,
     scheduler: Scheduler,
 ) -> np.ndarray:
-    """Turn closed-intersection numerators into the requested similarity.
-
-    The subset branch of :func:`finalise_numerators` below mirrors these
-    expressions edge for edge; any change here must land there too, or
-    dynamically patched indexes stop being bit-identical to rebuilds.
-    """
+    """Turn closed-intersection numerators into the requested similarity."""
     edge_u, edge_v = graph.edge_list()
     scheduler.charge(graph.num_edges, ceil_log2(max(graph.num_edges, 1)) + 1.0)
     if measure == "cosine":
         norms = _closed_norms(graph, scheduler)
-        return numerators / (norms[edge_u] * norms[edge_v])
+        return _scores(measure, numerators, norms[edge_u], norms[edge_v])
     closed_u = graph.degrees[edge_u].astype(np.float64) + 1.0
     closed_v = graph.degrees[edge_v].astype(np.float64) + 1.0
-    if measure == "jaccard":
-        return numerators / (closed_u + closed_v - numerators)
-    # Dice.
-    return 2.0 * numerators / (closed_u + closed_v)
+    return _scores(measure, numerators, closed_u, closed_v)
 
 
 def finalise_numerators(
@@ -308,13 +321,10 @@ def finalise_numerators(
             norms = np.sqrt(squared + 1.0)
             norm_u = norms[np.searchsorted(endpoints, edge_u)]
             norm_v = norms[np.searchsorted(endpoints, edge_v)]
-        return numerators / (norm_u * norm_v)
+        return _scores(measure, numerators, norm_u, norm_v)
     closed_u = degrees[edge_u].astype(np.float64) + 1.0
     closed_v = degrees[edge_v].astype(np.float64) + 1.0
-    if measure == "jaccard":
-        return numerators / (closed_u + closed_v - numerators)
-    # Dice.
-    return 2.0 * numerators / (closed_u + closed_v)
+    return _scores(measure, numerators, closed_u, closed_v)
 
 
 def compute_similarities(

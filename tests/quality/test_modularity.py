@@ -42,13 +42,6 @@ class TestModularity:
         assert modularity(graph, labels) > 0.5
         assert modularity(graph, labels) > modularity(graph, random_labels) + 0.3
 
-    def test_unclustered_as_singletons_vs_ignored(self, paper_graph):
-        labels = np.array([0, 0, 0, 0, UNCLUSTERED, 1, 1, 1, UNCLUSTERED, UNCLUSTERED, 1])
-        with_singletons = modularity(paper_graph, labels, unclustered_as_singletons=True)
-        ignored = modularity(paper_graph, labels, unclustered_as_singletons=False)
-        # Singleton clusters only subtract expected-edge mass, so they lower the score.
-        assert with_singletons <= ignored
-
     def test_accepts_clustering_object(self, paper_graph):
         from repro import ScanIndex
 

@@ -15,7 +15,6 @@ from repro.quality import (
     mu_grid,
     parameter_grid,
 )
-from repro.quality.modularity import unclustered_modularity
 
 
 class TestGrids:
@@ -100,14 +99,16 @@ class TestSweepScoring:
     def test_unclustered_constant_equals_modularity_of_no_clusters(self, index):
         graph = index.graph
         labels = np.full(graph.num_vertices, UNCLUSTERED, dtype=np.int64)
-        assert unclustered_modularity(graph) == modularity(graph, labels)
+        (entry,) = modularity_sweep(index, parameters=[(2**40, 0.3)]).entries
+        assert (entry.num_clusters, entry.num_clustered) == (0, 0)
+        assert entry.modularity == modularity(graph, labels)
         degrees = np.zeros(graph.num_vertices)
         edge_u, edge_v = graph.edge_list()
         weights = np.ones(graph.num_edges) if graph.edge_weights is None else graph.edge_weights
         np.add.at(degrees, edge_u, weights)
         np.add.at(degrees, edge_v, weights)
         expected = -((degrees / (2.0 * weights.sum())) ** 2).sum()
-        assert unclustered_modularity(graph) == pytest.approx(expected, abs=1e-12)
+        assert entry.modularity == pytest.approx(expected, abs=1e-12)
 
     def test_entries_match_per_setting_queries(self, index):
         graph = index.graph
