@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import obs
 from ..graphs.graph import ID_DTYPE, Graph
 from ..parallel.metrics import ceil_log2
 from ..parallel.primitives import segmented_arange
@@ -110,71 +111,78 @@ def build_core_order(
     order is the same either way.  ``executor`` shards the global segmented
     sort across worker processes (see :mod:`repro.parallel.execute`); the
     stored order is bit-identical at any worker count.
+
+    The stages run under the spans ``core.core_order.rank`` (the entries of
+    every μ with their thresholds and sort keys), ``.pack`` and ``.sort``
+    (the segmented sort) and ``.gather`` (the order's columns read through
+    the permutation).
     """
     scheduler = scheduler if scheduler is not None else Scheduler()
-    n = graph.num_vertices
-    degrees = graph.degrees
-    max_mu = int(degrees.max(initial=0)) + 1 if n else 1
-    use_integer_sort = ranks is not None
+    with obs.span("core.core_order.rank"):
+        n = graph.num_vertices
+        degrees = graph.degrees
+        max_mu = int(degrees.max(initial=0)) + 1 if n else 1
+        use_integer_sort = ranks is not None
 
-    # Vertices sorted by non-increasing degree (Algorithm 2, line 8).
-    if use_integer_sort:
-        order = integer_sort_permutation(scheduler, degrees, descending=True)
-    else:
-        order = comparison_sort_permutation(scheduler, degrees, descending=True)
-    sorted_vertices = np.arange(n, dtype=np.int64)[order]
-    sorted_degrees = degrees[order]
+        # Vertices sorted by non-increasing degree (Algorithm 2, line 8).
+        if use_integer_sort:
+            order = integer_sort_permutation(scheduler, degrees, descending=True)
+        else:
+            order = comparison_sort_permutation(scheduler, degrees, descending=True)
+        sorted_vertices = np.arange(n, dtype=np.int64)[order]
+        sorted_degrees = degrees[order]
 
-    # The per-μ searches run as one parallel batch (Algorithm 2, line 11):
-    # members of μ are the vertices with closed degree >= μ, i.e. degree >=
-    # μ - 1, a prefix of the degree-sorted array.  All max_mu - 1 prefixes
-    # are located with one batched doubling search against the shared array
-    # and expanded with one segmented gather -- no Python loop over μ.
-    mu_values = np.arange(2, max_mu + 1, dtype=np.int64)
-    segment_lengths = np.zeros(max_mu + 1, dtype=np.int64)
-    if mu_values.size:
-        segment_lengths[2:] = prefix_lengths_at_least(
-            sorted_degrees,
-            mu_values - 1,
-            np.zeros(mu_values.size, dtype=np.int64),
-            np.full(mu_values.size, n, dtype=np.int64),
-            scheduler=scheduler,
+        # The per-μ searches run as one parallel batch (Algorithm 2, line 11):
+        # members of μ are the vertices with closed degree >= μ, i.e. degree >=
+        # μ - 1, a prefix of the degree-sorted array.  All max_mu - 1 prefixes
+        # are located with one batched doubling search against the shared array
+        # and expanded with one segmented gather -- no Python loop over μ.
+        mu_values = np.arange(2, max_mu + 1, dtype=np.int64)
+        segment_lengths = np.zeros(max_mu + 1, dtype=np.int64)
+        if mu_values.size:
+            segment_lengths[2:] = prefix_lengths_at_least(
+                sorted_degrees,
+                mu_values - 1,
+                np.zeros(mu_values.size, dtype=np.int64),
+                np.full(mu_values.size, n, dtype=np.int64),
+                scheduler=scheduler,
+            )
+
+        indptr = np.zeros(max_mu + 2, dtype=np.int64)
+        np.cumsum(segment_lengths, out=indptr[1:])
+        total_entries = int(indptr[-1])
+        # Rank of every entry within its μ-segment, and the μ it belongs to.
+        counts = segment_lengths[2:]
+        slots = segmented_arange(counts)
+        entry_mu = np.repeat(mu_values, counts)
+        all_vertices = sorted_vertices[slots]
+        # Threshold of v for μ: similarity of its (μ - 1)-th most similar
+        # neighbor, i.e. position μ - 2 of NO[v].
+        offsets = neighbor_order.indptr[all_vertices] + (entry_mu - 2)
+        all_thresholds = neighbor_order.similarities[offsets]
+        nonzero_segments = int(np.count_nonzero(counts))
+        scheduler.charge(
+            total_entries, ceil_log2(max(nonzero_segments, 1)) + 1.0
         )
 
-    indptr = np.zeros(max_mu + 2, dtype=np.int64)
-    np.cumsum(segment_lengths, out=indptr[1:])
-    total_entries = int(indptr[-1])
-    # Rank of every entry within its μ-segment, and the μ it belongs to.
-    counts = segment_lengths[2:]
-    slots = segmented_arange(counts)
-    entry_mu = np.repeat(mu_values, counts)
-    all_vertices = sorted_vertices[slots]
-    # Threshold of v for μ: similarity of its (μ - 1)-th most similar
-    # neighbor, i.e. position μ - 2 of NO[v].
-    offsets = neighbor_order.indptr[all_vertices] + (entry_mu - 2)
-    all_thresholds = neighbor_order.similarities[offsets]
-    nonzero_segments = int(np.count_nonzero(counts))
-    scheduler.charge(
-        total_entries, ceil_log2(max(nonzero_segments, 1)) + 1.0
-    )
-
-    # One global segmented sort orders every CO[mu] by non-increasing
-    # threshold (ties by vertex id, inherited from the stable sort).  The
-    # integer keys are the neighbor order's similarity ranks read at the
-    # same offsets -- no second ranking pass.
-    keys = ranks[offsets] if use_integer_sort else all_thresholds
-    positions = np.arange(all_vertices.shape[0], dtype=np.int64)
+        # One global segmented sort orders every CO[mu] by non-increasing
+        # threshold (ties by vertex id, inherited from the stable sort).  The
+        # integer keys are the neighbor order's similarity ranks read at the
+        # same offsets -- no second ranking pass.
+        keys = ranks[offsets] if use_integer_sort else all_thresholds
     sorted_positions = segmented_sort_by_key(
         scheduler,
         indptr,
-        positions,
+        np.arange(all_vertices.shape[0], dtype=np.int64),
         keys,
         descending=True,
         use_integer_sort=use_integer_sort,
         executor=executor,
+        stage="core.core_order",
     )
-    return CoreOrder(
-        indptr=indptr,
-        vertices=all_vertices[sorted_positions].astype(ID_DTYPE),
-        thresholds=all_thresholds[sorted_positions],
-    )
+    with obs.span("core.core_order.gather"):
+        return CoreOrder(
+            indptr=indptr,
+            vertices=all_vertices[sorted_positions].astype(ID_DTYPE),
+            thresholds=all_thresholds[sorted_positions],
+        )

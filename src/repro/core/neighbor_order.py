@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import obs
 from ..graphs.graph import Graph
 from ..parallel.scheduler import Scheduler
 from ..parallel.sorting import segmented_sort_by_key
@@ -130,32 +131,38 @@ def build_neighbor_order(
     segmented sort across worker processes (see
     :mod:`repro.parallel.execute`); the stored order is bit-identical at any
     worker count.
+
+    The stages run under the spans ``core.neighbor_order.rank`` (per-arc
+    scores and keys), ``.pack`` and ``.sort`` (the segmented sort) and
+    ``.gather`` (the order's columns and ranks read through the permutation).
     """
     scheduler = scheduler if scheduler is not None else Scheduler()
-    arc_similarities = similarities.arc_values()
-    arc_positions = np.arange(graph.num_arcs, dtype=np.int64)
-
-    if use_integer_sort:
-        # One rank pass over the m edge scores; both arcs of an edge share
-        # its rank.  Ranks fit 32 bits (there are at most m of them).
-        boundaries, edge_ranks = np.unique(similarities.values, return_inverse=True)
-        keys = edge_ranks.astype(np.int32)[graph.arc_edge_ids]
-    else:
-        boundaries = np.unique(similarities.values)
-        keys = arc_similarities
+    with obs.span("core.neighbor_order.rank"):
+        arc_similarities = similarities.arc_values()
+        if use_integer_sort:
+            # One rank pass over the m edge scores; both arcs of an edge share
+            # its rank.  Ranks fit 32 bits (there are at most m of them).
+            boundaries, edge_ranks = np.unique(similarities.values, return_inverse=True)
+            keys = edge_ranks.astype(np.int32)[graph.arc_edge_ids]
+        else:
+            boundaries = np.unique(similarities.values)
+            keys = arc_similarities
 
     sorted_positions = segmented_sort_by_key(
         scheduler,
         graph.indptr,
-        arc_positions,
+        np.arange(graph.num_arcs, dtype=np.int64),
         keys,
         descending=True,
         use_integer_sort=use_integer_sort,
         executor=executor,
+        stage="core.neighbor_order",
     )
-    order = NeighborOrder(
-        indptr=graph.indptr.copy(),
-        neighbors=graph.indices[sorted_positions],
-        similarities=arc_similarities[sorted_positions],
-    )
-    return order, boundaries, keys[sorted_positions] if use_integer_sort else None
+    with obs.span("core.neighbor_order.gather"):
+        order = NeighborOrder(
+            indptr=graph.indptr.copy(),
+            neighbors=graph.indices[sorted_positions],
+            similarities=arc_similarities[sorted_positions],
+        )
+        ranks = keys[sorted_positions] if use_integer_sort else None
+    return order, boundaries, ranks

@@ -90,12 +90,14 @@ class DegreeOrientedCsr(NamedTuple):
     ``weights`` are aligned with ``indices`` and refer back to the canonical
     undirected edges of the originating :class:`Graph`.  ``indices`` and
     ``edge_ids`` are ``intp``: the similarity kernels index with them.
+    ``weights`` is ``None`` on an unweighted graph: every weight is 1, and
+    the kernels count triangles instead of multiplying unit weights.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     edge_ids: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray | None
 
 
 class Graph:
@@ -447,10 +449,7 @@ class Graph:
         out_sources = sources[keep]
         out_targets = targets[keep]
         out_edge_ids = self.arc_edge_ids[keep].astype(np.intp)
-        if self.arc_weights is not None:
-            out_weights = self.arc_weights[keep]
-        else:
-            out_weights = np.ones(out_targets.shape[0], dtype=np.float64)
+        out_weights = None if self.arc_weights is None else self.arc_weights[keep]
         out_degrees = np.bincount(out_sources, minlength=n).astype(np.int64)
         out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(out_degrees, out=out_indptr[1:])

@@ -335,7 +335,7 @@ def _numerator_worker(
                 columns["indptr"],
                 columns["targets"],
                 columns["edge_ids"],
-                columns["weights"],
+                None,  # the sharded pass runs only on unweighted graphs
             ),
             columns["sources"],
             columns["comp"],
@@ -580,7 +580,6 @@ class ParallelExecutor:
                     "indptr": columns.share(oriented.indptr),
                     "targets": columns.share(oriented.indices),
                     "edge_ids": columns.share(oriented.edge_ids),
-                    "weights": columns.share(oriented.weights),
                     "sources": columns.share(graph.oriented_arc_sources()),
                     "comp": columns.share(graph.oriented_search_keys()),
                 }

@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from .. import obs
 from .metrics import ceil_log2
 from .scheduler import Scheduler
 
@@ -225,6 +226,7 @@ def segmented_sort_by_key(
     descending: bool = True,
     use_integer_sort: bool = True,
     executor=None,
+    stage: str = "parallel.segmented_sort",
 ) -> np.ndarray:
     """Sort each segment of a CSR-style array independently by its keys.
 
@@ -246,7 +248,9 @@ def segmented_sort_by_key(
     stable sorts.
 
     Returns the values reordered within each segment; segment boundaries are
-    unchanged.
+    unchanged.  The key packing runs under the span ``{stage}.pack`` and the
+    permutation plus the ``values`` gather under ``{stage}.sort``, so a
+    caller names the layer its sort belongs to.
     """
     segment_offsets = np.asarray(segment_offsets, dtype=np.int64)
     values = np.asarray(values)
@@ -275,8 +279,11 @@ def segmented_sort_by_key(
     # the hot index-construction path); ties resolve identically because
     # equal packed keys are exactly equal (segment, key) pairs and every
     # strategy is stable.
+    packing = None
     if np.issubdtype(keys.dtype, np.integer):
-        packing = pack_segment_keys(segment_offsets, keys, descending=descending)
+        with obs.span(f"{stage}.pack"):
+            packing = pack_segment_keys(segment_offsets, keys, descending=descending)
+    with obs.span(f"{stage}.sort"):
         if packing is not None:
             packed, universe, max_segment = packing
             if executor is not None:
@@ -287,9 +294,9 @@ def segmented_sort_by_key(
                 order = packed_argsort(
                     packed, universe=universe, max_segment=max_segment
                 )
-            return values[order]
-    sort_keys = -keys if descending else keys
-    lengths = np.diff(segment_offsets)
-    segment_ids = np.repeat(np.arange(num_segments, dtype=np.int64), lengths)
-    order = np.lexsort((sort_keys, segment_ids))
-    return values[order]
+        else:
+            sort_keys = -keys if descending else keys
+            lengths = np.diff(segment_offsets)
+            segment_ids = np.repeat(np.arange(num_segments, dtype=np.int64), lengths)
+            order = np.lexsort((sort_keys, segment_ids))
+        return values[order]

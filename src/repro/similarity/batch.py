@@ -11,9 +11,14 @@ the *same* algorithm array-at-once:
 2. test every candidate ``x`` for membership in ``out(u)`` by searching the
    memoised composite keys ``source * n + target`` of the whole oriented
    CSR with a single C-speed ``np.searchsorted`` (``O(log 2m)`` per probe);
-3. scatter the three per-triangle contributions onto the canonical edge ids
-   (``np.add.at`` semantics, executed via ``np.bincount`` which is
-   dramatically faster for large scatters).
+3. compact the hits once (one ``np.flatnonzero``) and scatter the three
+   per-triangle contributions onto the canonical edge ids (``np.add.at``
+   semantics, executed via ``np.bincount``, which is dramatically faster for
+   large scatters).  An unweighted graph's orientation carries no weight
+   column: each triangle adds 1 to each of its three edges, so one integer
+   ``np.bincount`` over the three concatenated edge-id runs counts a whole
+   chunk.  A weighted graph keeps its three float ``np.bincount`` passes of
+   weight products, in that order.
 
 Because the batch engine performs exactly the intersection work of the merge
 engine, it charges *identical* work/span to the scheduler: per oriented arc
@@ -41,8 +46,18 @@ from ..parallel.primitives import segmented_ranges
 from ..parallel.scheduler import Scheduler
 
 #: Default bound on the number of ``(arc, candidate)`` pairs materialised at
-#: once; 2**22 pairs is ~100 MB of transient arrays, far below graph size for
-#: the scales this engine targets while keeping each chunk BLAS-friendly.
+#: once (each int64 array of a chunk is 32 MB at 2**22).  A smaller chunk
+#: keeps the probe arrays cache-resident; a larger one makes fewer
+#: ``num_edges``-long output passes (one ``np.bincount`` plus one add per
+#: chunk on an unweighted graph).  Serial unweighted kernel, median of 15
+#: interleaved rounds on the 464k-edge explore graph (11.9M probes), 2-vCPU
+#: VM: 2**18 795 ms, 2**19 786 ms, 2**20 769 ms, 2**21 825 ms, 2**22 958 ms.
+#: On a sparse graph (n = 1M, m = 3M, 5.9M probes; median of 5) the output
+#: passes dominate small chunks: 2**18 857 ms, 2**19 760 ms, 2**20 658 ms,
+#: 2**21 643 ms, 2**22 660 ms.  The bound stays 2**22 all the same: a
+#: weighted graph sums its float products chunk by chunk, so the bound fixes
+#: the low bits of every weighted numerator (at 2**20, 4,002 of 200,000
+#: weighted scores moved by one ulp), and stored artifacts stay identical.
 DEFAULT_CHUNK_PAIRS = 1 << 22
 
 def accumulate_oriented_contributions(
@@ -65,7 +80,9 @@ def accumulate_oriented_contributions(
     keeps the process-parallel similarity pass bit-identical to the serial
     one on unweighted graphs (all contributions are integers, so the shard
     merge order cannot matter).  ``comp`` holds the sentinel-terminated
-    composite keys of the whole orientation.
+    composite keys of the whole orientation.  ``oriented`` is a
+    :class:`~repro.graphs.graph.DegreeOrientedCsr` (or its four columns);
+    ``weights`` ``None`` means unit weights, counted as integers.
     """
     indptr, targets, edge_ids, weights = oriented
     num_edges = int(out.shape[0])
@@ -103,24 +120,33 @@ def accumulate_oriented_contributions(
         )
         locations = np.searchsorted(comp[:num_oriented], keys)
         # A miss past the end lands on the sentinel and compares unequal.
-        found = comp[locations] == keys
-        if found.any():
-            arc_uv = pair_arc[found]       # oriented position of edge (u, v)
-            arc_ux = locations[found]      # position of x in out(u)
-            arc_vx = candidate_pos[found]  # position of x in out(v)
-            w_uv = weights[arc_uv]
-            w_ux = weights[arc_ux]
-            w_vx = weights[arc_vx]
-            # Triangle {u, v, x}: each edge gains the product of the other two.
-            out += np.bincount(
-                edge_ids[arc_uv], weights=w_ux * w_vx, minlength=num_edges
-            )
-            out += np.bincount(
-                edge_ids[arc_ux], weights=w_uv * w_vx, minlength=num_edges
-            )
-            out += np.bincount(
-                edge_ids[arc_vx], weights=w_uv * w_ux, minlength=num_edges
-            )
+        # One compaction: the three position arrays are gathered at ``hits``.
+        hits = np.flatnonzero(comp[locations] == keys)
+        if hits.shape[0]:
+            arc_uv = pair_arc[hits]       # oriented position of edge (u, v)
+            arc_ux = locations[hits]      # position of x in out(u)
+            arc_vx = candidate_pos[hits]  # position of x in out(v)
+            if weights is None:
+                # Unit weights: every triangle adds 1 to each of its three
+                # edges, so one integer count covers all three.
+                out += np.bincount(
+                    edge_ids[np.concatenate((arc_uv, arc_ux, arc_vx))],
+                    minlength=num_edges,
+                )
+            else:
+                w_uv = weights[arc_uv]
+                w_ux = weights[arc_ux]
+                w_vx = weights[arc_vx]
+                # Triangle {u, v, x}: each edge gains the product of the other two.
+                out += np.bincount(
+                    edge_ids[arc_uv], weights=w_ux * w_vx, minlength=num_edges
+                )
+                out += np.bincount(
+                    edge_ids[arc_ux], weights=w_uv * w_vx, minlength=num_edges
+                )
+                out += np.bincount(
+                    edge_ids[arc_vx], weights=w_uv * w_ux, minlength=num_edges
+                )
         arc_start = arc_end
 
 
@@ -133,8 +159,9 @@ def batch_numerators(
 ) -> np.ndarray:
     """Closed-neighborhood dot product of every edge, with no per-arc loop.
 
-    Returns the same numerator array as ``_numerators_merge`` (up to float
-    summation order) and charges the same work/span.  ``executor`` -- a
+    Returns the same numerator array as ``_numerators_merge`` (bit for bit
+    on unweighted graphs, whose numerators are integer counts; up to float
+    summation order on weighted ones) and charges the same work/span.  ``executor`` -- a
     :class:`~repro.parallel.execute.ParallelExecutor` -- shards the pass
     across worker processes for unweighted graphs (bit-identical: integer
     contributions merge exactly); weighted graphs ignore it and stay serial
@@ -204,6 +231,8 @@ def edge_numerators_for_subset(
     For each requested edge the smaller-degree endpoint's neighborhood probes
     the larger one's, exactly the strategy of Algorithm 1 restricted to a
     subset, but run as chunked array passes instead of per-edge Python loops.
+    An unweighted graph counts its hits with an integer ``np.bincount``; a
+    weighted one bins the products of the two arc weights.
     Charges ``deg(smaller endpoint) + 1`` work per edge with the span of the
     largest single probe, matching the scalar fallback it replaces.
     """
@@ -244,17 +273,16 @@ def edge_numerators_for_subset(
         keys = v[pair_edge] * np.int64(n) + candidates
         locations = np.searchsorted(comp[:num_arcs], keys)
         # A miss past the end lands on the sentinel and compares unequal.
-        found = comp[locations] == keys
-        if found.any():
-            if graph.arc_weights is None:
-                contributions = np.ones(int(np.count_nonzero(found)), dtype=np.float64)
-            else:
+        hits = np.flatnonzero(comp[locations] == keys)
+        if hits.shape[0]:
+            contributions = None  # unit weights: an integer count
+            if graph.arc_weights is not None:
                 contributions = (
-                    graph.arc_weights[probe_pos[found]]
-                    * graph.arc_weights[locations[found]]
+                    graph.arc_weights[probe_pos[hits]]
+                    * graph.arc_weights[locations[hits]]
                 )
             numerators += np.bincount(
-                pair_edge[found], weights=contributions, minlength=num_selected
+                pair_edge[hits], weights=contributions, minlength=num_selected
             )
         edge_start = edge_end
 

@@ -135,6 +135,8 @@ def _numerators_merge(graph: Graph, scheduler: Scheduler) -> np.ndarray:
         numerators += 2.0 * graph.edge_weights
 
     indptr, indices, edge_ids, weights = oriented
+    if weights is None:
+        weights = np.ones(indices.shape[0], dtype=np.float64)
     n = graph.num_vertices
     # The per-arc merges run as one flat parallel loop: work adds up across
     # arcs, span is the maximum single merge plus the fork-tree depth.

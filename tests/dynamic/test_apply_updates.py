@@ -317,9 +317,17 @@ class TestLifecycle:
 
         stages = ["dynamic.splice", "dynamic.similarity_delta", "dynamic.order_repair"]
         repairs = ["dynamic.order_repair.neighbor_order", "dynamic.order_repair.core_order"]
-        assert set(spans) == {"dynamic.apply", *stages, *repairs}
+        # A resort runs the construction builders, whose own stages nest in
+        # the repair span of their order.
+        layers = {
+            f"core.{order}.{layer}": f"dynamic.order_repair.{order}"
+            for order in ("neighbor_order", "core_order")
+            for layer in ("rank", "pack", "sort", "gather")
+        } if strategy == "resort" else {}
+        assert set(spans) == {"dynamic.apply", *stages, *repairs, *layers}
         assert all(inside(stage, "dynamic.apply") for stage in stages)
         assert all(inside(repair, "dynamic.order_repair") for repair in repairs)
+        assert all(inside(layer, repair) for layer, repair in layers.items())
         assert spans["dynamic.order_repair"]["attrs"]["strategy"] == strategy
         # The stages run one after another, so their durations fit the parent's.
         assert sum(spans[stage]["dur"] for stage in stages) <= spans["dynamic.apply"]["dur"]

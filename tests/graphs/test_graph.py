@@ -210,6 +210,14 @@ class TestDerived:
         for u, v, edge in zip(sources, oriented.indices, oriented.edge_ids):
             assert paper_graph.edge_id(int(u), int(v)) == int(edge)
 
+    def test_degree_oriented_weights(self, paper_graph, weighted_graph):
+        # Unit weights are not materialised; real ones follow their arcs.
+        assert paper_graph.degree_oriented_csr().weights is None
+        oriented = weighted_graph.degree_oriented_csr()
+        assert np.array_equal(
+            oriented.weights, weighted_graph.edge_weights[oriented.edge_ids]
+        )
+
     def test_degree_ordered_arcs_matches_oriented(self, paper_graph):
         indptr, indices = paper_graph.degree_ordered_arcs()
         oriented = paper_graph.degree_oriented_csr()

@@ -67,6 +67,13 @@ def test_build_is_bit_identical_with_tracing(tmp_path, seed):
     assert traced_fingerprint == baseline
     counts = validate_trace_path(path)
     assert counts["span"] >= 2  # similarities + at least one order build
+    names = {json.loads(line)["name"] for line in path.read_text().splitlines()}
+    # Both order stages split into their four layers.
+    assert {
+        f"core.{order}.{stage}"
+        for order in ("neighbor_order", "core_order")
+        for stage in ("rank", "pack", "sort", "gather")
+    } <= names
 
 
 def test_serving_answers_are_bit_identical_with_tracing(traced):

@@ -4,18 +4,25 @@ The batch backend must agree with the scalar ``merge`` and ``hash`` reference
 backends to 1e-9 on random weighted and unweighted graphs across all three
 measures, including the degenerate shapes (empty graph, star, clique), and it
 must charge the scheduler exactly the costs of the merge engine it
-vectorises.
+vectorises.  On unweighted graphs the numerators are exact integers (closed
+common-neighbor counts), so there the batch pass -- at every chunk size,
+serial or sharded -- must equal the merge backend bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from repro.graphs import complete_graph, empty_graph, from_edge_list
-from repro.parallel import Scheduler
+from repro.parallel import Scheduler, execute
+from repro.parallel.execute import executor_for
 from repro.similarity import compute_similarities, edge_numerators_for_subset
-from repro.similarity.batch import batch_numerators
+from repro.similarity.batch import DEFAULT_CHUNK_PAIRS, batch_numerators
+from repro.similarity.exact import _numerators_merge
 
 MEASURES = ("cosine", "jaccard", "dice")
+
+#: Chunk sizes from one pair per chunk up to the largest chunk measured.
+CHUNK_LADDER = sorted({1, 3, 17, DEFAULT_CHUNK_PAIRS, 1 << 22})
 
 
 def random_graph(rng, num_vertices, edge_probability, *, weighted=False):
@@ -87,11 +94,35 @@ class TestAgreesWithReferenceBackends:
 
 
 class TestChunking:
-    @pytest.mark.parametrize("chunk_pairs", [1, 3, 17, 1 << 22])
+    @pytest.mark.parametrize("chunk_pairs", CHUNK_LADDER)
     def test_chunk_size_does_not_change_results(self, community_graph, chunk_pairs):
         reference = batch_numerators(community_graph, Scheduler())
         chunked = batch_numerators(community_graph, Scheduler(), chunk_pairs=chunk_pairs)
         np.testing.assert_array_equal(reference, chunked)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("chunk_pairs", CHUNK_LADDER)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unweighted_numerators_are_exact_integers(
+        self, monkeypatch, seed, chunk_pairs, jobs
+    ):
+        # The floor would keep these small graphs serial; jobs=2 must run
+        # the sharded pass for real.
+        monkeypatch.setattr(execute, "PARALLEL_FLOOR_ARCS", 0)
+        rng = np.random.default_rng(300 + seed)
+        graph = random_graph(rng, int(rng.integers(20, 60)), float(rng.uniform(0.1, 0.5)))
+        adjacency = graph.adjacency_matrix().astype(np.int64)
+        edge_u, edge_v = graph.edge_list()
+        # |N[u] ∩ N[v]| of an edge: its common neighbors plus u and v.
+        expected = ((adjacency @ adjacency)[edge_u, edge_v] + 2).astype(np.float64)
+        merge = _numerators_merge(graph, Scheduler())
+        with executor_for(jobs, num_arcs=graph.num_arcs) as executor:
+            assert (executor is None) == (jobs == 1)
+            batch = batch_numerators(
+                graph, Scheduler(), chunk_pairs=chunk_pairs, executor=executor
+            )
+        assert merge.tobytes() == expected.tobytes()
+        assert batch.tobytes() == merge.tobytes()
 
     def test_invalid_chunk_size_rejected(self, triangle_graph):
         with pytest.raises(ValueError):
@@ -121,7 +152,11 @@ class TestSubsetNumerators:
         full = batch_numerators(graph, Scheduler())
         subset = rng.choice(graph.num_edges, size=graph.num_edges // 2, replace=False)
         partial = edge_numerators_for_subset(graph, subset, Scheduler())
-        np.testing.assert_allclose(partial, full[subset], atol=1e-9, rtol=0)
+        if graph.arc_weights is None:
+            # Integer counts: exact whatever the summation order.
+            assert partial.tobytes() == full[subset].tobytes()
+        else:
+            np.testing.assert_allclose(partial, full[subset], atol=1e-9, rtol=0)
 
     def test_empty_subset(self, community_graph):
         result = edge_numerators_for_subset(
