@@ -6,11 +6,12 @@ program chooses between two interchangeable strategies by a measured
 crossover, this runner times both sides on the same input, records what
 the program picks there, and checks that both sides give identical output:
 
-``radix_eligible``
-    The ``NO`` and ``CO`` permutations of :func:`~repro.parallel.sorting.
-    packed_argsort`, stable ``np.argsort`` (A) vs
-    :func:`~repro.parallel.sorting.radix_argsort` (B), on the packed
-    pre-sort codes captured from a real serial build.
+``CODE_BITS``
+    The ``NO`` and ``CO`` builds of one serial index, each run with its
+    keys packed into int64 codes for one ``np.sort`` (A) and forced onto
+    the wide-key ``np.lexsort`` fallback (B) by setting
+    :data:`~repro.parallel.sorting.CODE_BITS` below every input's width.
+    The program packs whenever the fields fit, as they do on every rung.
 ``ORDER_REBUILD_CHURN``
     :meth:`~repro.core.index.ScanIndex.apply_updates` with the order repair
     forced to merge (A) or to resort (B) through the constant, on mixed
@@ -39,6 +40,7 @@ import repro.dynamic.patch as patch_module
 import repro.parallel.sorting as sorting
 from repro import ScanIndex
 from repro.bench import capture_environment, format_table
+from repro.core import build_core_order, build_neighbor_order
 from repro.dynamic import UpdateBatch
 from repro.graphs import from_edge_list, planted_partition
 from repro.storage import IndexArtifact
@@ -47,8 +49,8 @@ from repro.storage import IndexArtifact
 def _hub_graph(clusters, size, p_intra, p_inter, hubs, hub_degree, seed):
     """A planted partition plus ``hubs`` extra vertices of ``hub_degree`` each.
 
-    The hubs' degree sets the ``NO`` sort's max segment, one input of the
-    radix crossover.
+    The hubs' degree sets the ``NO`` sort's max segment and the ``CO``
+    sort's segment count.
     """
     base = planted_partition(clusters, size, p_intra=p_intra, p_inter=p_inter, seed=seed)
     rng = np.random.default_rng(seed + 1)
@@ -70,9 +72,9 @@ def _partition(clusters, size, p_intra, p_inter, seed=1):
 #: repeats).  A rung is (name, graph loader); the full sort rungs are the
 #: ``perfbench`` input shape, a hub-tailed graph, hub graphs whose ``NO``
 #: and ``CO`` max segments run from ~100 to ~1,500, and two planted
-#: partitions of ~190k ``NO`` entries with max segments ~90 and ~30, which
-#: fall on either side of ``RADIX_TOTAL_SQUARED_PER_SEGMENT``; the churn
-#: rungs are one sparse (average degree ~13) and one dense (~70) graph.
+#: partitions of ~190k ``NO`` entries with max segments ~90 and ~30; the
+#: churn rungs are one sparse (average degree ~13) and one dense (~70)
+#: graph.
 FULL = (
     [("perfbench", _partition(60, 200, 0.30, 0.0015)),
      ("hubs", lambda: _hub_graph(30, 120, 0.25, 0.002, 6, 3000, seed=21)),
@@ -122,33 +124,40 @@ def _cell(pair, rung, size, auto, a, b, a_seconds, b_seconds, identical):
 
 
 def sort_cells(rung, graph, repeats):
-    """Argsort vs radix on the ``NO`` and ``CO`` codes of one serial build."""
-    captured = []
-    original = sorting.packed_argsort
+    """Packed codes vs the wide-key fallback for the ``NO`` and ``CO`` builds."""
+    similarities = ScanIndex.build(graph).similarities
+    neighbor_order, boundaries, ranks = build_neighbor_order(graph, similarities)
+    builds = {
+        "NO": (lambda: build_neighbor_order(graph, similarities),
+               (graph.num_vertices, boundaries.size, graph.max_degree)),
+        "CO": (lambda: build_core_order(graph, neighbor_order, ranks),
+               (graph.max_degree, boundaries.size, graph.num_vertices)),
+    }
 
-    def capture(packed, *, universe, max_segment):
-        captured.append((packed, universe, max_segment))
-        return original(packed, universe=universe, max_segment=max_segment)
+    def columns(result):
+        parts = result if isinstance(result, tuple) else (result,)
+        return [
+            np.asarray(column).tobytes()
+            for part in parts
+            for column in (vars(part).values() if hasattr(part, "__dict__") else (part,))
+        ]
 
-    sorting.packed_argsort = capture
-    try:
-        ScanIndex.build(graph)
-    finally:
-        sorting.packed_argsort = original
+    budget = sorting.CODE_BITS
     cells = []
-    for order, (packed, universe, max_segment) in zip(("NO", "CO"), captured):
-        sides = {
-            "argsort": lambda _: np.argsort(packed, kind="stable"),
-            "radix": lambda _: sorting.radix_argsort(packed, universe),
-        }
-        seconds, perms = {}, {}
-        for side, sort in sides.items():
-            seconds[side], perms[side] = _best_of(repeats, sort)
-        auto = "radix" if sorting.radix_eligible(packed.size, universe, max_segment) else "argsort"
+    for order, (build, bounds) in builds.items():
+        seconds, outputs = {}, {}
+        for side, bits in (("codes", budget), ("lexsort", -1)):
+            sorting.CODE_BITS = bits
+            try:
+                seconds[side], outputs[side] = _best_of(repeats, lambda _: build())
+            finally:
+                sorting.CODE_BITS = budget
+        bits = sum(sorting.field_widths(bounds))
         cells.append(_cell(
-            "radix_eligible", rung, f"{order} {packed.size}/seg {max_segment}", auto,
-            "argsort", "radix", seconds["argsort"], seconds["radix"],
-            np.array_equal(perms["argsort"], perms["radix"]),
+            "CODE_BITS", rung, f"{order} {graph.num_arcs}/{bits} bits",
+            "codes" if bits <= budget else "lexsort",
+            "codes", "lexsort", seconds["codes"], seconds["lexsort"],
+            columns(outputs["codes"]) == columns(outputs["lexsort"]),
         ))
     return cells
 

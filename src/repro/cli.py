@@ -265,7 +265,7 @@ def _command_update(args: argparse.Namespace) -> int:
         print(f"error: cannot read delta file {args.delta!r}: {error}", file=sys.stderr)
         return 2
     try:
-        report = index.apply_updates(batch, jobs=args.jobs)
+        report = index.apply_updates(batch)
     except ValueError as error:
         # A delta that does not fit the artifact (edge already present /
         # absent, out-of-range vertex, LSH index) is an operator mistake.
@@ -660,9 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument("delta", help="delta file: '+ u v [weight]' inserts, '- u v' deletes")
     update.add_argument("--output", metavar="ARTIFACT", default=None,
                         help="write the patched artifact here instead of in place")
-    update.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the high-churn re-sort "
-                             "fallback (0 = all cores; default 1 = serial)")
     add_trace_argument(update)
     update.set_defaults(handler=_command_update)
 

@@ -9,10 +9,10 @@ found with a doubling search (Algorithm 3).
 
 The structure stores one entry per (vertex, μ) pair with ``2 <= μ <=
 |N̄(v)|``, which is ``Σ_v deg(v) = 2m`` entries in total, matching the O(m)
-index-space bound of GS*-Index.  Construction finds the member list of each μ
-via doubling search over the degree-sorted vertex array (Algorithm 2, line
-12) and orders all lists with one segmented (integer) sort, keyed by the
-similarity ranks the neighbor order was sorted by.
+index-space bound of GS*-Index.  They are the neighbor order's own entries
+-- position ``μ - 2`` of ``NO[v]`` is ``v``'s threshold for μ -- so
+construction orders all lists with one segmented (integer) sort of those
+entries, keyed by the similarity ranks the neighbor order was sorted by.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from ..parallel.metrics import ceil_log2
 from ..parallel.primitives import segmented_arange
 from ..parallel.scheduler import Scheduler
 from ..parallel.sorting import (
+    charge_segmented_sort,
     comparison_sort_permutation,
     integer_sort_permutation,
-    segmented_sort_by_key,
+    sort_key_triples,
 )
-from .doubling import prefix_length_at_least, prefix_lengths_at_least
+from .doubling import charge_prefix_searches, prefix_length_at_least
 from .neighbor_order import NeighborOrder
 
 
@@ -95,94 +96,80 @@ def build_core_order(
     ranks: np.ndarray | None,
     *,
     scheduler: Scheduler | None = None,
-    executor=None,
 ) -> CoreOrder:
     """Construct the core order from the neighbor order (Algorithm 2).
 
-    For μ ranging over ``2 .. max closed degree``, the member list of μ is the
-    set of vertices with degree at least ``μ - 1``; it is located by doubling
-    search on the degree-sorted vertex array, and every member's threshold is
-    read off the neighbor order in O(1).
+    The entries of ``CO`` are the entries of ``NO``: position ``μ - 2`` of
+    ``NO[v]`` is ``v``'s threshold for μ, so ``v`` belongs to ``CO[μ]`` for
+    every ``2 <= μ <= deg(v) + 1``.  Every ``NO`` entry becomes one code
+    ``(μ - 2) | (K-1-rank) | v's place in (degree desc, id asc) order`` and
+    one sort of the codes is the whole segmented sort (see
+    :func:`~repro.parallel.sorting.sort_key_triples`): segments ascend by μ,
+    thresholds descend within one, and ties keep the degree order of
+    Algorithm 2, line 8.  The segment of μ holds the vertices of degree at
+    least ``μ - 1``, so ``indptr`` is a reverse cumulative count of degrees;
+    it is charged as the batched doubling search over the degree-sorted
+    vertices (Algorithm 2, line 12) that locates the same prefixes.
 
     ``ranks`` are the neighbor order's similarity ranks, as returned by
     :func:`~repro.core.neighbor_order.build_neighbor_order`: given, both
-    sorts are integer sorts and the thresholds are keyed by those ranks;
-    ``None`` (a comparison-sort build) keys them by the raw thresholds.  The
-    order is the same either way.  ``executor`` shards the global segmented
-    sort across worker processes (see :mod:`repro.parallel.execute`); the
-    stored order is bit-identical at any worker count.
+    sorts are charged as integer sorts; ``None`` (a comparison-sort build)
+    charges comparison sorts and ranks the thresholds here.  The order is
+    the same either way.
 
-    The stages run under the spans ``core.core_order.rank`` (the entries of
-    every μ with their thresholds and sort keys), ``.pack`` and ``.sort``
-    (the segmented sort) and ``.gather`` (the order's columns read through
-    the permutation).
+    The stages run under the spans ``core.core_order.rank`` (the degree
+    order, the segment offsets and the per-entry keys), ``.pack`` and
+    ``.sort`` (the code sort) and ``.gather`` (the order's columns read off
+    the sorted keys).
     """
     scheduler = scheduler if scheduler is not None else Scheduler()
     with obs.span("core.core_order.rank"):
         n = graph.num_vertices
         degrees = graph.degrees
-        max_mu = int(degrees.max(initial=0)) + 1 if n else 1
+        max_degree = graph.max_degree
+        max_mu = max_degree + 1
         use_integer_sort = ranks is not None
 
-        # Vertices sorted by non-increasing degree (Algorithm 2, line 8).
+        # Vertices sorted by non-increasing degree, ties by id (Algorithm 2,
+        # line 8); a vertex's place in this order breaks threshold ties.
         if use_integer_sort:
-            order = integer_sort_permutation(scheduler, degrees, descending=True)
+            by_degree = integer_sort_permutation(scheduler, degrees, descending=True)
         else:
-            order = comparison_sort_permutation(scheduler, degrees, descending=True)
-        sorted_vertices = np.arange(n, dtype=np.int64)[order]
-        sorted_degrees = degrees[order]
+            by_degree = comparison_sort_permutation(scheduler, degrees, descending=True)
+        place = np.empty(n, dtype=np.int64)
+        place[by_degree] = np.arange(n, dtype=np.int64)
 
-        # The per-μ searches run as one parallel batch (Algorithm 2, line 11):
-        # members of μ are the vertices with closed degree >= μ, i.e. degree >=
-        # μ - 1, a prefix of the degree-sorted array.  All max_mu - 1 prefixes
-        # are located with one batched doubling search against the shared array
-        # and expanded with one segmented gather -- no Python loop over μ.
-        mu_values = np.arange(2, max_mu + 1, dtype=np.int64)
-        segment_lengths = np.zeros(max_mu + 1, dtype=np.int64)
-        if mu_values.size:
-            segment_lengths[2:] = prefix_lengths_at_least(
-                sorted_degrees,
-                mu_values - 1,
-                np.zeros(mu_values.size, dtype=np.int64),
-                np.full(mu_values.size, n, dtype=np.int64),
-                scheduler=scheduler,
-            )
-
+        # Members of μ are the vertices of degree >= μ - 1: the segment
+        # lengths are the reverse cumulative degree counts.
+        at_least = np.cumsum(np.bincount(degrees, minlength=max_mu)[::-1])[::-1]
+        segment_lengths = at_least[1:max_mu]
         indptr = np.zeros(max_mu + 2, dtype=np.int64)
-        np.cumsum(segment_lengths, out=indptr[1:])
-        total_entries = int(indptr[-1])
-        # Rank of every entry within its μ-segment, and the μ it belongs to.
-        counts = segment_lengths[2:]
-        slots = segmented_arange(counts)
-        entry_mu = np.repeat(mu_values, counts)
-        all_vertices = sorted_vertices[slots]
-        # Threshold of v for μ: similarity of its (μ - 1)-th most similar
-        # neighbor, i.e. position μ - 2 of NO[v].
-        offsets = neighbor_order.indptr[all_vertices] + (entry_mu - 2)
-        all_thresholds = neighbor_order.similarities[offsets]
-        nonzero_segments = int(np.count_nonzero(counts))
+        np.cumsum(segment_lengths, out=indptr[3:])
+        charge_prefix_searches(scheduler, segment_lengths)
         scheduler.charge(
-            total_entries, ceil_log2(max(nonzero_segments, 1)) + 1.0
+            int(indptr[-1]), ceil_log2(max(int(segment_lengths.size), 1)) + 1.0
         )
 
-        # One global segmented sort orders every CO[mu] by non-increasing
-        # threshold (ties by vertex id, inherited from the stable sort).  The
-        # integer keys are the neighbor order's similarity ranks read at the
-        # same offsets -- no second ranking pass.
-        keys = ranks[offsets] if use_integer_sort else all_thresholds
-    sorted_positions = segmented_sort_by_key(
-        scheduler,
-        indptr,
-        np.arange(all_vertices.shape[0], dtype=np.int64),
-        keys,
-        descending=True,
-        use_integer_sort=use_integer_sort,
-        executor=executor,
-        stage="core.core_order",
+        if ranks is None:
+            _, ranks = np.unique(neighbor_order.similarities, return_inverse=True)
+        num_ranks = int(ranks.max(initial=-1)) + 1
+        keys = (
+            segmented_arange(degrees),
+            num_ranks - 1 - ranks,
+            place[graph.arc_sources()],
+        )
+    charge_segmented_sort(scheduler, graph.num_arcs, use_integer_sort=use_integer_sort)
+    descending, places = sort_key_triples(
+        keys, (max_degree, num_ranks, n), stage="core.core_order"
     )
     with obs.span("core.core_order.gather"):
+        # Every rank's score, read off NO.
+        boundaries = np.empty(num_ranks, dtype=neighbor_order.similarities.dtype)
+        boundaries[ranks] = neighbor_order.similarities
+        descending -= num_ranks - 1
+        np.negative(descending, out=descending)
         return CoreOrder(
             indptr=indptr,
-            vertices=all_vertices[sorted_positions].astype(ID_DTYPE),
-            thresholds=all_thresholds[sorted_positions],
+            vertices=by_degree[places].astype(ID_DTYPE),
+            thresholds=boundaries[descending],
         )

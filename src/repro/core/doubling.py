@@ -131,15 +131,28 @@ def prefix_lengths_at_least(
     results = low - starts
 
     if scheduler is not None:
-        # A segment's first key passes exactly when its prefix is non-empty.
-        first_passes = results > 0
-        num_failed_immediately = num_segments - int(np.count_nonzero(first_passes))
-        work = float(num_failed_immediately)
-        max_span = 1.0 if num_failed_immediately else 0.0
-        if num_failed_immediately < num_segments:
-            search_spans = ceil_log2_array(results[first_passes]) + 1.0
-            work += float(np.sum(2.0 * search_spans))
-            max_span = max(max_span, float(np.max(search_spans)))
-        scheduler.charge(work, max_span + ceil_log2(max(num_segments, 1)) + 1.0)
+        charge_prefix_searches(scheduler, results)
     return results
 
+
+def charge_prefix_searches(scheduler: Scheduler, results: np.ndarray) -> None:
+    """Charge one parallel batch of doubling searches that found ``results``.
+
+    Segments whose first key already fails (result 0) charge ``(1, 1)``;
+    the rest charge ``2 (log2(j) + 1)`` work and ``log2(j) + 1`` span for a
+    result of ``j``.  Work adds up; span is the longest search plus the
+    fork-tree depth over the segments.  An empty batch charges nothing.
+    """
+    num_segments = int(results.shape[0])
+    if num_segments == 0:
+        return
+    # A segment's first key passes exactly when its prefix is non-empty.
+    first_passes = results > 0
+    num_failed_immediately = num_segments - int(np.count_nonzero(first_passes))
+    work = float(num_failed_immediately)
+    max_span = 1.0 if num_failed_immediately else 0.0
+    if num_failed_immediately < num_segments:
+        search_spans = ceil_log2_array(results[first_passes]) + 1.0
+        work += float(np.sum(2.0 * search_spans))
+        max_span = max(max_span, float(np.max(search_spans)))
+    scheduler.charge(work, max_span + ceil_log2(max(num_segments, 1)) + 1.0)

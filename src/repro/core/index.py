@@ -58,8 +58,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from contextlib import nullcontext
-
 from .. import obs
 from ..graphs.graph import Graph
 from ..lsh.approximate import ApproximationConfig, compute_approximate_similarities
@@ -156,8 +154,8 @@ class ScanIndex:
             Externally owned scheduler for cost accounting; a fresh one is
             created when omitted.
         jobs:
-            *Real* worker processes for the construction hot spots (the
-            batch similarity pass and both segmented order sorts), executed
+            *Real* worker processes for the construction hot spot (the
+            batch similarity pass of an unweighted graph), executed
             through :mod:`repro.parallel.execute` over shared-memory
             columns.  ``1`` (default) is the serial code path, ``0`` means
             every visible core, and any count produces a bit-identical
@@ -194,14 +192,13 @@ class ScanIndex:
                         scheduler=scheduler,
                         executor=executor,
                     )
-            return cls.build_from_similarities(
-                graph,
-                similarities,
-                use_integer_sort=use_integer_sort,
-                scheduler=scheduler,
-                _started=started,
-                _executor=executor,
-            )
+        return cls.build_from_similarities(
+            graph,
+            similarities,
+            use_integer_sort=use_integer_sort,
+            scheduler=scheduler,
+            _started=started,
+        )
 
     @classmethod
     def build_from_similarities(
@@ -211,39 +208,29 @@ class ScanIndex:
         *,
         use_integer_sort: bool = True,
         scheduler: Scheduler | None = None,
-        jobs: int = 1,
         _started: float | None = None,
-        _executor=None,
     ) -> "ScanIndex":
         """Build the index from similarity scores computed elsewhere.
 
-        ``jobs`` shards the two segmented order sorts across worker
-        processes exactly as in :meth:`build` (``_executor`` lets an already
-        open executor be reused instead).
+        Both order builds are one in-process sort each; no worker pool is
+        involved.
         """
         scheduler = scheduler if scheduler is not None else Scheduler()
         started = time.perf_counter() if _started is None else _started
-        if _executor is not None:
-            executor_context = nullcontext(_executor)
-        else:
-            executor_context = executor_for(jobs, num_arcs=graph.num_arcs)
-        with executor_context as executor:
-            with obs.span("build.neighbor_order", arcs=graph.num_arcs):
-                neighbor_order, epsilon_boundaries, ranks = build_neighbor_order(
-                    graph,
-                    similarities,
-                    scheduler=scheduler,
-                    use_integer_sort=use_integer_sort,
-                    executor=executor,
-                )
-            with obs.span("build.core_order", arcs=graph.num_arcs):
-                core_order = build_core_order(
-                    graph,
-                    neighbor_order,
-                    ranks,
-                    scheduler=scheduler,
-                    executor=executor,
-                )
+        with obs.span("build.neighbor_order", arcs=graph.num_arcs):
+            neighbor_order, epsilon_boundaries, ranks = build_neighbor_order(
+                graph,
+                similarities,
+                scheduler=scheduler,
+                use_integer_sort=use_integer_sort,
+            )
+        with obs.span("build.core_order", arcs=graph.num_arcs):
+            core_order = build_core_order(
+                graph,
+                neighbor_order,
+                ranks,
+                scheduler=scheduler,
+            )
         elapsed = time.perf_counter() - started
         obs.histogram("build.construction_seconds").observe(elapsed)
         report = CostReport.from_counter(
@@ -382,7 +369,6 @@ class ScanIndex:
         insertions=None,
         deletions=None,
         scheduler: Scheduler | None = None,
-        jobs: int = 1,
     ):
         """Apply a batch of edge insertions/deletions **in place**.
 
@@ -411,11 +397,6 @@ class ScanIndex:
             Iterable of ``(u, v)`` edges to remove.
         scheduler:
             Work-span accounting target; a fresh one is used when omitted.
-        jobs:
-            Real worker processes for the high-churn construction-path
-            re-sort fallback (same knob and same bit-identity contract as
-            :meth:`build`; the low-churn merge strategy is memory-bound and
-            stays serial).
 
         Returns an :class:`~repro.dynamic.UpdateReport`.  Raises
         ``ValueError`` for LSH-approximate indexes, edges already present
@@ -430,7 +411,7 @@ class ScanIndex:
             raise ValueError(
                 "pass either a prepared batch or insertions/deletions lists, not both"
             )
-        return _apply_updates(self, batch, scheduler=scheduler, jobs=jobs)
+        return _apply_updates(self, batch, scheduler=scheduler)
 
     # ------------------------------------------------------------------
     # Persistence (the storage/ subsystem seam)

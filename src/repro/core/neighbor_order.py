@@ -32,7 +32,7 @@ import numpy as np
 from .. import obs
 from ..graphs.graph import Graph
 from ..parallel.scheduler import Scheduler
-from ..parallel.sorting import segmented_sort_by_key
+from ..parallel.sorting import charge_segmented_sort, sort_key_triples
 from ..similarity.exact import EdgeSimilarities
 from .doubling import prefix_length_at_least
 
@@ -114,7 +114,6 @@ def build_neighbor_order(
     *,
     scheduler: Scheduler | None = None,
     use_integer_sort: bool = True,
-    executor=None,
 ) -> tuple[NeighborOrder, np.ndarray, np.ndarray | None]:
     """Construct the neighbor order from precomputed edge similarities.
 
@@ -124,45 +123,46 @@ def build_neighbor_order(
     order.similarities``, ``int32``; ``None`` otherwise), which
     :func:`~repro.core.core_order.build_core_order` sorts by.
 
-    ``use_integer_sort`` sorts by exact dense ranks of the scores -- the
-    modern rendering of Section 4.1.2's rational-to-integer quantisation --
-    so the cheaper integer-sort bound is charged; the resulting order is
-    identical because ranking is order-preserving.  ``executor`` shards the
-    segmented sort across worker processes (see
-    :mod:`repro.parallel.execute`); the stored order is bit-identical at any
-    worker count.
+    Every arc becomes one code ``source | (K-1-rank) | local position in
+    the CSR row`` (``K`` distinct scores), and one sort of the codes is the
+    whole segmented sort: rows ascend by neighbor id, so the local position
+    is the tie-break, and the sorted codes name each entry's neighbor and
+    rank without a permutation gather (see
+    :func:`~repro.parallel.sorting.sort_key_triples`).
 
-    The stages run under the spans ``core.neighbor_order.rank`` (per-arc
-    scores and keys), ``.pack`` and ``.sort`` (the segmented sort) and
-    ``.gather`` (the order's columns and ranks read through the permutation).
+    ``use_integer_sort`` charges the integer-sort bound of Section 4.1.2 --
+    exact dense ranks of the scores are the modern rendering of its
+    rational-to-integer quantisation -- and the comparison-sort bound
+    otherwise; the order is the same either way, because ranking is
+    order-preserving.
+
+    The stages run under the spans ``core.neighbor_order.rank`` (the score
+    ranks and the per-arc keys), ``.pack`` and ``.sort`` (the code sort) and
+    ``.gather`` (the order's columns read off the sorted keys).
     """
     scheduler = scheduler if scheduler is not None else Scheduler()
     with obs.span("core.neighbor_order.rank"):
-        arc_similarities = similarities.arc_values()
-        if use_integer_sort:
-            # One rank pass over the m edge scores; both arcs of an edge share
-            # its rank.  Ranks fit 32 bits (there are at most m of them).
-            boundaries, edge_ranks = np.unique(similarities.values, return_inverse=True)
-            keys = edge_ranks.astype(np.int32)[graph.arc_edge_ids]
-        else:
-            boundaries = np.unique(similarities.values)
-            keys = arc_similarities
+        # One rank pass over the m edge scores; both arcs of an edge share
+        # its rank.  Ranks fit 32 bits (there are at most m of them).
+        boundaries, edge_ranks = np.unique(similarities.values, return_inverse=True)
+        num_ranks = int(boundaries.shape[0])
+        descending = (num_ranks - 1 - edge_ranks).astype(np.int32)[graph.arc_edge_ids]
+        row_starts = graph.indptr[graph.arc_sources()]
+        local = np.arange(graph.num_arcs, dtype=np.int64) - row_starts
 
-    sorted_positions = segmented_sort_by_key(
-        scheduler,
-        graph.indptr,
-        np.arange(graph.num_arcs, dtype=np.int64),
-        keys,
-        descending=True,
-        use_integer_sort=use_integer_sort,
-        executor=executor,
+    charge_segmented_sort(scheduler, graph.num_arcs, use_integer_sort=use_integer_sort)
+    descending, local = sort_key_triples(
+        (graph.arc_sources(), descending, local),
+        (graph.num_vertices, num_ranks, graph.max_degree),
         stage="core.neighbor_order",
     )
     with obs.span("core.neighbor_order.gather"):
+        ranks = (num_ranks - 1 - descending).astype(np.int32)
         order = NeighborOrder(
             indptr=graph.indptr.copy(),
-            neighbors=graph.indices[sorted_positions],
-            similarities=arc_similarities[sorted_positions],
+            # Rows keep their place, so each sorted entry's row starts where
+            # its input position's row did.
+            neighbors=graph.indices[row_starts + local],
+            similarities=boundaries[ranks],
         )
-        ranks = keys[sorted_positions] if use_integer_sort else None
-    return order, boundaries, ranks
+    return order, boundaries, ranks if use_integer_sort else None

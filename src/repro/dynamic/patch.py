@@ -99,14 +99,19 @@ __all__ = ["apply_updates"]
 #: patch re-sorts both orders outright (the same construction code a full
 #: build runs, on the patched similarities -- identical output by
 #: definition) instead of merging runs: at that churn the changed runs
-#: rival the kept runs and the C-speed packed segmented argsort beats the
-#: merge's search-and-splice passes.  Measured with each strategy forced
-#: through this constant on four update rungs (serial): the merge took
-#: 0.3-0.4x the resort's time up to ~2.5% of arcs changed, 0.6-0.75x at
-#: 3-5.5%, and broke even between 7.5% and 10%.  The
-#: ``ORDER_REBUILD_CHURN`` cells of ``benchmarks/bench_strategies.py``
-#: keep timing both sides (ledger in ``docs/ARCHITECTURE.md``).
-ORDER_REBUILD_CHURN = 0.07
+#: rival the kept runs and the two code sorts beat the merge's
+#: search-and-splice passes.  Measured with each strategy forced through
+#: this constant (whole ``apply_updates``, median of 5, serial, 2-vCPU
+#: VM), merge ÷ resort on three rungs -- sparse (average degree ~13),
+#: dense (~70) and the 464k-edge ``perfbench`` graph: 0.46-0.61 at
+#: 0.7-0.8% of arcs changed, 0.40-0.71 at 1.4-1.5%, 1.00-1.08 at
+#: 2.6-3.1%, 1.00-1.46 at 4.0-4.6% and 1.25-1.97 at 6.4-7.5%.  The
+#: break-even sits near 2.5-3% on every rung; before the order builds
+#: became one code sort each it sat at 7.5-10%, where this constant was
+#: 0.07.  The ``ORDER_REBUILD_CHURN`` cells of
+#: ``benchmarks/bench_strategies.py`` keep timing both sides (ledger in
+#: ``docs/ARCHITECTURE.md``).
+ORDER_REBUILD_CHURN = 0.025
 
 
 # ----------------------------------------------------------------------
@@ -852,7 +857,6 @@ def apply_updates(
     batch: UpdateBatch,
     *,
     scheduler: Scheduler | None = None,
-    jobs: int = 1,
 ) -> UpdateReport:
     """Apply ``batch`` to ``index`` **in place**, repairing every component.
 
@@ -873,13 +877,6 @@ def apply_updates(
     ``dynamic.splice``, ``dynamic.similarity_delta`` and
     ``dynamic.order_repair`` (with ``dynamic.order_repair.neighbor_order``
     and ``dynamic.order_repair.core_order`` inside it).
-
-    ``jobs`` applies only past the churn crossover, where the repair runs
-    the construction-path segmented re-sorts: those shard across worker
-    processes exactly as :meth:`ScanIndex.build
-    <repro.core.index.ScanIndex.build>` does (bit-identical at any worker
-    count).  The merge strategy below the crossover is memory-bound
-    splicing and stays serial.
 
     Raises ``ValueError`` for LSH-approximate indexes (sketches are global;
     no localized recompute can reproduce a rebuild), for insertions of
@@ -943,21 +940,14 @@ def apply_updates(
             "dynamic.order_repair", strategy=order_strategy, changed_arcs=changed_arcs
         ):
             if order_strategy == "resort":
-                from ..parallel.execute import executor_for
-
-                with executor_for(jobs, num_arcs=new_graph.num_arcs) as executor:
-                    with obs.span("dynamic.order_repair.neighbor_order"):
-                        neighbor_order, epsilon_boundaries, ranks = (
-                            build_neighbor_order(
-                                new_graph, similarities, scheduler=scheduler,
-                                executor=executor,
-                            )
-                        )
-                    with obs.span("dynamic.order_repair.core_order"):
-                        core_order = build_core_order(
-                            new_graph, neighbor_order, ranks,
-                            scheduler=scheduler, executor=executor,
-                        )
+                with obs.span("dynamic.order_repair.neighbor_order"):
+                    neighbor_order, epsilon_boundaries, ranks = build_neighbor_order(
+                        new_graph, similarities, scheduler=scheduler
+                    )
+                with obs.span("dynamic.order_repair.core_order"):
+                    core_order = build_core_order(
+                        new_graph, neighbor_order, ranks, scheduler=scheduler
+                    )
             else:
                 with obs.span("dynamic.order_repair.neighbor_order"):
                     neighbor_order, window = _patch_neighbor_order(

@@ -24,13 +24,10 @@ from .primitives import (
     segmented_searchsorted,
 )
 from .sorting import (
+    charge_segmented_sort,
     comparison_sort_permutation,
     integer_sort_permutation,
-    pack_segment_keys,
-    packed_argsort,
-    radix_argsort,
-    radix_eligible,
-    segmented_sort_by_key,
+    sort_key_triples,
 )
 from .execute import (
     PARALLEL_FLOOR_ARCS,
@@ -52,17 +49,14 @@ __all__ = [
     "segmented_arange",
     "segmented_ranges",
     "segmented_searchsorted",
+    "charge_segmented_sort",
     "comparison_sort_permutation",
     "integer_sort_permutation",
-    "pack_segment_keys",
-    "packed_argsort",
-    "radix_argsort",
-    "radix_eligible",
+    "sort_key_triples",
     "PARALLEL_FLOOR_ARCS",
     "ParallelExecutor",
     "executor_for",
     "resolve_jobs",
     "shared_memory_available",
-    "segmented_sort_by_key",
     "UnionFind",
 ]

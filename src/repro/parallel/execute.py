@@ -9,24 +9,22 @@ module is the other half the paper actually ran on 96 hyper-threads: a
 mapped, never pickled -- so index construction uses the machine's cores for
 wall-clock time, not just for accounting.
 
-Two construction stages shard:
+One construction stage shards, **the edge-similarity pass**
+(:meth:`ParallelExecutor.sharded_numerators`): the oriented arcs split into
+contiguous ranges balanced by candidate-pair counts; each worker accumulates
+its range's triangle contributions into a private output column and the
+master sums the columns in shard order.  Restricted to unweighted graphs,
+where every contribution is a bounded integer and float64 addition is exact
+in any order -- which is what makes the merged result **bit-identical** to
+the serial accumulation.  Weighted graphs keep the serial similarity pass
+(float summation order would differ), so their builds dispatch no task.
+The order builds that follow are one in-process sort each
+(:func:`~repro.parallel.sorting.sort_key_triples`), cheaper than the
+shared-memory hand-off a sharded sort would need.
 
-* **the edge-similarity pass** (:meth:`ParallelExecutor.sharded_numerators`):
-  the oriented arcs split into contiguous ranges balanced by candidate-pair
-  counts; each worker accumulates its range's triangle contributions into a
-  private output column and the master sums the columns in shard order.
-  Restricted to unweighted graphs, where every contribution is a bounded
-  integer and float64 addition is exact in any order -- which is what makes
-  the merged result **bit-identical** to the serial accumulation.  Weighted
-  graphs keep the serial similarity pass (float summation order would
-  differ) while their order builds still shard.
-* **the segmented order sorts** (:meth:`ParallelExecutor.segmented_argsort`):
-  the packed ``(segment, key)`` codes split along segment boundaries; each
-  worker computes the stable permutation of its slice.  Packed codes of
-  earlier segments are strictly smaller than those of later segments, so the
-  concatenation of per-shard stable sorts *is* the global stable sort --
-  bit-identical by construction, whichever sort
-  :func:`~repro.parallel.sorting.packed_argsort` picks per shard.
+:meth:`ParallelExecutor.segmented_argsort` -- a stable argsort of packed
+``(segment, key)`` codes sharded along segment boundaries -- remains for
+callers that probe the pool with one small dispatch; no build stage uses it.
 
 The determinism/merge contract, in one line: **shard boundaries are pure
 functions of the input, every worker's output is deterministic, and merges
@@ -71,7 +69,6 @@ except ImportError:  # pragma: no cover
 
 from .. import obs
 from ..testing.faults import fault_point
-from .sorting import packed_argsort
 from .supervise import (
     DegradedExecutionWarning,
     PoolBroken,
@@ -102,8 +99,7 @@ PARALLEL_FLOOR_ARCS = 65_536
 #: slab grows linearly with the shard count -- at 96 workers on an
 #: orkut-scale graph that would be tens of gigabytes of /dev/shm for a pass
 #: that is memory-bandwidth bound long before then.  Sixteen concurrent
-#: accumulators keep the slab at 16 columns while the order sorts (whose
-#: shards are slices, not columns) still use every worker.
+#: accumulators keep the slab at 16 columns.
 MAX_NUMERATOR_SHARDS = 16
 
 #: Reasons already warned about (one warning per reason per process).
@@ -267,8 +263,6 @@ def _sort_worker(
     out_spec: SharedColumn,
     lo: int,
     hi: int,
-    universe: int,
-    max_segment: int,
 ) -> None:
     """Stable permutation of ``packed[lo:hi]`` written to ``out[lo:hi]``.
 
@@ -286,9 +280,7 @@ def _sort_worker(
         handles.append(handle)
         handle, out = _attach(out_spec)
         handles.append(handle)
-        out[lo:hi] = packed_argsort(
-            packed[lo:hi], universe=universe, max_segment=max_segment
-        )
+        out[lo:hi] = np.argsort(packed[lo:hi], kind="stable")
         out[lo:hi] += lo
     finally:
         for handle in handles:
@@ -355,17 +347,18 @@ def _numerator_worker(
 class ParallelExecutor:
     """A worker pool that executes build stages over shared numpy columns.
 
-    One executor spans one construction (or one dynamic-update re-sort):
+    One executor spans one similarity pass:
     :meth:`~repro.core.index.ScanIndex.build` opens it, threads it through
-    the similarity engine and both order builds, and closes it -- the pool
-    forks once, every stage's columns are exported to shared memory for the
-    duration of its dispatch, and nothing is pickled but shard bounds.
+    the similarity engine, and closes it before the order builds -- the
+    pool forks on the first dispatch, the columns are exported to shared
+    memory for the duration of the dispatch, and nothing is pickled but
+    shard bounds.
 
     Use as a context manager (or rely on :func:`executor_for`, which also
     applies the serial-fallback gates)::
 
         with ParallelExecutor(jobs=4) as executor:
-            order = executor.segmented_argsort(packed, offsets, ...)
+            numerators = executor.sharded_numerators(graph, chunk_pairs=...)
 
     Dispatches are supervised (per-task timeout, bounded retry with
     backoff; see :mod:`repro.parallel.supervise`).  When supervision gives
@@ -473,24 +466,24 @@ class ParallelExecutor:
             self._degrade(stage, error)
             return False
 
-    # -- the segmented order sorts --------------------------------------
+    # -- a sharded stable argsort ---------------------------------------
     def segmented_argsort(
         self,
         packed: np.ndarray,
         segment_offsets: np.ndarray,
         *,
-        universe: int,
-        max_segment: int,
+        universe: int | None = None,
+        max_segment: int | None = None,
     ) -> np.ndarray:
         """Stable ascending permutation of packed segment/key codes, sharded.
 
         Shard bounds are element-count quantiles snapped outward to segment
         boundaries -- a pure function of the input, independent of worker
-        scheduling -- and each shard's stable permutation is computed
-        independently (radix or argsort, each shard by its own size; the
-        choice cannot change the permutation).  Because segment blocks are
-        ascending in the packed code space, concatenating the shard
-        permutations equals the global stable permutation bit for bit.
+        scheduling -- and each shard runs one stable argsort.  Because
+        segment blocks are ascending in the packed code space, concatenating
+        the shard permutations equals the global stable permutation bit for
+        bit.  ``universe`` and ``max_segment`` (the codes' bound and longest
+        segment) are accepted for existing callers and not needed.
         """
         total = int(packed.shape[0])
         bounds = self._segment_bounds(segment_offsets, total)
@@ -498,7 +491,7 @@ class ParallelExecutor:
             # Nothing to shard (empty input, one segment swallowing every
             # split point, or an executor already degraded): the serial
             # permutation is the same answer.
-            return packed_argsort(packed, universe=universe, max_segment=max_segment)
+            return np.argsort(packed, kind="stable")
         columns = _ColumnSet()
         with obs.span(
             "parallel.segmented_argsort",
@@ -509,8 +502,7 @@ class ParallelExecutor:
                 packed_spec = columns.share(packed)
                 out_spec, out = columns.allocate((total,), np.int64)
                 tasks = [
-                    (index, packed_spec, out_spec, int(lo), int(hi),
-                     universe, max_segment)
+                    (index, packed_spec, out_spec, int(lo), int(hi))
                     for index, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
                 ]
                 # Sort tasks overwrite disjoint slices deterministically, so a
@@ -521,7 +513,7 @@ class ParallelExecutor:
                 columns.release()
         # Supervision gave up: finish this stage on the serial path, which
         # produces the identical permutation.
-        return packed_argsort(packed, universe=universe, max_segment=max_segment)
+        return np.argsort(packed, kind="stable")
 
     def _segment_bounds(self, segment_offsets: np.ndarray, total: int) -> np.ndarray:
         """Shard boundaries: jobs-quantiles snapped to segment starts."""

@@ -7,14 +7,16 @@ the *same* algorithm array-at-once:
 
 1. expand the oriented arcs into flat ``(arc, candidate)`` pairs, where the
    candidates of arc ``u -> v`` are the out-neighbors of ``v`` (memory use is
-   bounded by processing the pairs in chunks of ``chunk_pairs``);
+   bounded by processing the pairs in output chunks of ``chunk_pairs``,
+   each probed in cache-sized blocks of :data:`PROBE_BLOCK_PAIRS`);
 2. test every candidate ``x`` for membership in ``out(u)`` by searching the
    memoised composite keys ``source * n + target`` of the whole oriented
    CSR with a single C-speed ``np.searchsorted`` (``O(log 2m)`` per probe);
-3. compact the hits once (one ``np.flatnonzero``) and scatter the three
-   per-triangle contributions onto the canonical edge ids (``np.add.at``
-   semantics, executed via ``np.bincount``, which is dramatically faster for
-   large scatters).  An unweighted graph's orientation carries no weight
+3. compact each block's hits once (one ``np.flatnonzero``), concatenate a
+   chunk's hits in block order, and scatter the three per-triangle
+   contributions onto the canonical edge ids (``np.add.at`` semantics,
+   executed via ``np.bincount``, which is dramatically faster for large
+   scatters).  An unweighted graph's orientation carries no weight
    column: each triangle adds 1 to each of its three edges, so one integer
    ``np.bincount`` over the three concatenated edge-id runs counts a whole
    chunk.  A weighted graph keeps its three float ``np.bincount`` passes of
@@ -45,20 +47,28 @@ from ..parallel.metrics import ceil_log2
 from ..parallel.primitives import segmented_ranges
 from ..parallel.scheduler import Scheduler
 
-#: Default bound on the number of ``(arc, candidate)`` pairs materialised at
-#: once (each int64 array of a chunk is 32 MB at 2**22).  A smaller chunk
-#: keeps the probe arrays cache-resident; a larger one makes fewer
-#: ``num_edges``-long output passes (one ``np.bincount`` plus one add per
-#: chunk on an unweighted graph).  Serial unweighted kernel, median of 15
-#: interleaved rounds on the 464k-edge explore graph (11.9M probes), 2-vCPU
-#: VM: 2**18 795 ms, 2**19 786 ms, 2**20 769 ms, 2**21 825 ms, 2**22 958 ms.
-#: On a sparse graph (n = 1M, m = 3M, 5.9M probes; median of 5) the output
+#: Default bound on the number of ``(arc, candidate)`` pairs per output
+#: chunk: one ``num_edges``-long output pass (one ``np.bincount`` plus one
+#: add on an unweighted graph, three on a weighted one) per chunk.  A
+#: weighted graph sums its float products chunk by chunk, so this bound
+#: fixes the low bits of every weighted numerator (at 2**20, 4,002 of
+#: 200,000 weighted scores moved by one ulp); it stays 2**22 so stored
+#: artifacts stay identical.  Before the probe blocks below, the chunk was
+#: also the probe unit: serial unweighted kernel, median of 15 interleaved
+#: rounds on the 464k-edge explore graph (11.9M probes), 2-vCPU VM: 2**18
+#: 795 ms, 2**19 786 ms, 2**20 769 ms, 2**21 825 ms, 2**22 958 ms.  On a
+#: sparse graph (n = 1M, m = 3M, 5.9M probes; median of 5) the output
 #: passes dominate small chunks: 2**18 857 ms, 2**19 760 ms, 2**20 658 ms,
-#: 2**21 643 ms, 2**22 660 ms.  The bound stays 2**22 all the same: a
-#: weighted graph sums its float products chunk by chunk, so the bound fixes
-#: the low bits of every weighted numerator (at 2**20, 4,002 of 200,000
-#: weighted scores moved by one ulp), and stored artifacts stay identical.
+#: 2**21 643 ms, 2**22 660 ms.
 DEFAULT_CHUNK_PAIRS = 1 << 22
+
+#: Pairs probed at once inside one output chunk, so the probe arrays of a
+#: block (8 MB each at 2**20) stay near the cache while the chunk keeps its
+#: output passes.  A chunk's hits are concatenated in block order before
+#: its output passes, so every weighted sum is grouped exactly as a
+#: whole-chunk probe groups it and numerators do not depend on this bound.
+PROBE_BLOCK_PAIRS = 1 << 20
+
 
 def accumulate_oriented_contributions(
     out: np.ndarray,
@@ -97,35 +107,37 @@ def accumulate_oriented_contributions(
     out_degrees = np.diff(indptr)
     range_counts = out_degrees[targets[arc_range_start:arc_range_end]]
     range_cumulative = np.cumsum(range_counts)
+
+    def block_end(start: int, stop: int, budget: int) -> int:
+        # Last arc (exclusive, at most ``stop``, at least one past ``start``)
+        # whose pairs since ``start`` fit ``budget``.
+        relative = start - arc_range_start
+        base = int(range_cumulative[relative - 1]) if relative else 0
+        end = arc_range_start + int(
+            np.searchsorted(range_cumulative, base + budget, side="right")
+        )
+        return min(max(end, start + 1), stop)
+
     arc_start = arc_range_start
     while arc_start < arc_range_end:
-        relative_start = arc_start - arc_range_start
-        base = int(range_cumulative[relative_start - 1]) if relative_start else 0
-        arc_end = arc_range_start + int(
-            np.searchsorted(range_cumulative, base + chunk_pairs, side="right")
+        arc_end = block_end(arc_start, arc_range_end, chunk_pairs)
+        # Probe the chunk in cache-sized blocks; their hits, concatenated in
+        # block order, are exactly the chunk's hits in pair order, so the
+        # output passes below group every sum as one whole-chunk probe would.
+        hit_blocks = []
+        block_start = arc_start
+        while block_start < arc_end:
+            block_stop = block_end(block_start, arc_end, PROBE_BLOCK_PAIRS)
+            hit_blocks.append(_probe_block(
+                indptr, targets, sources, comp, num_vertices, num_oriented,
+                block_start, block_stop,
+                range_counts[block_start - arc_range_start:block_stop - arc_range_start],
+            ))
+            block_start = block_stop
+        arc_uv, arc_ux, arc_vx = (
+            np.concatenate(column) for column in zip(*hit_blocks)
         )
-        arc_end = min(max(arc_end, arc_start + 1), arc_range_end)
-        counts = range_counts[relative_start:arc_end - arc_range_start]
-        chunk_total = int(counts.sum())
-        if chunk_total == 0:
-            arc_start = arc_end
-            continue
-        # (arc, candidate) pair expansion for this chunk: the candidates of
-        # arc u -> v are the positions of v's out-segment.
-        pair_arc = np.repeat(np.arange(arc_start, arc_end, dtype=np.int64), counts)
-        candidate_pos = segmented_ranges(indptr[targets[arc_start:arc_end]], counts)
-        keys = (
-            np.repeat(sources[arc_start:arc_end] * np.int64(num_vertices), counts)
-            + targets[candidate_pos]
-        )
-        locations = np.searchsorted(comp[:num_oriented], keys)
-        # A miss past the end lands on the sentinel and compares unequal.
-        # One compaction: the three position arrays are gathered at ``hits``.
-        hits = np.flatnonzero(comp[locations] == keys)
-        if hits.shape[0]:
-            arc_uv = pair_arc[hits]       # oriented position of edge (u, v)
-            arc_ux = locations[hits]      # position of x in out(u)
-            arc_vx = candidate_pos[hits]  # position of x in out(v)
+        if arc_uv.shape[0]:
             if weights is None:
                 # Unit weights: every triangle adds 1 to each of its three
                 # edges, so one integer count covers all three.
@@ -148,6 +160,30 @@ def accumulate_oriented_contributions(
                     edge_ids[arc_vx], weights=w_uv * w_ux, minlength=num_edges
                 )
         arc_start = arc_end
+
+
+def _probe_block(
+    indptr, targets, sources, comp, num_vertices, num_oriented,
+    arc_start, arc_end, counts,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triangle hits of oriented arcs ``[arc_start, arc_end)``.
+
+    Returns the oriented positions ``(uv, ux, vx)`` of every triangle's three
+    edges, in (arc, candidate) pair order.
+    """
+    # (arc, candidate) pair expansion: the candidates of arc u -> v are the
+    # positions of v's out-segment.
+    pair_arc = np.repeat(np.arange(arc_start, arc_end, dtype=np.int64), counts)
+    candidate_pos = segmented_ranges(indptr[targets[arc_start:arc_end]], counts)
+    keys = (
+        np.repeat(sources[arc_start:arc_end] * np.int64(num_vertices), counts)
+        + targets[candidate_pos]
+    )
+    locations = np.searchsorted(comp[:num_oriented], keys)
+    # A miss past the end lands on the sentinel and compares unequal.
+    # One compaction: the three position arrays are gathered at ``hits``.
+    hits = np.flatnonzero(comp[locations] == keys)
+    return pair_arc[hits], locations[hits], candidate_pos[hits]
 
 
 def batch_numerators(

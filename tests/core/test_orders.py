@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import build_core_order, build_neighbor_order
-from repro.graphs import paper_example_graph
+from repro.graphs import from_edge_list, paper_example_graph
 from repro.similarity import compute_similarities, edge_similarity_reference
 
 
@@ -177,3 +177,66 @@ class TestRankOnce:
         assert no_ranks is None
         assert float_boundaries.tobytes() == boundaries.tobytes()
         assert np.array_equal(floats.neighbors, order.neighbors)
+
+
+def _shapes(seed):
+    """Graph shapes at the edges of the code widths, from one seed."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 40))
+    pairs = rng.integers(0, n, size=(3 * n, 2))
+    random = sorted({(int(min(u, v)), int(max(u, v))) for u, v in pairs if u != v})
+    star = [(0, leaf) for leaf in range(1, n)]
+    return {
+        # One vertex beyond the last edge stays isolated.
+        "random": from_edge_list(random, num_vertices=n + 1),
+        # A few shared weights, so weighted scores tie too.
+        "random-weighted": from_edge_list(
+            random, num_vertices=n + 1,
+            weights=rng.choice([0.5, 1.0, 1.5, rng.uniform(0.2, 3.0)], size=len(random)),
+        ),
+        "star": from_edge_list(star),
+        # A complete graph scores every edge the same: K = 1.
+        "all-equal": from_edge_list([(u, v) for u in range(6) for v in range(u + 1, 6)]),
+        "max-degree-1": from_edge_list([(2 * i, 2 * i + 1) for i in range(n // 2)]),
+        "empty": from_edge_list(np.zeros((0, 2), dtype=np.int64), num_vertices=4),
+    }
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_code_sort_matches_the_wide_key_fallback(seed, monkeypatch):
+    """Packed codes and the forced lexsort fallback build identical orders."""
+    from repro.parallel import sorting
+
+    def build(graph):
+        similarities = compute_similarities(graph)
+        order, boundaries, ranks = build_neighbor_order(graph, similarities)
+        core = build_core_order(graph, order, ranks)
+        return [order.indptr, order.neighbors, order.similarities, boundaries, ranks,
+                core.indptr, core.vertices, core.thresholds]
+
+    for name, graph in _shapes(seed).items():
+        packed = build(graph)
+        with monkeypatch.context() as patched:
+            patched.setattr(sorting, "CODE_BITS", -1)  # every input falls back
+            fallback = build(graph)
+        for a, b in zip(packed, fallback):
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ties_break_by_neighbor_id_and_degree_order(seed):
+    """NO ties keep ascending neighbor ids; CO ties keep (degree desc, id asc)."""
+    for graph in _shapes(seed).values():
+        similarities = compute_similarities(graph)
+        order, _, ranks = build_neighbor_order(graph, similarities)
+        core = build_core_order(graph, order, ranks)
+        for v in range(graph.num_vertices):
+            neighbors = order.neighbors_of(v).tolist()
+            expected = sorted(zip(-order.similarities_of(v), neighbors))
+            assert [u for _, u in expected] == neighbors
+        degrees = graph.degrees
+        for mu in range(2, core.max_mu + 1):
+            vertices, thresholds = core.candidates(mu)
+            expected = sorted(zip(-thresholds, -degrees[vertices], vertices.tolist()))
+            assert [v for _, _, v in expected] == vertices.tolist()

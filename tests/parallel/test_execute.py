@@ -22,7 +22,6 @@ from repro.parallel.execute import (
     resolve_jobs,
     visible_cpu_count,
 )
-from repro.parallel.sorting import packed_argsort
 
 
 @pytest.fixture
@@ -131,7 +130,7 @@ class TestBitIdentity:
 
     def test_weighted_build_matches_serial(self, no_floor):
         # Weighted graphs keep the similarity pass serial (float summation
-        # order) while the order sorts still shard; the whole index must
+        # order), so a jobs=2 build dispatches no task; the whole index must
         # still match bit for bit.
         graph = dense_weighted_association(80, num_modules=4, density=0.3, seed=9)
         serial = ScanIndex.build(graph)
@@ -154,8 +153,7 @@ class TestBitIdentity:
         assert_identical(ScanIndex.build(graph), ScanIndex.build(graph, jobs=8))
 
     def test_one_dominant_segment(self, no_floor):
-        # A star: the hub's segment swallows every split point, so the
-        # sharded sort degenerates to one shard.
+        # A star: one hub row beside many one-arc rows, and no triangle.
         star = [(0, leaf) for leaf in range(1, 40)]
         graph = from_edge_list(star)
         assert_identical(ScanIndex.build(graph), ScanIndex.build(graph, jobs=4))
@@ -165,9 +163,9 @@ class TestBitIdentity:
         index = ScanIndex.build(graph)
         edge_u, edge_v = graph.edge_list()
         # A high-churn batch (well past the crossover) forces the
-        # construction-path re-sorts, which is where jobs applies.
+        # construction-path re-sorts.
         delete = [(int(edge_u[i]), int(edge_v[i])) for i in range(0, graph.num_edges, 4)]
-        report = index.apply_updates(deletions=delete, jobs=2)
+        report = index.apply_updates(deletions=delete)
         assert report.order_strategy == "resort"
         kept = np.ones(graph.num_edges, dtype=bool)
         kept[:: 4] = False
@@ -190,7 +188,7 @@ class TestExecutorPrimitives:
         segment_ids = np.repeat(np.arange(50, dtype=np.int64), lengths)
         packed = segment_ids * np.int64(key_span) + keys
         universe = 50 * key_span
-        expected = packed_argsort(packed, universe=universe, max_segment=40)
+        expected = np.argsort(packed, kind="stable")
         with ParallelExecutor(3) as executor:
             sharded = executor.segmented_argsort(
                 packed, offsets, universe=universe, max_segment=40

@@ -231,7 +231,7 @@ class TestDegradation:
                 degraded = ScanIndex.build(graph, jobs=2)
         structured = [w for w in caught
                       if issubclass(w.category, DegradedExecutionWarning)]
-        assert len(structured) == 1  # once per executor, not once per stage
+        assert len(structured) == 1  # once per executor; the similarity pass dispatches
         assert "bit-identical" in str(structured[0].message)
         for a, b in zip(_columns(serial), _columns(degraded)):
             assert np.array_equal(a, b)

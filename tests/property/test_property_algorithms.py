@@ -12,9 +12,10 @@ from repro.core.sweep_query import query_many
 from repro.graphs import from_edge_list, planted_partition
 from repro.parallel import (
     Scheduler,
+    sorting,
     comparison_sort_permutation,
     integer_sort_permutation,
-    segmented_sort_by_key,
+    sort_key_triples,
 )
 from repro.quality import adjusted_rand_index, modularity
 from repro.similarity import compute_similarities, edge_similarity_reference
@@ -41,23 +42,22 @@ def test_integer_sort_matches_python_sorted(values):
 
 
 @given(
-    st.lists(st.integers(0, 8), min_size=1, max_size=12),
-    st.data(),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6), st.integers(0, 3000)),
+             max_size=200),
+    st.booleans(),
 )
-def test_segmented_sort_sorts_within_segments_only(lengths, data):
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    total = int(offsets[-1])
-    keys = np.array(data.draw(st.lists(st.floats(0, 1, allow_nan=False),
-                                       min_size=total, max_size=total)))
-    values = np.arange(total)
-    out = segmented_sort_by_key(Scheduler(), offsets, values, keys,
-                                descending=True, use_integer_sort=False)
-    for i in range(len(lengths)):
-        a, b = int(offsets[i]), int(offsets[i + 1])
-        segment = out[a:b]
-        assert sorted(segment.tolist()) == sorted(values[a:b].tolist())
-        assert np.all(np.diff(keys[segment]) <= 1e-12)
+def test_sort_key_triples_matches_python_sorted(triples, packs):
+    bounds = (41, 7, 3001)
+    keys = tuple(np.array([t[i] for t in triples], dtype=np.int64) for i in range(3))
+    saved = sorting.CODE_BITS
+    sorting.CODE_BITS = saved if packs else -1  # -1 forces the lexsort fallback
+    try:
+        secondary, tertiary = sort_key_triples(keys, bounds, stage="test")
+    finally:
+        sorting.CODE_BITS = saved
+    expected = sorted(triples)
+    assert secondary.tolist() == [t[1] for t in expected]
+    assert tertiary.tolist() == [t[2] for t in expected]
 
 
 # ----------------------------------------------------------------------

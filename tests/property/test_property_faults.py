@@ -214,7 +214,7 @@ def test_randomly_killed_worker_leaves_build_bit_identical(
     graph = _graph()
     serial = ScanIndex.build(graph, jobs=1)
     rng = np.random.default_rng(97)
-    task = int(rng.integers(0, 2))  # both stages dispatch >= 2 tasks
+    task = int(rng.integers(0, 2))  # the similarity pass dispatches 2 tasks
     token = tmp_path / f"kill-task-{task}"
     with inject(FaultSpec(site="parallel.worker.task", action="kill",
                           task=task, times=1, token=str(token))):

@@ -16,6 +16,7 @@ from repro.graphs import complete_graph, empty_graph, from_edge_list
 from repro.parallel import Scheduler, execute
 from repro.parallel.execute import executor_for
 from repro.similarity import compute_similarities, edge_numerators_for_subset
+from repro.similarity import batch as batch_module
 from repro.similarity.batch import DEFAULT_CHUNK_PAIRS, batch_numerators
 from repro.similarity.exact import _numerators_merge
 
@@ -123,6 +124,20 @@ class TestChunking:
             )
         assert merge.tobytes() == expected.tobytes()
         assert batch.tobytes() == merge.tobytes()
+
+    @pytest.mark.parametrize("probe_pairs", [1, 3, 17, 1 << 20])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_probe_blocks_keep_numerators_byte_identical(
+        self, monkeypatch, weighted, probe_pairs
+    ):
+        # A chunk's hits are concatenated in block order before its output
+        # passes, so even weighted float sums keep their grouping.
+        rng = np.random.default_rng(400 + weighted)
+        graph = random_graph(rng, 60, 0.3, weighted=weighted)
+        whole = batch_numerators(graph, Scheduler(), chunk_pairs=1 << 22)
+        monkeypatch.setattr(batch_module, "PROBE_BLOCK_PAIRS", probe_pairs)
+        blocked = batch_numerators(graph, Scheduler(), chunk_pairs=1 << 22)
+        assert blocked.tobytes() == whole.tobytes()
 
     def test_invalid_chunk_size_rejected(self, triangle_graph):
         with pytest.raises(ValueError):

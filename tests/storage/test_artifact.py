@@ -240,7 +240,7 @@ class TestNoRecomputationOnLoad:
             "repro.core.neighbor_order.build_neighbor_order", forbidden
         )
         monkeypatch.setattr("repro.core.core_order.build_core_order", forbidden)
-        monkeypatch.setattr("repro.parallel.sorting.segmented_sort_by_key", forbidden)
+        monkeypatch.setattr("repro.parallel.sorting.sort_key_triples", forbidden)
         loaded = ScanIndex.load(tmp_path / "a")
         clustering = loaded.query(3, 0.6, deterministic_borders=True)
         assert clustering.num_clusters == 2
