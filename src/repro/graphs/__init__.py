@@ -30,15 +30,6 @@ from .properties import (
     degeneracy_ordering,
     density,
 )
-from .connectivity import (
-    UNLABELLED,
-    components_of_edge_set,
-    connected_components_bfs,
-    connected_components_unionfind,
-    largest_component_size,
-    num_components,
-    relabel_components,
-)
 
 __all__ = [
     "Graph",
@@ -68,11 +59,4 @@ __all__ = [
     "degeneracy",
     "degeneracy_ordering",
     "density",
-    "UNLABELLED",
-    "components_of_edge_set",
-    "connected_components_bfs",
-    "connected_components_unionfind",
-    "largest_component_size",
-    "num_components",
-    "relabel_components",
 ]

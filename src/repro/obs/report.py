@@ -12,11 +12,10 @@ registry), so the golden test can pin exact bytes.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from ..bench.reporting import format_table
-from .schema import validate_event
+from .schema import read_trace
 
 __all__ = ["render_metrics_snapshot", "render_trace_report", "summarize_trace"]
 
@@ -44,17 +43,14 @@ def summarize_trace(path: str | Path) -> dict:
     events: dict[str, int] = {}
     snapshot = None
     lines = 0
-    with Path(path).open() as handle:
-        for line_number, line in enumerate(handle, start=1):
-            record = json.loads(line)
-            kind = validate_event(record, context=f"{path}:{line_number}")
-            lines += 1
-            if kind == "span":
-                durations.setdefault(record["name"], []).append(record["dur"])
-            elif kind == "event":
-                events[record["name"]] = events.get(record["name"], 0) + 1
-            else:
-                snapshot = record["metrics"]
+    for kind, record in read_trace(path):
+        lines += 1
+        if kind == "span":
+            durations.setdefault(record["name"], []).append(record["dur"])
+        elif kind == "event":
+            events[record["name"]] = events.get(record["name"], 0) + 1
+        else:
+            snapshot = record["metrics"]
     spans = {}
     for name in sorted(durations):
         values = sorted(durations[name])

@@ -23,9 +23,10 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Iterator
 from pathlib import Path
 
-__all__ = ["TraceSchemaError", "validate_event", "validate_trace_path"]
+__all__ = ["TraceSchemaError", "read_trace", "validate_event", "validate_trace_path"]
 
 _NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
 
@@ -132,13 +133,13 @@ def validate_event(event, *, context: str = "trace event") -> str:
     return kind
 
 
-def validate_trace_path(path: str | Path) -> dict:
-    """Validate every line of a JSONL trace file; returns counts by kind.
+def read_trace(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """Parse and validate a JSONL trace file line by line.
 
-    Blank lines are rejected -- a truncated write must not pass as a
-    clean file.  The error message carries the 1-based line number.
+    Yields ``(kind, event)`` per line.  Blank lines are rejected -- a
+    truncated write must not pass as a clean file.  Every
+    :class:`TraceSchemaError` names the file and the 1-based line number.
     """
-    counts = {kind: 0 for kind in _REQUIRED}
     with Path(path).open() as handle:
         for line_number, line in enumerate(handle, start=1):
             context = f"{path}:{line_number}"
@@ -146,5 +147,12 @@ def validate_trace_path(path: str | Path) -> dict:
                 event = json.loads(line)
             except json.JSONDecodeError as error:
                 raise TraceSchemaError(f"{context}: not valid JSON: {error}") from None
-            counts[validate_event(event, context=context)] += 1
+            yield validate_event(event, context=context), event
+
+
+def validate_trace_path(path: str | Path) -> dict:
+    """Validate every line of a JSONL trace file; returns counts by kind."""
+    counts = {kind: 0 for kind in _REQUIRED}
+    for kind, _ in read_trace(path):
+        counts[kind] += 1
     return counts

@@ -44,29 +44,9 @@ class UnionFind:
             raise ValueError(f"number of elements must be non-negative, got {n}")
         self._parent = np.arange(n, dtype=np.int64)
         self._rank = np.zeros(n, dtype=np.int8)
-        # None marks the count stale; it is recomputed on demand.  Batch
-        # unions invalidate instead of counting distinct demotions per round
-        # (a hashing pass per round that the serving hot path never reads).
-        self._num_components: int | None = n
 
     def __len__(self) -> int:
         return int(self._parent.shape[0])
-
-    @property
-    def num_components(self) -> int:
-        """Current number of disjoint sets.
-
-        Maintained exactly by the scalar operations; a :meth:`connect`
-        marks it stale and the next read recomputes it with one O(n) scan
-        (a root is exactly a parent-array fixed point), so the batch query
-        hot path never pays per-round component bookkeeping.
-        """
-        if self._num_components is None:
-            n = len(self)
-            self._num_components = int(
-                np.count_nonzero(self._parent == np.arange(n, dtype=np.int64))
-            )
-        return self._num_components
 
     def find(self, x: int) -> int:
         """Representative of the set containing ``x``, with path compression."""
@@ -90,8 +70,6 @@ class UnionFind:
         self._parent[root_y] = root_x
         if rank[root_x] == rank[root_y]:
             rank[root_x] += 1
-        if self._num_components is not None:
-            self._num_components -= 1
         return True
 
     def connected(self, x: int, y: int) -> bool:
@@ -222,10 +200,6 @@ class UnionFind:
             edges_u, edges_v = edges_u[split], edges_v[split]
             root_u, root_v = root_u[split], root_v[split]
             parent[np.maximum(root_u, root_v)] = np.minimum(root_u, root_v)
-            # The component count is merely invalidated: counting distinct
-            # hooks would cost a hashing pass per round that the serving hot
-            # path never reads.
-            self._num_components = None
 
     def find_batch(self, scheduler: Scheduler, vertices: np.ndarray) -> np.ndarray:
         """Representatives of each vertex in ``vertices`` as an array.

@@ -48,8 +48,6 @@ from .format import (
     FORMAT_VERSION,
     ArtifactFormatError,
     check_column_shapes,
-    derive_legacy_boundaries,
-    narrow_legacy_ids,
     read_columns,
     read_header,
     validate_columns,
@@ -57,6 +55,7 @@ from .format import (
     write_header,
 )
 from .integrity import (
+    check_save_target,
     clean_stale_scratch,
     commit_artifact,
     fsync_scratch,
@@ -146,8 +145,8 @@ class IndexArtifact:
                 "wall_seconds": report.wall_seconds,
             },
             # Update lineage: one record per dynamic batch applied since the
-            # original build (format version 2), so a re-saved patched
-            # artifact carries its mutation history.
+            # original build, so a re-saved patched artifact carries its
+            # mutation history.
             "updates": [dict(record) for record in index.update_lineage],
         }
         return cls(columns=columns, meta=meta)
@@ -208,8 +207,7 @@ class IndexArtifact:
             core_order=core_order,
             epsilon_boundaries=columns[BOUNDARY_COLUMN],
             construction_report=report,
-            # Version-1 artifacts predate lineage and load as lineage-free.
-            update_lineage=[dict(record) for record in self.meta.get("updates", [])],
+            update_lineage=[dict(record) for record in self.meta["updates"]],
         )
 
     # ------------------------------------------------------------------
@@ -229,8 +227,14 @@ class IndexArtifact:
         and never a directory mixing new columns with a stale header (which
         would pass validation and silently serve wrong scores).  Leftover
         scratch directories of dead writers are swept on entry.
+
+        A target that exists must be an artifact (it holds ``header.json``)
+        or an empty directory; anything else is refused with
+        :class:`~repro.storage.format.ArtifactFormatError` before a byte is
+        written, because the commit would replace it.
         """
         directory = Path(path)
+        check_save_target(directory)
         directory.parent.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
         with obs.span(
@@ -242,7 +246,7 @@ class IndexArtifact:
             try:
                 checksums = write_columns(scratch, self.columns)
                 # The header describes exactly what was written: the current
-                # format, and each column's member CRC (format version 4).
+                # format, and each column's member CRC.
                 self.meta.update(
                     version=FORMAT_VERSION,
                     columns=_column_specs(self.columns, checksums),
@@ -277,17 +281,12 @@ class IndexArtifact:
         is first recovered from its parked backup
         (:func:`repro.storage.integrity.recover_artifact`), so an
         interrupted in-place ``repro update`` can never strand its readers.
-
-        The int64 id columns of a version 1-3 artifact are narrowed to
-        int32 after any checksum pass, and a version 1-4 artifact gets its
-        ε boundary table derived (the documented legacy paths), so
-        ``columns`` always holds the in-memory columns while ``meta`` still
-        describes the stored ones.  Traced runs record one ``storage.load``
-        span with the ``bytes`` read.
+        Traced runs record one ``storage.load`` span with the ``bytes`` read.
 
         Raises :class:`~repro.storage.format.ArtifactFormatError` when the
         directory is not an artifact, the header is corrupt, the format
-        version does not match, or the stored columns disagree with the
+        version is not the current one (an older artifact is rebuilt with
+        ``repro index build``), or the stored columns disagree with the
         header's dtype/length records -- and its subclass
         :class:`~repro.storage.integrity.ArtifactIntegrityError` when
         stored bytes fail their checksums or recovery is unsafe.
@@ -311,8 +310,6 @@ class IndexArtifact:
         check_column_shapes(header, columns, directory)
         if verify:
             verify_checksums(header, columns, directory)
-        narrow_legacy_ids(header, columns)
-        derive_legacy_boundaries(header, columns)
         return cls(columns=columns, meta=header)
 
     # ------------------------------------------------------------------

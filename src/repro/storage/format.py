@@ -7,19 +7,9 @@ An index artifact is a directory with exactly two entries:
 
     * ``format`` -- the literal string ``"repro-scan-index"``;
     * ``version`` -- integer format version (:data:`FORMAT_VERSION`);
-      readers accept any version in :data:`SUPPORTED_VERSIONS` and reject
-      everything else.  Version 2 added the ``updates`` lineage field;
-      version-1 artifacts load as lineage-free.  Version 3 added per-column
-      ``crc32`` checksums of the column payload; version-2 artifacts load
-      but deep verification has nothing recorded to check.  Version 4
-      stores the id columns as ``int32`` and records, per column, the
-      CRC-32 of the whole zip member (``.npy`` header plus payload) -- the
-      CRC zipfile computes while writing, so a save checksums each byte
-      once.  The ``int64`` id columns of versions 1-3 are narrowed to
-      ``int32`` once at load (:func:`narrow_legacy_ids`), so the rest of the
-      program sees one dtype.  Version 5 adds the ``epsilon_boundaries``
-      column; versions 1-4 derive it once at load
-      (:func:`derive_legacy_boundaries`);
+      readers accept only the versions in :data:`SUPPORTED_VERSIONS` and
+      reject everything else with an error that says to rebuild the
+      artifact with ``repro index build``;
     * ``measure`` / ``backend`` -- similarity measure and engine the index
       was built with (``backend`` is ``"lsh"`` for approximate indexes);
     * ``num_vertices`` / ``num_edges`` / ``weighted`` -- graph shape;
@@ -27,11 +17,13 @@ An index artifact is a directory with exactly two entries:
       "crc32"}``; dtype/length are validated against the loaded arrays on
       every load, the CRC-32 on demand
       (:func:`repro.storage.integrity.verify_artifact` with ``deep=True``,
-      or ``repro index verify --deep``).  From version 3 on every column
-      must carry a ``crc32`` of eight hex digits;
+      or ``repro index verify --deep``).  Every column must carry a
+      ``crc32`` of eight hex digits: the CRC-32 of its whole zip member
+      (``.npy`` header plus payload), which zipfile computes while writing,
+      so a save checksums each byte once;
     * ``construction`` -- the work/span/wall-clock record of the original
       construction (``label``, ``work``, ``span``, ``wall_seconds``);
-    * ``updates`` (version ≥ 2, optional) -- the update lineage: one record
+    * ``updates`` -- the update lineage: one record
       per dynamic batch applied since the original build (``insertions``,
       ``deletions``, ``cancelled``, ``affected_edges``,
       ``affected_vertices``), in application order.  An artifact re-saved
@@ -54,9 +46,9 @@ An index artifact is a directory with exactly two entries:
     ``edge_similarities``       float64    ``m``        per-edge similarity
     ``edge_numerators``         float64    ``m``        closed-neighborhood dot
                                                         products (optional;
-                                                        version ≥ 2, exact
-                                                        indexes only -- feeds
-                                                        the dynamic updates)
+                                                        exact indexes only --
+                                                        feeds the dynamic
+                                                        updates)
     ``no_neighbors``            int32      ``2m``       neighbor order ``NO``
                                                         (offsets = graph_indptr)
     ``no_similarities``         float64    ``2m``       similarities along NO
@@ -66,10 +58,7 @@ An index artifact is a directory with exactly two entries:
     ``epsilon_boundaries``      float64    ``d <= m``   sorted distinct edge
                                                         similarities: the ε
                                                         boundary table
-                                                        (version ≥ 5)
     ==========================  =========  ===========  =========================
-
-The four id columns (:data:`ID_COLUMNS`) are ``int64`` in versions 1-3.
 
 ``epsilon_boundaries`` holds every value a query compares ε against (each
 core threshold is a neighbor-order similarity, and those are the edge
@@ -105,12 +94,11 @@ import re
 import struct
 import tokenize
 import zipfile
-import zlib
 from pathlib import Path
 
 import numpy as np
 
-from ..graphs.graph import ID_DTYPE, MAX_IDS
+from ..graphs.graph import ID_DTYPE
 from ..testing.faults import fault_point
 
 #: Magic string identifying the artifact format.
@@ -119,19 +107,10 @@ FORMAT_NAME = "repro-scan-index"
 #: 3 the per-column crc32 checksums, 4 int32 ids and member checksums,
 #: 5 the ε boundary table).
 FORMAT_VERSION = 5
-#: Versions this build can read; version 1 lacks the ``updates`` field and
-#: loads as a lineage-free artifact, version 2 lacks column checksums and
-#: loads as deep-unverifiable, versions 1-3 store int64 ids that load
-#: narrowed, versions 1-4 derive the boundary table at load -- everything
-#: else is identical.
-SUPPORTED_VERSIONS = (1, 2, 3, 4, 5)
-#: First version whose headers must record a crc32 for every column.
-CHECKSUM_VERSION = 3
-#: First version storing int32 ids and whole-member checksums.
-MEMBER_CRC_VERSION = 4
-#: First version storing the ε boundary table.
-BOUNDARY_VERSION = 5
-#: The ε boundary table's column: required from :data:`BOUNDARY_VERSION`.
+#: Versions this build can read.  Older artifacts are rebuilt from their
+#: edge lists rather than converted at load.
+SUPPORTED_VERSIONS = (5,)
+#: The ε boundary table's column.
 BOUNDARY_COLUMN = "epsilon_boundaries"
 
 #: File names inside an artifact directory.
@@ -149,18 +128,17 @@ REQUIRED_COLUMNS = {
     "co_indptr": np.int64,
     "co_vertices": ID_DTYPE,
     "co_thresholds": np.float64,
+    BOUNDARY_COLUMN: np.float64,
 }
-#: The vertex and edge id columns: ``int32`` from version 4, ``int64`` before.
-ID_COLUMNS = ("graph_indices", "graph_arc_edge_ids", "no_neighbors", "co_vertices")
-#: Dtype of the id columns in version 1-3 artifacts.
-LEGACY_ID_DTYPE = np.int64
 #: Columns that may be absent (unweighted graphs store no weights; indexes
-#: without stored numerators -- LSH estimates, version-1 artifacts -- omit
-#: ``edge_numerators`` and dynamic updates fall back to a wider recompute).
+#: without stored numerators -- LSH estimates -- omit ``edge_numerators``
+#: and dynamic updates fall back to a wider recompute).
 OPTIONAL_COLUMNS = {
     "graph_arc_weights": np.float64,
     "edge_numerators": np.float64,
 }
+#: Column name -> stored dtype, for every column an archive may hold.
+COLUMN_DTYPES = {**REQUIRED_COLUMNS, **OPTIONAL_COLUMNS}
 
 #: A recorded checksum: eight lowercase hex digits.
 _CRC32_PATTERN = re.compile(r"[0-9a-f]{8}")
@@ -177,16 +155,15 @@ class ArtifactFormatError(ValueError):
 
 
 #: What the zip and ``.npy`` readers raise on arbitrary bytes: a broken zip
-#: structure, an unsupported zip feature, a corrupt deflate stream, a
-#: truncated member, a seek to a negative offset (``OSError``), or an
-#: unparsable ``.npy`` magic or header -- numpy's header parser raises
+#: structure, an unsupported zip feature, a truncated member, a seek to a
+#: negative offset (``OSError``), or an unparsable ``.npy`` magic or
+#: header -- numpy's header parser raises
 #: ``ValueError``, or ``TokenError`` from the tokenizer it falls back to,
 #: and a dtype string garbled into a bad comma list makes ``numpy.dtype``
 #: raise ``SyntaxError`` -- and a member reaching past the end of the file.
 _CORRUPT_ARCHIVE_ERRORS = (
     zipfile.BadZipFile,
     NotImplementedError,
-    zlib.error,
     EOFError,
     OSError,
     ValueError,
@@ -228,13 +205,14 @@ def validate_header(header: dict) -> None:
     version = header.get("version")
     if version not in SUPPORTED_VERSIONS:
         raise ArtifactFormatError(
-            f"unsupported artifact format version {version!r}; "
-            f"this build reads versions {SUPPORTED_VERSIONS} only"
+            f"unsupported artifact format version {version!r}; this build reads "
+            f"version {FORMAT_VERSION} only -- rebuild the artifact from its "
+            "edge list with `repro index build`"
         )
-    for key in ("measure", "num_vertices", "num_edges", "columns"):
+    for key in ("measure", "num_vertices", "num_edges", "columns", "updates"):
         if key not in header:
             raise ArtifactFormatError(f"header is missing required field {key!r}")
-    updates = header.get("updates", [])
+    updates = header["updates"]
     if not isinstance(updates, list) or any(
         not isinstance(record, dict) for record in updates
     ):
@@ -256,34 +234,19 @@ def validate_header(header: dict) -> None:
             "header field 'columns' must map each column to its dtype and length"
         )
     recorded = set(header["columns"])
-    required = set(REQUIRED_COLUMNS)
-    if version >= BOUNDARY_VERSION:
-        required.add(BOUNDARY_COLUMN)
-    missing = required - recorded
+    missing = set(REQUIRED_COLUMNS) - recorded
     if missing:
         raise ArtifactFormatError(f"header is missing required columns {sorted(missing)}")
-    unknown = recorded - required - set(OPTIONAL_COLUMNS)
+    unknown = recorded - set(COLUMN_DTYPES)
     if unknown:
         raise ArtifactFormatError(f"header declares unknown columns {sorted(unknown)}")
-    if version >= CHECKSUM_VERSION:
-        for name, spec in header["columns"].items():
-            crc = spec.get("crc32")
-            if not isinstance(crc, str) or not _CRC32_PATTERN.fullmatch(crc):
-                raise ArtifactFormatError(
-                    f"column {name!r}: a version-{version} header must record its "
-                    f"crc32 as eight hex digits, got {crc!r}"
-                )
-
-
-def _expected_dtypes(version: int) -> dict[str, type]:
-    """Column name -> stored dtype for an artifact of format ``version``."""
-    expected = dict(REQUIRED_COLUMNS)
-    expected.update(OPTIONAL_COLUMNS)
-    if version < MEMBER_CRC_VERSION:
-        expected.update(dict.fromkeys(ID_COLUMNS, LEGACY_ID_DTYPE))
-    if version >= BOUNDARY_VERSION:
-        expected[BOUNDARY_COLUMN] = np.float64
-    return expected
+    for name, spec in header["columns"].items():
+        crc = spec.get("crc32")
+        if not isinstance(crc, str) or not _CRC32_PATTERN.fullmatch(crc):
+            raise ArtifactFormatError(
+                f"column {name!r}: the header must record its crc32 as eight "
+                f"hex digits, got {crc!r}"
+            )
 
 
 def validate_columns(header: dict, columns: dict[str, np.ndarray]) -> None:
@@ -305,13 +268,12 @@ def validate_columns(header: dict, columns: dict[str, np.ndarray]) -> None:
                 f"column {name!r}: stored length {column.shape[0]} != "
                 f"declared {spec['length']}"
             )
-    expected = _expected_dtypes(header["version"])
     for name, column in columns.items():
-        if name not in expected:
+        if name not in COLUMN_DTYPES:
             raise ArtifactFormatError(f"archive stores unknown column {name!r}")
-        if column.dtype != expected[name]:
+        if column.dtype != COLUMN_DTYPES[name]:
             raise ArtifactFormatError(
-                f"column {name!r} must have dtype {np.dtype(expected[name])}, "
+                f"column {name!r} must have dtype {np.dtype(COLUMN_DTYPES[name])}, "
                 f"got {column.dtype}"
             )
 
@@ -344,8 +306,8 @@ def check_column_shapes(
             f"{Path(directory) / COLUMNS_FILE}: graph_indptr[-1] != 2m "
             "(corrupt CSR offsets)"
         )
-    table = columns.get(BOUNDARY_COLUMN)
-    if table is not None and not (
+    table = columns[BOUNDARY_COLUMN]
+    if not (
         (0 < table.shape[0] <= m or table.shape[0] == m == 0)
         and np.isfinite(table).all()
         and (np.diff(table) > 0).all()
@@ -355,37 +317,6 @@ def check_column_shapes(
             f"hold 1 to m={m} strictly increasing finite values "
             f"(got {table.shape[0]} values)"
         )
-
-
-def narrow_legacy_ids(header: dict, columns: dict[str, np.ndarray]) -> None:
-    """Narrow a version 1-3 artifact's int64 id columns to int32, in place.
-
-    The documented legacy path: one copy per id column at load, after any
-    checksum pass (which covers the stored int64 bytes), so the rest of the
-    program sees the one in-memory id dtype.  Version-4 columns are already
-    int32 and are left untouched.  An id that does not fit 32 bits can only
-    come from a corrupt column and is rejected rather than wrapped.
-    """
-    if header["version"] >= MEMBER_CRC_VERSION:
-        return
-    for name in ID_COLUMNS:
-        column = columns[name]
-        if column.size and (column.min() < 0 or column.max() > MAX_IDS):
-            raise ArtifactFormatError(
-                f"column {name!r}: ids outside [0, {MAX_IDS}] cannot be loaded"
-            )
-        columns[name] = column.astype(ID_DTYPE)
-
-
-def derive_legacy_boundaries(header: dict, columns: dict[str, np.ndarray]) -> None:
-    """Give a version 1-4 artifact its ε boundary table, in place.
-
-    The one legacy branch of the table: one ``np.unique`` over the ``m``
-    stored edge similarities, which holds the same distinct values as the
-    neighbor and core orders.  Version-5 columns already carry the table.
-    """
-    if header["version"] < BOUNDARY_VERSION:
-        columns[BOUNDARY_COLUMN] = np.unique(columns["edge_similarities"])
 
 
 class _CountingWriter:
@@ -485,26 +416,42 @@ def write_columns(directory: Path, columns: dict[str, np.ndarray]) -> dict[str, 
     return {name: format(info.CRC, "08x") for name, info in members.items()}
 
 
+def _stored_members(path: Path, archive: zipfile.ZipFile) -> list[zipfile.ZipInfo]:
+    """The archive's members, refusing any that is encrypted or compressed.
+
+    :func:`write_columns` stores every member uncompressed, which is what
+    lets a column be memory-mapped in place; anything else was not written
+    by this program.
+    """
+    members = archive.infolist()
+    for info in members:
+        if info.flag_bits & _ENCRYPTED_FLAG:
+            raise ArtifactFormatError(f"{path}: encrypted member {info.filename}")
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise ArtifactFormatError(
+                f"{path}: compressed member {info.filename}; artifact columns are "
+                "stored uncompressed -- rebuild it with `repro index build`"
+            )
+    return members
+
+
 def read_member_prefixes(directory: Path) -> dict[str, bytes]:
     """The ``.npy`` header bytes that precede each column's payload.
 
-    A version-4 checksum covers the whole member, so deep verification
-    feeds these bytes, then the (memory-mapped) payload, through one CRC.
-    Stored members are read in place (zipfile would check the member CRC of
-    a short member as a side effect); compressed ones through zipfile.
+    A column's checksum covers its whole member, so deep verification feeds
+    these bytes, then the (memory-mapped) payload, through one CRC.  They
+    are read in place (zipfile would check the member CRC of a short member
+    as a side effect).
     """
     path = Path(directory) / COLUMNS_FILE
     prefixes: dict[str, bytes] = {}
     try:
         with zipfile.ZipFile(path) as archive, path.open("rb") as handle:
-            for info in archive.infolist():
-                name = info.filename.removesuffix(".npy")
-                if info.compress_type == zipfile.ZIP_STORED:
-                    handle.seek(_payload_offset(path, handle, info))
-                    prefixes[name] = _npy_prefix(handle)
-                else:
-                    with archive.open(info) as member:
-                        prefixes[name] = _npy_prefix(member)
+            for info in _stored_members(path, archive):
+                handle.seek(_payload_offset(path, handle, info))
+                prefixes[info.filename.removesuffix(".npy")] = _npy_prefix(handle)
+    except ArtifactFormatError:
+        raise
     except (*_CORRUPT_ARCHIVE_ERRORS, struct.error) as error:
         raise ArtifactFormatError(f"{path}: corrupt column archive ({error})") from error
     return prefixes
@@ -533,8 +480,8 @@ def read_columns(
     offset.  This reader parses the zip's local headers plus each member's
     ``.npy`` header and hands back ``np.memmap`` views directly into the
     archive -- no column is read into memory until something indexes it.
-    Compressed members (from archives written by other tools) fall back to an
-    in-memory read; ``mmap_mode=None`` forces in-memory reads for everything.
+    ``mmap_mode=None`` reads every column into memory instead.  A compressed
+    or encrypted member is refused (:class:`ArtifactFormatError`).
     """
     path = Path(directory) / COLUMNS_FILE
     if not path.is_file():
@@ -542,17 +489,13 @@ def read_columns(
     columns: dict[str, np.ndarray] = {}
     try:
         with zipfile.ZipFile(path) as archive:
-            for info in archive.infolist():
-                if info.flag_bits & _ENCRYPTED_FLAG:
-                    raise ArtifactFormatError(f"{path}: encrypted member {info.filename}")
-                name = info.filename
-                if name.endswith(".npy"):
-                    name = name[: -len(".npy")]
-                if mmap_mode is None or info.compress_type != zipfile.ZIP_STORED:
+            for info in _stored_members(path, archive):
+                name = info.filename.removesuffix(".npy")
+                if mmap_mode is None:
                     with archive.open(info) as member:
                         columns[name] = np.lib.format.read_array(member)
-                    continue
-                columns[name] = _mmap_member(path, info, mmap_mode)
+                else:
+                    columns[name] = _mmap_member(path, info, mmap_mode)
         return columns
     except ArtifactFormatError:
         raise

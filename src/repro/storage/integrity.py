@@ -9,14 +9,12 @@ stage-and-swap save left open:
 **Checksums** (:func:`verify_checksums`).  The header records a CRC-32 per
 column (``columns[name]["crc32"]``).  A bit flipped by a torn write, a
 truncated copy, or bad storage fails :func:`verify_artifact` instead of
-silently serving wrong similarity scores.  Version 4 records the CRC of the
-whole zip member (``.npy`` header plus payload), which zipfile computes
+silently serving wrong similarity scores.  The header records the CRC of
+the whole zip member (``.npy`` header plus payload), which zipfile computes
 while writing, so a save checksums every byte exactly once; deep
 verification recomputes it as ``crc32(payload, crc32(npy_header))`` over the
-header bytes read from the archive and the memory-mapped payload.
-Version 3 recorded the CRC of the payload alone (:func:`column_checksum`)
-and keeps that meaning.  Version-2 artifacts (no checksums) still load;
-deep verification reports them as unverifiable rather than wrong.
+header bytes read from the archive and the memory-mapped payload
+(:func:`column_checksum`).
 
 **The commit protocol** (:func:`commit_artifact`, used by
 ``IndexArtifact.save``).  A save writes ``columns.npz`` + ``header.json``
@@ -65,7 +63,6 @@ from .format import (
     BOUNDARY_COLUMN,
     COLUMNS_FILE,
     HEADER_FILE,
-    MEMBER_CRC_VERSION,
     ArtifactFormatError,
     check_column_shapes,
     read_columns,
@@ -78,6 +75,7 @@ __all__ = [
     "ArtifactIntegrityError",
     "VerifyReport",
     "backup_path",
+    "check_save_target",
     "clean_stale_scratch",
     "column_checksum",
     "commit_artifact",
@@ -106,14 +104,14 @@ class ArtifactIntegrityError(ArtifactFormatError):
 # ----------------------------------------------------------------------
 # Checksums
 # ----------------------------------------------------------------------
-def column_checksum(column: np.ndarray, prefix: bytes = b"") -> str:
+def column_checksum(column: np.ndarray, prefix: bytes) -> str:
     """CRC-32 of ``prefix`` followed by a column's raw bytes, as eight hex digits.
 
-    With no prefix this is a version-3 payload checksum; with the member's
-    ``.npy`` header bytes it is the version-4 member checksum.  CRC-32
-    (zlib) rather than a cryptographic hash: the adversary is bit rot and
-    torn writes, not forgery, and crc32 runs at memory speed so deep
-    verification stays cheap enough to run in CI on every artifact.
+    With the member's ``.npy`` header bytes as ``prefix`` this is the
+    member checksum the header records.  CRC-32 (zlib) rather than a
+    cryptographic hash: the adversary is bit rot and torn writes, not
+    forgery, and crc32 runs at memory speed so deep verification stays
+    cheap enough to run in CI on every artifact.
     """
     payload = np.ascontiguousarray(column).view(np.uint8).data
     return format(zlib.crc32(payload, zlib.crc32(prefix)) & 0xFFFFFFFF, "08x")
@@ -124,28 +122,21 @@ def verify_checksums(header: dict, columns: dict[str, np.ndarray],
     """Compare every recorded column checksum against the stored bytes.
 
     ``columns`` are the stored columns of the artifact at ``directory``, as
-    read (version-4 checksums also cover each member's ``.npy`` header,
-    which is read back from there).  Returns the number of columns actually
-    checked (0 for pre-checksum headers).  Raises
+    read (the checksums also cover each member's ``.npy`` header, which is
+    read back from there).  Returns the number of columns checked.  Raises
     :class:`ArtifactIntegrityError` on the first mismatch.
     """
-    prefixes: dict[str, bytes] = {}
-    if header["version"] >= MEMBER_CRC_VERSION:
-        prefixes = read_member_prefixes(directory)
-    checked = 0
+    prefixes = read_member_prefixes(directory)
     for name, spec in header["columns"].items():
-        recorded = spec.get("crc32")
-        if recorded is None:
-            continue
-        actual = column_checksum(columns[name], prefixes.get(name, b""))
+        recorded = spec["crc32"]
+        actual = column_checksum(columns[name], prefixes[name])
         if actual != recorded:
             raise ArtifactIntegrityError(
                 f"{directory}: column {name!r} fails its checksum "
                 f"(stored bytes crc32={actual}, header records {recorded}); "
                 "the artifact is corrupt -- rebuild it or restore a backup"
             )
-        checked += 1
-    return checked
+    return len(header["columns"])
 
 
 def verify_boundaries(columns: dict[str, np.ndarray], directory: str | Path) -> None:
@@ -155,12 +146,9 @@ def verify_boundaries(columns: dict[str, np.ndarray], directory: str | Path) -> 
     table that lacks a stored value (or holds one no order stores) would
     merge or split cache keys while every checksum still passes.  The check
     is the definition: the table equals ``np.unique(no_similarities)``.
-    Artifacts older than format version 5 store no table and pass.  Raises
-    :class:`ArtifactIntegrityError` on a mismatch.
+    Raises :class:`ArtifactIntegrityError` on a mismatch.
     """
-    table = columns.get(BOUNDARY_COLUMN)
-    if table is None:
-        return
+    table = columns[BOUNDARY_COLUMN]
     expected = np.unique(columns["no_similarities"])
     if not np.array_equal(table, expected):
         missing = np.setdiff1d(expected, table).size
@@ -281,6 +269,27 @@ def clean_stale_scratch(directory: str | Path, *,
 # ----------------------------------------------------------------------
 # The commit protocol
 # ----------------------------------------------------------------------
+def check_save_target(directory: Path) -> None:
+    """Refuse a save target that is neither an artifact nor an empty directory.
+
+    The commit parks whatever sits at the target and then removes it, so a
+    save into a directory of other files, or over a plain file, would delete
+    them.  Raises :class:`~repro.storage.format.ArtifactFormatError` before
+    anything is written; a missing target (nothing saved yet, or a commit
+    that died between its renames) is accepted.
+    """
+    if not os.path.lexists(directory):
+        return
+    if directory.is_dir() and (
+        (directory / HEADER_FILE).is_file() or next(directory.iterdir(), None) is None
+    ):
+        return
+    raise ArtifactFormatError(
+        f"{directory}: refusing to save over a path that is neither an index "
+        f"artifact (no {HEADER_FILE}) nor an empty directory"
+    )
+
+
 def fsync_scratch(scratch: Path) -> None:
     """Flush a fully written scratch dir before any rename points at it."""
     fsync_file(scratch / COLUMNS_FILE)
@@ -366,7 +375,7 @@ def recover_artifact(path: str | Path) -> str | None:
             f"{directory}: missing, and the parked backup {backup.name!r} "
             f"does not verify ({error}); refusing to recover"
         ) from error
-    backup_lineage = header.get("updates", [])
+    backup_lineage = header["updates"]
     for scratch in find_scratch(directory):
         scratch_lineage = _read_lineage(scratch)
         if scratch_lineage is not None and not _lineage_is_prefix(
@@ -396,7 +405,6 @@ class VerifyReport:
     path: str
     version: int
     num_columns: int
-    checksums_recorded: int
     checksums_checked: int
     deep: bool
     lineage_records: int
@@ -408,10 +416,8 @@ class VerifyReport:
         if self.deep:
             checks = (f"{self.checksums_checked}/{self.num_columns} columns "
                       "verified against stored bytes")
-            if self.checksums_recorded == 0:
-                checks += " (pre-checksum artifact: nothing recorded to check)"
         else:
-            checks = (f"{self.checksums_recorded}/{self.num_columns} columns "
+            checks = (f"{self.num_columns}/{self.num_columns} columns "
                       "carry checksums (fast mode: recorded, not recomputed)")
         out = [
             f"artifact: {self.path}",
@@ -458,9 +464,6 @@ def verify_artifact(path: str | Path, *, deep: bool = False,
         columns = read_columns(directory, mmap_mode="r")
         validate_columns(header, columns)
         check_column_shapes(header, columns, directory)
-        recorded = sum(
-            1 for spec in header["columns"].values() if spec.get("crc32") is not None
-        )
         checked = 0
         if deep:
             checked = verify_checksums(header, columns, directory)
@@ -470,10 +473,9 @@ def verify_artifact(path: str | Path, *, deep: bool = False,
         path=str(directory),
         version=int(header["version"]),
         num_columns=len(columns),
-        checksums_recorded=recorded,
         checksums_checked=checked,
         deep=deep,
-        lineage_records=len(header.get("updates", [])),
+        lineage_records=len(header["updates"]),
         stale_scratch=[s.name for s in find_scratch(directory) if is_stale(s)]
         + [b.name for b in find_backups(directory) if is_stale(b)],
         recovered=recovered,

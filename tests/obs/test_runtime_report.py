@@ -137,3 +137,15 @@ class TestReport:
 
         with pytest.raises(TraceSchemaError):
             report.summarize_trace(path)
+
+    def test_report_names_the_line_that_is_not_json(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bad.jsonl"
+        write_trace(path)
+        with path.open("a") as handle:
+            handle.write('{"kind": "span", oops}\n')
+        assert main(["obs", "report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid trace: {path}:7: not valid JSON: ")
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -13,10 +13,17 @@ def s():
     return Scheduler()
 
 
+def partition(forest):
+    """The forest's sets as a sorted list of sorted vertex lists, via ``find``."""
+    sets = {}
+    for x in range(len(forest)):
+        sets.setdefault(forest.find(x), []).append(x)
+    return sorted(sets.values())
+
+
 class TestBasics:
     def test_initially_all_singletons(self):
         forest = UnionFind(5)
-        assert forest.num_components == 5
         assert len(forest) == 5
         assert all(forest.find(i) == i for i in range(5))
 
@@ -24,13 +31,13 @@ class TestBasics:
         forest = UnionFind(4)
         assert forest.union(0, 1) is True
         assert forest.connected(0, 1)
-        assert forest.num_components == 3
+        assert partition(forest) == [[0, 1], [2], [3]]
 
     def test_union_of_same_set_returns_false(self):
         forest = UnionFind(3)
         forest.union(0, 1)
         assert forest.union(1, 0) is False
-        assert forest.num_components == 2
+        assert partition(forest) == [[0, 1], [2]]
 
     def test_transitive_connectivity(self):
         forest = UnionFind(5)
@@ -44,9 +51,10 @@ class TestBasics:
         with pytest.raises(ValueError):
             UnionFind(-1)
 
-    def test_zero_elements(self):
+    def test_zero_elements(self, s):
         forest = UnionFind(0)
-        assert forest.num_components == 0
+        assert len(forest) == 0 and partition(forest) == []
+        assert forest.find_batch(s, np.zeros(0, dtype=np.int64)).size == 0
 
 
 class TestBatches:
@@ -54,7 +62,8 @@ class TestBatches:
         forest = UnionFind(6)
         roots = forest.connect(s, np.array([0, 2, 4]), np.array([1, 3, 5]), np.arange(6))
         assert roots.tolist() == [0, 0, 2, 2, 4, 4]
-        assert forest.num_components == 3
+        assert forest.find_batch(s, np.arange(6)).tolist() == [0, 0, 2, 2, 4, 4]
+        assert partition(forest) == [[0, 1], [2, 3], [4, 5]]
 
     def test_connect_length_mismatch(self, s):
         forest = UnionFind(3)

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.graphs import (
-    connected_components_bfs,
-    connected_components_unionfind,
     from_edge_list,
     read_edge_list,
     write_edge_list,
@@ -66,16 +64,6 @@ def test_degree_orientation_keeps_every_edge_once(edges):
     oriented = graph.degree_oriented_csr()
     assert oriented.indices.shape[0] == graph.num_edges
     assert sorted(oriented.edge_ids.tolist()) == list(range(graph.num_edges))
-
-
-@given(edge_lists)
-def test_components_bfs_equals_unionfind(edges):
-    graph = from_edge_list(edges, num_vertices=31)
-    bfs = connected_components_bfs(graph)
-    unionfind = connected_components_unionfind(graph)
-    mapping = {}
-    for a, b in zip(bfs.tolist(), unionfind.tolist()):
-        assert mapping.setdefault(a, b) == b
 
 
 @given(

@@ -9,12 +9,10 @@ and require every served answer to be bit-identical to a cold
 ``ScanIndex.query``, in both border modes.  A second property pins the
 generation contract: rebuilding the index and re-binding the session must
 never surface a cached answer from the old index.  A third property pins the
-stored ε boundary table to the snapper it replaced: on fresh, LSH, patched
-and legacy-loaded indexes it is the sorted distinct union of both orders'
-stored values, and ranks and snaps agree with that union's.
+stored ε boundary table to the snapper it replaced: on fresh, LSH and
+patched indexes it is the sorted distinct union of both orders' stored
+values, and ranks and snaps agree with that union's.
 """
-
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +22,6 @@ from repro import ApproximationConfig, ScanIndex
 from repro.core.sweep_query import query_many
 from repro.graphs import planted_partition
 from repro.serve import EpsilonSnapper
-
-FIXTURES = Path(__file__).parents[1] / "storage" / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -230,11 +226,3 @@ def test_patched_table_is_the_old_snapper(seed, batches, probes):
         insertions, deletions = _random_batch(rng, index.graph)
         index.apply_updates(insertions=insertions, deletions=deletions)
         assert_table_is_the_old_snapper(index, probes)
-
-
-@pytest.mark.parametrize("version", ["v3", "v4"])
-@table_settings
-@given(probes=probe_epsilons)
-def test_reloaded_legacy_table_is_the_old_snapper(version, probes):
-    index = ScanIndex.load(FIXTURES / version / "artifact")
-    assert_table_is_the_old_snapper(index, probes)

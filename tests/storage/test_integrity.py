@@ -27,14 +27,12 @@ from repro.storage import (
 )
 from repro.storage.format import (
     BOUNDARY_COLUMN,
-    BOUNDARY_VERSION,
     COLUMNS_FILE,
     FORMAT_VERSION,
     HEADER_FILE,
     ArtifactFormatError,
     read_columns,
     read_member_prefixes,
-    validate_header,
 )
 from repro.storage.integrity import (
     backup_path,
@@ -78,14 +76,16 @@ def saved(tmp_path, index):
 class TestChecksums:
     def test_checksum_is_stable_and_byte_sensitive(self):
         column = np.arange(100, dtype=np.int64)
-        assert column_checksum(column) == column_checksum(column.copy())
+        prefix = b"\x93NUMPY"
+        assert column_checksum(column, prefix) == column_checksum(column.copy(), prefix)
         flipped = column.copy()
         flipped[50] ^= 1
-        assert column_checksum(column) != column_checksum(flipped)
+        assert column_checksum(column, prefix) != column_checksum(flipped, prefix)
+        assert column_checksum(column, prefix) != column_checksum(column, b"")
 
     def test_header_records_each_member_crc(self, saved):
-        # Version 4: the zip member's own CRC (.npy header plus payload),
-        # computed once by zipfile while writing -- from_index computes none.
+        # The zip member's own CRC (.npy header plus payload), computed once
+        # by zipfile while writing -- from_index computes none.
         header = json.loads((saved / HEADER_FILE).read_text())
         artifact = IndexArtifact.load(saved)
         prefixes = read_member_prefixes(saved)
@@ -115,25 +115,15 @@ class TestChecksums:
         with pytest.raises(ArtifactIntegrityError, match="co_vertices"):
             verify_checksums(artifact.meta, artifact.columns, saved)
 
-    def test_pre_checksum_headers_check_zero_columns(self, saved):
-        artifact = IndexArtifact.load(saved)
-        for spec in artifact.meta["columns"].values():
-            spec.pop("crc32")
-        assert verify_checksums(artifact.meta, artifact.columns, saved) == 0
-
-    @pytest.mark.parametrize("version", [3, 4, 5])
     @pytest.mark.parametrize("crc", [None, "12345", "not-hex!", "ABCDEF01", 305419896])
-    def test_checksummed_header_must_record_every_crc(self, saved, version, crc):
-        """A version-3+ header without a valid crc32 on a column is rejected.
+    def test_header_must_record_every_crc(self, saved, crc):
+        """A header without a valid crc32 on a column is rejected.
 
         Without the rule, deleting one column's crc32 and flipping a byte of
         that column passed ``--deep`` ("9/10 columns verified") and served
         the corrupted scores.
         """
         header = json.loads((saved / HEADER_FILE).read_text())
-        header["version"] = version
-        if version < BOUNDARY_VERSION:  # older headers cannot declare it
-            del header["columns"][BOUNDARY_COLUMN]
         if crc is None:
             del header["columns"]["no_similarities"]["crc32"]
         else:
@@ -146,13 +136,22 @@ class TestChecksums:
             with pytest.raises(ArtifactFormatError, match="'no_similarities'.*crc32"):
                 attempt()
 
-    def test_version_two_headers_need_no_crc(self, saved):
-        header = json.loads((saved / HEADER_FILE).read_text())
-        header["version"] = 2
-        del header["columns"][BOUNDARY_COLUMN]
-        for spec in header["columns"].values():
-            del spec["crc32"]
-        validate_header(header)
+    def test_a_compressed_member_is_refused(self, saved):
+        """Every writer stores its members; a compressed one is not an artifact."""
+        columns = saved / COLUMNS_FILE
+        with zipfile.ZipFile(columns) as archive:
+            members = [(info.filename, archive.read(info)) for info in archive.infolist()]
+        with zipfile.ZipFile(columns, "w", zipfile.ZIP_DEFLATED) as archive:
+            for name, data in members:
+                archive.writestr(name, data)
+        for attempt in (
+            lambda: ScanIndex.load(saved),
+            lambda: ScanIndex.load(saved, mmap_mode=None),
+            lambda: verify_artifact(saved, deep=True),
+            lambda: read_member_prefixes(saved),
+        ):
+            with pytest.raises(ArtifactFormatError, match="compressed member"):
+                attempt()
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +161,6 @@ class TestVerifyArtifact:
     def test_fast_report(self, saved):
         report = verify_artifact(saved)
         assert report.version == FORMAT_VERSION
-        assert report.checksums_recorded == report.num_columns
         assert report.checksums_checked == 0 and not report.deep
         assert report.stale_scratch == [] and report.recovered is None
         assert any("fast mode" in line for line in report.lines())
@@ -285,6 +283,54 @@ class TestStaleScratch:
         index.save(saved)
         assert not stale_backup.exists()
         assert find_backups(saved) == []
+
+
+# ----------------------------------------------------------------------
+# What a save may replace
+# ----------------------------------------------------------------------
+EDGES = "0 1\n0 2\n1 2\n2 3\n3 4\n3 5\n4 5\n"
+
+
+def _snapshot(root):
+    """Every path under ``root`` (itself included) with its file bytes."""
+    return {
+        str(path.relative_to(root.parent)): path.read_bytes() if path.is_file() else None
+        for path in [root, *sorted(root.rglob("*"))]
+    }
+
+
+class TestSaveTarget:
+    def _refused(self, argv, target, capsys):
+        before = _snapshot(target.parent)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "refusing to save" in err and "Traceback" not in err
+        # Untouched, and no scratch or backup sibling left behind.
+        assert _snapshot(target.parent) == before
+
+    def test_a_directory_of_other_files_is_refused(self, tmp_path, capsys):
+        (tmp_path / "edges.txt").write_text(EDGES)
+        precious = tmp_path / "precious"
+        precious.mkdir()
+        (precious / "notes.txt").write_text("keep me\n")
+        argv = ["index", "build", str(tmp_path / "edges.txt"), str(precious)]
+        self._refused(argv, precious, capsys)
+
+    def test_the_edge_list_itself_is_refused(self, tmp_path, capsys):
+        edges = tmp_path / "g.txt"
+        edges.write_text(EDGES)
+        self._refused(["index", "build", str(edges), str(edges)], edges, capsys)
+
+    def test_an_empty_directory_and_an_artifact_still_save(self, tmp_path, index):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        index.save(empty)
+        assert (empty / HEADER_FILE).is_file()
+        (tmp_path / "delta.txt").write_text("+ 0 5\n")
+        assert main(["update", str(empty), str(tmp_path / "delta.txt")]) == 0
+        assert verify_artifact(empty, deep=True).lineage_records == 1
+        assert find_scratch(empty) == [] and find_backups(empty) == []
 
 
 # ----------------------------------------------------------------------

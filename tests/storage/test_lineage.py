@@ -1,4 +1,4 @@
-"""Tests for update lineage, numerator persistence and older format versions."""
+"""Tests for update lineage, numerator persistence and the format version."""
 
 import json
 
@@ -6,39 +6,9 @@ import numpy as np
 import pytest
 
 from repro import ArtifactFormatError, ScanIndex
+from repro.cli import main
 from repro.graphs import from_edge_list, planted_partition
-from repro.storage.format import (
-    BOUNDARY_COLUMN,
-    FORMAT_VERSION,
-    HEADER_FILE,
-    ID_COLUMNS,
-    SUPPORTED_VERSIONS,
-    read_columns,
-    write_columns,
-)
-from repro.storage.integrity import column_checksum, verify_artifact
-
-
-def rewrite_as_legacy(path, version):
-    """Rewrite a saved artifact in a version 1-3 layout.
-
-    Those versions store the id columns as int64 and no ε boundary table;
-    version 3 records the CRC-32 of each column's payload, versions 1-2 no
-    checksum at all.
-    """
-    columns = {name: np.array(column) for name, column in read_columns(path).items()}
-    del columns[BOUNDARY_COLUMN]
-    for name in ID_COLUMNS:
-        columns[name] = columns[name].astype(np.int64)
-    write_columns(path, columns)
-    header = json.loads((path / HEADER_FILE).read_text())
-    header["version"] = version
-    header["columns"] = {
-        name: {"dtype": str(column.dtype), "length": int(column.shape[0])}
-        | ({"crc32": column_checksum(column)} if version >= 3 else {})
-        for name, column in columns.items()
-    }
-    (path / HEADER_FILE).write_text(json.dumps(header))
+from repro.storage.format import FORMAT_VERSION, HEADER_FILE, SUPPORTED_VERSIONS
 
 
 @pytest.fixture()
@@ -91,50 +61,23 @@ class TestVersionCompatibility:
         mutate(header)
         (path / HEADER_FILE).write_text(json.dumps(header))
 
-    def test_version_one_artifacts_still_load(self, index, tmp_path):
-        """A pre-lineage artifact (version 1, no updates/numerators) loads."""
-        index.similarities.numerators = None    # what a v1 writer stored
-        index.save(tmp_path / "a")
-        rewrite_as_legacy(tmp_path / "a", 1)
-
-        def downgrade(header):
-            del header["updates"]
-            assert "edge_numerators" not in header["columns"]
-
-        self._rewrite_header(tmp_path / "a", downgrade)
-        loaded = ScanIndex.load(tmp_path / "a")
-        assert loaded.update_lineage == []
-        assert loaded.similarities.numerators is None
-        assert np.array_equal(
-            loaded.query(2, 0.5).labels, index.query(2, 0.5).labels
-        )
-
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_legacy_int64_ids_load_narrowed_and_answer_unchanged(
-        self, index, tmp_path, version
+    def test_an_older_version_is_refused_with_one_rebuild_line(
+        self, index, tmp_path, capsys
     ):
+        """Only the current format loads; an older header names the rebuild."""
         index.save(tmp_path / "a")
-        rewrite_as_legacy(tmp_path / "a", version)
-        report = verify_artifact(tmp_path / "a", deep=True)
-        assert report.checksums_checked == (report.num_columns if version == 3 else 0)
-        loaded = ScanIndex.load(tmp_path / "a", verify=True)
-        assert loaded.graph.indices.dtype == np.int32
-        assert loaded.core_order.vertices.dtype == np.int32
-        for mu, epsilon in [(2, 0.3), (3, 0.5), (5, 0.7)]:
-            for det in (False, True):
-                assert np.array_equal(
-                    loaded.query(mu, epsilon, deterministic_borders=det).labels,
-                    index.query(mu, epsilon, deterministic_borders=det).labels,
-                )
-
-    def test_legacy_ids_beyond_int32_are_rejected(self, index, tmp_path):
-        index.save(tmp_path / "a")
-        rewrite_as_legacy(tmp_path / "a", 2)
-        columns = {name: np.array(c) for name, c in read_columns(tmp_path / "a").items()}
-        columns["co_vertices"][0] = 2**32 + int(columns["co_vertices"][0])
-        write_columns(tmp_path / "a", columns)
-        with pytest.raises(ArtifactFormatError, match="co_vertices"):
+        self._rewrite_header(tmp_path / "a", lambda h: h.update(version=4))
+        with pytest.raises(ArtifactFormatError, match="version 4.*repro index build"):
             ScanIndex.load(tmp_path / "a")
+        for argv in (
+            ["index", "verify", str(tmp_path / "a"), "--deep"],
+            ["index", "query", str(tmp_path / "a"), "--pairs", "2:0.5"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "version 4" in captured.err and "repro index build" in captured.err
+            assert "Traceback" not in captured.err
 
     def test_future_versions_rejected(self, index, tmp_path):
         index.save(tmp_path / "a")
@@ -144,8 +87,12 @@ class TestVersionCompatibility:
         with pytest.raises(ArtifactFormatError, match="version"):
             ScanIndex.load(tmp_path / "a")
 
-    def test_malformed_lineage_rejected(self, index, tmp_path):
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda h: h.update(updates="yes"), id="not-a-list"),
+        pytest.param(lambda h: h.pop("updates"), id="missing"),
+    ])
+    def test_malformed_lineage_rejected(self, index, tmp_path, mutate):
         index.save(tmp_path / "a")
-        self._rewrite_header(tmp_path / "a", lambda h: h.update(updates="yes"))
+        self._rewrite_header(tmp_path / "a", mutate)
         with pytest.raises(ArtifactFormatError, match="updates"):
             ScanIndex.load(tmp_path / "a")
