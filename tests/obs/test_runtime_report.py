@@ -138,14 +138,21 @@ class TestReport:
         with pytest.raises(TraceSchemaError):
             report.summarize_trace(path)
 
-    def test_report_names_the_line_that_is_not_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, reason", [
+        pytest.param('{"kind": "span", oops}\n', "not valid JSON: ", id="not-json"),
+        pytest.param("\n", "not valid JSON: ", id="blank"),
+        pytest.param("[1, 2]\n", "expected an object, got [1, 2]", id="array"),
+        pytest.param('"span"\n', "expected an object, got 'span'", id="string"),
+        pytest.param('{"kind": "nope"}\n', "unknown kind 'nope'", id="unknown-kind"),
+    ])
+    def test_report_names_the_line_that_is_malformed(self, tmp_path, capsys, line, reason):
         from repro.cli import main
 
         path = tmp_path / "bad.jsonl"
         write_trace(path)
         with path.open("a") as handle:
-            handle.write('{"kind": "span", oops}\n')
+            handle.write(line)
         assert main(["obs", "report", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: invalid trace: {path}:7: not valid JSON: ")
+        assert err.startswith(f"error: invalid trace: {path}:7: {reason}")
         assert err.count("\n") == 1 and "Traceback" not in err

@@ -27,6 +27,7 @@ from repro.storage import (
 )
 from repro.storage.format import (
     BOUNDARY_COLUMN,
+    COLUMN_DTYPES,
     COLUMNS_FILE,
     FORMAT_VERSION,
     HEADER_FILE,
@@ -67,6 +68,15 @@ def index():
 def saved(tmp_path, index):
     path = tmp_path / "paper.scanidx"
     index.save(path)
+    return path
+
+
+@pytest.fixture
+def weighted_saved(tmp_path, weighted_graph):
+    """A weighted exact index: its artifact stores every column there is."""
+    path = tmp_path / "weighted.scanidx"
+    ScanIndex.build(weighted_graph).save(path)
+    assert set(read_columns(path)) == set(COLUMN_DTYPES)
     return path
 
 
@@ -115,8 +125,9 @@ class TestChecksums:
         with pytest.raises(ArtifactIntegrityError, match="co_vertices"):
             verify_checksums(artifact.meta, artifact.columns, saved)
 
+    @pytest.mark.parametrize("column", ["no_similarities", "co_vertices", BOUNDARY_COLUMN])
     @pytest.mark.parametrize("crc", [None, "12345", "not-hex!", "ABCDEF01", 305419896])
-    def test_header_must_record_every_crc(self, saved, crc):
+    def test_header_must_record_every_crc(self, saved, crc, column):
         """A header without a valid crc32 on a column is rejected.
 
         Without the rule, deleting one column's crc32 and flipping a byte of
@@ -125,15 +136,15 @@ class TestChecksums:
         """
         header = json.loads((saved / HEADER_FILE).read_text())
         if crc is None:
-            del header["columns"]["no_similarities"]["crc32"]
+            del header["columns"][column]["crc32"]
         else:
-            header["columns"]["no_similarities"]["crc32"] = crc
+            header["columns"][column]["crc32"] = crc
         (saved / HEADER_FILE).write_text(json.dumps(header))
         for attempt in (
             lambda: verify_artifact(saved, deep=True),
             lambda: ScanIndex.load(saved, verify=True),
         ):
-            with pytest.raises(ArtifactFormatError, match="'no_similarities'.*crc32"):
+            with pytest.raises(ArtifactFormatError, match=f"'{column}'.*crc32"):
                 attempt()
 
     def test_a_compressed_member_is_refused(self, saved):
@@ -179,6 +190,20 @@ class TestVerifyArtifact:
         verify_artifact(saved)  # fast: structure is intact
         with pytest.raises(ArtifactIntegrityError, match="checksum"):
             verify_artifact(saved, deep=True)
+
+    @pytest.mark.parametrize("column", sorted(COLUMN_DTYPES))
+    def test_deep_verify_catches_a_flipped_byte_in_every_column(
+        self, weighted_saved, column, capsys
+    ):
+        """Each member's CRC covers its payload: no column is left unchecked."""
+        _flip_payload_byte(weighted_saved, column)
+        verify_artifact(weighted_saved)  # fast: dtypes and lengths still parse
+        with pytest.raises(ArtifactIntegrityError, match=f"'{column}' fails its checksum"):
+            verify_artifact(weighted_saved, deep=True)
+        assert main(["index", "verify", str(weighted_saved), "--deep"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"'{column}'" in err and "Traceback" not in err
 
     def test_load_verify_flag_runs_the_deep_check(self, saved):
         _flip_payload_byte(saved)
@@ -321,6 +346,52 @@ class TestSaveTarget:
         edges = tmp_path / "g.txt"
         edges.write_text(EDGES)
         self._refused(["index", "build", str(edges), str(edges)], edges, capsys)
+
+    @pytest.mark.parametrize("command", [
+        pytest.param(["cluster", "{edges}", "--mu", "2", "--save", "{target}"],
+                     id="cluster-save"),
+        pytest.param(["update", "{artifact}", "{delta}", "--output", "{target}"],
+                     id="update-output"),
+    ])
+    def test_every_saving_command_refuses_a_directory_of_other_files(
+        self, tmp_path, capsys, index, command
+    ):
+        (tmp_path / "edges.txt").write_text(EDGES)
+        (tmp_path / "delta.txt").write_text("+ 0 5\n")
+        index.save(tmp_path / "artifact")
+        precious = tmp_path / "precious"
+        precious.mkdir()
+        (precious / "notes.txt").write_text("keep me\n")
+        argv = [
+            word.format(
+                edges=tmp_path / "edges.txt",
+                artifact=tmp_path / "artifact",
+                delta=tmp_path / "delta.txt",
+                target=precious,
+            )
+            for word in command
+        ]
+        self._refused(argv, precious, capsys)
+
+    @pytest.mark.parametrize("make_target", [
+        pytest.param(lambda t: (t.mkdir(), (t / "notes.txt").write_text("keep me\n")),
+                     id="directory-of-files"),
+        pytest.param(lambda t: (t.mkdir(), (t / "sub").mkdir()),
+                     id="directory-of-a-directory"),
+        pytest.param(lambda t: (t.mkdir(), (t / ".hidden").write_text("x\n")),
+                     id="directory-of-a-dotfile"),
+        pytest.param(lambda t: (t.mkdir(), (t / COLUMNS_FILE).write_bytes(b"PK")),
+                     id="columns-without-a-header"),
+        pytest.param(lambda t: t.write_text(EDGES), id="plain-file"),
+        pytest.param(lambda t: t.symlink_to(t.parent / "nowhere"), id="dangling-link"),
+    ])
+    def test_the_api_refuses_before_writing_anything(self, tmp_path, index, make_target):
+        target = tmp_path / "target"
+        make_target(target)
+        before = _snapshot(tmp_path)
+        with pytest.raises(ArtifactFormatError, match="refusing to save"):
+            index.save(target)
+        assert _snapshot(tmp_path) == before
 
     def test_an_empty_directory_and_an_artifact_still_save(self, tmp_path, index):
         empty = tmp_path / "empty"
