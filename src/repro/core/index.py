@@ -451,9 +451,9 @@ class ScanIndex:
 
         The load path performs no similarity computation and no sorting: the
         graph, the per-edge scores, both orders and the ε boundary table
-        come straight from the stored columns (artifacts older than format
-        version 5 derive the table with one ``np.unique`` over the edge
-        scores).
+        come straight from the stored columns.  Only format version 5 loads;
+        an older artifact is refused with a line that names
+        ``repro index build``.
 
         Parameters
         ----------

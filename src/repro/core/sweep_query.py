@@ -23,6 +23,19 @@ planner removes the redundancy of issuing them one by one:
    labels off the grown forest.  Each arc is gathered and unioned once per
    μ, not masked once per pair.
 
+Read along μ, the nesting says that two settings at one ε with the same
+core count select the same cores.  Under the deterministic border rule
+their clusterings are then identical; only the order of the cores differs,
+since each μ lists them in its own ``CO[μ]`` order.  So after stage 1 every
+setting whose core count (> 0) equals that of a smaller μ at its ε takes
+no chain step (it is never its group's base pair, so stages 2 and 3 search
+nothing for it) and is answered from that *twin* afterwards: its own
+``CO[μ]`` prefix as the cores, labelled through a dense map of the twin's
+cores, and the twin's borders and cluster count as they are.  A chain that
+skips a step gathers the wider band at its next computed step.  The
+first-writer rule chains every setting, since its border winners depend on
+each μ's ``CO`` order.
+
 A core's prefix at a step is read off its base pair's block, at the core's
 rank in the base μ's ``CO`` list: cores of a larger μ lie in the base
 prefix, so one rank vector per distinct base μ suffices.  An arc whose
@@ -47,8 +60,10 @@ arc-order-independent.  A one-pair batch is a one-step chain, so it does
 and charges exactly one query's work; duplicate settings are answered once.
 
 The stages run under the spans ``core.query.prefix`` (both doubling
-searches, the grouping and the chain plan), and ``core.query.gather``,
-``core.query.connect`` and ``core.query.borders`` (per chain step).
+searches, the twin marks, the grouping and the chain plan; its ``twins``
+attribute counts the settings answered from a twin), and
+``core.query.gather``, ``core.query.connect`` and ``core.query.borders``
+(per chain step).
 """
 
 from __future__ import annotations
@@ -118,7 +133,7 @@ def query_many(
     num_pairs = int(mus.size)
 
     # --- Stage 1: core prefixes of all pairs, one batched doubling search.
-    with obs.span("core.query.prefix"):
+    with obs.span("core.query.prefix") as span:
         co_indptr = core_order.indptr
         in_range = mus <= max_mu          # mus >= 2 already enforced
         clipped = np.where(in_range, mus, 0)    # index 0/1 exist even when empty
@@ -128,6 +143,14 @@ def query_many(
             core_order.thresholds, epsilons, core_starts, core_lengths,
             scheduler=scheduler,
         )
+        # Under the deterministic rule a setting that selects as many cores
+        # as a smaller μ at its ε is answered from that twin, not chained.
+        twin = (
+            _twins(mus, epsilons, core_counts) if deterministic_borders
+            else np.full(num_pairs, -1, dtype=np.int64)
+        )
+        computed = np.flatnonzero(twin < 0)
+        span.attrs["twins"] = num_pairs - int(computed.size)
 
         # --- Stage 2: group pairs by distinct ε; the group's prefixes are
         # searched for its smallest μ, whose core set contains every other
@@ -164,7 +187,7 @@ def query_many(
         n = neighbor_order.num_vertices
         group_offsets = np.zeros(num_groups + 1, dtype=np.int64)
         np.cumsum(group_sizes, out=group_offsets[1:])
-        chain_order = np.lexsort((-epsilons, mus))
+        chain_order = computed[np.lexsort((-epsilons[computed], mus[computed]))]
         chain_bounds = np.flatnonzero(np.diff(mus[chain_order])) + 1
 
     # A core's ε-prefix is read off its base pair's block, at its rank in
@@ -277,7 +300,66 @@ def query_many(
                     cores, core_labels, border_vertices, border_sources,
                     int(border.size), n, scheduler=scheduler,
                 )
+    if computed.size < num_pairs:
+        _answer_twins(core_order, core_starts, twin, results, n, scheduler=scheduler)
     return results
+
+
+def _twins(mus: np.ndarray, epsilons: np.ndarray, core_counts: np.ndarray) -> np.ndarray:
+    """Each setting's *twin*: the smallest μ at its ε with as many cores, or -1.
+
+    Core sets are nested in μ at a fixed ε, so an equal count means the
+    same cores, and under the deterministic border rule the same clusters.
+    A setting is its own answer (-1) when it selects no cores or when no
+    smaller μ of the batch at its ε selects as many; a duplicate of such a
+    setting stays in its chain, which answers it once.
+    """
+    order = np.lexsort((mus, epsilons))
+    eps, counts = epsilons[order], core_counts[order]
+    # A run of equal counts at one ε, in ascending μ, starts at its twin.
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (eps[1:] != eps[:-1]) | (counts[1:] != counts[:-1])
+    root = order[np.maximum.accumulate(np.where(starts, np.arange(order.size), 0))]
+    twin = np.full(order.size, -1, dtype=np.int64)
+    marked = (counts > 0) & (mus[order] != mus[root])
+    twin[order[marked]] = root[marked]
+    return twin
+
+
+def _answer_twins(
+    core_order,
+    core_starts: np.ndarray,
+    twin: np.ndarray,
+    results: list[CompactClustering],
+    n: int,
+    *,
+    scheduler: Scheduler,
+) -> None:
+    """Answer every setting that has a twin from the twin's answer.
+
+    The cores are the same set, listed in the setting's own ``CO[μ]``-prefix
+    order and labelled through a dense map of the twin's cores; the borders,
+    their labels and the cluster count are the twin's.  Duplicates share
+    one answer.
+    """
+    label_of = np.empty(n, dtype=np.int64)   # only core entries are read
+    answered: dict[tuple[int, int], CompactClustering] = {}
+    for pair in np.flatnonzero(twin >= 0).tolist():
+        # (start of CO[μ], twin) names the setting: duplicates share it.
+        key = (int(core_starts[pair]), int(twin[pair]))
+        if key not in answered:
+            start, source = key[0], results[key[1]]
+            count = source.num_cores
+            scheduler.charge(count, 1.0)
+            label_of[source.vertices[:count]] = source.labels[:count]
+            cores = core_order.vertices[start: start + count].astype(np.intp)
+            answered[key] = CompactClustering(
+                _read_only(np.concatenate([cores, source.vertices[count:]])),
+                _read_only(np.concatenate([label_of[cores], source.labels[count:]])),
+                count,
+                source.num_clusters,
+            )
+        results[pair] = answered[key]
 
 
 def _raise_best(

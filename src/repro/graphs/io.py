@@ -50,8 +50,10 @@ def read_edge_list(path: str | Path, *, num_vertices: int | None = None) -> Grap
 
 def _bulk_columns(data: bytes) -> tuple[np.ndarray, np.ndarray | None] | None:
     """``(ids, weights)`` of a regular file, or ``None`` for the line scan."""
-    # A lone '\r' is a line break in text mode.
-    if data.translate(None, _BULK_BYTES) or data.count(b"\r") != data.count(b"\r\n"):
+    # A lone '\r' is a line break in text mode; most files hold no '\r' at all.
+    if data.translate(None, _BULK_BYTES) or (
+        b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    ):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
     solid = buf > 0x20

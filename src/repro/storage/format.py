@@ -250,7 +250,11 @@ def validate_header(header: dict) -> None:
 
 
 def validate_columns(header: dict, columns: dict[str, np.ndarray]) -> None:
-    """Cross-check loaded columns against the header's dtype/length records."""
+    """Cross-check loaded columns against the header's dtype/length records.
+
+    Every declared column must be stored, and every stored column declared:
+    an undeclared member would load unchecksummed.
+    """
     for name, spec in header["columns"].items():
         if name not in columns:
             raise ArtifactFormatError(f"column {name!r} declared in header but not stored")
@@ -271,6 +275,10 @@ def validate_columns(header: dict, columns: dict[str, np.ndarray]) -> None:
     for name, column in columns.items():
         if name not in COLUMN_DTYPES:
             raise ArtifactFormatError(f"archive stores unknown column {name!r}")
+        if name not in header["columns"]:
+            raise ArtifactFormatError(
+                f"archive stores column {name!r} that the header does not declare"
+            )
         if column.dtype != COLUMN_DTYPES[name]:
             raise ArtifactFormatError(
                 f"column {name!r} must have dtype {np.dtype(COLUMN_DTYPES[name])}, "

@@ -1,9 +1,12 @@
 """Tests for the batched multi-(mu, epsilon) query planner."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
-from repro import ScanIndex
+from repro import ScanIndex, obs
 from repro.core.sweep_query import query_many
 from repro.graphs import from_edge_list, paper_example_graph, planted_partition
 from repro.parallel import Scheduler
@@ -24,6 +27,8 @@ def assert_same_answer(planned, single):
     """Two compact answers agree field by field, and both are read-only."""
     assert np.array_equal(planned.vertices, single.vertices)   # order included
     assert np.array_equal(planned.labels, single.labels)
+    assert planned.vertices.dtype == single.vertices.dtype
+    assert planned.labels.dtype == single.labels.dtype
     assert planned.num_cores == single.num_cores
     assert planned.num_clusters == single.num_clusters
     for answer in (planned, single):
@@ -276,6 +281,97 @@ class TestChainsMatchOnePairBatches:
             assert_same_answer(answer, single)
 
 
+def twin_heavy_grid(rng, index, count):
+    """Pairs most of which select the same cores as a smaller μ at their ε.
+
+    ε is 0, or a stored similarity from the lowest fifth, where nearly every
+    vertex is a core for the smallest third of the μ values; most μ are
+    drawn from there, the rest from 2 past ``max_mu`` and 2**40, and a
+    quarter of the pairs are repeated.
+    """
+    stored = np.unique(index.similarities.values)
+    low = np.concatenate(([0.0], stored[: max(stored.size // 5, 1)]))
+    epsilons = rng.choice(low, size=4)
+    max_mu = index.core_order.max_mu
+    pairs = []
+    for _ in range(count):
+        draw = rng.random()
+        if draw < 0.7:
+            mu = int(rng.integers(2, max(max_mu // 3, 3)))
+        elif draw < 0.95:
+            mu = int(rng.integers(2, max_mu + 3))
+        else:
+            mu = 2**40
+        pairs.append((mu, float(rng.choice(epsilons))))
+    pairs += [pairs[int(i)] for i in rng.integers(0, count, size=count // 4)]
+    return [pairs[int(i)] for i in rng.permutation(len(pairs))]
+
+
+def prefix_twins(run):
+    """``run()`` under a tracer; the ``twins`` attribute of each prefix span."""
+    sink = io.StringIO()
+    previous = obs.install(tracer=obs.Tracer(sink))
+    try:
+        run()
+    finally:
+        obs.install(tracer=previous[0])
+    spans = [json.loads(line) for line in sink.getvalue().splitlines()]
+    return [span["attrs"]["twins"] for span in spans if span["name"] == "core.query.prefix"]
+
+
+class TestTwins:
+    """Under the deterministic rule a setting that selects as many cores as
+    a smaller μ at its ε is answered from that twin, not from a chain step;
+    its answer must still equal its own one-pair batch."""
+
+    @pytest.fixture(scope="class", params=["unweighted", "weighted"])
+    def index(self, request):
+        if request.param == "unweighted":
+            graph = planted_partition(4, 25, p_intra=0.45, p_inter=0.04, seed=11)
+        else:
+            graph = weighted_community_graph()
+        return ScanIndex.build(graph)
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_twin_heavy_batches_match_one_pair_batches(self, index, deterministic, seed):
+        rng = np.random.default_rng([seed, 7])
+        pairs = twin_heavy_grid(rng, index, 48)
+        planned = []
+        (twins,) = prefix_twins(lambda: planned.extend(query_many(
+            index.neighbor_order, index.core_order, pairs,
+            deterministic_borders=deterministic,
+        )))
+        assert len(planned) == len(pairs)
+        for pair, answer in zip(pairs, planned):
+            (single,) = query_many(
+                index.neighbor_order, index.core_order, [pair],
+                deterministic_borders=deterministic,
+            )
+            assert_same_answer(answer, single)
+        if deterministic:
+            assert twins >= len(pairs) // 3
+        else:
+            assert twins == 0
+
+    @pytest.mark.parametrize(
+        "deterministic, twins", [(True, [4, 0]), (False, [0, 0])]
+    )
+    def test_prefix_span_counts_the_twins(self, community_index, deterministic, twins):
+        # (3, 0.1), both (5, 0.1) and (3, 0.3) select (2, ε)'s 100 cores; μ 400
+        # selects none, and a one-pair batch has no twin.
+        pairs = [(2, 0.1), (3, 0.1), (5, 0.1), (5, 0.1), (400, 0.1), (2, 0.3), (3, 0.3)]
+
+        def run():
+            for batch in (pairs, pairs[:1]):
+                query_many(
+                    community_index.neighbor_order, community_index.core_order, batch,
+                    deterministic_borders=deterministic,
+                )
+
+        assert prefix_twins(run) == twins
+
+
 class TestChainCharges:
     # Work and span of one-pair batches, unchanged since sweeps were
     # planned as one union-find forest per ε group.
@@ -306,3 +402,27 @@ class TestChainCharges:
         scheduler = Scheduler()
         community_index.query_many(pairs, scheduler=scheduler)
         assert scheduler.counter.work < 43315
+
+    @pytest.mark.parametrize(
+        "deterministic, pairs, work, span",
+        [
+            # (3, 0.1) selects (2, 0.1)'s 100 cores: one more prefix search and
+            # one charge per core on top of the (2, 0.1) batch's 3,736 / 52.
+            (True, [(2, 0.1), (3, 0.1)], 3852, 54),
+            # The first-writer rule walks every chain, as before twins.
+            (False, [(2, 0.1), (3, 0.1)], 6456, 82),
+            (True, [(2, 0.1), (3, 0.1), (5, 0.1), (5, 0.1), (400, 0.1), (2, 0.3), (3, 0.3)],
+             5185, 85),
+            (False, [(2, 0.1), (3, 0.1), (5, 0.1), (5, 0.1), (400, 0.1), (2, 0.3), (3, 0.3)],
+             10393, 166),
+        ],
+    )
+    def test_twin_batch_charges_are_pinned(
+        self, community_index, deterministic, pairs, work, span
+    ):
+        scheduler = Scheduler()
+        community_index.query_many(
+            pairs, scheduler=scheduler, deterministic_borders=deterministic
+        )
+        assert scheduler.counter.work == work
+        assert scheduler.counter.span == span

@@ -205,6 +205,41 @@ class TestVerifyArtifact:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"'{column}'" in err and "Traceback" not in err
 
+    def test_an_undeclared_member_is_refused_before_any_checksum(
+        self, saved, monkeypatch, capsys
+    ):
+        """A stored column the header does not declare is never loaded.
+
+        Appending ``graph_arc_weights`` to an unweighted artifact keeps every
+        declared member's bytes and CRC, so before the rule ``--deep`` passed
+        and the loaded graph was weighted against its header.
+        """
+        num_arcs = int(read_columns(saved)["graph_indices"].shape[0])
+        with zipfile.ZipFile(saved / COLUMNS_FILE, "a", zipfile.ZIP_STORED) as archive:
+            with archive.open("graph_arc_weights.npy", "w") as member:
+                np.lib.format.write_array(member, np.full(num_arcs, 2.0))
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("no checksum may run before the member check")
+
+        monkeypatch.setattr("repro.storage.integrity.column_checksum", forbidden)
+        for attempt in (
+            lambda: ScanIndex.load(saved, verify=True),
+            lambda: ScanIndex.load(saved),
+            lambda: verify_artifact(saved, deep=True),
+        ):
+            with pytest.raises(ArtifactFormatError, match="'graph_arc_weights'.*not declare"):
+                attempt()
+        for argv in (
+            ["index", "verify", str(saved), "--deep"],
+            ["index", "query", str(saved), "--pairs", "2:0.5"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "graph_arc_weights" in captured.err and "Traceback" not in captured.err
+            assert captured.out == ""
+
     def test_load_verify_flag_runs_the_deep_check(self, saved):
         _flip_payload_byte(saved)
         ScanIndex.load(saved)  # fast check only: loads
