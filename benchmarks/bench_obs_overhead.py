@@ -84,11 +84,7 @@ def serve_pass(index, requests):
     lines = []
     started = time.perf_counter()
     for mu, epsilon in requests:
-        lines.append(
-            wire.format_response(
-                session.serve(mu, epsilon, deterministic_borders=True)
-            )
-        )
+        lines.append(wire.format_response(session.serve(mu, epsilon)))
     elapsed = time.perf_counter() - started
     return len(requests) / elapsed, lines, session
 

@@ -48,11 +48,11 @@ def main() -> None:
     mu, epsilon = sweep.best_parameters()
     print(f"\nexact index best parameters: mu={mu}, eps={epsilon:.2f} "
           f"(modularity {sweep.best.modularity:.3f})")
-    ground_truth = exact_index.query(mu, epsilon, deterministic_borders=True)
+    ground_truth = exact_index.query(mu, epsilon)
 
     print("\nclustering quality at the exact index's best parameters:")
     for label, index in (("SimHash, k=32", small_index), ("SimHash, k=256", large_index)):
-        clustering = index.query(mu, epsilon, deterministic_borders=True)
+        clustering = index.query(mu, epsilon)
         ari = adjusted_rand_index(clustering, ground_truth)
         print(f"  {label:<16} ARI vs exact = {ari:.3f}  "
               f"({clustering.num_clusters} clusters)")

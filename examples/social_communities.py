@@ -48,9 +48,7 @@ def main() -> None:
         f"(modularity {best.modularity:.3f}, {best.num_clusters} clusters)"
     )
 
-    clustering = index.query(
-        best.mu, best.epsilon, deterministic_borders=True, classify_hubs_and_outliers=True
-    )
+    clustering = index.query(best.mu, best.epsilon, classify_hubs_and_outliers=True)
     score = adjusted_rand_index(clustering, ground_truth)
     print(f"agreement with planted communities (ARI): {score:.3f}")
     print(f"modularity of the clustering:            {modularity(graph, clustering):.3f}")

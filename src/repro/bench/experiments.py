@@ -439,9 +439,7 @@ def figure10_ari_tradeoff(
             exact_index = ScanIndex.build(graph, measure=measure_name)
             sweep = modularity_sweep(exact_index, epsilon_step=epsilon_step)
             best_mu, best_epsilon = sweep.best_parameters()
-            ground_truth = exact_index.query(
-                best_mu, best_epsilon, deterministic_borders=True
-            )
+            ground_truth = exact_index.query(best_mu, best_epsilon)
             rows.append([name, f"exact {measure_name}", "-", 0.0, 1.0, best_mu, best_epsilon])
 
             for samples in sample_counts:
@@ -459,9 +457,7 @@ def figure10_ari_tradeoff(
                         ),
                     )
                     approx_index: ScanIndex = approx_row.details["result"]
-                    approx_clustering = approx_index.query(
-                        best_mu, best_epsilon, deterministic_borders=True
-                    )
+                    approx_clustering = approx_index.query(best_mu, best_epsilon)
                     scores.append(adjusted_rand_index(approx_clustering, ground_truth))
                     times.append(approx_row.simulated_seconds)
                 rows.append(
@@ -511,15 +507,13 @@ def sweep_throughput(
 
         batch_scheduler = Scheduler(PARALLEL_WORKERS)
         started = time.perf_counter()
-        index.query_many(pairs, scheduler=batch_scheduler, deterministic_borders=True)
+        index.query_many(pairs, scheduler=batch_scheduler)
         batched_wall = time.perf_counter() - started
 
         single_scheduler = Scheduler(PARALLEL_WORKERS)
         started = time.perf_counter()
         for mu, epsilon in pairs:
-            index.query(
-                mu, epsilon, scheduler=single_scheduler, deterministic_borders=True
-            )
+            index.query(mu, epsilon, scheduler=single_scheduler)
         per_pair_wall = time.perf_counter() - started
 
         rows.append(

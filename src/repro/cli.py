@@ -32,10 +32,13 @@ scratch directories left by dead writers::
 The ``serve`` subcommand keeps one :class:`~repro.serve.session.
 ClusterSession` alive over a saved artifact and answers newline-delimited
 ``MU:EPSILON`` requests from stdin or a file -- repeats hit the ε-snapped
-result cache, misses run the query and are cached::
+result cache, misses run the query and are cached.  Every query attaches a
+border vertex to its most similar core (ties to the lower id); ``serve``
+still accepts ``--deterministic``, which names that rule and changes
+nothing::
 
     printf '5:0.6\n5:0.7\n5:0.6\n' | python -m repro serve my.scanidx
-    python -m repro serve my.scanidx --requests workload.txt --deterministic
+    python -m repro serve my.scanidx --requests workload.txt
 
 When the graph changes, ``update`` applies an edge-list delta file
 (``+ u v [w]`` inserts, ``- u v`` deletes) to a saved artifact and re-saves
@@ -177,9 +180,7 @@ def _command_cluster(args: argparse.Namespace) -> int:
     if args.save is not None:
         path = index.save(args.save)
         print(f"saved index artifact to {path}")
-    clustering = index.query(
-        args.mu, args.epsilon, deterministic_borders=True, classify_hubs_and_outliers=True
-    )
+    clustering = index.query(args.mu, args.epsilon, classify_hubs_and_outliers=True)
     print(f"graph: {graph.num_vertices} vertices, {graph.num_edges} edges")
     print(f"parameters: mu={args.mu}, epsilon={args.epsilon}, measure={index.measure}")
     print(f"clusters: {clustering.num_clusters}  "
@@ -225,14 +226,19 @@ def _command_index_build(args: argparse.Namespace) -> int:
 
 
 def _command_index_query(args: argparse.Namespace) -> int:
+    if args.pairs and (args.mu is not None or args.epsilon is not None):
+        raise ValueError("--pairs cannot be combined with --mu or --epsilon")
     index = _load_artifact(args.artifact)
     print(f"loaded {index.measure} index: {index.graph.num_vertices} vertices, "
           f"{index.graph.num_edges} edges")
     if args.pairs:
         pairs = [wire.parse_request(token) for token in args.pairs]
     else:
-        pairs = [(args.mu, args.epsilon)]
-    clusterings = index.query_many(pairs, deterministic_borders=True)
+        pairs = [(
+            args.mu if args.mu is not None else 5,
+            args.epsilon if args.epsilon is not None else 0.6,
+        )]
+    clusterings = index.query_many(pairs)
     rows = [
         [mu, epsilon, clustering.num_clusters, clustering.num_clustered_vertices]
         for (mu, epsilon), clustering in zip(pairs, clusterings)
@@ -321,7 +327,6 @@ def _serve_network(args: argparse.Namespace) -> int:
         args.artifact,
         workers=args.workers,
         cache_size=args.cache_size,
-        deterministic=args.deterministic,
         **overrides,
     )
 
@@ -393,6 +398,8 @@ def _command_serve_client(args: argparse.Namespace) -> int:
 def _command_serve(args: argparse.Namespace) -> int:
     from .serve.worker import keep_query_scratch_on_the_heap
 
+    if args.port is not None and not 0 <= args.port <= 65535:
+        raise ValueError(f"--port must lie in [0, 65535], got {args.port}")
     # Both modes answer misses in this process too (the stdin loop; the
     # front end's degraded fallback), so keep their scratch as workers do.
     keep_query_scratch_on_the_heap()
@@ -426,9 +433,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                 continue
             try:
                 mu, epsilon = wire.parse_request(line)
-                result = session.serve(
-                    mu, epsilon, deterministic_borders=args.deterministic
-                )
+                result = session.serve(mu, epsilon)
             except ValueError as error:
                 failures += 1
                 print(f"error: {error}", file=sys.stderr)
@@ -632,11 +637,14 @@ def build_parser() -> argparse.ArgumentParser:
         "query", help="answer (mu, epsilon) queries from a saved artifact"
     )
     index_query.add_argument("artifact", help="artifact directory written by 'index build'")
-    index_query.add_argument("--mu", type=int, default=5)
-    index_query.add_argument("--epsilon", type=float, default=0.6)
+    index_query.add_argument("--mu", type=int, default=None,
+                             help="one setting's mu (default: 5)")
+    index_query.add_argument("--epsilon", type=float, default=None,
+                             help="one setting's epsilon (default: 0.6)")
     index_query.add_argument("--pairs", nargs="+", metavar="MU:EPSILON", default=None,
                              help="batch of settings answered by one planned sweep, "
-                                  "e.g. --pairs 3:0.4 5:0.6 5:0.7")
+                                  "e.g. --pairs 3:0.4 5:0.6 5:0.7 (not with "
+                                  "--mu or --epsilon)")
     index_query.set_defaults(handler=_command_index_query)
 
     index_verify = index_subparsers.add_parser(
@@ -675,8 +683,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result-cache capacity; zero or negative disables "
                             "caching (default: 256)")
     serve.add_argument("--deterministic", action="store_true",
-                       help="deterministic border attachment "
-                            "(most similar core, ties to lower id)")
+                       help="accepted for compatibility and has no effect: "
+                            "every query attaches a border to its most "
+                            "similar core (ties to the lower id)")
     serve.add_argument("--port", type=int, default=None, metavar="PORT",
                        help="serve over TCP instead of stdin: listen on PORT "
                             "(0 = ephemeral) with a pool of worker processes")

@@ -69,7 +69,7 @@ from .clustering import Clustering
 from .core_order import CoreOrder, build_core_order
 from .hubs import classify_unclustered
 from .neighbor_order import NeighborOrder, build_neighbor_order
-from .query import dense_clustering, get_cores
+from .query import check_border_rule, dense_clustering, get_cores
 from .sweep_query import query_many as _query_many
 
 
@@ -264,15 +264,15 @@ class ScanIndex:
         epsilon: float,
         *,
         scheduler: Scheduler | None = None,
-        deterministic_borders: bool = False,
+        deterministic_borders: bool = True,
         classify_hubs_and_outliers: bool = False,
     ) -> Clustering:
         """SCAN clustering for ``(mu, epsilon)`` (Algorithm 5).
 
-        ``deterministic_borders`` assigns each border vertex to its most
-        similar core neighbor (ties to the lower vertex id) instead of an
-        arbitrary one, which makes repeated queries bit-for-bit reproducible
-        (used by the quality experiments in Section 7.3.4).
+        Each border vertex joins its most similar core neighbor (ties to the
+        lower vertex id), the rule of the quality experiments in Section
+        7.3.4, so repeated queries are bit-for-bit reproducible;
+        ``deterministic_borders`` accepts only ``True``.
         ``classify_hubs_and_outliers`` additionally labels every unclustered
         vertex as hub or outlier (Section 4.3).  The query is the one-pair
         batch of :meth:`query_many`, so a lone query and a sweep run the
@@ -290,7 +290,7 @@ class ScanIndex:
         pairs: Iterable[tuple[int, float]] | Sequence[tuple[int, float]],
         *,
         scheduler: Scheduler | None = None,
-        deterministic_borders: bool = False,
+        deterministic_borders: bool = True,
         classify_hubs_and_outliers: bool = False,
     ) -> list[Clustering]:
         """Clusterings for a whole batch of ``(mu, epsilon)`` settings.
@@ -312,21 +312,17 @@ class ScanIndex:
             Externally owned scheduler for work-span accounting; a fresh one
             is created when omitted.
         deterministic_borders:
-            Attach each border vertex to its most similar core neighbor
-            (ties to the lower vertex id) instead of the traversal-order
-            first writer; makes repeated sweeps bit-for-bit reproducible.
+            Only ``True``, the one border rule: each border vertex joins its
+            most similar core neighbor (ties to the lower vertex id).
         classify_hubs_and_outliers:
             Additionally label every unclustered vertex of every result as
             hub or outlier (Section 4.3).
         """
+        check_border_rule(deterministic_borders)
         scheduler = scheduler if scheduler is not None else Scheduler()
         pairs = list(pairs)
         answers = _query_many(
-            self.neighbor_order,
-            self.core_order,
-            pairs,
-            scheduler=scheduler,
-            deterministic_borders=deterministic_borders,
+            self.neighbor_order, self.core_order, pairs, scheduler=scheduler
         )
         n = self.graph.num_vertices
         clusterings = [
@@ -377,9 +373,9 @@ class ScanIndex:
         affected vertices' runs of the neighbor and core orders are
         respliced (merges of sorted runs; see :mod:`repro.dynamic`).  The
         result is bit-identical to ``ScanIndex.build`` on the mutated
-        graph -- same stored columns, same query answers in both border
-        modes -- at a fraction of the cost for small batches (the
-        ``perfbench`` workloads time one update end to end).
+        graph -- same stored columns, same query answers -- at a fraction
+        of the cost for small batches (the ``perfbench`` workloads time one
+        update end to end).
 
         Every open serving session over this index is auto-invalidated:
         the mutation bumps the index's epoch, so each session clears its

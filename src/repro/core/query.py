@@ -5,16 +5,17 @@ A query (Algorithms 3-5 of the paper) finds the cores as a prefix of
 ε-similar prefixes of the cores' neighbor-order lists, clusters the cores
 by union-find over the ε-similar core-core arcs (Algorithm 5 with the
 union-find of Section 6.2) and attaches every border vertex to one
-neighboring core's cluster -- an arbitrary one (the compare-and-swap of
-Algorithm 4) or, for reproducible experiments, the most similar one with
-ties to the lower core id (the rule of Section 7.3.4).  Its total work is
-proportional to the ε-similar arcs touching the output clusters
-(Theorem 4.3).
+neighboring core's cluster.  Algorithm 4 lets a border join any ε-similar
+core; every query here uses the rule of the paper's experiments (Section
+7.3.4): the most similar core, ties to the lower core id, so an answer does
+not depend on traversal order.  Its total work is proportional to the
+ε-similar arcs touching the output clusters (Theorem 4.3).
 
 Those stages are written once, in the batch planner
 :func:`repro.core.sweep_query.query_many`; :func:`cluster` is its one-pair
 batch, densified.  This module holds what every query path shares: the
-range check, the compact answer type and its one densification.
+range check, the border-rule check of the public entry points, the compact
+answer type and its one densification.
 """
 
 from __future__ import annotations
@@ -37,6 +38,21 @@ def check_setting(mu: int, epsilon: float) -> None:
         raise ValueError(f"mu must be at least 2, got {mu}")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+
+
+def check_border_rule(deterministic_borders) -> None:
+    """Reject any border rule but the most-similar-core one.
+
+    The public query entry points keep a keyword-only
+    ``deterministic_borders=True`` so that callers which name the rule keep
+    working; there is no other rule to select.
+    """
+    if deterministic_borders is not True:
+        raise ValueError(
+            f"deterministic_borders={deterministic_borders!r} is not supported: "
+            "the first-writer border rule was removed; every query attaches a "
+            "border vertex to its most similar core (ties to the lower id)"
+        )
 
 
 def get_cores(
@@ -96,22 +112,20 @@ def cluster(
     epsilon: float,
     *,
     scheduler: Scheduler | None = None,
-    deterministic_borders: bool = False,
+    deterministic_borders: bool = True,
 ) -> Clustering:
     """SCAN clustering for ``(mu, epsilon)`` from the index (Algorithm 5).
 
     The planner's one-pair batch: a lone query is a one-step chain of
     :func:`~repro.core.sweep_query.query_many`, and does and charges
-    exactly that step's work.
+    exactly that step's work.  ``deterministic_borders`` accepts only
+    ``True`` (see :func:`check_border_rule`).
     """
     # Imported here: the planner imports this module's answer type.
     from .sweep_query import query_many
 
+    check_border_rule(deterministic_borders)
     (compact,) = query_many(
-        neighbor_order,
-        core_order,
-        [(mu, epsilon)],
-        scheduler=scheduler,
-        deterministic_borders=deterministic_borders,
+        neighbor_order, core_order, [(mu, epsilon)], scheduler=scheduler
     )
     return dense_clustering(compact, graph.num_vertices, mu, epsilon)

@@ -24,17 +24,16 @@ planner removes the redundancy of issuing them one by one:
    μ, not masked once per pair.
 
 Read along μ, the nesting says that two settings at one ε with the same
-core count select the same cores.  Under the deterministic border rule
-their clusterings are then identical; only the order of the cores differs,
-since each μ lists them in its own ``CO[μ]`` order.  So after stage 1 every
-setting whose core count (> 0) equals that of a smaller μ at its ε takes
-no chain step (it is never its group's base pair, so stages 2 and 3 search
-nothing for it) and is answered from that *twin* afterwards: its own
-``CO[μ]`` prefix as the cores, labelled through a dense map of the twin's
-cores, and the twin's borders and cluster count as they are.  A chain that
-skips a step gathers the wider band at its next computed step.  The
-first-writer rule chains every setting, since its border winners depend on
-each μ's ``CO`` order.
+core count select the same cores.  The border rule depends only on the core
+set (not on its order), so their clusterings are then identical; only the
+order of the cores differs, since each μ lists them in its own ``CO[μ]``
+order.  So after stage 1 every setting whose core count (> 0) equals that
+of a smaller μ at its ε takes no chain step (it is never its group's base
+pair, so stages 2 and 3 search nothing for it) and is answered from that
+*twin* afterwards: its own ``CO[μ]`` prefix as the cores, labelled through
+a dense map of the twin's cores, and the twin's borders and cluster count
+as they are.  A chain that skips a step gathers the wider band at its next
+computed step.
 
 A core's prefix at a step is read off its base pair's block, at the core's
 rank in the base μ's ``CO`` list: cores of a larger μ lie in the base
@@ -42,20 +41,18 @@ prefix, so one rank vector per distinct base μ suffices.  An arc whose
 target is not yet a core is not unioned; should that target become a core,
 its own prefix (gathered in full then) holds the reverse arc.
 
-Borders are attached without a sort, by a running table per chain.  Under
-the deterministic rule (most similar core, ties to the lower core id) a
-scatter-max raises each border's best similarity, a border whose best rose
-drops its earlier winner, and a scatter-min picks the lowest core id among
-the arcs that tie the best.  Under the first-writer rule a border joins the
-source of lowest ``CO[μ]``-prefix rank -- the block index, which never
-changes as the prefix grows -- by one scatter-min.  A vertex that becomes a
-core leaves the table, so its reached slots are exactly the borders, and a
-border's label is read after the step's unions.
+Borders are attached without a sort, by a running table per chain.  A
+border joins its most similar core, ties to the lower core id (the rule of
+the paper's experiments, Section 7.3.4): a scatter-max raises each border's
+best similarity, a border whose best rose drops its earlier winner, and a
+scatter-min picks the lowest core id among the arcs that tie the best.  A
+vertex that becomes a core leaves the table, so its reached slots are
+exactly the borders, and a border's label is read after the step's unions.
 
 Every answer is a :class:`~repro.core.query.CompactClustering`, bit for bit
 the pair's answer when queried alone: labels are union-find
 representatives (the minimum vertex id of each component under
-min-hooking, whatever the union order) and both border rules are
+min-hooking, whatever the union order) and the border rule is
 arc-order-independent.  A one-pair batch is a one-step chain, so it does
 and charges exactly one query's work; duplicate settings are answered once.
 
@@ -116,7 +113,6 @@ def query_many(
     pairs: Iterable[tuple[int, float]],
     *,
     scheduler: Scheduler | None = None,
-    deterministic_borders: bool = False,
 ) -> list[CompactClustering]:
     """SCAN clusterings for every ``(mu, epsilon)`` pair, planned as one batch.
 
@@ -143,12 +139,9 @@ def query_many(
             core_order.thresholds, epsilons, core_starts, core_lengths,
             scheduler=scheduler,
         )
-        # Under the deterministic rule a setting that selects as many cores
-        # as a smaller μ at its ε is answered from that twin, not chained.
-        twin = (
-            _twins(mus, epsilons, core_counts) if deterministic_borders
-            else np.full(num_pairs, -1, dtype=np.int64)
-        )
+        # A setting that selects as many cores as a smaller μ at its ε is
+        # answered from that twin, not chained.
+        twin = _twins(mus, epsilons, core_counts)
         computed = np.flatnonzero(twin < 0)
         span.attrs["twins"] = num_pairs - int(computed.size)
 
@@ -208,10 +201,10 @@ def query_many(
         forest = UnionFind(n)
         is_core = np.zeros(n, dtype=bool)
         done = np.zeros(int(core_counts[chain[-1]]), dtype=np.int64)
-        # Border table: the winning arc's key per vertex; ``n`` marks the
-        # vertices no border arc reaches and the cores.
+        # Border table: each vertex's winning core and its similarity; ``n``
+        # marks the vertices no border arc reaches and the cores.
         winner = np.full(n, n, dtype=np.int64)
-        best = np.full(n, -np.inf) if deterministic_borders else None
+        best = np.full(n, -np.inf)
         previous = None
         for pair in chain.tolist():
             if previous is not None and epsilons[pair] == epsilons[previous]:
@@ -264,10 +257,10 @@ def query_many(
                 )
 
             # Border vertices (Algorithm 4): each non-core endpoint of an
-            # ε-similar arc out of a core joins the source of its first arc
-            # in the border rule's priority order.  The new arcs update a
-            # running scatter-min (or -max) table; labels are read after
-            # this step's unions, so later merges are respected.
+            # ε-similar arc out of a core joins its most similar source, ties
+            # to the lower core id.  The new arcs update a running
+            # scatter-max/min table; labels are read after this step's
+            # unions, so later merges are respected.
             with obs.span("core.query.borders"):
                 winner[cores] = n           # cores leave the border table
                 border = np.flatnonzero(~to_core)
@@ -277,25 +270,13 @@ def query_many(
                 per_block = np.searchsorted(border, block_ends) - np.searchsorted(
                     border, block_starts
                 )
-                if deterministic_borders:
-                    # Most similar core first, ties to the lower core id.
-                    shift = starts - block_starts
-                    _raise_best(
-                        best, winner, border_targets, np.repeat(cores, per_block),
-                        neighbor_order.similarities[border + np.repeat(shift, per_block)],
-                    )
-                else:
-                    # The first writer in the setting's own traversal order
-                    # wins: the source of lowest CO[μ]-prefix rank, which is
-                    # the block index and never changes along the chain.
-                    np.minimum.at(
-                        winner, border_targets,
-                        np.repeat(np.arange(count, dtype=np.int64), per_block),
-                    )
+                shift = starts - block_starts
+                _raise_best(
+                    best, winner, border_targets, np.repeat(cores, per_block),
+                    neighbor_order.similarities[border + np.repeat(shift, per_block)],
+                )
                 border_vertices = np.flatnonzero(winner < n)
                 border_sources = winner[border_vertices]
-                if not deterministic_borders:
-                    border_sources = cores[border_sources]
                 results[pair] = _compact_answer(
                     cores, core_labels, border_vertices, border_sources,
                     int(border.size), n, scheduler=scheduler,
@@ -309,7 +290,7 @@ def _twins(mus: np.ndarray, epsilons: np.ndarray, core_counts: np.ndarray) -> np
     """Each setting's *twin*: the smallest μ at its ε with as many cores, or -1.
 
     Core sets are nested in μ at a fixed ε, so an equal count means the
-    same cores, and under the deterministic border rule the same clusters.
+    same cores, and so the same clusters.
     A setting is its own answer (-1) when it selects no cores or when no
     smaller μ of the batch at its ε selects as many; a duplicate of such a
     setting stays in its chain, which answers it once.

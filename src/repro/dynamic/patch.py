@@ -863,7 +863,7 @@ def apply_updates(
     After this returns, ``index`` answers queries exactly as an index
     rebuilt from scratch on the mutated graph would -- same graph columns,
     same per-edge scores, same neighbor and core orders, same clusterings
-    in both border modes -- while the similarity and sorting work done is
+    -- while the similarity and sorting work done is
     proportional to the affected neighborhoods only.
 
     Side effects beyond the index components: an entry is appended to

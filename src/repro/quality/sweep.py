@@ -94,7 +94,6 @@ def modularity_sweep(
     *,
     parameters: Iterable[tuple[int, float]] | None = None,
     epsilon_step: float = 0.05,
-    deterministic_borders: bool = True,
 ) -> SweepResult:
     """Query the index over a parameter grid and score each clustering.
 
@@ -141,7 +140,6 @@ def modularity_sweep(
         answers = query_many(
             index.neighbor_order, index.core_order,
             [parameters[position] for position in queried],
-            deterministic_borders=deterministic_borders,
         )
         for position, answer in zip(queried, answers):
             mu_value, epsilon = parameters[position]
@@ -167,5 +165,5 @@ def best_clustering(
     """The modularity-maximising clustering of an index over a grid."""
     sweep = modularity_sweep(index, parameters=parameters, epsilon_step=epsilon_step)
     best = sweep.best
-    clustering = index.query(best.mu, best.epsilon, deterministic_borders=True)
+    clustering = index.query(best.mu, best.epsilon)
     return clustering, best

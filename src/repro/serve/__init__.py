@@ -6,7 +6,7 @@ long-lived serving loop.  Its three pieces compose one pipeline per request:
 1. :class:`~repro.serve.snapping.EpsilonSnapper` canonicalizes the query's
    float ε to the stored similarity-rank boundary it resolves to;
 2. :class:`~repro.serve.cache.ResultCache` -- a bounded LRU keyed by
-   ``(μ, snapped-ε, border-mode)``, owned by one session -- answers repeats
+   ``(μ, snapped-ε)``, owned by one session -- answers repeats
    without touching the index;
 3. on a miss, :class:`~repro.serve.session.ClusterSession` computes the
    compact clustering as the query planner's one-pair batch

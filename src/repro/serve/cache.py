@@ -1,6 +1,6 @@
 """Bounded LRU cache for served clustering results.
 
-The serving loop's cache maps ``(μ, ε-rank, border-mode)`` keys to compact
+The serving loop's cache maps ``(μ, ε-rank)`` keys to compact
 answers (:class:`repro.core.query.CompactClustering`).  The ε component of
 a key is the integer rank produced by :class:`~repro.serve.snapping.
 EpsilonSnapper`, not the float the user typed, so every ε inside one

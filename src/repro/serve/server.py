@@ -174,7 +174,6 @@ class _WorkerHandle:
             args=(str(self.server.artifact_path), self.worker_id, child_end),
             kwargs={
                 "cache_size": self.server.cache_size,
-                "deterministic": self.server.deterministic,
                 "generation": self.server.generation,
                 "trace_path": self.server._worker_trace_path(self.worker_id),
             },
@@ -307,7 +306,6 @@ class ClusterServer:
         *,
         workers: int = 2,
         cache_size: int = 256,
-        deterministic: bool = False,
         policy: SupervisionPolicy | None = None,
         request_deadline: float = DEFAULT_REQUEST_DEADLINE,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
@@ -330,7 +328,6 @@ class ClusterServer:
         self.artifact_path = Path(artifact_path)
         self.num_workers = int(workers)
         self.cache_size = int(cache_size)
-        self.deterministic = bool(deterministic)
         self.policy = policy if policy is not None else SERVING_POLICY
         self.request_deadline = float(request_deadline)
         self.max_inflight = int(max_inflight)
@@ -799,9 +796,7 @@ class ClusterServer:
         if self._fallback_session is None:
             self._fallback_session = self._index.session(cache_size=self.cache_size)
         try:
-            result = self._fallback_session.serve(
-                mu, epsilon, deterministic_borders=self.deterministic
-            )
+            result = self._fallback_session.serve(mu, epsilon)
         except ValueError as error:
             return wire.format_error(error)
         return wire.format_response(result)

@@ -14,7 +14,7 @@ one, which keeps answers compact and serves repeats without recomputing:
   entry.  The snapper wraps the index's stored boundary table, so opening a
   session sorts nothing.
 * **Result caching.**  A session-owned bounded LRU (:class:`~repro.serve.
-  cache.ResultCache`) keyed by ``(μ, ε-rank, border-mode)`` holds compact
+  cache.ResultCache`) keyed by ``(μ, ε-rank)`` holds compact
   answers; repeats of a hot ``(μ, ε)`` are answered without
   touching the index at all.  Batched sweeps (:meth:`ClusterSession.
   query_many`) route through the same cache: misses run as one planned
@@ -32,7 +32,7 @@ only the clustered vertices and their labels -- and materialise to a dense
 :class:`~repro.core.clustering.Clustering` on demand
 (:meth:`ServedResult.to_clustering`).  Served answers, cached or not, are
 bit-identical to cold :meth:`ScanIndex.query
-<repro.core.index.ScanIndex.query>` calls in both border modes; the
+<repro.core.index.ScanIndex.query>` calls; the
 property tests in ``tests/serve/`` enforce this over randomized query
 streams.  The session is deliberately the narrow seam -- one index, one
 private cache, sequential serves -- that the forked serving workers each
@@ -48,7 +48,9 @@ import numpy as np
 
 from .. import obs
 from ..core.clustering import Clustering
-from ..core.query import CompactClustering, check_setting, dense_clustering
+from ..core.query import (
+    CompactClustering, check_border_rule, check_setting, dense_clustering,
+)
 from ..core.sweep_query import query_many as _query_many
 from ..parallel.scheduler import Scheduler
 from .cache import ResultCache
@@ -73,8 +75,6 @@ class ServedResult:
     compact:
         The shared (possibly cached) :class:`~repro.core.query.
         CompactClustering` answer.
-    deterministic_borders:
-        Border-attachment mode the answer was computed under.
     from_cache:
         Whether this serve was answered from the result cache.
     """
@@ -84,7 +84,6 @@ class ServedResult:
     snapped_epsilon: float
     compact: CompactClustering
     num_vertices: int
-    deterministic_borders: bool
     from_cache: bool
 
     @property
@@ -116,7 +115,7 @@ class ServedResult:
         """Materialise the dense :class:`~repro.core.clustering.Clustering`.
 
         The dense form is bit-identical to what the cold query path returns
-        for the same parameters and border mode.  This is the only O(n) step
+        for the same parameters.  This is the only O(n) step
         of the serving path; callers that only need cluster counts or member
         lists can stay compact.
         """
@@ -172,24 +171,24 @@ class ClusterSession:
     # Serving
     # ------------------------------------------------------------------
     def serve(
-        self, mu: int, epsilon: float, *, deterministic_borders: bool = False
+        self, mu: int, epsilon: float, *, deterministic_borders: bool = True
     ) -> ServedResult:
         """Answer one ``(μ, ε)`` query from the cache or the query planner.
 
-        The cache key is ``(μ, rank(ε), border-mode)`` with
-        ``rank`` the ε-snapping rank, so a hit requires only the O(log m)
-        snap and a dict lookup.  On a miss the compact clustering is
-        computed (the planner's one-pair batch) and cached.
-        Either way the answer is bit-identical to a cold
-        :meth:`ScanIndex.query <repro.core.index.ScanIndex.query>`.
+        The cache key is ``(μ, rank(ε))`` with ``rank`` the ε-snapping
+        rank, so a hit requires only the O(log m) snap and a dict lookup.
+        On a miss the compact clustering is computed (the planner's
+        one-pair batch) and cached.  Either way the answer is bit-identical
+        to a cold :meth:`ScanIndex.query <repro.core.index.ScanIndex.query>`.
+        ``deterministic_borders`` accepts only ``True``.
         """
+        check_border_rule(deterministic_borders)
         mu = int(mu)
         epsilon = float(epsilon)
         check_setting(mu, epsilon)
         self._refresh_if_mutated()
         rank = self.snapper.rank(epsilon)
-        deterministic_borders = bool(deterministic_borders)
-        key = (mu, rank, deterministic_borders)
+        key = (mu, rank)
         compact = self.cache.get(key) if self.cache is not None else None
         from_cache = compact is not None
         if compact is None:
@@ -198,9 +197,9 @@ class ClusterSession:
             # pre-instrumentation code: no span object, no attr dict.
             if obs.on():
                 with obs.span("serve.session.compute", mu=mu, rank=rank):
-                    compact = self._compute(mu, epsilon, deterministic_borders)
+                    compact = self._compute(mu, epsilon)
             else:
-                compact = self._compute(mu, epsilon, deterministic_borders)
+                compact = self._compute(mu, epsilon)
             if self.cache is not None:
                 self.cache.put(key, compact)
         elif obs.on():
@@ -213,12 +212,11 @@ class ClusterSession:
             snapped_epsilon=self.snapper.snap_at(rank),
             compact=compact,
             num_vertices=self.num_vertices,
-            deterministic_borders=deterministic_borders,
             from_cache=from_cache,
         )
 
     def query(
-        self, mu: int, epsilon: float, *, deterministic_borders: bool = False
+        self, mu: int, epsilon: float, *, deterministic_borders: bool = True
     ) -> Clustering:
         """Serve and materialise a dense clustering (cold-path compatible)."""
         return self.serve(
@@ -229,7 +227,7 @@ class ClusterSession:
         self,
         pairs: Iterable[tuple[int, float]],
         *,
-        deterministic_borders: bool = False,
+        deterministic_borders: bool = True,
     ) -> list[Clustering]:
         """Batched sweep through the result cache and the planner.
 
@@ -241,16 +239,17 @@ class ClusterSession:
         whose compact answers are cached as they are, so a later
         :meth:`serve` of the same setting hits.  Results are dense
         clusterings in input order, bit-identical to cold calls.
+        ``deterministic_borders`` accepts only ``True``.
         """
+        check_border_rule(deterministic_borders)
         pairs = [(int(mu), float(epsilon)) for mu, epsilon in pairs]
         for mu, epsilon in pairs:
             check_setting(mu, epsilon)
         self._refresh_if_mutated()
-        deterministic_borders = bool(deterministic_borders)
         answers: list[CompactClustering | None] = [None] * len(pairs)
         misses: dict[tuple, list[int]] = {}
         for position, (mu, epsilon) in enumerate(pairs):
-            key = (mu, self.snapper.rank(epsilon), deterministic_borders)
+            key = (mu, self.snapper.rank(epsilon))
             compact = self.cache.get(key) if self.cache is not None else None
             if compact is not None:
                 self.cache_hits += 1
@@ -266,7 +265,6 @@ class ClusterSession:
                 self.index.core_order,
                 [pairs[positions[0]] for positions in misses.values()],
                 scheduler=self.scheduler,
-                deterministic_borders=deterministic_borders,
             )
             for (key, positions), compact in zip(misses.items(), planned):
                 if self.cache is not None:
@@ -335,16 +333,13 @@ class ClusterSession:
             ]
             registry.gauge("serve.cache.size").set(cache_stats["size"])
 
-    def _compute(
-        self, mu: int, epsilon: float, deterministic_borders: bool
-    ) -> CompactClustering:
+    def _compute(self, mu: int, epsilon: float) -> CompactClustering:
         """One cache miss: the planner's one-pair batch (a read-only answer)."""
         return _query_many(
             self.index.neighbor_order,
             self.index.core_order,
             [(mu, epsilon)],
             scheduler=self.scheduler,
-            deterministic_borders=deterministic_borders,
         )[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

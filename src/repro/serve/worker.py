@@ -81,7 +81,6 @@ def worker_main(
     connection,
     *,
     cache_size: int = 256,
-    deterministic: bool = False,
     generation: int = 0,
     trace_path: str | None = None,
 ) -> None:
@@ -167,16 +166,12 @@ def worker_main(
                     with obs.span(
                         "serve.worker.request", worker=worker_id, mu=mu
                     ) as request_span:
-                        result = session.serve(
-                            mu, epsilon, deterministic_borders=deterministic
-                        )
+                        result = session.serve(mu, epsilon)
                         request_span.attrs["cache"] = (
                             "hit" if result.from_cache else "miss"
                         )
                 else:
-                    result = session.serve(
-                        mu, epsilon, deterministic_borders=deterministic
-                    )
+                    result = session.serve(mu, epsilon)
             except ValueError as error:
                 connection.send(("error", request_id, str(error)))
                 continue

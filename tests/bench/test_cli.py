@@ -123,6 +123,31 @@ class TestServeCommand:
         assert main(["serve", str(artifact), "--requests", str(requests)]) == 0
         assert calls == [1]
 
+    def test_deterministic_flag_changes_no_byte(self, artifact, tmp_path, capsys):
+        requests = tmp_path / "requests.txt"
+        requests.write_text("3:0.6\n2:0.5\n2:0.2\n4:0.7\n3:0.6\n2:0.0\n")
+        argv = ["serve", str(artifact), "--requests", str(requests)]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--deterministic"]) == 0
+        assert capsys.readouterr().out == plain
+        assert plain.count("mu=") == 6
+
+    @pytest.mark.parametrize("port", ["-1", "65536"])
+    def test_port_out_of_range_is_refused_before_serving(
+        self, artifact, capsys, monkeypatch, port
+    ):
+        from repro import cli
+
+        def never(args):
+            raise AssertionError("the network tier must not start")
+
+        monkeypatch.setattr(cli, "_serve_network", never)
+        assert main(["serve", str(artifact), "--port", port]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --port must lie in [0, 65535], got {port}\n"
+        )
+
     def test_missing_requests_file(self, artifact, capsys):
         assert main(["serve", str(artifact), "--requests", "/no/such/file"]) == 2
         assert "cannot read requests" in capsys.readouterr().err
@@ -243,6 +268,22 @@ class TestIndexQueryCommand:
                      "--epsilon", "0.3"]) == 0
         row = capsys.readouterr().out.splitlines()[-1].split()
         assert row == [str(mu), "0.3", "0", "0"]
+
+    def test_one_setting_defaults_to_mu_5_epsilon_0_6(self, artifact, capsys):
+        assert main(["index", "query", str(artifact)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split()[:2] == ["5", "0.6"]
+
+    @pytest.mark.parametrize("extra", [["--mu", "2"], ["--epsilon", "0.4"]])
+    def test_pairs_with_a_single_setting_option_is_refused(
+        self, artifact, capsys, extra
+    ):
+        argv = ["index", "query", str(artifact), "--pairs", "3:0.5"] + extra
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --pairs cannot be combined with --mu or --epsilon\n"
+        )
 
 
 class TestArtifactErrorReporting:

@@ -87,6 +87,8 @@ CASES = [
     ("index query", "index query {artifact} --epsilon nan"),
     ("index query", "index query {artifact} --pairs 2:nan"),
     ("index query", "index query {artifact} --pairs 5-0.6"),
+    ("index query", "index query {artifact} --pairs 3:0.5 --mu 2"),
+    ("index query", "index query {artifact} --epsilon 0.4 --pairs 3:0.5"),
     ("index query", "index query {missing}"),
     ("index verify", "index verify {missing}"),
     ("index verify", "index verify {no_crc} --deep"),
@@ -99,6 +101,8 @@ CASES = [
     ("serve", "serve {artifact} --workers 2"),
     ("serve", "serve {artifact} --port 0 --probe-interval 0"),
     ("serve", "serve {artifact} --port 0 --deadline nan"),
+    ("serve", "serve {artifact} --port -1"),
+    ("serve", "serve {artifact} --port 65536"),
     ("serve-client", "serve-client no-port"),
     ("serve-client", "serve-client {closed}"),
     ("bench record", "bench record {missing} --db {db}"),

@@ -126,9 +126,9 @@ class TestQueryCorrectness:
                 for u in neighbors
             )
 
-    def test_deterministic_borders_reproducible(self, community_index):
-        a = community_index.query(2, 0.3, deterministic_borders=True)
-        b = community_index.query(2, 0.3, deterministic_borders=True)
+    def test_repeated_queries_are_reproducible(self, community_index):
+        a = community_index.query(2, 0.3)
+        b = community_index.query(2, 0.3)
         assert np.array_equal(a.labels, b.labels)
 
     def test_epsilon_one_only_keeps_identical_neighborhoods(self, paper_index):

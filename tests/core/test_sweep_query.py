@@ -44,35 +44,24 @@ def random_grid(rng, max_mu, count):
 
 
 class TestIdentityWithPerPairQueries:
-    @pytest.mark.parametrize("deterministic", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_per_pair_queries(self, community_index, deterministic, seed):
+    def test_matches_per_pair_queries(self, community_index, seed):
         rng = np.random.default_rng(seed)
         pairs = random_grid(rng, community_index.graph.max_degree + 1, 30)
-        batched = community_index.query_many(
-            pairs, deterministic_borders=deterministic
-        )
+        batched = community_index.query_many(pairs)
         assert len(batched) == len(pairs)
         for (mu, epsilon), clustering in zip(pairs, batched):
-            single = community_index.query(
-                mu, epsilon, deterministic_borders=deterministic
-            )
+            single = community_index.query(mu, epsilon)
             assert np.array_equal(clustering.labels, single.labels), (mu, epsilon)
             assert np.array_equal(clustering.core_mask, single.core_mask)
             assert clustering.mu == mu
             assert clustering.epsilon == epsilon
         planned = query_many(
-            community_index.neighbor_order,
-            community_index.core_order,
-            pairs,
-            deterministic_borders=deterministic,
+            community_index.neighbor_order, community_index.core_order, pairs
         )
         for pair, answer in zip(pairs, planned):
             (single,) = query_many(
-                community_index.neighbor_order,
-                community_index.core_order,
-                [pair],
-                deterministic_borders=deterministic,
+                community_index.neighbor_order, community_index.core_order, [pair]
             )
             assert_same_answer(answer, single)
 
@@ -85,14 +74,13 @@ class TestIdentityWithPerPairQueries:
         assert batched[4].num_clustered_vertices == 0
         assert batched[5].num_clusters == 1
 
-    @pytest.mark.parametrize("deterministic", [False, True])
-    def test_mu_beyond_int64_matches_per_pair_queries(self, paper_index, deterministic):
+    def test_mu_beyond_int64_matches_per_pair_queries(self, paper_index):
         pairs = [(2**63, 0.3), (3, 0.6), (2**64 + 5, 0.6), (2**63 - 1, 0.0)]
-        batched = paper_index.query_many(pairs, deterministic_borders=deterministic)
+        batched = paper_index.query_many(pairs)
         session = paper_index.session()
         for (mu, epsilon), clustering in zip(pairs, batched):
-            single = paper_index.query(mu, epsilon, deterministic_borders=deterministic)
-            served = session.serve(mu, epsilon, deterministic_borders=deterministic)
+            single = paper_index.query(mu, epsilon)
+            served = session.serve(mu, epsilon)
             for result in (single, served.to_clustering()):
                 assert np.array_equal(clustering.labels, result.labels)
                 assert np.array_equal(clustering.core_mask, result.core_mask)
@@ -226,7 +214,7 @@ def ragged_grid(rng, index, count):
 
 class TestChainsMatchOnePairBatches:
     """A μ's settings are one chain in descending ε; every answer must still
-    equal its own one-pair batch, in both border modes."""
+    equal its own one-pair batch."""
 
     @pytest.fixture(scope="class", params=["unweighted", "weighted"])
     def index(self, request):
@@ -236,21 +224,14 @@ class TestChainsMatchOnePairBatches:
             graph = weighted_community_graph()
         return ScanIndex.build(graph)
 
-    @pytest.mark.parametrize("deterministic", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_ragged_grid(self, index, deterministic, seed):
-        rng = np.random.default_rng([seed, int(deterministic)])
+    def test_ragged_grid(self, index, seed):
+        rng = np.random.default_rng([seed, 1])
         pairs = ragged_grid(rng, index, 40)
-        planned = query_many(
-            index.neighbor_order, index.core_order, pairs,
-            deterministic_borders=deterministic,
-        )
+        planned = query_many(index.neighbor_order, index.core_order, pairs)
         assert len(planned) == len(pairs)
         for pair, answer in zip(pairs, planned):
-            (single,) = query_many(
-                index.neighbor_order, index.core_order, [pair],
-                deterministic_borders=deterministic,
-            )
+            (single,) = query_many(index.neighbor_order, index.core_order, [pair])
             assert_same_answer(answer, single)
         # Some chain starts with settings that select no cores, then gains them.
         with_cores = {mu for (mu, _), answer in zip(pairs, planned) if answer.num_cores}
@@ -258,8 +239,7 @@ class TestChainsMatchOnePairBatches:
         assert with_cores & without
 
 
-    @pytest.mark.parametrize("deterministic", [False, True])
-    def test_border_best_rises_along_the_chain(self, deterministic):
+    def test_border_best_rises_along_the_chain(self):
         # At μ = 4, a core added at a smaller ε is more similar to a border
         # than the core that reached it first, and has the higher id: the
         # border's earlier winner must be dropped, not kept by the min-id tie.
@@ -269,15 +249,9 @@ class TestChainsMatchOnePairBatches:
         index = ScanIndex.build(from_edge_list(edges, num_vertices=12))
         epsilons = np.unique(np.minimum(index.similarities.values, 1.0)).tolist()
         pairs = [(mu, eps) for mu in (2, 3, 4, 5) for eps in epsilons]
-        planned = query_many(
-            index.neighbor_order, index.core_order, pairs,
-            deterministic_borders=deterministic,
-        )
+        planned = query_many(index.neighbor_order, index.core_order, pairs)
         for pair, answer in zip(pairs, planned):
-            (single,) = query_many(
-                index.neighbor_order, index.core_order, [pair],
-                deterministic_borders=deterministic,
-            )
+            (single,) = query_many(index.neighbor_order, index.core_order, [pair])
             assert_same_answer(answer, single)
 
 
@@ -320,8 +294,7 @@ def prefix_twins(run):
 
 
 class TestTwins:
-    """Under the deterministic rule a setting that selects as many cores as
-    a smaller μ at its ε is answered from that twin, not from a chain step;
+    """A setting that selects as many cores as a smaller μ at its ε is answered from that twin, not from a chain step;
     its answer must still equal its own one-pair batch."""
 
     @pytest.fixture(scope="class", params=["unweighted", "weighted"])
@@ -332,32 +305,21 @@ class TestTwins:
             graph = weighted_community_graph()
         return ScanIndex.build(graph)
 
-    @pytest.mark.parametrize("deterministic", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
-    def test_twin_heavy_batches_match_one_pair_batches(self, index, deterministic, seed):
+    def test_twin_heavy_batches_match_one_pair_batches(self, index, seed):
         rng = np.random.default_rng([seed, 7])
         pairs = twin_heavy_grid(rng, index, 48)
         planned = []
         (twins,) = prefix_twins(lambda: planned.extend(query_many(
             index.neighbor_order, index.core_order, pairs,
-            deterministic_borders=deterministic,
         )))
         assert len(planned) == len(pairs)
         for pair, answer in zip(pairs, planned):
-            (single,) = query_many(
-                index.neighbor_order, index.core_order, [pair],
-                deterministic_borders=deterministic,
-            )
+            (single,) = query_many(index.neighbor_order, index.core_order, [pair])
             assert_same_answer(answer, single)
-        if deterministic:
-            assert twins >= len(pairs) // 3
-        else:
-            assert twins == 0
+        assert twins >= len(pairs) // 3
 
-    @pytest.mark.parametrize(
-        "deterministic, twins", [(True, [4, 0]), (False, [0, 0])]
-    )
-    def test_prefix_span_counts_the_twins(self, community_index, deterministic, twins):
+    def test_prefix_span_counts_the_twins(self, community_index):
         # (3, 0.1), both (5, 0.1) and (3, 0.3) select (2, ε)'s 100 cores; μ 400
         # selects none, and a one-pair batch has no twin.
         pairs = [(2, 0.1), (3, 0.1), (5, 0.1), (5, 0.1), (400, 0.1), (2, 0.3), (3, 0.3)]
@@ -366,16 +328,14 @@ class TestTwins:
             for batch in (pairs, pairs[:1]):
                 query_many(
                     community_index.neighbor_order, community_index.core_order, batch,
-                    deterministic_borders=deterministic,
                 )
 
-        assert prefix_twins(run) == twins
+        assert prefix_twins(run) == [4, 0]
 
 
 class TestChainCharges:
     # Work and span of one-pair batches, unchanged since sweeps were
     # planned as one union-find forest per ε group.
-    @pytest.mark.parametrize("deterministic", [False, True])
     @pytest.mark.parametrize(
         "graph_name, pair, work, span",
         [
@@ -386,11 +346,11 @@ class TestChainCharges:
         ],
     )
     def test_one_pair_batch_charges_are_pinned(
-        self, paper_index, community_index, deterministic, graph_name, pair, work, span
+        self, paper_index, community_index, graph_name, pair, work, span
     ):
         index = paper_index if graph_name == "paper" else community_index
         scheduler = Scheduler()
-        index.query_many([pair], scheduler=scheduler, deterministic_borders=deterministic)
+        index.query_many([pair], scheduler=scheduler)
         assert scheduler.counter.work == work
         assert scheduler.counter.span == span
 
@@ -404,25 +364,17 @@ class TestChainCharges:
         assert scheduler.counter.work < 43315
 
     @pytest.mark.parametrize(
-        "deterministic, pairs, work, span",
+        "pairs, work, span",
         [
             # (3, 0.1) selects (2, 0.1)'s 100 cores: one more prefix search and
             # one charge per core on top of the (2, 0.1) batch's 3,736 / 52.
-            (True, [(2, 0.1), (3, 0.1)], 3852, 54),
-            # The first-writer rule walks every chain, as before twins.
-            (False, [(2, 0.1), (3, 0.1)], 6456, 82),
-            (True, [(2, 0.1), (3, 0.1), (5, 0.1), (5, 0.1), (400, 0.1), (2, 0.3), (3, 0.3)],
+            ([(2, 0.1), (3, 0.1)], 3852, 54),
+            ([(2, 0.1), (3, 0.1), (5, 0.1), (5, 0.1), (400, 0.1), (2, 0.3), (3, 0.3)],
              5185, 85),
-            (False, [(2, 0.1), (3, 0.1), (5, 0.1), (5, 0.1), (400, 0.1), (2, 0.3), (3, 0.3)],
-             10393, 166),
         ],
     )
-    def test_twin_batch_charges_are_pinned(
-        self, community_index, deterministic, pairs, work, span
-    ):
+    def test_twin_batch_charges_are_pinned(self, community_index, pairs, work, span):
         scheduler = Scheduler()
-        community_index.query_many(
-            pairs, scheduler=scheduler, deterministic_borders=deterministic
-        )
+        community_index.query_many(pairs, scheduler=scheduler)
         assert scheduler.counter.work == work
         assert scheduler.counter.span == span

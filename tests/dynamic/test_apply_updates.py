@@ -96,11 +96,10 @@ class TestBitIdentity:
         )
         assert_indexes_identical(index, rebuilt)
         for mu, eps in [(2, 0.3), (3, 0.55), (5, 0.7)]:
-            for det in (False, True):
-                a = index.query(mu, eps, deterministic_borders=det)
-                b = rebuilt.query(mu, eps, deterministic_borders=det)
-                assert np.array_equal(a.labels, b.labels)
-                assert np.array_equal(a.core_mask, b.core_mask)
+            a = index.query(mu, eps)
+            b = rebuilt.query(mu, eps)
+            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a.core_mask, b.core_mask)
 
     def test_insert_only_and_delete_only(self):
         graph = planted_partition(3, 15, p_intra=0.5, p_inter=0.05, seed=2)

@@ -91,8 +91,8 @@ class TestPersistenceAndCosts:
         write_adjacency(social_graph, path)
         reloaded = read_adjacency(path)
         rebuilt = ScanIndex.build(reloaded)
-        a = index.query(3, 0.3, deterministic_borders=True)
-        b = rebuilt.query(3, 0.3, deterministic_borders=True)
+        a = index.query(3, 0.3)
+        b = rebuilt.query(3, 0.3)
         assert a.same_partition_as(b)
 
     def test_query_cost_scales_with_output_not_graph(self, index):

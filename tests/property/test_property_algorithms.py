@@ -140,9 +140,9 @@ graphs = st.one_of(
 
 
 @settings(max_examples=100)
-@given(graphs, st.data(), st.booleans())
-def test_index_query_cores_match_scan(graph, data, deterministic):
-    """Whole clusterings of a planned batch against original SCAN, in both border modes.
+@given(graphs, st.data())
+def test_index_query_cores_match_scan(graph, data):
+    """Whole clusterings of a planned batch against original SCAN.
 
     The batch holds 1-6 settings, often sharing an ε, so the planner's
     cross-pair sharing (one arc gather per ε, one union-find forest per ε
@@ -150,8 +150,8 @@ def test_index_query_cores_match_scan(graph, data, deterministic):
     SCAN and the index agree on the cores, on the core partition (up to
     relabelling) and on which vertices are clustered; border vertices may
     differ only in which ε-similar core cluster they join, so each border's
-    label must come from such a core -- in deterministic mode the most
-    similar one, ties to the lower core id.
+    label must come from the most similar such core, ties to the lower
+    core id.
     """
     if graph.num_edges == 0:
         return
@@ -168,7 +168,7 @@ def test_index_query_cores_match_scan(graph, data, deterministic):
         )
         settings_drawn.append((data.draw(st.integers(2, 8)), epsilon))
     arc_similarities = index.similarities.arc_values()
-    batch = index.query_many(settings_drawn, deterministic_borders=deterministic)
+    batch = index.query_many(settings_drawn)
     for (mu, epsilon), ours in zip(settings_drawn, batch):
         reference = scan_clustering(graph, mu, epsilon, similarities=index.similarities)
         assert np.array_equal(ours.core_mask, reference.core_mask)
@@ -188,23 +188,18 @@ def test_index_query_cores_match_scan(graph, data, deterministic):
             similar_cores = ours.core_mask[neighbors] & (similar >= epsilon)
             candidates = neighbors[similar_cores]
             assert candidates.size
-            if deterministic:
-                # Most similar core first, ties to the lower core id.
-                best = np.lexsort((candidates, -similar[similar_cores]))[0]
-                assert ours.labels[border] == ours.labels[candidates[best]]
-            else:
-                assert ours.labels[border] in ours.labels[candidates]
+            # Most similar core first, ties to the lower core id.
+            best = np.lexsort((candidates, -similar[similar_cores]))[0]
+            assert ours.labels[border] == ours.labels[candidates[best]]
 
 
-def reference_compact(index, mu, epsilon, deterministic):
+def reference_compact(index, mu, epsilon):
     """The compact answer of ``(mu, epsilon)``, walked scalar by scalar.
 
     Cores are the ``CO[mu]`` prefix with threshold >= ε, in that order; each
     core's ε-prefix of ``NO`` is walked in neighbor order.  A core's label is
-    the minimum core id of its ε-connected component.  A border joins the
-    core of its first arc in that walk (first writer wins), or in
-    deterministic mode the most similar core, ties to the lower id.
-    Borders follow the cores in ascending id order.
+    the minimum core id of its ε-connected component.  A border joins its
+    most similar core, ties to the lower id.  Borders follow the cores in ascending id order.
     """
     co, no = index.core_order, index.neighbor_order
     cores = []
@@ -232,7 +227,7 @@ def reference_compact(index, mu, epsilon, deterministic):
                 low, high = sorted((find(core), find(neighbor)))
                 label[high] = low
             elif neighbor not in owner or (
-                deterministic and (-similarity, core) < (-best[neighbor], owner[neighbor])
+                (-similarity, core) < (-best[neighbor], owner[neighbor])
             ):
                 owner[neighbor], best[neighbor] = core, similarity
     borders = sorted(owner)
@@ -241,11 +236,11 @@ def reference_compact(index, mu, epsilon, deterministic):
 
 
 @settings(max_examples=100)
-@given(graphs, st.data(), st.booleans())
-def test_border_attachment_matches_scalar_walk_exactly(graph, data, deterministic):
+@given(graphs, st.data())
+def test_border_attachment_matches_scalar_walk_exactly(graph, data):
     """Every label of a one-pair batch and of a shared-ε multi-pair batch
-    equals the scalar walk's, in both border modes -- including which core
-    cluster each first-writer border joins."""
+    equals the scalar walk's -- including which core cluster each border
+    joins."""
     if graph.num_edges == 0:
         return
     index = ScanIndex.build(graph)
@@ -253,16 +248,10 @@ def test_border_attachment_matches_scalar_walk_exactly(graph, data, deterministi
     epsilon = data.draw(st.one_of(st.floats(0.05, 0.95), st.sampled_from(stored)))
     mus = data.draw(st.lists(st.integers(2, 8), min_size=2, max_size=5))
     pairs = [(mu, epsilon) for mu in mus]
-    batch = query_many(
-        index.neighbor_order, index.core_order, pairs,
-        deterministic_borders=deterministic,
-    )
+    batch = query_many(index.neighbor_order, index.core_order, pairs)
     for pair, shared in zip(pairs, batch):
-        (single,) = query_many(
-            index.neighbor_order, index.core_order, [pair],
-            deterministic_borders=deterministic,
-        )
-        vertices, labels = reference_compact(index, *pair, deterministic)
+        (single,) = query_many(index.neighbor_order, index.core_order, [pair])
+        vertices, labels = reference_compact(index, *pair)
         for answer in (single, shared):
             assert answer.vertices.tolist() == vertices
             assert answer.labels.tolist() == labels
@@ -279,9 +268,8 @@ def tied_bridge():
     return from_edge_list(cliques + [(10, 4), (10, 5)], num_vertices=11)
 
 
-@pytest.mark.parametrize("deterministic", [False, True])
 @pytest.mark.parametrize("shape", ["communities", "tied-bridge"])
-def test_border_attachment_matches_scalar_walk_on_fixed_graphs(shape, deterministic):
+def test_border_attachment_matches_scalar_walk_on_fixed_graphs(shape):
     """The same exact oracle, over a whole shared-ε grid per ε, where the
     random graphs rarely reach: planted communities, whose borders often
     have candidate cores in several clusters and whose cores' ``CO[mu]``
@@ -294,24 +282,15 @@ def test_border_attachment_matches_scalar_walk_on_fixed_graphs(shape, determinis
         index = ScanIndex.build(tied_bridge())
         epsilons = np.unique(index.similarities.values).tolist() + [0.45]
     pairs = [(mu, epsilon) for epsilon in epsilons for mu in (2, 3, 4, 5, 8, 13)]
-    batch = query_many(
-        index.neighbor_order, index.core_order, pairs,
-        deterministic_borders=deterministic,
-    )
+    batch = query_many(index.neighbor_order, index.core_order, pairs)
     for pair, shared in zip(pairs, batch):
-        (single,) = query_many(
-            index.neighbor_order, index.core_order, [pair],
-            deterministic_borders=deterministic,
-        )
-        vertices, labels = reference_compact(index, *pair, deterministic)
+        (single,) = query_many(index.neighbor_order, index.core_order, [pair])
+        vertices, labels = reference_compact(index, *pair)
         for answer in (single, shared):
             assert answer.vertices.tolist() == vertices
             assert answer.labels.tolist() == labels
-    if shape == "tied-bridge" and deterministic:
-        (answer,) = query_many(
-            index.neighbor_order, index.core_order, [(4, 0.45)],
-            deterministic_borders=True,
-        )
+    if shape == "tied-bridge":
+        (answer,) = query_many(index.neighbor_order, index.core_order, [(4, 0.45)])
         assert answer.vertices.tolist()[-1] == 10 and answer.labels.tolist()[-1] == 0
 
 
@@ -334,8 +313,8 @@ def seeded_graph(seed, weighted):
 
 
 @settings(max_examples=60)
-@given(st.builds(seeded_graph, st.integers(0, 2**32 - 1), st.booleans()), st.booleans())
-def test_whole_grid_matches_scalar_walk(graph, deterministic):
+@given(st.builds(seeded_graph, st.integers(0, 2**32 - 1), st.booleans()))
+def test_whole_grid_matches_scalar_walk(graph):
     """Every μ against every stored similarity (and 0 and 1) as one batch.
 
     Each μ is one chain walked in descending ε, whose forest, gathered
@@ -348,12 +327,9 @@ def test_whole_grid_matches_scalar_walk(graph, deterministic):
     index = ScanIndex.build(graph)
     epsilons = np.unique(np.minimum(index.similarities.values, 1.0)).tolist() + [0.0, 1.0]
     pairs = [(mu, eps) for mu in range(2, index.core_order.max_mu + 2) for eps in epsilons]
-    batch = query_many(
-        index.neighbor_order, index.core_order, pairs,
-        deterministic_borders=deterministic,
-    )
+    batch = query_many(index.neighbor_order, index.core_order, pairs)
     for pair, answer in zip(pairs, batch):
-        vertices, labels = reference_compact(index, *pair, deterministic)
+        vertices, labels = reference_compact(index, *pair)
         assert answer.vertices.tolist() == vertices, pair
         assert answer.labels.tolist() == labels, pair
 

@@ -46,13 +46,12 @@ def test_interleaved_sessions_match_serial(artifact_path, num_sessions, seed):
     serial = ScanIndex.load(artifact_path).session(cache_size=8)
 
     stream = random_stream(rng, shared.graph.max_degree, 60)
-    deterministic = bool(seed % 2)
     for position, (mu, epsilon) in enumerate(stream):
         # The interleaving is random, not round-robin: any session may take
         # any request, which is what concurrent workers look like.
         session = sessions[int(rng.integers(0, num_sessions))]
-        served = session.serve(mu, epsilon, deterministic_borders=deterministic)
-        reference = serial.serve(mu, epsilon, deterministic_borders=deterministic)
+        served = session.serve(mu, epsilon)
+        reference = serial.serve(mu, epsilon)
         assert np.array_equal(served.vertices, reference.vertices), position
         assert np.array_equal(served.labels, reference.labels), position
         assert served.num_cores == reference.num_cores

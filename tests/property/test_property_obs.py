@@ -89,14 +89,14 @@ def test_serving_answers_are_bit_identical_with_tracing(traced):
     baseline_session = index.session(cache_size=8)
     baseline = [
         wire.format_response(
-            baseline_session.serve(mu, eps, deterministic_borders=True)
+            baseline_session.serve(mu, eps)
         )
         for mu, eps in requests
     ]
     traced_session = index.session(cache_size=8)
     answers = [
         wire.format_response(
-            traced_session.serve(mu, eps, deterministic_borders=True)
+            traced_session.serve(mu, eps)
         )
         for mu, eps in requests
     ]
@@ -139,11 +139,7 @@ def test_generated_traces_validate_for_random_workloads(traced):
         index = ScanIndex.build(build_graph(int(seed)))
         session = index.session(cache_size=4)
         for _ in range(10):
-            session.serve(
-                int(rng.integers(2, 6)),
-                float(rng.uniform(0.2, 0.8)),
-                deterministic_borders=bool(rng.integers(0, 2)),
-            )
+            session.serve(int(rng.integers(2, 6)), float(rng.uniform(0.2, 0.8)))
     obs.finalise()
     counts = validate_trace_path(traced)
     assert counts["span"] > 0
@@ -154,7 +150,7 @@ def test_trace_snapshot_carries_cache_metrics(traced):
     index = ScanIndex.build(build_graph(9))
     session = index.session(cache_size=8)
     for mu, eps in [(3, 0.5), (3, 0.5), (4, 0.6), (3, 0.5)]:
-        session.serve(mu, eps, deterministic_borders=True)
+        session.serve(mu, eps)
     session.sync_metrics()
     obs.finalise()
     lines = [json.loads(l) for l in traced.read_text().splitlines()]

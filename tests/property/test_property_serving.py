@@ -6,7 +6,7 @@ must be invisible in the answers.  These tests replay randomized
 ``(μ, ε)`` request streams (with deliberate repeats and ε values perturbed
 inside one snapping interval, under a cache small enough to force evictions)
 and require every served answer to be bit-identical to a cold
-``ScanIndex.query``, in both border modes.  A second property pins the
+``ScanIndex.query``.  A second property pins the
 generation contract: rebuilding the index and re-binding the session must
 never surface a cached answer from the old index.  A third property pins the
 stored ε boundary table to the snapper it replaced: on fresh, LSH and
@@ -57,18 +57,17 @@ def random_stream(rng, index, count):
     return stream
 
 
-@pytest.mark.parametrize("deterministic", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_served_stream_is_bit_identical_to_cold_queries(index, deterministic, seed):
+def test_served_stream_is_bit_identical_to_cold_queries(index, seed):
     rng = np.random.default_rng(seed)
     session = index.session(cache_size=8)   # small: force evictions mid-stream
     stream = random_stream(rng, index, 36)
     hits = 0
     for mu, epsilon in stream:
-        served = session.serve(mu, epsilon, deterministic_borders=deterministic)
+        served = session.serve(mu, epsilon)
         hits += int(served.from_cache)
         dense = served.to_clustering()
-        cold = index.query(mu, epsilon, deterministic_borders=deterministic)
+        cold = index.query(mu, epsilon)
         assert np.array_equal(dense.labels, cold.labels), (mu, epsilon)
         assert np.array_equal(dense.core_mask, cold.core_mask), (mu, epsilon)
         assert dense.mu == mu and dense.epsilon == epsilon
@@ -76,8 +75,7 @@ def test_served_stream_is_bit_identical_to_cold_queries(index, deterministic, se
     assert session.cache.evictions > 0       # ... and the LRU bound
 
 
-@pytest.mark.parametrize("deterministic", [False, True])
-def test_session_query_many_stream_identical(index, deterministic):
+def test_session_query_many_stream_identical(index):
     rng = np.random.default_rng(7)
     session = index.session()
     uncached = index.session(cache_size=0)
@@ -90,10 +88,10 @@ def test_session_query_many_stream_identical(index, deterministic):
     below = float(np.nextafter(boundary, 0.0))
     pairs += [pairs[0], (3, boundary), (3, below), (3, boundary), (3, below)]
     for _ in range(3):                       # repeats are answered from the cache
-        batched = session.query_many(pairs, deterministic_borders=deterministic)
-        planned = uncached.query_many(pairs, deterministic_borders=deterministic)
+        batched = session.query_many(pairs)
+        planned = uncached.query_many(pairs)
         for (mu, epsilon), clustering, plain in zip(pairs, batched, planned):
-            cold = index.query(mu, epsilon, deterministic_borders=deterministic)
+            cold = index.query(mu, epsilon)
             for result in (clustering, plain):
                 assert np.array_equal(result.labels, cold.labels), (mu, epsilon)
                 assert np.array_equal(result.core_mask, cold.core_mask), (mu, epsilon)
@@ -101,14 +99,9 @@ def test_session_query_many_stream_identical(index, deterministic):
     # The sweep cached the planner's answers as they are: each equals the
     # pair's one-pair batch field by field and is read-only.
     for mu, epsilon in pairs:
-        served = session.serve(mu, epsilon, deterministic_borders=deterministic)
+        served = session.serve(mu, epsilon)
         assert served.from_cache
-        (single,) = query_many(
-            index.neighbor_order,
-            index.core_order,
-            [(mu, epsilon)],
-            deterministic_borders=deterministic,
-        )
+        (single,) = query_many(index.neighbor_order, index.core_order, [(mu, epsilon)])
         cached = served.compact
         assert np.array_equal(cached.vertices, single.vertices), (mu, epsilon)
         assert np.array_equal(cached.labels, single.labels), (mu, epsilon)

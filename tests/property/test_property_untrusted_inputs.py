@@ -93,8 +93,6 @@ class TestWireFuzz:
     def test_request_line_answers_or_raises_value_error(self, session, line):
         try:
             mu, epsilon = wire.parse_request(line)
-            for deterministic in (False, True):
-                result = session.serve(mu, epsilon, deterministic_borders=deterministic)
-                wire.format_response(result)
+            wire.format_response(session.serve(mu, epsilon))
         except ValueError:
             pass

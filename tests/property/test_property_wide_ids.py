@@ -96,9 +96,9 @@ def test_wide_ids_build_sweep_and_update_match_rebuild_and_scan(case):
     assert index.graph.indices.dtype == np.int32
     assert int(index.graph.indices.max()) == n - 1
 
-    swept = index.query_many(GRID, deterministic_borders=True)
+    swept = index.query_many(GRID)
     for (mu, epsilon), clustering in zip(GRID, swept):
-        single = index.query(mu, epsilon, deterministic_borders=True)
+        single = index.query(mu, epsilon)
         assert np.array_equal(single.labels, clustering.labels), (mu, epsilon)
         assert_matches_scan(index, clustering, mu, epsilon)
 
@@ -107,8 +107,7 @@ def test_wide_ids_build_sweep_and_update_match_rebuild_and_scan(case):
     rebuilt = ScanIndex.build(from_edge_list(current, num_vertices=n))
     assert_same_columns(index, rebuilt)
     for mu, epsilon in GRID:
-        for deterministic in (False, True):
-            ours = index.query(mu, epsilon, deterministic_borders=deterministic)
-            theirs = rebuilt.query(mu, epsilon, deterministic_borders=deterministic)
-            assert np.array_equal(ours.labels, theirs.labels), (mu, epsilon)
+        ours = index.query(mu, epsilon)
+        theirs = rebuilt.query(mu, epsilon)
+        assert np.array_equal(ours.labels, theirs.labels), (mu, epsilon)
         assert_matches_scan(index, ours, mu, epsilon)

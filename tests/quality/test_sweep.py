@@ -117,7 +117,7 @@ class TestSweepScoring:
         assert [(e.mu, e.epsilon) for e in result.entries] == parameters
         best, without_cores = None, 0
         for entry in result.entries:
-            clustering = index.query(entry.mu, entry.epsilon, deterministic_borders=True)
+            clustering = index.query(entry.mu, entry.epsilon)
             score = modularity(graph, clustering)
             assert entry.modularity == pytest.approx(score, abs=1e-12)
             assert entry.num_clusters == clustering.num_clusters

@@ -132,26 +132,25 @@ class TestSweepCacheAdmission:
     def test_sweep_results_match_cold_queries(self, index):
         session = index.session()
         pairs = [(2, 0.3), (3, 0.6), (2, 0.3), (5, 0.45), (2, 0.31)]
-        for deterministic in (False, True):
-            batched = session.query_many(pairs, deterministic_borders=deterministic)
-            for (mu, epsilon), clustering in zip(pairs, batched):
-                cold = index.query(mu, epsilon, deterministic_borders=deterministic)
-                assert np.array_equal(clustering.labels, cold.labels), (mu, epsilon)
-                assert np.array_equal(clustering.core_mask, cold.core_mask)
+        batched = session.query_many(pairs)
+        for (mu, epsilon), clustering in zip(pairs, batched):
+            cold = index.query(mu, epsilon)
+            assert np.array_equal(clustering.labels, cold.labels), (mu, epsilon)
+            assert np.array_equal(clustering.core_mask, cold.core_mask)
 
     def test_sweep_admits_entries_serves_hit_afterwards(self, index):
         session = index.session()
         pairs = [(2, 0.3), (3, 0.6), (5, 0.45)]
-        session.query_many(pairs, deterministic_borders=True)
+        session.query_many(pairs)
         for mu, epsilon in pairs:
-            assert session.serve(mu, epsilon, deterministic_borders=True).from_cache
+            assert session.serve(mu, epsilon).from_cache
 
     def test_admitted_payload_is_bit_identical_to_a_cold_serve(self, index):
         warmed = index.session()
-        warmed.query_many([(3, 0.6)], deterministic_borders=True)
-        from_sweep = warmed.serve(3, 0.6, deterministic_borders=True)
+        warmed.query_many([(3, 0.6)])
+        from_sweep = warmed.serve(3, 0.6)
         assert from_sweep.from_cache
-        cold = index.session().serve(3, 0.6, deterministic_borders=True)
+        cold = index.session().serve(3, 0.6)
         assert np.array_equal(from_sweep.vertices, cold.vertices)
         assert np.array_equal(from_sweep.labels, cold.labels)
         assert from_sweep.num_cores == cold.num_cores

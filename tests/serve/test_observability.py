@@ -53,7 +53,7 @@ async def _ask(reader, writer, line: str) -> str:
 
 
 async def _with_server(artifact, scenario, **server_kwargs):
-    server = ClusterServer(artifact, deterministic=True, **server_kwargs)
+    server = ClusterServer(artifact, **server_kwargs)
     host, port = await server.start()
     reader, writer = await asyncio.open_connection(host, port)
     try:

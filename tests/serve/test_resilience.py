@@ -89,7 +89,7 @@ async def _ask(reader, writer, line: str) -> str:
 
 
 async def _with_server(artifact, scenario, **server_kwargs):
-    server = ClusterServer(artifact, deterministic=True, **server_kwargs)
+    server = ClusterServer(artifact, **server_kwargs)
     host, port = await server.start()
     reader, writer = await asyncio.open_connection(host, port)
     try:
@@ -103,7 +103,7 @@ def _expected_lines(artifact, settings):
     session = ScanIndex.load(artifact).session()
     return [
         wire.strip_cache_field(
-            wire.format_response(session.serve(mu, eps, deterministic_borders=True))
+            wire.format_response(session.serve(mu, eps))
         )
         for mu, eps in settings
     ]

@@ -41,7 +41,7 @@ async def _ask(reader, writer, line: str) -> str:
 
 async def _with_server(artifact, scenario, **server_kwargs):
     """Run ``scenario(server, reader, writer)`` against a started server."""
-    server = ClusterServer(artifact, deterministic=True, **server_kwargs)
+    server = ClusterServer(artifact, **server_kwargs)
     host, port = await server.start()
     reader, writer = await asyncio.open_connection(host, port)
     try:
@@ -56,7 +56,7 @@ def _expected_lines(artifact, settings):
     session = ScanIndex.load(artifact).session()
     return [
         wire.strip_cache_field(
-            wire.format_response(session.serve(mu, eps, deterministic_borders=True))
+            wire.format_response(session.serve(mu, eps))
         )
         for mu, eps in settings
     ]

@@ -96,12 +96,6 @@ class TestCachingBehavior:
         assert repeat.compact is base.compact
         assert repeat.epsilon == nearby            # metadata keeps the request
 
-    def test_border_modes_do_not_share_entries(self, index):
-        session = index.session()
-        session.serve(5, 0.6, deterministic_borders=False)
-        result = session.serve(5, 0.6, deterministic_borders=True)
-        assert not result.from_cache
-
     @pytest.mark.parametrize("cache_size", [0, -1])
     def test_cache_disabled(self, index, cache_size):
         session = index.session(cache_size=cache_size)
@@ -147,17 +141,14 @@ def _connect_dies_after(calls: int):
 
 
 def _assert_matches_cold(index, session, pairs):
-    """Both session paths, in both border modes, equal cold queries."""
-    for deterministic in (False, True):
-        batched = session.query_many(pairs, deterministic_borders=deterministic)
-        for (mu, epsilon), clustering in zip(pairs, batched):
-            cold = index.query(mu, epsilon, deterministic_borders=deterministic)
-            served = session.serve(
-                mu, epsilon, deterministic_borders=deterministic
-            ).to_clustering()
-            for result in (clustering, served):
-                assert np.array_equal(result.labels, cold.labels)
-                assert np.array_equal(result.core_mask, cold.core_mask)
+    """Both session paths equal cold queries."""
+    batched = session.query_many(pairs)
+    for (mu, epsilon), clustering in zip(pairs, batched):
+        cold = index.query(mu, epsilon)
+        served = session.serve(mu, epsilon).to_clustering()
+        for result in (clustering, served):
+            assert np.array_equal(result.labels, cold.labels)
+            assert np.array_equal(result.core_mask, cold.core_mask)
 
 
 class TestBufferRecycling:
@@ -228,9 +219,9 @@ class TestBufferRecycling:
     def test_session_query_many_uses_planner_and_matches(self, index):
         session = index.session()
         pairs = [(2, 0.3), (5, 0.6), (5, 0.3), (3, 0.6)]
-        batched = session.query_many(pairs, deterministic_borders=True)
+        batched = session.query_many(pairs)
         for (mu, epsilon), clustering in zip(pairs, batched):
-            cold = index.query(mu, epsilon, deterministic_borders=True)
+            cold = index.query(mu, epsilon)
             assert np.array_equal(clustering.labels, cold.labels)
 
     def test_serve_after_query_many_still_identical(self, index):
@@ -260,6 +251,6 @@ class TestEdgeCases:
         index.save(tmp_path / "served.scanidx")
         loaded = ScanIndex.load(tmp_path / "served.scanidx")
         session = loaded.session()
-        result = session.serve(5, 0.6, deterministic_borders=True)
-        cold = index.query(5, 0.6, deterministic_borders=True)
+        result = session.serve(5, 0.6)
+        cold = index.query(5, 0.6)
         assert np.array_equal(result.to_clustering().labels, cold.labels)

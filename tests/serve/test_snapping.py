@@ -66,8 +66,8 @@ class TestSnapContract:
             if snapped == float("inf"):
                 snapped = 1.0  # query upper bound; matches nothing either way
             for mu in (2, 3, 5):
-                original = index.query(mu, epsilon, deterministic_borders=True)
-                canonical = index.query(mu, snapped, deterministic_borders=True)
+                original = index.query(mu, epsilon)
+                canonical = index.query(mu, snapped)
                 assert np.array_equal(original.labels, canonical.labels)
                 assert np.array_equal(original.core_mask, canonical.core_mask)
 

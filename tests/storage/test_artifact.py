@@ -39,8 +39,8 @@ class TestRoundTrip:
         index.save(tmp_path / "a")
         loaded = ScanIndex.load(tmp_path / "a")
         for mu, epsilon in random_parameter_grid(rng, graph.max_degree + 1):
-            ours = index.query(mu, epsilon, deterministic_borders=True)
-            theirs = loaded.query(mu, epsilon, deterministic_borders=True)
+            ours = index.query(mu, epsilon)
+            theirs = loaded.query(mu, epsilon)
             assert np.array_equal(ours.labels, theirs.labels)
             assert np.array_equal(ours.core_mask, theirs.core_mask)
 
@@ -50,8 +50,8 @@ class TestRoundTrip:
         loaded = ScanIndex.load(tmp_path / "w")
         assert loaded.graph.is_weighted
         assert np.allclose(loaded.graph.arc_weights, weighted_graph.arc_weights)
-        a = index.query(2, 0.3, deterministic_borders=True)
-        b = loaded.query(2, 0.3, deterministic_borders=True)
+        a = index.query(2, 0.3)
+        b = loaded.query(2, 0.3)
         assert np.array_equal(a.labels, b.labels)
 
     def test_approximate_index_round_trip(self, tmp_path, community_graph):
@@ -63,8 +63,8 @@ class TestRoundTrip:
         loaded = ScanIndex.load(tmp_path / "approx")
         assert loaded.measure == "approx_cosine"
         assert loaded.similarities.backend == "lsh"
-        a = index.query(3, 0.5, deterministic_borders=True)
-        b = loaded.query(3, 0.5, deterministic_borders=True)
+        a = index.query(3, 0.5)
+        b = loaded.query(3, 0.5)
         assert np.array_equal(a.labels, b.labels)
 
     def test_metadata_preserved(self, tmp_path, paper_graph):
@@ -242,7 +242,7 @@ class TestNoRecomputationOnLoad:
         monkeypatch.setattr("repro.core.core_order.build_core_order", forbidden)
         monkeypatch.setattr("repro.parallel.sorting.sort_key_triples", forbidden)
         loaded = ScanIndex.load(tmp_path / "a")
-        clustering = loaded.query(3, 0.6, deterministic_borders=True)
+        clustering = loaded.query(3, 0.6)
         assert clustering.num_clusters == 2
         batched = loaded.query_many([(3, 0.6), (2, 0.5)])
         assert batched[0].num_clusters == 2
