@@ -5,13 +5,20 @@ only as a keyword that names it.
 must be refused with one ``ValueError`` before anything is computed.
 """
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from repro import ScanIndex
+from repro.core import sweep_query
 from repro.core.query import cluster
 from repro.graphs import planted_partition
 from repro.parallel import Scheduler
+from repro.quality.sweep import modularity_sweep
+from repro.serve import ClusterServer, ClusterSession, ServedResult
+from repro.serve.worker import worker_main
 
 PAIRS = [(2, 0.3), (3, 0.3), (5, 0.45), (2, 0.6)]
 
@@ -95,3 +102,23 @@ def test_refused_serve_leaves_the_session_untouched(index):
         session.query_many(PAIRS, deterministic_borders=False)
     assert session.served == 0
     assert len(session.cache) == 0
+
+
+INNER_LAYERS = {
+    "sweep_query.query_many": sweep_query.query_many,
+    "ClusterSession._compute": ClusterSession._compute,
+    "ClusterServer": ClusterServer,
+    "worker_main": worker_main,
+    "modularity_sweep": modularity_sweep,
+}
+
+
+@pytest.mark.parametrize("layer", INNER_LAYERS)
+def test_inner_layers_take_no_border_option(layer):
+    parameters = inspect.signature(INNER_LAYERS[layer]).parameters
+    assert not [name for name in parameters if "deterministic" in name]
+
+
+def test_served_result_carries_no_border_mode():
+    fields = [field.name for field in dataclasses.fields(ServedResult)]
+    assert not [name for name in fields if "deterministic" in name]

@@ -96,6 +96,19 @@ class TestCachingBehavior:
         assert repeat.compact is base.compact
         assert repeat.epsilon == nearby            # metadata keeps the request
 
+    def test_naming_the_border_rule_shares_the_entry(self, index):
+        # The key is (μ, rank(ε)) alone: a call that names the one border
+        # rule hits the entry a call without the keyword filled.
+        session = index.session()
+        base = session.serve(5, 0.6)
+        named = session.serve(5, 0.6, deterministic_borders=True)
+        assert named.from_cache
+        assert named.compact is base.compact
+        (batched,) = session.query_many([(5, 0.6)], deterministic_borders=True)
+        assert session.cache_hits == 2
+        assert np.array_equal(batched.labels, base.to_clustering().labels)
+        assert len(session.cache) == 1
+
     @pytest.mark.parametrize("cache_size", [0, -1])
     def test_cache_disabled(self, index, cache_size):
         session = index.session(cache_size=cache_size)
