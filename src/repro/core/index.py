@@ -415,8 +415,9 @@ class ScanIndex:
     def save(self, path: str | Path) -> Path:
         """Persist the index as a columnar artifact directory.
 
-        See :mod:`repro.storage.format` for the on-disk layout (uncompressed
-        ``.npz`` columns plus a JSON header).
+        See :mod:`repro.storage.format` for the on-disk layout (one raw
+        ``columns.bin`` file plus a JSON header that records each column's
+        dtype, length, offset and checksum).
 
         Parameters
         ----------
@@ -447,7 +448,7 @@ class ScanIndex:
 
         The load path performs no similarity computation and no sorting: the
         graph, the per-edge scores, both orders and the ε boundary table
-        come straight from the stored columns.  Only format version 5 loads;
+        come straight from the stored columns.  Only format version 6 loads;
         an older artifact is refused with a line that names
         ``repro index build``.
 
@@ -456,16 +457,17 @@ class ScanIndex:
         path:
             Artifact directory written by :meth:`save`.
         mmap_mode:
-            ``"r"`` (default) memory-maps every column read-only straight
-            out of the uncompressed ``.npz``, so no column data is touched
+            ``"r"`` (default) memory-maps ``columns.bin`` once and returns
+            each column as a read-only view, so no column data is touched
             until a query reads it; ``None`` reads everything into memory
             up front (use when the artifact lives on storage slower than
             page-fault latency tolerates).
         verify:
             ``True`` additionally checks every column's CRC-32 against the
             header before returning (the deep integrity check; reads every
-            byte).  The fast structural check -- header consistency, column
-            dtypes/lengths, graph shape -- always runs.
+            byte).  The fast structural check -- header consistency, each
+            column's dtype and offset, the column file's exact size, graph
+            shape -- always runs.
 
         A target missing because a writer died between its commit renames
         is recovered from its parked backup first (lineage-checked; see

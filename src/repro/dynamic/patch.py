@@ -562,8 +562,8 @@ def _patched_similarities(
     Denominators (degrees / norms) change for every edge incident to a
     touched endpoint; numerators only for the triangle-affected subset.
     With stored numerators the former are re-finalised elementwise and only
-    the latter pay intersection work; without them (hand-assembled scores,
-    version-1 artifacts) every affected edge recomputes its numerator
+    the latter pay intersection work; without them (an index assembled by
+    hand from scores alone) every affected edge recomputes its numerator
     through the subset pass.  Inserted edges enter the splice as zeros and
     are always affected.
     """

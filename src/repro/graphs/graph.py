@@ -495,25 +495,6 @@ class Graph:
             self._arc_search_keys = np.append(keys, np.int64(-1))
         return self._arc_search_keys
 
-    def degree_ordered_arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arcs of the degree orientation used by merge-based triangle counting.
-
-        Every undirected edge is directed toward the endpoint of higher degree
-        (ties broken toward the higher vertex id), as in Section 6.1.  Returns
-        ``(out_indptr, out_indices)`` of the resulting DAG; out-neighbor lists
-        are sorted by vertex id.  A view of the memoised
-        :meth:`degree_oriented_csr` structure.
-        """
-        oriented = self.degree_oriented_csr()
-        return oriented.indptr, oriented.indices
-
-    def subgraph_edge_mask(self, vertex_mask: np.ndarray) -> np.ndarray:
-        """Boolean mask over canonical edges with both endpoints selected."""
-        vertex_mask = np.asarray(vertex_mask, dtype=bool)
-        if vertex_mask.shape[0] != self.num_vertices:
-            raise ValueError("vertex_mask must have one entry per vertex")
-        return vertex_mask[self.edge_u] & vertex_mask[self.edge_v]
-
     # ------------------------------------------------------------------
     # Dunder / misc
     # ------------------------------------------------------------------

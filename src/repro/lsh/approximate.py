@@ -29,7 +29,7 @@ from ..graphs.graph import Graph
 from ..parallel.metrics import ceil_log2
 from ..parallel.scheduler import Scheduler
 from ..similarity.batch import edge_numerators_for_subset
-from ..similarity.exact import EdgeSimilarities
+from ..similarity.exact import EdgeSimilarities, finalise_numerators
 from .minhash import estimate_jaccard_batch, k_partition_minhash_sketches, minhash_sketches
 from .simhash import estimate_cosine_batch, simhash_sketches
 
@@ -92,24 +92,20 @@ def _exact_similarities_for_edges(
     one batched array pass (:func:`~repro.similarity.batch.
     edge_numerators_for_subset`) rather than a per-edge Python loop; work
     still adds up across edges with the span of the largest single edge.
+    The scores come from :func:`~repro.similarity.exact.finalise_numerators`
+    over the same endpoints, so each fallback edge is scored exactly as an
+    exact build scores it.
     """
     edge_ids = np.asarray(edge_ids, dtype=np.int64)
     numerators = edge_numerators_for_subset(graph, edge_ids, scheduler)
-    edge_u_all, edge_v_all = graph.edge_list()
-    u = edge_u_all[edge_ids]
-    v = edge_v_all[edge_ids]
-
-    if measure == "cosine":
-        if graph.is_weighted:
-            squared = np.zeros(graph.num_vertices, dtype=np.float64)
-            np.add.at(squared, graph.arc_sources(), graph.arc_weights ** 2)
-            norms = np.sqrt(squared + 1.0)
-        else:
-            norms = np.sqrt(graph.degrees.astype(np.float64) + 1.0)
-        return numerators / (norms[u] * norms[v])
-    # Jaccard over closed neighborhoods (unweighted graphs only).
-    closed = (graph.degrees[u] + 1.0) + (graph.degrees[v] + 1.0)
-    return numerators / (closed - numerators)
+    edge_u, edge_v = graph.edge_list()
+    return finalise_numerators(
+        graph,
+        numerators,
+        measure,
+        endpoints=(edge_u[edge_ids], edge_v[edge_ids]),
+        scheduler=scheduler,
+    )
 
 
 def compute_approximate_similarities(

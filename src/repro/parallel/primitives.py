@@ -14,7 +14,7 @@ helper                          used by
 ==============================  ================================================
 :func:`segmented_arange`        core-order construction, patch
 :func:`segmented_ranges`        queries, sweep planner, similarity, LSH, patch
-:func:`segmented_searchsorted`  adjacency probes (graph, similarity, patch)
+:func:`segmented_searchsorted`  batched adjacency probes (graph)
 :func:`sorted_unique`           update path (dedupe of touched ids)
 ==============================  ================================================
 """

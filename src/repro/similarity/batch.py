@@ -34,8 +34,9 @@ subset of edges (probing the smaller endpoint's neighborhood against the
 larger one's with one search of the graph's memoised whole-CSR composite
 keys), which is what the LSH low-degree fallback in
 :mod:`repro.lsh.approximate` batches its exact similarities with; index
-updates use it for weighted graphs and for artifacts without stored
-numerators.
+updates use it to recompute the triangle-affected numerators of weighted
+graphs (and every affected numerator of an index assembled by hand from
+scores alone).
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The build-once/serve-many separation of the paper only pays off if the index
 survives the process that built it.  This package flattens a
 :class:`~repro.core.index.ScanIndex` into named numpy columns
-(:class:`~repro.storage.artifact.IndexArtifact`), persists them as an
-uncompressed ``.npz`` plus a JSON header, and memory-maps them back on load
+(:class:`~repro.storage.artifact.IndexArtifact`), persists them as one raw
+column file laid out by a JSON header, and memory-maps them back on load
 -- the single construction seam behind ``ScanIndex.save`` / ``ScanIndex.load``
 and the CLI's ``index build`` / ``index query`` workflow.
 

@@ -47,10 +47,8 @@ from .format import (
     FORMAT_NAME,
     FORMAT_VERSION,
     ArtifactFormatError,
-    check_column_shapes,
-    read_columns,
+    map_columns,
     read_header,
-    validate_columns,
     write_columns,
     write_header,
 )
@@ -76,7 +74,7 @@ class IndexArtifact:
     columns:
         Mapping from column name to a 1-D numpy array; see
         :mod:`repro.storage.format` for the exact inventory.  Loaded columns
-        are read-only ``np.memmap`` views into the archive.
+        are read-only ``np.memmap`` views into ``columns.bin``.
     meta:
         The parsed (or to-be-written) JSON header.
     """
@@ -135,9 +133,12 @@ class IndexArtifact:
             "num_vertices": graph.num_vertices,
             "num_edges": graph.num_edges,
             "weighted": graph.is_weighted,
-            # Column dtype/length records; :meth:`save` adds each column's
-            # crc32 once zipfile has computed it while writing.
-            "columns": _column_specs(columns),
+            # Column dtype/length records; :meth:`save` replaces them with
+            # the writer's, which add each column's offset and crc32.
+            "columns": {
+                name: {"dtype": str(column.dtype), "length": int(column.shape[0])}
+                for name, column in columns.items()
+            },
             "construction": {
                 "label": report.label,
                 "work": report.work,
@@ -214,12 +215,12 @@ class IndexArtifact:
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> Path:
-        """Write the artifact directory (``header.json`` + ``columns.npz``).
+        """Write the artifact directory (``header.json`` + ``columns.bin``).
 
         Crash-safe: both files land in a scratch sibling which is fsynced
         to stable storage *before* any rename, then swapped in through the
         backup-and-rename commit of :func:`repro.storage.integrity.
-        commit_artifact`.  A save that dies at any instant -- mid-archive,
+        commit_artifact`.  A save that dies at any instant -- mid-column,
         between the renames, before cleanup -- leaves the target as either
         the complete old artifact, the complete new one, or (in the
         narrow between-renames window) the old artifact parked under a
@@ -244,12 +245,11 @@ class IndexArtifact:
             scratch = scratch_path(directory)
             scratch.mkdir()
             try:
-                checksums = write_columns(scratch, self.columns)
                 # The header describes exactly what was written: the current
-                # format, and each column's member CRC.
+                # format, and each column's dtype, length, offset and CRC.
                 self.meta.update(
                     version=FORMAT_VERSION,
-                    columns=_column_specs(self.columns, checksums),
+                    columns=write_columns(scratch, self.columns),
                 )
                 write_header(scratch, self.meta)
                 fsync_scratch(scratch)
@@ -273,8 +273,9 @@ class IndexArtifact:
     ) -> "IndexArtifact":
         """Read an artifact directory, memory-mapping columns by default.
 
-        Every load runs the fast integrity check: header parse, per-column
-        dtype/length cross-check, and graph-shape consistency.
+        Every load runs the fast integrity check: header parse, each column
+        record against its canonical dtype and offset, the column file's exact
+        size, and graph-shape consistency.
         ``verify=True`` additionally compares every column's CRC-32 against
         the header (the deep check; reads every byte).  A target directory
         missing because a previous writer died between its commit renames
@@ -286,8 +287,8 @@ class IndexArtifact:
         Raises :class:`~repro.storage.format.ArtifactFormatError` when the
         directory is not an artifact, the header is corrupt, the format
         version is not the current one (an older artifact is rebuilt with
-        ``repro index build``), or the stored columns disagree with the
-        header's dtype/length records -- and its subclass
+        ``repro index build``), or the column file disagrees with the
+        header's column records -- and its subclass
         :class:`~repro.storage.integrity.ArtifactIntegrityError` when
         stored bytes fail their checksums or recovery is unsafe.
         """
@@ -305,9 +306,7 @@ class IndexArtifact:
         if not directory.exists():
             recover_artifact(directory)
         header = read_header(directory)
-        columns = read_columns(directory, mmap_mode=mmap_mode)
-        validate_columns(header, columns)
-        check_column_shapes(header, columns, directory)
+        columns = map_columns(directory, header, mmap_mode=mmap_mode)
         if verify:
             verify_checksums(header, columns, directory)
         return cls(columns=columns, meta=header)
@@ -340,19 +339,6 @@ class IndexArtifact:
             f"measure={self.measure!r}, {len(self.columns)} columns, "
             f"{self.nbytes() / 1e6:.1f} MB)"
         )
-
-
-def _column_specs(
-    columns: dict[str, np.ndarray], checksums: dict[str, str] | None = None
-) -> dict[str, dict]:
-    """The header's per-column records: dtype, length and (once saved) crc32."""
-    specs = {
-        name: {"dtype": str(column.dtype), "length": int(column.shape[0])}
-        for name, column in columns.items()
-    }
-    for name, crc in (checksums or {}).items():
-        specs[name]["crc32"] = crc
-    return specs
 
 
 @contextmanager

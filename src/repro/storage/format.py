@@ -6,21 +6,22 @@ An index artifact is a directory with exactly two entries:
     A small JSON document describing the payload.  Fields:
 
     * ``format`` -- the literal string ``"repro-scan-index"``;
-    * ``version`` -- integer format version (:data:`FORMAT_VERSION`);
-      readers accept only the versions in :data:`SUPPORTED_VERSIONS` and
-      reject everything else with an error that says to rebuild the
-      artifact with ``repro index build``;
+    * ``version`` -- integer format version; readers accept
+      :data:`FORMAT_VERSION` only and reject everything else with an error
+      that says to rebuild the artifact with ``repro index build``;
     * ``measure`` / ``backend`` -- similarity measure and engine the index
       was built with (``backend`` is ``"lsh"`` for approximate indexes);
     * ``num_vertices`` / ``num_edges`` / ``weighted`` -- graph shape;
-    * ``columns`` -- mapping from column name to ``{"dtype", "length",
-      "crc32"}``; dtype/length are validated against the loaded arrays on
-      every load, the CRC-32 on demand
+    * ``columns`` -- mapping from column name to its record
+      ``{"dtype", "length", "offset", "crc32"}``: the canonical dtype, the
+      number of elements, the byte offset of the column's data in
+      ``columns.bin``, and the CRC-32 of those ``length * itemsize`` bytes
+      as eight hex digits.  Every load checks each record against the
+      canonical dtype and layout and ``columns.bin`` against the exact size
+      the records describe; the CRC-32 is checked on demand
       (:func:`repro.storage.integrity.verify_artifact` with ``deep=True``,
-      or ``repro index verify --deep``).  Every column must carry a
-      ``crc32`` of eight hex digits: the CRC-32 of its whole zip member
-      (``.npy`` header plus payload), which zipfile computes while writing,
-      so a save checksums each byte once;
+      or ``repro index verify --deep``).  The writer computes each CRC from
+      the bytes it writes, so a save checksums each byte once;
     * ``construction`` -- the work/span/wall-clock record of the original
       construction (``label``, ``work``, ``span``, ``wall_seconds``);
     * ``updates`` -- the update lineage: one record
@@ -30,9 +31,12 @@ An index artifact is a directory with exactly two entries:
       after ``repro update`` carries its full mutation history, staged and
       swapped in atomically like any other save.
 
-``columns.npz``
-    An *uncompressed* ``np.savez`` archive holding one named numpy column per
-    index component.  With ``n`` vertices, ``m`` edges and ``max_mu`` the
+``columns.bin``
+    The raw bytes of every column, in column-name order.  Each column starts
+    at the first multiple of :data:`COLUMN_ALIGNMENT` at or after the end of
+    the one before it (zero bytes fill the gap; the first starts at 0), and
+    the file ends where the last column ends, so the records fix every byte
+    of the file.  With ``n`` vertices, ``m`` edges and ``max_mu`` the
     largest closed-neighborhood size, the columns are:
 
     ==========================  =========  ===========  =========================
@@ -67,33 +71,30 @@ so an open or a reload sorts nothing.  Every load rejects a table that is not
 strictly increasing and finite, or longer than ``m``; ``verify --deep``
 additionally proves it equals ``np.unique(no_similarities)``.
 
-Because the archive members are stored uncompressed, :func:`read_columns`
-can memory-map each column straight out of the zip file (``mmap_mode="r"``
-by default): loading an artifact touches no column data until a query reads
-it, beyond an O(n) check of the CSR offsets, which is what makes one saved build cheap to share across many serving
-processes.  Everything a query needs -- the sorted orders, the similarity
-scores, the arc -> edge mapping -- is stored explicitly, so reconstruction
-performs no similarity computation and no sorting of any kind -- the serving
-ε-snapper included, since it wraps the stored boundary table (the "mmap
-zero-recompute load" invariant; see ``docs/ARCHITECTURE.md``).
+:func:`read_columns` memory-maps ``columns.bin`` once (``mmap_mode="r"`` by
+default) and hands back one read-only, aligned view per column: loading an
+artifact touches no column data until a query reads it, beyond an O(n) check
+of the CSR offsets, which is what makes one saved build cheap to share across
+many serving processes.  Everything a query needs -- the sorted orders, the
+similarity scores, the arc -> edge mapping -- is stored explicitly, so
+reconstruction performs no similarity computation and no sorting of any kind
+-- the serving ε-snapper included, since it wraps the stored boundary table
+(the "mmap zero-recompute load" invariant; see ``docs/ARCHITECTURE.md``).
 Readers must reject anything they cannot prove consistent -- wrong format
-name or version, header/column disagreement, truncated archives -- by
-raising :class:`ArtifactFormatError`, which the CLI surfaces as a clean
-operator error rather than a traceback.  Durability of the files themselves
--- checksums, the fsynced rename commit, crash recovery -- lives in
-:mod:`repro.storage.integrity`; the writers here expose the byte-level
-fault points (``storage.columns.write``, ``storage.header.write``) that the
-crash tests tear mid-write.
+name or version, a column record off the canonical dtype or layout, a
+truncated or extended column file -- by raising :class:`ArtifactFormatError`,
+which the CLI surfaces as a clean operator error rather than a traceback.
+Durability of the files themselves -- checksums, the fsynced rename commit,
+crash recovery -- lives in :mod:`repro.storage.integrity`; the writers here
+expose the byte-level fault points (``storage.columns.write``,
+``storage.header.write``) that the crash tests tear mid-write.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import re
-import struct
-import tokenize
-import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -103,19 +104,17 @@ from ..testing.faults import fault_point
 
 #: Magic string identifying the artifact format.
 FORMAT_NAME = "repro-scan-index"
-#: Format version written by this build (2 added the update lineage,
-#: 3 the per-column crc32 checksums, 4 int32 ids and member checksums,
-#: 5 the ε boundary table).
-FORMAT_VERSION = 5
-#: Versions this build can read.  Older artifacts are rebuilt from their
-#: edge lists rather than converted at load.
-SUPPORTED_VERSIONS = (5,)
+#: Format version written by this build, and the only one it reads (2 added
+#: the update lineage, 3 the per-column crc32 checksums, 4 int32 ids, 5 the
+#: ε boundary table, 6 the one raw column file in place of a zip archive).
+#: Older artifacts are rebuilt from their edge lists rather than converted.
+FORMAT_VERSION = 6
 #: The ε boundary table's column.
 BOUNDARY_COLUMN = "epsilon_boundaries"
 
 #: File names inside an artifact directory.
 HEADER_FILE = "header.json"
-COLUMNS_FILE = "columns.npz"
+COLUMNS_FILE = "columns.bin"
 
 #: Column name -> expected dtype; every artifact must provide all of these.
 REQUIRED_COLUMNS = {
@@ -130,46 +129,28 @@ REQUIRED_COLUMNS = {
     "co_thresholds": np.float64,
     BOUNDARY_COLUMN: np.float64,
 }
-#: Columns that may be absent (unweighted graphs store no weights; indexes
-#: without stored numerators -- LSH estimates -- omit ``edge_numerators``
-#: and dynamic updates fall back to a wider recompute).
+#: Columns that may be absent (unweighted graphs store no weights; LSH
+#: estimates store no numerators, and updates refuse an LSH index).
 OPTIONAL_COLUMNS = {
     "graph_arc_weights": np.float64,
     "edge_numerators": np.float64,
 }
-#: Column name -> stored dtype, for every column an archive may hold.
+#: Column name -> stored dtype, for every column an artifact may hold.
 COLUMN_DTYPES = {**REQUIRED_COLUMNS, **OPTIONAL_COLUMNS}
+
+#: File-offset alignment of every column's data inside ``columns.bin``.
+#: Unaligned memory-mapped columns would route every access through numpy's
+#: buffered-cast slow path (``np.take`` silently copies the whole source
+#: column per call); aligning to the widest vector width keeps the mapped
+#: views on the fast paths.
+COLUMN_ALIGNMENT = 64
 
 #: A recorded checksum: eight lowercase hex digits.
 _CRC32_PATTERN = re.compile(r"[0-9a-f]{8}")
-#: Bytes of a ``.npy`` magic, version and the longest header-length field.
-_NPY_PREAMBLE = 12
-_LOCAL_HEADER_SIGNATURE = b"PK\x03\x04"
-_LOCAL_HEADER_SIZE = 30
-#: General-purpose flag bit of an encrypted zip member (never written here).
-_ENCRYPTED_FLAG = 0x1
 
 
 class ArtifactFormatError(ValueError):
     """A stored index artifact is missing, corrupt, or of the wrong version."""
-
-
-#: What the zip and ``.npy`` readers raise on arbitrary bytes: a broken zip
-#: structure, an unsupported zip feature, a truncated member, a seek to a
-#: negative offset (``OSError``), or an unparsable ``.npy`` magic or
-#: header -- numpy's header parser raises
-#: ``ValueError``, or ``TokenError`` from the tokenizer it falls back to,
-#: and a dtype string garbled into a bad comma list makes ``numpy.dtype``
-#: raise ``SyntaxError`` -- and a member reaching past the end of the file.
-_CORRUPT_ARCHIVE_ERRORS = (
-    zipfile.BadZipFile,
-    NotImplementedError,
-    EOFError,
-    OSError,
-    ValueError,
-    tokenize.TokenError,
-    SyntaxError,
-)
 
 
 def write_header(directory: Path, meta: dict) -> Path:
@@ -203,7 +184,7 @@ def validate_header(header: dict) -> None:
             f"expected {FORMAT_NAME!r}"
         )
     version = header.get("version")
-    if version not in SUPPORTED_VERSIONS:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ArtifactFormatError(
             f"unsupported artifact format version {version!r}; this build reads "
             f"version {FORMAT_VERSION} only -- rebuild the artifact from its "
@@ -224,96 +205,89 @@ def validate_header(header: dict) -> None:
             raise ArtifactFormatError(
                 f"header field {key!r} must be a non-negative integer"
             )
-    if not isinstance(header["columns"], dict) or any(
-        not isinstance(spec, dict)
-        or not isinstance(spec.get("dtype"), str)
-        or not isinstance(spec.get("length"), int)
-        for spec in header["columns"].values()
-    ):
-        raise ArtifactFormatError(
-            "header field 'columns' must map each column to its dtype and length"
-        )
-    recorded = set(header["columns"])
-    missing = set(REQUIRED_COLUMNS) - recorded
+    records = header["columns"]
+    if not isinstance(records, dict):
+        raise ArtifactFormatError("header field 'columns' must map column names to records")
+    missing = set(REQUIRED_COLUMNS) - set(records)
     if missing:
         raise ArtifactFormatError(f"header is missing required columns {sorted(missing)}")
-    unknown = recorded - set(COLUMN_DTYPES)
+    unknown = set(records) - set(COLUMN_DTYPES)
     if unknown:
         raise ArtifactFormatError(f"header declares unknown columns {sorted(unknown)}")
-    for name, spec in header["columns"].items():
+    _check_records(records)
+
+
+def _check_records(records: dict) -> None:
+    """Each column record must match its canonical dtype and place in the layout.
+
+    Walks the columns in name order, as :func:`write_columns` lays them
+    out, so the one offset each record may hold is known: the previous
+    column's end rounded up to :data:`COLUMN_ALIGNMENT`.  That rules out
+    negative, misaligned, overlapping and gapped offsets at once, and zero-
+    length columns legitimately share an offset with their successor.
+    """
+    offset = 0
+    for name in sorted(records):
+        spec = records[name]
+        if not isinstance(spec, dict):
+            raise ArtifactFormatError(f"column {name!r}: record must be an object, got {spec!r}")
+        dtype = np.dtype(COLUMN_DTYPES[name])
+        if spec.get("dtype") != str(dtype):
+            raise ArtifactFormatError(
+                f"column {name!r}: dtype must be {dtype}, got {spec.get('dtype')!r}"
+            )
+        length = spec.get("length")
+        if type(length) is not int or length < 0:
+            raise ArtifactFormatError(
+                f"column {name!r}: length must be a non-negative integer, got {length!r}"
+            )
+        offset += -offset % COLUMN_ALIGNMENT
+        if type(spec.get("offset")) is not int or spec["offset"] != offset:
+            raise ArtifactFormatError(
+                f"column {name!r}: offset must be {offset}, the aligned end of "
+                f"the columns before it by their lengths, got {spec.get('offset')!r}"
+            )
         crc = spec.get("crc32")
         if not isinstance(crc, str) or not _CRC32_PATTERN.fullmatch(crc):
             raise ArtifactFormatError(
                 f"column {name!r}: the header must record its crc32 as eight "
                 f"hex digits, got {crc!r}"
             )
+        offset += length * dtype.itemsize
 
 
-def validate_columns(header: dict, columns: dict[str, np.ndarray]) -> None:
-    """Cross-check loaded columns against the header's dtype/length records.
-
-    Every declared column must be stored, and every stored column declared:
-    an undeclared member would load unchecksummed.
-    """
-    for name, spec in header["columns"].items():
-        if name not in columns:
-            raise ArtifactFormatError(f"column {name!r} declared in header but not stored")
-        column = columns[name]
-        if column.ndim != 1:
-            raise ArtifactFormatError(
-                f"column {name!r}: stored shape {column.shape} is not one-dimensional"
-            )
-        if str(column.dtype) != spec["dtype"]:
-            raise ArtifactFormatError(
-                f"column {name!r}: stored dtype {column.dtype} != declared {spec['dtype']}"
-            )
-        if int(column.shape[0]) != int(spec["length"]):
-            raise ArtifactFormatError(
-                f"column {name!r}: stored length {column.shape[0]} != "
-                f"declared {spec['length']}"
-            )
-    for name, column in columns.items():
-        if name not in COLUMN_DTYPES:
-            raise ArtifactFormatError(f"archive stores unknown column {name!r}")
-        if name not in header["columns"]:
-            raise ArtifactFormatError(
-                f"archive stores column {name!r} that the header does not declare"
-            )
-        if column.dtype != COLUMN_DTYPES[name]:
-            raise ArtifactFormatError(
-                f"column {name!r} must have dtype {np.dtype(COLUMN_DTYPES[name])}, "
-                f"got {column.dtype}"
-            )
-
-
-def check_column_shapes(
+def _check_shapes(
     header: dict, columns: dict[str, np.ndarray], directory: Path
 ) -> None:
-    """Structural consistency checks tying the columns to the graph shape."""
+    """Tie the column lengths, CSR offsets and boundary table to the graph shape."""
     n = int(header["num_vertices"])
     m = int(header["num_edges"])
     checks = {
         "graph_indptr": n + 1,
         "graph_indices": 2 * m,
         "graph_arc_edge_ids": 2 * m,
+        "graph_arc_weights": 2 * m,
         "edge_similarities": m,
+        "edge_numerators": m,
         "no_neighbors": 2 * m,
         "no_similarities": 2 * m,
+        "co_vertices": 2 * m,
+        "co_thresholds": 2 * m,
     }
-    if "edge_numerators" in columns:
-        checks["edge_numerators"] = m
     for name, expected in checks.items():
-        if int(columns[name].shape[0]) != expected:
+        if name in columns and int(columns[name].shape[0]) != expected:
             raise ArtifactFormatError(
                 f"{Path(directory) / COLUMNS_FILE}: column {name!r} has length "
                 f"{columns[name].shape[0]}, expected {expected} for a graph with "
                 f"{n} vertices and {m} edges"
             )
-    if int(columns["graph_indptr"][-1]) != 2 * m:
-        raise ArtifactFormatError(
-            f"{Path(directory) / COLUMNS_FILE}: graph_indptr[-1] != 2m "
-            "(corrupt CSR offsets)"
-        )
+    for name in ("graph_indptr", "co_indptr"):
+        offsets = columns[name]
+        if not offsets.shape[0] or int(offsets[-1]) != 2 * m:
+            raise ArtifactFormatError(
+                f"{Path(directory) / COLUMNS_FILE}: {name}[-1] != 2m "
+                "(corrupt offsets)"
+            )
     table = columns[BOUNDARY_COLUMN]
     if not (
         (0 < table.shape[0] <= m or table.shape[0] == m == 0)
@@ -327,223 +301,82 @@ def check_column_shapes(
         )
 
 
-class _CountingWriter:
-    """File proxy that counts written bytes and reports them to a fault point.
+def write_columns(directory: Path, columns: dict[str, np.ndarray]) -> dict[str, dict]:
+    """Write ``columns.bin`` and return the header's record of each column.
 
-    Wraps the open archive file during :func:`write_columns` so the crash
-    tests can tear the write after an exact byte offset -- the stand-in for
-    a process dying (or the kernel dropping power) mid-``write``.  The
-    fault point fires *after* each chunk lands, so the file really holds
-    the partial prefix a torn write would leave.
+    One pass in column-name order: each column's raw bytes land at the next
+    :data:`COLUMN_ALIGNMENT`-aligned offset, written straight from its own
+    buffer, and its CRC-32 is taken from that same buffer, so no column is
+    copied and nothing is read back from the file.  The
+    ``storage.columns.write`` fault point fires after every chunk lands,
+    with the running byte count, so the crash tests can tear the file at an
+    exact offset.  The layout depends on the columns alone, so two saves of
+    one index write identical files.
     """
-
-    def __init__(self, handle, site: str):
-        self._handle = handle
-        self._site = site
-        self.written = 0
-
-    def write(self, data) -> int:
-        count = self._handle.write(data)
-        self.written += len(data)
-        fault_point(self._site, bytes_written=self.written)
-        return count
-
-    def __getattr__(self, name):
-        return getattr(self._handle, name)
-
-
-#: File-offset alignment of every column's raw data inside ``columns.npz``.
-#: ``np.savez`` places member data at whatever offset the zip bookkeeping
-#: lands on, which leaves the memory-mapped columns *unaligned* -- numpy then
-#: routes every access through its buffered-cast slow path and ``np.take``
-#: silently copies the whole source column per call.  Aligning the data to
-#: the widest vector width keeps the mmapped views on the fast paths.
-COLUMN_ALIGNMENT = 64
-
-
-def _aligned_npy_header(column: np.ndarray, payload_offset: int) -> bytes:
-    """The ``.npy`` header of ``column``, padded so its data lands aligned.
-
-    ``payload_offset`` is the file offset at which the ``.npy`` payload will
-    begin.  The header is grown with extra space padding (legal by the
-    format: the header is space-padded up to its terminating newline) so
-    that ``payload_offset + header_size`` is a multiple of
-    :data:`COLUMN_ALIGNMENT` -- readers that parse the header normally are
-    oblivious, and :func:`_mmap_member` hands back aligned views.
-    """
-    buffer = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        buffer, np.lib.format.header_data_from_array_1_0(column)
-    )
-    header = buffer.getvalue()
-    # Version (1, 0): 6-byte magic, 2-byte version, little-endian uint16
-    # header length, then the space-padded header ending in b"\n".
-    (header_length,) = struct.unpack("<H", header[8:10])
-    padding = -(payload_offset + len(header)) % COLUMN_ALIGNMENT
-    return (
-        header[:8] + struct.pack("<H", header_length + padding)
-        + header[10:-1] + b" " * padding + b"\n"
-    )
-
-
-def write_columns(directory: Path, columns: dict[str, np.ndarray]) -> dict[str, str]:
-    """Write the columns as an uncompressed ``.npz`` archive (mmap-friendly).
-
-    Returns each column's member CRC-32 as eight hex digits: the checksum
-    zipfile computes while it writes, read back once the archive is closed,
-    so no byte is checksummed twice.
-
-    Member data is placed at :data:`COLUMN_ALIGNMENT`-aligned file offsets
-    (via ``.npy`` header padding) so the memory-mapped reads of
-    :func:`read_columns` stay on numpy's aligned fast paths.  The archive is
-    deterministic: fixed member timestamps, insertion-ordered members.
-    Each member is the padded header followed by the column's own buffer,
-    so no column is copied on the way to the file.
-    """
-    path = directory / COLUMNS_FILE
-    members: dict[str, zipfile.ZipInfo] = {}
-    with path.open("wb") as handle:
-        writer = _CountingWriter(handle, "storage.columns.write")
-        with zipfile.ZipFile(writer, "w", zipfile.ZIP_STORED) as archive:
-            for name, column in columns.items():
-                column = np.ascontiguousarray(column)
-                arcname = f"{name}.npy"
-                info = zipfile.ZipInfo(arcname, date_time=(1980, 1, 1, 0, 0, 0))
-                info.compress_type = zipfile.ZIP_STORED
-                payload_offset = (
-                    handle.tell() + _LOCAL_HEADER_SIZE + len(arcname.encode("utf-8"))
-                )
-                header = _aligned_npy_header(column, payload_offset)
-                payload = memoryview(column.reshape(-1).view(np.uint8))
-                # What ``writestr`` does with one bytes object, in two writes.
-                info.file_size = len(header) + payload.nbytes
-                with archive.open(info, mode="w") as member:
-                    member.write(header)
-                    member.write(payload)
-                members[name] = info
-    return {name: format(info.CRC, "08x") for name, info in members.items()}
-
-
-def _stored_members(path: Path, archive: zipfile.ZipFile) -> list[zipfile.ZipInfo]:
-    """The archive's members, refusing any that is encrypted or compressed.
-
-    :func:`write_columns` stores every member uncompressed, which is what
-    lets a column be memory-mapped in place; anything else was not written
-    by this program.
-    """
-    members = archive.infolist()
-    for info in members:
-        if info.flag_bits & _ENCRYPTED_FLAG:
-            raise ArtifactFormatError(f"{path}: encrypted member {info.filename}")
-        if info.compress_type != zipfile.ZIP_STORED:
-            raise ArtifactFormatError(
-                f"{path}: compressed member {info.filename}; artifact columns are "
-                "stored uncompressed -- rebuild it with `repro index build`"
-            )
-    return members
-
-
-def read_member_prefixes(directory: Path) -> dict[str, bytes]:
-    """The ``.npy`` header bytes that precede each column's payload.
-
-    A column's checksum covers its whole member, so deep verification feeds
-    these bytes, then the (memory-mapped) payload, through one CRC.  They
-    are read in place (zipfile would check the member CRC of a short member
-    as a side effect).
-    """
-    path = Path(directory) / COLUMNS_FILE
-    prefixes: dict[str, bytes] = {}
-    try:
-        with zipfile.ZipFile(path) as archive, path.open("rb") as handle:
-            for info in _stored_members(path, archive):
-                handle.seek(_payload_offset(path, handle, info))
-                prefixes[info.filename.removesuffix(".npy")] = _npy_prefix(handle)
-    except ArtifactFormatError:
-        raise
-    except (*_CORRUPT_ARCHIVE_ERRORS, struct.error) as error:
-        raise ArtifactFormatError(f"{path}: corrupt column archive ({error})") from error
-    return prefixes
-
-
-def _npy_prefix(stream) -> bytes:
-    """Read one ``.npy`` header (magic through padding) off ``stream``."""
-    start = stream.read(_NPY_PREAMBLE)
-    # Magic, version, then the header length: uint16 for version 1.0,
-    # uint32 for 2.0/3.0.
-    if start[6:7] == b"\x01":
-        size = 10 + struct.unpack("<H", start[8:10])[0]
-    else:
-        size = 12 + struct.unpack("<I", start[8:12])[0]
-    return start + stream.read(size - len(start))
+    records: dict[str, dict] = {}
+    written = 0
+    with (directory / COLUMNS_FILE).open("wb") as handle:
+        for name in sorted(columns):
+            column = np.ascontiguousarray(columns[name])
+            payload = memoryview(column.reshape(-1).view(np.uint8))
+            for chunk in (bytes(-written % COLUMN_ALIGNMENT), payload):
+                handle.write(chunk)
+                written += len(chunk)
+                fault_point("storage.columns.write", bytes_written=written)
+            records[name] = {
+                "dtype": str(column.dtype),
+                "length": int(column.shape[0]),
+                "offset": written - len(payload),
+                "crc32": format(zlib.crc32(payload), "08x"),
+            }
+    return records
 
 
 def read_columns(
     directory: Path, *, mmap_mode: str | None = "r"
 ) -> dict[str, np.ndarray]:
-    """Load the columns of an artifact, memory-mapping them when possible.
+    """Read an artifact's header and load the columns it describes."""
+    return map_columns(directory, read_header(directory), mmap_mode=mmap_mode)
 
-    ``np.load`` ignores ``mmap_mode`` for ``.npz`` archives (it would have to
-    decompress), but :func:`write_columns` stores members uncompressed, so
-    each column's raw data sits contiguously inside the zip file at a known
-    offset.  This reader parses the zip's local headers plus each member's
-    ``.npy`` header and hands back ``np.memmap`` views directly into the
-    archive -- no column is read into memory until something indexes it.
-    ``mmap_mode=None`` reads every column into memory instead.  A compressed
-    or encrypted member is refused (:class:`ArtifactFormatError`).
+
+def map_columns(
+    directory: Path, header: dict, *, mmap_mode: str | None = "r"
+) -> dict[str, np.ndarray]:
+    """Load the columns a validated ``header`` describes, memory-mapped by default.
+
+    ``columns.bin`` must hold exactly the bytes the column records end at:
+    a truncated or extended file is refused before any column is built.  The
+    file is mapped once and each column is a view of its byte range --
+    read-only with ``mmap_mode="r"``, and aligned, since every offset is a
+    multiple of :data:`COLUMN_ALIGNMENT` -- so no column is read into memory
+    until something indexes it.  ``mmap_mode=None`` reads the file into
+    memory instead.  The columns are then tied to the graph shape the header
+    declares (:class:`ArtifactFormatError` on any mismatch).
     """
     path = Path(directory) / COLUMNS_FILE
     if not path.is_file():
         raise ArtifactFormatError(f"{directory}: not an index artifact (no {COLUMNS_FILE})")
-    columns: dict[str, np.ndarray] = {}
+    spans = {}
+    for name, spec in header["columns"].items():
+        dtype = np.dtype(COLUMN_DTYPES[name])
+        spans[name] = (spec["offset"], spec["offset"] + spec["length"] * dtype.itemsize, dtype)
+    size = max(end for _, end, _ in spans.values())
     try:
-        with zipfile.ZipFile(path) as archive:
-            for info in _stored_members(path, archive):
-                name = info.filename.removesuffix(".npy")
-                if mmap_mode is None:
-                    with archive.open(info) as member:
-                        columns[name] = np.lib.format.read_array(member)
-                else:
-                    columns[name] = _mmap_member(path, info, mmap_mode)
-        return columns
-    except ArtifactFormatError:
-        raise
-    except _CORRUPT_ARCHIVE_ERRORS as error:
-        raise ArtifactFormatError(f"{path}: corrupt column archive ({error})") from error
-
-
-def _payload_offset(path: Path, handle, info: zipfile.ZipInfo) -> int:
-    """File offset of a stored member's data, read from its local header."""
-    handle.seek(info.header_offset)
-    local_header = handle.read(_LOCAL_HEADER_SIZE)
-    if len(local_header) != _LOCAL_HEADER_SIZE or (
-        local_header[:4] != _LOCAL_HEADER_SIGNATURE
-    ):
-        raise ArtifactFormatError(f"{path}: corrupt local header for {info.filename}")
-    name_length, extra_length = struct.unpack("<HH", local_header[26:30])
-    return info.header_offset + _LOCAL_HEADER_SIZE + name_length + extra_length
-
-
-def _mmap_member(path: Path, info: zipfile.ZipInfo, mmap_mode: str) -> np.ndarray:
-    """Memory-map one uncompressed ``.npy`` member of a zip archive."""
-    with path.open("rb") as handle:
-        handle.seek(_payload_offset(path, handle, info))
-        version = np.lib.format.read_magic(handle)
-        if version == (1, 0):
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
-        elif version == (2, 0):
-            shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(handle)
-        else:  # pragma: no cover - numpy only writes 1.0/2.0 headers
-            raise ArtifactFormatError(
-                f"{path}: unsupported .npy header version {version} in {info.filename}"
-            )
-        data_offset = handle.tell()
-    if dtype.hasobject:  # pragma: no cover - never written by this library
-        raise ArtifactFormatError(f"{path}: object-dtype column {info.filename}")
-    return np.memmap(
-        path,
-        dtype=dtype,
-        mode=mmap_mode,
-        offset=data_offset,
-        shape=shape,
-        order="F" if fortran_order else "C",
-    )
+        if mmap_mode is None:
+            data = np.fromfile(path, dtype=np.uint8)
+        elif path.stat().st_size:
+            data = np.memmap(path, dtype=np.uint8, mode=mmap_mode)
+        else:  # an empty file cannot be mapped
+            data = np.zeros(0, dtype=np.uint8)
+    except OSError as error:
+        raise ArtifactFormatError(f"{path}: cannot read the columns ({error})") from error
+    if data.shape[0] != size:
+        raise ArtifactFormatError(
+            f"{path}: holds {data.shape[0]} bytes, but the header's column records "
+            f"end at byte {size} (a truncated or extended file)"
+        )
+    columns = {
+        name: data[start:end].view(dtype) for name, (start, end, dtype) in spans.items()
+    }
+    _check_shapes(header, columns, directory)
+    return columns

@@ -9,15 +9,13 @@ stage-and-swap save left open:
 **Checksums** (:func:`verify_checksums`).  The header records a CRC-32 per
 column (``columns[name]["crc32"]``).  A bit flipped by a torn write, a
 truncated copy, or bad storage fails :func:`verify_artifact` instead of
-silently serving wrong similarity scores.  The header records the CRC of
-the whole zip member (``.npy`` header plus payload), which zipfile computes
-while writing, so a save checksums every byte exactly once; deep
-verification recomputes it as ``crc32(payload, crc32(npy_header))`` over the
-header bytes read from the archive and the memory-mapped payload
-(:func:`column_checksum`).
+silently serving wrong similarity scores.  The CRC covers the column's own
+bytes in ``columns.bin``; the writer computes it from the buffer it writes,
+so a save checksums every byte exactly once, and deep verification
+recomputes it over each memory-mapped column (:func:`column_checksum`).
 
 **The commit protocol** (:func:`commit_artifact`, used by
-``IndexArtifact.save``).  A save writes ``columns.npz`` + ``header.json``
+``IndexArtifact.save``).  A save writes ``columns.bin`` + ``header.json``
 into a scratch sibling (``.<name>.tmp-<pid>``), fsyncs both files *and* the
 scratch directory, then commits::
 
@@ -64,11 +62,8 @@ from .format import (
     COLUMNS_FILE,
     HEADER_FILE,
     ArtifactFormatError,
-    check_column_shapes,
-    read_columns,
+    map_columns,
     read_header,
-    read_member_prefixes,
-    validate_columns,
 )
 
 __all__ = [
@@ -104,32 +99,29 @@ class ArtifactIntegrityError(ArtifactFormatError):
 # ----------------------------------------------------------------------
 # Checksums
 # ----------------------------------------------------------------------
-def column_checksum(column: np.ndarray, prefix: bytes) -> str:
-    """CRC-32 of ``prefix`` followed by a column's raw bytes, as eight hex digits.
+def column_checksum(column: np.ndarray) -> str:
+    """CRC-32 of a column's raw bytes, as eight hex digits.
 
-    With the member's ``.npy`` header bytes as ``prefix`` this is the
-    member checksum the header records.  CRC-32 (zlib) rather than a
-    cryptographic hash: the adversary is bit rot and torn writes, not
-    forgery, and crc32 runs at memory speed so deep verification stays
-    cheap enough to run in CI on every artifact.
+    This is the checksum the header records for the column.  CRC-32 (zlib)
+    rather than a cryptographic hash: the adversary is bit rot and torn
+    writes, not forgery, and crc32 runs at memory speed so deep verification
+    stays cheap enough to run in CI on every artifact.
     """
     payload = np.ascontiguousarray(column).view(np.uint8).data
-    return format(zlib.crc32(payload, zlib.crc32(prefix)) & 0xFFFFFFFF, "08x")
+    return format(zlib.crc32(payload), "08x")
 
 
 def verify_checksums(header: dict, columns: dict[str, np.ndarray],
                      directory: str | Path) -> int:
     """Compare every recorded column checksum against the stored bytes.
 
-    ``columns`` are the stored columns of the artifact at ``directory``, as
-    read (the checksums also cover each member's ``.npy`` header, which is
-    read back from there).  Returns the number of columns checked.  Raises
+    ``columns`` are the stored columns of the artifact at ``directory`` (named
+    in the error), as read.  Returns the number of columns checked.  Raises
     :class:`ArtifactIntegrityError` on the first mismatch.
     """
-    prefixes = read_member_prefixes(directory)
     for name, spec in header["columns"].items():
         recorded = spec["crc32"]
-        actual = column_checksum(columns[name], prefixes[name])
+        actual = column_checksum(columns[name])
         if actual != recorded:
             raise ArtifactIntegrityError(
                 f"{directory}: column {name!r} fails its checksum "
@@ -365,9 +357,7 @@ def recover_artifact(path: str | Path) -> str | None:
     backup = max(backups, key=lambda b: b.stat().st_mtime)
     try:
         header = read_header(backup)
-        columns = read_columns(backup, mmap_mode="r")
-        validate_columns(header, columns)
-        check_column_shapes(header, columns, backup)
+        columns = map_columns(backup, header)
         verify_checksums(header, columns, backup)
         del columns
     except ArtifactFormatError as error:
@@ -444,12 +434,14 @@ def verify_artifact(path: str | Path, *, deep: bool = False,
     """Prove an artifact directory internally consistent, or raise.
 
     The *fast* check (always on; also what every load performs) parses the
-    header, cross-checks every column's dtype/length against it, and ties
-    the column lengths to the declared graph shape.  The *deep* check
-    additionally streams every column and compares CRC-32s against the
-    header -- the check that catches a bit flipped after the header was
-    written -- and proves the ε boundary table equals the distinct stored
-    similarities (:func:`verify_boundaries`), which no checksum can.  ``recover=True`` first resolves a crashed commit
+    header, checks every column record against its canonical dtype and
+    offset and the column file against the size the records describe, and
+    ties the column lengths to the declared graph shape.  The *deep* check
+    additionally streams every column's byte range and compares CRC-32s
+    against the header -- the check that catches a bit flipped after the
+    header was written -- and proves the ε boundary table equals the
+    distinct stored similarities (:func:`verify_boundaries`), which no
+    checksum can.  ``recover=True`` first resolves a crashed commit
     (:func:`recover_artifact`) instead of failing on the missing target.
 
     Raises :class:`~repro.storage.format.ArtifactFormatError` (structural)
@@ -461,9 +453,7 @@ def verify_artifact(path: str | Path, *, deep: bool = False,
     with obs.span("storage.verify", deep=deep):
         recovered = recover_artifact(directory) if recover else None
         header = read_header(directory)
-        columns = read_columns(directory, mmap_mode="r")
-        validate_columns(header, columns)
-        check_column_shapes(header, columns, directory)
+        columns = map_columns(directory, header)
         checked = 0
         if deep:
             checked = verify_checksums(header, columns, directory)

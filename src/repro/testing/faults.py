@@ -12,7 +12,7 @@ Design:
 
 * **Fault points are named sites.**  Production code calls
   :func:`fault_point` at the instants a crash or transient error is
-  interesting -- after every chunk of bytes written to the column archive,
+  interesting -- after every chunk of bytes written to the column file,
   between the renames of the commit protocol, at worker task entry.  The
   call is a no-op (one attribute load and an ``is None`` check) unless a
   plan is armed, so shipping the instrumentation costs nothing.
@@ -39,7 +39,7 @@ Typical test usage::
     with inject(FaultSpec(site="storage.columns.write", action="crash",
                           after_bytes=4096)):
         with pytest.raises(SimulatedCrash):
-            index.save(path)          # dies mid-archive, like a power cut
+            index.save(path)          # dies mid-write, like a power cut
     # the target is still the old artifact, or absent -- never torn
     verify_artifact(path)
 
@@ -73,8 +73,8 @@ ENV_VAR = "REPRO_FAULTS"
 #: here (``tests/testing/test_faults.py`` cross-checks instrumentation).
 FAULT_SITES = {
     # storage/: the artifact commit protocol (see storage/integrity.py)
-    "storage.columns.write": "after each chunk of bytes written to columns.npz "
-                             "(arm with after_bytes to tear the archive)",
+    "storage.columns.write": "after each chunk of bytes written to columns.bin "
+                             "(arm with after_bytes to tear the column file)",
     "storage.header.write": "before header.json bytes reach the scratch dir",
     "storage.commit.fsync": "each fsync of the commit protocol (transients)",
     "storage.commit.pre_backup": "before the old artifact is renamed aside",

@@ -1,11 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.storage.format import FORMAT_VERSION, read_columns
+from repro.storage.format import COLUMNS_FILE, FORMAT_VERSION, HEADER_FILE
 from repro.graphs import paper_example_graph, write_edge_list
 
 
@@ -315,8 +316,8 @@ class TestArtifactErrorReporting:
         assert "error: cannot load index artifact" in err
         assert "corrupt header" in err
 
-    def test_corrupt_column_archive(self, artifact, capsys):
-        (artifact / "columns.npz").write_bytes(b"definitely not a zip file")
+    def test_corrupt_column_file(self, artifact, capsys):
+        (artifact / COLUMNS_FILE).write_bytes(b"definitely not the columns")
         assert main(["index", "query", str(artifact)]) == 2
         assert "error: cannot load index artifact" in capsys.readouterr().err
 
@@ -337,23 +338,22 @@ class TestIndexVerifyCommand:
         self, artifact, capsys
     ):
         # One flipped payload byte: the structure still parses.
-        offset = read_columns(artifact)["no_similarities"].offset + 3
-        archive = artifact / "columns.npz"
-        data = bytearray(archive.read_bytes())
+        header = json.loads((artifact / HEADER_FILE).read_text())
+        offset = header["columns"]["no_similarities"]["offset"] + 3
+        path = artifact / COLUMNS_FILE
+        data = bytearray(path.read_bytes())
         data[offset] ^= 0xFF
-        archive.write_bytes(data)
+        path.write_bytes(data)
         assert main(["index", "verify", str(artifact)]) == 0
         assert main(["index", "verify", str(artifact), "--deep"]) == 2
         err = capsys.readouterr().err
         assert "fails verification" in err and "checksum" in err
         assert "Traceback" not in err
 
-    def test_corrupt_npy_header_is_one_error_line(self, artifact, capsys):
-        archive = artifact / "columns.npz"
-        data = bytearray(archive.read_bytes())
-        # An unclosed header dict: numpy's fallback tokenizer gives up on it.
-        data[data.index(b"}", data.index(b"{'descr'"))] = ord("(")
-        archive.write_bytes(data)
+    def test_corrupt_column_record_is_one_error_line(self, artifact, capsys):
+        header = json.loads((artifact / HEADER_FILE).read_text())
+        header["columns"]["no_similarities"]["dtype"] = "float32"
+        (artifact / HEADER_FILE).write_text(json.dumps(header))
         for command in (["index", "verify"], ["index", "query"]):
             assert main([*command, str(artifact)]) == 2
             err = capsys.readouterr().err

@@ -218,22 +218,6 @@ class TestDerived:
             oriented.weights, weighted_graph.edge_weights[oriented.edge_ids]
         )
 
-    def test_degree_ordered_arcs_matches_oriented(self, paper_graph):
-        indptr, indices = paper_graph.degree_ordered_arcs()
-        oriented = paper_graph.degree_oriented_csr()
-        assert np.array_equal(indptr, oriented.indptr)
-        assert np.array_equal(indices, oriented.indices)
-
-    def test_subgraph_edge_mask(self, paper_graph):
-        mask = np.zeros(11, dtype=bool)
-        mask[[0, 1, 2, 3]] = True
-        edge_mask = paper_graph.subgraph_edge_mask(mask)
-        assert int(edge_mask.sum()) == 5  # the 5 edges inside {0,1,2,3}
-
-    def test_subgraph_edge_mask_wrong_length(self, paper_graph):
-        with pytest.raises(ValueError):
-            paper_graph.subgraph_edge_mask(np.zeros(3, dtype=bool))
-
 
 class TestEquality:
     def test_equal_graphs(self):

@@ -3,7 +3,7 @@
 The claims under test, each driven by seeded randomized faults:
 
 1. **Old-or-new.**  A save killed at a random byte offset of the column
-   archive, or at any named window of the commit protocol, leaves the
+   file, or at any named window of the commit protocol, leaves the
    target loading as *exactly* the complete old artifact or the complete
    new one -- proven by comparing every loaded column against both, and by
    deep verification passing afterwards.
@@ -77,10 +77,10 @@ def test_save_torn_at_random_byte_offsets_leaves_old_or_new(tmp_path, indexes):
     old_index, new_index = indexes
     probe = tmp_path / "probe.scanidx"
     new_index.save(probe)
-    archive_size = (probe / COLUMNS_FILE).stat().st_size
+    file_size = (probe / COLUMNS_FILE).stat().st_size
     rng = np.random.default_rng(20260808)
     offsets = sorted(
-        {int(k) for k in rng.integers(1, archive_size + 4096, size=12)}
+        {int(k) for k in rng.integers(1, file_size + 4096, size=12)}
     )
     path = tmp_path / "artifact.scanidx"
     old_index.save(path)

@@ -18,6 +18,7 @@ from repro import ScanIndex
 from repro.graphs import planted_partition
 from repro.serve import ClusterServer, DegradedServingWarning, route, wire
 from repro.serve.server import _WorkerHandle
+from repro.storage.format import COLUMNS_FILE
 
 #: Settings exercised by most tests (mirror the benchmark workload shape).
 SETTINGS = [(2, 0.3), (3, 0.45), (5, 0.6), (8, 0.75), (2, 0.5), (4, 0.35)]
@@ -261,24 +262,24 @@ class TestGenerationFlip:
     ):
         """A failed reload answers one error line and keeps the generation.
 
-        The garbage archive is swapped in by rename, as a save would swap a
-        new one, so the mmaps already open keep the old file's bytes.
+        The garbage column file is swapped in by rename, as a save would swap
+        a new one, so the mmaps already open keep the old file's bytes.
         """
         import shutil
 
         swapped = tmp_path / "index.scanidx"
         shutil.copytree(artifact, swapped)
         expected = _expected_lines(swapped, SETTINGS)
-        good = (swapped / "columns.npz").read_bytes()
+        good = (swapped / COLUMNS_FILE).read_bytes()
 
         def swap_in(data: bytes) -> None:
-            staged = tmp_path / "staged.npz"
+            staged = tmp_path / "staged.bin"
             staged.write_bytes(data)
-            os.replace(staged, swapped / "columns.npz")
+            os.replace(staged, swapped / COLUMNS_FILE)
 
         async def scenario(server, reader, writer):
             before = [await _ask(reader, writer, f"{mu}:{eps}") for mu, eps in SETTINGS]
-            swap_in(b"not a zip archive" * 64)
+            swap_in(b"not the columns" * 64)
             refused = await _ask(reader, writer, "!invalidate")
             generation = server.generation
             after = [await _ask(reader, writer, f"{mu}:{eps}") for mu, eps in SETTINGS]

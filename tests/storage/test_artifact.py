@@ -7,7 +7,7 @@ import pytest
 
 from repro import ApproximationConfig, ArtifactFormatError, IndexArtifact, ScanIndex, obs
 from repro.graphs import from_edge_list, paper_example_graph, planted_partition
-from repro.storage.format import COLUMNS_FILE, FORMAT_VERSION, HEADER_FILE
+from repro.storage.format import COLUMN_ALIGNMENT, COLUMNS_FILE, FORMAT_VERSION, HEADER_FILE
 
 
 def random_parameter_grid(rng, max_mu, count=20):
@@ -85,12 +85,10 @@ class TestRoundTrip:
     def test_memmapped_columns_are_aligned(self, tmp_path, paper_graph):
         """Every mmapped column sits on the writer's alignment boundary.
 
-        The zip layout would otherwise put npy payloads at arbitrary file
+        Packed end to end, the columns would start at arbitrary file
         offsets, and unaligned memmaps push every gather a query makes onto
         numpy's buffered slow path.
         """
-        from repro.storage.format import COLUMN_ALIGNMENT
-
         ScanIndex.build(paper_graph).save(tmp_path / "al")
         loaded = ScanIndex.load(tmp_path / "al")
         for column in (
@@ -104,66 +102,35 @@ class TestRoundTrip:
             assert column.flags.aligned
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_archive_bytes_match_the_whole_member_writer(self, tmp_path, weighted):
-        """The header-then-buffer member writer leaves the same bytes.
-
-        The reference below is the writer it replaced: ``np.save`` into a
-        buffer, the alignment padding spliced into the header, and one
-        ``writestr`` per member.  Both archives of one index -- weighted or
-        not, including an empty column -- must hash equal.
-        """
-        import hashlib
-        import io
-        import struct
-        import zipfile
-
-        from repro.storage import format as storage_format
-
-        def reference_write_columns(directory, columns):
-            path = directory / COLUMNS_FILE
-            with path.open("wb") as handle, zipfile.ZipFile(
-                handle, "w", zipfile.ZIP_STORED
-            ) as archive:
-                for name, column in columns.items():
-                    arcname = f"{name}.npy"
-                    info = zipfile.ZipInfo(arcname, date_time=(1980, 1, 1, 0, 0, 0))
-                    info.compress_type = zipfile.ZIP_STORED
-                    offset = handle.tell() + 30 + len(arcname.encode("utf-8"))
-                    buffer = io.BytesIO()
-                    np.lib.format.write_array(
-                        buffer, np.ascontiguousarray(column), version=(1, 0),
-                        allow_pickle=False,
-                    )
-                    raw = bytearray(buffer.getvalue())
-                    (length,) = struct.unpack("<H", raw[8:10])
-                    padding = -(offset + 10 + length) % storage_format.COLUMN_ALIGNMENT
-                    if padding:
-                        raw[8:10] = struct.pack("<H", length + padding)
-                        raw[9 + length:9 + length] = b" " * padding
-                    archive.writestr(info, bytes(raw))
-            return path
-
-        def write_columns(directory, columns):
-            storage_format.write_columns(directory, columns)
-            return directory / COLUMNS_FILE
-
+    def test_column_file_is_the_columns_at_their_recorded_offsets(
+        self, tmp_path, weighted
+    ):
+        """``columns.bin`` is each column's raw bytes at its recorded offset,
+        zero bytes between, and nothing after the last column."""
         rng = np.random.default_rng(11)
         edges = [(int(u), int(v)) for u, v in rng.integers(0, 40, size=(120, 2)) if u != v]
         weights = rng.uniform(0.5, 2.0, size=len(edges)) if weighted else None
         index = ScanIndex.build(from_edge_list(edges, num_vertices=45, weights=weights))
         columns = IndexArtifact.from_index(index).columns
-        columns["empty"] = np.zeros(0, dtype=np.int64)
-        (tmp_path / "new").mkdir()
-        (tmp_path / "old").mkdir()
-        digests = [
-            hashlib.sha256(write(tmp_path / name, columns).read_bytes()).hexdigest()
-            for name, write in (("new", write_columns), ("old", reference_write_columns))
-        ]
-        assert digests[0] == digests[1]
-        index.save(tmp_path / "saved")
-        del columns["empty"]
-        saved = (tmp_path / "saved" / COLUMNS_FILE).read_bytes()
-        assert saved == reference_write_columns(tmp_path / "old", columns).read_bytes()
+        index.save(tmp_path / "a")
+        records = json.loads((tmp_path / "a" / HEADER_FILE).read_text())["columns"]
+        expected = bytearray()
+        for name in sorted(columns):
+            expected += bytes(-len(expected) % COLUMN_ALIGNMENT)
+            assert records[name]["offset"] == len(expected), name
+            expected += columns[name].tobytes()
+        assert (tmp_path / "a" / COLUMNS_FILE).read_bytes() == bytes(expected)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_two_saves_write_identical_column_files(self, tmp_path, weighted, request):
+        graph = request.getfixturevalue("weighted_graph" if weighted else "community_graph")
+        index = ScanIndex.build(graph)
+        index.save(tmp_path / "a")
+        index.save(tmp_path / "b")
+        ScanIndex.load(tmp_path / "a").save(tmp_path / "c")
+        first = (tmp_path / "a" / COLUMNS_FILE).read_bytes()
+        assert (tmp_path / "b" / COLUMNS_FILE).read_bytes() == first
+        assert (tmp_path / "c" / COLUMNS_FILE).read_bytes() == first
 
     def test_load_without_mmap(self, tmp_path, paper_graph):
         index = ScanIndex.build(paper_graph)
@@ -173,12 +140,21 @@ class TestRoundTrip:
         a = loaded.query(3, 0.6)
         assert a.num_clusters == 2
 
-    def test_empty_graph_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("mmap_mode", ["r", None])
+    def test_empty_graph_round_trip(self, tmp_path, mmap_mode):
+        """Zero-length columns share their successor's offset and still load."""
         index = ScanIndex.build(from_edge_list([], num_vertices=4))
         index.save(tmp_path / "e")
-        loaded = ScanIndex.load(tmp_path / "e")
+        records = json.loads((tmp_path / "e" / HEADER_FILE).read_text())["columns"]
+        offsets = [records[name]["offset"] for name in sorted(records)]
+        assert len(set(offsets)) < len(offsets)
+        loaded = ScanIndex.load(tmp_path / "e", mmap_mode=mmap_mode, verify=True)
         assert loaded.graph.num_vertices == 4
         assert loaded.query(2, 0.5).num_clusters == 0
+        stored = IndexArtifact.load(tmp_path / "e", mmap_mode=mmap_mode).columns
+        for name, column in IndexArtifact.from_index(index).columns.items():
+            assert stored[name].dtype == column.dtype, name
+            assert stored[name].tobytes() == column.tobytes(), name
 
 
 class TestStorageSpans:
@@ -296,17 +272,6 @@ class TestErrorPaths:
         with pytest.raises(ArtifactFormatError, match="unrecognised artifact format"):
             ScanIndex.load(saved)
 
-    @pytest.mark.parametrize("mmap_mode", ["r", None])
-    def test_garbled_npy_dtype(self, saved, mmap_mode):
-        # numpy.dtype rejects a dtype string garbled into a bad comma list
-        # with SyntaxError, not ValueError; it must surface as a format error.
-        archive = saved / COLUMNS_FILE
-        data = archive.read_bytes()
-        at = data.index(b"'<i8'")
-        archive.write_bytes(data[:at] + b"',i8'" + data[at + 5:])
-        with pytest.raises(ArtifactFormatError, match="corrupt column archive"):
-            ScanIndex.load(saved, mmap_mode=mmap_mode)
-
     def test_missing_required_field(self, saved):
         header = json.loads((saved / HEADER_FILE).read_text())
         del header["measure"]
@@ -319,10 +284,18 @@ class TestErrorPaths:
         with pytest.raises(ArtifactFormatError, match="not an index artifact"):
             ScanIndex.load(saved)
 
-    def test_corrupt_columns_archive(self, saved):
-        (saved / COLUMNS_FILE).write_bytes(b"garbage, not a zip")
-        with pytest.raises(ArtifactFormatError, match="corrupt column archive"):
-            ScanIndex.load(saved)
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda data: b"garbage", id="garbage"),
+        pytest.param(lambda data: data[:-1], id="truncated"),
+        pytest.param(lambda data: data + bytes(8), id="appended"),
+        pytest.param(lambda data: b"", id="empty"),
+    ])
+    @pytest.mark.parametrize("mmap_mode", ["r", None])
+    def test_a_column_file_of_the_wrong_size_is_refused(self, saved, edit, mmap_mode):
+        path = saved / COLUMNS_FILE
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ArtifactFormatError, match="truncated or extended"):
+            ScanIndex.load(saved, mmap_mode=mmap_mode)
 
     def test_header_column_length_mismatch(self, saved):
         header = json.loads((saved / HEADER_FILE).read_text())
@@ -355,15 +328,11 @@ class TestErrorPaths:
         with pytest.raises(ArtifactFormatError):
             ScanIndex.load(saved, mmap_mode=mmap_mode, verify=True)
 
-    def test_unknown_stored_column(self, saved):
-        import io
-        import zipfile
-
-        buffer = io.BytesIO()
-        np.lib.format.write_array(buffer, np.arange(3, dtype=np.int64))
-        with zipfile.ZipFile(saved / COLUMNS_FILE, "a") as archive:
-            archive.writestr("foreign.npy", buffer.getvalue())
-        with pytest.raises(ArtifactFormatError, match="unknown column"):
+    def test_unknown_declared_column(self, saved):
+        header = json.loads((saved / HEADER_FILE).read_text())
+        header["columns"]["foreign"] = dict(header["columns"]["graph_indptr"])
+        (saved / HEADER_FILE).write_text(json.dumps(header))
+        with pytest.raises(ArtifactFormatError, match="unknown columns.*foreign"):
             ScanIndex.load(saved)
 
     def test_resave_over_existing_artifact(self, saved, community_graph):

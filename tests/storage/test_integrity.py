@@ -10,7 +10,7 @@ down deterministically.
 import json
 import os
 import shutil
-import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -33,7 +33,6 @@ from repro.storage.format import (
     HEADER_FILE,
     ArtifactFormatError,
     read_columns,
-    read_member_prefixes,
 )
 from repro.storage.integrity import (
     backup_path,
@@ -53,7 +52,8 @@ DEAD_PID = 2**22 + 12345
 
 def _flip_payload_byte(path, column="no_similarities"):
     """Flip one byte inside a column's payload, leaving the structure intact."""
-    offset = read_columns(path)[column].offset + 3
+    header = json.loads((path / HEADER_FILE).read_text())
+    offset = header["columns"][column]["offset"] + 3
     data = bytearray((path / COLUMNS_FILE).read_bytes())
     data[offset] ^= 0xFF
     (path / COLUMNS_FILE).write_bytes(data)
@@ -86,25 +86,24 @@ def weighted_saved(tmp_path, weighted_graph):
 class TestChecksums:
     def test_checksum_is_stable_and_byte_sensitive(self):
         column = np.arange(100, dtype=np.int64)
-        prefix = b"\x93NUMPY"
-        assert column_checksum(column, prefix) == column_checksum(column.copy(), prefix)
+        assert column_checksum(column) == column_checksum(column.copy())
+        assert column_checksum(column) == format(zlib.crc32(column.tobytes()), "08x")
         flipped = column.copy()
         flipped[50] ^= 1
-        assert column_checksum(column, prefix) != column_checksum(flipped, prefix)
-        assert column_checksum(column, prefix) != column_checksum(column, b"")
+        assert column_checksum(column) != column_checksum(flipped)
 
-    def test_header_records_each_member_crc(self, saved):
-        # The zip member's own CRC (.npy header plus payload), computed once
-        # by zipfile while writing -- from_index computes none.
+    def test_header_records_each_column_crc(self, saved):
+        # The CRC of the column's byte range in the file, computed by the
+        # writer from the buffer it wrote -- from_index computes none.
         header = json.loads((saved / HEADER_FILE).read_text())
         artifact = IndexArtifact.load(saved)
-        prefixes = read_member_prefixes(saved)
-        with zipfile.ZipFile(saved / COLUMNS_FILE) as archive:
-            members = {info.filename: info.CRC for info in archive.infolist()}
+        data = (saved / COLUMNS_FILE).read_bytes()
         assert set(header["columns"]) == set(artifact.columns)
         for name, spec in header["columns"].items():
-            assert spec["crc32"] == format(members[f"{name}.npy"], "08x")
-            assert spec["crc32"] == column_checksum(artifact.columns[name], prefixes[name])
+            start = spec["offset"]
+            stored = data[start:start + artifact.columns[name].nbytes]
+            assert spec["crc32"] == format(zlib.crc32(stored), "08x")
+            assert spec["crc32"] == column_checksum(artifact.columns[name])
 
     def test_from_index_never_checksums(self, index, monkeypatch):
         def forbidden(*args, **kwargs):  # pragma: no cover - failure path
@@ -147,23 +146,6 @@ class TestChecksums:
             with pytest.raises(ArtifactFormatError, match=f"'{column}'.*crc32"):
                 attempt()
 
-    def test_a_compressed_member_is_refused(self, saved):
-        """Every writer stores its members; a compressed one is not an artifact."""
-        columns = saved / COLUMNS_FILE
-        with zipfile.ZipFile(columns) as archive:
-            members = [(info.filename, archive.read(info)) for info in archive.infolist()]
-        with zipfile.ZipFile(columns, "w", zipfile.ZIP_DEFLATED) as archive:
-            for name, data in members:
-                archive.writestr(name, data)
-        for attempt in (
-            lambda: ScanIndex.load(saved),
-            lambda: ScanIndex.load(saved, mmap_mode=None),
-            lambda: verify_artifact(saved, deep=True),
-            lambda: read_member_prefixes(saved),
-        ):
-            with pytest.raises(ArtifactFormatError, match="compressed member"):
-                attempt()
-
 
 # ----------------------------------------------------------------------
 # verify_artifact and its report
@@ -184,7 +166,7 @@ class TestVerifyArtifact:
                    for line in report.lines())
 
     def test_deep_verify_catches_flipped_byte_fast_check_misses(self, saved):
-        # Flip one payload byte inside the archive: dtypes and lengths still
+        # Flip one payload byte inside a column: dtypes and lengths still
         # parse, so the fast check passes -- only the checksum knows.
         _flip_payload_byte(saved)
         verify_artifact(saved)  # fast: structure is intact
@@ -195,7 +177,7 @@ class TestVerifyArtifact:
     def test_deep_verify_catches_a_flipped_byte_in_every_column(
         self, weighted_saved, column, capsys
     ):
-        """Each member's CRC covers its payload: no column is left unchecked."""
+        """Each column's CRC covers its bytes: no column is left unchecked."""
         _flip_payload_byte(weighted_saved, column)
         verify_artifact(weighted_saved)  # fast: dtypes and lengths still parse
         with pytest.raises(ArtifactIntegrityError, match=f"'{column}' fails its checksum"):
@@ -205,22 +187,21 @@ class TestVerifyArtifact:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"'{column}'" in err and "Traceback" not in err
 
-    def test_an_undeclared_member_is_refused_before_any_checksum(
+    def test_appended_bytes_are_refused_before_any_checksum(
         self, saved, monkeypatch, capsys
     ):
-        """A stored column the header does not declare is never loaded.
+        """Bytes past the last recorded column are never loaded.
 
-        Appending ``graph_arc_weights`` to an unweighted artifact keeps every
-        declared member's bytes and CRC, so before the rule ``--deep`` passed
-        and the loaded graph was weighted against its header.
+        Appending a column's worth of arc weights to an unweighted artifact
+        keeps every declared column's bytes and CRC, so only the size check
+        can tell; it runs before any checksum, on every load.
         """
         num_arcs = int(read_columns(saved)["graph_indices"].shape[0])
-        with zipfile.ZipFile(saved / COLUMNS_FILE, "a", zipfile.ZIP_STORED) as archive:
-            with archive.open("graph_arc_weights.npy", "w") as member:
-                np.lib.format.write_array(member, np.full(num_arcs, 2.0))
+        with (saved / COLUMNS_FILE).open("ab") as handle:
+            handle.write(np.full(num_arcs, 2.0).tobytes())
 
         def forbidden(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("no checksum may run before the member check")
+            raise AssertionError("no checksum may run before the size check")
 
         monkeypatch.setattr("repro.storage.integrity.column_checksum", forbidden)
         for attempt in (
@@ -228,7 +209,7 @@ class TestVerifyArtifact:
             lambda: ScanIndex.load(saved),
             lambda: verify_artifact(saved, deep=True),
         ):
-            with pytest.raises(ArtifactFormatError, match="'graph_arc_weights'.*not declare"):
+            with pytest.raises(ArtifactFormatError, match="truncated or extended"):
                 attempt()
         for argv in (
             ["index", "verify", str(saved), "--deep"],
@@ -237,7 +218,7 @@ class TestVerifyArtifact:
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-            assert "graph_arc_weights" in captured.err and "Traceback" not in captured.err
+            assert COLUMNS_FILE in captured.err and "Traceback" not in captured.err
             assert captured.out == ""
 
     def test_load_verify_flag_runs_the_deep_check(self, saved):

@@ -12,7 +12,6 @@ from repro.storage.format import (
     BOUNDARY_COLUMN,
     FORMAT_VERSION,
     HEADER_FILE,
-    SUPPORTED_VERSIONS,
 )
 
 
@@ -67,11 +66,15 @@ ID_COLUMNS = ("graph_indices", "graph_arc_edge_ids", "no_neighbors", "co_vertice
 def downgrade_header(header, version):
     """Rewrite a current header in place as an older writer would have left it.
 
-    Versions 1-4 had no ε boundary table, 1-3 stored int64 ids, 1-2 recorded
+    Versions 1-5 stored a zip archive, so their column records hold no
+    offset; 1-4 had no ε boundary table, 1-3 stored int64 ids, 1-2 recorded
     no checksums, and version 1 no update lineage.
     """
     header["version"] = version
-    del header["columns"][BOUNDARY_COLUMN]
+    for spec in header["columns"].values():
+        del spec["offset"]
+    if version <= 4:
+        del header["columns"][BOUNDARY_COLUMN]
     if version <= 3:
         for name in ID_COLUMNS:
             header["columns"][name]["dtype"] = "int64"
@@ -93,7 +96,7 @@ class TestVersionCompatibility:
         mutate(header)
         (path / HEADER_FILE).write_text(json.dumps(header))
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_an_older_version_is_refused_with_one_rebuild_line(
         self, index, tmp_path, version
     ):
@@ -117,7 +120,7 @@ class TestVersionCompatibility:
         pytest.param(["serve", "{a}", "--requests", "{requests}"], id="serve"),
         pytest.param(["cluster", "--load", "{a}", "--mu", "2"], id="cluster-load"),
     ])
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_every_command_refuses_an_older_version_in_one_line(
         self, index, tmp_path, capsys, version, surface
     ):
@@ -146,7 +149,8 @@ class TestVersionCompatibility:
         assert read_tree(artifact) == before
 
     @pytest.mark.parametrize("version", [
-        pytest.param("5", id="string"),
+        pytest.param(str(FORMAT_VERSION), id="string"),
+        pytest.param(float(FORMAT_VERSION), id="float"),
         pytest.param(5.5, id="fraction"),
         pytest.param(True, id="bool"),
         pytest.param(0, id="zero"),
@@ -170,7 +174,7 @@ class TestVersionCompatibility:
     def test_future_versions_rejected(self, index, tmp_path):
         index.save(tmp_path / "a")
         self._rewrite_header(
-            tmp_path / "a", lambda h: h.update(version=max(SUPPORTED_VERSIONS) + 1)
+            tmp_path / "a", lambda h: h.update(version=FORMAT_VERSION + 1)
         )
         with pytest.raises(ArtifactFormatError, match="version"):
             ScanIndex.load(tmp_path / "a")
